@@ -9,11 +9,14 @@
 //!    spans and pays drone ticks only while flying or signalling. The
 //!    committed floor is a ≥5× drone-tick reduction; the measured ratio on
 //!    the day-length mission is far higher.
+//!    Its silent human stands still in front of a hovering drone, so the
+//!    owner's view memo serves nearly every camera frame: the smoke floor is
+//!    ≥90% of owner frames reused (a count, not a wall-time floor).
 //! 2. **Capacity ladder** — session farms of growing size (to ≥1000
 //!    concurrent sessions) multiplexed on the shared event heap, recording
-//!    wall time, scheduler dispatches, drone ticks, and outcomes. The farm
-//!    is serial by design (one heap); `--threads` is recorded as metadata
-//!    for report comparability.
+//!    wall time, scheduler dispatches, drone ticks, owner frames, views
+//!    reused and outcomes. The farm is serial by design (one heap);
+//!    `--threads` is recorded as metadata for report comparability.
 //!
 //! Usage: `cargo run --release -p hdc-bench --bin bench_sessions
 //! [--threads N] [--smoke] [out.json]`
@@ -63,6 +66,8 @@ struct ModeRun {
     sim_s: f64,
     wall_ms: f64,
     outcome: SessionOutcome,
+    frames: usize,
+    views_reused: usize,
 }
 
 /// Runs the idle-heavy mission alone in one scheduler mode.
@@ -91,13 +96,17 @@ fn run_idle_mission(config: SessionConfig, mode: ScheduleMode) -> ModeRun {
             }
         }
     }
-    let outcome = session.run_events(); // already done; returns the outcome
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let drone_ticks = session.drone_ticks();
+    let report = session.into_report();
     ModeRun {
-        drone_ticks: session.drone_ticks(),
+        drone_ticks,
         dispatches,
-        sim_s: session.time(),
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        outcome,
+        sim_s: report.duration_s,
+        wall_ms,
+        outcome: report.outcome,
+        frames: report.frames_processed,
+        views_reused: report.views_reused,
     }
 }
 
@@ -144,6 +153,8 @@ fn main() {
         "sim s",
         "drone ticks",
         "dispatches",
+        "frames",
+        "views reused",
         "wall ms",
         "outcome",
     ]);
@@ -153,6 +164,8 @@ fn main() {
             num(r.sim_s, 1),
             r.drone_ticks.to_string(),
             r.dispatches.to_string(),
+            r.frames.to_string(),
+            r.views_reused.to_string(),
             num(r.wall_ms, 1),
             format!("{:?}", r.outcome),
         ]);
@@ -163,6 +176,14 @@ fn main() {
         tick_ratio >= 5.0,
         "event-driven scheduling must cut idle-mission drone ticks >=5x, got {tick_ratio:.1}x"
     );
+    for (label, r) in [("lockstep", &lock), ("event-driven", &event)] {
+        assert!(
+            r.frames > 0 && r.views_reused * 10 >= r.frames * 9,
+            "the idle mission's owner must reuse >=90% of its frames ({label}): {} of {}",
+            r.views_reused,
+            r.frames
+        );
+    }
 
     // --- capacity ladder on the shared heap ---
     let rungs: &[usize] = if smoke { &[10, 50] } else { &[100, 300, 1000] };
@@ -179,10 +200,12 @@ fn main() {
         );
         println!(
             "ladder {n:>5} sessions: {:.0} ms wall, {} dispatches, {} drone ticks, \
-             {} granted / {} denied / {} abandoned / {} aborted",
+             {} of {} frames reused, {} granted / {} denied / {} abandoned / {} aborted",
             wall_ms,
             stats.events_dispatched,
             stats.total_drone_ticks,
+            stats.views_reused,
+            stats.frames_processed,
             stats.count(SessionOutcome::Granted),
             stats.count(SessionOutcome::Denied),
             stats.count(SessionOutcome::Abandoned),
@@ -220,16 +243,14 @@ fn main() {
          \"outcome\": \"{:?}\",",
         idle_cfg.negotiation.attention_timeout_s, lock.sim_s, lock.outcome
     );
-    let _ = writeln!(
-        json,
-        "    \"lockstep\": {{\"drone_ticks\": {}, \"dispatches\": {}, \"wall_ms\": {:.2}}},",
-        lock.drone_ticks, lock.dispatches, lock.wall_ms
-    );
-    let _ = writeln!(
-        json,
-        "    \"event_driven\": {{\"drone_ticks\": {}, \"dispatches\": {}, \"wall_ms\": {:.2}}},",
-        event.drone_ticks, event.dispatches, event.wall_ms
-    );
+    for (label, r) in [("lockstep", &lock), ("event_driven", &event)] {
+        let _ = writeln!(
+            json,
+            "    \"{label}\": {{\"drone_ticks\": {}, \"dispatches\": {}, \"frames\": {}, \
+             \"views_reused\": {}, \"wall_ms\": {:.2}}},",
+            r.drone_ticks, r.dispatches, r.frames, r.views_reused, r.wall_ms
+        );
+    }
     let _ = writeln!(json, "    \"drone_tick_ratio\": {tick_ratio:.1}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"capacity_ladder\": [");
@@ -238,12 +259,15 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"sessions\": {}, \"wall_ms\": {:.1}, \"dispatches\": {}, \
-             \"drone_ticks\": {}, \"sessions_per_s\": {:.1}, \"granted\": {}, \
-             \"denied\": {}, \"abandoned\": {}, \"aborted\": {}}}{comma}",
+             \"drone_ticks\": {}, \"frames\": {}, \"views_reused\": {}, \
+             \"sessions_per_s\": {:.1}, \"granted\": {}, \"denied\": {}, \
+             \"abandoned\": {}, \"aborted\": {}}}{comma}",
             rung.sessions,
             rung.wall_ms,
             rung.stats.events_dispatched,
             rung.stats.total_drone_ticks,
+            rung.stats.frames_processed,
+            rung.stats.views_reused,
             rung.sessions as f64 / (rung.wall_ms / 1e3).max(1e-9),
             rung.stats.count(SessionOutcome::Granted),
             rung.stats.count(SessionOutcome::Denied),

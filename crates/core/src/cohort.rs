@@ -38,15 +38,17 @@
 //! manifests prove both.
 
 use crate::datalink::derive_seed;
-use hdc_figure::{render_signaller, MarshallingSign, Signaller, ViewSpec};
+use crate::view::{calibrated_pipeline, ViewMemo};
+use hdc_figure::{MarshallingSign, Signaller, ViewSpec};
 use hdc_geometry::azimuth::{in_dead_angle_deg, relative_azimuth_rad, rotate_about};
-use hdc_geometry::{CameraIntrinsics, PinholeCamera, Vec2, Vec3};
+use hdc_geometry::Vec3;
 use hdc_link::{
     ChannelStats, Endpoint, EndpointConfig, Frame, LeaseConfig, LinkQuality, LossyChannel,
 };
 use hdc_vision::dynamic::{DynamicDecision, DynamicRecognizer};
-use hdc_vision::{DecisionFilter, PipelineConfig, RecognitionPipeline};
+use hdc_vision::{DecisionFilter, RecognitionPipeline};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One observer drone of the cohort.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -172,6 +174,10 @@ pub struct CohortReport {
     pub wave_offs_relayed: u64,
     /// Relay traffic toward the owner, summed over observers.
     pub relay_up: ChannelStats,
+    /// Observer views served from the observers' view memos (a repeat of
+    /// that observer's previous view, neither rendered nor recognised
+    /// again) — a host-independent work counter outside every digest.
+    pub views_reused: u64,
 }
 
 /// What one pump of the cohort produced, for the session loop to act on.
@@ -201,9 +207,10 @@ struct Vote {
 #[derive(Debug)]
 struct Member {
     spec: ObserverSpec,
-    pipeline: RecognitionPipeline,
+    pipeline: Arc<RecognitionPipeline>,
     filter: DecisionFilter,
     dynamic: DynamicRecognizer,
+    memo: ViewMemo,
     /// Observer-side endpoint (sends `RelayMsg`, receives nothing).
     ep: Endpoint<RelayMsg, ()>,
     /// Owner-side endpoint (receives `RelayMsg`).
@@ -240,8 +247,9 @@ const LEASE_EDGE_S: f64 = 1e-6;
 const SALT_BASE: u64 = 0x20;
 
 impl Cohort {
-    /// Builds the cohort: one calibrated recognition stack and one seeded
-    /// relay pair per observer, all streams derived from the session seed.
+    /// Builds the cohort: one recognition stack (sharing the calibrated
+    /// pipeline) and one seeded relay pair per observer, all streams derived
+    /// from the session seed.
     pub fn new(
         config: CohortConfig,
         seed: u64,
@@ -249,21 +257,24 @@ impl Cohort {
         contact_distance_m: f64,
         now: f64,
     ) -> Self {
-        let calibration = ViewSpec::paper_default(0.0, negotiation_altitude_m, contact_distance_m);
+        let pipeline = calibrated_pipeline(&ViewSpec::paper_default(
+            0.0,
+            negotiation_altitude_m,
+            contact_distance_m,
+        ));
         let members: Vec<Member> = config
             .observers
             .iter()
             .flatten()
             .enumerate()
             .map(|(i, spec)| {
-                let mut pipeline = RecognitionPipeline::new(PipelineConfig::default());
-                pipeline.calibrate_from_views(&calibration);
                 let salt = SALT_BASE + 4 * i as u64;
                 Member {
                     spec: *spec,
-                    pipeline,
+                    pipeline: Arc::clone(&pipeline),
                     filter: DecisionFilter::new(2),
                     dynamic: crate::session::session_dynamic_recognizer(),
+                    memo: ViewMemo::default(),
                     ep: Endpoint::new(config.endpoint, config.lease, derive_seed(seed, salt), now),
                     owner_ep: Endpoint::new(
                         config.endpoint,
@@ -303,8 +314,14 @@ impl Cohort {
     /// Every observer senses the scene from its own viewpoint and queues
     /// votes/wave-offs for relay. Called once per owner camera frame with
     /// the current signaller and the owner's eye position.
-    pub fn sense(&mut self, now: f64, signaller: &Signaller, owner_eye: Vec3, human: Vec2) {
+    ///
+    /// Fault layers touch only the owner's frame, so every observer always
+    /// reads through its view memo: a repeat of its previous view reuses
+    /// that view's features and static decision instead of rendering and
+    /// recognising again.
+    pub fn sense(&mut self, now: f64, signaller: &Signaller, owner_eye: Vec3) {
         let refresh = self.vote_refresh_s;
+        let human = signaller.position();
         for member in &mut self.members {
             if member.failed || member.lost {
                 continue;
@@ -314,33 +331,40 @@ impl Cohort {
                 continue; // directly overhead: no usable view (the owner's floor)
             }
             let eye = Vec3::from_xy(ground, owner_eye.z);
-            let intrinsics = CameraIntrinsics::new(640, 480, 640.0);
-            let camera = PinholeCamera::look_at(eye, signaller.chest(), intrinsics);
-            let frame = render_signaller(signaller, &camera);
+
+            // A member whose own relative azimuth falls inside the
+            // recogniser's dead band abstains from static votes instead of
+            // guessing — a blind viewpoint must never outvote a sighted one.
+            // Blindness is a function of the view key, so a blind member
+            // never reads the static decision at all.
+            let rel_az = relative_azimuth_rad(human, signaller.heading(), ground);
+            let blind = in_dead_angle_deg(rel_az.to_degrees());
+            let read = member.memo.view(
+                signaller,
+                eye,
+                &mut member.dynamic,
+                &member.pipeline,
+                !blind,
+            );
 
             // dynamic channel first — a wave-off outranks any static read
-            let mask = hdc_raster::threshold::binarize(&frame, 128);
-            member.dynamic.push(now, &mask);
+            member.dynamic.push_features(now, read.features);
             if member.dynamic.decision() == DynamicDecision::WaveOff {
                 member.dynamic.reset();
                 member.ep.send(now, RelayMsg::WaveOff);
                 continue;
             }
 
-            // A member whose own relative azimuth falls inside the
-            // recogniser's dead band abstains from static votes instead of
-            // guessing — a blind viewpoint must never outvote a sighted one.
-            // (The wave-off channel above stays live: its failure mode is a
-            // missed wave-off, never a false grant.)
-            let rel_az = relative_azimuth_rad(human, signaller.heading(), ground);
-            if in_dead_angle_deg(rel_az.to_degrees()) {
+            // (The wave-off channel above stays live for a blind member: its
+            // failure mode is a missed wave-off, never a false grant.)
+            if blind {
                 member.filter.push(None);
                 continue;
             }
+            let decision = read.decision.expect("a sighted read carries its decision");
 
             // static channel, debounced exactly like the owner's
-            let result = member.pipeline.recognize(&frame);
-            let confirmed = member.filter.push(result.decision.as_deref());
+            let confirmed = member.filter.push(decision.as_deref());
             let sign = confirmed.and_then(|label| {
                 MarshallingSign::ALL
                     .into_iter()
@@ -529,6 +553,7 @@ impl Cohort {
     pub fn report(&self) -> CohortReport {
         let mut report = self.report;
         for member in &self.members {
+            report.views_reused += member.memo.reused();
             let s = member.to_owner.stats();
             report.relay_up.offered += s.offered;
             report.relay_up.dropped += s.dropped;
@@ -651,6 +676,56 @@ mod tests {
         assert_eq!(report.failed, 1);
         assert_eq!(report.lost, 1);
         assert!(c.is_settled());
+    }
+
+    #[test]
+    fn observer_memo_matches_the_full_path() {
+        // Observers read through their memo even when the owner has a fault
+        // layer, so their oracle is a twin cohort whose memos are wiped
+        // before every frame. A seeded walk holds each view for a few
+        // frames, then changes one input: the pose (signs, arms down, wave
+        // phases), the heading (in and out of the dead band) or the eye.
+        use hdc_figure::Pose;
+        use hdc_geometry::Vec2;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let config = CohortConfig::dual_observer(0.35, 1.75);
+        let (mut fast, mut full) = (cohort(config), cohort(config));
+        let human = Vec2::new(12.0, 8.0);
+        let mut rng = SmallRng::seed_from_u64(5);
+        let (mut pose, mut heading, mut bearing) = (Pose::neutral(), 0.3, 0.3);
+        for k in 0..120 {
+            let t = k as f64 * 0.5;
+            if rng.gen::<f64>() < 0.4 {
+                match rng.gen_range(0..3) {
+                    0 => {
+                        pose = match rng.gen_range(0..5) {
+                            0 => Pose::neutral(),
+                            1 => Pose::wave_off_phase(t * 0.4),
+                            k => Pose::for_sign(MarshallingSign::ALL[k - 2]),
+                        }
+                    }
+                    1 => heading = rng.gen_range(-3.1..3.1),
+                    _ => bearing = rng.gen_range(-3.1..3.1),
+                }
+            }
+            let signaller = Signaller::new(human, heading, pose);
+            let eye = Vec3::from_xy(human + Vec2::from_angle(bearing) * 3.0, 4.0);
+            fast.sense(t, &signaller, eye);
+            for member in &mut full.members {
+                member.memo = ViewMemo::default();
+            }
+            full.sense(t, &signaller, eye);
+            let (a, b) = (fast.pump(t), full.pump(t));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "frame {k}");
+        }
+        let (mut a, b) = (fast.report(), full.report());
+        assert!(a.views_reused > 40, "held views must repeat: {a:?}");
+        assert_eq!(b.views_reused, 0);
+        a.views_reused = 0;
+        assert_eq!(a, b);
+        assert!(a.votes_received > 0, "the walk must produce relayed votes");
     }
 
     #[test]

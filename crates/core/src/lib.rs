@@ -32,6 +32,7 @@ mod requirements;
 mod roles;
 mod safety;
 mod session;
+mod view;
 
 pub use cohort::{CohortConfig, CohortReport, ObserverSpec, RelayMsg};
 pub use datalink::{DatalinkConfig, LinkEvent, LinkPump, LinkReport, SessionLink};

@@ -17,17 +17,19 @@ use crate::protocol::{
 };
 use crate::roles::Role;
 use crate::safety::SafetyMonitor;
+use crate::view::{calibrated_pipeline, render_view, ViewMemo, ViewRead};
 use hdc_drone::{
     Drone, DroneConfig, DroneEvent, FlightPattern, LedMode, PatternClassifier, PatternKind,
     WindModel,
 };
-use hdc_figure::{render_signaller, MarshallingSign, Pose, Signaller, ViewSpec};
-use hdc_geometry::{CameraIntrinsics, PinholeCamera, Vec2, Vec3};
+use hdc_figure::{MarshallingSign, Pose, Signaller, ViewSpec};
+use hdc_geometry::{Vec2, Vec3};
 use hdc_raster::GrayImage;
-use hdc_vision::{PipelineConfig, RecognitionPipeline};
+use hdc_vision::RecognitionPipeline;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// What a scripted human does when they read a drone pattern — the
 /// deterministic (RNG-free) alternative to the stochastic role profiles,
@@ -254,6 +256,10 @@ pub struct SessionReport {
     pub frames_dropped: usize,
     /// Frames processed twice by an installed fault layer.
     pub frames_duplicated: usize,
+    /// Owner camera frames served from the view memo (a repeat of the
+    /// previous view, neither rendered nor recognised again) — a
+    /// host-independent work counter outside every digest.
+    pub views_reused: usize,
     /// LED ring mode at session end (safety audits check the all-red latch).
     pub ring_mode: LedMode,
     /// Whether the drone's safety function engaged during the session.
@@ -309,8 +315,9 @@ pub struct CollaborationSession {
     config: SessionConfig,
     drone: Drone,
     machine: NegotiationMachine,
-    pipeline: RecognitionPipeline,
+    pipeline: Arc<RecognitionPipeline>,
     dynamic: hdc_vision::dynamic::DynamicRecognizer,
+    memo: ViewMemo,
     observer: PatternClassifier,
     monitor: SafetyMonitor,
     human: HumanState,
@@ -363,12 +370,11 @@ impl CollaborationSession {
     /// mode when work is due immediately.
     pub const TICK_S: f64 = DT;
 
-    /// Builds a session: calibrates the vision pipeline from the canonical
-    /// views (the paper's 0°-azimuth references at the negotiation geometry)
-    /// and positions the actors.
+    /// Builds a session: takes the vision pipeline calibrated from the
+    /// canonical views (the paper's 0°-azimuth references at the negotiation
+    /// geometry, calibrated once per thread) and positions the actors.
     pub fn new(config: SessionConfig) -> Self {
-        let mut pipeline = RecognitionPipeline::new(PipelineConfig::default());
-        pipeline.calibrate_from_views(&ViewSpec::paper_default(
+        let pipeline = calibrated_pipeline(&ViewSpec::paper_default(
             0.0,
             config.negotiation_altitude_m,
             config.contact_distance_m,
@@ -400,6 +406,7 @@ impl CollaborationSession {
             observer: PatternClassifier::default(),
             monitor: SafetyMonitor::default(),
             dynamic: session_dynamic_recognizer(),
+            memo: ViewMemo::default(),
             human: HumanState {
                 heading: config.human_heading,
                 activity: HumanActivity::Idle,
@@ -725,25 +732,33 @@ impl CollaborationSession {
         };
         let signaller = Signaller::new(self.config.human_position, self.human.heading, pose);
         let eye = drone_pos;
-        let target = signaller.chest();
-        let camera = PinholeCamera::look_at(eye, target, CameraIntrinsics::new(640, 480, 640.0));
-        let mut frame = render_signaller(&signaller, &camera);
 
         // cohort observers sense the same scene from their own viewpoints
         // on the owner's camera cadence; their votes ride the relay and
         // surface at the next cohort pump. The fault layer below touches
         // only the owner's frame — observer impairment is the relay model.
         if let Some(cohort) = self.cohort.as_mut() {
-            cohort.sense(self.time, &signaller, eye, self.config.human_position);
+            cohort.sense(self.time, &signaller, eye);
         }
 
+        // An installed fault layer may rewrite pixels and must see every
+        // frame in order, so only an unfaulted owner reads through its memo.
+        if self.faults.is_none() {
+            let read = self
+                .memo
+                .view(&signaller, eye, &mut self.dynamic, &self.pipeline, true);
+            self.ingest_read(read);
+            return;
+        }
+
+        let mut frame = render_view(&signaller, eye);
         // the fault layer sees (and may corrupt or discard) the frame before
         // either recognition channel does
         let t = self.time;
-        let fate = match self.faults.as_mut() {
-            Some(f) => f.on_frame(t, &mut frame),
-            None => FrameFate::Deliver,
-        };
+        let fate = self
+            .faults
+            .as_mut()
+            .map_or(FrameFate::Deliver, |f| f.on_frame(t, &mut frame));
         match fate {
             FrameFate::Deliver => self.ingest_frame(&frame),
             FrameFate::Drop => self.frames_dropped += 1,
@@ -760,9 +775,15 @@ impl CollaborationSession {
 
     /// Feeds one delivered camera frame to both recognition channels.
     fn ingest_frame(&mut self, frame: &GrayImage) {
+        let read = ViewRead::frame(frame, &mut self.dynamic, &self.pipeline, true);
+        self.ingest_read(read);
+    }
+
+    /// Feeds one view's read — fresh or served from the memo — through both
+    /// recognition channels' debounce, log, counters and cohort vote.
+    fn ingest_read(&mut self, read: ViewRead) {
         // dynamic channel: the temporal recogniser sees every frame
-        let mask = hdc_raster::threshold::binarize(frame, 128);
-        self.dynamic.push(self.time, &mask);
+        self.dynamic.push_features(self.time, read.features);
         if self.dynamic.decision() == hdc_vision::dynamic::DynamicDecision::WaveOff {
             self.note(LogEntry::Note("dynamic gesture: wave-off detected".into()));
             self.dynamic.reset();
@@ -774,15 +795,17 @@ impl CollaborationSession {
         // static channel — debounced: a label is believed only when two
         // consecutive frames agree (a single mid-gesture frame can alias to
         // a static sign; a held sign always repeats)
-        let result = self.pipeline.recognize(frame);
+        let decision = read
+            .decision
+            .expect("the owner always reads the static decision");
         self.frames_processed += 1;
-        if result.decision.is_some() {
+        if decision.is_some() {
             self.frames_recognized += 1;
         }
-        self.note(LogEntry::Recognized(result.decision.clone()));
+        self.note(LogEntry::Recognized(decision.clone()));
         let confirmed = self
             .static_filter
-            .push(result.decision.as_deref())
+            .push(decision.as_deref())
             .map(str::to_owned);
         let sign = confirmed.as_deref().and_then(|label| {
             MarshallingSign::ALL
@@ -1272,6 +1295,7 @@ impl CollaborationSession {
             frames_recognized: self.frames_recognized,
             frames_dropped: self.frames_dropped,
             frames_duplicated: self.frames_duplicated,
+            views_reused: self.memo.reused() as usize,
             ring_mode: self.drone.ring().mode(),
             safety_engaged: self.drone.safety_engaged(),
             grounded: self.drone.state().is_grounded(),

@@ -27,6 +27,11 @@ pub struct FarmStats {
     /// Scheduler dispatches: heap pops in event mode, per-session steps in
     /// lockstep mode.
     pub events_dispatched: u64,
+    /// Owner camera frames processed across the farm.
+    pub frames_processed: u64,
+    /// Owner camera frames served from the sessions' view memos (neither
+    /// rendered nor recognised again) — a host-independent work counter.
+    pub views_reused: u64,
 }
 
 impl FarmStats {
@@ -104,13 +109,23 @@ pub fn run_session_farm(configs: &[SessionConfig], mode: ScheduleMode, salt: u64
         }
     }
 
+    let total_drone_ticks = sessions.iter().map(|s| s.drone_ticks()).sum();
+    let (mut frames_processed, mut views_reused) = (0u64, 0u64);
+    let outcomes = sessions
+        .into_iter()
+        .map(|s| {
+            let report = s.into_report();
+            frames_processed += report.frames_processed as u64;
+            views_reused += report.views_reused as u64;
+            report.outcome
+        })
+        .collect();
     FarmStats {
-        total_drone_ticks: sessions.iter().map(|s| s.drone_ticks()).sum(),
-        outcomes: sessions
-            .into_iter()
-            .map(|s| s.into_report().outcome)
-            .collect(),
+        outcomes,
+        total_drone_ticks,
         events_dispatched,
+        frames_processed,
+        views_reused,
     }
 }
 

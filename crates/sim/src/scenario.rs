@@ -941,6 +941,7 @@ mod tests {
             frames_recognized: 0,
             frames_dropped: 0,
             frames_duplicated: 0,
+            views_reused: 0,
             ring_mode: LedMode::Navigation,
             safety_engaged: false,
             grounded: false,

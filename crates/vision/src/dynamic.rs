@@ -28,8 +28,8 @@ pub struct FrameFeatures {
 ///
 /// Returns `None` when no usable blob exists.
 ///
-/// Allocates labelling buffers per call; the steady-state loop inside
-/// [`DynamicRecognizer::push`] uses the scratch-reusing equivalent instead.
+/// Allocates labelling buffers per call; [`DynamicRecognizer::features`] is
+/// the scratch-reusing equivalent the steady-state loop uses.
 pub fn frame_features(mask: &Bitmap) -> Option<FrameFeatures> {
     let (_, comp) = largest_component(mask, Connectivity::Eight)?;
     features_of(&comp)
@@ -152,16 +152,35 @@ impl DynamicRecognizer {
 
     /// Pushes a timestamped frame; frames older than the window fall out.
     ///
-    /// Returns whether usable features were extracted.
+    /// Returns whether usable features were extracted. Equivalent to
+    /// `push_features(t, features(mask))`.
     ///
     /// Labelling runs through the recogniser's reused scratch buffers, so
     /// once the window and buffers have reached their high-water marks the
     /// per-frame loop performs no heap allocation (pinned by the
     /// `zero_alloc_dynamic` test).
     pub fn push(&mut self, t: f64, mask: &Bitmap) -> bool {
+        let f = self.features(mask);
+        self.push_features(t, f)
+    }
+
+    /// Extracts the frame's features through the recogniser's reused
+    /// labelling buffers — [`frame_features`] without the per-call
+    /// allocation. Leaves the window untouched.
+    pub fn features(&mut self, mask: &Bitmap) -> Option<FrameFeatures> {
         let comp =
             largest_component_with(mask, Connectivity::Eight, &mut self.blob, &mut self.label);
-        let Some(f) = comp.as_ref().and_then(features_of) else {
+        comp.as_ref().and_then(features_of)
+    }
+
+    /// Pushes features already extracted from a timestamped frame (a caller
+    /// that has seen an identical frame before reuses its features instead
+    /// of labelling the mask again). `None` — no usable blob — leaves the
+    /// window untouched, exactly as [`DynamicRecognizer::push`] does.
+    ///
+    /// Returns whether features were pushed.
+    pub fn push_features(&mut self, t: f64, features: Option<FrameFeatures>) -> bool {
+        let Some(f) = features else {
             return false;
         };
         self.window.push_back((t, f));
@@ -305,6 +324,28 @@ mod tests {
             rec.push(t, &mask_of(from.lerp(&to, (t / 2.0).min(1.0))));
         }
         assert_ne!(rec.decision(), DynamicDecision::WaveOff);
+    }
+
+    #[test]
+    fn push_features_of_a_mask_is_push() {
+        // a wave, a hold and a no-blob frame, interleaved: splitting push
+        // into features + push_features must change nothing
+        let empty = Bitmap::new(8, 8);
+        let mut whole = DynamicRecognizer::new(DynamicConfig::default());
+        let mut split = DynamicRecognizer::new(DynamicConfig::default());
+        for i in 0..60 {
+            let t = i as f64 * 0.1;
+            let mask = match i % 7 {
+                0 => empty.clone(),
+                k if k < 4 => mask_of(Pose::wave_off_phase(t)),
+                _ => mask_of(Pose::for_sign(MarshallingSign::Yes)),
+            };
+            let features = split.features(&mask);
+            assert_eq!(features, frame_features(&mask), "frame {i}");
+            assert_eq!(whole.push(t, &mask), split.push_features(t, features));
+            assert_eq!(whole.window, split.window, "frame {i}");
+            assert_eq!(whole.decision(), split.decision(), "frame {i}");
+        }
     }
 
     #[test]

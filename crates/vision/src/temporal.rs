@@ -13,7 +13,7 @@
 //! 1. **Strict gate** ([`GateMode::Strict`]): reuse the cached decision only
 //!    when the frame is *byte-identical* to the reference — identity is
 //!    hash-then-verify: a sparse fingerprint (the shared FNV-1a/64 digest of
-//!    `hdc_raster::digest` streamed over every 16th pixel row) is compared
+//!    `hdc_raster::digest` streamed over every 32nd pixel row) is compared
 //!    first, and the full `memcmp` runs only on a digest match. Identical
 //!    frames always produce identical fingerprints, so the gate never
 //!    misses a true repeat; a colliding fingerprint merely costs the

@@ -1,33 +1,49 @@
 //! Proves the steady-state frame loop is allocation-free.
 //!
-//! A counting global allocator wraps the system allocator; after one warm-up
-//! frame per resolution has grown every scratch buffer to capacity, running
-//! further frames through `recognize_with` must leave the allocation counter
-//! untouched — including reject frames (empty masks, sub-minimum blobs).
+//! A counting global allocator wraps the system allocator and counts each
+//! thread's allocations; after one warm-up frame per resolution has grown
+//! every scratch buffer to capacity, running further frames through
+//! `recognize_with` must leave the measuring thread's counter untouched —
+//! including reject frames (empty masks, sub-minimum blobs).
 
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::GrayImage;
 use hdc_vision::{FrameScratch, KernelPath, PipelineConfig, RecognitionPipeline};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made on this thread. The test harness runs tests on
+    /// parallel threads, so each test counts only its own thread's
+    /// allocations — never a neighbour's.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread's locals are torn down
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made on the calling thread so far.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -86,24 +102,24 @@ fn assert_allocation_free(kernels: KernelPath) {
         "warm-up stream must exercise the reject path"
     );
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..3 {
         for (frame, expected) in frames.iter().zip(&warm_decisions) {
             let r = pipeline.recognize_with(&mut scratch, frame);
             assert_eq!(&r.decision.map(str::to_owned), expected);
         }
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     // The decision comparison above allocates (map(str::to_owned)), so count
     // a pure recognition pass separately: zero tolerance there.
-    let before_pure = ALLOCATIONS.load(Ordering::Relaxed);
+    let before_pure = allocations();
     for _ in 0..3 {
         for frame in &frames {
             let r = pipeline.recognize_with(&mut scratch, frame);
             std::hint::black_box(&r);
         }
     }
-    let after_pure = ALLOCATIONS.load(Ordering::Relaxed);
+    let after_pure = allocations();
     assert_eq!(
         after_pure - before_pure,
         0,
@@ -166,13 +182,13 @@ fn incremental_gate_is_allocation_free_in_steady_state() {
         "the block must take the band-patch path into the ε short-circuit"
     );
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..3 {
         for f in frames {
             std::hint::black_box(rec.recognize(&pipeline, &mut scratch, f));
         }
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

@@ -1,36 +1,52 @@
 //! Proves the dynamic (motion-pattern) recogniser is allocation-free in
 //! steady state, mirroring the `zero_alloc` test for the static pipeline.
 //!
-//! A counting global allocator wraps the system allocator; after a warm-up
-//! pass has grown the sliding window, the labelling scratch and the aspect
-//! buffer to their high-water marks, further `push` + `decision` rounds
-//! must leave the allocation counter untouched — including no-blob frames
-//! (which take the early-return path).
+//! A counting global allocator wraps the system allocator and counts each
+//! thread's allocations; after a warm-up pass has grown the sliding window,
+//! the labelling scratch and the aspect buffer to their high-water marks,
+//! further `push` + `decision` rounds must leave the measuring thread's
+//! counter untouched — including no-blob frames (which take the
+//! early-return path).
 
 use hdc_figure::{render_pose, MarshallingSign, Pose, ViewSpec};
 use hdc_raster::threshold::binarize;
 use hdc_raster::Bitmap;
 use hdc_vision::dynamic::{DynamicConfig, DynamicDecision, DynamicRecognizer};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made on this thread. The test harness runs tests on
+    /// parallel threads, so each test counts only its own thread's
+    /// allocations — never a neighbour's.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread's locals are torn down
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made on the calling thread so far.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -74,7 +90,7 @@ fn dynamic_recognizer_is_allocation_free_after_warmup() {
     assert!(!rec.push(t, &empty), "empty mask must be rejected");
     assert_eq!(rec.decision(), DynamicDecision::WaveOff);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..3 {
         for mask in &masks {
             assert!(rec.push(t, mask));
@@ -83,7 +99,7 @@ fn dynamic_recognizer_is_allocation_free_after_warmup() {
         }
         assert!(!rec.push(t, &empty));
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
