@@ -1,10 +1,10 @@
 //! Sustained-throughput benchmark for the recognition pipeline.
 //!
 //! Measures the seed implementation (rebuilt from the retained reference
-//! oracles) against the optimised byte-kernel path (the PR 1 level), the
-//! bit-packed word-parallel path, and the default hybrid path (byte
-//! binarise, pack once, packed silhouette kernels) at 320×240, 640×480 and
-//! 1280×960, prints a comparison table and writes the JSON report.
+//! oracles) against the optimised byte-kernel path (the PR 1 level) and the
+//! default hybrid path (byte binarise, pack once, bit-packed silhouette
+//! kernels) at 320×240, 640×480 and 1280×960, prints a comparison table and
+//! writes the JSON report.
 //!
 //! Usage:
 //! `cargo run --release -p hdc-bench --bin bench_recognize [--kernels] [--smoke] [out.json]`
@@ -41,24 +41,20 @@ fn main() {
         "resolution",
         "seed ms/f",
         "byte ms/f",
-        "packed ms/f",
         "hybrid ms/f",
         "hybrid fps",
         "vs seed",
         "vs byte",
-        "vs packed",
     ]);
     for r in &results {
         table.row([
             format!("{}x{}", r.width, r.height),
             num(r.seed.ms_per_frame(), 3),
             num(r.byte.ms_per_frame(), 3),
-            num(r.packed.ms_per_frame(), 3),
             num(r.hybrid.ms_per_frame(), 3),
             num(r.hybrid.fps(), 1),
             format!("{:.2}x", r.speedup_hybrid()),
             format!("{:.2}x", r.hybrid.fps() / r.byte.fps()),
-            format!("{:.2}x", r.speedup_hybrid_vs_packed()),
         ]);
     }
     println!("{}", table.render());

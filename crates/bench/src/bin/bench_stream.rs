@@ -2,10 +2,9 @@
 //!
 //! Serves the same synthetic held-sign streams (static holds with sensor
 //! jitter and camera oversampling, punctuated by sign transitions) once per
-//! gate mode — ungated, strict, approximate, incremental — prints the
-//! sustained-fps comparison plus the measured decision divergence of the
-//! tolerance-based modes against the ungated oracle, and writes the JSON
-//! report.
+//! gate mode — ungated, strict, incremental — prints the sustained-fps
+//! comparison plus the measured decision divergence of the gated modes
+//! against the ungated oracle, and writes the JSON report.
 //!
 //! Usage: `cargo run --release -p hdc-bench --bin bench_stream
 //! [--threads N] [--smoke] [out.json]`
@@ -71,7 +70,6 @@ fn main() {
         "agg fps",
         "speedup",
         "strict hits",
-        "approx hits",
         "incr hits",
         "sig shortcut",
         "full runs",
@@ -83,7 +81,6 @@ fn main() {
             num(run.report.aggregate_fps(), 1),
             format!("{:.2}x", run.report.aggregate_fps() / baseline_fps),
             gate.strict_hits.to_string(),
-            gate.approx_hits.to_string(),
             gate.incremental_hits.to_string(),
             gate.signature_short_circuits.to_string(),
             gate.full_runs.to_string(),
@@ -121,7 +118,6 @@ fn main() {
 
     println!("measuring decision divergence vs the ungated oracle...");
     let strict_div = decision_divergence(&engine, &streams, TemporalConfig::strict());
-    let approx_div = decision_divergence(&engine, &streams, TemporalConfig::approximate());
     assert_eq!(
         strict_div.divergent, 0,
         "strict gating must be bit-identical to the ungated oracle"
@@ -131,12 +127,6 @@ fn main() {
         strict_div.divergent,
         strict_div.frames,
         100.0 * strict_div.rate()
-    );
-    println!(
-        "  approximate: {}/{} frames diverge ({:.4}%)",
-        approx_div.divergent,
-        approx_div.frames,
-        100.0 * approx_div.rate()
     );
     let incremental_div = decision_divergence(&engine, &streams, TemporalConfig::incremental());
     assert_eq!(
@@ -157,7 +147,6 @@ fn main() {
         threads,
         &runs,
         strict_div,
-        approx_div,
         incremental_div,
     );
     std::fs::write(&out_path, &json).expect("write benchmark report");

@@ -43,7 +43,7 @@ pub fn benchmark_pipeline() -> RecognitionPipeline {
     benchmark_pipeline_with(KernelPath::default())
 }
 
-/// [`benchmark_pipeline`] pinned to one kernel family. Byte and packed
+/// [`benchmark_pipeline`] pinned to one kernel family. Byte and hybrid
 /// calibration produce bit-identical templates and thresholds (the kernels
 /// are equivalence-tested), so pipelines built here differ only in the
 /// silhouette kernels they run.

@@ -8,11 +8,9 @@
 //! camera oversampling, and `Pose::lerp` transitions between signs — and
 //! [`gating_study`] serves it through [`RecognitionEngine::run_streams_gated`]
 //! once per gate mode so the sustained-fps comparison (ungated vs strict vs
-//! approximate vs incremental) is measured on the same frames, engine and
-//! floors.
+//! incremental) is measured on the same frames, engine and floors.
 //!
-//! Approximate and incremental modes may diverge from the ungated oracle, so
-//! the report also
+//! Incremental mode may diverge from the ungated oracle, so the report also
 //! *measures* that divergence ([`decision_divergence`]) on the deterministic
 //! [`RecognitionEngine::process_streams`] path and commits the rate next to
 //! the fps numbers in `BENCH_stream.json` — a speedup quoted without its
@@ -126,7 +124,7 @@ pub fn held_sign_streams(w: &StreamWorkload, streams: usize) -> Vec<Vec<GrayImag
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateRun {
     /// Mode name as committed in the JSON
-    /// (`off`/`strict`/`approximate`/`incremental`).
+    /// (`off`/`strict`/`incremental`).
     pub label: &'static str,
     /// The sustained multi-stream report for this mode.
     pub report: MultiStreamReport,
@@ -143,7 +141,6 @@ pub fn gating_study(
     [
         ("off", TemporalConfig::off()),
         ("strict", TemporalConfig::strict()),
-        ("approximate", TemporalConfig::approximate()),
         ("incremental", TemporalConfig::incremental()),
     ]
     .into_iter()
@@ -199,7 +196,6 @@ pub fn decision_divergence(
 
 /// Renders the study as the JSON document committed at `BENCH_stream.json`
 /// (hand-rolled: the workspace has no JSON dependency).
-#[allow(clippy::too_many_arguments)]
 pub fn stream_json(
     workload: &StreamWorkload,
     streams: usize,
@@ -207,7 +203,6 @@ pub fn stream_json(
     threads_flag: Option<usize>,
     runs: &[GateRun],
     strict_divergence: Divergence,
-    approx_divergence: Divergence,
     incremental_divergence: Divergence,
 ) -> String {
     let baseline_fps = runs
@@ -241,21 +236,20 @@ pub fn stream_json(
     s.push_str("    \"stream\": \"held marshalling signs: per hold, lerp transition frames then keyframes x byte-identical oversampled duplicates, salt-and-pepper sensor jitter per keyframe\",\n");
     s.push_str("    \"modes\": \"same engine, streams and floors served once per gate mode (off = ungated baseline)\",\n");
     s.push_str("    \"divergence\": \"per-frame accepted-decision mismatch vs the ungated oracle on the deterministic process_streams path (2 passes)\",\n");
-    s.push_str("    \"note\": \"sustained fps is per-worker on a 1-thread host; speedup_vs_off is the gate's work saving and is host-independent\"\n");
+    s.push_str("    \"note\": \"aggregate fps is summed over the metadata's workers, so it scales with the host; speedup_vs_off is the gate's work saving and is host-independent\"\n");
     s.push_str("  },\n");
     s.push_str("  \"modes\": [\n");
     for (i, run) in runs.iter().enumerate() {
         let gate = run.report.gate_totals();
         let _ = writeln!(
             s,
-            "    {{\"mode\": \"{}\", \"seconds\": {:.2}, \"frames\": {}, \"aggregate_fps\": {:.2}, \"speedup_vs_off\": {:.2}, \"gate\": {{\"strict_hits\": {}, \"approx_hits\": {}, \"incremental_hits\": {}, \"signature_short_circuits\": {}, \"full_runs\": {}}}}}{}",
+            "    {{\"mode\": \"{}\", \"seconds\": {:.2}, \"frames\": {}, \"aggregate_fps\": {:.2}, \"speedup_vs_off\": {:.2}, \"gate\": {{\"strict_hits\": {}, \"incremental_hits\": {}, \"signature_short_circuits\": {}, \"full_runs\": {}}}}}{}",
             run.label,
             run.report.seconds,
             run.report.total_frames(),
             run.report.aggregate_fps(),
             run.report.aggregate_fps() / baseline_fps,
             gate.strict_hits,
-            gate.approx_hits,
             gate.incremental_hits,
             gate.signature_short_circuits,
             gate.full_runs,
@@ -281,13 +275,10 @@ pub fn stream_json(
     }
     let _ = writeln!(
         s,
-        "  \"divergence\": {{\n    \"strict\": {{\"frames\": {}, \"divergent\": {}, \"rate\": {:.6}}},\n    \"approximate\": {{\"frames\": {}, \"divergent\": {}, \"rate\": {:.6}}},\n    \"incremental\": {{\"frames\": {}, \"divergent\": {}, \"rate\": {:.6}}}\n  }}",
+        "  \"divergence\": {{\n    \"strict\": {{\"frames\": {}, \"divergent\": {}, \"rate\": {:.6}}},\n    \"incremental\": {{\"frames\": {}, \"divergent\": {}, \"rate\": {:.6}}}\n  }}",
         strict_divergence.frames,
         strict_divergence.divergent,
         strict_divergence.rate(),
-        approx_divergence.frames,
-        approx_divergence.divergent,
-        approx_divergence.rate(),
         incremental_divergence.frames,
         incremental_divergence.divergent,
         incremental_divergence.rate(),
@@ -335,19 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn approximate_divergence_stays_bounded() {
-        let streams = held_sign_streams(&StreamWorkload::smoke(), 2);
-        let d = decision_divergence(&engine(), &streams, TemporalConfig::approximate());
-        assert!(
-            d.rate() <= 0.05,
-            "approximate divergence {} ({}/{}) exceeds the 5% bound",
-            d.rate(),
-            d.divergent,
-            d.frames
-        );
-    }
-
-    #[test]
     fn incremental_divergence_stays_bounded() {
         let streams = held_sign_streams(&StreamWorkload::smoke(), 2);
         let d = decision_divergence(&engine(), &streams, TemporalConfig::incremental());
@@ -361,26 +339,20 @@ mod tests {
     }
 
     #[test]
-    fn study_covers_all_four_modes_and_the_gate_actually_hits() {
+    fn study_covers_all_three_modes_and_the_gate_actually_hits() {
         let w = StreamWorkload::smoke();
         let streams = held_sign_streams(&w, 2);
         let runs = gating_study(&engine(), &streams, w.frames_per_stream(), 0.0);
         assert_eq!(
             runs.iter().map(|r| r.label).collect::<Vec<_>>(),
-            ["off", "strict", "approximate", "incremental"]
+            ["off", "strict", "incremental"]
         );
         let strict = runs[1].report.gate_totals();
         assert!(
             strict.strict_hits > 0,
             "duplicates must hit the strict gate"
         );
-        let approx = runs[2].report.gate_totals();
-        assert!(approx.approx_hits > 0, "jitter must hit the tile gate");
-        assert!(
-            approx.strict_hits > 0,
-            "duplicates must hit the identity pre-check"
-        );
-        let inc = runs[3].report.gate_totals();
+        let inc = runs[2].report.gate_totals();
         assert!(
             inc.incremental_hits > 0,
             "jitter must hit the incremental mask gate"
@@ -389,7 +361,7 @@ mod tests {
             inc.strict_hits > 0,
             "duplicates must hit the identity pre-check"
         );
-        let dirty = runs[3].report.dirty_totals();
+        let dirty = runs[2].report.dirty_totals();
         assert!(
             dirty.evaluated() > 0,
             "non-identity frames must reach the mask diff"
@@ -408,19 +380,10 @@ mod tests {
             frames: 10,
             divergent: 1,
         };
-        let json = stream_json(
-            &w,
-            1,
-            2,
-            Some(2),
-            &runs,
-            Divergence::default(),
-            d,
-            Divergence::default(),
-        );
+        let json = stream_json(&w, 1, 2, Some(2), &runs, Divergence::default(), d);
         assert!(json.contains("\"mode\": \"off\""));
         assert!(json.contains("\"mode\": \"strict\""));
-        assert!(json.contains("\"mode\": \"approximate\""));
+        assert!(!json.contains("approx"));
         assert!(json.contains("\"mode\": \"incremental\""));
         assert!(json.contains("\"dirty_coverage\""));
         assert!(json.contains("\"coverage_deciles\""));

@@ -1,4 +1,4 @@
-//! Sustained recognition throughput: seed vs byte vs packed vs hybrid.
+//! Sustained recognition throughput: seed vs byte vs hybrid.
 //!
 //! Measures frames per second of the full recognition pipeline at three
 //! resolutions, three times per resolution:
@@ -14,11 +14,10 @@
 //!   the PR 1 optimisation level (FFT rotation matching, MINDIST pruning,
 //!   raw-slice raster ops, zero steady-state allocation), one byte per
 //!   silhouette pixel.
-//! * **packed** — the same pipeline on [`hdc_vision::KernelPath::Packed`]:
-//!   bit-packed silhouettes, 64 px per `u64` word, word-parallel kernels.
 //! * **hybrid** — [`hdc_vision::KernelPath::Hybrid`] (the default): the
 //!   vectorised byte-compare binariser feeding one gather-multiply pack,
-//!   then the same word-parallel silhouette kernels.
+//!   then bit-packed silhouettes (64 px per `u64` word) through
+//!   word-parallel kernels.
 //!
 //! The `bench_recognize` binary runs this and writes `BENCH_recognize.json`
 //! so the numbers are committed alongside the code they measure.
@@ -59,7 +58,7 @@ impl Throughput {
     }
 }
 
-/// Seed-vs-byte-vs-packed-vs-hybrid comparison at one resolution.
+/// Seed-vs-byte-vs-hybrid comparison at one resolution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResolutionResult {
     /// Frame width in pixels.
@@ -70,8 +69,6 @@ pub struct ResolutionResult {
     pub seed: Throughput,
     /// The scratch-reuse byte-kernel implementation (the PR 1 level).
     pub byte: Throughput,
-    /// The scratch-reuse bit-packed implementation.
-    pub packed: Throughput,
     /// The scratch-reuse hybrid implementation (byte binarise, pack once,
     /// packed silhouette kernels) — the current default.
     pub hybrid: Throughput,
@@ -83,26 +80,9 @@ impl ResolutionResult {
         self.byte.fps() / self.seed.fps()
     }
 
-    /// Packed-kernel speed-up over the seed.
-    pub fn speedup_packed(&self) -> f64 {
-        self.packed.fps() / self.seed.fps()
-    }
-
-    /// Packed-kernel speed-up over the byte kernels — the gain of this PR
-    /// alone, over the previously committed (PR 1) optimisation level.
-    pub fn speedup_packed_vs_byte(&self) -> f64 {
-        self.packed.fps() / self.byte.fps()
-    }
-
     /// Hybrid-kernel speed-up over the seed.
     pub fn speedup_hybrid(&self) -> f64 {
         self.hybrid.fps() / self.seed.fps()
-    }
-
-    /// Hybrid-kernel speed-up over the previously committed fully-packed
-    /// numbers — the gain of swapping the binariser alone.
-    pub fn speedup_hybrid_vs_packed(&self) -> f64 {
-        self.hybrid.fps() / self.packed.fps()
     }
 }
 
@@ -206,13 +186,12 @@ pub fn measure<F: FnMut(&GrayImage) -> bool>(
     }
 }
 
-/// Runs the seed-vs-byte-vs-packed comparison at one resolution. The two
+/// Runs the seed-vs-byte-vs-hybrid comparison at one resolution. The two
 /// pipelines must be calibrated identically and differ only in
 /// [`hdc_vision::PipelineConfig::kernels`]; the seed path runs off the byte
 /// pipeline's configuration.
 pub fn compare_at(
     byte_pipeline: &RecognitionPipeline,
-    packed_pipeline: &RecognitionPipeline,
     hybrid_pipeline: &RecognitionPipeline,
     width: u32,
     height: u32,
@@ -230,12 +209,6 @@ pub fn compare_at(
             .decision
             .is_some()
     });
-    let packed = measure(&frames, min_frames, min_seconds, |f| {
-        packed_pipeline
-            .recognize_with(&mut scratch, f)
-            .decision
-            .is_some()
-    });
     let hybrid = measure(&frames, min_frames, min_seconds, |f| {
         hybrid_pipeline
             .recognize_with(&mut scratch, f)
@@ -247,7 +220,6 @@ pub fn compare_at(
         height,
         seed,
         byte,
-        packed,
         hybrid,
     }
 }
@@ -255,11 +227,10 @@ pub fn compare_at(
 /// Runs the full sweep over [`RESOLUTIONS`].
 pub fn run_sweep(min_frames: usize, min_seconds: f64) -> Vec<ResolutionResult> {
     let byte = benchmark_pipeline_with(KernelPath::Byte);
-    let packed = benchmark_pipeline_with(KernelPath::Packed);
     let hybrid = benchmark_pipeline_with(KernelPath::Hybrid);
     RESOLUTIONS
         .iter()
-        .map(|&(w, h)| compare_at(&byte, &packed, &hybrid, w, h, min_frames, min_seconds))
+        .map(|&(w, h)| compare_at(&byte, &hybrid, w, h, min_frames, min_seconds))
         .collect()
 }
 
@@ -274,17 +245,14 @@ pub fn to_json(results: &[ResolutionResult], kernels: &[crate::kernels::KernelRe
     s.push_str("    \"stream\": \"3 marshalling signs x 3 azimuths (0/10/20 deg), altitude 5 m, distance 3 m\",\n");
     s.push_str("    \"seed\": \"allocating binarize + BFS labelling + allocating signature + unpruned naive-rotation best_two (reference oracles)\",\n");
     s.push_str("    \"byte\": \"recognize_with(FrameScratch), KernelPath::Byte: raw-slice raster ops, MINDIST-pruned search, FFT rotation distance, zero steady-state allocation (the PR 1 optimisation level)\",\n");
-    s.push_str("    \"packed\": \"recognize_with(FrameScratch), KernelPath::Packed: bit-packed silhouettes (64 px per u64 word), word-parallel binarize/morphology/labelling/contour kernels\",\n");
-    s.push_str("    \"hybrid\": \"recognize_with(FrameScratch), KernelPath::Hybrid (default): vectorised byte-compare binarise + one gather-multiply pack, then the word-parallel silhouette kernels\",\n");
-    s.push_str("    \"timing\": \"one untimed warm-up cycle, then whole cycles until the frame and wall-clock floors are both met\",\n");
-    s.push_str("    \"speedup_packed_vs_byte\": \"the gain of the packed kernels alone over the previously committed byte-kernel numbers\",\n");
-    s.push_str("    \"speedup_hybrid_vs_packed\": \"the gain of the hybrid binariser alone over the previously committed fully-packed numbers\"\n");
+    s.push_str("    \"hybrid\": \"recognize_with(FrameScratch), KernelPath::Hybrid (default): vectorised byte-compare binarise + one gather-multiply pack, then bit-packed silhouettes (64 px per u64 word) through word-parallel morphology/labelling/contour kernels\",\n");
+    s.push_str("    \"timing\": \"one untimed warm-up cycle, then whole cycles until the frame and wall-clock floors are both met\"\n");
     s.push_str("  },\n");
     s.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\n      \"width\": {}, \"height\": {},\n      \"seed_fps\": {:.2}, \"seed_ms_per_frame\": {:.3}, \"seed_frames\": {}, \"seed_decided\": {},\n      \"byte_fps\": {:.2}, \"byte_ms_per_frame\": {:.3}, \"byte_frames\": {}, \"byte_decided\": {},\n      \"packed_fps\": {:.2}, \"packed_ms_per_frame\": {:.3}, \"packed_frames\": {}, \"packed_decided\": {},\n      \"hybrid_fps\": {:.2}, \"hybrid_ms_per_frame\": {:.3}, \"hybrid_frames\": {}, \"hybrid_decided\": {},\n      \"speedup_byte\": {:.2}, \"speedup_packed\": {:.2}, \"speedup_packed_vs_byte\": {:.2}, \"speedup_hybrid\": {:.2}, \"speedup_hybrid_vs_packed\": {:.2}\n    }}{}\n",
+            "    {{\n      \"width\": {}, \"height\": {},\n      \"seed_fps\": {:.2}, \"seed_ms_per_frame\": {:.3}, \"seed_frames\": {}, \"seed_decided\": {},\n      \"byte_fps\": {:.2}, \"byte_ms_per_frame\": {:.3}, \"byte_frames\": {}, \"byte_decided\": {},\n      \"hybrid_fps\": {:.2}, \"hybrid_ms_per_frame\": {:.3}, \"hybrid_frames\": {}, \"hybrid_decided\": {},\n      \"speedup_byte\": {:.2}, \"speedup_hybrid\": {:.2}\n    }}{}\n",
             r.width,
             r.height,
             r.seed.fps(),
@@ -295,19 +263,12 @@ pub fn to_json(results: &[ResolutionResult], kernels: &[crate::kernels::KernelRe
             r.byte.ms_per_frame(),
             r.byte.frames,
             r.byte.decided,
-            r.packed.fps(),
-            r.packed.ms_per_frame(),
-            r.packed.frames,
-            r.packed.decided,
             r.hybrid.fps(),
             r.hybrid.ms_per_frame(),
             r.hybrid.frames,
             r.hybrid.decided,
             r.speedup_byte(),
-            r.speedup_packed(),
-            r.speedup_packed_vs_byte(),
             r.speedup_hybrid(),
-            r.speedup_hybrid_vs_packed(),
             if i + 1 < results.len() { "," } else { "" }
         );
     }
@@ -339,7 +300,7 @@ mod tests {
     #[test]
     fn seed_and_optimised_agree_on_decisions() {
         let frames = sign_stream(320, 240);
-        for kernels in [KernelPath::Byte, KernelPath::Packed, KernelPath::Hybrid] {
+        for kernels in [KernelPath::Byte, KernelPath::Hybrid] {
             let pipeline = benchmark_pipeline_with(kernels);
             let mut scratch = FrameScratch::new();
             for (i, frame) in frames.iter().enumerate() {
@@ -383,7 +344,6 @@ mod tests {
             height: 240,
             seed: t,
             byte: t,
-            packed: t,
             hybrid: t,
         };
         let k = crate::kernels::KernelResult {
@@ -393,8 +353,8 @@ mod tests {
         };
         let json = to_json(&[r], &[k]);
         assert!(json.contains("\"width\": 320"));
-        assert!(json.contains("\"speedup_packed_vs_byte\": 1.00"));
-        assert!(json.contains("\"speedup_hybrid_vs_packed\": 1.00"));
+        assert!(json.contains("\"speedup_hybrid\": 1.00"));
+        assert!(!json.contains("packed_fps"));
         assert!(json.contains("\"kernel\": \"binarize\""));
         assert!(json.contains("\"speedup\": 4.00"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -8,8 +8,8 @@
 //! bit `x % 64` of word `x / 64` of its row), with rows padded to whole
 //! words. On top of that layout the pipeline kernels become word-parallel:
 //!
-//! * binarisation thresholds 8 bytes per step into mask words
-//!   ([`crate::threshold::binarize_packed_into`]),
+//! * binarisation is a vectorised byte compare followed by one
+//!   gather-multiply pack into mask words ([`BitMask::pack_from_bytes`]),
 //! * erosion/dilation are shift-AND / shift-OR across word boundaries
 //!   ([`crate::morphology::erode_packed_into`]),
 //! * run extraction for the union-find labeller scans words with

@@ -1,63 +1,37 @@
-//! Frame differencing for temporal-coherence gating.
+//! Mask differencing for temporal-coherence gating.
 //!
 //! A drone watching a mostly static marshaller produces long runs of nearly
 //! identical frames; the stream recogniser exploits that by comparing each
-//! frame against the reference frame of its cached decision and skipping the
-//! silhouette→signature→SAX pipeline when nothing moved. This module is the
-//! raster half of that gate, three allocation-free kernels on raw slices:
+//! frame's packed silhouette mask against the mask of its cached decision
+//! and skipping the labelling→contour→signature→SAX stages when nothing
+//! moved. This module is the raster half of that gate, allocation-free
+//! kernels on packed masks:
 //!
-//! * [`frame_sad`] — whole-frame sum of absolute differences: the serial
-//!   oracle the property tests check the tiled kernel against.
-//! * [`tile_sad_into`] — per-tile SAD over a fixed grid, one pass over both
-//!   frames. Per-tile resolution is what makes the tolerance *local*: a
-//!   small moving arm concentrates its delta in a few tiles instead of
-//!   being averaged away over the whole frame.
-//! * [`box_downsample_into`] + [`coarse_sad`] — a cheap gate pre-pass: box
-//!   cell sums at a coarse factor, whose SAD is a provable **lower bound**
-//!   on the full-resolution SAD (triangle inequality per cell). When the
-//!   coarse bound already exceeds the gate budget the frame has certainly
-//!   changed and the fine tile pass can be skipped entirely.
+//! * [`mask_diff_count`] — whole-mask differing-pixel count (XOR +
+//!   popcount): the oracle the tiled kernel's totals are checked against.
+//! * [`mask_tile_diff_into`] — per-tile differing-pixel counts over a fixed
+//!   grid, one pass over both masks. Per-tile resolution is what makes the
+//!   tolerance *local*: a small moving arm concentrates its delta in a few
+//!   tiles instead of being averaged away over the whole frame.
+//! * [`DirtyBands`] — the tiles over tolerance merged into row-band spans,
+//!   the input of the band-restricted patch kernels.
 //!
 //! All kernels take caller-owned output buffers (`Vec` resized in place) so
 //! the steady-state gate performs no heap allocation after the first frame
 //! at a given geometry.
 
 use crate::bitmask::{BitMask, WORD_BITS};
-use crate::image::GrayImage;
 
-/// Whole-frame sum of absolute pixel differences (the serial oracle).
-///
-/// # Panics
-/// Panics if the frames differ in dimensions.
-///
-/// # Example
-/// ```
-/// use hdc_raster::{diff::frame_sad, GrayImage};
-/// let a = GrayImage::filled(4, 4, 10);
-/// let mut b = a.clone();
-/// b.set(1, 1, 14);
-/// assert_eq!(frame_sad(&a, &a), 0);
-/// assert_eq!(frame_sad(&a, &b), 4);
-/// ```
-pub fn frame_sad(a: &GrayImage, b: &GrayImage) -> u64 {
-    assert_dims_match(a, b);
-    a.pixels()
-        .iter()
-        .zip(b.pixels())
-        .map(|(x, y)| u64::from(x.abs_diff(*y)))
-        .sum()
-}
-
-/// The shape and aggregates of one [`tile_sad_into`] pass.
+/// The shape and aggregates of one [`mask_tile_diff_into`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileSummary {
     /// Tiles per row (`ceil(width / tile)`).
     pub tiles_x: u32,
     /// Tile rows (`ceil(height / tile)`).
     pub tiles_y: u32,
-    /// Largest per-tile SAD.
+    /// Largest per-tile count.
     pub max: u64,
-    /// Total SAD (equals [`frame_sad`] of the same pair).
+    /// Total count (equals [`mask_diff_count`] of the same pair).
     pub total: u64,
 }
 
@@ -68,121 +42,22 @@ impl TileSummary {
     }
 }
 
-/// Per-tile sum of absolute differences over a `tile`×`tile` grid (edge
-/// tiles are clipped to the frame). `out` is resized to the tile count and
-/// filled row-major; the returned summary carries the grid shape plus the
-/// max and total, so the common "all tiles under tolerance?" question needs
-/// no second pass.
-///
-/// One pass over both pixel buffers in row-major order, accumulating into
-/// the current tile row — no per-tile re-walk, no allocation beyond the
-/// one-time growth of `out`.
-///
-/// # Panics
-/// Panics if the frames differ in dimensions or `tile` is zero.
-pub fn tile_sad_into(a: &GrayImage, b: &GrayImage, tile: u32, out: &mut Vec<u64>) -> TileSummary {
-    assert_dims_match(a, b);
-    assert!(tile > 0, "tile size must be positive");
-    let (w, h) = (a.width() as usize, a.height() as usize);
-    let t = tile as usize;
-    let tiles_x = w.div_ceil(t);
-    let tiles_y = h.div_ceil(t);
-    out.clear();
-    out.resize(tiles_x * tiles_y, 0);
-
-    let (pa, pb) = (a.pixels(), b.pixels());
-    for y in 0..h {
-        let row_a = &pa[y * w..(y + 1) * w];
-        let row_b = &pb[y * w..(y + 1) * w];
-        let tile_row = &mut out[(y / t) * tiles_x..][..tiles_x];
-        for (tx, acc) in tile_row.iter_mut().enumerate() {
-            let x0 = tx * t;
-            let x1 = (x0 + t).min(w);
-            // u32 accumulation so the inner loop vectorises (a tile row
-            // segment sums to at most 255 * tile, far below u32::MAX);
-            // widening per element to u64 costs ~4x on VGA frames
-            let s: u32 = row_a[x0..x1]
-                .iter()
-                .zip(&row_b[x0..x1])
-                .map(|(x, y)| u32::from(x.abs_diff(*y)))
-                .sum();
-            *acc += u64::from(s);
-        }
-    }
-
-    let mut max = 0u64;
-    let mut total = 0u64;
-    for &v in out.iter() {
-        max = max.max(v);
-        total += v;
-    }
-    TileSummary {
-        tiles_x: tiles_x as u32,
-        tiles_y: tiles_y as u32,
-        max,
-        total,
-    }
-}
-
-/// Box-downsamples a frame into per-cell intensity *sums* over a
-/// `factor`×`factor` grid (edge cells clipped), resizing `out` to the cell
-/// count. Sums, not means: the SAD of two cell-sum grids ([`coarse_sad`])
-/// is then a lower bound on the full-resolution SAD, which is exactly the
-/// property the gate pre-pass needs.
-///
-/// Returns the grid dimensions `(cells_x, cells_y)`.
-///
-/// # Panics
-/// Panics if `factor` is zero.
-pub fn box_downsample_into(frame: &GrayImage, factor: u32, out: &mut Vec<u32>) -> (u32, u32) {
-    assert!(factor > 0, "downsample factor must be positive");
-    let (w, h) = (frame.width() as usize, frame.height() as usize);
-    let f = factor as usize;
-    let cells_x = w.div_ceil(f);
-    let cells_y = h.div_ceil(f);
-    out.clear();
-    out.resize(cells_x * cells_y, 0);
-
-    let p = frame.pixels();
-    for y in 0..h {
-        let row = &p[y * w..(y + 1) * w];
-        let cell_row = &mut out[(y / f) * cells_x..][..cells_x];
-        // chunks_exact keeps the grouping branch-free so the summing
-        // vectorises; the ragged edge cell (if any) is folded in afterwards
-        let mut chunks = row.chunks_exact(f);
-        for (acc, c) in cell_row.iter_mut().zip(&mut chunks) {
-            *acc += c.iter().map(|v| u32::from(*v)).sum::<u32>();
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            cell_row[cells_x - 1] += rem.iter().map(|v| u32::from(*v)).sum::<u32>();
-        }
-    }
-    (cells_x as u32, cells_y as u32)
-}
-
-/// Sum of absolute differences between two cell-sum grids produced by
-/// [`box_downsample_into`] at the same geometry: a **lower bound** on the
-/// full-resolution [`frame_sad`] of the frames they summarise (per cell,
-/// `|Σa − Σb| ≤ Σ|a − b|`).
-///
-/// # Panics
-/// Panics if the grids differ in length.
-pub fn coarse_sad(a: &[u32], b: &[u32]) -> u64 {
-    assert_eq!(a.len(), b.len(), "coarse grids must share their geometry");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| u64::from(x.abs_diff(*y)))
-        .sum()
-}
-
 /// Number of differing pixels between two packed masks: XOR plus popcount,
 /// 64 pixels per word pair. Because both masks obey the tail invariant
-/// (padding bits zero), padding never contributes to the count. This is the
-/// binary analogue of [`frame_sad`] for mask-level change detection.
+/// (padding bits zero), padding never contributes to the count.
 ///
 /// # Panics
 /// Panics if the masks differ in dimensions.
+///
+/// # Example
+/// ```
+/// use hdc_raster::{diff::mask_diff_count, BitMask};
+/// let a = BitMask::new(70, 2);
+/// let mut b = a.clone();
+/// b.set(65, 1, true);
+/// assert_eq!(mask_diff_count(&a, &a), 0);
+/// assert_eq!(mask_diff_count(&a, &b), 1);
+/// ```
 pub fn mask_diff_count(a: &BitMask, b: &BitMask) -> u64 {
     assert_mask_dims_match(a, b);
     a.words()
@@ -193,9 +68,8 @@ pub fn mask_diff_count(a: &BitMask, b: &BitMask) -> u64 {
 }
 
 /// Per-tile differing-pixel counts between two packed masks over a
-/// `tile`×`tile` grid (edge tiles clipped), the popcount analogue of
-/// [`tile_sad_into`]: each XOR word is split at tile boundaries and each
-/// segment's popcount lands in its tile. `out` is resized to the tile count
+/// `tile`×`tile` grid (edge tiles clipped): each XOR word is split at tile
+/// boundaries and each segment's popcount lands in its tile. `out` is resized to the tile count
 /// and filled row-major; totals equal [`mask_diff_count`] of the same pair.
 ///
 /// # Panics
@@ -251,9 +125,8 @@ pub fn mask_tile_diff_into(a: &BitMask, b: &BitMask, tile: u32, out: &mut Vec<u6
 }
 
 /// Merged dirty row-band spans derived from a tile grid — the bridge from
-/// per-tile change detection ([`tile_sad_into`] / [`mask_tile_diff_into`])
-/// to the band-restricted patch kernels
-/// ([`crate::threshold::binarize_packed_band_into`],
+/// per-tile change detection ([`mask_tile_diff_into`]) to the
+/// band-restricted patch kernels ([`BitMask::pack_from_bytes_band`],
 /// [`crate::morphology::open_packed_band_into`]).
 ///
 /// A tile row is dirty when **any** tile in it exceeds the tolerance;
@@ -269,7 +142,7 @@ pub struct DirtyBands {
 
 impl DirtyBands {
     /// Rebuilds the spans from a row-major tile grid as produced by
-    /// [`tile_sad_into`] or [`mask_tile_diff_into`] with the matching
+    /// [`mask_tile_diff_into`] with the matching
     /// `summary`. `height` is the frame height in pixels; a tile row is
     /// dirty when any of its tiles is **strictly above** `tolerance`.
     ///
@@ -351,37 +224,34 @@ fn assert_mask_dims_match(a: &BitMask, b: &BitMask) {
     );
 }
 
-fn assert_dims_match(a: &GrayImage, b: &GrayImage) {
-    assert!(
-        a.width() == b.width() && a.height() == b.height(),
-        "frame dimensions must match: {}x{} vs {}x{}",
-        a.width(),
-        a.height(),
-        b.width(),
-        b.height()
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::GrayImage;
+    use crate::threshold::binarize;
 
-    fn ramp(w: u32, h: u32, step: u32) -> GrayImage {
+    /// The packed silhouette of a deterministic intensity ramp.
+    fn ramp(w: u32, h: u32, step: u32) -> BitMask {
         let mut img = GrayImage::new(w, h);
         for y in 0..h {
             for x in 0..w {
                 img.set(x, y, ((x * step + y * 3) % 256) as u8);
             }
         }
-        img
+        BitMask::from_bitmap(&binarize(&img, 127))
+    }
+
+    fn flip(m: &mut BitMask, x: u32, y: u32) {
+        let v = m.get(x, y).expect("pixel in range");
+        m.set(x, y, !v);
     }
 
     #[test]
     fn identical_frames_have_zero_sad_everywhere() {
         let a = ramp(37, 23, 7);
-        assert_eq!(frame_sad(&a, &a), 0);
+        assert_eq!(mask_diff_count(&a, &a), 0);
         let mut tiles = Vec::new();
-        let s = tile_sad_into(&a, &a, 8, &mut tiles);
+        let s = mask_tile_diff_into(&a, &a, 8, &mut tiles);
         assert_eq!(s.max, 0);
         assert_eq!(s.total, 0);
         assert!(tiles.iter().all(|&t| t == 0));
@@ -392,46 +262,25 @@ mod tests {
         let a = ramp(37, 23, 7); // not a multiple of the tile size
         let b = ramp(37, 23, 11);
         let mut tiles = Vec::new();
-        let s = tile_sad_into(&a, &b, 8, &mut tiles);
+        let s = mask_tile_diff_into(&a, &b, 8, &mut tiles);
         assert_eq!(s.tiles_x, 5);
         assert_eq!(s.tiles_y, 3);
         assert_eq!(tiles.len(), s.tile_count());
-        assert_eq!(s.total, frame_sad(&a, &b));
+        assert!(s.total > 0);
+        assert_eq!(s.total, mask_diff_count(&a, &b));
         assert_eq!(s.max, tiles.iter().copied().max().unwrap());
     }
 
     #[test]
     fn single_pixel_change_lands_in_one_tile() {
-        let a = GrayImage::filled(32, 32, 100);
+        let a = BitMask::new(32, 32);
         let mut b = a.clone();
-        b.set(20, 5, 110); // tile (1, 0) of a 16-pixel grid
+        b.set(20, 5, true); // tile (1, 0) of a 16-pixel grid
         let mut tiles = Vec::new();
-        let s = tile_sad_into(&a, &b, 16, &mut tiles);
-        assert_eq!(s.max, 10);
-        assert_eq!(s.total, 10);
-        assert_eq!(tiles, vec![0, 10, 0, 0]);
-    }
-
-    #[test]
-    fn coarse_sad_lower_bounds_frame_sad() {
-        let a = ramp(40, 30, 5);
-        let b = ramp(40, 30, 13);
-        let (mut ca, mut cb) = (Vec::new(), Vec::new());
-        let dims_a = box_downsample_into(&a, 8, &mut ca);
-        let dims_b = box_downsample_into(&b, 8, &mut cb);
-        assert_eq!(dims_a, (5, 4));
-        assert_eq!(dims_a, dims_b);
-        assert!(coarse_sad(&ca, &cb) <= frame_sad(&a, &b));
-        assert_eq!(coarse_sad(&ca, &ca), 0);
-    }
-
-    #[test]
-    fn downsample_cells_are_plain_sums() {
-        let a = GrayImage::filled(4, 4, 10);
-        let mut cells = Vec::new();
-        let (cx, cy) = box_downsample_into(&a, 2, &mut cells);
-        assert_eq!((cx, cy), (2, 2));
-        assert_eq!(cells, vec![40, 40, 40, 40]);
+        let s = mask_tile_diff_into(&a, &b, 16, &mut tiles);
+        assert_eq!(s.max, 1);
+        assert_eq!(s.total, 1);
+        assert_eq!(tiles, vec![0, 1, 0, 0]);
     }
 
     #[test]
@@ -439,10 +288,10 @@ mod tests {
         let a = ramp(64, 48, 3);
         let b = ramp(64, 48, 9);
         let mut tiles = Vec::new();
-        tile_sad_into(&a, &b, 16, &mut tiles);
+        mask_tile_diff_into(&a, &b, 16, &mut tiles);
         let cap = tiles.capacity();
         for _ in 0..3 {
-            tile_sad_into(&a, &b, 16, &mut tiles);
+            mask_tile_diff_into(&a, &b, 16, &mut tiles);
             assert_eq!(tiles.capacity(), cap);
         }
     }
@@ -511,11 +360,11 @@ mod tests {
         // 37×23 frame, 8-px tiles → 5×3 grid; edge tile row clips to 23.
         let a = ramp(37, 23, 7);
         let mut b = a.clone();
-        b.set(3, 2, 250); // tile row 0
-        b.set(5, 12, 250); // tile row 1
-        b.set(30, 22, 250); // tile row 2 (clipped: rows 16..23)
+        flip(&mut b, 3, 2); // tile row 0
+        flip(&mut b, 5, 12); // tile row 1
+        flip(&mut b, 30, 22); // tile row 2 (clipped: rows 16..23)
         let mut tiles = Vec::new();
-        let s = tile_sad_into(&a, &b, 8, &mut tiles);
+        let s = mask_tile_diff_into(&a, &b, 8, &mut tiles);
         let mut bands = DirtyBands::default();
         bands.rebuild(&tiles, &s, 8, 23, 0);
         // All three tile rows are dirty and adjacent → one merged span.
@@ -525,23 +374,23 @@ mod tests {
 
         // Only the clipped last tile row dirty.
         let mut c = a.clone();
-        c.set(30, 22, 250);
-        let s = tile_sad_into(&a, &c, 8, &mut tiles);
+        flip(&mut c, 30, 22);
+        let s = mask_tile_diff_into(&a, &c, 8, &mut tiles);
         bands.rebuild(&tiles, &s, 8, 23, 0);
         assert_eq!(bands.spans(), &[(16, 23)]);
         assert_eq!(bands.dirty_rows(), 7);
 
         // Tolerance above the delta → clean.
-        bands.rebuild(&tiles, &s, 8, 23, 1_000_000);
+        bands.rebuild(&tiles, &s, 8, 23, 1);
         assert!(bands.is_empty());
         assert_eq!(bands.dirty_rows(), 0);
         assert_eq!(bands.coverage(), 0.0);
 
         // Disjoint dirty tile rows stay separate spans.
         let mut d = a.clone();
-        d.set(3, 2, 250); // tile row 0
-        d.set(30, 22, 250); // tile row 2
-        let s = tile_sad_into(&a, &d, 8, &mut tiles);
+        flip(&mut d, 3, 2); // tile row 0
+        flip(&mut d, 30, 22); // tile row 2
+        let s = mask_tile_diff_into(&a, &d, 8, &mut tiles);
         bands.rebuild(&tiles, &s, 8, 23, 0);
         assert_eq!(bands.spans(), &[(0, 8), (16, 23)]);
         assert_eq!(bands.dirty_rows(), 15);
@@ -552,7 +401,7 @@ mod tests {
         let a = ramp(64, 48, 3);
         let b = ramp(64, 48, 9);
         let mut tiles = Vec::new();
-        let s = tile_sad_into(&a, &b, 16, &mut tiles);
+        let s = mask_tile_diff_into(&a, &b, 16, &mut tiles);
         let mut bands = DirtyBands::default();
         bands.rebuild(&tiles, &s, 16, 48, 0);
         let cap = bands.spans.capacity();
@@ -571,17 +420,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimensions must match")]
     fn mismatched_dims_rejected() {
-        frame_sad(&GrayImage::new(4, 4), &GrayImage::new(4, 5));
+        mask_tile_diff_into(&BitMask::new(4, 4), &BitMask::new(4, 5), 2, &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "tile size must be positive")]
     fn zero_tile_rejected() {
-        tile_sad_into(
-            &GrayImage::new(4, 4),
-            &GrayImage::new(4, 4),
-            0,
-            &mut Vec::new(),
-        );
+        mask_tile_diff_into(&BitMask::new(4, 4), &BitMask::new(4, 4), 0, &mut Vec::new());
     }
 }

@@ -11,7 +11,7 @@
 //! * connected-component labelling ([`components`]),
 //! * Moore-neighbour [`contour`] tracing,
 //! * binary [`morphology`] (erode / dilate / open / close),
-//! * tiled frame differencing for temporal-coherence gating ([`diff`]),
+//! * tiled mask differencing for temporal-coherence gating ([`diff`]),
 //! * FNV-1a/64 [`digest`]s of raw byte slices (frame identity, golden traces),
 //! * sensor [`noise`] models,
 //! * portable-anymap [`io`] (PGM) plus ASCII-art dumps for debugging.

@@ -1,6 +1,5 @@
 //! Binarisation.
 
-use crate::bitmask::{BitMask, WORD_BITS};
 use crate::image::{Bitmap, GrayImage};
 
 /// Binarises with a fixed threshold: pixels **strictly above** `t` become
@@ -34,104 +33,11 @@ pub fn binarize_into(img: &GrayImage, t: u8, out: &mut Bitmap) {
     }
 }
 
-/// [`binarize`] into a bit-packed [`BitMask`] (re-dimensioned to match,
-/// every word overwritten): the word-parallel form used by the packed
-/// recognition path.
-///
-/// Eight pixels are thresholded per step with a SWAR byte comparison — the
-/// grayscale bytes are loaded as one `u64`, compared against the broadcast
-/// threshold without unpacking, and the eight per-byte verdicts gathered
-/// into eight mask bits by one multiply. No per-pixel branches, ⅛ the
-/// output traffic of the byte form.
-pub fn binarize_packed_into(img: &GrayImage, t: u8, out: &mut BitMask) {
-    out.reset_dimensions(img.width(), img.height());
-    let w = img.width() as usize;
-    let wpr = out.words_per_row();
-    for (dst_row, src_row) in out
-        .words_mut()
-        .chunks_exact_mut(wpr)
-        .zip(img.pixels().chunks_exact(w))
-    {
-        binarize_packed_row(src_row, t, dst_row, w);
-    }
-}
-
-/// One row of [`binarize_packed_into`]: thresholds `src_row` (exactly `w`
-/// pixels) into `dst_row`'s words, maintaining the tail invariant.
-#[inline]
-fn binarize_packed_row(src_row: &[u8], t: u8, dst_row: &mut [u64], w: usize) {
-    for (j, word) in dst_row.iter_mut().enumerate() {
-        let chunk = &src_row[j * WORD_BITS..(j * WORD_BITS + WORD_BITS).min(w)];
-        let mut packed = 0u64;
-        let mut bytes = chunk.chunks_exact(8);
-        for (k, b) in bytes.by_ref().enumerate() {
-            let v = u64::from_le_bytes(b.try_into().expect("chunks_exact yields 8 bytes"));
-            packed |= gather_gt_bytes(v, t) << (8 * k);
-        }
-        let tail_base = chunk.len() - bytes.remainder().len();
-        for (i, &p) in bytes.remainder().iter().enumerate() {
-            packed |= u64::from(p > t) << (tail_base + i);
-        }
-        *word = packed;
-    }
-}
-
-/// Band-restricted [`binarize_packed_into`]: re-thresholds only rows
-/// `[row_lo, row_hi)` of `img` into the matching rows of `out`, leaving
-/// every other row of the cached mask untouched. This is the patch
-/// primitive of the incremental recognition path — after a dirty-band scan,
-/// only the rows that actually changed are re-binarised.
-///
-/// Unlike the whole-frame form this never re-dimensions `out`; the caller's
-/// cached mask must already match the frame geometry.
-///
-/// # Panics
-/// Panics if `out` and `img` differ in dimensions or the band is reversed
-/// or out of bounds.
-pub fn binarize_packed_band_into(
-    img: &GrayImage,
-    t: u8,
-    out: &mut BitMask,
-    row_lo: u32,
-    row_hi: u32,
-) {
-    assert!(
-        out.width() == img.width() && out.height() == img.height(),
-        "band binarise requires a cached mask matching the frame: {}x{} vs {}x{}",
-        out.width(),
-        out.height(),
-        img.width(),
-        img.height()
-    );
-    assert!(
-        row_lo <= row_hi && row_hi <= img.height(),
-        "band [{row_lo}, {row_hi}) must lie inside height {}",
-        img.height()
-    );
-    let w = img.width() as usize;
-    let wpr = out.words_per_row();
-    let (lo, hi) = (row_lo as usize, row_hi as usize);
-    for (dst_row, src_row) in out.words_mut()[lo * wpr..hi * wpr]
-        .chunks_exact_mut(wpr)
-        .zip(img.pixels()[lo * w..hi * w].chunks_exact(w))
-    {
-        binarize_packed_row(src_row, t, dst_row, w);
-    }
-}
-
-/// [`binarize_packed_into`] into a fresh mask (routes through the `_into`
-/// form, like every allocating convenience wrapper in this crate).
-pub fn binarize_packed(img: &GrayImage, t: u8) -> BitMask {
-    let mut out = BitMask::new(img.width(), img.height());
-    binarize_packed_into(img, t, &mut out);
-    out
-}
-
 /// [`binarize`] into a byte-per-pixel 0/1 image: the front half of the
 /// hybrid binarise-then-pack path. The straight byte compare is the form
 /// the compiler vectorises best — one SIMD compare per register of pixels —
 /// and the 0/1 `u8` output (unlike `bool`) can be reloaded eight lanes at a
-/// time by [`BitMask::pack_from_bytes`] with plain word loads.
+/// time by [`crate::BitMask::pack_from_bytes`] with plain word loads.
 pub fn binarize_bytes_into(img: &GrayImage, t: u8, out: &mut GrayImage) {
     out.reset_dimensions(img.width(), img.height());
     for (dst, src) in out.pixels_mut().iter_mut().zip(img.pixels()) {
@@ -140,8 +46,10 @@ pub fn binarize_bytes_into(img: &GrayImage, t: u8, out: &mut GrayImage) {
 }
 
 /// Band-restricted [`binarize_bytes_into`]: re-thresholds only rows
-/// `[row_lo, row_hi)` into the matching rows of a cached 0/1 byte image
-/// (never re-dimensions `out`; see [`binarize_packed_band_into`]).
+/// `[row_lo, row_hi)` into the matching rows of a cached 0/1 byte image,
+/// leaving every other row untouched. Unlike the whole-frame form this
+/// never re-dimensions `out`; the caller's cache must already match the
+/// frame geometry.
 ///
 /// # Panics
 /// Panics if `out` and `img` differ in dimensions or the band is reversed
@@ -174,30 +82,6 @@ pub fn binarize_bytes_band_into(
     {
         *dst = u8::from(*src > t);
     }
-}
-
-/// SWAR bytewise threshold: returns the low 8 bits set where the
-/// corresponding byte of `x` is **strictly greater** than `t`.
-///
-/// Per byte, split off the sign bit: for the low 7 bits `xl`, `xl > t7`
-/// holds exactly when `xl + (127 - t7)` overflows into bit 7 (both operands
-/// are ≤ 127, so the add never carries across byte lanes). The sign bit
-/// then combines by cases — a threshold below 128 is exceeded by *any*
-/// byte with the sign bit set (OR), a threshold of 128 or more *requires*
-/// it (AND). The eight per-byte verdict bits (at positions 8k+7) are
-/// gathered into the low byte by one overflowing multiply: each verdict
-/// lands at bit 56 + k with no cross-term collisions, so the top byte of
-/// the product is the answer.
-#[inline]
-fn gather_gt_bytes(x: u64, t: u8) -> u64 {
-    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-    const SIGN: u64 = 0x8080_8080_8080_8080;
-    const LANES: u64 = 0x0101_0101_0101_0101;
-    const GATHER: u64 = 0x0002_0408_1020_4081;
-    let bias = u64::from(127 - (t & 0x7f)) * LANES;
-    let gt7 = ((x & LOW7) + bias) & SIGN;
-    let verdict = if t >= 128 { x & gt7 } else { (x & SIGN) | gt7 };
-    verdict.wrapping_mul(GATHER) >> 56
 }
 
 /// Computes Otsu's optimal global threshold from the image histogram.
@@ -289,40 +173,37 @@ mod tests {
             *p = (i * 53 % 256) as u8;
         }
         // Cache holds the binarisation of `a`; patch rows [3, 6) from `b`.
-        let mut packed = binarize_packed(&a, 128);
-        binarize_packed_band_into(&b, 128, &mut packed, 3, 6);
         let mut bytes = GrayImage::new(1, 1);
         binarize_bytes_into(&a, 128, &mut bytes);
         binarize_bytes_band_into(&b, 128, &mut bytes, 3, 6);
-        let oracle_a = binarize_packed(&a, 128);
-        let oracle_b = binarize_packed(&b, 128);
+        let oracle_a = binarize(&a, 128);
+        let oracle_b = binarize(&b, 128);
         for y in 0..9u32 {
             let oracle = if (3..6).contains(&y) {
                 &oracle_b
             } else {
                 &oracle_a
             };
-            assert_eq!(packed.row(y), oracle.row(y), "packed row {y}");
             for x in 0..70u32 {
                 assert_eq!(
                     bytes.get(x, y).map(|v| v != 0),
                     oracle.get(x, y),
-                    "byte pixel ({x},{y})"
+                    "pixel ({x},{y})"
                 );
             }
         }
         // Empty band is a no-op.
-        let before = packed.clone();
-        binarize_packed_band_into(&a, 128, &mut packed, 4, 4);
-        assert_eq!(packed, before);
+        let before = bytes.clone();
+        binarize_bytes_band_into(&a, 128, &mut bytes, 4, 4);
+        assert_eq!(bytes, before);
     }
 
     #[test]
     #[should_panic(expected = "matching the frame")]
     fn band_binarise_rejects_mismatched_dims() {
         let img = GrayImage::new(8, 8);
-        let mut out = BitMask::new(8, 9);
-        binarize_packed_band_into(&img, 100, &mut out, 0, 1);
+        let mut out = GrayImage::new(8, 9);
+        binarize_bytes_band_into(&img, 100, &mut out, 0, 1);
     }
 
     #[test]

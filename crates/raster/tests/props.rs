@@ -12,8 +12,7 @@ use hdc_raster::morphology::{
     erode_reference, open, open_packed_band_into, open_packed_into,
 };
 use hdc_raster::threshold::{
-    binarize, binarize_bytes_band_into, binarize_bytes_into, binarize_packed,
-    binarize_packed_band_into, otsu_threshold,
+    binarize, binarize_bytes_band_into, binarize_bytes_into, otsu_threshold,
 };
 use hdc_raster::{
     draw, label_components, label_components_bfs, label_components_packed, largest_component,
@@ -187,6 +186,16 @@ fn wide_gray() -> impl Strategy<Value = GrayImage> {
     })
 }
 
+/// The production (hybrid) binariser: vectorised byte compare, then one
+/// gather-multiply pack into the word layout.
+fn hybrid_binarize(img: &GrayImage, t: u8) -> BitMask {
+    let mut bytes = GrayImage::new(1, 1);
+    binarize_bytes_into(img, t, &mut bytes);
+    let mut packed = BitMask::new(1, 1);
+    packed.pack_from_bytes(&bytes);
+    packed
+}
+
 fn wide_mask() -> impl Strategy<Value = Bitmap> {
     wide_gray().prop_map(|g| g.map(|p| p > 128))
 }
@@ -211,9 +220,7 @@ fn wide_mask_pair() -> impl Strategy<Value = (Bitmap, Bitmap)> {
 proptest! {
     #[test]
     fn packed_binarize_matches_byte_oracle(img in wide_gray(), t in any::<u8>()) {
-        // Thresholds 0, 127, 128, 255 are the SWAR sign-split corner cases;
-        // any::<u8>() covers them plus everything between over the run.
-        let packed = binarize_packed(&img, t);
+        let packed = hybrid_binarize(&img, t);
         prop_assert_eq!(packed.to_bitmap(), binarize(&img, t));
         // Tail invariant: popcount equals the per-pixel foreground count.
         prop_assert_eq!(packed.count_ones(), binarize(&img, t).count_foreground());
@@ -348,12 +355,9 @@ proptest! {
     fn band_patched_binarise_matches_whole_frame(
         (prev, cur, lo, hi) in patch_case(), t in any::<u8>()
     ) {
-        // SWAR path: patch the band into a cache of the previous frame.
-        let mut cached = binarize_packed(&prev, t);
-        binarize_packed_band_into(&cur, t, &mut cached, lo, hi);
-        let oracle = binarize_packed(&cur, t);
-        prop_assert_eq!(&cached, &oracle);
-        // Hybrid path: band byte-binarise + band pack must land identically.
+        // Band byte-binarise + band pack into a cache of the previous frame
+        // must land on the whole-frame mask of the current one.
+        let oracle = BitMask::from_bitmap(&binarize(&cur, t));
         let mut bytes = GrayImage::new(1, 1);
         binarize_bytes_into(&prev, t, &mut bytes);
         binarize_bytes_band_into(&cur, t, &mut bytes, lo, hi);
@@ -364,8 +368,8 @@ proptest! {
 
     #[test]
     fn band_patched_open_matches_whole_frame((prev, cur, lo, hi) in patch_case()) {
-        let prev_mask = binarize_packed(&prev, 128);
-        let cur_mask = binarize_packed(&cur, 128);
+        let prev_mask = BitMask::from_bitmap(&binarize(&prev, 128));
+        let cur_mask = BitMask::from_bitmap(&binarize(&cur, 128));
         // Caches seeded from the previous frame's whole-frame open …
         let mut eroded = BitMask::new(1, 1);
         let mut opened = BitMask::new(1, 1);
@@ -431,26 +435,33 @@ fn gray_pair() -> impl Strategy<Value = (GrayImage, GrayImage)> {
 }
 
 proptest! {
+    // Sum of absolute differences on binarised frames: the mask tile diff
+    // the incremental gate runs, against whole-frame and per-pixel oracles.
     #[test]
     fn tiled_sad_matches_whole_frame_oracle((a, b) in gray_pair(), tile in 1u32..9) {
+        let (ma, mb) = (hybrid_binarize(&a, 128), hybrid_binarize(&b, 128));
         let mut tiles = Vec::new();
-        let summary = diff::tile_sad_into(&a, &b, tile, &mut tiles);
-        prop_assert_eq!(summary.total, diff::frame_sad(&a, &b));
+        let summary = diff::mask_tile_diff_into(&ma, &mb, tile, &mut tiles);
+        prop_assert_eq!(summary.total, diff::mask_diff_count(&ma, &mb));
         prop_assert_eq!(summary.total, tiles.iter().sum::<u64>());
         prop_assert_eq!(summary.max, tiles.iter().copied().max().unwrap_or(0));
         prop_assert_eq!(tiles.len(), summary.tile_count());
     }
 
     #[test]
-    fn each_tile_matches_a_naive_per_tile_oracle((a, b) in gray_pair(), tile in 1u32..9) {
+    fn each_tile_matches_a_naive_per_tile_oracle(
+        (a, b) in gray_pair(), tile in 1u32..9, t in any::<u8>()
+    ) {
+        let (ma, mb) = (hybrid_binarize(&a, t), hybrid_binarize(&b, t));
         let mut tiles = Vec::new();
-        let summary = diff::tile_sad_into(&a, &b, tile, &mut tiles);
+        let summary = diff::mask_tile_diff_into(&ma, &mb, tile, &mut tiles);
         for ty in 0..summary.tiles_y {
             for tx in 0..summary.tiles_x {
                 let mut want = 0u64;
                 for y in (ty * tile)..((ty + 1) * tile).min(a.height()) {
                     for x in (tx * tile)..((tx + 1) * tile).min(a.width()) {
-                        want += u64::from(a.get(x, y).unwrap().abs_diff(b.get(x, y).unwrap()));
+                        let (pa, pb) = (a.get(x, y).unwrap(), b.get(x, y).unwrap());
+                        want += u64::from((pa > t) != (pb > t));
                     }
                 }
                 prop_assert_eq!(tiles[(ty * summary.tiles_x + tx) as usize], want);
@@ -459,18 +470,10 @@ proptest! {
     }
 
     #[test]
-    fn coarse_sad_is_a_lower_bound((a, b) in gray_pair(), factor in 1u32..9) {
-        let (mut ca, mut cb) = (Vec::new(), Vec::new());
-        let dims_a = diff::box_downsample_into(&a, factor, &mut ca);
-        let dims_b = diff::box_downsample_into(&b, factor, &mut cb);
-        prop_assert_eq!(dims_a, dims_b);
-        prop_assert!(diff::coarse_sad(&ca, &cb) <= diff::frame_sad(&a, &b));
-    }
-
-    #[test]
     fn sad_is_symmetric_and_zero_on_self((a, b) in gray_pair()) {
-        prop_assert_eq!(diff::frame_sad(&a, &b), diff::frame_sad(&b, &a));
-        prop_assert_eq!(diff::frame_sad(&a, &a), 0);
-        prop_assert_eq!(diff::frame_sad(&b, &b), 0);
+        let (ma, mb) = (hybrid_binarize(&a, 128), hybrid_binarize(&b, 128));
+        prop_assert_eq!(diff::mask_diff_count(&ma, &mb), diff::mask_diff_count(&mb, &ma));
+        prop_assert_eq!(diff::mask_diff_count(&ma, &ma), 0);
+        prop_assert_eq!(diff::mask_diff_count(&mb, &mb), 0);
     }
 }

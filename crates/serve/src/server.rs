@@ -53,8 +53,6 @@ pub struct CostModel {
     pub full_run_us: Micros,
     /// Byte-identical reuse (strict gate / identity pre-check).
     pub strict_hit_us: Micros,
-    /// Tile-tolerance reuse.
-    pub approx_hit_us: Micros,
     /// Mask-tolerance reuse (incremental gate: packed binarise + mask
     /// diff, no geometric stages).
     pub incremental_hit_us: Micros,
@@ -71,7 +69,6 @@ impl Default for CostModel {
         CostModel {
             full_run_us: 420,
             strict_hit_us: 18,
-            approx_hit_us: 90,
             incremental_hit_us: 60,
             sig_shortcut_us: 210,
             shed_us: 2,
@@ -512,8 +509,6 @@ impl<'a> ShardState<'a> {
                 costs.full_run_us
             } else if outcome.strict_hits == 1 {
                 costs.strict_hit_us
-            } else if outcome.approx_hits == 1 {
-                costs.approx_hit_us
             } else if outcome.incremental_hits == 1 {
                 costs.incremental_hit_us
             } else {

@@ -138,7 +138,7 @@ pub fn steady() -> NamedWorkload {
 /// **bursty**: 12 event-triggered cameras across 3 shards, waking every
 /// ~0.4 s for a 6-frame burst at 120 fps against a 30 fps / burst-3 budget
 /// — the token bucket, not the queue, regulates the load. Expected shape:
-/// heavy reject-budget, no sheds, approximate gate live inside bursts.
+/// heavy reject-budget, no sheds, incremental gate live inside bursts.
 pub fn bursty() -> NamedWorkload {
     NamedWorkload {
         name: "bursty",
@@ -160,7 +160,7 @@ pub fn bursty() -> NamedWorkload {
             deadline_us: 40_000,
             budget: StreamBudget { fps: 30, burst: 3 },
             costs: CostModel::default(),
-            gate: TemporalConfig::approximate(),
+            gate: TemporalConfig::incremental(),
             spill: true,
         },
     }

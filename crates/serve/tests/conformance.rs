@@ -14,7 +14,7 @@ use hdc_serve::workload::{
     canonical_workloads, golden_frame_sets, golden_path, golden_pipeline, parse_manifest, steady,
 };
 use hdc_serve::{serve, EventKind, ServeInput, ServeReport};
-use hdc_vision::temporal::StreamRecognizer;
+use hdc_vision::temporal::{StreamRecognizer, TemporalConfig};
 use hdc_vision::FrameScratch;
 
 fn run(w: &hdc_serve::workload::NamedWorkload, threads: usize) -> ServeReport {
@@ -123,12 +123,20 @@ fn overload_degrades_by_shedding_with_bounded_decided_latency() {
 /// Eviction + re-admission must be decision-equivalent to an uninterrupted
 /// stream: replaying exactly the frames a stream had *served* (shed frames
 /// never touch the recogniser) through a fresh recogniser must reproduce
-/// the decisions in the trace — whether evicted state was spilled and
-/// restored or discarded and cold-started.
+/// the decisions in the trace — under the strict gate whether evicted state
+/// was spilled and restored or discarded and cold-started, and under the
+/// incremental gate (the one the serving fleet runs) when its cached masks
+/// are spilled and restored. A cold start under a tolerance gate need not
+/// reproduce a reused decision, so incremental without spill is left out.
 #[test]
 fn eviction_and_readmission_are_decision_equivalent_to_an_uninterrupted_stream() {
-    for spill in [true, false] {
+    for (gate, spill) in [
+        (TemporalConfig::strict(), true),
+        (TemporalConfig::strict(), false),
+        (TemporalConfig::incremental(), true),
+    ] {
         let mut w = steady();
+        w.config.gate = gate;
         w.config.spill = spill;
         // shrink so the replay stays cheap but eviction still churns
         w.arrivals.streams = 8;
@@ -161,7 +169,8 @@ fn eviction_and_readmission_are_decision_equivalent_to_an_uninterrupted_stream()
                     .clone();
                 assert_eq!(
                     &fresh, served_label,
-                    "stream {stream} frame {frame} diverged (spill={spill})"
+                    "stream {stream} frame {frame} diverged ({:?}, spill={spill})",
+                    gate.mode
                 );
             }
         }

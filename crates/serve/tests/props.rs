@@ -69,7 +69,6 @@ fn arb_gate() -> impl Strategy<Value = TemporalConfig> {
     prop_oneof![
         Just(TemporalConfig::off()),
         Just(TemporalConfig::strict()),
-        Just(TemporalConfig::approximate()),
         Just(TemporalConfig::incremental()),
     ]
 }
@@ -143,7 +142,6 @@ fn worst_case_cost(costs: &CostModel) -> u64 {
     costs
         .full_run_us
         .max(costs.strict_hit_us)
-        .max(costs.approx_hit_us)
         .max(costs.incremental_hit_us)
         .max(costs.sig_shortcut_us)
         + costs.fault_in_us

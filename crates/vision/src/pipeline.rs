@@ -6,9 +6,7 @@ use crate::signature::{
 };
 use crate::timing::StageTimings;
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
-use hdc_raster::threshold::{
-    binarize_bytes_into, binarize_into, binarize_packed_into, otsu_threshold,
-};
+use hdc_raster::threshold::{binarize_bytes_into, binarize_into, otsu_threshold};
 use hdc_raster::{
     largest_component_packed_with, largest_component_with, morphology, BitMask, Bitmap,
     Connectivity, GrayImage, LabelScratch,
@@ -29,17 +27,14 @@ pub enum SegmentationMode {
 
 /// Which kernel family the silhouette stages run on.
 ///
-/// All three produce bit-identical masks, contours and decisions
+/// Both produce bit-identical masks, contours and decisions
 /// (property-tested in `tests/packed_equivalence.rs`); they differ only in
-/// speed. The byte and packed paths are retained as oracles and as the
-/// honest "before" baselines for the committed benchmarks.
+/// speed. The byte path is retained as the oracle and as the honest
+/// "before" baseline for the committed benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum KernelPath {
     /// One byte per pixel ([`Bitmap`]): the original kernels.
     Byte,
-    /// 64 pixels per `u64` word ([`BitMask`]): word-parallel bit ops,
-    /// including the SWAR packed binariser.
-    Packed,
     /// Byte-compare binarisation (one branch-free byte op per pixel, which
     /// the compiler vectorises) followed by a single gather-multiply pack
     /// into the [`BitMask`] layout, then the word-parallel
@@ -221,7 +216,7 @@ pub struct FrameScratch {
     /// Binarised frame as 0/1 bytes ([`KernelPath::Hybrid`]'s pack input).
     /// Crate-visible: the incremental ladder band-packs from it.
     pub(crate) mask_u8: GrayImage,
-    /// Binarised frame, bit-packed ([`KernelPath::Packed`] / Hybrid).
+    /// Binarised frame, bit-packed ([`KernelPath::Hybrid`]).
     /// Crate-visible: the incremental ladder diffs it against its cached
     /// mask and swaps it in on a whole-mask refresh.
     pub(crate) mask_bits: BitMask,
@@ -340,7 +335,7 @@ impl RecognitionPipeline {
                 timings.component_us = t1.elapsed().as_micros() as u64;
                 comp
             }
-            KernelPath::Packed | KernelPath::Hybrid => {
+            KernelPath::Hybrid => {
                 let t0 = Instant::now();
                 self.segment_packed(frame, threshold, scratch);
                 if self.config.denoise {
@@ -380,9 +375,7 @@ impl RecognitionPipeline {
         let t2 = Instant::now();
         let traced = match self.config.kernels {
             KernelPath::Byte => trace_contour_with(&scratch.blob, &mut scratch.sig),
-            KernelPath::Packed | KernelPath::Hybrid => {
-                trace_contour_packed_with(&scratch.blob_bits, &mut scratch.sig)
-            }
+            KernelPath::Hybrid => trace_contour_packed_with(&scratch.blob_bits, &mut scratch.sig),
         };
         timings.contour_us = t2.elapsed().as_micros() as u64;
         traced.map_err(FrameFailure::Signature)?;
@@ -401,30 +394,19 @@ impl RecognitionPipeline {
         }
     }
 
-    /// Whole-frame binarise into the packed scratch mask (`mask_bits`, via
-    /// `mask_u8` on the hybrid path): the segmentation half of the packed
-    /// kernel arms, shared with the incremental ladder's mask-level change
-    /// detector.
-    ///
-    /// # Panics
-    /// Panics on [`KernelPath::Byte`] — the incremental ladder guards on
-    /// the kernel path before calling this.
+    /// Whole-frame binarise into the packed scratch mask: a vectorised byte
+    /// compare into `mask_u8`, then one gather-multiply pack into
+    /// `mask_bits`. The segmentation half of the hybrid kernel arm, shared
+    /// with the incremental ladder's mask-level change detector (which
+    /// band-packs from `mask_u8` on a patch).
     pub(crate) fn segment_packed(
         &self,
         frame: &GrayImage,
         threshold: u8,
         scratch: &mut FrameScratch,
     ) {
-        match self.config.kernels {
-            KernelPath::Byte => unreachable!("segment_packed requires a packed kernel path"),
-            KernelPath::Hybrid => {
-                // byte-compare binarise (vectorised), then one
-                // gather-multiply pack into the word layout
-                binarize_bytes_into(frame, threshold, &mut scratch.mask_u8);
-                scratch.mask_bits.pack_from_bytes(&scratch.mask_u8);
-            }
-            KernelPath::Packed => binarize_packed_into(frame, threshold, &mut scratch.mask_bits),
-        }
+        binarize_bytes_into(frame, threshold, &mut scratch.mask_u8);
+        scratch.mask_bits.pack_from_bytes(&scratch.mask_u8);
     }
 
     /// The back half of the silhouette stages starting from an

@@ -22,27 +22,16 @@
 //!    more than recognising it. The output is provably unchanged, so strict
 //!    gating preserves the engine's byte-identical-at-any-worker-count
 //!    determinism contract.
-//! 2. **Tile gate** ([`GateMode::Approximate`]): reuse the cached decision
-//!    when every tile's sum-of-absolute-differences against the reference
-//!    frame is within [`TemporalConfig::max_tile_sad`]. A coarse
-//!    box-downsample pre-pass supplies a lower bound on the total SAD that
-//!    rejects clearly changed frames (sign transitions) before the fine
-//!    tile pass runs. The pre-pass arms only while the gate is missing:
-//!    during a held sign (hit after hit) it would be pure overhead on top
-//!    of the tile pass that runs anyway, while during a transition (miss
-//!    after miss) it rejects each frame at half the tile pass's cost.
-//!    Before any differencing, approximate mode runs the same
-//!    hash-then-verify identity check as the strict gate, against the
-//!    *previous* frame: camera oversampling makes byte-identical repeats
-//!    the most common frame of all, identity implies every tolerance holds,
-//!    and the check costs a third of the tile pass.
-//! 3. **Incremental mask gate** ([`GateMode::Incremental`]): binarise the
-//!    frame with the word-parallel kernels (an order of magnitude cheaper
-//!    than the pixel-level tile SAD at VGA), XOR-popcount the packed mask
-//!    against the cached mask per tile, and reuse the cached decision while
-//!    every tile stays within [`TemporalConfig::max_tile_mask_diff`] bit
-//!    flips. On a miss, the dirty tile rows are merged into row-band spans
-//!    ([`hdc_raster::diff::DirtyBands`]): when they cover at most
+//! 2. **Incremental mask gate** ([`GateMode::Incremental`]): first the
+//!    same hash-then-verify identity check as the strict gate, against the
+//!    *previous* frame — camera oversampling makes byte-identical repeats
+//!    the most common frame of all, and identity implies every tolerance
+//!    holds. Otherwise binarise the frame with the hybrid kernels (byte
+//!    compare, then one pack into mask words), XOR-popcount the packed
+//!    mask against the cached mask per tile, and reuse the cached decision
+//!    while every tile stays within [`TemporalConfig::max_tile_mask_diff`]
+//!    bit flips. On a miss, the dirty tile rows are merged into row-band
+//!    spans ([`hdc_raster::diff::DirtyBands`]): when they cover at most
 //!    [`TemporalConfig::max_dirty_fraction`] of the frame, the cached mask
 //!    (and, when denoising, the cached morphology planes with their ±1/±2
 //!    row halos) is patched in place by the band-restricted kernels and
@@ -50,13 +39,12 @@
 //!    above the threshold the whole mask is refreshed. Either way the
 //!    cached mask ends bit-identical to a from-scratch segmentation, so
 //!    staleness never accumulates across misses.
-//! 4. **Signature short-circuit** (approximate and incremental modes): when
-//!    the pixel/mask gate misses, recompute the signature but skip the SAX
-//!    search if the new signature is within
-//!    [`TemporalConfig::signature_epsilon`] (Euclidean) of the signature
-//!    that produced the cached decision.
+//! 3. **Signature short-circuit** (incremental mode): when the mask gate
+//!    misses, recompute the signature but skip the SAX search if the new
+//!    signature is within [`TemporalConfig::signature_epsilon`] (Euclidean)
+//!    of the signature that produced the cached decision.
 //!
-//! **Boundedness of approximate mode.** The reference *signature* is only
+//! **Boundedness of incremental mode.** The reference *signature* is only
 //! replaced by a full SAX run, never chained through short-circuits, so the
 //! signature presented to the classifier is always within ε of the one the
 //! cached decision was computed from — tolerances bound the staleness
@@ -67,12 +55,9 @@
 use crate::engine::Recognition;
 use crate::pipeline::{FrameResult, FrameScratch, KernelPath, RecognitionPipeline};
 use crate::timing::StageTimings;
-use hdc_raster::diff::{
-    box_downsample_into, coarse_sad, mask_tile_diff_into, tile_sad_into, DirtyBands,
-};
+use hdc_raster::diff::{mask_tile_diff_into, DirtyBands};
 use hdc_raster::digest::Fnv1a64;
 use hdc_raster::morphology::{open_packed_band_into, open_packed_into};
-use hdc_raster::threshold::binarize_packed_band_into;
 use hdc_raster::{BitMask, GrayImage};
 
 /// Every `FINGERPRINT_ROW_STRIDE`-th pixel row feeds the strict gate's
@@ -103,18 +88,14 @@ pub enum GateMode {
     Off,
     /// Reuse only on byte-identical frames — output provably unchanged.
     Strict,
-    /// Reuse within the tile-SAD tolerance, plus the signature
-    /// short-circuit. Output may diverge from the ungated oracle, bounded
-    /// by the configured tolerances.
-    Approximate,
-    /// Mask-level incremental reuse: binarise with the word-parallel
-    /// kernels, diff the packed mask per tile against the cached mask, and
-    /// reuse while every tile's bit flips stay within tolerance; on a miss,
-    /// patch only the dirty row-bands and re-run labelling onward. Output
-    /// may diverge from the ungated oracle, bounded by the configured
-    /// tolerances. Requires a packed kernel path
-    /// ([`crate::KernelPath::Packed`] / `Hybrid`); byte-kernel pipelines
-    /// fall back to full runs.
+    /// Mask-level incremental reuse: binarise with the hybrid kernels,
+    /// diff the packed mask per tile against the cached mask, and reuse
+    /// while every tile's bit flips stay within tolerance; on a miss, patch
+    /// only the dirty row-bands and re-run labelling onward, with the
+    /// signature short-circuit. Output may diverge from the ungated oracle,
+    /// bounded by the configured tolerances. Requires
+    /// [`crate::KernelPath::Hybrid`]; byte-kernel pipelines fall back to
+    /// full runs.
     Incremental,
 }
 
@@ -125,14 +106,8 @@ pub enum GateMode {
 pub struct TemporalConfig {
     /// Which reuse checks run.
     pub mode: GateMode,
-    /// Tile edge length in pixels for the fine differencing pass.
+    /// Tile edge length in pixels of the incremental gate's mask diff.
     pub tile: u32,
-    /// Box-downsample factor of the coarse lower-bound pre-pass.
-    pub coarse_factor: u32,
-    /// Maximum per-tile SAD for a frame to count as unchanged. A flipped
-    /// sensor pixel contributes up to 255, so this is roughly "tolerated
-    /// flipped pixels per tile × 255".
-    pub max_tile_sad: u64,
     /// Maximum Euclidean distance between a freshly computed signature and
     /// the cached decision's signature for the SAX search to be skipped.
     /// Signatures are z-normalised 128-sample series; compare against the
@@ -155,7 +130,7 @@ impl TemporalConfig {
     pub fn off() -> Self {
         TemporalConfig {
             mode: GateMode::Off,
-            ..Self::approximate()
+            ..Self::incremental()
         }
     }
 
@@ -163,20 +138,7 @@ impl TemporalConfig {
     pub fn strict() -> Self {
         TemporalConfig {
             mode: GateMode::Strict,
-            ..Self::approximate()
-        }
-    }
-
-    /// Approximate gating with the default tolerances.
-    pub fn approximate() -> Self {
-        TemporalConfig {
-            mode: GateMode::Approximate,
-            tile: 32,
-            coarse_factor: 8,
-            max_tile_sad: 3_000,
-            signature_epsilon: 0.5,
-            max_tile_mask_diff: 48,
-            max_dirty_fraction: 0.35,
+            ..Self::incremental()
         }
     }
 
@@ -184,24 +146,24 @@ impl TemporalConfig {
     pub fn incremental() -> Self {
         TemporalConfig {
             mode: GateMode::Incremental,
-            ..Self::approximate()
+            tile: 32,
+            signature_epsilon: 0.5,
+            max_tile_mask_diff: 48,
+            max_dirty_fraction: 0.35,
         }
     }
 }
 
 /// How the gate resolved the frames it saw: every frame lands in exactly
-/// one counter, so the five always sum to the frame count.
+/// one counter, so the four always sum to the frame count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GateCounters {
-    /// Byte-identical reuse: the strict gate, or the approximate /
-    /// incremental identity pre-check against the previous frame.
+    /// Byte-identical reuse: the strict gate, or the incremental identity
+    /// pre-check against the previous frame.
     pub strict_hits: usize,
-    /// Tile-tolerance reuse (approximate mode).
-    pub approx_hits: usize,
     /// Mask-tolerance reuse (incremental mode).
     pub incremental_hits: usize,
-    /// Signature recomputed, SAX search skipped (approximate and
-    /// incremental modes).
+    /// Signature recomputed, SAX search skipped (incremental mode).
     pub signature_short_circuits: usize,
     /// Full pipeline runs (every gate missed, or gating was off).
     pub full_runs: usize,
@@ -210,16 +172,12 @@ pub struct GateCounters {
 impl GateCounters {
     /// Total frames resolved.
     pub fn frames(&self) -> usize {
-        self.strict_hits
-            + self.approx_hits
-            + self.incremental_hits
-            + self.signature_short_circuits
-            + self.full_runs
+        self.strict_hits + self.incremental_hits + self.signature_short_circuits + self.full_runs
     }
 
     /// Frames that skipped at least the SAX search.
     pub fn hits(&self) -> usize {
-        self.strict_hits + self.approx_hits + self.incremental_hits + self.signature_short_circuits
+        self.strict_hits + self.incremental_hits + self.signature_short_circuits
     }
 
     /// Counter deltas accumulated since an earlier snapshot (per-stream
@@ -227,7 +185,6 @@ impl GateCounters {
     pub fn since(&self, earlier: &GateCounters) -> GateCounters {
         GateCounters {
             strict_hits: self.strict_hits - earlier.strict_hits,
-            approx_hits: self.approx_hits - earlier.approx_hits,
             incremental_hits: self.incremental_hits - earlier.incremental_hits,
             signature_short_circuits: self.signature_short_circuits
                 - earlier.signature_short_circuits,
@@ -239,7 +196,6 @@ impl GateCounters {
     pub fn plus(&self, other: &GateCounters) -> GateCounters {
         GateCounters {
             strict_hits: self.strict_hits + other.strict_hits,
-            approx_hits: self.approx_hits + other.approx_hits,
             incremental_hits: self.incremental_hits + other.incremental_hits,
             signature_short_circuits: self.signature_short_circuits
                 + other.signature_short_circuits,
@@ -312,8 +268,8 @@ impl DirtyStats {
 
 /// Incremental recogniser for one frame stream: wraps a shared
 /// [`RecognitionPipeline`] + caller-owned [`FrameScratch`] with per-stream
-/// cached state (reference frame, its digest, coarse grid, signature, and
-/// the cached [`Recognition`]). See the module docs for the reuse ladder.
+/// cached state (reference frame, its digest, signature, silhouette mask,
+/// and the cached [`Recognition`]). See the module docs for the reuse ladder.
 ///
 /// All internal buffers are allocated once and reused, so gate checks are
 /// allocation-free in steady state; only a *full run* allocates (the owned
@@ -344,29 +300,19 @@ pub struct StreamRecognizer {
     counters: GateCounters,
     /// The decision currently being reused, if any.
     cached: Option<Recognition>,
-    /// The frame the cached decision (or the last short-circuit) was
-    /// computed against.
+    /// The frame the cached decision was computed against (strict mode).
     reference: GrayImage,
     has_reference: bool,
     /// Sampled-row FNV-1a/64 fingerprint of `reference` (strict identity
-    /// pre-check).
+    /// check).
     reference_hash: u64,
-    /// Coarse cell sums of `reference` (approximate lower-bound pre-pass).
-    reference_coarse: Vec<u32>,
     /// Signature of the last *full SAX run* — short-circuits compare
     /// against this, never against each other (boundedness).
     reference_sig: Vec<f64>,
     has_reference_sig: bool,
-    /// Per-tile SAD output buffer.
-    tiles: Vec<u64>,
-    /// Coarse cell sums of the current frame.
-    coarse_cur: Vec<u32>,
-    /// Whether the previous frame missed the gate — arms the coarse
-    /// pre-pass (worth its cost only while frames keep changing).
-    last_missed: bool,
-    /// The previous frame (approximate mode only): target of the identity
+    /// The previous frame (incremental mode): target of the identity
     /// pre-check, which must compare against the *last* frame — the pinned
-    /// tolerance reference goes stale the moment jitter lands, while
+    /// mask reference goes stale the moment jitter lands, while
     /// oversampled duplicates repeat whatever came last.
     prev: GrayImage,
     prev_fingerprint: u64,
@@ -399,12 +345,8 @@ impl StreamRecognizer {
             reference: GrayImage::new(1, 1),
             has_reference: false,
             reference_hash: 0,
-            reference_coarse: Vec::new(),
             reference_sig: Vec::new(),
             has_reference_sig: false,
-            tiles: Vec::new(),
-            coarse_cur: Vec::new(),
-            last_missed: true,
             prev: GrayImage::new(1, 1),
             prev_fingerprint: 0,
             has_prev: false,
@@ -441,7 +383,6 @@ impl StreamRecognizer {
         self.cached = None;
         self.has_reference = false;
         self.has_reference_sig = false;
-        self.last_missed = true;
         self.has_prev = false;
         self.has_cached_mask = false;
     }
@@ -469,24 +410,6 @@ impl StreamRecognizer {
                     self.full_run(pipeline, scratch, frame, Some(fingerprint));
                 }
             }
-            GateMode::Approximate => {
-                let fingerprint = frame_fingerprint(frame);
-                if self.identity_hit(frame, fingerprint) {
-                    // byte-identical to the previous frame, whose outcome is
-                    // the cached decision whatever path produced it — and
-                    // `prev` already equals this frame, so nothing to store
-                    self.counters.strict_hits += 1;
-                    self.last_missed = false;
-                } else if self.tile_hit(frame) {
-                    self.counters.approx_hits += 1;
-                    self.last_missed = false;
-                    self.remember_prev(frame, fingerprint);
-                } else {
-                    self.last_missed = true;
-                    self.recompute_with_short_circuit(pipeline, scratch, frame);
-                    self.remember_prev(frame, fingerprint);
-                }
-            }
             GateMode::Incremental => {
                 let fingerprint = frame_fingerprint(frame);
                 if self.identity_hit(frame, fingerprint) {
@@ -503,12 +426,15 @@ impl StreamRecognizer {
     /// Byte-identity against the reference frame: fingerprint first,
     /// `memcmp` only when the fingerprints agree.
     fn strict_hit(&self, frame: &GrayImage, fingerprint: u64) -> bool {
-        self.reusable(frame)
+        self.cached.is_some()
+            && self.has_reference
+            && frame.width() == self.reference.width()
+            && frame.height() == self.reference.height()
             && fingerprint == self.reference_hash
             && frame.pixels() == self.reference.pixels()
     }
 
-    /// Byte-identity against the *previous* frame (approximate mode's
+    /// Byte-identity against the *previous* frame (incremental mode's
     /// pre-check): same hash-then-verify as [`StreamRecognizer::strict_hit`],
     /// different target.
     fn identity_hit(&self, frame: &GrayImage, fingerprint: u64) -> bool {
@@ -529,78 +455,8 @@ impl StreamRecognizer {
         self.has_prev = true;
     }
 
-    /// Coarse lower-bound pre-pass (armed while missing), then the per-tile
-    /// SAD tolerance check.
-    fn tile_hit(&mut self, frame: &GrayImage) -> bool {
-        if !self.reusable(frame) {
-            return false;
-        }
-        if self.last_missed {
-            let tiles_x = frame.width().div_ceil(self.config.tile) as u64;
-            let tiles_y = frame.height().div_ceil(self.config.tile) as u64;
-            let budget = self.config.max_tile_sad.saturating_mul(tiles_x * tiles_y);
-            box_downsample_into(frame, self.config.coarse_factor, &mut self.coarse_cur);
-            if coarse_sad(&self.coarse_cur, &self.reference_coarse) > budget {
-                // The coarse bound alone proves some tile must exceed the
-                // tolerance — skip the fine pass.
-                return false;
-            }
-        }
-        let summary = tile_sad_into(frame, &self.reference, self.config.tile, &mut self.tiles);
-        summary.max <= self.config.max_tile_sad
-    }
-
-    fn reusable(&self, frame: &GrayImage) -> bool {
-        self.cached.is_some()
-            && self.has_reference
-            && frame.width() == self.reference.width()
-            && frame.height() == self.reference.height()
-    }
-
-    /// The approximate-mode miss path: recompute the signature; skip the
-    /// SAX search when it stayed within ε of the cached decision's
-    /// signature, otherwise classify in full.
-    fn recompute_with_short_circuit(
-        &mut self,
-        pipeline: &RecognitionPipeline,
-        scratch: &mut FrameScratch,
-        frame: &GrayImage,
-    ) {
-        let mut timings = StageTimings::default();
-        match pipeline.signature_stages(frame, scratch, &mut timings) {
-            Err(failure) => {
-                let r = FrameResult::failed(timings, failure);
-                let rec = Recognition::from_frame_result(&r);
-                self.store_full(frame, rec, None, None);
-                self.counters.full_runs += 1;
-            }
-            Ok(stats) => {
-                let close_enough = self.has_reference_sig
-                    && euclidean_within(
-                        scratch.signature_series(),
-                        &self.reference_sig,
-                        self.config.signature_epsilon,
-                    );
-                if close_enough {
-                    // Decision reused; re-arm the pixel gates around the
-                    // current appearance but keep the reference signature
-                    // from the last full SAX run (bounded staleness).
-                    self.store_reference_pixels(frame, None);
-                    self.counters.signature_short_circuits += 1;
-                } else {
-                    let r = pipeline.classify_pass(scratch, stats, timings);
-                    let rec = Recognition::from_frame_result(&r);
-                    self.cached = Some(rec);
-                    self.store_reference_sig_from(scratch);
-                    self.store_reference_pixels(frame, None);
-                    self.counters.full_runs += 1;
-                }
-            }
-        }
-    }
-
     /// The incremental-mode resolution ladder after the identity pre-check
-    /// missed: segment the frame with the packed kernels, diff the fresh
+    /// missed: segment the frame with the hybrid kernels, diff the fresh
     /// mask against the cached one per tile, and either reuse the decision
     /// (every tile within tolerance), patch the cached mask on the dirty
     /// row-bands, or refresh it wholesale — then re-run the geometric
@@ -634,8 +490,7 @@ impl StreamRecognizer {
         // Tolerance 0 for the bands: a miss patches *every* row whose mask
         // changed at all, so the cache leaves this frame bit-identical to
         // from-scratch segmentation (staleness only accumulates across
-        // consecutive hits, bounded per tile like the approximate gate's
-        // pinned reference).
+        // consecutive hits, bounded per tile by the pinned cached mask).
         self.bands.rebuild(
             &self.mask_tiles,
             &summary,
@@ -654,16 +509,8 @@ impl StreamRecognizer {
         if self.bands.coverage() <= self.config.max_dirty_fraction {
             self.dirty.patched += 1;
             for &(lo, hi) in self.bands.spans() {
-                match pipeline.config().kernels {
-                    KernelPath::Byte => unreachable!("byte kernels never reach the patch path"),
-                    KernelPath::Hybrid => {
-                        self.cached_mask
-                            .pack_from_bytes_band(&scratch.mask_u8, lo, hi)
-                    }
-                    KernelPath::Packed => {
-                        binarize_packed_band_into(frame, threshold, &mut self.cached_mask, lo, hi)
-                    }
-                }
+                self.cached_mask
+                    .pack_from_bytes_band(&scratch.mask_u8, lo, hi);
             }
             if denoise {
                 // Distinct merged spans sit ≥ one tile row (≥ the ±2 open
@@ -746,9 +593,11 @@ impl StreamRecognizer {
         self.has_cached_mask = true;
     }
 
-    /// Runs the full pipeline and caches everything. `fingerprint` carries
-    /// the frame digest when the caller already computed it for the gate
-    /// check (so the store never re-hashes).
+    /// Runs the full pipeline and caches the decision and its signature.
+    /// `fingerprint` is `Some` only for the strict gate, which also keeps
+    /// the frame (with the fingerprint it already computed) as the
+    /// reference for the next identity check; `GateMode::Off` and
+    /// `GateMode::Incremental` never consult the reference pixels.
     fn full_run(
         &mut self,
         pipeline: &RecognitionPipeline,
@@ -758,51 +607,18 @@ impl StreamRecognizer {
     ) {
         let r = pipeline.recognize_with(scratch, frame);
         let had_signature = r.stats.is_some();
-        let rec = Recognition::from_frame_result(&r);
-        self.store_full(frame, rec, had_signature.then_some(&*scratch), fingerprint);
+        self.cached = Some(Recognition::from_frame_result(&r));
+        if had_signature {
+            self.store_reference_sig_from(scratch);
+        } else {
+            self.has_reference_sig = false;
+        }
+        if let Some(fingerprint) = fingerprint {
+            copy_frame_into(&mut self.reference, frame);
+            self.has_reference = true;
+            self.reference_hash = fingerprint;
+        }
         self.counters.full_runs += 1;
-    }
-
-    /// Caches a freshly computed decision; `signature_scratch` is `Some`
-    /// when the scratch holds a valid signature series for the frame.
-    /// `GateMode::Off` and `GateMode::Incremental` skip the reference
-    /// copies entirely.
-    fn store_full(
-        &mut self,
-        frame: &GrayImage,
-        rec: Recognition,
-        signature_scratch: Option<&FrameScratch>,
-        fingerprint: Option<u64>,
-    ) {
-        self.cached = Some(rec);
-        match signature_scratch {
-            Some(scratch) => self.store_reference_sig_from(scratch),
-            None => self.has_reference_sig = false,
-        }
-        if matches!(self.config.mode, GateMode::Off | GateMode::Incremental) {
-            // Incremental never consults the reference pixels — its gate
-            // state is the cached mask, seeded separately by swap.
-            return;
-        }
-        self.store_reference_pixels(frame, fingerprint);
-    }
-
-    /// Copies the frame into the reference buffers (pixels, fingerprint,
-    /// coarse grid) without heap allocation in steady state.
-    fn store_reference_pixels(&mut self, frame: &GrayImage, fingerprint: Option<u64>) {
-        self.reference
-            .reset_dimensions(frame.width(), frame.height());
-        self.reference.pixels_mut().copy_from_slice(frame.pixels());
-        self.has_reference = true;
-        match self.config.mode {
-            GateMode::Strict => {
-                self.reference_hash = fingerprint.unwrap_or_else(|| frame_fingerprint(frame));
-            }
-            GateMode::Approximate => {
-                box_downsample_into(frame, self.config.coarse_factor, &mut self.reference_coarse);
-            }
-            GateMode::Off | GateMode::Incremental => {}
-        }
     }
 
     /// Records the scratch's current signature series as the reference
@@ -818,9 +634,9 @@ impl StreamRecognizer {
 
 /// A portable snapshot of a [`StreamRecognizer`]'s semantic gate state: the
 /// cached decision, the reference/previous frames with their digests, the
-/// coarse grid and the reference signature — everything the reuse ladder
-/// consults, and nothing it doesn't (scratch buffers like the per-tile SAD
-/// output stay with the recogniser).
+/// reference signature and the cached masks — everything the reuse ladder
+/// consults, and nothing it doesn't (scratch buffers like the per-tile
+/// mask-diff output stay with the recogniser).
 ///
 /// This is what a serving layer spills when it evicts an idle stream's gate
 /// state under a residency bound: [`StreamRecognizer::checkpoint`] captures
@@ -834,10 +650,8 @@ pub struct GateCheckpoint {
     reference: GrayImage,
     has_reference: bool,
     reference_hash: u64,
-    reference_coarse: Vec<u32>,
     reference_sig: Vec<f64>,
     has_reference_sig: bool,
-    last_missed: bool,
     prev: GrayImage,
     prev_fingerprint: u64,
     has_prev: bool,
@@ -867,7 +681,6 @@ impl GateCheckpoint {
         };
         self.reference.pixel_count()
             + self.prev.pixel_count()
-            + self.reference_coarse.len() * std::mem::size_of::<u32>()
             + self.reference_sig.len() * std::mem::size_of::<f64>()
             + mask_bytes
     }
@@ -917,18 +730,12 @@ impl StreamRecognizer {
             reference: snap_frame(&self.reference, self.has_reference),
             has_reference: self.has_reference,
             reference_hash: self.reference_hash,
-            reference_coarse: if self.has_reference {
-                self.reference_coarse.clone()
-            } else {
-                Vec::new()
-            },
             reference_sig: if self.has_reference_sig {
                 self.reference_sig.clone()
             } else {
                 Vec::new()
             },
             has_reference_sig: self.has_reference_sig,
-            last_missed: self.last_missed,
             prev: snap_frame(&self.prev, self.has_prev),
             prev_fingerprint: self.prev_fingerprint,
             has_prev: self.has_prev,
@@ -946,7 +753,7 @@ impl StreamRecognizer {
     ///
     /// # Panics
     /// Panics if the checkpoint was taken under a different
-    /// [`TemporalConfig`] — restoring strict-gate state into an approximate
+    /// [`TemporalConfig`] — restoring strict-gate state into an incremental
     /// gate (or with different tolerances) would silently change semantics.
     pub fn restore(&mut self, ck: &GateCheckpoint) {
         assert!(
@@ -961,13 +768,9 @@ impl StreamRecognizer {
             copy_frame_into(&mut self.reference, &ck.reference);
         }
         self.reference_hash = ck.reference_hash;
-        self.reference_coarse.clear();
-        self.reference_coarse
-            .extend_from_slice(&ck.reference_coarse);
         self.reference_sig.clear();
         self.reference_sig.extend_from_slice(&ck.reference_sig);
         self.has_reference_sig = ck.has_reference_sig;
-        self.last_missed = ck.last_missed;
         self.has_prev = ck.has_prev;
         if ck.has_prev {
             copy_frame_into(&mut self.prev, &ck.prev);
@@ -1093,44 +896,6 @@ mod tests {
     }
 
     #[test]
-    fn approximate_absorbs_sensor_jitter() {
-        let p = calibrated();
-        let mut scratch = FrameScratch::new();
-        let mut rec = StreamRecognizer::new(TemporalConfig::approximate());
-        let base = yes_frame();
-        let first = rec.recognize(&p, &mut scratch, &base).clone();
-        for seed in 0..5 {
-            let got = rec
-                .recognize(&p, &mut scratch, &jittered(&base, seed))
-                .clone();
-            assert_eq!(got, first, "jittered hold frames reuse the decision");
-        }
-        assert_eq!(rec.counters().approx_hits, 5);
-        assert_eq!(rec.counters().full_runs, 1);
-    }
-
-    #[test]
-    fn approximate_recomputes_on_a_sign_change() {
-        let p = calibrated();
-        let mut scratch = FrameScratch::new();
-        let mut rec = StreamRecognizer::new(TemporalConfig::approximate());
-        let yes = yes_frame();
-        let no = render_sign(MarshallingSign::No, &ViewSpec::paper_default(0.0, 5.0, 3.0));
-
-        assert_eq!(
-            rec.recognize(&p, &mut scratch, &yes).decision.as_deref(),
-            Some("Yes")
-        );
-        assert_eq!(
-            rec.recognize(&p, &mut scratch, &no).decision.as_deref(),
-            Some("No"),
-            "a real sign change must not be gated away"
-        );
-        assert_eq!(rec.counters().full_runs, 2);
-        assert_eq!(rec.counters().approx_hits, 0);
-    }
-
-    #[test]
     fn incremental_absorbs_sensor_jitter() {
         let p = calibrated();
         let mut scratch = FrameScratch::new();
@@ -1223,11 +988,7 @@ mod tests {
     fn resolution_change_misses_every_gate() {
         let p = calibrated();
         let mut scratch = FrameScratch::new();
-        for config in [
-            TemporalConfig::strict(),
-            TemporalConfig::approximate(),
-            TemporalConfig::incremental(),
-        ] {
+        for config in [TemporalConfig::strict(), TemporalConfig::incremental()] {
             let mut rec = StreamRecognizer::new(config);
             rec.recognize(&p, &mut scratch, &GrayImage::new(64, 64));
             rec.recognize(&p, &mut scratch, &GrayImage::new(32, 32));
@@ -1255,15 +1016,14 @@ mod tests {
     fn counter_arithmetic() {
         let a = GateCounters {
             strict_hits: 5,
-            approx_hits: 2,
             incremental_hits: 4,
             signature_short_circuits: 1,
             full_runs: 3,
         };
-        assert_eq!(a.frames(), 15);
-        assert_eq!(a.hits(), 12);
+        assert_eq!(a.frames(), 13);
+        assert_eq!(a.hits(), 10);
         let b = a.plus(&a);
-        assert_eq!(b.frames(), 30);
+        assert_eq!(b.frames(), 26);
         assert_eq!(b.since(&a), a);
 
         let mut d = DirtyStats {
@@ -1301,7 +1061,6 @@ mod tests {
         for config in [
             TemporalConfig::off(),
             TemporalConfig::strict(),
-            TemporalConfig::approximate(),
             TemporalConfig::incremental(),
         ] {
             let mut s1 = FrameScratch::new();
@@ -1357,7 +1116,7 @@ mod tests {
     #[should_panic(expected = "config mismatch")]
     fn restore_rejects_a_mismatched_config() {
         let ck = StreamRecognizer::new(TemporalConfig::strict()).checkpoint();
-        StreamRecognizer::new(TemporalConfig::approximate()).restore(&ck);
+        StreamRecognizer::new(TemporalConfig::incremental()).restore(&ck);
     }
 
     #[test]

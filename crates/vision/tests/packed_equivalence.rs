@@ -1,7 +1,8 @@
-//! Byte-vs-packed(-vs-hybrid) kernel equivalence at the pipeline level.
+//! Byte-vs-hybrid kernel equivalence at the pipeline level.
 //!
-//! The packed and hybrid kernels are only admissible if they change
-//! *nothing* but speed: same decisions, same diagnostics, same signature
+//! The hybrid kernels (byte binarise, one pack, then the bit-packed
+//! silhouette kernels) are only admissible if they change *nothing* but
+//! speed: same decisions, same diagnostics, same signature
 //! series, bit for bit, across accept frames, reject frames, noisy frames
 //! and both segmentation modes. The byte path is the oracle.
 
@@ -9,29 +10,19 @@ use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::GrayImage;
 use hdc_vision::{FrameScratch, KernelPath, PipelineConfig, RecognitionPipeline, SegmentationMode};
 
-/// The kernel paths that must reproduce the byte oracle exactly.
-const CANDIDATES: [KernelPath; 2] = [KernelPath::Packed, KernelPath::Hybrid];
-
-fn pipelines(
-    base: PipelineConfig,
-    kernels: KernelPath,
-) -> (RecognitionPipeline, RecognitionPipeline) {
-    let byte_cfg = PipelineConfig {
-        kernels: KernelPath::Byte,
-        ..base
+/// The byte oracle and the hybrid candidate, calibrated identically.
+fn pipelines(base: PipelineConfig) -> (RecognitionPipeline, RecognitionPipeline) {
+    let pipeline = |kernels| {
+        let mut p = RecognitionPipeline::new(PipelineConfig { kernels, ..base });
+        p.calibrate_from_views(&ViewSpec::paper_default(0.0, 5.0, 3.0));
+        p
     };
-    let candidate_cfg = PipelineConfig { kernels, ..base };
-    let mut byte = RecognitionPipeline::new(byte_cfg);
-    let mut candidate = RecognitionPipeline::new(candidate_cfg);
-    let canonical = ViewSpec::paper_default(0.0, 5.0, 3.0);
-    byte.calibrate_from_views(&canonical);
-    candidate.calibrate_from_views(&canonical);
-    (byte, candidate)
+    (pipeline(KernelPath::Byte), pipeline(KernelPath::Hybrid))
 }
 
 fn assert_streams_identical(
     byte: &RecognitionPipeline,
-    packed: &RecognitionPipeline,
+    hybrid: &RecognitionPipeline,
     frames: &[GrayImage],
     context: &str,
 ) {
@@ -39,7 +30,7 @@ fn assert_streams_identical(
     let mut sp = FrameScratch::new();
     for (i, frame) in frames.iter().enumerate() {
         let rb = byte.recognize_with(&mut sb, frame);
-        let rp = packed.recognize_with(&mut sp, frame);
+        let rp = hybrid.recognize_with(&mut sp, frame);
         assert_eq!(rb.decision, rp.decision, "{context} frame {i}: decision");
         assert_eq!(
             rb.best.map(|m| (m.label.to_owned(), m.distance)),
@@ -90,11 +81,8 @@ fn view_sweep() -> Vec<GrayImage> {
 
 #[test]
 fn packed_decisions_match_byte_decisions() {
-    for kernels in CANDIDATES {
-        let (byte, candidate) = pipelines(PipelineConfig::default(), kernels);
-        let context = format!("default config, {kernels:?}");
-        assert_streams_identical(&byte, &candidate, &view_sweep(), &context);
-    }
+    let (byte, hybrid) = pipelines(PipelineConfig::default());
+    assert_streams_identical(&byte, &hybrid, &view_sweep(), "default config");
 }
 
 #[test]
@@ -104,19 +92,16 @@ fn packed_matches_byte_with_denoise_and_noise() {
         denoise: true,
         ..PipelineConfig::default()
     };
-    for kernels in CANDIDATES {
-        let (byte, candidate) = pipelines(base, kernels);
-        let mut rng = SmallRng::seed_from_u64(4242);
-        let frames: Vec<GrayImage> = view_sweep()
-            .into_iter()
-            .map(|mut f| {
-                hdc_raster::noise::add_salt_pepper(&mut f, 0.02, &mut rng);
-                f
-            })
-            .collect();
-        let context = format!("denoise + salt-pepper, {kernels:?}");
-        assert_streams_identical(&byte, &candidate, &frames, &context);
-    }
+    let (byte, hybrid) = pipelines(base);
+    let mut rng = SmallRng::seed_from_u64(4242);
+    let frames: Vec<GrayImage> = view_sweep()
+        .into_iter()
+        .map(|mut f| {
+            hdc_raster::noise::add_salt_pepper(&mut f, 0.02, &mut rng);
+            f
+        })
+        .collect();
+    assert_streams_identical(&byte, &hybrid, &frames, "denoise + salt-pepper");
 }
 
 #[test]
@@ -125,31 +110,25 @@ fn packed_matches_byte_under_otsu() {
         segmentation: SegmentationMode::Otsu,
         ..PipelineConfig::default()
     };
-    for kernels in CANDIDATES {
-        let (byte, candidate) = pipelines(base, kernels);
-        let context = format!("otsu, {kernels:?}");
-        assert_streams_identical(&byte, &candidate, &view_sweep(), &context);
-    }
+    let (byte, hybrid) = pipelines(base);
+    assert_streams_identical(&byte, &hybrid, &view_sweep(), "otsu");
 }
 
 #[test]
 fn packed_matches_byte_at_odd_resolutions() {
     // Frame widths that are not multiples of 64 exercise the tail-word
     // handling of every packed kernel end to end.
-    for kernels in CANDIDATES {
-        let (byte, candidate) = pipelines(PipelineConfig::default(), kernels);
-        let mut frames = Vec::new();
-        for width in [130u32, 321, 333] {
-            for sign in MarshallingSign::ALL {
-                let mut v = ViewSpec::paper_default(10.0, 5.0, 3.0);
-                let scale = width as f64 / v.width as f64;
-                v.width = width;
-                v.height = (v.height as f64 * scale) as u32;
-                v.focal_px *= scale;
-                frames.push(render_sign(sign, &v));
-            }
+    let (byte, hybrid) = pipelines(PipelineConfig::default());
+    let mut frames = Vec::new();
+    for width in [130u32, 321, 333] {
+        for sign in MarshallingSign::ALL {
+            let mut v = ViewSpec::paper_default(10.0, 5.0, 3.0);
+            let scale = width as f64 / v.width as f64;
+            v.width = width;
+            v.height = (v.height as f64 * scale) as u32;
+            v.focal_px *= scale;
+            frames.push(render_sign(sign, &v));
         }
-        let context = format!("odd widths, {kernels:?}");
-        assert_streams_identical(&byte, &candidate, &frames, &context);
     }
+    assert_streams_identical(&byte, &hybrid, &frames, "odd widths");
 }

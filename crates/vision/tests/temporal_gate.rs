@@ -3,9 +3,6 @@
 //! * **Strict mode is exact**: on arbitrary streams with repeated frames,
 //!   the gated engine output is byte-identical to the ungated path at 1, 2
 //!   and 4 workers (property test).
-//! * **Approximate mode is deterministic**: per-stream recognisers make the
-//!   output worker-count independent even though decisions may diverge
-//!   (boundedly) from the oracle.
 //! * **Incremental mode is decision-exact on this pool and deterministic**:
 //!   the mask gate only absorbs sub-tolerance silhouette deltas (here, the
 //!   two profile views that genuinely resolve alike), so every accepted
@@ -15,7 +12,7 @@
 
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::GrayImage;
-use hdc_vision::temporal::{GateMode, TemporalConfig};
+use hdc_vision::temporal::TemporalConfig;
 use hdc_vision::{PipelineConfig, RecognitionEngine, RecognitionPipeline};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -93,17 +90,6 @@ proptest! {
     }
 
     #[test]
-    fn approximate_output_is_worker_count_independent(
-        streams in streams_strategy(),
-    ) {
-        let one = engine(1).process_streams(&streams, 2, TemporalConfig::approximate());
-        for workers in [2, 4] {
-            let many = engine(workers).process_streams(&streams, 2, TemporalConfig::approximate());
-            prop_assert_eq!(&many, &one, "approximate at {} workers", workers);
-        }
-    }
-
-    #[test]
     fn incremental_decisions_match_the_ungated_oracle_at_any_worker_count(
         streams in streams_strategy(),
         passes in 1usize..3,
@@ -140,7 +126,7 @@ fn strict_gate_hits_on_repeated_frames_and_counters_add_up() {
     // first frame computes, every later repeat and cycle is byte-identical
     assert_eq!(gate.full_runs, 1);
     assert_eq!(gate.strict_hits, report.total_frames() - 1);
-    assert_eq!(gate.approx_hits, 0);
+    assert_eq!(gate.incremental_hits, 0);
 }
 
 #[test]
@@ -177,32 +163,6 @@ fn gated_stream_decisions_match_ungated_counts_in_strict_mode() {
             );
         }
     }
-}
-
-#[test]
-fn approximate_counters_split_identity_from_tolerance_hits() {
-    let mut config = TemporalConfig::approximate();
-    config.mode = GateMode::Approximate;
-    // consecutive distinct frames: the identity pre-check can never fire...
-    let streams = vec![frame_pool().clone()];
-    let report = engine(1).run_streams_gated(&streams, frame_pool().len() * 3, 0.0, config);
-    let gate = report.gate_totals();
-    assert_eq!(gate.frames(), report.total_frames());
-    assert_eq!(
-        gate.strict_hits, 0,
-        "no consecutive duplicates in this workload"
-    );
-    // ...while a stream of oversampled duplicates resolves via identity
-    let dup = frame_pool()[0].clone();
-    let report = engine(1).run_streams_gated(
-        &[vec![dup.clone(), dup.clone(), dup]],
-        6,
-        0.0,
-        TemporalConfig::approximate(),
-    );
-    let gate = report.gate_totals();
-    assert_eq!(gate.full_runs, 1);
-    assert_eq!(gate.strict_hits, report.total_frames() - 1);
 }
 
 #[test]

@@ -135,11 +135,6 @@ fn recognize_with_is_allocation_free_after_warmup() {
 }
 
 #[test]
-fn packed_recognize_with_is_allocation_free_after_warmup() {
-    assert_allocation_free(KernelPath::Packed);
-}
-
-#[test]
 fn hybrid_recognize_with_is_allocation_free_after_warmup() {
     assert_allocation_free(KernelPath::Hybrid);
 }
