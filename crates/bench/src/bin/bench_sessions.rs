@@ -17,17 +17,38 @@
 //!    wall time, scheduler dispatches, drone ticks, owner frames, views
 //!    reused and outcomes. The farm is serial by design (one heap);
 //!    `--threads` is recorded as metadata for report comparability.
+//! 3. **Miss-path split** — the owner frames a view memo cannot serve (the
+//!    view's render inputs changed, as when a sign changes) of a small
+//!    mixed farm: all three roles, consenting and refusing, scripted and
+//!    stochastic humans. A pass-through fault layer captures each frame's
+//!    render inputs; each changed view is then timed in three stages, in
+//!    ns/frame: the render into a reused frame (`paint_view`), the one-pass
+//!    read of both recognition channels (`ViewRead::frame`), and the
+//!    two-pass formula it replaced (the wave-off detector's own labelling
+//!    of `binarize(frame, 128)`, then `RecognitionPipeline::recognize`).
+//!    The two reads must agree on every frame, and the captured changes
+//!    must equal the unfaulted farm's `frames - views_reused` (counts, not
+//!    wall-time floors).
 //!
 //! Usage: `cargo run --release -p hdc-bench --bin bench_sessions
 //! [--threads N] [--smoke] [out.json]`
 
 use hdc_bench::report::{num, Table};
 use hdc_core::{
-    CollaborationSession, HumanScript, Role, ScriptedResponse, SessionConfig, SessionOutcome,
+    paint_view, CollaborationSession, HumanScript, Role, ScriptedResponse, SessionConfig,
+    SessionFaults, SessionOutcome, ViewRead,
 };
-use hdc_figure::MarshallingSign;
+use hdc_figure::{MarshallingSign, Signaller, ViewSpec};
+use hdc_geometry::Vec3;
 use hdc_orchard::{run_session_farm, FarmStats};
-use hdc_runtime::{available_workers, threads_from_args, ScheduleMode};
+use hdc_raster::threshold::binarize;
+use hdc_raster::GrayImage;
+use hdc_runtime::{available_workers, threads_from_args, ScheduleMode, SplitMix64};
+use hdc_vision::dynamic::{DynamicConfig, DynamicRecognizer};
+use hdc_vision::{PipelineConfig, RecognitionPipeline};
+use std::cell::RefCell;
+use std::f64::consts::TAU;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// The idle-heavy day-length negotiation: a human who never responds and
@@ -107,6 +128,168 @@ fn run_idle_mission(config: SessionConfig, mode: ScheduleMode) -> ModeRun {
         outcome: report.outcome,
         frames: report.frames_processed,
         views_reused: report.views_reused,
+    }
+}
+
+/// One session of the mixed farm: every role, consenting and refusing,
+/// half scripted (refusers alternate No and the wave-off) and half
+/// stochastic humans, at a random heading.
+fn mixed_config(i: usize, rng: &mut SplitMix64) -> SessionConfig {
+    let role = [Role::Supervisor, Role::Worker, Role::Visitor][i % 3];
+    let consent = (i / 3).is_multiple_of(2);
+    let mut c = SessionConfig::for_role(role, consent, rng.next_u64());
+    c.human_heading = TAU * rng.next_unit_f64();
+    let latency_s = 1.0 + 4.0 * rng.next_unit_f64();
+    if (i / 6).is_multiple_of(2) {
+        let answer = match (consent, (i / 12) % 2) {
+            (true, _) => ScriptedResponse::Sign(MarshallingSign::Yes),
+            (false, 0) => ScriptedResponse::Sign(MarshallingSign::No),
+            (false, _) => ScriptedResponse::WaveOff,
+        };
+        c = c.with_script(HumanScript {
+            on_poke: ScriptedResponse::Sign(MarshallingSign::AttentionGained),
+            on_request: answer,
+            latency_s,
+        });
+    }
+    c
+}
+
+/// A pass-through fault layer that records the render inputs of every
+/// camera frame and delivers the frame untouched.
+#[derive(Debug)]
+struct ViewTap(Rc<RefCell<Vec<(Signaller, Vec3)>>>);
+
+impl SessionFaults for ViewTap {
+    fn on_view(&mut self, _t: f64, signaller: &Signaller, eye: Vec3) {
+        self.0.borrow_mut().push((signaller.clone(), eye));
+    }
+}
+
+/// The number of owner camera views of `configs`, and those whose render
+/// inputs differ from the same session's previous view — the views a memo
+/// must render and read. A pass-through fault layer changes nothing a
+/// session does, so each session runs alone with the tap.
+fn changed_views(configs: &[SessionConfig]) -> (usize, Vec<(Signaller, Vec3)>) {
+    let mut total = 0;
+    let mut out = Vec::new();
+    for c in configs {
+        let tap = Rc::new(RefCell::new(Vec::new()));
+        let mut session = CollaborationSession::new(*c);
+        session.set_faults(Box::new(ViewTap(Rc::clone(&tap))));
+        session.run_events();
+        let views = tap.take();
+        total += views.len();
+        let mut previous: Option<&(Signaller, Vec3)> = None;
+        for view in &views {
+            if previous != Some(view) {
+                out.push(view.clone());
+            }
+            previous = Some(view);
+        }
+    }
+    (total, out)
+}
+
+/// Per-frame cost of one stage across the repeats, ns.
+struct StageNs {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl StageNs {
+    fn of(mut per_frame: Vec<f64>) -> StageNs {
+        per_frame.sort_by(f64::total_cmp);
+        StageNs {
+            median: per_frame[per_frame.len() / 2],
+            min: per_frame[0],
+            max: per_frame[per_frame.len() - 1],
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"median\": {:.0}, \"min\": {:.0}, \"max\": {:.0}}}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
+struct MissSplit {
+    sessions: usize,
+    frames: u64,
+    views: usize,
+    views_reused: u64,
+    misses: usize,
+    repeats: usize,
+    render: StageNs,
+    one_pass: StageNs,
+    two_pass: StageNs,
+}
+
+/// Captures the changed views of a small mixed farm and times the three
+/// miss-path stages on them.
+fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
+    let mut rng = SplitMix64::stream(0x5E55, 1);
+    let configs: Vec<SessionConfig> = (0..sessions).map(|i| mixed_config(i, &mut rng)).collect();
+    let stats = run_session_farm(&configs, ScheduleMode::EventDriven, rng.next_u64());
+    let (total_views, views) = changed_views(&configs);
+    assert_eq!(
+        views.len() as u64,
+        total_views as u64 - stats.views_reused,
+        "every changed view, and only those, misses the view memo"
+    );
+
+    // the pipeline every session calibrates (default negotiation geometry)
+    let d = configs[0];
+    let mut pipeline = RecognitionPipeline::new(PipelineConfig::default());
+    pipeline.calibrate_from_views(&ViewSpec::paper_default(
+        0.0,
+        d.negotiation_altitude_m,
+        d.contact_distance_m,
+    ));
+    // the parent loop's wave-off detector kept its labelling buffers warm
+    let mut dynamic = DynamicRecognizer::new(DynamicConfig::default());
+    let mut frame = GrayImage::new(1, 1);
+
+    let (mut render, mut one_pass, mut two_pass) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..repeats {
+        let mut ns = [0u128; 3];
+        for (signaller, eye) in &views {
+            let t0 = Instant::now();
+            paint_view(signaller, *eye, &mut frame);
+            let t1 = Instant::now();
+            let one = ViewRead::frame(&frame, &pipeline, true);
+            let t2 = Instant::now();
+            // each read follows a fresh render, as on the loop's miss path
+            paint_view(signaller, *eye, &mut frame);
+            let t3 = Instant::now();
+            let two = ViewRead {
+                features: dynamic.features(&binarize(&frame, 128)),
+                decision: Some(pipeline.recognize(&frame).decision),
+            };
+            let t4 = Instant::now();
+            assert_eq!(one, two, "one labelling must serve both channels");
+            ns[0] += (t1 - t0).as_nanos();
+            ns[1] += (t2 - t1).as_nanos();
+            ns[2] += (t4 - t3).as_nanos();
+        }
+        let per_frame = |total: u128| total as f64 / views.len().max(1) as f64;
+        render.push(per_frame(ns[0]));
+        one_pass.push(per_frame(ns[1]));
+        two_pass.push(per_frame(ns[2]));
+    }
+    MissSplit {
+        sessions,
+        frames: stats.frames_processed,
+        views: total_views,
+        views_reused: stats.views_reused,
+        misses: views.len(),
+        repeats,
+        render: StageNs::of(render),
+        one_pass: StageNs::of(one_pass),
+        two_pass: StageNs::of(two_pass),
     }
 }
 
@@ -223,6 +406,33 @@ fn main() {
         "the ladder must reach the committed capacity"
     );
 
+    // --- miss-path split over the changed views of a mixed farm ---
+    let split = if smoke {
+        miss_path_split(12, 3)
+    } else {
+        miss_path_split(96, 7)
+    };
+    println!(
+        "miss path: {} sessions, {} owner frames processed, {} views, {} reused, {} changed",
+        split.sessions, split.frames, split.views, split.views_reused, split.misses
+    );
+    let mut stages = Table::new(["miss-path stage", "median ns/frame", "min", "max"]);
+    for (label, st) in [
+        ("render into the reused frame", &split.render),
+        ("one-pass read (both channels)", &split.one_pass),
+        ("two-pass formula (replaced)", &split.two_pass),
+    ] {
+        stages.row([
+            label.to_string(),
+            num(st.median, 0),
+            num(st.min, 0),
+            num(st.max, 0),
+        ]);
+    }
+    println!("{}", stages.render());
+    let read_speedup = split.two_pass.median / split.one_pass.median.max(1.0);
+    println!("read speed-up (two-pass / one-pass): {read_speedup:.1}x");
+
     // --- JSON report ---
     use std::fmt::Write as _;
     let mut json = String::new();
@@ -275,7 +485,18 @@ fn main() {
             rung.stats.count(SessionOutcome::Aborted),
         );
     }
-    let _ = writeln!(json, "  ]");
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(
+        json,
+        "  \"miss_path\": {{\"sessions\": {}, \"frames\": {}, \"views\": {}, \
+         \"views_reused\": {}, \"changed_views\": {}, \"repeats\": {},",
+        split.sessions, split.frames, split.views, split.views_reused, split.misses, split.repeats
+    );
+    let _ = writeln!(json, "    \"render_ns\": {},", split.render.json());
+    let _ = writeln!(json, "    \"one_pass_read_ns\": {},", split.one_pass.json());
+    let _ = writeln!(json, "    \"two_pass_read_ns\": {},", split.two_pass.json());
+    let _ = writeln!(json, "    \"read_speedup\": {read_speedup:.2}");
+    let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
     std::fs::write(&out_path, &json).expect("write benchmark report");
     println!("wrote {out_path}");

@@ -339,13 +339,7 @@ impl Cohort {
             // never reads the static decision at all.
             let rel_az = relative_azimuth_rad(human, signaller.heading(), ground);
             let blind = in_dead_angle_deg(rel_az.to_degrees());
-            let read = member.memo.view(
-                signaller,
-                eye,
-                &mut member.dynamic,
-                &member.pipeline,
-                !blind,
-            );
+            let read = member.memo.view(signaller, eye, &member.pipeline, !blind);
 
             // dynamic channel first — a wave-off outranks any static read
             member.dynamic.push_features(now, read.features);

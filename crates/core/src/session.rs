@@ -98,6 +98,13 @@ pub enum FrameFate {
 /// must be deterministic given their own construction seed — the session
 /// guarantees it calls the hooks in a fixed order.
 pub trait SessionFaults: std::fmt::Debug {
+    /// Observes the render inputs of a camera frame — the signaller as
+    /// posed and the owner camera's eye — just before the frame is
+    /// rendered. Called once per camera frame, before
+    /// [`SessionFaults::on_frame`]; a frame is a pure function of these
+    /// inputs ([`crate::paint_view`]).
+    fn on_view(&mut self, _t: f64, _signaller: &Signaller, _eye: Vec3) {}
+
     /// Inspects/mutates a rendered camera frame before recognition and
     /// decides its fate. Called once per camera frame.
     fn on_frame(&mut self, _t: f64, _frame: &mut GrayImage) -> FrameFate {
@@ -743,22 +750,18 @@ impl CollaborationSession {
 
         // An installed fault layer may rewrite pixels and must see every
         // frame in order, so only an unfaulted owner reads through its memo.
-        if self.faults.is_none() {
-            let read = self
-                .memo
-                .view(&signaller, eye, &mut self.dynamic, &self.pipeline, true);
+        let Some(faults) = self.faults.as_mut() else {
+            let read = self.memo.view(&signaller, eye, &self.pipeline, true);
             self.ingest_read(read);
             return;
-        }
+        };
 
-        let mut frame = render_view(&signaller, eye);
         // the fault layer sees (and may corrupt or discard) the frame before
         // either recognition channel does
         let t = self.time;
-        let fate = self
-            .faults
-            .as_mut()
-            .map_or(FrameFate::Deliver, |f| f.on_frame(t, &mut frame));
+        faults.on_view(t, &signaller, eye);
+        let mut frame = render_view(&signaller, eye);
+        let fate = faults.on_frame(t, &mut frame);
         match fate {
             FrameFate::Deliver => self.ingest_frame(&frame),
             FrameFate::Drop => self.frames_dropped += 1,
@@ -775,7 +778,7 @@ impl CollaborationSession {
 
     /// Feeds one delivered camera frame to both recognition channels.
     fn ingest_frame(&mut self, frame: &GrayImage) {
-        let read = ViewRead::frame(frame, &mut self.dynamic, &self.pipeline, true);
+        let read = ViewRead::frame(frame, &self.pipeline, true);
         self.ingest_read(read);
     }
 

@@ -1,8 +1,9 @@
-//! Per-view memoisation and calibrate-once for the negotiation loop.
+//! Per-view memoisation, the one-pass view read, and calibrate-once for the
+//! negotiation loop.
 //!
 //! The paper's protocol is built on *held* signs answered by a hovering
 //! drone, so most camera frames repeat the previous one exactly.
-//! [`render_signaller`] is a pure function of the signaller (position,
+//! [`paint_view`] is a pure function of the signaller (position,
 //! heading, pose, body dimensions) and the eye position: the intrinsics are
 //! fixed and the camera aims at the signaller's chest. Two views whose
 //! inputs agree bit for bit ([`ViewKey`]) are therefore byte-identical
@@ -12,29 +13,75 @@
 //! and recognition, and its results flow through exactly the code a fresh
 //! frame's would.
 //!
+//! A memo miss (a view whose inputs changed — the frames where a sign
+//! changes) reads the view once. It clears one per-thread frame, paints
+//! the signaller into it, and runs
+//! [`RecognitionPipeline::read_with`] through one per-thread
+//! [`FrameScratch`]: the frame is binarised and labelled once, the wave-off
+//! channel takes its [`FrameFeatures`] from the largest component, and the
+//! static channel (when asked) traces that same blob to its decision. Under
+//! the loop's pipeline config ([`PipelineConfig::default`]: `Fixed(128)`,
+//! no opening) that component is bit-identical to the one the wave-off
+//! detector would label in `binarize(frame, 128)`, so nothing is read
+//! twice. A faulted owner frame, which the fault layer may have rewritten,
+//! is read through the same per-thread scratch by [`ViewRead::frame`].
+//!
+//! Memory: the frame and scratch are per thread, not per session, so
+//! resident memory does not grow with the number of live sessions. Each
+//! camera keeps only its [`ViewMemo`] — a key and two small results — and
+//! a [`DynamicRecognizer`](hdc_vision::dynamic::DynamicRecognizer) whose
+//! labelling buffers stay empty, because the loop never hands it a mask.
+//!
 //! Calibration is just as pure in its [`ViewSpec`]:
 //! [`calibrated_pipeline`] calibrates each spec once per thread and shares
 //! the result, so building a session no longer re-renders the enrolment
 //! views.
 
-use hdc_figure::{render_signaller, BodyDimensions, Pose, Signaller, ViewSpec};
+use hdc_figure::{paint_signaller, BodyDimensions, Pose, Signaller, ViewSpec};
 use hdc_geometry::{CameraIntrinsics, PinholeCamera, Vec3};
 use hdc_raster::GrayImage;
-use hdc_vision::dynamic::{DynamicRecognizer, FrameFeatures};
-use hdc_vision::{PipelineConfig, RecognitionPipeline};
+use hdc_vision::dynamic::FrameFeatures;
+use hdc_vision::{FrameScratch, PipelineConfig, RecognitionPipeline};
 use std::cell::RefCell;
 use std::sync::Arc;
 
-/// The camera every drone of the loop carries.
-fn loop_intrinsics() -> CameraIntrinsics {
-    CameraIntrinsics::new(640, 480, 640.0)
+/// Paints `signaller` as seen from `eye` by the loop's camera (640×480,
+/// 640 px focal length, aimed at the signaller's chest) into `frame`,
+/// which is re-dimensioned and cleared first — so a reused frame holds
+/// exactly what a fresh render would.
+pub fn paint_view(signaller: &Signaller, eye: Vec3, frame: &mut GrayImage) {
+    let camera = PinholeCamera::look_at(
+        eye,
+        signaller.chest(),
+        CameraIntrinsics::new(640, 480, 640.0),
+    );
+    let intrinsics = camera.intrinsics();
+    frame.reset_dimensions(intrinsics.width(), intrinsics.height());
+    frame.fill(0);
+    paint_signaller(signaller, &camera, frame);
 }
 
-/// Renders `signaller` as seen from `eye` by the loop's camera, aimed at
-/// the signaller's chest.
+/// [`paint_view`] into a fresh frame — the form a fault layer, which may
+/// keep or rewrite the frame, is handed.
 pub(crate) fn render_view(signaller: &Signaller, eye: Vec3) -> GrayImage {
-    let camera = PinholeCamera::look_at(eye, signaller.chest(), loop_intrinsics());
-    render_signaller(signaller, &camera)
+    let mut frame = GrayImage::new(1, 1);
+    paint_view(signaller, eye, &mut frame);
+    frame
+}
+
+/// The buffers a view read runs through, one set per thread.
+struct ViewScratch {
+    /// The frame a memo miss is painted into.
+    frame: GrayImage,
+    /// Segmentation, labelling and recognition buffers.
+    recognition: FrameScratch,
+}
+
+thread_local! {
+    static VIEW_SCRATCH: RefCell<ViewScratch> = RefCell::new(ViewScratch {
+        frame: GrayImage::new(1, 1),
+        recognition: FrameScratch::new(),
+    });
 }
 
 /// The exact render inputs of one camera view, compared bit for bit
@@ -43,7 +90,7 @@ pub(crate) fn render_view(signaller: &Signaller, eye: Vec3) -> GrayImage {
 struct ViewKey([u64; 22]);
 
 impl ViewKey {
-    /// The key of `signaller` seen from `eye` through [`loop_intrinsics`].
+    /// The key of `signaller` seen from `eye` through the loop's camera.
     fn of(signaller: &Signaller, eye: Vec3) -> Self {
         // exhaustive destructuring: a new pose or body field must join the key
         let Pose {
@@ -99,25 +146,57 @@ impl ViewKey {
 
 /// What one camera view yields for the two recognition channels.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ViewRead {
-    /// The wave-off channel's features of the frame's mask.
+pub struct ViewRead {
+    /// The wave-off channel's features of the frame's largest silhouette
+    /// component; `None` when the frame has no foreground.
     pub features: Option<FrameFeatures>,
     /// The static channel's decision, when the reader needed it.
     pub decision: Option<Option<String>>,
 }
 
 impl ViewRead {
-    /// Reads one delivered frame: the features of its binarised mask and,
-    /// if `needs_decision`, its static decision.
-    pub fn frame(
-        frame: &GrayImage,
-        dynamic: &mut DynamicRecognizer,
+    /// Reads one delivered frame through the per-thread scratch: the
+    /// features of its largest silhouette component and, if
+    /// `needs_decision`, its static decision — one labelling for both.
+    pub fn frame(frame: &GrayImage, pipeline: &RecognitionPipeline, needs_decision: bool) -> Self {
+        VIEW_SCRATCH.with(|scratch| {
+            Self::read(
+                frame,
+                &mut scratch.borrow_mut().recognition,
+                pipeline,
+                needs_decision,
+            )
+        })
+    }
+
+    /// Paints `signaller` as seen from `eye` into the per-thread frame and
+    /// reads it there: [`ViewRead::frame`] of the view, without a frame
+    /// allocation. This is the memo-miss path.
+    pub fn view(
+        signaller: &Signaller,
+        eye: Vec3,
         pipeline: &RecognitionPipeline,
         needs_decision: bool,
     ) -> Self {
-        let features = dynamic.features(&hdc_raster::threshold::binarize(frame, 128));
-        let decision = needs_decision.then(|| pipeline.recognize(frame).decision);
-        ViewRead { features, decision }
+        VIEW_SCRATCH.with(|scratch| {
+            let ViewScratch { frame, recognition } = &mut *scratch.borrow_mut();
+            paint_view(signaller, eye, frame);
+            Self::read(frame, recognition, pipeline, needs_decision)
+        })
+    }
+
+    /// One labelling of `frame`, read by both channels.
+    fn read(
+        frame: &GrayImage,
+        scratch: &mut FrameScratch,
+        pipeline: &RecognitionPipeline,
+        needs_decision: bool,
+    ) -> Self {
+        let read = pipeline.read_with(scratch, frame, needs_decision);
+        ViewRead {
+            features: read.component.as_ref().and_then(FrameFeatures::of),
+            decision: read.result.map(|r| r.decision.map(str::to_owned)),
+        }
     }
 }
 
@@ -131,13 +210,12 @@ pub(crate) struct ViewMemo {
 impl ViewMemo {
     /// The read of `signaller` seen from `eye`. Served from the memo when
     /// the last view had exactly these inputs and (if `needs_decision`) its
-    /// static decision was read; otherwise rendered, read through `dynamic`
-    /// and `pipeline`, and remembered.
+    /// static decision was read; otherwise rendered into the per-thread
+    /// frame, read once through `pipeline`, and remembered.
     pub fn view(
         &mut self,
         signaller: &Signaller,
         eye: Vec3,
-        dynamic: &mut DynamicRecognizer,
         pipeline: &RecognitionPipeline,
         needs_decision: bool,
     ) -> ViewRead {
@@ -145,12 +223,7 @@ impl ViewMemo {
         if let Some(read) = self.lookup(key, needs_decision) {
             return read;
         }
-        let read = ViewRead::frame(
-            &render_view(signaller, eye),
-            dynamic,
-            pipeline,
-            needs_decision,
-        );
+        let read = ViewRead::view(signaller, eye, pipeline, needs_decision);
         self.last = Some((key, read.clone()));
         read
     }
@@ -256,10 +329,9 @@ mod tests {
         let eye = Vec3::new(12.0 + 3.0 * 0.3f64.cos(), 8.0 + 3.0 * 0.3f64.sin(), 4.0);
         let s = signaller();
         let pipeline = calibrated_pipeline(&ViewSpec::paper_default(0.0, 4.0, 3.0));
-        let mut dynamic = crate::session::session_dynamic_recognizer();
         let mut memo = ViewMemo::default();
-        let mut view = |memo: &mut ViewMemo, eye: Vec3, needs_decision: bool| {
-            memo.view(&s, eye, &mut dynamic, &pipeline, needs_decision)
+        let view = |memo: &mut ViewMemo, eye: Vec3, needs_decision: bool| {
+            memo.view(&s, eye, &pipeline, needs_decision)
         };
 
         let blind = view(&mut memo, eye, false);
@@ -282,6 +354,19 @@ mod tests {
         view(&mut memo, aside, true);
         view(&mut memo, eye, true);
         assert_eq!(memo.reused(), 3);
+    }
+
+    #[test]
+    fn calibrated_config_lets_one_labelling_serve_both_channels() {
+        // The wave-off features are defined on `binarize(frame, 128)`; the
+        // shared read takes them from the pipeline's own mask, which is that
+        // mask only under a fixed 128 threshold with no opening.
+        let pipeline = calibrated_pipeline(&ViewSpec::paper_default(0.0, 4.0, 3.0));
+        assert_eq!(
+            pipeline.config().segmentation,
+            hdc_vision::SegmentationMode::Fixed(128)
+        );
+        assert!(!pipeline.config().denoise);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! those scalars is what gets analysed — oscillation means waving, a flat
 //! series means a held static sign.
 
-use hdc_raster::{largest_component, largest_component_with, Bitmap, Connectivity, LabelScratch};
+use hdc_raster::{
+    largest_component, largest_component_with, Bitmap, Component, Connectivity, LabelScratch,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -24,27 +26,36 @@ pub struct FrameFeatures {
     pub centroid_x: f64,
 }
 
+impl FrameFeatures {
+    /// The features of a frame's largest silhouette component; `None` for
+    /// a degenerate (empty) box.
+    ///
+    /// This is how the negotiation loop reads the wave-off channel: it
+    /// labels each frame once through
+    /// [`crate::RecognitionPipeline::read_with`] and takes these features
+    /// from that component, the one the static channel goes on to trace.
+    pub fn of(comp: &Component) -> Option<FrameFeatures> {
+        let w = comp.width() as f64;
+        let h = comp.height() as f64;
+        if h <= 0.0 || w <= 0.0 {
+            return None;
+        }
+        Some(FrameFeatures {
+            aspect: w / h,
+            centroid_x: ((comp.centroid.x - comp.bbox.0 as f64) / w).clamp(0.0, 1.0),
+        })
+    }
+}
+
 /// Extracts the dynamic-gesture features from a frame's mask.
 ///
 /// Returns `None` when no usable blob exists.
 ///
 /// Allocates labelling buffers per call; [`DynamicRecognizer::features`] is
-/// the scratch-reusing equivalent the steady-state loop uses.
+/// the scratch-reusing equivalent.
 pub fn frame_features(mask: &Bitmap) -> Option<FrameFeatures> {
     let (_, comp) = largest_component(mask, Connectivity::Eight)?;
-    features_of(&comp)
-}
-
-fn features_of(comp: &hdc_raster::Component) -> Option<FrameFeatures> {
-    let w = comp.width() as f64;
-    let h = comp.height() as f64;
-    if h <= 0.0 || w <= 0.0 {
-        return None;
-    }
-    Some(FrameFeatures {
-        aspect: w / h,
-        centroid_x: ((comp.centroid.x - comp.bbox.0 as f64) / w).clamp(0.0, 1.0),
-    })
+    FrameFeatures::of(&comp)
 }
 
 /// Decision over a temporal window.
@@ -167,10 +178,16 @@ impl DynamicRecognizer {
     /// Extracts the frame's features through the recogniser's reused
     /// labelling buffers — [`frame_features`] without the per-call
     /// allocation. Leaves the window untouched.
+    ///
+    /// This is the [`DynamicRecognizer::push`] path, for callers holding a
+    /// byte mask. The buffers grow to frame size on first use, so a caller
+    /// that already labels its frames elsewhere (the negotiation loop reads
+    /// [`FrameFeatures::of`] off the static channel's component and calls
+    /// [`DynamicRecognizer::push_features`]) never pays for them.
     pub fn features(&mut self, mask: &Bitmap) -> Option<FrameFeatures> {
         let comp =
             largest_component_with(mask, Connectivity::Eight, &mut self.blob, &mut self.label);
-        comp.as_ref().and_then(features_of)
+        comp.as_ref().and_then(FrameFeatures::of)
     }
 
     /// Pushes features already extracted from a timestamped frame (a caller

@@ -49,8 +49,8 @@ pub use filter::DecisionFilter;
 
 pub use moments::{central_moments, hu_moments, RawMoments};
 pub use pipeline::{
-    FrameFailure, FrameResult, FrameScratch, KernelPath, PipelineConfig, RecognitionPipeline,
-    RecognitionResult, SegmentationMode,
+    FrameFailure, FrameRead, FrameResult, FrameScratch, KernelPath, PipelineConfig,
+    RecognitionPipeline, RecognitionResult, SegmentationMode,
 };
 pub use signature::{
     extract_signature, signature_from_contour, trace_contour_packed_with, trace_contour_with,

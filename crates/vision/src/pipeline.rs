@@ -8,7 +8,7 @@ use crate::timing::StageTimings;
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::threshold::{binarize_bytes_into, binarize_into, otsu_threshold};
 use hdc_raster::{
-    largest_component_packed_with, largest_component_with, morphology, BitMask, Bitmap,
+    largest_component_packed_with, largest_component_with, morphology, BitMask, Bitmap, Component,
     Connectivity, GrayImage, LabelScratch,
 };
 use hdc_sax::{IndexMatch, IndexMatchRef, QueryScratch, SaxIndex, SaxParams, SaxWord};
@@ -200,6 +200,17 @@ impl<'a> FrameResult<'a> {
     }
 }
 
+/// The outcome of [`RecognitionPipeline::read_with`]: one labelling of the
+/// frame, read by both recognition channels.
+#[derive(Debug, Clone)]
+pub struct FrameRead<'a> {
+    /// The largest foreground component of the segmented (and, when
+    /// denoising, opened) mask; `None` when the mask has no foreground.
+    pub component: Option<Component>,
+    /// The static channel's outcome, when a decision was asked for.
+    pub result: Option<FrameResult<'a>>,
+}
+
 /// Every buffer the recognition loop needs, allocated once and reused across
 /// frames: after a warm-up frame per resolution, recognising through
 /// [`RecognitionPipeline::recognize_with`] performs no heap allocation.
@@ -300,19 +311,18 @@ impl RecognitionPipeline {
         self.index.len()
     }
 
-    /// The shared front half of the pipeline — segment → isolate largest blob
-    /// → trace contour → signature — used by both the enrollment path
-    /// ([`RecognitionPipeline::signature_of`], which discards the timings)
-    /// and the timed recognition path. On success the signature series is in
-    /// `scratch.sig` and its metadata is returned.
-    pub(crate) fn signature_stages(
+    /// The front half of the silhouette stages: segment (and, when
+    /// denoising, open) the frame, then isolate its largest component into
+    /// the scratch blob mask of the active kernel family. `None` when the
+    /// mask has no foreground at all.
+    fn largest_blob(
         &self,
         frame: &GrayImage,
         scratch: &mut FrameScratch,
         timings: &mut StageTimings,
-    ) -> Result<SignatureStats, FrameFailure> {
+    ) -> Option<Component> {
         let threshold = self.segmentation_threshold(frame);
-        let comp = match self.config.kernels {
+        match self.config.kernels {
             KernelPath::Byte => {
                 let t0 = Instant::now();
                 binarize_into(frame, threshold, &mut scratch.mask);
@@ -361,7 +371,19 @@ impl RecognitionPipeline {
                 timings.component_us = t1.elapsed().as_micros() as u64;
                 comp
             }
-        };
+        }
+    }
+
+    /// The back half of the silhouette stages, continuing from the blob
+    /// [`RecognitionPipeline::largest_blob`] (or the incremental ladder) left
+    /// in the scratch: area floor → contour → signature. On success the
+    /// signature series is in `scratch.sig` and its metadata is returned.
+    fn blob_signature(
+        &self,
+        comp: Option<&Component>,
+        scratch: &mut FrameScratch,
+        timings: &mut StageTimings,
+    ) -> Result<SignatureStats, FrameFailure> {
         let Some(comp) = comp else {
             return Err(FrameFailure::NoBlob);
         };
@@ -409,17 +431,19 @@ impl RecognitionPipeline {
         scratch.mask_bits.pack_from_bytes(&scratch.mask_u8);
     }
 
-    /// The back half of the silhouette stages starting from an
-    /// already-segmented (and, when denoising, already-opened) packed mask —
-    /// the incremental ladder hands its patched cached mask straight to
-    /// labelling: largest component → area floor → contour → signature. On
-    /// success the signature series is in `scratch.sig`.
+    /// The silhouette stages starting from an already-segmented (and, when
+    /// denoising, already-opened) packed mask — the incremental ladder hands
+    /// its patched cached mask straight to labelling: largest component →
+    /// area floor → contour → signature. On success the signature series is
+    /// in `scratch.sig`. The ladder runs only on [`KernelPath::Hybrid`], so
+    /// the blob is always the packed one.
     pub(crate) fn signature_stages_from_packed(
         &self,
         mask: &BitMask,
         scratch: &mut FrameScratch,
         timings: &mut StageTimings,
     ) -> Result<SignatureStats, FrameFailure> {
+        debug_assert_eq!(self.config.kernels, KernelPath::Hybrid);
         let t1 = Instant::now();
         let comp = largest_component_packed_with(
             mask,
@@ -428,23 +452,7 @@ impl RecognitionPipeline {
             &mut scratch.label,
         );
         timings.component_us = t1.elapsed().as_micros() as u64;
-        let Some(comp) = comp else {
-            return Err(FrameFailure::NoBlob);
-        };
-        if comp.area < self.config.min_blob_area {
-            return Err(FrameFailure::BlobTooSmall {
-                area: comp.area,
-                required: self.config.min_blob_area,
-            });
-        }
-        let t2 = Instant::now();
-        let traced = trace_contour_packed_with(&scratch.blob_bits, &mut scratch.sig);
-        timings.contour_us = t2.elapsed().as_micros() as u64;
-        traced.map_err(FrameFailure::Signature)?;
-        let t3 = Instant::now();
-        let stats = signature_from_contour(&mut scratch.sig, self.config.signature_len);
-        timings.signature_us = t3.elapsed().as_micros() as u64;
-        Ok(stats)
+        self.blob_signature(comp.as_ref(), scratch, timings)
     }
 
     /// Extracts a signature from a raw frame (enrollment path, untimed).
@@ -454,8 +462,9 @@ impl RecognitionPipeline {
     pub fn signature_of(&self, frame: &GrayImage) -> Result<ShapeSignature, SignatureError> {
         let mut scratch = FrameScratch::new();
         let mut timings = StageTimings::default();
+        let comp = self.largest_blob(frame, &mut scratch, &mut timings);
         let stats = self
-            .signature_stages(frame, &mut scratch, &mut timings)
+            .blob_signature(comp.as_ref(), &mut scratch, &mut timings)
             .map_err(FrameFailure::into_signature_error)?;
         Ok(ShapeSignature {
             series: scratch.sig.series().to_vec(),
@@ -563,18 +572,45 @@ impl RecognitionPipeline {
     /// The decision logic (acceptance threshold + ambiguity ratio) is
     /// identical to `recognize`; the result borrows its labels from the sign
     /// database and leaves the signature series in the scratch
-    /// ([`FrameScratch::signature_series`]).
+    /// ([`FrameScratch::signature_series`]). It is
+    /// [`RecognitionPipeline::read_with`] asked for a decision.
     pub fn recognize_with<'a>(
         &'a self,
         scratch: &mut FrameScratch,
         frame: &GrayImage,
     ) -> FrameResult<'a> {
+        self.read_with(scratch, frame, true)
+            .result
+            .expect("a decision was asked for")
+    }
+
+    /// Reads one frame once for both recognition channels: segments it,
+    /// labels the mask once and returns its largest component — what the
+    /// wave-off channel's features are taken from — and, if `decide`,
+    /// continues from that same blob through area floor → contour →
+    /// signature → SAX match to the static decision.
+    ///
+    /// Like [`RecognitionPipeline::recognize_with`] (which is this entry
+    /// with `decide` set) it performs no heap allocation after the first
+    /// frame at a given resolution. Under [`PipelineConfig::default`] the
+    /// component is bit-identical to the largest 8-connected component of
+    /// `binarize(frame, 128)`, so one labelling serves both channels.
+    pub fn read_with<'a>(
+        &'a self,
+        scratch: &mut FrameScratch,
+        frame: &GrayImage,
+        decide: bool,
+    ) -> FrameRead<'a> {
         let mut timings = StageTimings::default();
-        let stats = match self.signature_stages(frame, scratch, &mut timings) {
-            Ok(stats) => stats,
-            Err(failure) => return FrameResult::failed(timings, failure),
-        };
-        self.classify_pass(scratch, stats, timings)
+        let component = self.largest_blob(frame, scratch, &mut timings);
+        let result =
+            decide.then(
+                || match self.blob_signature(component.as_ref(), scratch, &mut timings) {
+                    Ok(stats) => self.classify_pass(scratch, stats, timings),
+                    Err(failure) => FrameResult::failed(timings, failure),
+                },
+            );
+        FrameRead { component, result }
     }
 
     /// The back half of [`RecognitionPipeline::recognize_with`]: SAX search
@@ -822,6 +858,36 @@ mod tests {
                 (None, None) => {}
                 _ => panic!("stats and signature must agree on availability"),
             }
+        }
+    }
+
+    #[test]
+    fn one_read_serves_both_channels() {
+        // read_with's component is the byte labeller's largest component of
+        // the fixed-128 mask, and its decision is recognize's
+        use hdc_raster::{largest_component, threshold::binarize};
+        let p = calibrated();
+        let mut scratch = FrameScratch::new();
+        let mut frames: Vec<GrayImage> = [0.0, 40.0, 90.0]
+            .iter()
+            .map(|&az| render_sign(MarshallingSign::No, &ViewSpec::paper_default(az, 5.0, 3.0)))
+            .collect();
+        let mut speck = GrayImage::new(640, 480);
+        speck.set(10, 10, 255);
+        frames.push(speck);
+        frames.push(GrayImage::new(640, 480));
+        for frame in &frames {
+            let labelled =
+                largest_component(&binarize(frame, 128), Connectivity::Eight).map(|(_, c)| c);
+            let blind = p.read_with(&mut scratch, frame, false);
+            assert_eq!(blind.component, labelled);
+            assert!(blind.result.is_none(), "no decision was asked for");
+            let sighted = p.read_with(&mut scratch, frame, true);
+            assert_eq!(sighted.component, labelled);
+            let r = sighted.result.expect("a decision was asked for");
+            let owned = p.recognize(frame);
+            assert_eq!(r.decision.map(str::to_owned), owned.decision);
+            assert_eq!(r.failure.map(|f| f.to_string()), owned.failure);
         }
     }
 

@@ -3,12 +3,13 @@
 //! A counting global allocator wraps the system allocator and counts each
 //! thread's allocations; after one warm-up frame per resolution has grown
 //! every scratch buffer to capacity, running further frames through
-//! `recognize_with` must leave the measuring thread's counter untouched —
+//! `recognize_with` (or the one-pass `read_with`, with or without a
+//! decision) must leave the measuring thread's counter untouched —
 //! including reject frames (empty masks, sub-minimum blobs).
 
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::GrayImage;
-use hdc_vision::{FrameScratch, KernelPath, PipelineConfig, RecognitionPipeline};
+use hdc_vision::{FrameFailure, FrameScratch, KernelPath, PipelineConfig, RecognitionPipeline};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -137,6 +138,52 @@ fn recognize_with_is_allocation_free_after_warmup() {
 #[test]
 fn hybrid_recognize_with_is_allocation_free_after_warmup() {
     assert_allocation_free(KernelPath::Hybrid);
+}
+
+#[test]
+fn one_pass_read_is_allocation_free_after_one_warmup_frame() {
+    let mut pipeline = RecognitionPipeline::new(PipelineConfig::default());
+    pipeline.calibrate_from_views(&ViewSpec::paper_default(0.0, 5.0, 3.0));
+    let figure = render_sign(MarshallingSign::Yes, &view_at(320, 0.0));
+    let mut speck = GrayImage::new(320, 240);
+    speck.set(10, 10, 255);
+    let empty = GrayImage::new(320, 240);
+
+    let mut scratch = FrameScratch::new();
+    // one warm-up frame grows every buffer the figure needs
+    let warm = pipeline.read_with(&mut scratch, &figure, true);
+    assert!(warm.component.is_some());
+    assert_eq!(warm.result.and_then(|r| r.decision), Some("Yes"));
+
+    let before = allocations();
+    for _ in 0..3 {
+        for frame in [&figure, &speck, &empty] {
+            for decide in [false, true] {
+                let r = pipeline.read_with(&mut scratch, frame, decide);
+                std::hint::black_box(&r);
+            }
+        }
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "steady-state read_with must not allocate on figure, blob-too-small \
+         or empty frames, with or without a decision"
+    );
+
+    // the three frames really took the three paths
+    let speck_read = pipeline.read_with(&mut scratch, &speck, true);
+    assert_eq!(speck_read.component.map(|c| c.area), Some(1));
+    assert!(matches!(
+        speck_read.result.and_then(|r| r.failure),
+        Some(FrameFailure::BlobTooSmall { .. })
+    ));
+    let empty_read = pipeline.read_with(&mut scratch, &empty, true);
+    assert!(empty_read.component.is_none());
+    assert_eq!(
+        empty_read.result.and_then(|r| r.failure),
+        Some(FrameFailure::NoBlob)
+    );
 }
 
 #[test]
