@@ -21,28 +21,31 @@
 //!    view's render inputs changed, as when a sign changes) of a small
 //!    mixed farm: all three roles, consenting and refusing, scripted and
 //!    stochastic humans. A pass-through fault layer captures each frame's
-//!    render inputs; each changed view is then timed in three stages, in
-//!    ns/frame: the render into a reused frame (`paint_view`), the one-pass
-//!    read of both recognition channels (`ViewRead::frame`), and the
-//!    two-pass formula it replaced (the wave-off detector's own labelling
-//!    of `binarize(frame, 128)`, then `RecognitionPipeline::recognize`).
-//!    The two reads must agree on every frame, and the captured changes
-//!    must equal the unfaulted farm's `frames - views_reused` (counts, not
-//!    wall-time floors).
+//!    render inputs; each changed view is then timed, in ns/frame, on the
+//!    loop's mask path — the rasterisation straight into a packed mask
+//!    (`paint_view_mask`) and the read of both recognition channels from
+//!    it (`ViewRead::mask`) — and on the grey oracle: the render into a
+//!    reused frame (`paint_view`), the one-pass read of that frame
+//!    (`ViewRead::frame`), and the two-pass formula it replaced (the
+//!    wave-off detector's own labelling of `binarize(frame, 128)`, then
+//!    `RecognitionPipeline::recognize`). On every timed view the mask must
+//!    equal the packed binarised frame and all three reads must agree, and
+//!    the captured changes must equal the unfaulted farm's
+//!    `frames - views_reused` (counts, not wall-time floors).
 //!
 //! Usage: `cargo run --release -p hdc-bench --bin bench_sessions
 //! [--threads N] [--smoke] [out.json]`
 
 use hdc_bench::report::{num, Table};
 use hdc_core::{
-    paint_view, CollaborationSession, HumanScript, Role, ScriptedResponse, SessionConfig,
-    SessionFaults, SessionOutcome, ViewRead,
+    paint_view, paint_view_mask, CollaborationSession, HumanScript, Role, ScriptedResponse,
+    SessionConfig, SessionFaults, SessionOutcome, ViewRead,
 };
 use hdc_figure::{MarshallingSign, Signaller, ViewSpec};
 use hdc_geometry::Vec3;
 use hdc_orchard::{run_session_farm, FarmStats};
 use hdc_raster::threshold::binarize;
-use hdc_raster::GrayImage;
+use hdc_raster::{BitMask, GrayImage};
 use hdc_runtime::{available_workers, threads_from_args, ScheduleMode, SplitMix64};
 use hdc_vision::dynamic::{DynamicConfig, DynamicRecognizer};
 use hdc_vision::{PipelineConfig, RecognitionPipeline};
@@ -223,12 +226,14 @@ struct MissSplit {
     views_reused: u64,
     misses: usize,
     repeats: usize,
+    render_mask: StageNs,
+    read_mask: StageNs,
     render: StageNs,
     one_pass: StageNs,
     two_pass: StageNs,
 }
 
-/// Captures the changed views of a small mixed farm and times the three
+/// Captures the changed views of a small mixed farm and times the
 /// miss-path stages on them.
 fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
     let mut rng = SplitMix64::stream(0x5E55, 1);
@@ -252,34 +257,50 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
     // the parent loop's wave-off detector kept its labelling buffers warm
     let mut dynamic = DynamicRecognizer::new(DynamicConfig::default());
     let mut frame = GrayImage::new(1, 1);
+    let mut mask = BitMask::new(1, 1);
 
-    let (mut render, mut one_pass, mut two_pass) = (Vec::new(), Vec::new(), Vec::new());
+    let mut per_stage: [Vec<f64>; 5] = Default::default();
     for _ in 0..repeats {
-        let mut ns = [0u128; 3];
+        let mut ns = [0u128; 5];
         for (signaller, eye) in &views {
+            // the loop's miss path: rasterise into the mask, read it
             let t0 = Instant::now();
-            paint_view(signaller, *eye, &mut frame);
+            paint_view_mask(signaller, *eye, &mut mask);
             let t1 = Instant::now();
-            let one = ViewRead::frame(&frame, &pipeline, true);
+            let from_mask = ViewRead::mask(&mask, &pipeline, true);
             let t2 = Instant::now();
-            // each read follows a fresh render, as on the loop's miss path
+            // the grey oracle
             paint_view(signaller, *eye, &mut frame);
             let t3 = Instant::now();
+            let one = ViewRead::frame(&frame, &pipeline, true);
+            let t4 = Instant::now();
+            // each read follows a fresh render, as on the loop's miss path
+            paint_view(signaller, *eye, &mut frame);
+            let t5 = Instant::now();
             let two = ViewRead {
                 features: dynamic.features(&binarize(&frame, 128)),
                 decision: Some(pipeline.recognize(&frame).decision),
             };
-            let t4 = Instant::now();
+            let t6 = Instant::now();
+            assert_eq!(
+                mask,
+                BitMask::from_bitmap(&binarize(&frame, 128)),
+                "the rasterised mask must be the grey frame's segmentation"
+            );
+            assert_eq!(from_mask, one, "the mask path must read as the grey frame");
             assert_eq!(one, two, "one labelling must serve both channels");
-            ns[0] += (t1 - t0).as_nanos();
-            ns[1] += (t2 - t1).as_nanos();
-            ns[2] += (t4 - t3).as_nanos();
+            for (total, (from, to)) in
+                ns.iter_mut()
+                    .zip([(t0, t1), (t1, t2), (t2, t3), (t3, t4), (t5, t6)])
+            {
+                *total += (to - from).as_nanos();
+            }
         }
-        let per_frame = |total: u128| total as f64 / views.len().max(1) as f64;
-        render.push(per_frame(ns[0]));
-        one_pass.push(per_frame(ns[1]));
-        two_pass.push(per_frame(ns[2]));
+        for (stage, total) in per_stage.iter_mut().zip(ns) {
+            stage.push(total as f64 / views.len().max(1) as f64);
+        }
     }
+    let [render_mask, read_mask, render, one_pass, two_pass] = per_stage.map(StageNs::of);
     MissSplit {
         sessions,
         frames: stats.frames_processed,
@@ -287,9 +308,11 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
         views_reused: stats.views_reused,
         misses: views.len(),
         repeats,
-        render: StageNs::of(render),
-        one_pass: StageNs::of(one_pass),
-        two_pass: StageNs::of(two_pass),
+        render_mask,
+        read_mask,
+        render,
+        one_pass,
+        two_pass,
     }
 }
 
@@ -418,6 +441,8 @@ fn main() {
     );
     let mut stages = Table::new(["miss-path stage", "median ns/frame", "min", "max"]);
     for (label, st) in [
+        ("rasterise into the mask", &split.render_mask),
+        ("read the mask (both channels)", &split.read_mask),
         ("render into the reused frame", &split.render),
         ("one-pass read (both channels)", &split.one_pass),
         ("two-pass formula (replaced)", &split.two_pass),
@@ -432,6 +457,14 @@ fn main() {
     println!("{}", stages.render());
     let read_speedup = split.two_pass.median / split.one_pass.median.max(1.0);
     println!("read speed-up (two-pass / one-pass): {read_speedup:.1}x");
+    let mask_miss = split.render_mask.median + split.read_mask.median;
+    let grey_miss = split.render.median + split.one_pass.median;
+    println!(
+        "changed view: {:.1} us on the mask path, {:.1} us rendered grey and read ({:.1}x)",
+        mask_miss / 1e3,
+        grey_miss / 1e3,
+        grey_miss / mask_miss.max(1.0)
+    );
 
     // --- JSON report ---
     use std::fmt::Write as _;
@@ -492,6 +525,12 @@ fn main() {
          \"views_reused\": {}, \"changed_views\": {}, \"repeats\": {},",
         split.sessions, split.frames, split.views, split.views_reused, split.misses, split.repeats
     );
+    let _ = writeln!(
+        json,
+        "    \"render_mask_ns\": {},",
+        split.render_mask.json()
+    );
+    let _ = writeln!(json, "    \"read_mask_ns\": {},", split.read_mask.json());
     let _ = writeln!(json, "    \"render_ns\": {},", split.render.json());
     let _ = writeln!(json, "    \"one_pass_read_ns\": {},", split.one_pass.json());
     let _ = writeln!(json, "    \"two_pass_read_ns\": {},", split.two_pass.json());

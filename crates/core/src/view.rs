@@ -14,22 +14,25 @@
 //! frame's would.
 //!
 //! A memo miss (a view whose inputs changed — the frames where a sign
-//! changes) reads the view once. It clears one per-thread frame, paints
-//! the signaller into it, and runs
-//! [`RecognitionPipeline::read_with`] through one per-thread
-//! [`FrameScratch`]: the frame is binarised and labelled once, the wave-off
-//! channel takes its [`FrameFeatures`] from the largest component, and the
-//! static channel (when asked) traces that same blob to its decision. Under
-//! the loop's pipeline config ([`PipelineConfig::default`]: `Fixed(128)`,
-//! no opening) that component is bit-identical to the one the wave-off
-//! detector would label in `binarize(frame, 128)`, so nothing is read
-//! twice. A faulted owner frame, which the fault layer may have rewritten,
-//! is read through the same per-thread scratch by [`ViewRead::frame`].
+//! changes) reads the view once, and never as a grey frame. The silhouette
+//! is pure 0/255 and the loop segments at `Fixed(128)`, so its segmented
+//! mask is just its foreground: [`paint_view_mask`] rasterises the
+//! signaller's row spans straight into one per-thread packed mask, and
+//! [`RecognitionPipeline::read_mask_with`] labels it through one
+//! per-thread [`FrameScratch`]. The wave-off channel takes its
+//! [`FrameFeatures`] from the largest component, and the static channel
+//! (when asked) traces that same blob to its decision. That component is
+//! bit-identical to the one the wave-off detector would label in
+//! `binarize(paint_view(..), 128)`, so nothing is rendered or read twice.
+//! A faulted owner frame, which the fault layer may have rewritten, is
+//! still a grey frame ([`paint_view`]); [`ViewRead::frame`] segments and
+//! reads it through the same per-thread scratch.
 //!
-//! Memory: the frame and scratch are per thread, not per session, so
-//! resident memory does not grow with the number of live sessions. Each
-//! camera keeps only its [`ViewMemo`] — a key and two small results — and
-//! a [`DynamicRecognizer`](hdc_vision::dynamic::DynamicRecognizer) whose
+//! Memory: the mask and scratch are per thread, not per session, so
+//! resident memory does not grow with the number of live sessions, and the
+//! miss path holds no grey frame at all. Each camera keeps only its
+//! [`ViewMemo`] — a key and two small results — and a
+//! [`DynamicRecognizer`](hdc_vision::dynamic::DynamicRecognizer) whose
 //! labelling buffers stay empty, because the loop never hands it a mask.
 //!
 //! Calibration is just as pure in its [`ViewSpec`]:
@@ -37,28 +40,44 @@
 //! the result, so building a session no longer re-renders the enrolment
 //! views.
 
-use hdc_figure::{paint_signaller, BodyDimensions, Pose, Signaller, ViewSpec};
+use hdc_figure::{paint_signaller, paint_silhouette, BodyDimensions, Pose, Signaller, ViewSpec};
 use hdc_geometry::{CameraIntrinsics, PinholeCamera, Vec3};
-use hdc_raster::GrayImage;
+use hdc_raster::{BitMask, GrayImage};
 use hdc_vision::dynamic::FrameFeatures;
-use hdc_vision::{FrameScratch, PipelineConfig, RecognitionPipeline};
+use hdc_vision::{FrameRead, FrameScratch, PipelineConfig, RecognitionPipeline};
 use std::cell::RefCell;
 use std::sync::Arc;
 
-/// Paints `signaller` as seen from `eye` by the loop's camera (640×480,
-/// 640 px focal length, aimed at the signaller's chest) into `frame`,
-/// which is re-dimensioned and cleared first — so a reused frame holds
-/// exactly what a fresh render would.
-pub fn paint_view(signaller: &Signaller, eye: Vec3, frame: &mut GrayImage) {
-    let camera = PinholeCamera::look_at(
+/// The loop's camera: 640×480, 640 px focal length, at `eye`, aimed at the
+/// signaller's chest.
+fn view_camera(signaller: &Signaller, eye: Vec3) -> PinholeCamera {
+    PinholeCamera::look_at(
         eye,
         signaller.chest(),
         CameraIntrinsics::new(640, 480, 640.0),
-    );
+    )
+}
+
+/// Paints `signaller` as seen from `eye` by the loop's camera into `frame`,
+/// which is re-dimensioned and cleared first — so a reused frame holds
+/// exactly what a fresh render would.
+pub fn paint_view(signaller: &Signaller, eye: Vec3, frame: &mut GrayImage) {
+    let camera = view_camera(signaller, eye);
     let intrinsics = camera.intrinsics();
     frame.reset_dimensions(intrinsics.width(), intrinsics.height());
     frame.fill(0);
     paint_signaller(signaller, &camera, frame);
+}
+
+/// Rasterises the silhouette [`paint_view`] would paint straight into
+/// `mask`, re-dimensioned and cleared first: bit for bit the packed
+/// `binarize(paint_view(..), 128)`, with no frame in between.
+pub fn paint_view_mask(signaller: &Signaller, eye: Vec3, mask: &mut BitMask) {
+    let camera = view_camera(signaller, eye);
+    let intrinsics = camera.intrinsics();
+    mask.reset_dimensions(intrinsics.width(), intrinsics.height());
+    mask.fill(false);
+    paint_silhouette(signaller, &camera, mask);
 }
 
 /// [`paint_view`] into a fresh frame — the form a fault layer, which may
@@ -71,15 +90,15 @@ pub(crate) fn render_view(signaller: &Signaller, eye: Vec3) -> GrayImage {
 
 /// The buffers a view read runs through, one set per thread.
 struct ViewScratch {
-    /// The frame a memo miss is painted into.
-    frame: GrayImage,
+    /// The packed silhouette a memo miss is rasterised into.
+    mask: BitMask,
     /// Segmentation, labelling and recognition buffers.
     recognition: FrameScratch,
 }
 
 thread_local! {
     static VIEW_SCRATCH: RefCell<ViewScratch> = RefCell::new(ViewScratch {
-        frame: GrayImage::new(1, 1),
+        mask: BitMask::new(1, 1),
         recognition: FrameScratch::new(),
     });
 }
@@ -160,18 +179,32 @@ impl ViewRead {
     /// `needs_decision`, its static decision — one labelling for both.
     pub fn frame(frame: &GrayImage, pipeline: &RecognitionPipeline, needs_decision: bool) -> Self {
         VIEW_SCRATCH.with(|scratch| {
-            Self::read(
-                frame,
-                &mut scratch.borrow_mut().recognition,
-                pipeline,
-                needs_decision,
-            )
+            let recognition = &mut scratch.borrow_mut().recognition;
+            Self::of(pipeline.read_with(recognition, frame, needs_decision))
         })
     }
 
-    /// Paints `signaller` as seen from `eye` into the per-thread frame and
-    /// reads it there: [`ViewRead::frame`] of the view, without a frame
-    /// allocation. This is the memo-miss path.
+    /// Reads a rasterised silhouette mask ([`paint_view_mask`]) through the
+    /// per-thread scratch: [`ViewRead::frame`] of the frame it is the
+    /// foreground of.
+    ///
+    /// # Panics
+    /// Panics unless `pipeline` has the loop's segmentation (see
+    /// [`RecognitionPipeline::read_mask_with`]).
+    pub fn mask(mask: &BitMask, pipeline: &RecognitionPipeline, needs_decision: bool) -> Self {
+        VIEW_SCRATCH.with(|scratch| {
+            let recognition = &mut scratch.borrow_mut().recognition;
+            Self::of(pipeline.read_mask_with(recognition, mask, needs_decision))
+        })
+    }
+
+    /// Rasterises `signaller` as seen from `eye` into the per-thread mask
+    /// and reads it there: [`ViewRead::frame`] of [`paint_view`]'s frame,
+    /// without the frame. This is the memo-miss path.
+    ///
+    /// # Panics
+    /// Panics unless `pipeline` has the loop's segmentation (see
+    /// [`RecognitionPipeline::read_mask_with`]).
     pub fn view(
         signaller: &Signaller,
         eye: Vec3,
@@ -179,20 +212,14 @@ impl ViewRead {
         needs_decision: bool,
     ) -> Self {
         VIEW_SCRATCH.with(|scratch| {
-            let ViewScratch { frame, recognition } = &mut *scratch.borrow_mut();
-            paint_view(signaller, eye, frame);
-            Self::read(frame, recognition, pipeline, needs_decision)
+            let ViewScratch { mask, recognition } = &mut *scratch.borrow_mut();
+            paint_view_mask(signaller, eye, mask);
+            Self::of(pipeline.read_mask_with(recognition, mask, needs_decision))
         })
     }
 
-    /// One labelling of `frame`, read by both channels.
-    fn read(
-        frame: &GrayImage,
-        scratch: &mut FrameScratch,
-        pipeline: &RecognitionPipeline,
-        needs_decision: bool,
-    ) -> Self {
-        let read = pipeline.read_with(scratch, frame, needs_decision);
+    /// What both channels take from one labelling.
+    fn of(read: FrameRead<'_>) -> Self {
         ViewRead {
             features: read.component.as_ref().and_then(FrameFeatures::of),
             decision: read.result.map(|r| r.decision.map(str::to_owned)),
@@ -210,8 +237,8 @@ pub(crate) struct ViewMemo {
 impl ViewMemo {
     /// The read of `signaller` seen from `eye`. Served from the memo when
     /// the last view had exactly these inputs and (if `needs_decision`) its
-    /// static decision was read; otherwise rendered into the per-thread
-    /// frame, read once through `pipeline`, and remembered.
+    /// static decision was read; otherwise rasterised into the per-thread
+    /// mask, read once through `pipeline`, and remembered.
     pub fn view(
         &mut self,
         signaller: &Signaller,

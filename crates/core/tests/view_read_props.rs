@@ -1,20 +1,24 @@
-//! The one-pass view read equals the two-pass formula it replaced.
+//! The one-pass view read equals the two-pass formula it replaced, and the
+//! mask-path miss equals the grey-frame read.
 //!
 //! A camera view used to be read twice: the wave-off channel labelled
 //! `binarize(frame, 128)` through a `DynamicRecognizer`, and the static
 //! channel ran `RecognitionPipeline::recognize` on the frame from scratch.
-//! `ViewRead` now segments and labels the frame once and serves both
-//! channels from that one component. The session-level oracle
-//! (`view_memo_props`) runs through the same shared read, so this suite
-//! checks the shared read itself against the two-pass formula, over signs,
-//! wave-off phases, mid-transition poses, headings, body scales, frontal,
-//! dead-band and far-away eyes, and an empty frame.
+//! `ViewRead` now labels the view once and serves both channels from that
+//! one component. A memo miss (`ViewRead::view`) never paints a grey frame:
+//! it rasterises the silhouette straight into a packed mask
+//! (`paint_view_mask`). The session-level oracle (`view_memo_props`) runs
+//! through the same shared read, so this suite checks the shared read
+//! itself: the mask against `binarize(paint_view(..), 128)` packed, and
+//! both reads against the two-pass formula, over signs, wave-off phases,
+//! mid-transition poses, headings, body scales, frontal, dead-band,
+//! far-away and close (partly off-frame) eyes, and an empty frame.
 
-use hdc_core::{paint_view, Role, SessionConfig, ViewRead};
+use hdc_core::{paint_view, paint_view_mask, Role, SessionConfig, ViewRead};
 use hdc_figure::{BodyDimensions, MarshallingSign, Pose, Signaller, ViewSpec};
 use hdc_geometry::{Vec2, Vec3};
 use hdc_raster::threshold::binarize;
-use hdc_raster::GrayImage;
+use hdc_raster::{BitMask, GrayImage};
 use hdc_vision::dynamic::{DynamicConfig, DynamicRecognizer};
 use hdc_vision::{PipelineConfig, RecognitionPipeline};
 use proptest::prelude::*;
@@ -46,21 +50,20 @@ fn two_pass(frame: &GrayImage, needs_decision: bool) -> ViewRead {
     }
 }
 
-/// Checks both one-pass entries — the memo-miss path that paints into the
-/// per-thread frame, and the delivered-frame path — against the oracle.
+/// Checks the rasterised mask against the grey frame's, and both one-pass
+/// entries — the memo-miss path that reads the mask, and the
+/// delivered-frame path — against the oracle and each other.
 fn assert_one_pass_matches(signaller: &Signaller, eye: Vec3) -> Result<(), TestCaseError> {
     let mut frame = GrayImage::new(1, 1);
     paint_view(signaller, eye, &mut frame);
+    let mut mask = BitMask::new(1, 1);
+    paint_view_mask(signaller, eye, &mut mask);
+    prop_assert_eq!(&mask, &BitMask::from_bitmap(&binarize(&frame, 128)));
     for needs_decision in [false, true] {
         let oracle = two_pass(&frame, needs_decision);
-        prop_assert_eq!(
-            &ViewRead::view(signaller, eye, pipeline(), needs_decision),
-            &oracle
-        );
-        prop_assert_eq!(
-            &ViewRead::frame(&frame, pipeline(), needs_decision),
-            &oracle
-        );
+        let miss = ViewRead::view(signaller, eye, pipeline(), needs_decision);
+        prop_assert_eq!(&miss, &ViewRead::frame(&frame, pipeline(), needs_decision));
+        prop_assert_eq!(&miss, &oracle);
     }
     Ok(())
 }
@@ -94,7 +97,7 @@ proptest! {
         y in -20.0f64..20.0,
         heading in -3.1f64..3.1,
         scale in 0.8f64..1.2,
-        eye_pick in 0usize..3,
+        eye_pick in 0usize..4,
         band in 0.0f64..1.0,
         left in any::<bool>(),
         altitude_m in 2.5f64..6.0,
@@ -108,7 +111,9 @@ proptest! {
             // the 90–120° dead band
             1 => eye_for(&signaller, side * (90.0 + 30.0 * band), 3.0, altitude_m),
             // far enough that the silhouette falls below the area floor
-            _ => eye_for(&signaller, side * 20.0 * band, 80.0 + 80.0 * band, altitude_m),
+            2 => eye_for(&signaller, side * 20.0 * band, 80.0 + 80.0 * band, altitude_m),
+            // close enough that the silhouette runs off the frame
+            _ => eye_for(&signaller, side * 60.0 * band, 0.6 + 0.6 * band, altitude_m),
         };
         assert_one_pass_matches(&signaller, eye)?;
     }
@@ -137,6 +142,14 @@ fn the_cases_reach_every_outcome() {
         "far eye: {:?}",
         far.failure
     );
+    // the close eye's silhouette is clipped by the frame edge
+    let mut close = GrayImage::new(1, 1);
+    paint_view(&signaller, eye_for(&signaller, 0.0, 0.6, 2.5), &mut close);
+    let (w, h) = (close.width(), close.height());
+    let on_border = (0..w)
+        .any(|x| close.get(x, 0) == Some(255) || close.get(x, h - 1) == Some(255))
+        || (0..h).any(|y| close.get(0, y) == Some(255) || close.get(w - 1, y) == Some(255));
+    assert!(on_border, "the close eye must cut the silhouette off");
 }
 
 #[test]

@@ -30,5 +30,7 @@ mod render;
 mod skeleton;
 
 pub use pose::{MarshallingSign, Pose, PoseLibrary};
-pub use render::{paint_signaller, render_pose, render_sign, render_signaller, ViewSpec};
+pub use render::{
+    paint_signaller, paint_silhouette, render_pose, render_sign, render_signaller, ViewSpec,
+};
 pub use skeleton::{BodyDimensions, BodyPart, Signaller};

@@ -3,7 +3,8 @@
 use crate::pose::{MarshallingSign, Pose};
 use crate::skeleton::{BodyPart, Signaller};
 use hdc_geometry::{CameraIntrinsics, PinholeCamera, Vec2, Vec3};
-use hdc_raster::{draw, GrayImage};
+use hdc_raster::draw::{self, SpanSink};
+use hdc_raster::GrayImage;
 use serde::{Deserialize, Serialize};
 
 /// The viewing geometry of one frame, in the paper's own parameters:
@@ -82,16 +83,27 @@ pub fn render_signaller(signaller: &Signaller, camera: &PinholeCamera) -> GrayIm
 /// Paints a signaller's silhouette into an existing frame (for multi-actor
 /// scenes).
 pub fn paint_signaller(signaller: &Signaller, camera: &PinholeCamera, img: &mut GrayImage) {
+    paint_silhouette(signaller, camera, &mut draw::Paint::new(img, 255));
+}
+
+/// Rasterises a signaller's silhouette into any span sink: grey rows
+/// ([`paint_signaller`]) or the words of a packed mask, which then holds
+/// exactly the foreground of the painted frame.
+pub fn paint_silhouette<S: SpanSink + ?Sized>(
+    signaller: &Signaller,
+    camera: &PinholeCamera,
+    sink: &mut S,
+) {
     for part in signaller.body_parts() {
         match part {
             BodyPart::Capsule(c) => {
                 if let Some(p) = camera.project_capsule(&c) {
-                    draw::fill_tapered_capsule(img, p.a, p.radius_a, p.b, p.radius_b, 255);
+                    draw::tapered_capsule(sink, p.a, p.radius_a, p.b, p.radius_b);
                 }
             }
             BodyPart::Sphere(s) => {
                 if let Some(d) = camera.project_sphere(&s) {
-                    draw::fill_disk(img, d.center, d.radius, 255);
+                    draw::disk(sink, d.center, d.radius);
                 }
             }
         }

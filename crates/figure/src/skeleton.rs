@@ -216,57 +216,58 @@ impl Signaller {
         ]
     }
 
-    /// All body solids in world coordinates.
-    pub fn body_parts(&self) -> Vec<BodyPart> {
+    /// All body solids in world coordinates: torso, shoulder girdle, head,
+    /// left and right leg, then the left and right arm's upper and lower
+    /// segments.
+    pub fn body_parts(&self) -> [BodyPart; 9] {
         let d = &self.dims;
-        let mut local: Vec<BodyPart> = Vec::with_capacity(10);
-
         // Torso: hip midline to neck.
-        local.push(BodyPart::Capsule(Capsule3::new(
+        let torso = Capsule3::new(
             Vec3::new(0.0, 0.0, d.hip_height),
             Vec3::new(0.0, 0.0, d.shoulder_height),
             d.torso_radius,
-        )));
+        );
         // Shoulder girdle: connects the two shoulder joints through the
         // torso so the silhouette stays a single blob with the arms attached.
-        local.push(BodyPart::Capsule(Capsule3::new(
+        let girdle = Capsule3::new(
             Vec3::new(-d.shoulder_half_width, 0.0, d.shoulder_height),
             Vec3::new(d.shoulder_half_width, 0.0, d.shoulder_height),
             d.arm_radius * 1.6,
-        )));
-        // Head.
-        local.push(BodyPart::Sphere(Sphere3::new(
-            Vec3::new(0.0, 0.0, d.head_height),
-            d.head_radius,
-        )));
+        );
+        let head = Sphere3::new(Vec3::new(0.0, 0.0, d.head_height), d.head_radius);
         // Legs: hip → foot, feet apart by the stance width.
-        for side in [-1.0, 1.0] {
+        let leg = |side: f64| {
             let hip = Vec3::new(side * d.hip_half_width, 0.0, d.hip_height);
             let foot = Vec3::new(side * self.pose.stance_half_width, 0.0, 0.0);
-            local.push(BodyPart::Capsule(Capsule3::new(hip, foot, d.leg_radius)));
-        }
-        // Arms.
-        for c in self.arm(-1.0, self.pose.left_abduction, self.pose.left_flexion) {
-            local.push(BodyPart::Capsule(c));
-        }
-        for c in self.arm(1.0, self.pose.right_abduction, self.pose.right_flexion) {
-            local.push(BodyPart::Capsule(c));
-        }
+            BodyPart::Capsule(Capsule3::new(hip, foot, d.leg_radius))
+        };
+        let [left_upper, left_fore] =
+            self.arm(-1.0, self.pose.left_abduction, self.pose.left_flexion);
+        let [right_upper, right_fore] =
+            self.arm(1.0, self.pose.right_abduction, self.pose.right_flexion);
+        let local = [
+            BodyPart::Capsule(torso),
+            BodyPart::Capsule(girdle),
+            BodyPart::Sphere(head),
+            leg(-1.0),
+            leg(1.0),
+            BodyPart::Capsule(left_upper),
+            BodyPart::Capsule(left_fore),
+            BodyPart::Capsule(right_upper),
+            BodyPart::Capsule(right_fore),
+        ];
 
         // Transform to world.
-        local
-            .into_iter()
-            .map(|part| match part {
-                BodyPart::Capsule(c) => BodyPart::Capsule(Capsule3::new(
-                    self.local_to_world(c.a),
-                    self.local_to_world(c.b),
-                    c.radius,
-                )),
-                BodyPart::Sphere(s) => {
-                    BodyPart::Sphere(Sphere3::new(self.local_to_world(s.center), s.radius))
-                }
-            })
-            .collect()
+        local.map(|part| match part {
+            BodyPart::Capsule(c) => BodyPart::Capsule(Capsule3::new(
+                self.local_to_world(c.a),
+                self.local_to_world(c.b),
+                c.radius,
+            )),
+            BodyPart::Sphere(s) => {
+                BodyPart::Sphere(Sphere3::new(self.local_to_world(s.center), s.radius))
+            }
+        })
     }
 }
 

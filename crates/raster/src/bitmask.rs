@@ -9,7 +9,9 @@
 //! words. On top of that layout the pipeline kernels become word-parallel:
 //!
 //! * binarisation is a vectorised byte compare followed by one
-//!   gather-multiply pack into mask words ([`BitMask::pack_from_bytes`]),
+//!   gather-multiply pack into mask words ([`BitMask::pack_from_bytes`]);
+//!   a binary silhouette skips both, rasterised straight into the words
+//!   as row runs ([`crate::draw::SpanSink`]),
 //! * erosion/dilation are shift-AND / shift-OR across word boundaries
 //!   ([`crate::morphology::erode_packed_into`]),
 //! * run extraction for the union-find labeller scans words with
@@ -199,6 +201,7 @@ impl BitMask {
     ///
     /// # Panics
     /// Panics if the run is reversed or out of bounds.
+    #[inline]
     pub fn set_run(&mut self, y: u32, start: u32, end: u32) {
         assert!(
             start <= end && end < self.width && y < self.height,

@@ -6,7 +6,8 @@
 //! * a generic [`Image`] container with a grayscale [`GrayImage`] alias,
 //! * a bit-packed binary mask ([`BitMask`], 64 px per word) with
 //!   word-parallel `*_packed` forms of every silhouette kernel,
-//! * rasterisation of disks, tapered capsules and polygons ([`draw`]),
+//! * span rasterisation of disks and tapered capsules into grey frames or
+//!   straight into packed masks, plus polygons and lines ([`draw`]),
 //! * fixed and Otsu [`threshold`]ing,
 //! * connected-component labelling ([`components`]),
 //! * Moore-neighbour [`contour`] tracing,

@@ -45,45 +45,6 @@ pub fn binarize_bytes_into(img: &GrayImage, t: u8, out: &mut GrayImage) {
     }
 }
 
-/// Band-restricted [`binarize_bytes_into`]: re-thresholds only rows
-/// `[row_lo, row_hi)` into the matching rows of a cached 0/1 byte image,
-/// leaving every other row untouched. Unlike the whole-frame form this
-/// never re-dimensions `out`; the caller's cache must already match the
-/// frame geometry.
-///
-/// # Panics
-/// Panics if `out` and `img` differ in dimensions or the band is reversed
-/// or out of bounds.
-pub fn binarize_bytes_band_into(
-    img: &GrayImage,
-    t: u8,
-    out: &mut GrayImage,
-    row_lo: u32,
-    row_hi: u32,
-) {
-    assert!(
-        out.width() == img.width() && out.height() == img.height(),
-        "band binarise requires a cached image matching the frame: {}x{} vs {}x{}",
-        out.width(),
-        out.height(),
-        img.width(),
-        img.height()
-    );
-    assert!(
-        row_lo <= row_hi && row_hi <= img.height(),
-        "band [{row_lo}, {row_hi}) must lie inside height {}",
-        img.height()
-    );
-    let w = img.width() as usize;
-    let (lo, hi) = (row_lo as usize * w, row_hi as usize * w);
-    for (dst, src) in out.pixels_mut()[lo..hi]
-        .iter_mut()
-        .zip(&img.pixels()[lo..hi])
-    {
-        *dst = u8::from(*src > t);
-    }
-}
-
 /// Computes Otsu's optimal global threshold from the image histogram.
 ///
 /// Returns the threshold value `t` such that [`binarize`]`(img, t)` separates
@@ -160,50 +121,6 @@ mod tests {
                 assert_eq!(u8::from(*a), *b, "threshold {t}");
             }
         }
-    }
-
-    #[test]
-    fn band_binarise_patches_only_the_band() {
-        let mut a = GrayImage::new(70, 9);
-        let mut b = GrayImage::new(70, 9);
-        for (i, p) in a.pixels_mut().iter_mut().enumerate() {
-            *p = (i * 31 % 256) as u8;
-        }
-        for (i, p) in b.pixels_mut().iter_mut().enumerate() {
-            *p = (i * 53 % 256) as u8;
-        }
-        // Cache holds the binarisation of `a`; patch rows [3, 6) from `b`.
-        let mut bytes = GrayImage::new(1, 1);
-        binarize_bytes_into(&a, 128, &mut bytes);
-        binarize_bytes_band_into(&b, 128, &mut bytes, 3, 6);
-        let oracle_a = binarize(&a, 128);
-        let oracle_b = binarize(&b, 128);
-        for y in 0..9u32 {
-            let oracle = if (3..6).contains(&y) {
-                &oracle_b
-            } else {
-                &oracle_a
-            };
-            for x in 0..70u32 {
-                assert_eq!(
-                    bytes.get(x, y).map(|v| v != 0),
-                    oracle.get(x, y),
-                    "pixel ({x},{y})"
-                );
-            }
-        }
-        // Empty band is a no-op.
-        let before = bytes.clone();
-        binarize_bytes_band_into(&a, 128, &mut bytes, 4, 4);
-        assert_eq!(bytes, before);
-    }
-
-    #[test]
-    #[should_panic(expected = "matching the frame")]
-    fn band_binarise_rejects_mismatched_dims() {
-        let img = GrayImage::new(8, 8);
-        let mut out = GrayImage::new(8, 9);
-        binarize_bytes_band_into(&img, 100, &mut out, 0, 1);
     }
 
     #[test]

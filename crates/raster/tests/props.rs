@@ -11,9 +11,7 @@ use hdc_raster::morphology::{
     close, close_packed_into, dilate, dilate_packed, dilate_reference, erode, erode_packed,
     erode_reference, open, open_packed_band_into, open_packed_into,
 };
-use hdc_raster::threshold::{
-    binarize, binarize_bytes_band_into, binarize_bytes_into, otsu_threshold,
-};
+use hdc_raster::threshold::{binarize, binarize_bytes_into, otsu_threshold};
 use hdc_raster::{
     draw, label_components, label_components_bfs, label_components_packed, largest_component,
     largest_component_packed_with, largest_component_with, BitMask, Bitmap, Connectivity,
@@ -355,12 +353,12 @@ proptest! {
     fn band_patched_binarise_matches_whole_frame(
         (prev, cur, lo, hi) in patch_case(), t in any::<u8>()
     ) {
-        // Band byte-binarise + band pack into a cache of the previous frame
-        // must land on the whole-frame mask of the current one.
+        // Band-packing the current frame's 0/1 bytes into a cache of the
+        // previous frame's mask (the incremental gate's patch) must land on
+        // the whole-frame mask of the current one.
         let oracle = BitMask::from_bitmap(&binarize(&cur, t));
         let mut bytes = GrayImage::new(1, 1);
-        binarize_bytes_into(&prev, t, &mut bytes);
-        binarize_bytes_band_into(&cur, t, &mut bytes, lo, hi);
+        binarize_bytes_into(&cur, t, &mut bytes);
         let mut packed = BitMask::from_bitmap(&binarize(&prev, t));
         packed.pack_from_bytes_band(&bytes, lo, hi);
         prop_assert_eq!(&packed, &oracle);
@@ -476,4 +474,243 @@ proptest! {
         prop_assert_eq!(diff::mask_diff_count(&ma, &ma), 0);
         prop_assert_eq!(diff::mask_diff_count(&mb, &mb), 0);
     }
+}
+
+// --- the span rasteriser against the per-pixel definition ---
+
+/// The per-pixel loop `draw::fill_disk` ran before the span rasteriser: the
+/// definition every sink must reproduce bit for bit.
+fn oracle_disk(img: &mut GrayImage, center: Vec2, radius: f64, value: u8) {
+    if radius <= 0.0 {
+        return;
+    }
+    let x0 = ((center.x - radius).floor().max(0.0)) as u32;
+    let x1 = ((center.x + radius).ceil().min(img.width() as f64 - 1.0)).max(0.0) as u32;
+    let y0 = ((center.y - radius).floor().max(0.0)) as u32;
+    let y1 = ((center.y + radius).ceil().min(img.height() as f64 - 1.0)).max(0.0) as u32;
+    let r_sq = radius * radius;
+    for y in y0..=y1 {
+        for x in x0..=x1 {
+            let p = Vec2::new(x as f64 + 0.5, y as f64 + 0.5);
+            if (p - center).norm_sq() <= r_sq {
+                img.set(x, y, value);
+            }
+        }
+    }
+}
+
+/// The per-pixel loop `draw::fill_tapered_capsule` ran before the span
+/// rasteriser.
+fn oracle_capsule(img: &mut GrayImage, a: Vec2, radius_a: f64, b: Vec2, radius_b: f64, value: u8) {
+    let r_max = radius_a.max(radius_b).max(0.0);
+    let lo = a.min(b) - Vec2::splat(r_max);
+    let hi = a.max(b) + Vec2::splat(r_max);
+    let x0 = lo.x.floor().max(0.0) as u32;
+    let y0 = lo.y.floor().max(0.0) as u32;
+    let x1 = (hi.x.ceil().min(img.width() as f64 - 1.0)).max(0.0) as u32;
+    let y1 = (hi.y.ceil().min(img.height() as f64 - 1.0)).max(0.0) as u32;
+    let ab = b - a;
+    let len_sq = ab.norm_sq();
+    for y in y0..=y1 {
+        for x in x0..=x1 {
+            let p = Vec2::new(x as f64 + 0.5, y as f64 + 0.5);
+            let t = if len_sq <= 1e-12 {
+                0.0
+            } else {
+                ((p - a).dot(ab) / len_sq).clamp(0.0, 1.0)
+            };
+            let closest = a + ab * t;
+            let r = radius_a + (radius_b - radius_a) * t;
+            if (p - closest).norm_sq() <= r * r {
+                img.set(x, y, value);
+            }
+        }
+    }
+}
+
+/// A coordinate along an axis of `extent` pixels from a `(kind, f)` draw:
+/// mostly anywhere from well off one edge to well off the other, often on
+/// the quarter-pixel grid (so edges run through pixel centres), sometimes
+/// non-finite or huge.
+fn place(kind: u8, f: f64, extent: u32) -> f64 {
+    let x = f * (extent as f64 + 60.0) - 30.0;
+    match kind % 10 {
+        0..=5 => x,
+        6..=8 => (x * 4.0).round() / 4.0,
+        _ => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e70, -1e9][kind as usize % 5],
+    }
+}
+
+/// A radius from a `(kind, f)` draw: mostly up to 30 px, often on the
+/// quarter-pixel grid, sometimes zero, negative, tiny, non-finite or huge.
+fn radius(kind: u8, f: f64) -> f64 {
+    match kind % 10 {
+        0..=4 => f * 30.0,
+        5..=7 => (f * 120.0).round() / 4.0,
+        8 => -f * 10.0,
+        _ => [0.0, f64::NAN, f64::INFINITY, 1e-9, 1e70][kind as usize % 5],
+    }
+}
+
+/// Frame sizes for the rasteriser: widths around one and two mask words
+/// (exercising the tail invariant) and tiny frames.
+fn raster_dims() -> impl Strategy<Value = (u32, u32)> {
+    prop_oneof![
+        (60u32..70, 1u32..48),
+        (120u32..134, 1u32..32),
+        (1u32..24, 1u32..24),
+    ]
+}
+
+/// Draws one primitive with the per-pixel oracle, the grey sink (over a
+/// non-empty frame, so only covered pixels may change) and the mask sink,
+/// and checks all three agree bit for bit.
+fn assert_sinks_match_oracle(
+    (w, h): (u32, u32),
+    background: u8,
+    oracle: impl Fn(&mut GrayImage),
+    grey: impl Fn(&mut GrayImage),
+    mask: impl Fn(&mut BitMask),
+) -> Result<(), TestCaseError> {
+    let mut want = GrayImage::new(w, h);
+    // a background pattern both paths must leave alone outside the shape
+    for (i, p) in want.pixels_mut().iter_mut().enumerate() {
+        *p = if i % 7 == 0 { background } else { 0 };
+    }
+    let mut got = want.clone();
+    oracle(&mut want);
+    grey(&mut got);
+    prop_assert_eq!(&got, &want);
+
+    let mut silhouette = GrayImage::new(w, h);
+    oracle(&mut silhouette);
+    let mut packed = BitMask::new(w, h);
+    mask(&mut packed);
+    prop_assert_eq!(&packed, &hybrid_binarize(&silhouette, 128));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn span_disk_matches_per_pixel_definition(
+        dims in raster_dims(),
+        (kx, fx, ky, fy) in (any::<u8>(), 0.0f64..1.0, any::<u8>(), 0.0f64..1.0),
+        (kr, fr) in (any::<u8>(), 0.0f64..1.0),
+        background in any::<u8>(),
+    ) {
+        let center = Vec2::new(place(kx, fx, dims.0), place(ky, fy, dims.1));
+        let r = radius(kr, fr);
+        assert_sinks_match_oracle(
+            dims,
+            background,
+            |img| oracle_disk(img, center, r, 255),
+            |img| draw::fill_disk(img, center, r, 255),
+            |mask| draw::disk(mask, center, r),
+        )?;
+    }
+
+    #[test]
+    fn span_capsule_matches_per_pixel_definition(
+        dims in raster_dims(),
+        (kx, fx, ky, fy) in (any::<u8>(), 0.0f64..1.0, any::<u8>(), 0.0f64..1.0),
+        (shape, dx, dy) in (any::<u8>(), -1.0f64..1.0, -1.0f64..1.0),
+        (ka, fa, kb, fb) in (any::<u8>(), 0.0f64..1.0, any::<u8>(), 0.0f64..1.0),
+        background in any::<u8>(),
+    ) {
+        let a = Vec2::new(place(kx, fx, dims.0), place(ky, fy, dims.1));
+        let b = match shape % 8 {
+            // degenerate: one point, or a segment shorter than the cut-off
+            0 => a,
+            1 => a + Vec2::new(dx, dy) * 1e-6,
+            // short and axis-aligned segments
+            2 => a + Vec2::new(dx, dy) * 4.0,
+            3 => a + Vec2::new(dx * 40.0, 0.0),
+            4 => a + Vec2::new(0.0, dy * 40.0),
+            // anywhere, including off-frame and non-finite
+            _ => Vec2::new(
+                place(shape, dx.abs(), dims.0),
+                place(shape.wrapping_mul(7), dy.abs(), dims.1),
+            ),
+        };
+        let (ra, rb) = (radius(ka, fa), radius(kb, fb));
+        assert_sinks_match_oracle(
+            dims,
+            background,
+            |img| oracle_capsule(img, a, ra, b, rb, 255),
+            |img| draw::fill_tapered_capsule(img, a, ra, b, rb, 255),
+            |mask| draw::tapered_capsule(mask, a, ra, b, rb),
+        )?;
+    }
+
+    #[test]
+    fn span_capsule_tapers_both_ways(
+        (fx, fy, angle) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..std::f64::consts::TAU),
+        length in 0.0f64..40.0,
+        (thin, thick) in (0.0f64..4.0, 4.0f64..12.0),
+        thin_first in any::<bool>(),
+    ) {
+        // the concave kink where a flank meets the thinner end's disk can
+        // cross a row twice; both orders of the ends must match
+        let dims = (70, 48);
+        let a = Vec2::new(5.0 + fx * 60.0, 5.0 + fy * 38.0);
+        let b = a + Vec2::new(angle.cos(), angle.sin()) * length;
+        let (ra, rb) = if thin_first { (thin, thick) } else { (thick, thin) };
+        assert_sinks_match_oracle(
+            dims,
+            0,
+            |img| oracle_capsule(img, a, ra, b, rb, 255),
+            |img| draw::fill_tapered_capsule(img, a, ra, b, rb, 255),
+            |mask| draw::tapered_capsule(mask, a, ra, b, rb),
+        )?;
+    }
+}
+
+#[test]
+fn span_capsules_match_where_edges_cross_pixel_centres_exactly() {
+    // 3-4-5 segments on the quarter-pixel grid put piece boundaries exactly
+    // on pixel centres; only the float-error margins keep the untested
+    // interior in step with the definition there (each case fails with the
+    // margins set to zero)
+    let cases = [
+        ((-3.5, 19.75), 7.75, (2.5, 27.75), 1.5, (64, 58)),
+        ((25.5, 10.5), 7.5, (19.5, 2.5), 0.0, (70, 47)),
+        ((15.5, 14.0), 1.0, (9.5, 22.0), 6.0, (70, 30)),
+        ((1.5, 27.75), 1.25, (7.5, 19.75), 2.5, (70, 52)),
+        ((30.5, 1.25), 7.0, (24.5, -6.75), 9.5, (130, 26)),
+        ((15.75, 23.25), 5.0, (18.75, 19.25), 0.0, (130, 32)),
+        ((32.5, 1.5), 5.5, (38.5, 9.5), 0.5, (200, 5)),
+        ((25.5, 4.75), 2.25, (28.5, 8.75), 2.25, (65, 11)),
+    ];
+    for ((ax, ay), ra, (bx, by), rb, dims) in cases {
+        let (a, b) = (Vec2::new(ax, ay), Vec2::new(bx, by));
+        assert_sinks_match_oracle(
+            dims,
+            0,
+            |img| oracle_capsule(img, a, ra, b, rb, 255),
+            |img| draw::fill_tapered_capsule(img, a, ra, b, rb, 255),
+            |mask| draw::tapered_capsule(mask, a, ra, b, rb),
+        )
+        .unwrap_or_else(|e| panic!("capsule {a:?} {ra} {b:?} {rb}: {e:?}"));
+    }
+}
+
+#[test]
+fn a_tapered_capsule_row_can_hold_two_runs() {
+    // ra = 2, rb = 6: row 28 crosses the flank, leaves the shape at the
+    // kink, and re-enters the thin end's disk
+    let (a, b) = (Vec2::new(32.5, 26.5), Vec2::new(15.5, 23.0));
+    let mut want = GrayImage::new(64, 40);
+    oracle_capsule(&mut want, a, 2.0, b, 6.0, 255);
+    let row: Vec<bool> = (0..64).map(|x| want.get(x, 28) == Some(255)).collect();
+    let runs = row.windows(2).filter(|w| !w[0] && w[1]).count() + usize::from(row[0]);
+    assert_eq!(runs, 2, "row 28 must hold two runs");
+
+    let mut got = GrayImage::new(64, 40);
+    draw::fill_tapered_capsule(&mut got, a, 2.0, b, 6.0, 255);
+    assert_eq!(got, want);
+    let mut mask = BitMask::new(64, 40);
+    draw::tapered_capsule(&mut mask, a, 2.0, b, 6.0);
+    assert_eq!(mask, hybrid_binarize(&want, 128));
 }

@@ -10,8 +10,8 @@ use crate::encoder::{SaxEncoder, SaxParams};
 use crate::mindist::{mindist_with_table, symbol_distance_table};
 use crate::word::SaxWord;
 use hdc_timeseries::{
-    min_rotated_euclidean_naive, min_rotated_euclidean_with, paa_into, resample, resample_into,
-    znormalize_in_place, RotationScratch, TimeSeries,
+    min_rotated_euclidean_naive, min_rotated_euclidean_of, paa_into, resample, resample_into,
+    znormalize_in_place, RotationScratch, Spectrum, TimeSeries,
 };
 use serde::{Deserialize, Serialize};
 
@@ -80,6 +80,9 @@ pub struct QueryScratch {
     syms: Vec<u8>,
     /// `(lower bound, template index)` visit order.
     order: Vec<(f64, usize)>,
+    /// The canonical query's spectrum, taken once per query for its
+    /// rotation matches against every template.
+    spectrum: Spectrum,
     /// Rotation-distance scratch.
     rot: RotationScratch,
 }
@@ -116,6 +119,8 @@ pub struct SaxIndex {
     /// Per-template word symbols doubled back-to-back, so the word rotated
     /// left by `s` is the slice `doubled[s..s + w]` — no allocation per shift.
     doubled: Vec<Vec<u8>>,
+    /// Per-template spectra of the canonical series, taken at insertion.
+    spectra: Vec<Spectrum>,
 }
 
 impl SaxIndex {
@@ -143,6 +148,7 @@ impl SaxIndex {
             table,
             dsq,
             doubled: Vec::new(),
+            spectra: Vec::new(),
         }
     }
 
@@ -185,6 +191,9 @@ impl SaxIndex {
         doubled.extend_from_slice(word.symbols());
         doubled.extend_from_slice(word.symbols());
         self.doubled.push(doubled);
+        let mut spectrum = Spectrum::new();
+        spectrum.transform(&canonical);
+        self.spectra.push(spectrum);
         self.templates.push(Template {
             label: label.into(),
             word,
@@ -205,6 +214,7 @@ impl SaxIndex {
         scratch.canonical.resize(self.series_len, 0.0);
         resample_into(series, &mut scratch.canonical);
         znormalize_in_place(&mut scratch.canonical);
+        scratch.spectrum.transform(&scratch.canonical);
 
         // The encoder z-normalises its input itself; replicate that second
         // pass so the symbols match `encode(&canonicalize(series))` exactly.
@@ -285,9 +295,15 @@ impl SaxIndex {
                 }
             }
             let t = &self.templates[i];
-            let (d, shift) =
-                min_rotated_euclidean_with(&scratch.canonical, &t.series, 1, &mut scratch.rot)
-                    .expect("canonical series are equal-length and non-empty");
+            let (d, shift) = min_rotated_euclidean_of(
+                &scratch.canonical,
+                &scratch.spectrum,
+                &t.series,
+                &self.spectra[i],
+                1,
+                &mut scratch.rot,
+            )
+            .expect("canonical series are equal-length and non-empty");
             if best.as_ref().is_none_or(|b| d < b.distance) {
                 best = Some(IndexMatchRef {
                     label: &t.label,
@@ -346,9 +362,15 @@ impl SaxIndex {
                 }
             }
             let t = &self.templates[i];
-            let (d, shift) =
-                min_rotated_euclidean_with(&scratch.canonical, &t.series, 1, &mut scratch.rot)
-                    .expect("canonical series are equal-length and non-empty");
+            let (d, shift) = min_rotated_euclidean_of(
+                &scratch.canonical,
+                &scratch.spectrum,
+                &t.series,
+                &self.spectra[i],
+                1,
+                &mut scratch.rot,
+            )
+            .expect("canonical series are equal-length and non-empty");
             let entry = Entry {
                 d,
                 idx: i,

@@ -299,10 +299,12 @@ fn main() -> ExitCode {
     let pass = results.iter().filter(|r| r.grade == Grade::Pass).count();
     let degrade = results.iter().filter(|r| r.grade == Grade::Degrade).count();
     let fail = results.iter().filter(|r| r.grade == Grade::Fail).count();
-    let event_fail = event_results
-        .iter()
-        .filter(|r| r.grade == Grade::Fail)
-        .count();
+    let event_count = |grade: Grade| event_results.iter().filter(|r| r.grade == grade).count();
+    let (event_pass, event_degrade, event_fail) = (
+        event_count(Grade::Pass),
+        event_count(Grade::Degrade),
+        event_count(Grade::Fail),
+    );
 
     // --- RESULTS_scenarios.json (hand-built: the vendored serde is a stub) ---
     let mut json = String::new();
@@ -319,16 +321,8 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"fail\": {fail},");
     let _ = writeln!(
         json,
-        "  \"event_mode\": {{\"pass\": {}, \"degrade\": {}, \"fail\": {}}},",
-        event_results
-            .iter()
-            .filter(|r| r.grade == Grade::Pass)
-            .count(),
-        event_results
-            .iter()
-            .filter(|r| r.grade == Grade::Degrade)
-            .count(),
-        event_fail
+        "  \"event_mode\": {{\"pass\": {event_pass}, \"degrade\": {event_degrade}, \
+         \"fail\": {event_fail}}},"
     );
     let _ = writeln!(json, "  \"scenarios\": [");
     for (i, r) in results.iter().enumerate() {
@@ -499,6 +493,12 @@ fn main() -> ExitCode {
     }
 
     println!("{pass} pass / {degrade} degrade / {fail} fail (lockstep)");
+    // Only a Fail is gated in event mode: the schedulers do not yet reach the
+    // same outcome on every scenario, so some degrade where lockstep passes.
+    println!(
+        "{event_pass} pass / {event_degrade} degrade / {event_fail} fail \
+         (event-driven; degrade not gated)"
+    );
     if fail > 0 {
         eprintln!("{fail} scenarios FAILED a safety invariant or did not terminate");
         return ExitCode::FAILURE;

@@ -93,8 +93,11 @@ fn event_driven_scenarios_stay_safe_and_match_their_golden_digests() {
 
     for scenario in build_matrix() {
         let result = run_scenario_with(&scenario, ScheduleMode::EventDriven);
-        // event mode may land in a different (still expected) outcome class
-        // than lockstep, but the safety invariants are mode-independent
+        // Only `!= Fail` is asserted: the safety invariants are
+        // mode-independent, but event mode does not yet reach lockstep's
+        // outcome everywhere — 5 scenarios grade Degrade here where lockstep
+        // passes (ROADMAP open item 1). Their outcomes are pinned by the
+        // event golden manifest below, not endorsed as expected.
         assert_ne!(
             result.grade,
             Grade::Fail,

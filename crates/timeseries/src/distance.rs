@@ -1,6 +1,8 @@
 //! Series distances: Euclidean, DTW (full and banded), rotation-minimised.
 
-use crate::fft::{circular_cross_correlation_into, FftScratch};
+use crate::fft::{
+    circular_cross_correlation_into, circular_cross_correlation_of, FftScratch, Spectrum,
+};
 use crate::transform::rotate_left;
 use std::fmt;
 
@@ -165,6 +167,39 @@ pub fn min_rotated_euclidean_with(
     stride: usize,
     scratch: &mut RotationScratch,
 ) -> Result<(f64, usize), DistanceError> {
+    check_rotation_inputs(a, b, stride)?;
+    scratch.ccorr.clear();
+    scratch.ccorr.resize(a.len(), 0.0);
+    circular_cross_correlation_into(a, b, &mut scratch.ccorr, &mut scratch.fft);
+    Ok(min_over_rotations(a, b, stride, &scratch.ccorr))
+}
+
+/// [`min_rotated_euclidean_with`] from the series' kept spectra
+/// ([`Spectrum::transform`] of `a` and of `b`), for matching one query
+/// against many templates without re-transforming either. The result is
+/// bit-identical.
+///
+/// # Errors
+/// Same as [`min_rotated_euclidean`].
+///
+/// # Panics
+/// Panics when a spectrum is not the transform of a series of this length.
+pub fn min_rotated_euclidean_of(
+    a: &[f64],
+    a_spec: &Spectrum,
+    b: &[f64],
+    b_spec: &Spectrum,
+    stride: usize,
+    scratch: &mut RotationScratch,
+) -> Result<(f64, usize), DistanceError> {
+    check_rotation_inputs(a, b, stride)?;
+    scratch.ccorr.clear();
+    scratch.ccorr.resize(a.len(), 0.0);
+    circular_cross_correlation_of(a, a_spec, b, b_spec, &mut scratch.ccorr, &mut scratch.fft);
+    Ok(min_over_rotations(a, b, stride, &scratch.ccorr))
+}
+
+fn check_rotation_inputs(a: &[f64], b: &[f64], stride: usize) -> Result<(), DistanceError> {
     if stride == 0 {
         return Err(DistanceError::Empty);
     }
@@ -177,18 +212,21 @@ pub fn min_rotated_euclidean_with(
     if a.is_empty() {
         return Err(DistanceError::Empty);
     }
+    Ok(())
+}
+
+/// The best admissible shift given `ccorr(a, b)`: estimates every shift's
+/// squared distance from the correlation, then re-evaluates exactly each
+/// shift within rounding tolerance of the minimum estimate.
+fn min_over_rotations(a: &[f64], b: &[f64], stride: usize, ccorr: &[f64]) -> (f64, usize) {
     let n = a.len();
     let sa: f64 = a.iter().map(|x| x * x).sum();
     let sb: f64 = b.iter().map(|x| x * x).sum();
 
-    scratch.ccorr.clear();
-    scratch.ccorr.resize(n, 0.0);
-    circular_cross_correlation_into(a, b, &mut scratch.ccorr, &mut scratch.fft);
-
     // First pass: minimum *estimated* squared distance over admissible shifts.
     let mut min_est = f64::INFINITY;
     for s in (0..n).step_by(stride) {
-        let est = sa + sb - 2.0 * scratch.ccorr[s];
+        let est = sa + sb - 2.0 * ccorr[s];
         if est < min_est {
             min_est = est;
         }
@@ -200,7 +238,7 @@ pub fn min_rotated_euclidean_with(
     let eps = (sa + sb + 1.0) * 1e-9;
     let mut best = (f64::INFINITY, 0usize);
     for s in (0..n).step_by(stride) {
-        let est = sa + sb - 2.0 * scratch.ccorr[s];
+        let est = sa + sb - 2.0 * ccorr[s];
         if est <= min_est + eps {
             let d = rotated_euclidean_at(a, b, s);
             if d < best.0 {
@@ -208,7 +246,7 @@ pub fn min_rotated_euclidean_with(
             }
         }
     }
-    Ok(best)
+    best
 }
 
 /// Exact Euclidean distance between `a` and `rot(b, shift)`, accumulated in

@@ -90,31 +90,53 @@ pub fn fft_radix2(re: &mut [f64], im: &mut [f64], invert: bool) {
     }
 }
 
-/// Reusable complex work buffers for [`circular_cross_correlation_into`].
+/// The forward transform of one real series, kept so that the series can
+/// be correlated with many others without being transformed again
+/// ([`circular_cross_correlation_of`]). It is empty for a length the
+/// direct accumulation serves, which needs no transform.
+#[derive(Debug, Default, Clone)]
+pub struct Spectrum {
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl Spectrum {
+    /// Empty spectrum; buffers grow on first use and are then reused.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Replaces the spectrum with the forward FFT of `a` when `a`'s
+    /// correlations take the FFT path, and empties it otherwise.
+    pub fn transform(&mut self, a: &[f64]) {
+        self.re.clear();
+        self.im.clear();
+        if takes_fft_path(a.len()) {
+            self.re.extend_from_slice(a);
+            self.im.resize(a.len(), 0.0);
+            fft_radix2(&mut self.re, &mut self.im, false);
+        }
+    }
+}
+
+/// Whether correlations of length `n` go through the FFT.
+fn takes_fft_path(n: usize) -> bool {
+    n.is_power_of_two() && n >= FFT_MIN_LEN
+}
+
+/// Reusable work buffers for [`circular_cross_correlation_into`] and
+/// [`circular_cross_correlation_of`].
 #[derive(Debug, Default, Clone)]
 pub struct FftScratch {
-    a_re: Vec<f64>,
-    a_im: Vec<f64>,
-    b_re: Vec<f64>,
-    b_im: Vec<f64>,
+    a: Spectrum,
+    b: Spectrum,
+    product: Spectrum,
 }
 
 impl FftScratch {
     /// Empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn prepare(&mut self, a: &[f64], b: &[f64]) {
-        let n = a.len();
-        self.a_re.clear();
-        self.a_re.extend_from_slice(a);
-        self.b_re.clear();
-        self.b_re.extend_from_slice(b);
-        self.a_im.clear();
-        self.a_im.resize(n, 0.0);
-        self.b_im.clear();
-        self.b_im.resize(n, 0.0);
     }
 }
 
@@ -130,25 +152,64 @@ pub fn circular_cross_correlation_into(
     out: &mut [f64],
     scratch: &mut FftScratch,
 ) {
+    let FftScratch {
+        a: a_spec,
+        b: b_spec,
+        product,
+    } = scratch;
+    a_spec.transform(a);
+    b_spec.transform(b);
+    correlate(a, a_spec, b, b_spec, out, product);
+}
+
+/// [`circular_cross_correlation_into`] with the operands' spectra already
+/// taken ([`Spectrum::transform`] of `a` and of `b`), so a series matched
+/// against many others is transformed once. The result is bit-identical.
+///
+/// # Panics
+/// Panics when `a`, `b` and `out` differ in length, or a spectrum is not
+/// the transform of a series that long.
+pub fn circular_cross_correlation_of(
+    a: &[f64],
+    a_spec: &Spectrum,
+    b: &[f64],
+    b_spec: &Spectrum,
+    out: &mut [f64],
+    scratch: &mut FftScratch,
+) {
+    correlate(a, a_spec, b, b_spec, out, &mut scratch.product);
+}
+
+fn correlate(
+    a: &[f64],
+    a_spec: &Spectrum,
+    b: &[f64],
+    b_spec: &Spectrum,
+    out: &mut [f64],
+    product: &mut Spectrum,
+) {
     let n = a.len();
     assert_eq!(n, b.len(), "series lengths must match");
     assert_eq!(n, out.len(), "output length must match the series");
     if n == 0 {
         return;
     }
-    if n.is_power_of_two() && n >= FFT_MIN_LEN {
-        scratch.prepare(a, b);
-        fft_radix2(&mut scratch.a_re, &mut scratch.a_im, false);
-        fft_radix2(&mut scratch.b_re, &mut scratch.b_im, false);
-        // conj(A) ⊙ B, written over the b buffers.
+    if takes_fft_path(n) {
+        assert!(
+            a_spec.re.len() == n && b_spec.re.len() == n,
+            "spectra must transform the correlated series"
+        );
+        // conj(A) ⊙ B, then back.
+        product.re.clear();
+        product.im.clear();
         for k in 0..n {
-            let (ar, ai) = (scratch.a_re[k], scratch.a_im[k]);
-            let (br, bi) = (scratch.b_re[k], scratch.b_im[k]);
-            scratch.b_re[k] = ar * br + ai * bi;
-            scratch.b_im[k] = ar * bi - ai * br;
+            let (ar, ai) = (a_spec.re[k], a_spec.im[k]);
+            let (br, bi) = (b_spec.re[k], b_spec.im[k]);
+            product.re.push(ar * br + ai * bi);
+            product.im.push(ar * bi - ai * br);
         }
-        fft_radix2(&mut scratch.b_re, &mut scratch.b_im, true);
-        out.copy_from_slice(&scratch.b_re);
+        fft_radix2(&mut product.re, &mut product.im, true);
+        out.copy_from_slice(&product.re);
     } else {
         for (s, slot) in out.iter_mut().enumerate() {
             // rot(b, s) = b[s..] ++ b[..s]; accumulate a·rot(b, s) in two runs
@@ -244,6 +305,37 @@ mod tests {
         let mut second = vec![0.0; 64];
         circular_cross_correlation_into(&a, &b, &mut second, &mut scratch);
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn kept_spectra_correlate_bit_identically() {
+        for n in [37, 64, 128] {
+            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.21).sin()).collect();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.33).cos() * 2.0).collect();
+            let mut scratch = FftScratch::new();
+            let mut fresh = vec![0.0; n];
+            circular_cross_correlation_into(&a, &b, &mut fresh, &mut scratch);
+            let (mut a_spec, mut b_spec) = (Spectrum::new(), Spectrum::new());
+            a_spec.transform(&a);
+            b_spec.transform(&b);
+            let mut kept = vec![0.0; n];
+            circular_cross_correlation_of(&a, &a_spec, &b, &b_spec, &mut kept, &mut scratch);
+            assert_eq!(
+                kept.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                fresh.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "length {n}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "spectra must transform")]
+    fn a_spectrum_of_another_length_is_refused() {
+        let a = vec![1.0; 64];
+        let mut short = Spectrum::new();
+        short.transform(&[1.0; 128]);
+        let mut out = vec![0.0; 64];
+        circular_cross_correlation_of(&a, &short, &a, &short, &mut out, &mut FftScratch::new());
     }
 
     #[test]

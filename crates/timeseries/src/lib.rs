@@ -32,9 +32,12 @@ mod transform;
 
 pub use distance::{
     dtw, dtw_banded, euclidean, min_rotated_euclidean, min_rotated_euclidean_naive,
-    min_rotated_euclidean_with, DistanceError, RotationScratch,
+    min_rotated_euclidean_of, min_rotated_euclidean_with, DistanceError, RotationScratch,
 };
-pub use fft::{circular_cross_correlation_into, fft_radix2, FftScratch, FFT_MIN_LEN};
+pub use fft::{
+    circular_cross_correlation_into, circular_cross_correlation_of, fft_radix2, FftScratch,
+    Spectrum, FFT_MIN_LEN,
+};
 pub use series::TimeSeries;
 pub use transform::{
     paa, paa_into, resample, resample_into, rotate_left, smooth_moving_average, znormalize_in_place,

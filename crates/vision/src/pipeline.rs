@@ -361,15 +361,7 @@ impl RecognitionPipeline {
                 } else {
                     &scratch.mask_bits
                 };
-                let t1 = Instant::now();
-                let comp = largest_component_packed_with(
-                    mask,
-                    Connectivity::Eight,
-                    &mut scratch.blob_bits,
-                    &mut scratch.label,
-                );
-                timings.component_us = t1.elapsed().as_micros() as u64;
-                comp
+                largest_packed(mask, &mut scratch.blob_bits, &mut scratch.label, timings)
             }
         }
     }
@@ -444,14 +436,7 @@ impl RecognitionPipeline {
         timings: &mut StageTimings,
     ) -> Result<SignatureStats, FrameFailure> {
         debug_assert_eq!(self.config.kernels, KernelPath::Hybrid);
-        let t1 = Instant::now();
-        let comp = largest_component_packed_with(
-            mask,
-            Connectivity::Eight,
-            &mut scratch.blob_bits,
-            &mut scratch.label,
-        );
-        timings.component_us = t1.elapsed().as_micros() as u64;
+        let comp = largest_packed(mask, &mut scratch.blob_bits, &mut scratch.label, timings);
         self.blob_signature(comp.as_ref(), scratch, timings)
     }
 
@@ -603,6 +588,55 @@ impl RecognitionPipeline {
     ) -> FrameRead<'a> {
         let mut timings = StageTimings::default();
         let component = self.largest_blob(frame, scratch, &mut timings);
+        self.read_from_blob(scratch, component, decide, timings)
+    }
+
+    /// [`RecognitionPipeline::read_with`] of a frame that arrives already
+    /// segmented: `mask` is the foreground of a silhouette frame whose
+    /// pixels are all 0 or 255, such as one rasterised straight into mask
+    /// words. Labelling starts from it, so the frame, the binarise and the
+    /// pack are skipped; everything from the largest component on is
+    /// `read_with`'s own code.
+    ///
+    /// # Panics
+    /// Panics unless the pipeline segments every 0/255 frame to exactly its
+    /// 255 pixels and labels the packed mask as it stands: a
+    /// `Fixed(t < 255)` threshold, no opening, [`KernelPath::Hybrid`] — the
+    /// loop's calibrated [`PipelineConfig::default`].
+    pub fn read_mask_with<'a>(
+        &'a self,
+        scratch: &mut FrameScratch,
+        mask: &BitMask,
+        decide: bool,
+    ) -> FrameRead<'a> {
+        assert!(
+            matches!(self.config.segmentation, SegmentationMode::Fixed(t) if t < 255)
+                && !self.config.denoise
+                && self.config.kernels == KernelPath::Hybrid,
+            "a silhouette mask is this pipeline's segmentation only under \
+             Fixed(t < 255), no denoise, Hybrid kernels; got {:?}",
+            self.config
+        );
+        let mut timings = StageTimings::default();
+        let component = largest_packed(
+            mask,
+            &mut scratch.blob_bits,
+            &mut scratch.label,
+            &mut timings,
+        );
+        self.read_from_blob(scratch, component, decide, timings)
+    }
+
+    /// The shared back of both reads: with `decide`, continue from the blob
+    /// `component` left in the scratch through area floor → contour →
+    /// signature → SAX match.
+    fn read_from_blob<'a>(
+        &'a self,
+        scratch: &mut FrameScratch,
+        component: Option<Component>,
+        decide: bool,
+        mut timings: StageTimings,
+    ) -> FrameRead<'a> {
         let result =
             decide.then(
                 || match self.blob_signature(component.as_ref(), scratch, &mut timings) {
@@ -654,6 +688,20 @@ impl RecognitionPipeline {
             failure: None,
         }
     }
+}
+
+/// The packed tail of segmentation: the largest 8-connected component of
+/// an already-segmented packed `mask`, isolated into `blob`.
+fn largest_packed(
+    mask: &BitMask,
+    blob: &mut BitMask,
+    label: &mut LabelScratch,
+    timings: &mut StageTimings,
+) -> Option<Component> {
+    let t = Instant::now();
+    let comp = largest_component_packed_with(mask, Connectivity::Eight, blob, label);
+    timings.component_us = t.elapsed().as_micros() as u64;
+    comp
 }
 
 #[cfg(test)]
@@ -888,6 +936,57 @@ mod tests {
             let owned = p.recognize(frame);
             assert_eq!(r.decision.map(str::to_owned), owned.decision);
             assert_eq!(r.failure.map(|f| f.to_string()), owned.failure);
+
+            // the same frame handed over already segmented reads the same
+            let mask = BitMask::from_bitmap(&binarize(frame, 128));
+            for decide in [false, true] {
+                let from_mask = p.read_mask_with(&mut scratch, &mask, decide);
+                let from_frame = p.read_with(&mut scratch, frame, decide);
+                assert_eq!(from_mask.component, from_frame.component);
+                assert_eq!(
+                    from_mask.result.map(|r| (r.decision, r.failure)),
+                    from_frame.result.map(|r| (r.decision, r.failure))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mask_reads_need_the_loops_segmentation() {
+        let mask = BitMask::new(64, 48);
+        let mut scratch = FrameScratch::new();
+        let mut reads = |config: PipelineConfig| {
+            let p = RecognitionPipeline::new(config);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                p.read_mask_with(&mut scratch, &mask, false);
+            }))
+            .is_ok()
+        };
+        let loop_config = PipelineConfig::default();
+        assert!(reads(loop_config));
+        assert!(reads(PipelineConfig {
+            segmentation: SegmentationMode::Fixed(254),
+            ..loop_config
+        }));
+        for refused in [
+            PipelineConfig {
+                segmentation: SegmentationMode::Fixed(255),
+                ..loop_config
+            },
+            PipelineConfig {
+                segmentation: SegmentationMode::Otsu,
+                ..loop_config
+            },
+            PipelineConfig {
+                denoise: true,
+                ..loop_config
+            },
+            PipelineConfig {
+                kernels: KernelPath::Byte,
+                ..loop_config
+            },
+        ] {
+            assert!(!reads(refused), "{refused:?} must be refused");
         }
     }
 

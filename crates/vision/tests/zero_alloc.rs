@@ -5,10 +5,12 @@
 //! every scratch buffer to capacity, running further frames through
 //! `recognize_with` (or the one-pass `read_with`, with or without a
 //! decision) must leave the measuring thread's counter untouched —
-//! including reject frames (empty masks, sub-minimum blobs).
+//! including reject frames (empty masks, sub-minimum blobs). So must the
+//! negotiation loop's memo-miss path: rasterising a signaller straight into
+//! a packed mask and reading it with `read_mask_with`.
 
-use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
-use hdc_raster::GrayImage;
+use hdc_figure::{paint_silhouette, render_sign, MarshallingSign, Pose, ViewSpec};
+use hdc_raster::{BitMask, GrayImage};
 use hdc_vision::{FrameFailure, FrameScratch, KernelPath, PipelineConfig, RecognitionPipeline};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -183,6 +185,49 @@ fn one_pass_read_is_allocation_free_after_one_warmup_frame() {
     assert_eq!(
         empty_read.result.and_then(|r| r.failure),
         Some(FrameFailure::NoBlob)
+    );
+}
+
+#[test]
+fn mask_path_miss_is_allocation_free_after_one_warmup_view() {
+    let mut pipeline = RecognitionPipeline::new(PipelineConfig::default());
+    pipeline.calibrate_from_views(&ViewSpec::paper_default(0.0, 5.0, 3.0));
+    let view = view_at(320, 0.0);
+    let (signaller, camera) = (
+        view.signaller(Pose::for_sign(MarshallingSign::Yes)),
+        view.camera(),
+    );
+    // the memo miss: clear the mask, rasterise the silhouette into it, read
+    let paint = |mask: &mut BitMask| {
+        mask.reset_dimensions(view.width, view.height);
+        mask.fill(false);
+        paint_silhouette(&signaller, &camera, mask);
+    };
+    let mut mask = BitMask::new(1, 1);
+    let mut scratch = FrameScratch::new();
+    // one warm-up view grows the mask and every scratch buffer
+    paint(&mut mask);
+    let warm = pipeline.read_mask_with(&mut scratch, &mask, true);
+    assert_eq!(warm.result.and_then(|r| r.decision), Some("Yes"));
+
+    let before = allocations();
+    for _ in 0..3 {
+        for decide in [false, true] {
+            paint(&mut mask);
+            std::hint::black_box(pipeline.read_mask_with(&mut scratch, &mask, decide));
+            // a sub-minimum speck and an empty view take the reject paths
+            mask.fill(false);
+            mask.set(10, 10, true);
+            std::hint::black_box(pipeline.read_mask_with(&mut scratch, &mask, decide));
+            mask.fill(false);
+            std::hint::black_box(pipeline.read_mask_with(&mut scratch, &mask, decide));
+        }
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a steady-state mask-path miss must not allocate: rasterise, label, \
+         or decide, on a figure, a speck or an empty view"
     );
 }
 

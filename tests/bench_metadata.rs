@@ -84,3 +84,48 @@ fn no_bench_json_carries_null_thread_metadata() {
     }
     assert!(seen >= 6, "only {seen} BENCH_*.json artefacts found");
 }
+
+#[test]
+fn serve_bench_records_the_golden_serve_digests() {
+    // BENCH_serve.json must report the very traces the serve golden manifest
+    // pins, so a re-blessed digest cannot leave the committed bench stale.
+    let golden = std::fs::read_to_string(repo_root().join("tests/golden/serve_digests.txt"))
+        .expect("committed serve golden manifest");
+    let bench = std::fs::read_to_string(repo_root().join("BENCH_serve.json"))
+        .expect("committed BENCH_serve.json");
+    let mut checked = 0;
+    for row in golden
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+    {
+        let fields: Vec<&str> = row.split_whitespace().collect();
+        let [name, digest, decided, shed, rejected] = fields[..] else {
+            panic!("malformed serve golden row: {row}");
+        };
+        let line = bench
+            .lines()
+            .find(|l| l.contains(&format!("\"name\": \"{name}\"")))
+            .unwrap_or_else(|| panic!("BENCH_serve.json has no {name} workload"));
+        let field = |key: &str| {
+            raw_value(line, key)
+                .unwrap_or_else(|| panic!("BENCH_serve.json {name}: no {key}"))
+                .trim_matches('"')
+                .to_owned()
+        };
+        let count = |key: &str| {
+            field(key)
+                .parse::<u64>()
+                .unwrap_or_else(|e| panic!("BENCH_serve.json {name}: {key} ({e})"))
+        };
+        assert_eq!(field("digest"), digest, "{name}: digest");
+        assert_eq!(count("decided").to_string(), decided, "{name}: decided");
+        assert_eq!(count("shed").to_string(), shed, "{name}: shed");
+        assert_eq!(
+            (count("rejected_budget") + count("rejected_queue")).to_string(),
+            rejected,
+            "{name}: rejected (budget + queue)"
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, 3, "the three serve golden workloads");
+}
