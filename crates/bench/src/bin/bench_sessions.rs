@@ -13,10 +13,12 @@
 //!    owner's view memo serves nearly every camera frame: the smoke floor is
 //!    ≥90% of owner frames reused (a count, not a wall-time floor).
 //! 2. **Capacity ladder** — session farms of growing size (to ≥1000
-//!    concurrent sessions) multiplexed on the shared event heap, recording
-//!    wall time, scheduler dispatches, drone ticks, owner frames, views
-//!    reused and outcomes. The farm is serial by design (one heap);
-//!    `--threads` is recorded as metadata for report comparability.
+//!    sessions), one pool item per session on the machine's
+//!    `WorkPool::auto()`, recording wall time, scheduler dispatches, drone
+//!    ticks, owner frames, views reused and outcomes. The report's
+//!    `execution` records the farm's worker count as `threads`, and as
+//!    `threads_requested` too, since `WorkPool::auto()` is what the farm
+//!    asks for; there is no flag to ask for another.
 //! 3. **Miss-path split** — the owner frames a view memo cannot serve (the
 //!    view's render inputs changed, as when a sign changes) of a small
 //!    mixed farm: all three roles, consenting and refusing, scripted and
@@ -34,7 +36,7 @@
 //!    `frames - views_reused` (counts, not wall-time floors).
 //!
 //! Usage: `cargo run --release -p hdc-bench --bin bench_sessions
-//! [--threads N] [--smoke] [out.json]`
+//! [--smoke] [out.json]`
 
 use hdc_bench::report::{num, Table};
 use hdc_core::{
@@ -46,7 +48,7 @@ use hdc_geometry::Vec3;
 use hdc_orchard::{run_session_farm, FarmStats};
 use hdc_raster::threshold::binarize;
 use hdc_raster::{BitMask, GrayImage};
-use hdc_runtime::{available_workers, threads_from_args, ScheduleMode, SplitMix64};
+use hdc_runtime::{available_workers, ScheduleMode, SplitMix64, WorkPool};
 use hdc_vision::dynamic::{DynamicConfig, DynamicRecognizer};
 use hdc_vision::{PipelineConfig, RecognitionPipeline};
 use std::cell::RefCell;
@@ -96,32 +98,14 @@ struct ModeRun {
 
 /// Runs the idle-heavy mission alone in one scheduler mode.
 fn run_idle_mission(config: SessionConfig, mode: ScheduleMode) -> ModeRun {
-    const TICK: f64 = CollaborationSession::TICK_S;
     let mut session = CollaborationSession::new(config);
     let started = Instant::now();
-    let mut dispatches = 0u64;
     match mode {
-        ScheduleMode::Lockstep => {
-            while !session.is_done() && session.time() < config.max_duration_s {
-                session.step();
-                dispatches += 1;
-            }
-        }
-        ScheduleMode::EventDriven => {
-            // run_events, unrolled so the dispatch count is observable
-            while !session.is_done() && session.time() < config.max_duration_s {
-                let now = session.time();
-                let mut target = session.next_due_after(now);
-                if target <= now || target.is_nan() {
-                    target = now + TICK;
-                }
-                session.step_to(target.min(config.max_duration_s));
-                dispatches += 1;
-            }
-        }
-    }
+        ScheduleMode::Lockstep => session.run(),
+        ScheduleMode::EventDriven => session.run_events(),
+    };
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let drone_ticks = session.drone_ticks();
+    let (drone_ticks, dispatches) = (session.drone_ticks(), session.advances());
     let report = session.into_report();
     ModeRun {
         drone_ticks,
@@ -325,19 +309,14 @@ struct Rung {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let threads = threads_from_args(&args);
     let mut out_path = "BENCH_sessions.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => i += 1, // skip the flag's value
+    for a in &args {
+        match a.as_str() {
             "--smoke" => {}
             a if !a.starts_with("--") => out_path = a.to_owned(),
             other => panic!("unknown flag {other}"),
         }
-        i += 1;
     }
-    let workers = threads.unwrap_or_else(available_workers);
 
     // --- idle-heavy day-length mission: lockstep vs event-driven ---
     let idle_cfg = idle_heavy_config(11, smoke);
@@ -391,7 +370,7 @@ fn main() {
         );
     }
 
-    // --- capacity ladder on the shared heap ---
+    // --- capacity ladder on the farm's pool ---
     let rungs: &[usize] = if smoke { &[10, 50] } else { &[100, 300, 1000] };
     let mut ladder = Vec::new();
     for &n in rungs {
@@ -470,12 +449,11 @@ fn main() {
     use std::fmt::Write as _;
     let mut json = String::new();
     let _ = writeln!(json, "{{");
+    let farm_workers = WorkPool::auto().workers();
     let _ = writeln!(
         json,
-        "  \"execution\": {{\"threads\": {}, \"threads_requested\": {}, \
-         \"available_parallelism\": {}}},",
-        workers,
-        threads.map_or("null".to_owned(), |t| t.to_string()),
+        "  \"execution\": {{\"threads\": {farm_workers}, \"threads_requested\": \
+         {farm_workers}, \"available_parallelism\": {}}},",
         available_workers()
     );
     let _ = writeln!(json, "  \"smoke\": {smoke},");

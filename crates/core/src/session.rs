@@ -332,6 +332,7 @@ pub struct CollaborationSession {
     log: EventLog,
     time: f64,
     drone_ticks: u64,
+    advances: u64,
     next_frame_at: f64,
     frames_processed: usize,
     frames_recognized: usize,
@@ -379,7 +380,7 @@ impl CollaborationSession {
 
     /// Builds a session: takes the vision pipeline calibrated from the
     /// canonical views (the paper's 0°-azimuth references at the negotiation
-    /// geometry, calibrated once per thread) and positions the actors.
+    /// geometry, calibrated once per process) and positions the actors.
     pub fn new(config: SessionConfig) -> Self {
         let pipeline = calibrated_pipeline(&ViewSpec::paper_default(
             0.0,
@@ -423,6 +424,7 @@ impl CollaborationSession {
             log: EventLog::new(),
             time: 0.0,
             drone_ticks: 0,
+            advances: 0,
             next_frame_at: 0.0,
             frames_processed: 0,
             frames_recognized: 0,
@@ -947,6 +949,7 @@ impl CollaborationSession {
     /// mode, so lockstep behaviour is bit-identical to the pre-scheduler
     /// engine).
     fn step_body(&mut self, dt: f64) {
+        self.advances += 1;
         // --- fault layer: mid-negotiation role change ---
         let t = self.time;
         if let Some(role) = self.faults.as_mut().and_then(|f| f.role_change(t)) {
@@ -1280,6 +1283,15 @@ impl CollaborationSession {
         self.drone_ticks
     }
 
+    /// Passes of the session loop so far, one per [`step`] or [`step_to`]:
+    /// a scheduler's dispatch count for this session.
+    ///
+    /// [`step`]: CollaborationSession::step
+    /// [`step_to`]: CollaborationSession::step_to
+    pub fn advances(&self) -> u64 {
+        self.advances
+    }
+
     /// Runs and produces the full report.
     pub fn run_report(mut self) -> SessionReport {
         self.run();
@@ -1312,6 +1324,22 @@ impl CollaborationSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sessions_on_two_threads_share_one_calibration() {
+        let cfg = SessionConfig::worker_example(3);
+        let here = CollaborationSession::new(cfg).pipeline;
+        let there = std::thread::scope(|scope| {
+            scope
+                .spawn(|| CollaborationSession::new(cfg).pipeline)
+                .join()
+                .expect("a session builds on a second thread")
+        });
+        assert!(
+            Arc::ptr_eq(&here, &there),
+            "the spec was calibrated once per process, not once per thread"
+        );
+    }
 
     #[test]
     fn event_driven_run_matches_lockstep_outcome_with_far_fewer_ticks() {

@@ -30,15 +30,18 @@
 //!
 //! Memory: the mask and scratch are per thread, not per session, so
 //! resident memory does not grow with the number of live sessions, and the
-//! miss path holds no grey frame at all. Each camera keeps only its
+//! miss path holds no grey frame at all. A silhouette that is one
+//! component is traced where it was rasterised, so the scratch never grows
+//! a second frame-sized blob for it: each pool worker's thread keeps one
+//! packed mask, not two. Each camera keeps only its
 //! [`ViewMemo`] — a key and two small results — and a
 //! [`DynamicRecognizer`](hdc_vision::dynamic::DynamicRecognizer) whose
 //! labelling buffers stay empty, because the loop never hands it a mask.
 //!
 //! Calibration is just as pure in its [`ViewSpec`]:
-//! [`calibrated_pipeline`] calibrates each spec once per thread and shares
-//! the result, so building a session no longer re-renders the enrolment
-//! views.
+//! [`calibrated_pipeline`] calibrates each spec once per process and shares
+//! the result with every thread, so building a session, on any worker, no
+//! longer re-renders the enrolment views.
 
 use hdc_figure::{paint_signaller, paint_silhouette, BodyDimensions, Pose, Signaller, ViewSpec};
 use hdc_geometry::{CameraIntrinsics, PinholeCamera, Vec3};
@@ -46,7 +49,7 @@ use hdc_raster::{BitMask, GrayImage};
 use hdc_vision::dynamic::FrameFeatures;
 use hdc_vision::{FrameRead, FrameScratch, PipelineConfig, RecognitionPipeline};
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The loop's camera: 640×480, 640 px focal length, at `eye`, aimed at the
 /// signaller's chest.
@@ -272,20 +275,24 @@ impl ViewMemo {
     }
 }
 
-/// Calibrated pipelines this thread keeps, at most — far more geometries
+/// Calibrated pipelines the process keeps, at most — far more geometries
 /// than any one farm or sweep uses at a time.
 const CALIBRATED_CAPACITY: usize = 16;
+
+/// The process's calibrated pipelines, keyed by the exact bits of their
+/// view spec.
+type CalibrationCache = Vec<([u64; 6], Arc<RecognitionPipeline>)>;
+
+static CALIBRATED: Mutex<CalibrationCache> = Mutex::new(Vec::new());
 
 /// A default-configured pipeline calibrated from `canonical`'s views.
 ///
 /// Calibration renders and enrols every sign and is pure in its view spec,
-/// so each thread calibrates a spec once (keyed by its exact bits) and
-/// shares the result.
+/// so the process calibrates a spec once (keyed by its exact bits) and
+/// every thread shares the result: a pool worker building sessions does not
+/// calibrate again. The lock is held across a calibration, so two threads
+/// asking for the same new spec still calibrate it once.
 pub(crate) fn calibrated_pipeline(canonical: &ViewSpec) -> Arc<RecognitionPipeline> {
-    thread_local! {
-        static CALIBRATED: RefCell<Vec<([u64; 6], Arc<RecognitionPipeline>)>> =
-            const { RefCell::new(Vec::new()) };
-    }
     let ViewSpec {
         azimuth_deg,
         altitude_m,
@@ -302,20 +309,19 @@ pub(crate) fn calibrated_pipeline(canonical: &ViewSpec) -> Arc<RecognitionPipeli
         u64::from(height),
         focal_px.to_bits(),
     ];
-    CALIBRATED.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some((_, pipeline)) = cache.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(pipeline);
-        }
-        let mut pipeline = RecognitionPipeline::new(PipelineConfig::default());
-        pipeline.calibrate_from_views(canonical);
-        let pipeline = Arc::new(pipeline);
-        if cache.len() == CALIBRATED_CAPACITY {
-            cache.remove(0);
-        }
-        cache.push((key, Arc::clone(&pipeline)));
-        pipeline
-    })
+    // a panic mid-calibration pushes nothing, so a poisoned cache is whole
+    let mut cache = CALIBRATED.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, pipeline)) = cache.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(pipeline);
+    }
+    let mut pipeline = RecognitionPipeline::new(PipelineConfig::default());
+    pipeline.calibrate_from_views(canonical);
+    let pipeline = Arc::new(pipeline);
+    if cache.len() == CALIBRATED_CAPACITY {
+        cache.remove(0);
+    }
+    cache.push((key, Arc::clone(&pipeline)));
+    pipeline
 }
 
 #[cfg(test)]
@@ -401,7 +407,7 @@ mod tests {
         let spec = ViewSpec::paper_default(0.0, 4.0, 3.0);
         let a = calibrated_pipeline(&spec);
         let b = calibrated_pipeline(&spec);
-        assert!(Arc::ptr_eq(&a, &b), "one calibration per spec per thread");
+        assert!(Arc::ptr_eq(&a, &b), "one calibration per spec");
         let c = calibrated_pipeline(&ViewSpec::paper_default(0.0, 4.5, 3.0));
         assert!(!Arc::ptr_eq(&a, &c));
         let mut fresh = RecognitionPipeline::new(PipelineConfig::default());

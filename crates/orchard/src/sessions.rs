@@ -1,20 +1,23 @@
-//! Many-session orchestration: a whole orchard day of negotiations
-//! multiplexed on one shared deterministic event heap.
+//! Many-session orchestration: a whole orchard day of negotiations, one
+//! pool item per session.
 //!
 //! The mission and fleet layers run one session at a time; an orchard day
-//! runs hundreds to thousands — most of them idle at any instant (drones
-//! hovering, humans deciding, links quiet). Stepping every session every
-//! `DT` costs O(sessions × ticks); this orchestrator keeps exactly one
-//! armed wake per live session on a shared [`EventHeap`] and advances only
-//! the session whose due time is next, so the whole farm costs O(events).
+//! runs hundreds to thousands. Sessions are independent: no session reads
+//! another's state, and each one's event-driven run already coasts its own
+//! idle spans. So the farm shares no scheduler between them. It maps the
+//! configs over a [`WorkPool`], and each item builds its session on the
+//! worker and runs it to completion alone — [`CollaborationSession::run_events`]
+//! or, in lockstep, [`CollaborationSession::run`]. The caller's thread is
+//! worker 0, and the process-wide calibration cache means a worker never
+//! recalibrates.
 //!
-//! Sessions are independent, so multiplexing must not — and provably does
-//! not — change any per-session result: the farm's outcomes are identical
-//! to running each session alone (the tests pin this, including across
-//! heap salts, which only permute same-instant dispatch order).
+//! Because an item is exactly the solo run, every per-session result,
+//! including its dispatch count ([`CollaborationSession::advances`]), is
+//! what that session does alone, and the farm's totals are sums in config
+//! order: identical at every worker count (the tests pin this).
 
 use hdc_core::{CollaborationSession, SessionConfig, SessionOutcome};
-use hdc_runtime::{EventHeap, ScheduleMode};
+use hdc_runtime::{ScheduleMode, WorkPool};
 
 /// Aggregate results of a session-farm run.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,8 +27,8 @@ pub struct FarmStats {
     /// True drone ticks executed across the farm (coasts excluded) — the
     /// work metric the event-driven scheduler is judged on.
     pub total_drone_ticks: u64,
-    /// Scheduler dispatches: heap pops in event mode, per-session steps in
-    /// lockstep mode.
+    /// Scheduler dispatches: passes of the session loop, one per
+    /// event-driven advance or lockstep step, summed over the sessions.
     pub events_dispatched: u64,
     /// Owner camera frames processed across the farm.
     pub frames_processed: u64,
@@ -42,98 +45,63 @@ impl FarmStats {
 }
 
 /// Runs every configured session to completion under the given scheduler
-/// mode and aggregates the results.
+/// mode, one [`WorkPool::auto`] item per session, and aggregates the
+/// results.
 ///
-/// * [`ScheduleMode::Lockstep`] interleaves one `DT` tick per live session
-///   per round — the O(sessions × ticks) baseline, per-session identical to
-///   [`CollaborationSession::run_report`].
-/// * [`ScheduleMode::EventDriven`] multiplexes all sessions on one shared
-///   [`EventHeap`] (session id in the event key, `salt` seeding the
-///   same-instant tie-break) and advances each straight between its due
-///   times — per-session identical to [`CollaborationSession::run_events`].
-pub fn run_session_farm(configs: &[SessionConfig], mode: ScheduleMode, salt: u64) -> FarmStats {
-    const TICK: f64 = CollaborationSession::TICK_S;
-    let mut sessions: Vec<CollaborationSession> = configs
-        .iter()
-        .map(|c| CollaborationSession::new(*c))
-        .collect();
-    let mut events_dispatched = 0u64;
+/// * [`ScheduleMode::Lockstep`]: each session runs its fixed-`DT` loop,
+///   per-session identical to [`CollaborationSession::run_report`].
+/// * [`ScheduleMode::EventDriven`]: each session advances straight between
+///   its due times, per-session identical to
+///   [`CollaborationSession::run_events`].
+///
+/// The salt argument is inert: it seeded the same-instant tie-break of a
+/// heap the sessions once shared, and no heap is shared now. It stays in
+/// the signature for existing callers.
+pub fn run_session_farm(configs: &[SessionConfig], mode: ScheduleMode, _salt: u64) -> FarmStats {
+    farm_on(&WorkPool::auto(), configs, mode)
+}
 
-    match mode {
-        ScheduleMode::Lockstep => loop {
-            let mut live = false;
-            for (session, config) in sessions.iter_mut().zip(configs) {
-                if session.is_done() || session.time() >= config.max_duration_s {
-                    continue;
-                }
-                session.step();
-                events_dispatched += 1;
-                live = true;
-            }
-            if !live {
-                break;
-            }
-        },
-        ScheduleMode::EventDriven => {
-            let mut heap: EventHeap<f64> = EventHeap::new(salt);
-            // the exact f64 target rides in the payload; the heap key is
-            // integer microseconds and only orders the dispatch
-            // arm computes exactly the target `run_events` would pick, so a
-            // farmed session replays its solo event-driven run bit-for-bit
-            let arm = |heap: &mut EventHeap<f64>, i: usize, s: &mut CollaborationSession| {
-                let now = s.time();
-                let mut due = s.next_due_after(now);
-                if due <= now || due.is_nan() {
-                    due = now + TICK;
-                }
-                let due = due.min(configs[i].max_duration_s);
-                heap.schedule_at_s(due, i as u64, 0, due);
-            };
-            for (i, session) in sessions.iter_mut().enumerate() {
-                arm(&mut heap, i, session);
-            }
-            while let Some(wake) = heap.pop() {
-                let i = wake.session as usize;
-                let session = &mut sessions[i];
-                if session.is_done() || session.time() >= configs[i].max_duration_s {
-                    continue;
-                }
-                events_dispatched += 1;
-                // the armed target is strictly ahead of the session clock
-                // (nothing moves a session between arming and dispatch)
-                session.step_to(wake.event);
-                if !session.is_done() && session.time() < configs[i].max_duration_s {
-                    arm(&mut heap, i, session);
-                }
-            }
-        }
+/// [`run_session_farm`] on a given pool.
+pub(crate) fn farm_on(pool: &WorkPool, configs: &[SessionConfig], mode: ScheduleMode) -> FarmStats {
+    let runs = pool.map(configs, |config| {
+        let mut session = CollaborationSession::new(*config);
+        match mode {
+            ScheduleMode::Lockstep => session.run(),
+            ScheduleMode::EventDriven => session.run_events(),
+        };
+        let (ticks, dispatches) = (session.drone_ticks(), session.advances());
+        let report = session.into_report();
+        (
+            report.outcome,
+            ticks,
+            dispatches,
+            report.frames_processed as u64,
+            report.views_reused as u64,
+        )
+    });
+    let mut stats = FarmStats {
+        outcomes: Vec::with_capacity(runs.len()),
+        total_drone_ticks: 0,
+        events_dispatched: 0,
+        frames_processed: 0,
+        views_reused: 0,
+    };
+    for (outcome, ticks, dispatches, frames, reused) in runs {
+        stats.outcomes.push(outcome);
+        stats.total_drone_ticks += ticks;
+        stats.events_dispatched += dispatches;
+        stats.frames_processed += frames;
+        stats.views_reused += reused;
     }
-
-    let total_drone_ticks = sessions.iter().map(|s| s.drone_ticks()).sum();
-    let (mut frames_processed, mut views_reused) = (0u64, 0u64);
-    let outcomes = sessions
-        .into_iter()
-        .map(|s| {
-            let report = s.into_report();
-            frames_processed += report.frames_processed as u64;
-            views_reused += report.views_reused as u64;
-            report.outcome
-        })
-        .collect();
-    FarmStats {
-        outcomes,
-        total_drone_ticks,
-        events_dispatched,
-        frames_processed,
-        views_reused,
-    }
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc_core::{HumanScript, Role, ScriptedResponse};
+    use hdc_core::{CohortConfig, DatalinkConfig, HumanScript, Role, ScriptedResponse};
     use hdc_figure::MarshallingSign;
+    use hdc_link::LinkQuality;
 
     fn mixed_configs(n: usize) -> Vec<SessionConfig> {
         (0..n)
@@ -150,6 +118,38 @@ mod tests {
                 c
             })
             .collect()
+    }
+
+    /// Mixed roles and scripts, plus sessions with a cohort or a lossy
+    /// datalink, so every layer a session can carry runs on the pool.
+    fn varied_configs() -> Vec<SessionConfig> {
+        let relay = LinkQuality::clean().with_drop(0.2);
+        let mut configs = mixed_configs(8);
+        for (i, c) in mixed_configs(8).into_iter().enumerate() {
+            configs.push(match i % 4 {
+                0 => c.with_cohort(CohortConfig::single_observer(1.2)),
+                1 => c.with_cohort(CohortConfig::dual_observer(0.6, -0.6).with_relay(relay)),
+                2 => c.with_datalink(DatalinkConfig::clean()),
+                _ => c.with_datalink(DatalinkConfig::symmetric(relay)),
+            });
+        }
+        configs
+    }
+
+    #[test]
+    fn farm_stats_do_not_depend_on_the_worker_count() {
+        let configs = varied_configs();
+        for mode in [ScheduleMode::EventDriven, ScheduleMode::Lockstep] {
+            let serial = farm_on(&WorkPool::new(1), &configs, mode);
+            assert!(serial.frames_processed > 0 && serial.events_dispatched > 0);
+            for workers in [2, 3, 8] {
+                assert_eq!(
+                    farm_on(&WorkPool::new(workers), &configs, mode),
+                    serial,
+                    "{mode:?} at {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

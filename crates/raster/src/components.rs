@@ -476,15 +476,41 @@ pub fn largest_component_packed_with(
 ) -> Option<Component> {
     label_into_packed(mask, conn, scratch);
     let biggest = scratch.comps.iter().max_by_key(|c| c.area)?.clone();
+    rebuild_packed(mask, &biggest, out, scratch);
+    Some(biggest)
+}
+
+/// [`largest_component_packed_with`] that copies only when it must. When the
+/// largest component is the mask's only one, every set bit of `mask` belongs
+/// to it, so `mask` already is the isolated blob: `out` is left untouched
+/// and the flag is `false`. Otherwise the blob is rebuilt into `out` and the
+/// flag is `true`.
+pub fn largest_component_packed_lazy(
+    mask: &BitMask,
+    conn: Connectivity,
+    out: &mut BitMask,
+    scratch: &mut LabelScratch,
+) -> Option<(Component, bool)> {
+    label_into_packed(mask, conn, scratch);
+    let biggest = scratch.comps.iter().max_by_key(|c| c.area)?.clone();
+    let copied = scratch.comps.len() > 1;
+    if copied {
+        rebuild_packed(mask, &biggest, out, scratch);
+    }
+    Some((biggest, copied))
+}
+
+/// Rebuilds component `comp` of the labelling in `scratch` into `out`, at
+/// `mask`'s dimensions, with whole-word run stores.
+fn rebuild_packed(mask: &BitMask, comp: &Component, out: &mut BitMask, scratch: &LabelScratch) {
     out.reset_dimensions(mask.width(), mask.height());
     out.fill(false);
-    let target = biggest.label - 1;
+    let target = comp.label - 1;
     for (ri, &(y, s, e)) in scratch.runs.iter().enumerate() {
         if scratch.run_comp[ri] == target {
             out.set_run(y, s, e);
         }
     }
-    Some(biggest)
 }
 
 #[cfg(test)]

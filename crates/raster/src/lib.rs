@@ -48,7 +48,8 @@ pub mod threshold;
 pub use bitmask::{BitMask, WORD_BITS};
 pub use components::{
     label_components, label_components_bfs, label_components_packed, largest_component,
-    largest_component_packed_with, largest_component_with, Component, Connectivity, LabelScratch,
+    largest_component_packed_lazy, largest_component_packed_with, largest_component_with,
+    Component, Connectivity, LabelScratch,
 };
 pub use contour::{
     trace_outer_contour, trace_outer_contour_into, trace_outer_contour_packed_into, ContourPoint,

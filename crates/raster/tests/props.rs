@@ -14,8 +14,8 @@ use hdc_raster::morphology::{
 use hdc_raster::threshold::{binarize, binarize_bytes_into, otsu_threshold};
 use hdc_raster::{
     draw, label_components, label_components_bfs, label_components_packed, largest_component,
-    largest_component_packed_with, largest_component_with, BitMask, Bitmap, Connectivity,
-    GrayImage, LabelScratch,
+    largest_component_packed_lazy, largest_component_packed_with, largest_component_with, BitMask,
+    Bitmap, Component, Connectivity, GrayImage, LabelScratch,
 };
 use proptest::prelude::*;
 
@@ -266,6 +266,24 @@ proptest! {
         prop_assert_eq!(&byte, &fast);
         if byte.is_some() {
             prop_assert_eq!(out, out_p.to_bitmap());
+        }
+        // the lazy form copies only a mask with more than one component;
+        // otherwise the mask itself is the blob and `out` stays untouched
+        let mut lazy_out = BitMask::new(1, 1);
+        let lazy = largest_component_packed_lazy(
+            &packed, Connectivity::Eight, &mut lazy_out, &mut scratch_p);
+        prop_assert_eq!(lazy.as_ref().map(|(c, _)| c), fast.as_ref());
+        if let Some((comp, copied)) = lazy {
+            prop_assert_eq!(copied, label_components_packed(&packed, Connectivity::Eight).1.len() > 1);
+            prop_assert_eq!(if copied { &lazy_out } else { &packed }, &out_p);
+            if !copied {
+                prop_assert_eq!(&lazy_out, &BitMask::new(1, 1));
+            }
+            // an isolated blob is one component: read where it is
+            let mut again_out = BitMask::new(1, 1);
+            let again = largest_component_packed_lazy(
+                &out_p, Connectivity::Eight, &mut again_out, &mut scratch_p);
+            prop_assert_eq!(again, Some((Component { label: 1, ..comp }, false)));
         }
     }
 

@@ -100,7 +100,8 @@ impl WorkPool {
     }
 
     /// Maps `work` over `items` on the pool, with one `init(worker_index)`
-    /// state per worker, returning results in input order.
+    /// state per worker, returning results in input order. Worker 0 runs on
+    /// the calling thread; workers `1..` on scoped threads.
     ///
     /// Output is identical to the serial
     /// `items.iter().enumerate().map(|(i, it)| work(&mut init(0), i, it))`
@@ -136,34 +137,38 @@ impl WorkPool {
         let cursor = AtomicUsize::new(0);
         let (init, work, cursor) = (&init, &work, &cursor);
 
+        let run_worker = move |w: usize| {
+            let mut state = init(w);
+            let mut out = Vec::new();
+            loop {
+                let c = cursor.fetch_add(1, Ordering::Relaxed);
+                if c >= chunk_count {
+                    break;
+                }
+                let start = c * chunk;
+                let end = (start + chunk).min(items.len());
+                for (i, item) in items.iter().enumerate().take(end).skip(start) {
+                    out.push((i, work(&mut state, i, item)));
+                }
+            }
+            out
+        };
+
+        // Workers 1.. get scoped threads; worker 0 is the calling thread,
+        // which saves a spawn per call and keeps its thread-local scratch
+        // warm across calls.
         let per_worker: Vec<Vec<(usize, R)>> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut state = init(w);
-                        let mut out = Vec::new();
-                        loop {
-                            let c = cursor.fetch_add(1, Ordering::Relaxed);
-                            if c >= chunk_count {
-                                break;
-                            }
-                            let start = c * chunk;
-                            let end = (start + chunk).min(items.len());
-                            for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                                out.push((i, work(&mut state, i, item)));
-                            }
-                        }
-                        out
-                    })
-                })
+            let handles: Vec<_> = (1..workers)
+                .map(|w| scope.spawn(move || run_worker(w)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
+            let mut per_worker = vec![run_worker(0)];
+            for h in handles {
+                match h.join() {
+                    Ok(v) => per_worker.push(v),
                     Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
+                }
+            }
+            per_worker
         });
 
         // Index-addressed reassembly: input order, no reduction order.
@@ -291,6 +296,39 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         WorkPool::new(0);
+    }
+
+    #[test]
+    fn worker_zero_is_the_calling_thread() {
+        let caller = thread::current().id();
+        let items: Vec<usize> = (0..64).collect();
+        for workers in [1, 2, 3, 8] {
+            let inits = std::sync::Mutex::new(Vec::new());
+            let out = WorkPool::new(workers).map_indexed(
+                &items,
+                |w| inits.lock().unwrap().push((w, thread::current().id())),
+                |_, i, x| (i, *x * 3),
+            );
+            assert_eq!(out, items.iter().map(|&x| (x, x * 3)).collect::<Vec<_>>());
+            let mut inits = inits.into_inner().unwrap();
+            inits.sort_by_key(|(w, _)| *w);
+            let ws: Vec<usize> = inits.iter().map(|(w, _)| *w).collect();
+            assert_eq!(ws, (0..workers).collect::<Vec<_>>(), "one init per worker");
+            for (w, id) in &inits {
+                assert_eq!(*w == 0, *id == caller, "worker {w} at {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_on_either_side_of_the_spawn_propagates() {
+        let items: Vec<u32> = (0..32).collect();
+        for doomed in [0, 1] {
+            let result = std::panic::catch_unwind(|| {
+                WorkPool::new(2).map_indexed(&items, |w| assert!(w != doomed, "boom"), |_, _, x| *x)
+            });
+            assert!(result.is_err(), "a panic in worker {doomed} was lost");
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@ use crate::timing::StageTimings;
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::threshold::{binarize_bytes_into, binarize_into, otsu_threshold};
 use hdc_raster::{
-    largest_component_packed_with, largest_component_with, morphology, BitMask, Bitmap, Component,
-    Connectivity, GrayImage, LabelScratch,
+    largest_component_packed_lazy, largest_component_packed_with, largest_component_with,
+    morphology, BitMask, Bitmap, Component, Connectivity, GrayImage, LabelScratch,
 };
 use hdc_sax::{IndexMatch, IndexMatchRef, QueryScratch, SaxIndex, SaxParams, SaxWord};
 use serde::{Deserialize, Serialize};
@@ -368,11 +368,13 @@ impl RecognitionPipeline {
 
     /// The back half of the silhouette stages, continuing from the blob
     /// [`RecognitionPipeline::largest_blob`] (or the incremental ladder) left
-    /// in the scratch: area floor → contour → signature. On success the
-    /// signature series is in `scratch.sig` and its metadata is returned.
+    /// in the scratch, or from `whole`, a packed mask that is its own blob:
+    /// area floor → contour → signature. On success the signature series is
+    /// in `scratch.sig` and its metadata is returned.
     fn blob_signature(
         &self,
         comp: Option<&Component>,
+        whole: Option<&BitMask>,
         scratch: &mut FrameScratch,
         timings: &mut StageTimings,
     ) -> Result<SignatureStats, FrameFailure> {
@@ -387,9 +389,12 @@ impl RecognitionPipeline {
         }
 
         let t2 = Instant::now();
-        let traced = match self.config.kernels {
-            KernelPath::Byte => trace_contour_with(&scratch.blob, &mut scratch.sig),
-            KernelPath::Hybrid => trace_contour_packed_with(&scratch.blob_bits, &mut scratch.sig),
+        let traced = match (whole, self.config.kernels) {
+            (Some(blob), _) => trace_contour_packed_with(blob, &mut scratch.sig),
+            (None, KernelPath::Byte) => trace_contour_with(&scratch.blob, &mut scratch.sig),
+            (None, KernelPath::Hybrid) => {
+                trace_contour_packed_with(&scratch.blob_bits, &mut scratch.sig)
+            }
         };
         timings.contour_us = t2.elapsed().as_micros() as u64;
         traced.map_err(FrameFailure::Signature)?;
@@ -437,7 +442,7 @@ impl RecognitionPipeline {
     ) -> Result<SignatureStats, FrameFailure> {
         debug_assert_eq!(self.config.kernels, KernelPath::Hybrid);
         let comp = largest_packed(mask, &mut scratch.blob_bits, &mut scratch.label, timings);
-        self.blob_signature(comp.as_ref(), scratch, timings)
+        self.blob_signature(comp.as_ref(), None, scratch, timings)
     }
 
     /// Extracts a signature from a raw frame (enrollment path, untimed).
@@ -449,7 +454,7 @@ impl RecognitionPipeline {
         let mut timings = StageTimings::default();
         let comp = self.largest_blob(frame, &mut scratch, &mut timings);
         let stats = self
-            .blob_signature(comp.as_ref(), &mut scratch, &mut timings)
+            .blob_signature(comp.as_ref(), None, &mut scratch, &mut timings)
             .map_err(FrameFailure::into_signature_error)?;
         Ok(ShapeSignature {
             series: scratch.sig.series().to_vec(),
@@ -588,7 +593,7 @@ impl RecognitionPipeline {
     ) -> FrameRead<'a> {
         let mut timings = StageTimings::default();
         let component = self.largest_blob(frame, scratch, &mut timings);
-        self.read_from_blob(scratch, component, decide, timings)
+        self.read_from_blob(scratch, component, None, decide, timings)
     }
 
     /// [`RecognitionPipeline::read_with`] of a frame that arrives already
@@ -596,7 +601,9 @@ impl RecognitionPipeline {
     /// pixels are all 0 or 255, such as one rasterised straight into mask
     /// words. Labelling starts from it, so the frame, the binarise and the
     /// pack are skipped; everything from the largest component on is
-    /// `read_with`'s own code.
+    /// `read_with`'s own code. A mask whose only component is the
+    /// silhouette, the usual case, is its own blob: it is traced where it
+    /// is, and the scratch's blob buffer is neither written nor grown.
     ///
     /// # Panics
     /// Panics unless the pipeline segments every 0/255 frame to exactly its
@@ -618,32 +625,38 @@ impl RecognitionPipeline {
             self.config
         );
         let mut timings = StageTimings::default();
-        let component = largest_packed(
+        let t = Instant::now();
+        let largest = largest_component_packed_lazy(
             mask,
+            Connectivity::Eight,
             &mut scratch.blob_bits,
             &mut scratch.label,
-            &mut timings,
         );
-        self.read_from_blob(scratch, component, decide, timings)
+        timings.component_us = t.elapsed().as_micros() as u64;
+        let (component, whole) = match largest {
+            Some((c, copied)) => (Some(c), (!copied).then_some(mask)),
+            None => (None, None),
+        };
+        self.read_from_blob(scratch, component, whole, decide, timings)
     }
 
     /// The shared back of both reads: with `decide`, continue from the blob
-    /// `component` left in the scratch through area floor → contour →
-    /// signature → SAX match.
+    /// `component` (left in the scratch, or `whole`) through area floor →
+    /// contour → signature → SAX match.
     fn read_from_blob<'a>(
         &'a self,
         scratch: &mut FrameScratch,
         component: Option<Component>,
+        whole: Option<&BitMask>,
         decide: bool,
         mut timings: StageTimings,
     ) -> FrameRead<'a> {
-        let result =
-            decide.then(
-                || match self.blob_signature(component.as_ref(), scratch, &mut timings) {
-                    Ok(stats) => self.classify_pass(scratch, stats, timings),
-                    Err(failure) => FrameResult::failed(timings, failure),
-                },
-            );
+        let result = decide.then(|| {
+            match self.blob_signature(component.as_ref(), whole, scratch, &mut timings) {
+                Ok(stats) => self.classify_pass(scratch, stats, timings),
+                Err(failure) => FrameResult::failed(timings, failure),
+            }
+        });
         FrameRead { component, result }
     }
 
@@ -920,6 +933,11 @@ mod tests {
             .iter()
             .map(|&az| render_sign(MarshallingSign::No, &ViewSpec::paper_default(az, 5.0, 3.0)))
             .collect();
+        // a figure with a stray speck: two components, so the mask read
+        // isolates the figure instead of reading the mask where it is
+        let mut specked = frames[0].clone();
+        specked.set(5, 5, 255);
+        frames.push(specked);
         let mut speck = GrayImage::new(640, 480);
         speck.set(10, 10, 255);
         frames.push(speck);
