@@ -26,9 +26,9 @@
 //! * **LRU eviction of idle gate state**: resident
 //!   [`hdc_vision::temporal::StreamRecognizer`] state is capacity-bounded
 //!   per shard; the least-recently-used idle stream is evicted (never one
-//!   with a frame in service), optionally spilling a
-//!   [`hdc_vision::temporal::GateCheckpoint`] so re-admission restores warm
-//!   gate state instead of paying cold full runs.
+//!   with a frame in service), its state optionally spilled by moving the
+//!   recogniser into a spill map so re-admission moves the warm gate state
+//!   back instead of paying cold full runs — no frame is copied.
 //! * **Frame-deadline shedding**: a frame whose service would start past
 //!   its arrival deadline is dropped *before* it touches the pipeline and
 //!   counted, bounding the latency of everything that is served.

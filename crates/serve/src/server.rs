@@ -39,7 +39,7 @@ use crate::arrivals::ArrivalSpec;
 use crate::trace::{sort_canonical, EventKind, ServeEvent};
 use hdc_raster::GrayImage;
 use hdc_runtime::{Micros, VirtualClock, WorkPool};
-use hdc_vision::temporal::{GateCheckpoint, GateCounters, StreamRecognizer, TemporalConfig};
+use hdc_vision::temporal::{GateCounters, StreamRecognizer, TemporalConfig};
 use hdc_vision::{FrameScratch, RecognitionPipeline};
 use std::collections::{HashMap, VecDeque};
 
@@ -106,9 +106,9 @@ pub struct ServeConfig {
     pub costs: CostModel,
     /// Temporal gate mode for the resident recognisers.
     pub gate: TemporalConfig,
-    /// Spill evicted gate state to a [`GateCheckpoint`] and restore on
-    /// re-admission (`false` = eviction discards state; re-admission
-    /// cold-starts).
+    /// Spill evicted gate state by moving the recogniser out of its slot,
+    /// and move it back on re-admission (`false` = eviction resets the
+    /// slot's recogniser in place; re-admission cold-starts).
     pub spill: bool,
 }
 
@@ -177,7 +177,8 @@ pub struct StreamServeStats {
     pub evicted: usize,
     /// Residency faults that installed fresh (cold) gate state.
     pub cold_starts: usize,
-    /// Residency faults that restored a spilled checkpoint.
+    /// Residency faults that moved this stream's spilled recogniser back
+    /// into a slot.
     pub restores: usize,
     /// How the temporal gate resolved this stream's served frames.
     pub gate: GateCounters,
@@ -250,7 +251,7 @@ impl ServeReport {
         cold_starts, cold_starts
     );
     stat_total!(
-        /// Total checkpoint restores.
+        /// Total spilled-recogniser restores.
         restores, restores
     );
 
@@ -327,7 +328,8 @@ struct ShardState<'a> {
     /// µtokens (1 frame = 1_000_000) and last-refill time per stream.
     buckets: HashMap<usize, (u64, Micros)>,
     resident: Vec<Resident>,
-    spilled: HashMap<usize, GateCheckpoint>,
+    /// Evicted streams' recognisers, moved out of their slots (spill on).
+    spilled: HashMap<usize, StreamRecognizer>,
     stats: HashMap<usize, StreamServeStats>,
     events: Vec<ServeEvent>,
     latencies: Vec<Micros>,
@@ -417,11 +419,13 @@ impl<'a> ShardState<'a> {
             self.resident[i].last_used_us = now;
             return (i, false);
         }
+        let spilled = self.spilled.remove(&stream);
+        let restored = spilled.is_some();
         let slot = if self.resident.len() < self.config.resident_cap {
             self.resident.push(Resident {
                 stream,
                 last_used_us: now,
-                rec: StreamRecognizer::new(self.config.gate),
+                rec: spilled.unwrap_or_else(|| StreamRecognizer::new(self.config.gate)),
             });
             self.resident.len() - 1
         } else {
@@ -435,10 +439,6 @@ impl<'a> ShardState<'a> {
                 .expect("resident_cap >= 1");
             let victim = self.resident[victim_slot].stream;
             debug_assert_ne!(victim, stream, "a stream cannot evict itself");
-            if self.config.spill {
-                let ck = self.resident[victim_slot].rec.checkpoint();
-                self.spilled.insert(victim, ck);
-            }
             self.stats.entry(victim).or_default().evicted += 1;
             self.push_event(
                 now,
@@ -448,13 +448,21 @@ impl<'a> ShardState<'a> {
                     victim: victim as u32,
                 },
             );
-            self.resident[victim_slot].stream = stream;
-            self.resident[victim_slot].last_used_us = now;
-            self.resident[victim_slot].rec.reset();
+            let r = &mut self.resident[victim_slot];
+            r.stream = stream;
+            r.last_used_us = now;
+            if self.config.spill {
+                // move, never copy: the victim's recogniser (buffers and
+                // all) waits in the spill map until its stream returns
+                let incoming = spilled.unwrap_or_else(|| StreamRecognizer::new(self.config.gate));
+                let evicted = std::mem::replace(&mut r.rec, incoming);
+                self.spilled.insert(victim, evicted);
+            } else {
+                r.rec.reset();
+            }
             victim_slot
         };
-        if let Some(ck) = self.spilled.remove(&stream) {
-            self.resident[slot].rec.restore(&ck);
+        if restored {
             self.stats.entry(stream).or_default().restores += 1;
             self.push_event(now, stream, frame, EventKind::Restore);
         } else {

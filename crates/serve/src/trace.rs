@@ -41,11 +41,11 @@ pub enum EventKind {
         /// The stream whose resident gate state was discarded/spilled.
         victim: u32,
     },
-    /// The serving stream faulted in with no spilled checkpoint: fresh gate
+    /// The serving stream faulted in with no spilled recogniser: fresh gate
     /// state (its next frame pays a full pipeline run).
     ColdStart,
-    /// The serving stream faulted in and its spilled checkpoint was
-    /// restored: warm gate state survives eviction.
+    /// The serving stream faulted in and its spilled recogniser was moved
+    /// back into a slot: warm gate state survives eviction.
     Restore,
     /// Service of the frame began.
     Start,

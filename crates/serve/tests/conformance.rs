@@ -128,12 +128,19 @@ fn overload_degrades_by_shedding_with_bounded_decided_latency() {
 /// incremental gate (the one the serving fleet runs) when its cached masks
 /// are spilled and restored. A cold start under a tolerance gate need not
 /// reproduce a reused decision, so incremental without spill is left out.
+///
+/// With spill on, the spilled recogniser must also take the uninterrupted
+/// stream's gate path counter for counter: each stream's served
+/// `GateCounters` equal the replay's. `resident_cap = 1` makes every
+/// interleaved frame a residency fault.
 #[test]
 fn eviction_and_readmission_are_decision_equivalent_to_an_uninterrupted_stream() {
-    for (gate, spill) in [
-        (TemporalConfig::strict(), true),
-        (TemporalConfig::strict(), false),
-        (TemporalConfig::incremental(), true),
+    for (gate, spill, resident_cap) in [
+        (TemporalConfig::strict(), true, 3),
+        (TemporalConfig::strict(), false, 3),
+        (TemporalConfig::incremental(), true, 3),
+        (TemporalConfig::strict(), true, 1),
+        (TemporalConfig::incremental(), true, 1),
     ] {
         let mut w = steady();
         w.config.gate = gate;
@@ -141,9 +148,12 @@ fn eviction_and_readmission_are_decision_equivalent_to_an_uninterrupted_stream()
         // shrink so the replay stays cheap but eviction still churns
         w.arrivals.streams = 8;
         w.arrivals.frames_per_stream = 24;
-        w.config.resident_cap = 3;
+        w.config.resident_cap = resident_cap;
         let report = run(&w, 2);
         assert!(report.evictions() > 0, "the property needs real churn");
+        if spill {
+            assert!(report.restores() > 0, "spilled state must come back");
+        }
 
         let pipeline = golden_pipeline();
         let frame_sets = golden_frame_sets();
@@ -169,7 +179,17 @@ fn eviction_and_readmission_are_decision_equivalent_to_an_uninterrupted_stream()
                     .clone();
                 assert_eq!(
                     &fresh, served_label,
-                    "stream {stream} frame {frame} diverged ({:?}, spill={spill})",
+                    "stream {stream} frame {frame} diverged \
+                     ({:?}, spill={spill}, resident_cap={resident_cap})",
+                    gate.mode
+                );
+            }
+            if spill {
+                assert_eq!(
+                    report.per_stream[stream].gate,
+                    rec.counters(),
+                    "stream {stream} took a different gate path \
+                     ({:?}, resident_cap={resident_cap})",
                     gate.mode
                 );
             }

@@ -320,7 +320,9 @@ pub struct StreamRecognizer {
     /// The cached silhouette mask (incremental mode): always bit-identical
     /// to segmenting the last missed frame from scratch, patched in place
     /// on dirty row-bands. Lives here, not in [`FrameScratch`], because a
-    /// scratch is shared across every stream a worker serves.
+    /// scratch is shared across every stream a worker serves; a serving
+    /// layer spills it with the rest of the gate state by moving the
+    /// whole recogniser, so an eviction never copies it.
     cached_mask: BitMask,
     /// Cached morphology planes (incremental mode with denoise): the
     /// erode/open outputs matching `cached_mask`, band-patched alongside it.
@@ -632,157 +634,11 @@ impl StreamRecognizer {
     }
 }
 
-/// A portable snapshot of a [`StreamRecognizer`]'s semantic gate state: the
-/// cached decision, the reference/previous frames with their digests, the
-/// reference signature and the cached masks — everything the reuse ladder
-/// consults, and nothing it doesn't (scratch buffers like the per-tile
-/// mask-diff output stay with the recogniser).
-///
-/// This is what a serving layer spills when it evicts an idle stream's gate
-/// state under a residency bound: [`StreamRecognizer::checkpoint`] captures
-/// the state, [`StreamRecognizer::restore`] later rehydrates *any*
-/// recogniser with the same [`TemporalConfig`], and the restored stream
-/// behaves byte-for-byte as if it had never been evicted (pinned by test).
-#[derive(Debug, Clone)]
-pub struct GateCheckpoint {
-    config: TemporalConfig,
-    cached: Option<Recognition>,
-    reference: GrayImage,
-    has_reference: bool,
-    reference_hash: u64,
-    reference_sig: Vec<f64>,
-    has_reference_sig: bool,
-    prev: GrayImage,
-    prev_fingerprint: u64,
-    has_prev: bool,
-    cached_mask: BitMask,
-    cached_eroded: BitMask,
-    cached_opened: BitMask,
-    has_cached_mask: bool,
-}
-
-impl GateCheckpoint {
-    /// The gate configuration the checkpoint was taken under (restore
-    /// targets must match it exactly).
-    pub fn config(&self) -> &TemporalConfig {
-        &self.config
-    }
-
-    /// Approximate heap footprint in bytes — lets an eviction spill store
-    /// budget itself instead of guessing.
-    pub fn approx_bytes(&self) -> usize {
-        let mask_bytes = if self.has_cached_mask {
-            (self.cached_mask.words().len()
-                + self.cached_eroded.words().len()
-                + self.cached_opened.words().len())
-                * std::mem::size_of::<u64>()
-        } else {
-            0
-        };
-        self.reference.pixel_count()
-            + self.prev.pixel_count()
-            + self.reference_sig.len() * std::mem::size_of::<f64>()
-            + mask_bytes
-    }
-}
-
-/// An absent frame snapshot costs one pixel, not a whole frame.
-fn snap_frame(frame: &GrayImage, present: bool) -> GrayImage {
-    if present {
-        frame.clone()
-    } else {
-        GrayImage::new(1, 1)
-    }
-}
-
 /// Copies `src` into the reusable buffer `dst` without reallocating when
 /// the dimensions already match.
 fn copy_frame_into(dst: &mut GrayImage, src: &GrayImage) {
     dst.reset_dimensions(src.width(), src.height());
     dst.pixels_mut().copy_from_slice(src.pixels());
-}
-
-/// An absent mask snapshot costs one word, not a whole mask plane.
-fn snap_mask(mask: &BitMask, present: bool) -> BitMask {
-    if present {
-        mask.clone()
-    } else {
-        BitMask::new(1, 1)
-    }
-}
-
-/// Copies `src` into the reusable mask buffer `dst` without reallocating
-/// when the dimensions already match.
-fn copy_mask_into(dst: &mut BitMask, src: &BitMask) {
-    dst.reset_dimensions(src.width(), src.height());
-    dst.words_mut().copy_from_slice(src.words());
-}
-
-impl StreamRecognizer {
-    /// Captures the semantic gate state for later [`StreamRecognizer::restore`].
-    /// Counters are *not* part of the snapshot: they are cumulative
-    /// per-recogniser bookkeeping, and serving layers attribute them
-    /// per-stream via [`GateCounters::since`] snapshots instead.
-    pub fn checkpoint(&self) -> GateCheckpoint {
-        GateCheckpoint {
-            config: self.config,
-            cached: self.cached.clone(),
-            reference: snap_frame(&self.reference, self.has_reference),
-            has_reference: self.has_reference,
-            reference_hash: self.reference_hash,
-            reference_sig: if self.has_reference_sig {
-                self.reference_sig.clone()
-            } else {
-                Vec::new()
-            },
-            has_reference_sig: self.has_reference_sig,
-            prev: snap_frame(&self.prev, self.has_prev),
-            prev_fingerprint: self.prev_fingerprint,
-            has_prev: self.has_prev,
-            cached_mask: snap_mask(&self.cached_mask, self.has_cached_mask),
-            cached_eroded: snap_mask(&self.cached_eroded, self.has_cached_mask),
-            cached_opened: snap_mask(&self.cached_opened, self.has_cached_mask),
-            has_cached_mask: self.has_cached_mask,
-        }
-    }
-
-    /// Rehydrates this recogniser from a checkpoint, reusing its grown
-    /// buffers (no reallocation when frame dimensions match). Counters keep
-    /// counting across the restore, exactly as they do across
-    /// [`StreamRecognizer::reset`].
-    ///
-    /// # Panics
-    /// Panics if the checkpoint was taken under a different
-    /// [`TemporalConfig`] — restoring strict-gate state into an incremental
-    /// gate (or with different tolerances) would silently change semantics.
-    pub fn restore(&mut self, ck: &GateCheckpoint) {
-        assert!(
-            self.config == ck.config,
-            "gate-state checkpoint config mismatch: recogniser {:?} vs checkpoint {:?}",
-            self.config,
-            ck.config
-        );
-        self.cached = ck.cached.clone();
-        self.has_reference = ck.has_reference;
-        if ck.has_reference {
-            copy_frame_into(&mut self.reference, &ck.reference);
-        }
-        self.reference_hash = ck.reference_hash;
-        self.reference_sig.clear();
-        self.reference_sig.extend_from_slice(&ck.reference_sig);
-        self.has_reference_sig = ck.has_reference_sig;
-        self.has_prev = ck.has_prev;
-        if ck.has_prev {
-            copy_frame_into(&mut self.prev, &ck.prev);
-        }
-        self.prev_fingerprint = ck.prev_fingerprint;
-        self.has_cached_mask = ck.has_cached_mask;
-        if ck.has_cached_mask {
-            copy_mask_into(&mut self.cached_mask, &ck.cached_mask);
-            copy_mask_into(&mut self.cached_eroded, &ck.cached_eroded);
-            copy_mask_into(&mut self.cached_opened, &ck.cached_opened);
-        }
-    }
 }
 
 /// `‖a − b‖ ≤ eps`, with an early exit once the running sum exceeds `eps²`
@@ -1041,82 +897,6 @@ mod tests {
         let dd = d.plus(&d);
         assert_eq!(dd.evaluated(), 6);
         assert_eq!(dd.since(&d), d);
-    }
-
-    #[test]
-    fn checkpoint_restore_is_transparent_mid_stream() {
-        // Run a mixed stream; at the midpoint, checkpoint, restore into a
-        // FRESH recogniser, and continue both. The restored recogniser must
-        // match the uninterrupted one decision-for-decision and gate-path-
-        // for-gate-path (counter deltas equal) in every mode.
-        let p = calibrated();
-        let view = ViewSpec::paper_default(0.0, 5.0, 3.0);
-        let mut frames = Vec::new();
-        for sign in MarshallingSign::ALL {
-            let f = render_sign(sign, &view);
-            frames.push(jittered(&f, 3));
-            frames.push(f.clone());
-            frames.push(f);
-        }
-        for config in [
-            TemporalConfig::off(),
-            TemporalConfig::strict(),
-            TemporalConfig::incremental(),
-        ] {
-            let mut s1 = FrameScratch::new();
-            let mut s2 = FrameScratch::new();
-            let mut uninterrupted = StreamRecognizer::new(config);
-            let mut first_half = StreamRecognizer::new(config);
-            let mid = frames.len() / 2;
-            for f in &frames[..mid] {
-                let a = uninterrupted.recognize(&p, &mut s1, f).clone();
-                let b = first_half.recognize(&p, &mut s2, f).clone();
-                assert_eq!(a, b);
-            }
-            let ck = first_half.checkpoint();
-            let mut resumed = StreamRecognizer::new(config);
-            resumed.restore(&ck);
-            let before_a = uninterrupted.counters();
-            let before_b = resumed.counters();
-            for f in &frames[mid..] {
-                let a = uninterrupted.recognize(&p, &mut s1, f).clone();
-                let b = resumed.recognize(&p, &mut s2, f).clone();
-                assert_eq!(a, b, "restored stream diverged ({config:?})");
-            }
-            assert_eq!(
-                uninterrupted.counters().since(&before_a),
-                resumed.counters().since(&before_b),
-                "restored stream took a different gate path ({config:?})"
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoint_of_a_fresh_recognizer_is_tiny_and_restores_to_cold() {
-        let p = calibrated();
-        let mut scratch = FrameScratch::new();
-        let cold = StreamRecognizer::new(TemporalConfig::strict());
-        let ck = cold.checkpoint();
-        assert!(
-            ck.approx_bytes() <= 2,
-            "empty checkpoint must not carry frame buffers ({} bytes)",
-            ck.approx_bytes()
-        );
-        // a warmed recogniser restored from the cold checkpoint recomputes
-        let mut rec = StreamRecognizer::new(TemporalConfig::strict());
-        let frame = yes_frame();
-        rec.recognize(&p, &mut scratch, &frame);
-        rec.restore(&ck);
-        rec.recognize(&p, &mut scratch, &frame);
-        assert_eq!(rec.counters().full_runs, 2);
-        assert_eq!(rec.counters().strict_hits, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "config mismatch")]
-    fn restore_rejects_a_mismatched_config() {
-        let ck = StreamRecognizer::new(TemporalConfig::strict()).checkpoint();
-        StreamRecognizer::new(TemporalConfig::incremental()).restore(&ck);
     }
 
     #[test]
