@@ -8,19 +8,19 @@
 //! sign stream the pipeline benchmarks use, one timed call per frame,
 //! averaged over enough iterations to be stable.
 //!
-//! The `binarize` row times the production hybrid entry (byte compare,
-//! then one gather-multiply pack into mask words) against the byte form.
+//! The `binarize` row times the production hybrid entry
+//! ([`binarize_packed_into`]: each 64-pixel chunk byte-compared, then
+//! gathered into one mask word) against the byte form.
 //! Kernels with no committed byte implementation (the temporal gate's mask
 //! diff pair) are compared against the naive per-pixel loop they replace.
 
 use crate::frames::sign_stream;
 use hdc_raster::diff::{mask_diff_count, mask_tile_diff_into};
 use hdc_raster::morphology::{dilate_into, dilate_packed_into, erode_into, erode_packed_into};
-use hdc_raster::threshold::{binarize_bytes_into, binarize_into};
+use hdc_raster::threshold::{binarize_into, binarize_packed_into};
 use hdc_raster::{
     largest_component_packed_with, largest_component_with, trace_outer_contour_into,
-    trace_outer_contour_packed_into, BitMask, Bitmap, Connectivity, ContourPoint, GrayImage,
-    LabelScratch,
+    trace_outer_contour_packed_into, BitMask, Bitmap, Connectivity, ContourPoint, LabelScratch,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -34,13 +34,6 @@ const THRESHOLD: u8 = 128;
 /// default.
 const TILE: u32 = 16;
 
-/// The production binarise into the packed layout: byte compare into the
-/// reusable 0/1 image `bytes`, then one gather-multiply pack into `out`.
-fn binarize_hybrid_into(frame: &GrayImage, bytes: &mut GrayImage, out: &mut BitMask) {
-    binarize_bytes_into(frame, THRESHOLD, bytes);
-    out.pack_from_bytes(bytes);
-}
-
 /// One kernel's byte-vs-packed timing at the benchmark resolution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelResult {
@@ -49,7 +42,7 @@ pub struct KernelResult {
     /// Mean nanoseconds per frame for the byte-per-pixel implementation.
     pub byte_ns: f64,
     /// Mean nanoseconds per frame for the bit-packed implementation (for
-    /// `binarize`, the hybrid byte-compare-then-pack entry).
+    /// `binarize`, the hybrid entry [`binarize_packed_into`]).
     pub packed_ns: f64,
 }
 
@@ -106,14 +99,13 @@ pub fn run_kernel_bench(width: u32, height: u32, iters: usize) -> Vec<KernelResu
     let n = frames.len();
 
     // Pre-binarised inputs for every downstream kernel, both layouts.
-    let mut bytes = GrayImage::new(width, height);
     let mut byte_masks: Vec<Bitmap> = Vec::with_capacity(n);
     let mut packed_masks: Vec<BitMask> = Vec::with_capacity(n);
     for f in &frames {
         let mut m = Bitmap::new(width, height);
         binarize_into(f, THRESHOLD, &mut m);
         let mut p = BitMask::new(width, height);
-        binarize_hybrid_into(f, &mut bytes, &mut p);
+        binarize_packed_into(f, THRESHOLD, &mut p);
         byte_masks.push(m);
         packed_masks.push(p);
     }
@@ -148,7 +140,7 @@ pub fn run_kernel_bench(width: u32, height: u32, iters: usize) -> Vec<KernelResu
         }),
         packed_ns: time_per_frame(n, iters, || {
             for f in &frames {
-                binarize_hybrid_into(f, &mut bytes, &mut out_p);
+                binarize_packed_into(f, THRESHOLD, &mut out_p);
                 black_box(&out_p);
             }
         }),
@@ -273,11 +265,10 @@ mod tests {
     #[test]
     fn naive_tile_diff_matches_packed() {
         let frames = sign_stream(130, 96);
-        let mut bytes = GrayImage::new(1, 1);
         let mut a = BitMask::new(130, 96);
         let mut b = BitMask::new(130, 96);
-        binarize_hybrid_into(&frames[0], &mut bytes, &mut a);
-        binarize_hybrid_into(&frames[1], &mut bytes, &mut b);
+        binarize_packed_into(&frames[0], THRESHOLD, &mut a);
+        binarize_packed_into(&frames[1], THRESHOLD, &mut b);
         let mut ab = Bitmap::new(130, 96);
         let mut bb = Bitmap::new(130, 96);
         binarize_into(&frames[0], THRESHOLD, &mut ab);

@@ -8,8 +8,9 @@
 //! bit `x % 64` of word `x / 64` of its row), with rows padded to whole
 //! words. On top of that layout the pipeline kernels become word-parallel:
 //!
-//! * binarisation is a vectorised byte compare followed by one
-//!   gather-multiply pack into mask words ([`BitMask::pack_from_bytes`]);
+//! * binarisation compares each 64-pixel chunk into a stack buffer of
+//!   0/1 bytes and gathers it into one mask word
+//!   ([`crate::threshold::binarize_packed_into`]);
 //!   a binary silhouette skips both, rasterised straight into the words
 //!   as row runs ([`crate::draw::SpanSink`]),
 //! * erosion/dilation are shift-AND / shift-OR across word boundaries
@@ -38,8 +39,7 @@
 //! assert_eq!(BitMask::from_bitmap(&bytes), m);
 //! ```
 
-use crate::digest::Fnv1a64;
-use crate::image::{Bitmap, GrayImage};
+use crate::image::Bitmap;
 
 /// Pixels per storage word.
 pub const WORD_BITS: usize = 64;
@@ -233,27 +233,6 @@ impl BitMask {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// FNV-1a/64 fingerprint of the dimensions plus every `row_stride`-th
-    /// row's words — the packed analogue of the temporal gate's sampled-row
-    /// frame fingerprint, touching ⅛ of the bytes the byte-mask version
-    /// hashes. Byte-identical masks always collide (callers verify with a
-    /// word compare).
-    ///
-    /// # Panics
-    /// Panics if `row_stride` is zero.
-    pub fn fingerprint_sampled(&self, row_stride: usize) -> u64 {
-        assert!(row_stride > 0, "row stride must be positive");
-        let mut h = Fnv1a64::new();
-        h.write(&self.width.to_le_bytes());
-        h.write(&self.height.to_le_bytes());
-        for y in (0..self.height).step_by(row_stride) {
-            for w in self.row(y) {
-                h.write(&w.to_le_bytes());
-            }
-        }
-        h.finish()
-    }
-
     /// Packs a byte-per-pixel mask, re-dimensioning `self` to match (the
     /// allocation-free bridge from the byte world).
     pub fn pack_from(&mut self, mask: &Bitmap) {
@@ -276,60 +255,32 @@ impl BitMask {
         out
     }
 
-    /// Packs a 0/1 byte image (as produced by
-    /// [`crate::threshold::binarize_bytes_into`]), re-dimensioning `self`
-    /// to match. Unlike [`BitMask::pack_from`], the `u8` source rows chunk
-    /// into plain little-endian word loads, so each gather multiply is fed
-    /// by one 8-byte load instead of eight bool-to-byte conversions — this
-    /// is the fast half of the hybrid binarise-then-pack path.
-    ///
-    /// Every source byte must be 0 or 1; larger values would carry across
-    /// gather lanes and corrupt neighbouring bits (debug-asserted).
-    pub fn pack_from_bytes(&mut self, mask: &GrayImage) {
-        self.reset_dimensions(mask.width(), mask.height());
-        let w = mask.width() as usize;
-        let wpr = self.words_per_row;
-        for (dst_row, src_row) in self
-            .words
-            .chunks_exact_mut(wpr)
-            .zip(mask.pixels().chunks_exact(w))
-        {
-            pack_unit_row(src_row, dst_row, wpr);
-        }
-    }
-
-    /// Band-restricted [`BitMask::pack_from_bytes`]: repacks only rows
-    /// `[row_lo, row_hi)` of the 0/1 byte image into the matching rows of
-    /// this cached mask, leaving every other row untouched. This is the
-    /// hybrid-path patch primitive of the incremental recognition ladder.
-    /// Never re-dimensions `self`.
+    /// Copies rows `[row_lo, row_hi)` of `src` into the same rows of this
+    /// mask, leaving every other row untouched: the incremental
+    /// recognition ladder's patch primitive, which moves the dirty bands
+    /// of a freshly segmented frame into its cached mask. Never
+    /// re-dimensions `self`.
     ///
     /// # Panics
     /// Panics if the dimensions differ or the band is reversed or out of
     /// bounds.
-    pub fn pack_from_bytes_band(&mut self, mask: &GrayImage, row_lo: u32, row_hi: u32) {
+    pub fn copy_rows_from(&mut self, src: &BitMask, row_lo: u32, row_hi: u32) {
         assert!(
-            self.width == mask.width() && self.height == mask.height(),
-            "band pack requires a cached mask matching the image: {}x{} vs {}x{}",
+            self.width == src.width && self.height == src.height,
+            "row copy requires masks of one size: {}x{} vs {}x{}",
             self.width,
             self.height,
-            mask.width(),
-            mask.height()
+            src.width,
+            src.height
         );
         assert!(
             row_lo <= row_hi && row_hi <= self.height,
             "band [{row_lo}, {row_hi}) must lie inside height {}",
             self.height
         );
-        let w = mask.width() as usize;
         let wpr = self.words_per_row;
-        let (lo, hi) = (row_lo as usize, row_hi as usize);
-        for (dst_row, src_row) in self.words[lo * wpr..hi * wpr]
-            .chunks_exact_mut(wpr)
-            .zip(mask.pixels()[lo * w..hi * w].chunks_exact(w))
-        {
-            pack_unit_row(src_row, dst_row, wpr);
-        }
+        let band = row_lo as usize * wpr..row_hi as usize * wpr;
+        self.words[band.clone()].copy_from_slice(&src.words[band]);
     }
 
     /// Unpacks into a byte-per-pixel mask, re-dimensioning `out` to match.
@@ -355,40 +306,20 @@ impl BitMask {
     }
 }
 
+/// Packs 64 0/1 bytes into one mask word (byte `k` lands at bit `k`):
+/// eight pairwise-combined gathers, so the multiplies pipeline instead of
+/// waiting on one OR chain.
+#[inline]
+pub(crate) fn pack_unit_word(unit: &[u8; WORD_BITS]) -> u64 {
+    let g = |o: usize| gather_unit_bytes(&unit[o..o + 8]);
+    let lo = g(0) | (g(8) << 8) | (g(16) << 16) | (g(24) << 24);
+    let hi = (g(32) << 32) | (g(40) << 40) | (g(48) << 48) | (g(56) << 56);
+    lo | hi
+}
+
 /// Gathers eight 0/1 bytes into the low 8 bits of the result: one
 /// little-endian word load and one overflowing multiply (byte `k` of the
 /// load lands at bit `k`).
-///
-/// # Panics
-/// Panics if `b` is not exactly 8 bytes.
-/// Packs one row of 0/1 bytes into its words: full 64-byte chunks go
-/// through eight pairwise-combined gathers (no loop-carried OR chain, so
-/// the multiplies pipeline), the ragged tail through byte-at-a-time bits.
-#[inline]
-fn pack_unit_row(src_row: &[u8], dst_row: &mut [u64], wpr: usize) {
-    let mut full = src_row.chunks_exact(WORD_BITS);
-    for (word, chunk) in dst_row.iter_mut().zip(full.by_ref()) {
-        let g = |o: usize| gather_unit_bytes(&chunk[o..o + 8]);
-        let lo = g(0) | (g(8) << 8) | (g(16) << 16) | (g(24) << 24);
-        let hi = (g(32) << 32) | (g(40) << 40) | (g(48) << 48) | (g(56) << 56);
-        *word = lo | hi;
-    }
-    let tail = full.remainder();
-    if !tail.is_empty() {
-        let mut packed = 0u64;
-        let mut bytes = tail.chunks_exact(8);
-        for (k, b) in bytes.by_ref().enumerate() {
-            packed |= gather_unit_bytes(b) << (8 * k);
-        }
-        let tail_base = tail.len() - bytes.remainder().len();
-        for (i, &p) in bytes.remainder().iter().enumerate() {
-            debug_assert!(p <= 1, "source bytes must be 0 or 1");
-            packed |= u64::from(p) << (tail_base + i);
-        }
-        dst_row[wpr - 1] = packed;
-    }
-}
-
 #[inline]
 fn gather_unit_bytes(b: &[u8]) -> u64 {
     const GATHER: u64 = 0x0102_0408_1020_4080;
@@ -505,40 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn pack_from_bytes_matches_pack_from_bool() {
-        for (w, h, salt) in [
-            (1u32, 1u32, 3u64),
-            (63, 2, 5),
-            (64, 3, 7),
-            (65, 2, 9),
-            (190, 4, 11),
-        ] {
-            let b = speckled(w, h, salt);
-            let mut bytes = GrayImage::new(w, h);
-            for (dst, src) in bytes.pixels_mut().iter_mut().zip(b.pixels()) {
-                *dst = u8::from(*src);
-            }
-            let mut from_bytes = BitMask::new(1, 1);
-            from_bytes.pack_from_bytes(&bytes);
-            assert_eq!(from_bytes, BitMask::from_bitmap(&b), "{w}x{h}");
-        }
-    }
-
-    #[test]
-    fn pack_from_bytes_band_patches_only_the_band() {
+    fn copy_rows_from_patches_only_the_band() {
         for (w, h) in [(70u32, 9u32), (64, 6), (13, 4)] {
             let a = speckled(w, h, 41);
             let b = speckled(w, h, 97);
-            let to_bytes = |m: &Bitmap| {
-                let mut img = GrayImage::new(w, h);
-                for (dst, src) in img.pixels_mut().iter_mut().zip(m.pixels()) {
-                    *dst = u8::from(*src);
-                }
-                img
-            };
             let (lo, hi) = (h / 3, 2 * h / 3 + 1);
             let mut cached = BitMask::from_bitmap(&a);
-            cached.pack_from_bytes_band(&to_bytes(&b), lo, hi);
+            cached.copy_rows_from(&BitMask::from_bitmap(&b), lo, hi);
             for y in 0..h {
                 let oracle = if (lo..hi).contains(&y) { &b } else { &a };
                 for x in 0..w {
@@ -583,20 +487,6 @@ mod tests {
         m.reset_dimensions(200, 100);
         assert_eq!(m.words.capacity(), cap);
         assert_eq!(m.words.len(), m.words_per_row() * 100);
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_and_samples() {
-        let a = BitMask::from_bitmap(&speckled(100, 40, 1));
-        let b = BitMask::from_bitmap(&speckled(100, 40, 2));
-        assert_ne!(a.fingerprint_sampled(1), b.fingerprint_sampled(1));
-        assert_eq!(a.fingerprint_sampled(4), a.clone().fingerprint_sampled(4));
-        // a change in an unsampled row is invisible at that stride …
-        let mut c = a.clone();
-        c.set(0, 1, !c.get(0, 1).unwrap());
-        assert_eq!(a.fingerprint_sampled(4), c.fingerprint_sampled(4));
-        // … and visible at stride 1
-        assert_ne!(a.fingerprint_sampled(1), c.fingerprint_sampled(1));
     }
 
     #[test]

@@ -1,18 +1,12 @@
 //! FNV-1a/64 hashing of raw byte slices.
 //!
-//! One digest, two consumers: `hdc-sim` hashes canonical scenario traces
-//! into the golden digests committed under `tests/golden/`, and the vision
-//! layer's strict temporal gate fingerprints frames so frame-identity
-//! checks are hash-then-verify (compare the cached 8-byte digest first, run
-//! the full `memcmp` only on a digest match) instead of always a full
-//! compare. FNV-1a is the right tool for both: dependency-free, byte-order
-//! stable, and deterministic.
-//!
-//! The multiply-per-byte dependency chain makes FNV roughly 1 GB/s, so
-//! hashing a whole VGA frame would cost as much as recognising it; callers
-//! that gate on large buffers should hash a sparse sample through the
-//! streaming [`Fnv1a64`] (the strict gate samples every 16th row) and let
-//! the verifier do the exact work.
+//! Its consumers hash canonical traces into committed digests: `hdc-sim`
+//! for the golden scenario digests under `tests/golden/`, and `hdc-serve`
+//! for the serve goldens. FNV-1a is the right tool for that:
+//! dependency-free, byte-order stable, and deterministic. It is not a
+//! frame-identity check: its multiply-per-byte dependency chain runs at
+//! roughly 1 GB/s, slower than comparing two frames byte for byte, so the
+//! temporal gate proves identity with a plain slice compare.
 
 /// Streaming FNV-1a/64: feed any number of byte slices, then
 /// [`Fnv1a64::finish`]. Hashing the concatenation of the fed slices through

@@ -13,7 +13,7 @@
 //! * Moore-neighbour [`contour`] tracing,
 //! * binary [`morphology`] (erode / dilate / open / close),
 //! * tiled mask differencing for temporal-coherence gating ([`diff`]),
-//! * FNV-1a/64 [`digest`]s of raw byte slices (frame identity, golden traces),
+//! * FNV-1a/64 [`digest`]s of raw byte slices (golden trace digests),
 //! * sensor [`noise`] models,
 //! * portable-anymap [`io`] (PGM) plus ASCII-art dumps for debugging.
 //!

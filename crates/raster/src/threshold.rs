@@ -1,5 +1,6 @@
 //! Binarisation.
 
+use crate::bitmask::{pack_unit_word, BitMask, WORD_BITS};
 use crate::image::{Bitmap, GrayImage};
 
 /// Binarises with a fixed threshold: pixels **strictly above** `t` become
@@ -33,16 +34,42 @@ pub fn binarize_into(img: &GrayImage, t: u8, out: &mut Bitmap) {
     }
 }
 
-/// [`binarize`] into a byte-per-pixel 0/1 image: the front half of the
-/// hybrid binarise-then-pack path. The straight byte compare is the form
-/// the compiler vectorises best — one SIMD compare per register of pixels —
-/// and the 0/1 `u8` output (unlike `bool`) can be reloaded eight lanes at a
-/// time by [`crate::BitMask::pack_from_bytes`] with plain word loads.
-pub fn binarize_bytes_into(img: &GrayImage, t: u8, out: &mut GrayImage) {
+/// [`binarize`] straight into a bit-packed mask (re-dimensioned to match,
+/// every word overwritten): the segmentation kernel of the hybrid path.
+/// Each 64-pixel chunk of a row is compared into a stack buffer of 0/1
+/// bytes — the straight byte compare the compiler vectorises — and that
+/// buffer is gathered into one mask word, so the frame is read once and no
+/// byte plane is written. A row's ragged tail goes through the same gather
+/// with its missing pixels left at 0, which keeps the tail invariant.
+pub fn binarize_packed_into(img: &GrayImage, t: u8, out: &mut BitMask) {
     out.reset_dimensions(img.width(), img.height());
-    for (dst, src) in out.pixels_mut().iter_mut().zip(img.pixels()) {
-        *dst = u8::from(*src > t);
+    let w = img.width() as usize;
+    let wpr = out.words_per_row();
+    for (dst_row, src_row) in out
+        .words_mut()
+        .chunks_exact_mut(wpr)
+        .zip(img.pixels().chunks_exact(w))
+    {
+        let mut full = src_row.chunks_exact(WORD_BITS);
+        for (word, chunk) in dst_row.iter_mut().zip(full.by_ref()) {
+            *word = pack_unit_word(&above(chunk, t));
+        }
+        let tail = full.remainder();
+        if !tail.is_empty() {
+            dst_row[wpr - 1] = pack_unit_word(&above(tail, t));
+        }
     }
+}
+
+/// One chunk of up to 64 pixels compared against `t` into 0/1 bytes;
+/// lanes past the chunk stay 0.
+#[inline]
+fn above(chunk: &[u8], t: u8) -> [u8; WORD_BITS] {
+    let mut unit = [0u8; WORD_BITS];
+    for (u, &p) in unit.iter_mut().zip(chunk) {
+        *u = u8::from(p > t);
+    }
+    unit
 }
 
 /// Computes Otsu's optimal global threshold from the image histogram.
@@ -108,17 +135,24 @@ mod tests {
     }
 
     #[test]
-    fn bytes_form_matches_bool_form() {
-        let mut img = GrayImage::new(130, 3);
-        for (i, p) in img.pixels_mut().iter_mut().enumerate() {
-            *p = (i * 37 % 256) as u8;
-        }
-        for t in [0u8, 127, 128, 200, 255] {
-            let bools = binarize(&img, t);
-            let mut bytes = GrayImage::new(1, 1);
-            binarize_bytes_into(&img, t, &mut bytes);
-            for (a, b) in bools.pixels().iter().zip(bytes.pixels()) {
-                assert_eq!(u8::from(*a), *b, "threshold {t}");
+    fn packed_form_matches_bool_form() {
+        for w in [1u32, 63, 64, 65, 640] {
+            let mut img = GrayImage::new(w, 3);
+            for (i, p) in img.pixels_mut().iter_mut().enumerate() {
+                *p = (i * 37 % 256) as u8;
+            }
+            // the extremes of the strict compare sit on the row edges
+            img.set(0, 0, 0);
+            img.set(w - 1, 1, 255);
+            img.set(w - 1, 2, 128);
+            for t in [0u8, 127, 128, 254, 255] {
+                let mut packed = BitMask::new(1, 1);
+                binarize_packed_into(&img, t, &mut packed);
+                assert_eq!(
+                    packed,
+                    BitMask::from_bitmap(&binarize(&img, t)),
+                    "{w} px, t {t}"
+                );
             }
         }
     }

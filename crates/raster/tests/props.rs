@@ -11,7 +11,7 @@ use hdc_raster::morphology::{
     close, close_packed_into, dilate, dilate_packed, dilate_reference, erode, erode_packed,
     erode_reference, open, open_packed_band_into, open_packed_into,
 };
-use hdc_raster::threshold::{binarize, binarize_bytes_into, otsu_threshold};
+use hdc_raster::threshold::{binarize, binarize_packed_into, otsu_threshold};
 use hdc_raster::{
     draw, label_components, label_components_bfs, label_components_packed, largest_component,
     largest_component_packed_lazy, largest_component_packed_with, largest_component_with, BitMask,
@@ -184,13 +184,11 @@ fn wide_gray() -> impl Strategy<Value = GrayImage> {
     })
 }
 
-/// The production (hybrid) binariser: vectorised byte compare, then one
-/// gather-multiply pack into the word layout.
+/// The production (hybrid) binariser: each 64-pixel chunk compared into
+/// 0/1 bytes and gathered straight into one mask word.
 fn hybrid_binarize(img: &GrayImage, t: u8) -> BitMask {
-    let mut bytes = GrayImage::new(1, 1);
-    binarize_bytes_into(img, t, &mut bytes);
     let mut packed = BitMask::new(1, 1);
-    packed.pack_from_bytes(&bytes);
+    binarize_packed_into(img, t, &mut packed);
     packed
 }
 
@@ -324,20 +322,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn packed_fingerprint_detects_any_flip(m in wide_mask(), bit in any::<u64>()) {
-        // Sampling every row (stride 1) must change the fingerprint for any
-        // single-pixel flip, because FNV-1a hashes every word.
-        let packed = BitMask::from_bitmap(&m);
-        let before = packed.fingerprint_sampled(1);
-        let x = (bit % u64::from(m.width())) as u32;
-        let y = ((bit / u64::from(m.width())) % u64::from(m.height())) as u32;
-        let mut flipped = packed.clone();
-        flipped.set(x, y, !flipped.get(x, y).unwrap());
-        prop_assert_ne!(before, flipped.fingerprint_sampled(1));
-        prop_assert_eq!(before, packed.fingerprint_sampled(1));
-    }
 }
 
 /// A frame pair for the band-patch properties: `cur` equals `prev` outside
@@ -371,14 +355,12 @@ proptest! {
     fn band_patched_binarise_matches_whole_frame(
         (prev, cur, lo, hi) in patch_case(), t in any::<u8>()
     ) {
-        // Band-packing the current frame's 0/1 bytes into a cache of the
-        // previous frame's mask (the incremental gate's patch) must land on
-        // the whole-frame mask of the current one.
+        // Copying the band rows of the current frame's fresh packed mask
+        // into a cache of the previous frame's mask (the incremental gate's
+        // patch) must land on the whole-frame mask of the current one.
         let oracle = BitMask::from_bitmap(&binarize(&cur, t));
-        let mut bytes = GrayImage::new(1, 1);
-        binarize_bytes_into(&cur, t, &mut bytes);
         let mut packed = BitMask::from_bitmap(&binarize(&prev, t));
-        packed.pack_from_bytes_band(&bytes, lo, hi);
+        packed.copy_rows_from(&hybrid_binarize(&cur, t), lo, hi);
         prop_assert_eq!(&packed, &oracle);
     }
 

@@ -6,7 +6,7 @@ use crate::signature::{
 };
 use crate::timing::StageTimings;
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
-use hdc_raster::threshold::{binarize_bytes_into, binarize_into, otsu_threshold};
+use hdc_raster::threshold::{binarize_into, binarize_packed_into, otsu_threshold};
 use hdc_raster::{
     largest_component_packed_lazy, largest_component_packed_with, largest_component_with,
     morphology, BitMask, Bitmap, Component, Connectivity, GrayImage, LabelScratch,
@@ -36,8 +36,8 @@ pub enum KernelPath {
     /// One byte per pixel ([`Bitmap`]): the original kernels.
     Byte,
     /// Byte-compare binarisation (one branch-free byte op per pixel, which
-    /// the compiler vectorises) followed by a single gather-multiply pack
-    /// into the [`BitMask`] layout, then the word-parallel
+    /// the compiler vectorises) gathered per 64-pixel chunk straight into
+    /// the [`BitMask`] layout, then the word-parallel
     /// morphology/labelling/contour kernels. Combines the fastest binariser
     /// with the fastest silhouette kernels.
     #[default]
@@ -224,9 +224,6 @@ pub struct FrameScratch {
     opened: Bitmap,
     /// Isolated largest-component mask.
     blob: Bitmap,
-    /// Binarised frame as 0/1 bytes ([`KernelPath::Hybrid`]'s pack input).
-    /// Crate-visible: the incremental ladder band-packs from it.
-    pub(crate) mask_u8: GrayImage,
     /// Binarised frame, bit-packed ([`KernelPath::Hybrid`]).
     /// Crate-visible: the incremental ladder diffs it against its cached
     /// mask and swaps it in on a whole-mask refresh.
@@ -253,7 +250,6 @@ impl FrameScratch {
             eroded: Bitmap::new(1, 1),
             opened: Bitmap::new(1, 1),
             blob: Bitmap::new(1, 1),
-            mask_u8: GrayImage::new(1, 1),
             mask_bits: BitMask::new(1, 1),
             eroded_bits: BitMask::new(1, 1),
             opened_bits: BitMask::new(1, 1),
@@ -413,19 +409,19 @@ impl RecognitionPipeline {
         }
     }
 
-    /// Whole-frame binarise into the packed scratch mask: a vectorised byte
-    /// compare into `mask_u8`, then one gather-multiply pack into
-    /// `mask_bits`. The segmentation half of the hybrid kernel arm, shared
-    /// with the incremental ladder's mask-level change detector (which
-    /// band-packs from `mask_u8` on a patch).
+    /// Whole-frame binarise straight into the packed scratch mask
+    /// `mask_bits`, one read of the frame and no byte plane
+    /// ([`binarize_packed_into`]). The segmentation half of the hybrid
+    /// kernel arm, shared with the incremental ladder's mask-level change
+    /// detector (which copies the dirty bands' rows of `mask_bits` into its
+    /// cached mask on a patch).
     pub(crate) fn segment_packed(
         &self,
         frame: &GrayImage,
         threshold: u8,
         scratch: &mut FrameScratch,
     ) {
-        binarize_bytes_into(frame, threshold, &mut scratch.mask_u8);
-        scratch.mask_bits.pack_from_bytes(&scratch.mask_u8);
+        binarize_packed_into(frame, threshold, &mut scratch.mask_bits);
     }
 
     /// The silhouette stages starting from an already-segmented (and, when

@@ -11,31 +11,31 @@
 //! checks:
 //!
 //! 1. **Strict gate** ([`GateMode::Strict`]): reuse the cached decision only
-//!    when the frame is *byte-identical* to the reference — identity is
-//!    hash-then-verify: a sparse fingerprint (the shared FNV-1a/64 digest of
-//!    `hdc_raster::digest` streamed over every 32nd pixel row) is compared
-//!    first, and the full `memcmp` runs only on a digest match. Identical
-//!    frames always produce identical fingerprints, so the gate never
-//!    misses a true repeat; a colliding fingerprint merely costs the
-//!    (SIMD-fast) compare. Sampling matters: FNV's byte-serial multiply
-//!    chain runs at ~1 GB/s, so hashing the *whole* VGA frame would cost
-//!    more than recognising it. The output is provably unchanged, so strict
+//!    when the frame is *byte-identical* to the reference. Identity is one
+//!    slice compare (`frame.pixels() == reference.pixels()`), which stops
+//!    at the first differing chunk: a repeat pays one vectorised `memcmp`
+//!    of the frame, and a changed camera frame, whose sensor noise already
+//!    reaches its first rows, bails out almost at once. No hash runs in
+//!    front of it: a byte-serial hash of even a sparse row sample costs
+//!    about half a full compare, and could only ever skip a compare that
+//!    fails early anyway. The output is provably unchanged, so strict
 //!    gating preserves the engine's byte-identical-at-any-worker-count
 //!    determinism contract.
 //! 2. **Incremental mask gate** ([`GateMode::Incremental`]): first the
-//!    same hash-then-verify identity check as the strict gate, against the
-//!    *previous* frame — camera oversampling makes byte-identical repeats
-//!    the most common frame of all, and identity implies every tolerance
-//!    holds. Otherwise binarise the frame with the hybrid kernels (byte
-//!    compare, then one pack into mask words), XOR-popcount the packed
-//!    mask against the cached mask per tile, and reuse the cached decision
-//!    while every tile stays within [`TemporalConfig::max_tile_mask_diff`]
-//!    bit flips. On a miss, the dirty tile rows are merged into row-band
-//!    spans ([`hdc_raster::diff::DirtyBands`]): when they cover at most
-//!    [`TemporalConfig::max_dirty_fraction`] of the frame, the cached mask
-//!    (and, when denoising, the cached morphology planes with their ±1/±2
-//!    row halos) is patched in place by the band-restricted kernels and
-//!    only labelling/contour/signature re-run on the patched full mask —
+//!    same identity compare as the strict gate, against the *previous*
+//!    frame — camera oversampling makes byte-identical repeats the most
+//!    common frame of all, and identity implies every tolerance holds.
+//!    Otherwise binarise the frame straight into mask words with the
+//!    hybrid kernel, XOR-popcount the packed mask against the cached mask
+//!    per tile, and reuse the cached decision while every tile stays
+//!    within [`TemporalConfig::max_tile_mask_diff`] bit flips. On a miss,
+//!    the dirty tile rows are merged into row-band spans
+//!    ([`hdc_raster::diff::DirtyBands`]): when they cover at most
+//!    [`TemporalConfig::max_dirty_fraction`] of the frame, the dirty rows
+//!    of the fresh mask are copied into the cached mask (and, when
+//!    denoising, the cached morphology planes are patched with their ±1/±2
+//!    row halos by the band-restricted kernels) and only
+//!    labelling/contour/signature re-run on the patched full mask —
 //!    above the threshold the whole mask is refreshed. Either way the
 //!    cached mask ends bit-identical to a from-scratch segmentation, so
 //!    staleness never accumulates across misses.
@@ -56,30 +56,8 @@ use crate::engine::Recognition;
 use crate::pipeline::{FrameResult, FrameScratch, KernelPath, RecognitionPipeline};
 use crate::timing::StageTimings;
 use hdc_raster::diff::{mask_tile_diff_into, DirtyBands};
-use hdc_raster::digest::Fnv1a64;
 use hdc_raster::morphology::{open_packed_band_into, open_packed_into};
 use hdc_raster::{BitMask, GrayImage};
-
-/// Every `FINGERPRINT_ROW_STRIDE`-th pixel row feeds the strict gate's
-/// frame fingerprint (~3% of a frame; see the module docs for why sampling
-/// beats whole-frame hashing).
-const FINGERPRINT_ROW_STRIDE: usize = 32;
-
-/// The strict gate's frame fingerprint: the shared FNV-1a/64 digest
-/// streamed over the dimensions and every [`FINGERPRINT_ROW_STRIDE`]-th
-/// row. Deterministic in the pixels, so byte-identical frames always
-/// collide (the gate then verifies with `memcmp`).
-fn frame_fingerprint(frame: &GrayImage) -> u64 {
-    let mut h = Fnv1a64::new();
-    h.write(&frame.width().to_le_bytes());
-    h.write(&frame.height().to_le_bytes());
-    let w = frame.width() as usize;
-    let pixels = frame.pixels();
-    for y in (0..frame.height() as usize).step_by(FINGERPRINT_ROW_STRIDE) {
-        h.write(&pixels[y * w..(y + 1) * w]);
-    }
-    h.finish()
-}
 
 /// Which reuse checks the gate runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,7 +246,7 @@ impl DirtyStats {
 
 /// Incremental recogniser for one frame stream: wraps a shared
 /// [`RecognitionPipeline`] + caller-owned [`FrameScratch`] with per-stream
-/// cached state (reference frame, its digest, signature, silhouette mask,
+/// cached state (reference frame, signature, silhouette mask,
 /// and the cached [`Recognition`]). See the module docs for the reuse ladder.
 ///
 /// All internal buffers are allocated once and reused, so gate checks are
@@ -303,9 +281,6 @@ pub struct StreamRecognizer {
     /// The frame the cached decision was computed against (strict mode).
     reference: GrayImage,
     has_reference: bool,
-    /// Sampled-row FNV-1a/64 fingerprint of `reference` (strict identity
-    /// check).
-    reference_hash: u64,
     /// Signature of the last *full SAX run* — short-circuits compare
     /// against this, never against each other (boundedness).
     reference_sig: Vec<f64>,
@@ -315,7 +290,6 @@ pub struct StreamRecognizer {
     /// mask reference goes stale the moment jitter lands, while
     /// oversampled duplicates repeat whatever came last.
     prev: GrayImage,
-    prev_fingerprint: u64,
     has_prev: bool,
     /// The cached silhouette mask (incremental mode): always bit-identical
     /// to segmenting the last missed frame from scratch, patched in place
@@ -346,11 +320,9 @@ impl StreamRecognizer {
             cached: None,
             reference: GrayImage::new(1, 1),
             has_reference: false,
-            reference_hash: 0,
             reference_sig: Vec::new(),
             has_reference_sig: false,
             prev: GrayImage::new(1, 1),
-            prev_fingerprint: 0,
             has_prev: false,
             cached_mask: BitMask::new(1, 1),
             cached_eroded: BitMask::new(1, 1),
@@ -400,61 +372,39 @@ impl StreamRecognizer {
     ) -> &Recognition {
         match self.config.mode {
             GateMode::Off => {
-                self.full_run(pipeline, scratch, frame, None);
+                self.full_run(pipeline, scratch, frame, false);
             }
             GateMode::Strict => {
-                // one fingerprint per frame: the identity pre-check on the
-                // hit path doubles as the stored reference hash on a miss
-                let fingerprint = frame_fingerprint(frame);
-                if self.strict_hit(frame, fingerprint) {
+                if self.strict_hit(frame) {
                     self.counters.strict_hits += 1;
                 } else {
-                    self.full_run(pipeline, scratch, frame, Some(fingerprint));
+                    self.full_run(pipeline, scratch, frame, true);
                 }
             }
             GateMode::Incremental => {
-                let fingerprint = frame_fingerprint(frame);
-                if self.identity_hit(frame, fingerprint) {
+                if self.identity_hit(frame) {
                     self.counters.strict_hits += 1;
                 } else {
                     self.incremental_path(pipeline, scratch, frame);
-                    self.remember_prev(frame, fingerprint);
+                    copy_frame_into(&mut self.prev, frame);
+                    self.has_prev = true;
                 }
             }
         }
         self.cached.as_ref().expect("every path caches a decision")
     }
 
-    /// Byte-identity against the reference frame: fingerprint first,
-    /// `memcmp` only when the fingerprints agree.
-    fn strict_hit(&self, frame: &GrayImage, fingerprint: u64) -> bool {
-        self.cached.is_some()
-            && self.has_reference
-            && frame.width() == self.reference.width()
-            && frame.height() == self.reference.height()
-            && fingerprint == self.reference_hash
-            && frame.pixels() == self.reference.pixels()
+    /// Byte-identity against the reference frame: one early-exit slice
+    /// compare once the cache, the reference and the dimensions agree.
+    fn strict_hit(&self, frame: &GrayImage) -> bool {
+        self.cached.is_some() && self.has_reference && same_frame(frame, &self.reference)
     }
 
     /// Byte-identity against the *previous* frame (incremental mode's
-    /// pre-check): same hash-then-verify as [`StreamRecognizer::strict_hit`],
+    /// pre-check): the same compare as [`StreamRecognizer::strict_hit`],
     /// different target.
-    fn identity_hit(&self, frame: &GrayImage, fingerprint: u64) -> bool {
-        self.cached.is_some()
-            && self.has_prev
-            && frame.width() == self.prev.width()
-            && frame.height() == self.prev.height()
-            && fingerprint == self.prev_fingerprint
-            && frame.pixels() == self.prev.pixels()
-    }
-
-    /// Records the frame as the identity pre-check's target for the next
-    /// frame (no heap allocation in steady state).
-    fn remember_prev(&mut self, frame: &GrayImage, fingerprint: u64) {
-        self.prev.reset_dimensions(frame.width(), frame.height());
-        self.prev.pixels_mut().copy_from_slice(frame.pixels());
-        self.prev_fingerprint = fingerprint;
-        self.has_prev = true;
+    fn identity_hit(&self, frame: &GrayImage) -> bool {
+        self.cached.is_some() && self.has_prev && same_frame(frame, &self.prev)
     }
 
     /// The incremental-mode resolution ladder after the identity pre-check
@@ -477,7 +427,7 @@ impl StreamRecognizer {
         if !usable {
             // Cold start, dimension change, or a byte-kernel pipeline:
             // full run, then seed the mask cache from the scratch.
-            self.full_run(pipeline, scratch, frame, None);
+            self.full_run(pipeline, scratch, frame, false);
             self.seed_mask_cache(pipeline, scratch);
             return;
         }
@@ -511,8 +461,7 @@ impl StreamRecognizer {
         if self.bands.coverage() <= self.config.max_dirty_fraction {
             self.dirty.patched += 1;
             for &(lo, hi) in self.bands.spans() {
-                self.cached_mask
-                    .pack_from_bytes_band(&scratch.mask_u8, lo, hi);
+                self.cached_mask.copy_rows_from(&scratch.mask_bits, lo, hi);
             }
             if denoise {
                 // Distinct merged spans sit ≥ one tile row (≥ the ±2 open
@@ -596,16 +545,16 @@ impl StreamRecognizer {
     }
 
     /// Runs the full pipeline and caches the decision and its signature.
-    /// `fingerprint` is `Some` only for the strict gate, which also keeps
-    /// the frame (with the fingerprint it already computed) as the
-    /// reference for the next identity check; `GateMode::Off` and
-    /// `GateMode::Incremental` never consult the reference pixels.
+    /// `keep_reference` is set only by the strict gate, which also keeps
+    /// the frame as the reference for the next identity check;
+    /// `GateMode::Off` and `GateMode::Incremental` never consult the
+    /// reference pixels.
     fn full_run(
         &mut self,
         pipeline: &RecognitionPipeline,
         scratch: &mut FrameScratch,
         frame: &GrayImage,
-        fingerprint: Option<u64>,
+        keep_reference: bool,
     ) {
         let r = pipeline.recognize_with(scratch, frame);
         let had_signature = r.stats.is_some();
@@ -615,10 +564,9 @@ impl StreamRecognizer {
         } else {
             self.has_reference_sig = false;
         }
-        if let Some(fingerprint) = fingerprint {
+        if keep_reference {
             copy_frame_into(&mut self.reference, frame);
             self.has_reference = true;
-            self.reference_hash = fingerprint;
         }
         self.counters.full_runs += 1;
     }
@@ -632,6 +580,14 @@ impl StreamRecognizer {
             .extend_from_slice(scratch.signature_series());
         self.has_reference_sig = true;
     }
+}
+
+/// Byte identity of two frames: dimensions, then one slice compare that
+/// stops at the first differing chunk.
+fn same_frame(frame: &GrayImage, other: &GrayImage) -> bool {
+    frame.width() == other.width()
+        && frame.height() == other.height()
+        && frame.pixels() == other.pixels()
 }
 
 /// Copies `src` into the reusable buffer `dst` without reallocating when

@@ -9,11 +9,15 @@
 //!   decision equals the ungated oracle's, and the full output is
 //!   byte-identical across worker counts.
 //! * Gate counters add up and hit when they should.
+//! * **Identity is byte for byte**: a frame that differs from the previous
+//!   one in a single pixel anywhere (an early row, the very last pixel)
+//!   misses the identity check, and a byte-identical copy in a fresh
+//!   buffer hits it.
 
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::GrayImage;
-use hdc_vision::temporal::TemporalConfig;
-use hdc_vision::{PipelineConfig, RecognitionEngine, RecognitionPipeline};
+use hdc_vision::temporal::{GateCounters, StreamRecognizer, TemporalConfig};
+use hdc_vision::{FrameScratch, PipelineConfig, RecognitionEngine, RecognitionPipeline};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -197,4 +201,56 @@ fn incremental_counters_split_identity_from_mask_hits() {
     let gate = report.gate_totals();
     assert_eq!(gate.full_runs, 1);
     assert_eq!(gate.strict_hits, report.total_frames() - 1);
+}
+
+#[test]
+fn identity_is_decided_on_every_byte_of_the_frame() {
+    // Each frame is checked against the one before it: a change in row 1
+    // (which a sampled-row check at any stride ≥ 2 starting from row 0
+    // never reads), a change in the last pixel only, then a byte-identical
+    // copy of that frame in a freshly allocated buffer. Both single-pixel
+    // changes keep the mask, so only the identity check can tell them
+    // apart from a repeat.
+    let base = frame_pool()[0].clone();
+    let mut row_one = base.clone();
+    let w = row_one.width() as usize;
+    row_one.pixels_mut()[w + 5] ^= 1;
+    let mut last_pixel = row_one.clone();
+    *last_pixel.pixels_mut().last_mut().unwrap() ^= 1;
+    let copy = GrayImage::from_raw(
+        last_pixel.width(),
+        last_pixel.height(),
+        last_pixel.pixels().to_vec(),
+    );
+    assert_ne!(last_pixel.pixels().as_ptr(), copy.pixels().as_ptr());
+
+    for config in [TemporalConfig::strict(), TemporalConfig::incremental()] {
+        let mut oracle_scratch = FrameScratch::new();
+        let mut scratch = FrameScratch::new();
+        let mut rec = StreamRecognizer::new(config);
+        let mut delta = |frame: &GrayImage| -> GateCounters {
+            let before = rec.counters();
+            let got = rec.recognize(pipeline(), &mut scratch, frame).clone();
+            let want = RecognitionEngine::recognize_one(pipeline(), &mut oracle_scratch, frame);
+            assert_eq!(got.decision, want.decision, "{:?}", config.mode);
+            rec.counters().since(&before)
+        };
+        assert_eq!(delta(&base).full_runs, 1, "{:?}: cold start", config.mode);
+        for (name, frame) in [("row 1", &row_one), ("last pixel", &last_pixel)] {
+            let d = delta(frame);
+            assert_eq!(
+                d.strict_hits, 0,
+                "{:?}: a change in {name} must miss",
+                config.mode
+            );
+            assert_eq!(d.frames(), 1);
+        }
+        let d = delta(&copy);
+        assert_eq!(
+            d.strict_hits, 1,
+            "{:?}: a byte-identical copy must hit",
+            config.mode
+        );
+        assert_eq!(d.frames(), 1);
+    }
 }
