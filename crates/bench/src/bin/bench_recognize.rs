@@ -1,10 +1,10 @@
 //! Sustained-throughput benchmark for the recognition pipeline.
 //!
 //! Measures the seed implementation (rebuilt from the retained reference
-//! oracles) against the optimised byte-kernel path (the PR 1 level) and the
-//! default hybrid path (byte binarise, pack once, bit-packed silhouette
-//! kernels) at 320×240, 640×480 and 1280×960, prints a comparison table and
-//! writes the JSON report.
+//! oracles) against the pipeline's hybrid path (binarise straight into
+//! bit-packed silhouette words, word-parallel silhouette kernels) at
+//! 320×240, 640×480 and 1280×960, prints a comparison table and writes the
+//! JSON report.
 //!
 //! Usage:
 //! `cargo run --release -p hdc-bench --bin bench_recognize [--kernels] [--smoke] [out.json]`
@@ -40,21 +40,17 @@ fn main() {
     let mut table = Table::new([
         "resolution",
         "seed ms/f",
-        "byte ms/f",
         "hybrid ms/f",
         "hybrid fps",
         "vs seed",
-        "vs byte",
     ]);
     for r in &results {
         table.row([
             format!("{}x{}", r.width, r.height),
             num(r.seed.ms_per_frame(), 3),
-            num(r.byte.ms_per_frame(), 3),
             num(r.hybrid.ms_per_frame(), 3),
             num(r.hybrid.fps(), 1),
             format!("{:.2}x", r.speedup_hybrid()),
-            format!("{:.2}x", r.hybrid.fps() / r.byte.fps()),
         ]);
     }
     println!("{}", table.render());

@@ -33,7 +33,12 @@
 //!    `RecognitionPipeline::recognize`). On every timed view the mask must
 //!    equal the packed binarised frame and all three reads must agree, and
 //!    the captured changes must equal the unfaulted farm's
-//!    `frames - views_reused` (counts, not wall-time floors).
+//!    `frames - views_reused` (counts, not wall-time floors). The ns rows
+//!    drift with the host's speed, so each repeat also records two ratios
+//!    to the grey oracle timed in that same repeat — `(render_mask +
+//!    read_mask) / (render + one_pass_read)` and `read_mask /
+//!    one_pass_read` — which compare the paths independently of the
+//!    host's spell; they are reported, never asserted.
 //!
 //! Usage: `cargo run --release -p hdc-bench --bin bench_sessions
 //! [--smoke] [out.json]`
@@ -178,27 +183,28 @@ fn changed_views(configs: &[SessionConfig]) -> (usize, Vec<(Signaller, Vec3)>) {
     (total, out)
 }
 
-/// Per-frame cost of one stage across the repeats, ns.
-struct StageNs {
+/// Median, min and max over the repeats of one per-repeat value: a
+/// stage's ns/frame, or a ratio of two stages timed in the same repeat.
+struct Spread {
     median: f64,
     min: f64,
     max: f64,
 }
 
-impl StageNs {
-    fn of(mut per_frame: Vec<f64>) -> StageNs {
-        per_frame.sort_by(f64::total_cmp);
-        StageNs {
-            median: per_frame[per_frame.len() / 2],
-            min: per_frame[0],
-            max: per_frame[per_frame.len() - 1],
+impl Spread {
+    fn of(mut per_repeat: Vec<f64>) -> Spread {
+        per_repeat.sort_by(f64::total_cmp);
+        Spread {
+            median: per_repeat[per_repeat.len() / 2],
+            min: per_repeat[0],
+            max: per_repeat[per_repeat.len() - 1],
         }
     }
 
-    fn json(&self) -> String {
+    fn json(&self, decimals: usize) -> String {
         format!(
-            "{{\"median\": {:.0}, \"min\": {:.0}, \"max\": {:.0}}}",
-            self.median, self.min, self.max
+            "{{\"median\": {:.*}, \"min\": {:.*}, \"max\": {:.*}}}",
+            decimals, self.median, decimals, self.min, decimals, self.max
         )
     }
 }
@@ -210,11 +216,15 @@ struct MissSplit {
     views_reused: u64,
     misses: usize,
     repeats: usize,
-    render_mask: StageNs,
-    read_mask: StageNs,
-    render: StageNs,
-    one_pass: StageNs,
-    two_pass: StageNs,
+    render_mask: Spread,
+    read_mask: Spread,
+    render: Spread,
+    one_pass: Spread,
+    two_pass: Spread,
+    /// Per repeat: (render_mask + read_mask) / (render + one_pass).
+    miss_ratio: Spread,
+    /// Per repeat: read_mask / one_pass.
+    read_ratio: Spread,
 }
 
 /// Captures the changed views of a small mixed farm and times the
@@ -244,6 +254,7 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
     let mut mask = BitMask::new(1, 1);
 
     let mut per_stage: [Vec<f64>; 5] = Default::default();
+    let (mut miss_ratios, mut read_ratios) = (Vec::new(), Vec::new());
     for _ in 0..repeats {
         let mut ns = [0u128; 5];
         for (signaller, eye) in &views {
@@ -283,8 +294,13 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
         for (stage, total) in per_stage.iter_mut().zip(ns) {
             stage.push(total as f64 / views.len().max(1) as f64);
         }
+        // both paths of this repeat ran interleaved, view by view, so the
+        // host's speed cancels out of their ratios
+        let [mask_paint, mask_read, grey_paint, grey_read, _] = ns.map(|n| n as f64);
+        miss_ratios.push((mask_paint + mask_read) / (grey_paint + grey_read).max(1.0));
+        read_ratios.push(mask_read / grey_read.max(1.0));
     }
-    let [render_mask, read_mask, render, one_pass, two_pass] = per_stage.map(StageNs::of);
+    let [render_mask, read_mask, render, one_pass, two_pass] = per_stage.map(Spread::of);
     MissSplit {
         sessions,
         frames: stats.frames_processed,
@@ -297,6 +313,8 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
         render,
         one_pass,
         two_pass,
+        miss_ratio: Spread::of(miss_ratios),
+        read_ratio: Spread::of(read_ratios),
     }
 }
 
@@ -444,6 +462,18 @@ fn main() {
         grey_miss / 1e3,
         grey_miss / mask_miss.max(1.0)
     );
+    for (label, r) in [
+        (
+            "(render_mask + read_mask) / (render + one_pass)",
+            &split.miss_ratio,
+        ),
+        ("read_mask / one_pass", &split.read_ratio),
+    ] {
+        println!(
+            "per repeat, {label}: median {:.3} [{:.3}, {:.3}]",
+            r.median, r.min, r.max
+        );
+    }
 
     // --- JSON report ---
     use std::fmt::Write as _;
@@ -506,12 +536,30 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"render_mask_ns\": {},",
-        split.render_mask.json()
+        split.render_mask.json(0)
     );
-    let _ = writeln!(json, "    \"read_mask_ns\": {},", split.read_mask.json());
-    let _ = writeln!(json, "    \"render_ns\": {},", split.render.json());
-    let _ = writeln!(json, "    \"one_pass_read_ns\": {},", split.one_pass.json());
-    let _ = writeln!(json, "    \"two_pass_read_ns\": {},", split.two_pass.json());
+    let _ = writeln!(json, "    \"read_mask_ns\": {},", split.read_mask.json(0));
+    let _ = writeln!(json, "    \"render_ns\": {},", split.render.json(0));
+    let _ = writeln!(
+        json,
+        "    \"one_pass_read_ns\": {},",
+        split.one_pass.json(0)
+    );
+    let _ = writeln!(
+        json,
+        "    \"two_pass_read_ns\": {},",
+        split.two_pass.json(0)
+    );
+    let _ = writeln!(
+        json,
+        "    \"mask_miss_over_grey_miss\": {},",
+        split.miss_ratio.json(3)
+    );
+    let _ = writeln!(
+        json,
+        "    \"read_mask_over_one_pass_read\": {},",
+        split.read_ratio.json(3)
+    );
     let _ = writeln!(json, "    \"read_speedup\": {read_speedup:.2}");
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");

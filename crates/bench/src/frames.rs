@@ -9,7 +9,7 @@
 
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::GrayImage;
-use hdc_vision::{KernelPath, PipelineConfig, RecognitionPipeline};
+use hdc_vision::{PipelineConfig, RecognitionPipeline};
 
 /// The three resolutions the benchmarks sweep, smallest first.
 pub const RESOLUTIONS: [(u32, u32); 3] = [(320, 240), (640, 480), (1280, 960)];
@@ -37,21 +37,9 @@ pub fn sign_stream(width: u32, height: u32) -> Vec<GrayImage> {
     frames
 }
 
-/// The calibrated pipeline every benchmark implementation shares (default
-/// kernel path, i.e. hybrid).
+/// The calibrated pipeline every benchmark implementation shares.
 pub fn benchmark_pipeline() -> RecognitionPipeline {
-    benchmark_pipeline_with(KernelPath::default())
-}
-
-/// [`benchmark_pipeline`] pinned to one kernel family. Byte and hybrid
-/// calibration produce bit-identical templates and thresholds (the kernels
-/// are equivalence-tested), so pipelines built here differ only in the
-/// silhouette kernels they run.
-pub fn benchmark_pipeline_with(kernels: KernelPath) -> RecognitionPipeline {
-    let mut p = RecognitionPipeline::new(PipelineConfig {
-        kernels,
-        ..PipelineConfig::default()
-    });
+    let mut p = RecognitionPipeline::new(PipelineConfig::default());
     p.calibrate_from_views(&ViewSpec::paper_default(0.0, 5.0, 3.0));
     p
 }

@@ -1,9 +1,10 @@
 //! Multi-core engine scaling: batch throughput by worker count.
 //!
 //! For each benchmark resolution this measures the serial baseline —
-//! [`RecognitionPipeline::recognize_with`] through one reused scratch on one
-//! thread, exactly the path `BENCH_recognize.json` certifies — and then
-//! [`RecognitionEngine::process_batch`] at a sweep of worker counts, with
+//! [`hdc_vision::RecognitionPipeline::recognize_with`] through one reused
+//! scratch on one thread, exactly the path `BENCH_recognize.json`
+//! certifies — and then [`RecognitionEngine::process_batch`] at a sweep of
+//! worker counts, with
 //! speed-up and per-worker scaling efficiency per point. A sustained
 //! multi-stream run (S simulated camera streams over the engine) rides
 //! along, since stream serving is the production shape of the load.

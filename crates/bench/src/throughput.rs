@@ -1,7 +1,7 @@
-//! Sustained recognition throughput: seed vs byte vs hybrid.
+//! Sustained recognition throughput: seed vs hybrid.
 //!
 //! Measures frames per second of the full recognition pipeline at three
-//! resolutions, three times per resolution:
+//! resolutions, twice per resolution:
 //!
 //! * **seed** — the pre-optimisation implementation, rebuilt from the
 //!   reference oracles kept around for exactly this purpose
@@ -9,28 +9,22 @@
 //!   formula, [`hdc_sax::SaxIndex::best_two_reference`] with the naive
 //!   all-shifts rotation distance). Every frame allocates its masks,
 //!   contour, signature and rotated words from scratch.
-//! * **byte** — [`RecognitionPipeline::recognize_with`] on
-//!   [`hdc_vision::KernelPath::Byte`] through one reused [`FrameScratch`]:
-//!   the PR 1 optimisation level (FFT rotation matching, MINDIST pruning,
-//!   raw-slice raster ops, zero steady-state allocation), one byte per
-//!   silhouette pixel.
-//! * **hybrid** — [`hdc_vision::KernelPath::Hybrid`] (the default): the
-//!   vectorised byte-compare binariser feeding one gather-multiply pack,
-//!   then bit-packed silhouettes (64 px per `u64` word) through
-//!   word-parallel kernels.
+//! * **hybrid** — [`RecognitionPipeline::recognize_with`] through one
+//!   reused [`FrameScratch`]: the frame binarised straight into bit-packed
+//!   silhouette words (64 px per `u64`), word-parallel labelling and
+//!   contour kernels, MINDIST-pruned FFT rotation matching and zero
+//!   steady-state allocation.
 //!
 //! The `bench_recognize` binary runs this and writes `BENCH_recognize.json`
 //! so the numbers are committed alongside the code they measure.
 
 use crate::frames::sign_stream;
-pub use crate::frames::{benchmark_pipeline, benchmark_pipeline_with, RESOLUTIONS};
+pub use crate::frames::{benchmark_pipeline, RESOLUTIONS};
 use hdc_raster::contour::{contour_centroid, trace_outer_contour};
 use hdc_raster::threshold::binarize;
 use hdc_raster::{label_components_bfs, Bitmap, Connectivity, GrayImage};
 use hdc_timeseries::{resample, TimeSeries};
-use hdc_vision::{
-    FrameScratch, KernelPath, RecognitionPipeline, SegmentationMode, MIN_CONTOUR_POINTS,
-};
+use hdc_vision::{FrameScratch, RecognitionPipeline, SegmentationMode, MIN_CONTOUR_POINTS};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -58,7 +52,7 @@ impl Throughput {
     }
 }
 
-/// Seed-vs-byte-vs-hybrid comparison at one resolution.
+/// Seed-vs-hybrid comparison at one resolution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResolutionResult {
     /// Frame width in pixels.
@@ -67,19 +61,12 @@ pub struct ResolutionResult {
     pub height: u32,
     /// The pre-optimisation implementation.
     pub seed: Throughput,
-    /// The scratch-reuse byte-kernel implementation (the PR 1 level).
-    pub byte: Throughput,
-    /// The scratch-reuse hybrid implementation (byte binarise, pack once,
-    /// packed silhouette kernels) — the current default.
+    /// The scratch-reuse pipeline (packed segmentation and silhouette
+    /// kernels).
     pub hybrid: Throughput,
 }
 
 impl ResolutionResult {
-    /// Byte-kernel speed-up over the seed.
-    pub fn speedup_byte(&self) -> f64 {
-        self.byte.fps() / self.seed.fps()
-    }
-
     /// Hybrid-kernel speed-up over the seed.
     pub fn speedup_hybrid(&self) -> f64 {
         self.hybrid.fps() / self.seed.fps()
@@ -118,11 +105,6 @@ pub fn recognize_seed(pipeline: &RecognitionPipeline, frame: &GrayImage) -> Opti
         SegmentationMode::Otsu => hdc_raster::threshold::otsu_threshold(frame),
     };
     let mask = binarize(frame, t);
-    let mask = if cfg.denoise {
-        hdc_raster::morphology::dilate_reference(&hdc_raster::morphology::erode_reference(&mask))
-    } else {
-        mask
-    };
 
     let (labels, comps) = label_components_bfs(&mask, Connectivity::Eight);
     let comp = comps.iter().max_by_key(|c| c.area)?.clone();
@@ -186,13 +168,10 @@ pub fn measure<F: FnMut(&GrayImage) -> bool>(
     }
 }
 
-/// Runs the seed-vs-byte-vs-hybrid comparison at one resolution. The two
-/// pipelines must be calibrated identically and differ only in
-/// [`hdc_vision::PipelineConfig::kernels`]; the seed path runs off the byte
-/// pipeline's configuration.
+/// Runs the seed-vs-hybrid comparison at one resolution; the seed path
+/// runs off the pipeline's configuration and sign database.
 pub fn compare_at(
-    byte_pipeline: &RecognitionPipeline,
-    hybrid_pipeline: &RecognitionPipeline,
+    pipeline: &RecognitionPipeline,
     width: u32,
     height: u32,
     min_frames: usize,
@@ -200,37 +179,26 @@ pub fn compare_at(
 ) -> ResolutionResult {
     let frames = sign_stream(width, height);
     let seed = measure(&frames, min_frames, min_seconds, |f| {
-        recognize_seed(byte_pipeline, f).is_some()
+        recognize_seed(pipeline, f).is_some()
     });
     let mut scratch = FrameScratch::new();
-    let byte = measure(&frames, min_frames, min_seconds, |f| {
-        byte_pipeline
-            .recognize_with(&mut scratch, f)
-            .decision
-            .is_some()
-    });
     let hybrid = measure(&frames, min_frames, min_seconds, |f| {
-        hybrid_pipeline
-            .recognize_with(&mut scratch, f)
-            .decision
-            .is_some()
+        pipeline.recognize_with(&mut scratch, f).decision.is_some()
     });
     ResolutionResult {
         width,
         height,
         seed,
-        byte,
         hybrid,
     }
 }
 
 /// Runs the full sweep over [`RESOLUTIONS`].
 pub fn run_sweep(min_frames: usize, min_seconds: f64) -> Vec<ResolutionResult> {
-    let byte = benchmark_pipeline_with(KernelPath::Byte);
-    let hybrid = benchmark_pipeline_with(KernelPath::Hybrid);
+    let pipeline = benchmark_pipeline();
     RESOLUTIONS
         .iter()
-        .map(|&(w, h)| compare_at(&byte, &hybrid, w, h, min_frames, min_seconds))
+        .map(|&(w, h)| compare_at(&pipeline, w, h, min_frames, min_seconds))
         .collect()
 }
 
@@ -244,30 +212,24 @@ pub fn to_json(results: &[ResolutionResult], kernels: &[crate::kernels::KernelRe
     s.push_str("  \"protocol\": {\n");
     s.push_str("    \"stream\": \"3 marshalling signs x 3 azimuths (0/10/20 deg), altitude 5 m, distance 3 m\",\n");
     s.push_str("    \"seed\": \"allocating binarize + BFS labelling + allocating signature + unpruned naive-rotation best_two (reference oracles)\",\n");
-    s.push_str("    \"byte\": \"recognize_with(FrameScratch), KernelPath::Byte: raw-slice raster ops, MINDIST-pruned search, FFT rotation distance, zero steady-state allocation (the PR 1 optimisation level)\",\n");
-    s.push_str("    \"hybrid\": \"recognize_with(FrameScratch), KernelPath::Hybrid (default): vectorised byte-compare binarise + one gather-multiply pack, then bit-packed silhouettes (64 px per u64 word) through word-parallel morphology/labelling/contour kernels\",\n");
+    s.push_str("    \"hybrid\": \"recognize_with(FrameScratch): binarise straight into bit-packed silhouette words (64 px per u64), word-parallel labelling/contour kernels, MINDIST-pruned search, FFT rotation distance, zero steady-state allocation\",\n");
     s.push_str("    \"timing\": \"one untimed warm-up cycle, then whole cycles until the frame and wall-clock floors are both met\"\n");
     s.push_str("  },\n");
     s.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\n      \"width\": {}, \"height\": {},\n      \"seed_fps\": {:.2}, \"seed_ms_per_frame\": {:.3}, \"seed_frames\": {}, \"seed_decided\": {},\n      \"byte_fps\": {:.2}, \"byte_ms_per_frame\": {:.3}, \"byte_frames\": {}, \"byte_decided\": {},\n      \"hybrid_fps\": {:.2}, \"hybrid_ms_per_frame\": {:.3}, \"hybrid_frames\": {}, \"hybrid_decided\": {},\n      \"speedup_byte\": {:.2}, \"speedup_hybrid\": {:.2}\n    }}{}\n",
+            "    {{\n      \"width\": {}, \"height\": {},\n      \"seed_fps\": {:.2}, \"seed_ms_per_frame\": {:.3}, \"seed_frames\": {}, \"seed_decided\": {},\n      \"hybrid_fps\": {:.2}, \"hybrid_ms_per_frame\": {:.3}, \"hybrid_frames\": {}, \"hybrid_decided\": {},\n      \"speedup_hybrid\": {:.2}\n    }}{}\n",
             r.width,
             r.height,
             r.seed.fps(),
             r.seed.ms_per_frame(),
             r.seed.frames,
             r.seed.decided,
-            r.byte.fps(),
-            r.byte.ms_per_frame(),
-            r.byte.frames,
-            r.byte.decided,
             r.hybrid.fps(),
             r.hybrid.ms_per_frame(),
             r.hybrid.frames,
             r.hybrid.decided,
-            r.speedup_byte(),
             r.speedup_hybrid(),
             if i + 1 < results.len() { "," } else { "" }
         );
@@ -300,22 +262,20 @@ mod tests {
     #[test]
     fn seed_and_optimised_agree_on_decisions() {
         let frames = sign_stream(320, 240);
-        for kernels in [KernelPath::Byte, KernelPath::Hybrid] {
-            let pipeline = benchmark_pipeline_with(kernels);
-            let mut scratch = FrameScratch::new();
-            for (i, frame) in frames.iter().enumerate() {
-                let seed = recognize_seed(&pipeline, frame);
-                let opt = pipeline.recognize_with(&mut scratch, frame);
-                let opt_idx = opt.decision.map(|label| {
-                    pipeline
-                        .index()
-                        .templates()
-                        .iter()
-                        .position(|t| t.label == label)
-                        .unwrap()
-                });
-                assert_eq!(seed, opt_idx, "frame {i} ({kernels:?}) decision diverged");
-            }
+        let pipeline = benchmark_pipeline();
+        let mut scratch = FrameScratch::new();
+        for (i, frame) in frames.iter().enumerate() {
+            let seed = recognize_seed(&pipeline, frame);
+            let opt = pipeline.recognize_with(&mut scratch, frame);
+            let opt_idx = opt.decision.map(|label| {
+                pipeline
+                    .index()
+                    .templates()
+                    .iter()
+                    .position(|t| t.label == label)
+                    .unwrap()
+            });
+            assert_eq!(seed, opt_idx, "frame {i} decision diverged");
         }
     }
 
@@ -343,7 +303,6 @@ mod tests {
             width: 320,
             height: 240,
             seed: t,
-            byte: t,
             hybrid: t,
         };
         let k = crate::kernels::KernelResult {
@@ -355,6 +314,7 @@ mod tests {
         assert!(json.contains("\"width\": 320"));
         assert!(json.contains("\"speedup_hybrid\": 1.00"));
         assert!(!json.contains("packed_fps"));
+        assert!(!json.contains("byte_fps"));
         assert!(json.contains("\"kernel\": \"binarize\""));
         assert!(json.contains("\"speedup\": 4.00"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

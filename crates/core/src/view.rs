@@ -393,13 +393,12 @@ mod tests {
     fn calibrated_config_lets_one_labelling_serve_both_channels() {
         // The wave-off features are defined on `binarize(frame, 128)`; the
         // shared read takes them from the pipeline's own mask, which is that
-        // mask only under a fixed 128 threshold with no opening.
+        // mask only under a fixed 128 threshold.
         let pipeline = calibrated_pipeline(&ViewSpec::paper_default(0.0, 4.0, 3.0));
         assert_eq!(
             pipeline.config().segmentation,
             hdc_vision::SegmentationMode::Fixed(128)
         );
-        assert!(!pipeline.config().denoise);
     }
 
     #[test]

@@ -247,9 +247,10 @@ pub fn run_linked_fleet(
 /// clock un-rounded). [`ScheduleMode::Lockstep`] arms `now + DT` every
 /// iteration — the same float accumulation as the pre-scheduler fixed-rate
 /// loop, so the golden fleet digests are bit-identical.
-/// [`ScheduleMode::EventDriven`] arms the fleet's earliest due time from
-/// [`fleet_next_due`], so an idle fleet (drones in long transits, quiet
-/// links) costs O(events) instead of O(ticks).
+/// [`ScheduleMode::EventDriven`] arms the fleet's earliest due time (a
+/// transit arrival, read completion, link slot or lease edge), so an idle
+/// fleet (drones in long transits, quiet links) costs O(events) instead of
+/// O(ticks).
 ///
 /// # Panics
 /// Panics if `config.drone_count` is zero.

@@ -126,8 +126,7 @@ pub fn mask_tile_diff_into(a: &BitMask, b: &BitMask, tile: u32, out: &mut Vec<u6
 
 /// Merged dirty row-band spans derived from a tile grid — the bridge from
 /// per-tile change detection ([`mask_tile_diff_into`]) to the
-/// band-restricted patch kernels ([`BitMask::copy_rows_from`],
-/// [`crate::morphology::open_packed_band_into`]).
+/// band-restricted row patch ([`BitMask::copy_rows_from`]).
 ///
 /// A tile row is dirty when **any** tile in it exceeds the tolerance;
 /// consecutive dirty tile rows merge into one `[row_lo, row_hi)` pixel

@@ -197,104 +197,17 @@ pub fn close_packed_into(mask: &BitMask, dilated: &mut BitMask, out: &mut BitMas
     erode_packed_into(dilated, out);
 }
 
-/// Band-restricted [`erode_packed_into`]: recomputes only output rows
-/// `[row_lo, row_hi)` from the (full) source mask, leaving every other row
-/// of the cached output untouched. Each recomputed row reads source rows
-/// `y−1..=y+1`, so after a source band `[lo, hi)` changes, the output band
-/// `[lo−1, hi+1)` (clipped to the image) is exactly what must be refreshed.
-///
-/// Unlike the whole-frame form this never re-dimensions `out`; the caller's
-/// cached mask must already match the source geometry.
-///
-/// # Panics
-/// Panics if `out` and `mask` differ in dimensions or the band is reversed
-/// or out of bounds.
-pub fn erode_packed_band_into(mask: &BitMask, out: &mut BitMask, row_lo: u32, row_hi: u32) {
-    vertical_band_pass(mask, out, false, row_lo, row_hi);
-    let wpr = out.words_per_row();
-    let (lo, hi) = (row_lo as usize, row_hi as usize);
-    for row in out.words_mut()[lo * wpr..hi * wpr].chunks_exact_mut(wpr) {
-        horizontal_erode_row(row);
-    }
-}
-
-/// Band-restricted [`dilate_packed_into`] (shift-OR form of
-/// [`erode_packed_band_into`]); re-clears the tail bits of each recomputed
-/// row so the [`BitMask`] tail invariant survives the left-shift.
-///
-/// # Panics
-/// Panics if `out` and `mask` differ in dimensions or the band is reversed
-/// or out of bounds.
-pub fn dilate_packed_band_into(mask: &BitMask, out: &mut BitMask, row_lo: u32, row_hi: u32) {
-    vertical_band_pass(mask, out, true, row_lo, row_hi);
-    let wpr = out.words_per_row();
-    let tail = out.tail_mask();
-    let (lo, hi) = (row_lo as usize, row_hi as usize);
-    for row in out.words_mut()[lo * wpr..hi * wpr].chunks_exact_mut(wpr) {
-        horizontal_dilate_row(row);
-        row[wpr - 1] &= tail;
-    }
-}
-
-/// Band-restricted [`open_packed_into`] for patching cached morphology
-/// state after mask rows `[row_lo, row_hi)` changed: the eroded cache is
-/// refreshed with a 1-row halo (each eroded row reads mask rows `±1`) and
-/// the opened cache with a 2-row halo (each opened row reads eroded rows
-/// `±1`, which in turn read mask rows `±2`), both clipped to the image.
-/// Every row of `eroded`/`out` outside those halos is provably unchanged,
-/// so after this call both caches are bit-identical to a whole-frame
-/// [`open_packed_into`] of the patched mask.
-///
-/// # Panics
-/// Panics if the masks differ in dimensions or the band is reversed or out
-/// of bounds.
-pub fn open_packed_band_into(
-    mask: &BitMask,
-    eroded: &mut BitMask,
-    out: &mut BitMask,
-    row_lo: u32,
-    row_hi: u32,
-) {
-    let h = mask.height();
-    erode_packed_band_into(mask, eroded, row_lo.saturating_sub(1), (row_hi + 1).min(h));
-    dilate_packed_band_into(eroded, out, row_lo.saturating_sub(2), (row_hi + 2).min(h));
-}
-
 /// The vertical 1×3 pass: each output word combines the word above, the
 /// word itself and the word below (`union = true` ORs for dilation,
 /// `false` ANDs for erosion). Rows outside the image contribute zero
 /// words, which is exactly the background padding convention.
 fn vertical_pass(mask: &BitMask, out: &mut BitMask, union: bool) {
     out.reset_dimensions(mask.width(), mask.height());
-    vertical_rows(mask, out, union, 0, mask.height() as usize);
-}
-
-/// The vertical 1×3 pass restricted to output rows `[row_lo, row_hi)`.
-/// Asserts matching dimensions instead of re-dimensioning, so cached rows
-/// outside the band survive untouched.
-fn vertical_band_pass(mask: &BitMask, out: &mut BitMask, union: bool, row_lo: u32, row_hi: u32) {
-    assert!(
-        out.width() == mask.width() && out.height() == mask.height(),
-        "band morphology requires a cached mask matching the source: {}x{} vs {}x{}",
-        out.width(),
-        out.height(),
-        mask.width(),
-        mask.height()
-    );
-    assert!(
-        row_lo <= row_hi && row_hi <= mask.height(),
-        "band [{row_lo}, {row_hi}) must lie inside height {}",
-        mask.height()
-    );
-    vertical_rows(mask, out, union, row_lo as usize, row_hi as usize);
-}
-
-fn vertical_rows(mask: &BitMask, out: &mut BitMask, union: bool, row_lo: usize, row_hi: usize) {
     let wpr = mask.words_per_row();
     let h = mask.height() as usize;
     let src = mask.words();
     let dst = out.words_mut();
-    for y in row_lo..row_hi {
+    for y in 0..h {
         let mid = &src[y * wpr..(y + 1) * wpr];
         let row = &mut dst[y * wpr..(y + 1) * wpr];
         for (j, slot) in row.iter_mut().enumerate() {
@@ -482,59 +395,6 @@ mod tests {
                 "tail invariant after close {w}×{h}"
             );
         }
-    }
-
-    #[test]
-    fn band_open_patches_cached_morphology_exactly() {
-        // Build a "previous" mask, cache its open, change a band of rows,
-        // patch with the halo'd band kernels, and demand bit-identity with
-        // a whole-frame recompute of the changed mask.
-        for (w, h, lo, hi) in [(70u32, 16u32, 5u32, 9u32), (64, 12, 0, 3), (33, 10, 7, 10)] {
-            let mut prev = Bitmap::new(w, h);
-            let mut state = 0x1234_5678_9abc_def0u64 ^ u64::from(w * 7 + h);
-            for y in 0..h {
-                for x in 0..w {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    prev.set(x, y, (state >> 62) != 0);
-                }
-            }
-            let mut cur = prev.clone();
-            for y in lo..hi {
-                for x in 0..w {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    cur.set(x, y, (state >> 62) != 0);
-                }
-            }
-            let cur_packed = BitMask::from_bitmap(&cur);
-            // Caches seeded from the previous frame.
-            let mut eroded = BitMask::new(1, 1);
-            let mut opened = BitMask::new(1, 1);
-            open_packed_into(&BitMask::from_bitmap(&prev), &mut eroded, &mut opened);
-            open_packed_band_into(&cur_packed, &mut eroded, &mut opened, lo, hi);
-            let mut oracle_eroded = BitMask::new(1, 1);
-            let mut oracle_opened = BitMask::new(1, 1);
-            open_packed_into(&cur_packed, &mut oracle_eroded, &mut oracle_opened);
-            assert_eq!(
-                eroded, oracle_eroded,
-                "eroded cache {w}×{h} band [{lo},{hi})"
-            );
-            assert_eq!(
-                opened, oracle_opened,
-                "opened cache {w}×{h} band [{lo},{hi})"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "matching the source")]
-    fn band_morphology_rejects_mismatched_dims() {
-        let mask = BitMask::new(8, 8);
-        let mut out = BitMask::new(8, 7);
-        erode_packed_band_into(&mask, &mut out, 0, 2);
     }
 
     #[test]

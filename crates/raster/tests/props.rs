@@ -9,7 +9,7 @@ use hdc_raster::diff;
 use hdc_raster::io::{decode_pgm, encode_pgm};
 use hdc_raster::morphology::{
     close, close_packed_into, dilate, dilate_packed, dilate_reference, erode, erode_packed,
-    erode_reference, open, open_packed_band_into, open_packed_into,
+    erode_reference, open, open_packed_into,
 };
 use hdc_raster::threshold::{binarize, binarize_packed_into, otsu_threshold};
 use hdc_raster::{
@@ -362,24 +362,6 @@ proptest! {
         let mut packed = BitMask::from_bitmap(&binarize(&prev, t));
         packed.copy_rows_from(&hybrid_binarize(&cur, t), lo, hi);
         prop_assert_eq!(&packed, &oracle);
-    }
-
-    #[test]
-    fn band_patched_open_matches_whole_frame((prev, cur, lo, hi) in patch_case()) {
-        let prev_mask = BitMask::from_bitmap(&binarize(&prev, 128));
-        let cur_mask = BitMask::from_bitmap(&binarize(&cur, 128));
-        // Caches seeded from the previous frame's whole-frame open …
-        let mut eroded = BitMask::new(1, 1);
-        let mut opened = BitMask::new(1, 1);
-        open_packed_into(&prev_mask, &mut eroded, &mut opened);
-        // … patched with the halo'd band kernels …
-        open_packed_band_into(&cur_mask, &mut eroded, &mut opened, lo, hi);
-        // … must be bit-identical to recomputing from scratch.
-        let mut oracle_eroded = BitMask::new(1, 1);
-        let mut oracle_opened = BitMask::new(1, 1);
-        open_packed_into(&cur_mask, &mut oracle_eroded, &mut oracle_opened);
-        prop_assert_eq!(&eroded, &oracle_eroded);
-        prop_assert_eq!(&opened, &oracle_opened);
     }
 
     #[test]

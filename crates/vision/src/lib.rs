@@ -2,8 +2,8 @@
 //!
 //! Stages, mirroring the paper's description:
 //!
-//! 1. **Segment** the frame (fixed or Otsu threshold), optionally denoise
-//!    with a morphological opening.
+//! 1. **Segment** the frame (fixed or Otsu threshold) straight into a
+//!    bit-packed mask.
 //! 2. **Isolate** the signaller: largest connected component.
 //! 3. **Trace** the silhouette's outer contour (Moore neighbourhood).
 //! 4. **Convert shape → time series**: centroid-distance signature,
@@ -49,8 +49,8 @@ pub use filter::DecisionFilter;
 
 pub use moments::{central_moments, hu_moments, RawMoments};
 pub use pipeline::{
-    FrameFailure, FrameRead, FrameResult, FrameScratch, KernelPath, PipelineConfig,
-    RecognitionPipeline, RecognitionResult, SegmentationMode,
+    FrameFailure, FrameRead, FrameResult, FrameScratch, PipelineConfig, RecognitionPipeline,
+    RecognitionResult, SegmentationMode,
 };
 pub use signature::{
     extract_signature, signature_from_contour, trace_contour_packed_with, trace_contour_with,

@@ -1,15 +1,15 @@
 //! The end-to-end recognition pipeline.
 
 use crate::signature::{
-    signature_from_contour, trace_contour_packed_with, trace_contour_with, ShapeSignature,
-    SignatureError, SignatureScratch, SignatureStats,
+    signature_from_contour, trace_contour_packed_with, ShapeSignature, SignatureError,
+    SignatureScratch, SignatureStats,
 };
 use crate::timing::StageTimings;
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
-use hdc_raster::threshold::{binarize_into, binarize_packed_into, otsu_threshold};
+use hdc_raster::threshold::{binarize_packed_into, otsu_threshold};
 use hdc_raster::{
-    largest_component_packed_lazy, largest_component_packed_with, largest_component_with,
-    morphology, BitMask, Bitmap, Component, Connectivity, GrayImage, LabelScratch,
+    largest_component_packed_lazy, largest_component_packed_with, BitMask, Component, Connectivity,
+    GrayImage, LabelScratch,
 };
 use hdc_sax::{IndexMatch, IndexMatchRef, QueryScratch, SaxIndex, SaxParams, SaxWord};
 use serde::{Deserialize, Serialize};
@@ -25,36 +25,17 @@ pub enum SegmentationMode {
     Otsu,
 }
 
-/// Which kernel family the silhouette stages run on.
-///
-/// Both produce bit-identical masks, contours and decisions
-/// (property-tested in `tests/packed_equivalence.rs`); they differ only in
-/// speed. The byte path is retained as the oracle and as the honest
-/// "before" baseline for the committed benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum KernelPath {
-    /// One byte per pixel ([`Bitmap`]): the original kernels.
-    Byte,
-    /// Byte-compare binarisation (one branch-free byte op per pixel, which
-    /// the compiler vectorises) gathered per 64-pixel chunk straight into
-    /// the [`BitMask`] layout, then the word-parallel
-    /// morphology/labelling/contour kernels. Combines the fastest binariser
-    /// with the fastest silhouette kernels.
-    #[default]
-    Hybrid,
-}
-
 /// Pipeline configuration.
+///
+/// The silhouette stages have one kernel family: the frame is binarised
+/// straight into [`BitMask`] words (64 pixels per `u64`), then labelled
+/// and traced by the word-parallel kernels. The byte-per-pixel kernels it
+/// replaced survive as the oracle in `tests/packed_equivalence.rs`, which
+/// checks every decision, diagnostic and signature series bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     /// Segmentation mode.
     pub segmentation: SegmentationMode,
-    /// Kernel family for the silhouette stages (segment → morphology →
-    /// component → contour). Decisions are identical either way.
-    pub kernels: KernelPath,
-    /// Whether to apply a morphological opening after segmentation
-    /// (removes sensor speckle at the cost of one pass over the frame).
-    pub denoise: bool,
     /// Signature length (samples after resampling).
     pub signature_len: usize,
     /// SAX parameters for the sign database.
@@ -75,12 +56,10 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     /// Defaults used across the reproduction: fixed threshold at 128 (the
     /// synthetic frames are high-contrast, as are the paper's daylight
-    /// frames), 128-sample signatures, SAX(16, 4), opening disabled.
+    /// frames), 128-sample signatures, SAX(16, 4).
     fn default() -> Self {
         PipelineConfig {
             segmentation: SegmentationMode::Fixed(128),
-            kernels: KernelPath::default(),
-            denoise: false,
             signature_len: 128,
             sax: SaxParams::default(),
             accept_threshold: 6.0,
@@ -204,8 +183,8 @@ impl<'a> FrameResult<'a> {
 /// frame, read by both recognition channels.
 #[derive(Debug, Clone)]
 pub struct FrameRead<'a> {
-    /// The largest foreground component of the segmented (and, when
-    /// denoising, opened) mask; `None` when the mask has no foreground.
+    /// The largest foreground component of the segmented mask; `None` when
+    /// the mask has no foreground.
     pub component: Option<Component>,
     /// The static channel's outcome, when a decision was asked for.
     pub result: Option<FrameResult<'a>>,
@@ -216,23 +195,11 @@ pub struct FrameRead<'a> {
 /// [`RecognitionPipeline::recognize_with`] performs no heap allocation.
 #[derive(Debug, Clone)]
 pub struct FrameScratch {
-    /// Binarised frame.
-    mask: Bitmap,
-    /// Morphological-opening intermediate (erosion output).
-    eroded: Bitmap,
-    /// Morphological-opening output.
-    opened: Bitmap,
-    /// Isolated largest-component mask.
-    blob: Bitmap,
-    /// Binarised frame, bit-packed ([`KernelPath::Hybrid`]).
-    /// Crate-visible: the incremental ladder diffs it against its cached
-    /// mask and swaps it in on a whole-mask refresh.
+    /// Binarised frame, bit-packed. Crate-visible: the incremental ladder
+    /// diffs it against its cached mask and swaps it in on a whole-mask
+    /// refresh.
     pub(crate) mask_bits: BitMask,
-    /// Packed morphological-opening intermediate.
-    eroded_bits: BitMask,
-    /// Packed morphological-opening output.
-    opened_bits: BitMask,
-    /// Packed isolated largest-component mask.
+    /// Isolated largest-component mask, bit-packed.
     blob_bits: BitMask,
     /// Connected-component labelling buffers.
     label: LabelScratch,
@@ -246,13 +213,7 @@ impl FrameScratch {
     /// Fresh scratch; buffers grow to frame size on first use.
     pub fn new() -> Self {
         FrameScratch {
-            mask: Bitmap::new(1, 1),
-            eroded: Bitmap::new(1, 1),
-            opened: Bitmap::new(1, 1),
-            blob: Bitmap::new(1, 1),
             mask_bits: BitMask::new(1, 1),
-            eroded_bits: BitMask::new(1, 1),
-            opened_bits: BitMask::new(1, 1),
             blob_bits: BitMask::new(1, 1),
             label: LabelScratch::new(),
             sig: SignatureScratch::new(),
@@ -307,64 +268,9 @@ impl RecognitionPipeline {
         self.index.len()
     }
 
-    /// The front half of the silhouette stages: segment (and, when
-    /// denoising, open) the frame, then isolate its largest component into
-    /// the scratch blob mask of the active kernel family. `None` when the
-    /// mask has no foreground at all.
-    fn largest_blob(
-        &self,
-        frame: &GrayImage,
-        scratch: &mut FrameScratch,
-        timings: &mut StageTimings,
-    ) -> Option<Component> {
-        let threshold = self.segmentation_threshold(frame);
-        match self.config.kernels {
-            KernelPath::Byte => {
-                let t0 = Instant::now();
-                binarize_into(frame, threshold, &mut scratch.mask);
-                if self.config.denoise {
-                    morphology::open_into(&scratch.mask, &mut scratch.eroded, &mut scratch.opened);
-                }
-                timings.segment_us = t0.elapsed().as_micros() as u64;
-                let mask = if self.config.denoise {
-                    &scratch.opened
-                } else {
-                    &scratch.mask
-                };
-                let t1 = Instant::now();
-                let comp = largest_component_with(
-                    mask,
-                    Connectivity::Eight,
-                    &mut scratch.blob,
-                    &mut scratch.label,
-                );
-                timings.component_us = t1.elapsed().as_micros() as u64;
-                comp
-            }
-            KernelPath::Hybrid => {
-                let t0 = Instant::now();
-                self.segment_packed(frame, threshold, scratch);
-                if self.config.denoise {
-                    morphology::open_packed_into(
-                        &scratch.mask_bits,
-                        &mut scratch.eroded_bits,
-                        &mut scratch.opened_bits,
-                    );
-                }
-                timings.segment_us = t0.elapsed().as_micros() as u64;
-                let mask = if self.config.denoise {
-                    &scratch.opened_bits
-                } else {
-                    &scratch.mask_bits
-                };
-                largest_packed(mask, &mut scratch.blob_bits, &mut scratch.label, timings)
-            }
-        }
-    }
-
-    /// The back half of the silhouette stages, continuing from the blob
-    /// [`RecognitionPipeline::largest_blob`] (or the incremental ladder) left
-    /// in the scratch, or from `whole`, a packed mask that is its own blob:
+    /// The back half of the silhouette stages, continuing from the blob a
+    /// read (or the incremental ladder) left in the scratch, or from
+    /// `whole`, a packed mask that is its own blob:
     /// area floor → contour → signature. On success the signature series is
     /// in `scratch.sig` and its metadata is returned.
     fn blob_signature(
@@ -385,13 +291,8 @@ impl RecognitionPipeline {
         }
 
         let t2 = Instant::now();
-        let traced = match (whole, self.config.kernels) {
-            (Some(blob), _) => trace_contour_packed_with(blob, &mut scratch.sig),
-            (None, KernelPath::Byte) => trace_contour_with(&scratch.blob, &mut scratch.sig),
-            (None, KernelPath::Hybrid) => {
-                trace_contour_packed_with(&scratch.blob_bits, &mut scratch.sig)
-            }
-        };
+        let traced =
+            trace_contour_packed_with(whole.unwrap_or(&scratch.blob_bits), &mut scratch.sig);
         timings.contour_us = t2.elapsed().as_micros() as u64;
         traced.map_err(FrameFailure::Signature)?;
 
@@ -411,10 +312,9 @@ impl RecognitionPipeline {
 
     /// Whole-frame binarise straight into the packed scratch mask
     /// `mask_bits`, one read of the frame and no byte plane
-    /// ([`binarize_packed_into`]). The segmentation half of the hybrid
-    /// kernel arm, shared with the incremental ladder's mask-level change
-    /// detector (which copies the dirty bands' rows of `mask_bits` into its
-    /// cached mask on a patch).
+    /// ([`binarize_packed_into`]). Shared by every read and by the
+    /// incremental ladder's mask-level change detector (which copies the
+    /// dirty bands' rows of `mask_bits` into its cached mask on a patch).
     pub(crate) fn segment_packed(
         &self,
         frame: &GrayImage,
@@ -424,19 +324,16 @@ impl RecognitionPipeline {
         binarize_packed_into(frame, threshold, &mut scratch.mask_bits);
     }
 
-    /// The silhouette stages starting from an already-segmented (and, when
-    /// denoising, already-opened) packed mask — the incremental ladder hands
-    /// its patched cached mask straight to labelling: largest component →
-    /// area floor → contour → signature. On success the signature series is
-    /// in `scratch.sig`. The ladder runs only on [`KernelPath::Hybrid`], so
-    /// the blob is always the packed one.
+    /// The silhouette stages starting from an already-segmented packed
+    /// mask — the incremental ladder hands its patched cached mask straight
+    /// to labelling: largest component → area floor → contour → signature.
+    /// On success the signature series is in `scratch.sig`.
     pub(crate) fn signature_stages_from_packed(
         &self,
         mask: &BitMask,
         scratch: &mut FrameScratch,
         timings: &mut StageTimings,
     ) -> Result<SignatureStats, FrameFailure> {
-        debug_assert_eq!(self.config.kernels, KernelPath::Hybrid);
         let comp = largest_packed(mask, &mut scratch.blob_bits, &mut scratch.label, timings);
         self.blob_signature(comp.as_ref(), None, scratch, timings)
     }
@@ -448,7 +345,7 @@ impl RecognitionPipeline {
     pub fn signature_of(&self, frame: &GrayImage) -> Result<ShapeSignature, SignatureError> {
         let mut scratch = FrameScratch::new();
         let mut timings = StageTimings::default();
-        let comp = self.largest_blob(frame, &mut scratch, &mut timings);
+        let comp = self.read_with(&mut scratch, frame, false).component;
         let stats = self
             .blob_signature(comp.as_ref(), None, &mut scratch, &mut timings)
             .map_err(FrameFailure::into_signature_error)?;
@@ -588,7 +485,15 @@ impl RecognitionPipeline {
         decide: bool,
     ) -> FrameRead<'a> {
         let mut timings = StageTimings::default();
-        let component = self.largest_blob(frame, scratch, &mut timings);
+        let t = Instant::now();
+        self.segment_packed(frame, self.segmentation_threshold(frame), scratch);
+        timings.segment_us = t.elapsed().as_micros() as u64;
+        let component = largest_packed(
+            &scratch.mask_bits,
+            &mut scratch.blob_bits,
+            &mut scratch.label,
+            &mut timings,
+        );
         self.read_from_blob(scratch, component, None, decide, timings)
     }
 
@@ -603,9 +508,8 @@ impl RecognitionPipeline {
     ///
     /// # Panics
     /// Panics unless the pipeline segments every 0/255 frame to exactly its
-    /// 255 pixels and labels the packed mask as it stands: a
-    /// `Fixed(t < 255)` threshold, no opening, [`KernelPath::Hybrid`] — the
-    /// loop's calibrated [`PipelineConfig::default`].
+    /// 255 pixels: a `Fixed(t < 255)` threshold, as in the loop's
+    /// calibrated [`PipelineConfig::default`].
     pub fn read_mask_with<'a>(
         &'a self,
         scratch: &mut FrameScratch,
@@ -613,11 +517,9 @@ impl RecognitionPipeline {
         decide: bool,
     ) -> FrameRead<'a> {
         assert!(
-            matches!(self.config.segmentation, SegmentationMode::Fixed(t) if t < 255)
-                && !self.config.denoise
-                && self.config.kernels == KernelPath::Hybrid,
+            matches!(self.config.segmentation, SegmentationMode::Fixed(t) if t < 255),
             "a silhouette mask is this pipeline's segmentation only under \
-             Fixed(t < 255), no denoise, Hybrid kernels; got {:?}",
+             Fixed(t < 255); got {:?}",
             self.config
         );
         let mut timings = StageTimings::default();
@@ -860,29 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn denoise_survives_speckle() {
-        use rand::{rngs::SmallRng, SeedableRng};
-        let cfg = PipelineConfig {
-            denoise: true,
-            ..Default::default()
-        };
-        let mut p = RecognitionPipeline::new(cfg);
-        p.calibrate_from_views(&ViewSpec::paper_default(0.0, 5.0, 3.0));
-        let mut frame = render_sign(
-            MarshallingSign::Yes,
-            &ViewSpec::paper_default(0.0, 4.0, 3.0),
-        );
-        let mut rng = SmallRng::seed_from_u64(99);
-        hdc_raster::noise::add_salt_pepper(&mut frame, 0.02, &mut rng);
-        let r = p.recognize(&frame);
-        assert_eq!(
-            r.decision.as_deref(),
-            Some("Yes"),
-            "opening removes speckle"
-        );
-    }
-
-    #[test]
     fn scratch_path_matches_allocating_path() {
         // One reused scratch across a mixed stream of frames (different
         // signs, views, failures) must reproduce `recognize` exactly.
@@ -989,14 +868,6 @@ mod tests {
             },
             PipelineConfig {
                 segmentation: SegmentationMode::Otsu,
-                ..loop_config
-            },
-            PipelineConfig {
-                denoise: true,
-                ..loop_config
-            },
-            PipelineConfig {
-                kernels: KernelPath::Byte,
                 ..loop_config
             },
         ] {

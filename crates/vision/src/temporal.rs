@@ -25,16 +25,14 @@
 //!    same identity compare as the strict gate, against the *previous*
 //!    frame — camera oversampling makes byte-identical repeats the most
 //!    common frame of all, and identity implies every tolerance holds.
-//!    Otherwise binarise the frame straight into mask words with the
-//!    hybrid kernel, XOR-popcount the packed mask against the cached mask
-//!    per tile, and reuse the cached decision while every tile stays
-//!    within [`TemporalConfig::max_tile_mask_diff`] bit flips. On a miss,
+//!    Otherwise binarise the frame straight into mask words, XOR-popcount
+//!    the packed mask against the cached mask per tile, and reuse the
+//!    cached decision while every tile stays within
+//!    [`TemporalConfig::max_tile_mask_diff`] bit flips. On a miss,
 //!    the dirty tile rows are merged into row-band spans
 //!    ([`hdc_raster::diff::DirtyBands`]): when they cover at most
 //!    [`TemporalConfig::max_dirty_fraction`] of the frame, the dirty rows
-//!    of the fresh mask are copied into the cached mask (and, when
-//!    denoising, the cached morphology planes are patched with their ±1/±2
-//!    row halos by the band-restricted kernels) and only
+//!    of the fresh mask are copied into the cached mask and only
 //!    labelling/contour/signature re-run on the patched full mask —
 //!    above the threshold the whole mask is refreshed. Either way the
 //!    cached mask ends bit-identical to a from-scratch segmentation, so
@@ -53,10 +51,9 @@
 //! recorded in `BENCH_stream.json` and bounded by test.
 
 use crate::engine::Recognition;
-use crate::pipeline::{FrameResult, FrameScratch, KernelPath, RecognitionPipeline};
+use crate::pipeline::{FrameResult, FrameScratch, RecognitionPipeline};
 use crate::timing::StageTimings;
 use hdc_raster::diff::{mask_tile_diff_into, DirtyBands};
-use hdc_raster::morphology::{open_packed_band_into, open_packed_into};
 use hdc_raster::{BitMask, GrayImage};
 
 /// Which reuse checks the gate runs.
@@ -66,14 +63,12 @@ pub enum GateMode {
     Off,
     /// Reuse only on byte-identical frames — output provably unchanged.
     Strict,
-    /// Mask-level incremental reuse: binarise with the hybrid kernels,
+    /// Mask-level incremental reuse: binarise straight into mask words,
     /// diff the packed mask per tile against the cached mask, and reuse
     /// while every tile's bit flips stay within tolerance; on a miss, patch
     /// only the dirty row-bands and re-run labelling onward, with the
     /// signature short-circuit. Output may diverge from the ungated oracle,
-    /// bounded by the configured tolerances. Requires
-    /// [`crate::KernelPath::Hybrid`]; byte-kernel pipelines fall back to
-    /// full runs.
+    /// bounded by the configured tolerances.
     Incremental,
 }
 
@@ -298,10 +293,6 @@ pub struct StreamRecognizer {
     /// layer spills it with the rest of the gate state by moving the
     /// whole recogniser, so an eviction never copies it.
     cached_mask: BitMask,
-    /// Cached morphology planes (incremental mode with denoise): the
-    /// erode/open outputs matching `cached_mask`, band-patched alongside it.
-    cached_eroded: BitMask,
-    cached_opened: BitMask,
     has_cached_mask: bool,
     /// Per-tile mask-diff output buffer (incremental mode).
     mask_tiles: Vec<u64>,
@@ -325,8 +316,6 @@ impl StreamRecognizer {
             prev: GrayImage::new(1, 1),
             has_prev: false,
             cached_mask: BitMask::new(1, 1),
-            cached_eroded: BitMask::new(1, 1),
-            cached_opened: BitMask::new(1, 1),
             has_cached_mask: false,
             mask_tiles: Vec::new(),
             bands: DirtyBands::default(),
@@ -408,7 +397,7 @@ impl StreamRecognizer {
     }
 
     /// The incremental-mode resolution ladder after the identity pre-check
-    /// missed: segment the frame with the hybrid kernels, diff the fresh
+    /// missed: segment the frame into mask words, diff the fresh
     /// mask against the cached one per tile, and either reuse the decision
     /// (every tile within tolerance), patch the cached mask on the dirty
     /// row-bands, or refresh it wholesale — then re-run the geometric
@@ -419,16 +408,15 @@ impl StreamRecognizer {
         scratch: &mut FrameScratch,
         frame: &GrayImage,
     ) {
-        let usable = pipeline.config().kernels != KernelPath::Byte
-            && self.cached.is_some()
+        let usable = self.cached.is_some()
             && self.has_cached_mask
             && frame.width() == self.cached_mask.width()
             && frame.height() == self.cached_mask.height();
         if !usable {
-            // Cold start, dimension change, or a byte-kernel pipeline:
-            // full run, then seed the mask cache from the scratch.
+            // Cold start or dimension change: full run, then seed the mask
+            // cache from the scratch.
             self.full_run(pipeline, scratch, frame, false);
-            self.seed_mask_cache(pipeline, scratch);
+            self.seed_mask_cache(scratch);
             return;
         }
         let threshold = pipeline.segmentation_threshold(frame);
@@ -457,48 +445,19 @@ impl StreamRecognizer {
             self.counters.incremental_hits += 1;
             return;
         }
-        let denoise = pipeline.config().denoise;
         if self.bands.coverage() <= self.config.max_dirty_fraction {
             self.dirty.patched += 1;
             for &(lo, hi) in self.bands.spans() {
                 self.cached_mask.copy_rows_from(&scratch.mask_bits, lo, hi);
-            }
-            if denoise {
-                // Distinct merged spans sit ≥ one tile row (≥ the ±2 open
-                // halo) apart, so per-span opens never overlap.
-                for &(lo, hi) in self.bands.spans() {
-                    open_packed_band_into(
-                        &self.cached_mask,
-                        &mut self.cached_eroded,
-                        &mut self.cached_opened,
-                        lo,
-                        hi,
-                    );
-                }
             }
         } else {
             self.dirty.full_fallbacks += 1;
             // Above the patch threshold the fresh mask already sits in the
             // scratch — adopt it wholesale by swapping buffers.
             std::mem::swap(&mut self.cached_mask, &mut scratch.mask_bits);
-            if denoise {
-                open_packed_into(
-                    &self.cached_mask,
-                    &mut self.cached_eroded,
-                    &mut self.cached_opened,
-                );
-            }
         }
         let mut timings = StageTimings::default();
-        let outcome = {
-            let mask = if denoise {
-                &self.cached_opened
-            } else {
-                &self.cached_mask
-            };
-            pipeline.signature_stages_from_packed(mask, scratch, &mut timings)
-        };
-        match outcome {
+        match pipeline.signature_stages_from_packed(&self.cached_mask, scratch, &mut timings) {
             Err(failure) => {
                 let r = FrameResult::failed(timings, failure);
                 self.cached = Some(Recognition::from_frame_result(&r));
@@ -526,21 +485,9 @@ impl StreamRecognizer {
 
     /// Adopts the scratch's freshly segmented mask as the incremental
     /// cache by swapping buffers (O(1), no copy). Valid even after a
-    /// failed frame — segmentation runs before any component failure —
-    /// and a no-op for byte pipelines, which never populate the packed
-    /// scratch.
-    fn seed_mask_cache(&mut self, pipeline: &RecognitionPipeline, scratch: &mut FrameScratch) {
-        if pipeline.config().kernels == KernelPath::Byte {
-            return;
-        }
+    /// failed frame — segmentation runs before any component failure.
+    fn seed_mask_cache(&mut self, scratch: &mut FrameScratch) {
         std::mem::swap(&mut self.cached_mask, &mut scratch.mask_bits);
-        if pipeline.config().denoise {
-            open_packed_into(
-                &self.cached_mask,
-                &mut self.cached_eroded,
-                &mut self.cached_opened,
-            );
-        }
         self.has_cached_mask = true;
     }
 
@@ -776,24 +723,6 @@ mod tests {
         assert_eq!(dirty.patched, 1, "local change takes the band-patch path");
         assert_eq!(dirty.full_fallbacks, 0);
         assert_eq!(rec.counters().incremental_hits, 0);
-    }
-
-    #[test]
-    fn incremental_with_byte_kernels_falls_back_to_full_runs() {
-        let mut p = RecognitionPipeline::new(PipelineConfig {
-            kernels: KernelPath::Byte,
-            ..PipelineConfig::default()
-        });
-        p.calibrate_from_views(&ViewSpec::paper_default(0.0, 5.0, 3.0));
-        let mut scratch = FrameScratch::new();
-        let mut rec = StreamRecognizer::new(TemporalConfig::incremental());
-        let base = yes_frame();
-        for seed in 0..3 {
-            rec.recognize(&p, &mut scratch, &jittered(&base, seed));
-        }
-        assert_eq!(rec.counters().full_runs, 3, "byte pipelines never gate");
-        assert_eq!(rec.counters().incremental_hits, 0);
-        assert_eq!(rec.dirty_stats().evaluated(), 0);
     }
 
     #[test]

@@ -1,52 +1,150 @@
-//! Byte-vs-hybrid kernel equivalence at the pipeline level.
+//! The recognition pipeline against a byte-per-pixel oracle.
 //!
-//! The hybrid kernels (byte binarise, one pack, then the bit-packed
-//! silhouette kernels) are only admissible if they change *nothing* but
-//! speed: same decisions, same diagnostics, same signature
-//! series, bit for bit, across accept frames, reject frames, noisy frames
-//! and both segmentation modes. The byte path is the oracle.
+//! `RecognitionPipeline` has one silhouette path: the frame is binarised
+//! straight into bit-packed mask words, then labelled and traced by the
+//! word-parallel kernels. It is admissible only if it computes exactly what
+//! the plain byte composition in this file computes — `binarize` (or Otsu)
+//! → largest 8-connected component → blob-area floor → `extract_signature`
+//! → the sign database's best two → the accept and ratio rule — with the
+//! same decisions, diagnostics and signature series, bit for bit, across
+//! accept frames, reject frames, noisy frames, odd widths and both
+//! segmentation modes. The byte composition lives only here.
 
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
-use hdc_raster::GrayImage;
-use hdc_vision::{FrameScratch, KernelPath, PipelineConfig, RecognitionPipeline, SegmentationMode};
+use hdc_raster::threshold::{binarize, otsu_threshold};
+use hdc_raster::{largest_component, Connectivity, GrayImage};
+use hdc_sax::SaxIndex;
+use hdc_vision::{
+    extract_signature, FrameFailure, FrameScratch, PipelineConfig, RecognitionPipeline,
+    SegmentationMode, ShapeSignature,
+};
 
-/// The byte oracle and the hybrid candidate, calibrated identically.
-fn pipelines(base: PipelineConfig) -> (RecognitionPipeline, RecognitionPipeline) {
-    let pipeline = |kernels| {
-        let mut p = RecognitionPipeline::new(PipelineConfig { kernels, ..base });
-        p.calibrate_from_views(&ViewSpec::paper_default(0.0, 5.0, 3.0));
-        p
-    };
-    (pipeline(KernelPath::Byte), pipeline(KernelPath::Hybrid))
+/// What the byte composition concludes about one frame.
+struct ByteRead {
+    decision: Option<String>,
+    best: Option<(String, f64)>,
+    runner_up: Option<f64>,
+    failure: Option<FrameFailure>,
+    signature: Option<ShapeSignature>,
 }
 
-fn assert_streams_identical(
-    byte: &RecognitionPipeline,
-    hybrid: &RecognitionPipeline,
-    frames: &[GrayImage],
-    context: &str,
-) {
-    let mut sb = FrameScratch::new();
-    let mut sp = FrameScratch::new();
+impl ByteRead {
+    fn failed(failure: FrameFailure) -> Self {
+        ByteRead {
+            decision: None,
+            best: None,
+            runner_up: None,
+            failure: Some(failure),
+            signature: None,
+        }
+    }
+}
+
+/// The threshold the pipeline's segmentation mode picks for `frame`.
+fn threshold(config: &PipelineConfig, frame: &GrayImage) -> u8 {
+    match config.segmentation {
+        SegmentationMode::Fixed(t) => t,
+        SegmentationMode::Otsu => otsu_threshold(frame),
+    }
+}
+
+/// The byte oracle for the signature stages: the frame's largest
+/// 8-connected blob on one byte per pixel, its area floor and its
+/// centroid-distance signature.
+fn byte_signature(
+    config: &PipelineConfig,
+    frame: &GrayImage,
+) -> Result<ShapeSignature, FrameFailure> {
+    let mask = binarize(frame, threshold(config, frame));
+    let (blob, comp) = largest_component(&mask, Connectivity::Eight).ok_or(FrameFailure::NoBlob)?;
+    if comp.area < config.min_blob_area {
+        return Err(FrameFailure::BlobTooSmall {
+            area: comp.area,
+            required: config.min_blob_area,
+        });
+    }
+    extract_signature(&blob, config.signature_len).map_err(FrameFailure::Signature)
+}
+
+/// The byte oracle for a whole read: [`byte_signature`], then the best two
+/// templates of the pipeline's own database and the accept and ratio rule.
+fn byte_recognize(pipeline: &RecognitionPipeline, frame: &GrayImage) -> ByteRead {
+    let config = pipeline.config();
+    let signature = match byte_signature(config, frame) {
+        Ok(s) => s,
+        Err(failure) => return ByteRead::failed(failure),
+    };
+    let (best, runner_up) = match pipeline.index().best_two(&signature.series) {
+        Some((b, r)) => (Some(b), r),
+        None => (None, None),
+    };
+    let decision = best
+        .as_ref()
+        .filter(|m| {
+            m.distance <= config.accept_threshold
+                && runner_up.is_none_or(|r| m.distance <= config.ambiguity_ratio * r)
+        })
+        .map(|m| m.label.clone());
+    ByteRead {
+        decision,
+        best: best.map(|m| (m.label, m.distance)),
+        runner_up,
+        failure: None,
+        signature: Some(signature),
+    }
+}
+
+/// A pipeline calibrated on the canonical views, after checking that its
+/// enrolled templates are the byte oracle's signatures of those views.
+fn calibrated(config: PipelineConfig) -> RecognitionPipeline {
+    let canonical = ViewSpec::paper_default(0.0, 5.0, 3.0);
+    let mut pipeline = RecognitionPipeline::new(config);
+    pipeline.calibrate_from_views(&canonical);
+    let mut oracle = SaxIndex::new(config.sax, config.signature_len);
+    for sign in MarshallingSign::ALL {
+        let frame = render_sign(sign, &canonical);
+        let sig = byte_signature(&config, &frame).expect("canonical view shows the signaller");
+        oracle.insert(sign.label(), &sig.series);
+    }
+    let templates = |index: &SaxIndex| {
+        index
+            .templates()
+            .iter()
+            .map(|t| (t.label.clone(), t.series.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(templates(pipeline.index()), templates(&oracle), "templates");
+    pipeline
+}
+
+fn assert_matches_byte_oracle(pipeline: &RecognitionPipeline, frames: &[GrayImage], context: &str) {
+    let mut scratch = FrameScratch::new();
     for (i, frame) in frames.iter().enumerate() {
-        let rb = byte.recognize_with(&mut sb, frame);
-        let rp = hybrid.recognize_with(&mut sp, frame);
-        assert_eq!(rb.decision, rp.decision, "{context} frame {i}: decision");
+        let want = byte_recognize(pipeline, frame);
+        let got = pipeline.recognize_with(&mut scratch, frame);
         assert_eq!(
-            rb.best.map(|m| (m.label.to_owned(), m.distance)),
-            rp.best.map(|m| (m.label.to_owned(), m.distance)),
+            got.decision.map(str::to_owned),
+            want.decision,
+            "{context} frame {i}: decision"
+        );
+        assert_eq!(
+            got.best.map(|m| (m.label.to_owned(), m.distance)),
+            want.best,
             "{context} frame {i}: best match"
         );
-        assert_eq!(rb.runner_up, rp.runner_up, "{context} frame {i}: runner-up");
-        assert_eq!(rb.failure, rp.failure, "{context} frame {i}: failure");
-        match (rb.stats, rp.stats) {
+        assert_eq!(
+            got.runner_up, want.runner_up,
+            "{context} frame {i}: runner-up"
+        );
+        assert_eq!(got.failure, want.failure, "{context} frame {i}: failure");
+        match (got.stats, &want.signature) {
             (Some(a), Some(b)) => {
                 assert_eq!(a.contour_len, b.contour_len, "{context} frame {i}");
                 assert_eq!(a.centroid, b.centroid, "{context} frame {i}");
                 assert_eq!(a.mean_radius, b.mean_radius, "{context} frame {i}");
                 assert_eq!(
-                    sb.signature_series(),
-                    sp.signature_series(),
+                    scratch.signature_series(),
+                    &b.series[..],
                     "{context} frame {i}: signature series"
                 );
             }
@@ -81,18 +179,14 @@ fn view_sweep() -> Vec<GrayImage> {
 
 #[test]
 fn packed_decisions_match_byte_decisions() {
-    let (byte, hybrid) = pipelines(PipelineConfig::default());
-    assert_streams_identical(&byte, &hybrid, &view_sweep(), "default config");
+    let pipeline = calibrated(PipelineConfig::default());
+    assert_matches_byte_oracle(&pipeline, &view_sweep(), "default config");
 }
 
 #[test]
-fn packed_matches_byte_with_denoise_and_noise() {
+fn packed_matches_byte_under_salt_and_pepper() {
     use rand::{rngs::SmallRng, SeedableRng};
-    let base = PipelineConfig {
-        denoise: true,
-        ..PipelineConfig::default()
-    };
-    let (byte, hybrid) = pipelines(base);
+    let pipeline = calibrated(PipelineConfig::default());
     let mut rng = SmallRng::seed_from_u64(4242);
     let frames: Vec<GrayImage> = view_sweep()
         .into_iter()
@@ -101,34 +195,43 @@ fn packed_matches_byte_with_denoise_and_noise() {
             f
         })
         .collect();
-    assert_streams_identical(&byte, &hybrid, &frames, "denoise + salt-pepper");
+    assert_matches_byte_oracle(&pipeline, &frames, "salt-pepper");
 }
 
 #[test]
 fn packed_matches_byte_under_otsu() {
-    let base = PipelineConfig {
+    let pipeline = calibrated(PipelineConfig {
         segmentation: SegmentationMode::Otsu,
         ..PipelineConfig::default()
-    };
-    let (byte, hybrid) = pipelines(base);
-    assert_streams_identical(&byte, &hybrid, &view_sweep(), "otsu");
+    });
+    assert_matches_byte_oracle(&pipeline, &view_sweep(), "otsu");
 }
 
 #[test]
 fn packed_matches_byte_at_odd_resolutions() {
     // Frame widths that are not multiples of 64 exercise the tail-word
-    // handling of every packed kernel end to end.
-    let (byte, hybrid) = pipelines(PipelineConfig::default());
+    // handling of every packed kernel end to end: the signs, an empty
+    // frame, and a block whose right side is the last column, so the tail
+    // word of most rows carries foreground.
+    let pipeline = calibrated(PipelineConfig::default());
     let mut frames = Vec::new();
     for width in [130u32, 321, 333] {
+        let mut v = ViewSpec::paper_default(10.0, 5.0, 3.0);
+        let scale = width as f64 / v.width as f64;
+        v.width = width;
+        v.height = (v.height as f64 * scale) as u32;
+        v.focal_px *= scale;
         for sign in MarshallingSign::ALL {
-            let mut v = ViewSpec::paper_default(10.0, 5.0, 3.0);
-            let scale = width as f64 / v.width as f64;
-            v.width = width;
-            v.height = (v.height as f64 * scale) as u32;
-            v.focal_px *= scale;
             frames.push(render_sign(sign, &v));
         }
+        frames.push(GrayImage::new(width, v.height));
+        let mut edge = GrayImage::new(width, v.height);
+        for y in 10..v.height - 10 {
+            for x in width - 40..width {
+                edge.set(x, y, 255);
+            }
+        }
+        frames.push(edge);
     }
-    assert_streams_identical(&byte, &hybrid, &frames, "odd widths");
+    assert_matches_byte_oracle(&pipeline, &frames, "odd widths");
 }

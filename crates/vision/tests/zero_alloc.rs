@@ -11,7 +11,9 @@
 
 use hdc_figure::{paint_silhouette, render_sign, MarshallingSign, Pose, ViewSpec};
 use hdc_raster::{BitMask, GrayImage};
-use hdc_vision::{FrameFailure, FrameScratch, KernelPath, PipelineConfig, RecognitionPipeline};
+use hdc_vision::{
+    FrameFailure, FrameScratch, PipelineConfig, RecognitionPipeline, SegmentationMode,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -67,9 +69,9 @@ fn view_at(width: u32, azimuth_deg: f64) -> ViewSpec {
     v
 }
 
-fn assert_allocation_free(kernels: KernelPath) {
+fn assert_allocation_free(segmentation: SegmentationMode) {
     let config = PipelineConfig {
-        kernels,
+        segmentation,
         ..PipelineConfig::default()
     };
     let mut pipeline = RecognitionPipeline::new(config);
@@ -126,20 +128,25 @@ fn assert_allocation_free(kernels: KernelPath) {
     assert_eq!(
         after_pure - before_pure,
         0,
-        "steady-state recognize_with ({kernels:?}) must not allocate \
+        "steady-state recognize_with ({segmentation:?}) must not allocate \
          (warm loop allocated {} times)",
         after - before
     );
 }
 
+/// Per-frame Otsu segmentation: the threshold histogram is rebuilt for
+/// every frame and must live on the stack or in scratch.
 #[test]
 fn recognize_with_is_allocation_free_after_warmup() {
-    assert_allocation_free(KernelPath::Byte);
+    assert_allocation_free(SegmentationMode::Otsu);
 }
 
+/// The default fixed threshold on the hybrid kernels — byte-compare
+/// binarisation gathered straight into mask words, then the word-parallel
+/// labelling and contour — the pipeline's only kernel family.
 #[test]
 fn hybrid_recognize_with_is_allocation_free_after_warmup() {
-    assert_allocation_free(KernelPath::Hybrid);
+    assert_allocation_free(PipelineConfig::default().segmentation);
 }
 
 #[test]
