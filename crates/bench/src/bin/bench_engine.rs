@@ -80,13 +80,6 @@ fn main() {
     let (stream_floor, stream_seconds) = if smoke { (1, 0.0) } else { (120, 2.0) };
     println!("serving 4 sustained streams on {stream_workers} worker(s)...");
     let stream_report = multi_stream_study(4, stream_workers, stream_floor, stream_seconds);
-    for (i, s) in stream_report.per_stream.iter().enumerate() {
-        println!(
-            "  stream {i}: {} frames, {:.1} fps",
-            s.frames,
-            stream_report.stream_fps(i)
-        );
-    }
     println!("  aggregate: {:.1} fps", stream_report.aggregate_fps());
 
     let json = to_json(

@@ -71,7 +71,6 @@ fn main() {
         "speedup",
         "strict hits",
         "incr hits",
-        "sig shortcut",
         "full runs",
     ]);
     for run in &runs {
@@ -82,7 +81,6 @@ fn main() {
             format!("{:.2}x", run.report.aggregate_fps() / baseline_fps),
             gate.strict_hits.to_string(),
             gate.incremental_hits.to_string(),
-            gate.signature_short_circuits.to_string(),
             gate.full_runs.to_string(),
         ]);
     }
@@ -93,14 +91,6 @@ fn main() {
         .find(|r| r.label == "incremental")
         .expect("study includes incremental mode");
     let inc_gate = inc_run.report.gate_totals();
-    let dirty = inc_run.report.dirty_totals();
-    println!(
-        "incremental dirty coverage: {} evaluated, {} patched, {} full fallbacks, deciles {:?}",
-        dirty.evaluated(),
-        dirty.patched,
-        dirty.full_fallbacks,
-        dirty.coverage_deciles
-    );
     // Smoke floors: the incremental gate must actually fire, and it must
     // resolve at least as many frames without a full run as the strict gate
     // (its identity pre-check plus the mask gate strictly widen reuse).

@@ -252,18 +252,13 @@ pub fn to_json(
         );
     }
     s.push_str("  ],\n");
-    let per_stream_fps = (0..stream_report.per_stream.len())
-        .map(|i| format!("{:.2}", stream_report.stream_fps(i)))
-        .collect::<Vec<_>>()
-        .join(", ");
     let _ = writeln!(
         s,
-        "  \"multi_stream\": {{\"streams\": {}, \"workers\": {}, \"seconds\": {:.2}, \"aggregate_fps\": {:.2}, \"per_stream_fps\": [{}]}}",
+        "  \"multi_stream\": {{\"streams\": {}, \"workers\": {}, \"seconds\": {:.2}, \"aggregate_fps\": {:.2}}}",
         stream_report.per_stream.len(),
         stream_report.workers,
         stream_report.seconds,
         stream_report.aggregate_fps(),
-        per_stream_fps
     );
     s.push_str("}\n");
     s
@@ -324,7 +319,6 @@ mod tests {
                 frames: 10,
                 decided: 10,
                 gate: Default::default(),
-                dirty: Default::default(),
             }],
             seconds: 1.0,
             workers: 2,

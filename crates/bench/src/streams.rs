@@ -243,7 +243,7 @@ pub fn stream_json(
         let gate = run.report.gate_totals();
         let _ = writeln!(
             s,
-            "    {{\"mode\": \"{}\", \"seconds\": {:.2}, \"frames\": {}, \"aggregate_fps\": {:.2}, \"speedup_vs_off\": {:.2}, \"gate\": {{\"strict_hits\": {}, \"incremental_hits\": {}, \"signature_short_circuits\": {}, \"full_runs\": {}}}}}{}",
+            "    {{\"mode\": \"{}\", \"seconds\": {:.2}, \"frames\": {}, \"aggregate_fps\": {:.2}, \"speedup_vs_off\": {:.2}, \"gate\": {{\"strict_hits\": {}, \"incremental_hits\": {}, \"full_runs\": {}}}}}{}",
             run.label,
             run.report.seconds,
             run.report.total_frames(),
@@ -251,28 +251,11 @@ pub fn stream_json(
             run.report.aggregate_fps() / baseline_fps,
             gate.strict_hits,
             gate.incremental_hits,
-            gate.signature_short_circuits,
             gate.full_runs,
             if i + 1 < runs.len() { "," } else { "" }
         );
     }
     s.push_str("  ],\n");
-    if let Some(inc) = runs.iter().find(|r| r.label == "incremental") {
-        let dirty = inc.report.dirty_totals();
-        let deciles: Vec<String> = dirty
-            .coverage_deciles
-            .iter()
-            .map(|c| c.to_string())
-            .collect();
-        let _ = writeln!(
-            s,
-            "  \"dirty_coverage\": {{\n    \"note\": \"incremental mode: dirty-row coverage of every mask-diffed frame, decile buckets 0-10% .. 90-100%\",\n    \"evaluated\": {},\n    \"patched\": {},\n    \"full_fallbacks\": {},\n    \"coverage_deciles\": [{}]\n  }},",
-            dirty.evaluated(),
-            dirty.patched,
-            dirty.full_fallbacks,
-            deciles.join(", "),
-        );
-    }
     let _ = writeln!(
         s,
         "  \"divergence\": {{\n    \"strict\": {{\"frames\": {}, \"divergent\": {}, \"rate\": {:.6}}},\n    \"incremental\": {{\"frames\": {}, \"divergent\": {}, \"rate\": {:.6}}}\n  }}",
@@ -361,11 +344,6 @@ mod tests {
             inc.strict_hits > 0,
             "duplicates must hit the identity pre-check"
         );
-        let dirty = runs[2].report.dirty_totals();
-        assert!(
-            dirty.evaluated() > 0,
-            "non-identity frames must reach the mask diff"
-        );
         for run in &runs {
             assert_eq!(run.report.gate_totals().frames(), run.report.total_frames());
         }
@@ -385,8 +363,6 @@ mod tests {
         assert!(json.contains("\"mode\": \"strict\""));
         assert!(!json.contains("approx"));
         assert!(json.contains("\"mode\": \"incremental\""));
-        assert!(json.contains("\"dirty_coverage\""));
-        assert!(json.contains("\"coverage_deciles\""));
         assert!(json.contains("\"divergence\""));
         assert!(json.contains("\"rate\": 0.100000"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -132,15 +132,6 @@ impl BitMask {
         &self.words[base..base + self.words_per_row]
     }
 
-    /// Mutable words of row `y`. Writers must maintain the tail invariant.
-    ///
-    /// # Panics
-    /// Panics if `y` is out of bounds.
-    pub fn row_mut(&mut self, y: u32) -> &mut [u64] {
-        let base = y as usize * self.words_per_row;
-        &mut self.words[base..base + self.words_per_row]
-    }
-
     /// Pixel value at `(x, y)`, or `None` out of bounds.
     #[inline]
     pub fn get(&self, x: u32, y: u32) -> Option<bool> {
@@ -253,34 +244,6 @@ impl BitMask {
         let mut out = BitMask::new(mask.width(), mask.height());
         out.pack_from(mask);
         out
-    }
-
-    /// Copies rows `[row_lo, row_hi)` of `src` into the same rows of this
-    /// mask, leaving every other row untouched: the incremental
-    /// recognition ladder's patch primitive, which moves the dirty bands
-    /// of a freshly segmented frame into its cached mask. Never
-    /// re-dimensions `self`.
-    ///
-    /// # Panics
-    /// Panics if the dimensions differ or the band is reversed or out of
-    /// bounds.
-    pub fn copy_rows_from(&mut self, src: &BitMask, row_lo: u32, row_hi: u32) {
-        assert!(
-            self.width == src.width && self.height == src.height,
-            "row copy requires masks of one size: {}x{} vs {}x{}",
-            self.width,
-            self.height,
-            src.width,
-            src.height
-        );
-        assert!(
-            row_lo <= row_hi && row_hi <= self.height,
-            "band [{row_lo}, {row_hi}) must lie inside height {}",
-            self.height
-        );
-        let wpr = self.words_per_row;
-        let band = row_lo as usize * wpr..row_hi as usize * wpr;
-        self.words[band.clone()].copy_from_slice(&src.words[band]);
     }
 
     /// Unpacks into a byte-per-pixel mask, re-dimensioning `out` to match.
@@ -431,23 +394,6 @@ mod tests {
             let wpr = packed.words_per_row();
             for row in packed.words().chunks_exact(wpr) {
                 assert_eq!(row[wpr - 1] & !tail, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn copy_rows_from_patches_only_the_band() {
-        for (w, h) in [(70u32, 9u32), (64, 6), (13, 4)] {
-            let a = speckled(w, h, 41);
-            let b = speckled(w, h, 97);
-            let (lo, hi) = (h / 3, 2 * h / 3 + 1);
-            let mut cached = BitMask::from_bitmap(&a);
-            cached.copy_rows_from(&BitMask::from_bitmap(&b), lo, hi);
-            for y in 0..h {
-                let oracle = if (lo..hi).contains(&y) { &b } else { &a };
-                for x in 0..w {
-                    assert_eq!(cached.get(x, y), oracle.get(x, y), "({x},{y}) {w}x{h}");
-                }
             }
         }
     }

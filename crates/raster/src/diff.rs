@@ -13,8 +13,6 @@
 //!   grid, one pass over both masks. Per-tile resolution is what makes the
 //!   tolerance *local*: a small moving arm concentrates its delta in a few
 //!   tiles instead of being averaged away over the whole frame.
-//! * [`DirtyBands`] — the tiles over tolerance merged into row-band spans,
-//!   the input of the band-restricted patch kernels.
 //!
 //! All kernels take caller-owned output buffers (`Vec` resized in place) so
 //! the steady-state gate performs no heap allocation after the first frame
@@ -124,94 +122,6 @@ pub fn mask_tile_diff_into(a: &BitMask, b: &BitMask, tile: u32, out: &mut Vec<u6
     }
 }
 
-/// Merged dirty row-band spans derived from a tile grid — the bridge from
-/// per-tile change detection ([`mask_tile_diff_into`]) to the
-/// band-restricted row patch ([`BitMask::copy_rows_from`]).
-///
-/// A tile row is dirty when **any** tile in it exceeds the tolerance;
-/// consecutive dirty tile rows merge into one `[row_lo, row_hi)` pixel
-/// span. The span `Vec` is reused across rebuilds, so the steady-state
-/// gate performs no heap allocation after the first frame at a geometry.
-#[derive(Debug, Clone, Default)]
-pub struct DirtyBands {
-    spans: Vec<(u32, u32)>,
-    dirty_rows: u32,
-    height: u32,
-}
-
-impl DirtyBands {
-    /// Rebuilds the spans from a row-major tile grid as produced by
-    /// [`mask_tile_diff_into`] with the matching
-    /// `summary`. `height` is the frame height in pixels; a tile row is
-    /// dirty when any of its tiles is **strictly above** `tolerance`.
-    ///
-    /// # Panics
-    /// Panics if the grid length disagrees with the summary shape, `tile`
-    /// is zero, or `height` disagrees with the summary's tile-row count.
-    pub fn rebuild(
-        &mut self,
-        tiles: &[u64],
-        summary: &TileSummary,
-        tile: u32,
-        height: u32,
-        tolerance: u64,
-    ) {
-        assert_eq!(
-            tiles.len(),
-            summary.tile_count(),
-            "tile grid must match its summary"
-        );
-        assert!(tile > 0, "tile size must be positive");
-        assert_eq!(
-            height.div_ceil(tile),
-            summary.tiles_y,
-            "height {height} disagrees with {} tile rows of {tile}",
-            summary.tiles_y
-        );
-        self.spans.clear();
-        self.dirty_rows = 0;
-        self.height = height;
-        let tiles_x = summary.tiles_x as usize;
-        for (ty, tile_row) in tiles.chunks_exact(tiles_x.max(1)).enumerate() {
-            if tile_row.iter().all(|&v| v <= tolerance) {
-                continue;
-            }
-            let lo = ty as u32 * tile;
-            let hi = ((ty as u32 + 1) * tile).min(height);
-            match self.spans.last_mut() {
-                Some(span) if span.1 == lo => span.1 = hi,
-                _ => self.spans.push((lo, hi)),
-            }
-            self.dirty_rows += hi - lo;
-        }
-    }
-
-    /// The merged `[row_lo, row_hi)` spans, in ascending order.
-    pub fn spans(&self) -> &[(u32, u32)] {
-        &self.spans
-    }
-
-    /// Total dirty pixel rows across all spans.
-    pub fn dirty_rows(&self) -> u32 {
-        self.dirty_rows
-    }
-
-    /// Dirty rows as a fraction of the frame height (0 when no rebuild has
-    /// happened yet).
-    pub fn coverage(&self) -> f64 {
-        if self.height == 0 {
-            0.0
-        } else {
-            f64::from(self.dirty_rows) / f64::from(self.height)
-        }
-    }
-
-    /// True when no tile row exceeded the tolerance.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-}
-
 fn assert_mask_dims_match(a: &BitMask, b: &BitMask) {
     assert!(
         a.width() == b.width() && a.height() == b.height(),
@@ -238,11 +148,6 @@ mod tests {
             }
         }
         BitMask::from_bitmap(&binarize(&img, 127))
-    }
-
-    fn flip(m: &mut BitMask, x: u32, y: u32) {
-        let v = m.get(x, y).expect("pixel in range");
-        m.set(x, y, !v);
     }
 
     #[test]
@@ -351,62 +256,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn dirty_bands_merge_and_clip() {
-        // 37×23 frame, 8-px tiles → 5×3 grid; edge tile row clips to 23.
-        let a = ramp(37, 23, 7);
-        let mut b = a.clone();
-        flip(&mut b, 3, 2); // tile row 0
-        flip(&mut b, 5, 12); // tile row 1
-        flip(&mut b, 30, 22); // tile row 2 (clipped: rows 16..23)
-        let mut tiles = Vec::new();
-        let s = mask_tile_diff_into(&a, &b, 8, &mut tiles);
-        let mut bands = DirtyBands::default();
-        bands.rebuild(&tiles, &s, 8, 23, 0);
-        // All three tile rows are dirty and adjacent → one merged span.
-        assert_eq!(bands.spans(), &[(0, 23)]);
-        assert_eq!(bands.dirty_rows(), 23);
-        assert!((bands.coverage() - 1.0).abs() < 1e-12);
-
-        // Only the clipped last tile row dirty.
-        let mut c = a.clone();
-        flip(&mut c, 30, 22);
-        let s = mask_tile_diff_into(&a, &c, 8, &mut tiles);
-        bands.rebuild(&tiles, &s, 8, 23, 0);
-        assert_eq!(bands.spans(), &[(16, 23)]);
-        assert_eq!(bands.dirty_rows(), 7);
-
-        // Tolerance above the delta → clean.
-        bands.rebuild(&tiles, &s, 8, 23, 1);
-        assert!(bands.is_empty());
-        assert_eq!(bands.dirty_rows(), 0);
-        assert_eq!(bands.coverage(), 0.0);
-
-        // Disjoint dirty tile rows stay separate spans.
-        let mut d = a.clone();
-        flip(&mut d, 3, 2); // tile row 0
-        flip(&mut d, 30, 22); // tile row 2
-        let s = mask_tile_diff_into(&a, &d, 8, &mut tiles);
-        bands.rebuild(&tiles, &s, 8, 23, 0);
-        assert_eq!(bands.spans(), &[(0, 8), (16, 23)]);
-        assert_eq!(bands.dirty_rows(), 15);
-    }
-
-    #[test]
-    fn dirty_bands_reuse_their_span_buffer() {
-        let a = ramp(64, 48, 3);
-        let b = ramp(64, 48, 9);
-        let mut tiles = Vec::new();
-        let s = mask_tile_diff_into(&a, &b, 16, &mut tiles);
-        let mut bands = DirtyBands::default();
-        bands.rebuild(&tiles, &s, 16, 48, 0);
-        let cap = bands.spans.capacity();
-        for _ in 0..3 {
-            bands.rebuild(&tiles, &s, 16, 48, 0);
-            assert_eq!(bands.spans.capacity(), cap);
         }
     }
 

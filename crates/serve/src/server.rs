@@ -56,8 +56,6 @@ pub struct CostModel {
     /// Mask-tolerance reuse (incremental gate: packed binarise + mask
     /// diff, no geometric stages).
     pub incremental_hit_us: Micros,
-    /// Signature recomputed, SAX search skipped.
-    pub sig_shortcut_us: Micros,
     /// Dropping an already-late frame at dequeue.
     pub shed_us: Micros,
     /// Residency miss: installing (cold or restored) gate state.
@@ -70,7 +68,6 @@ impl Default for CostModel {
             full_run_us: 420,
             strict_hit_us: 18,
             incremental_hit_us: 60,
-            sig_shortcut_us: 210,
             shed_us: 2,
             fault_in_us: 30,
         }
@@ -517,10 +514,8 @@ impl<'a> ShardState<'a> {
                 costs.full_run_us
             } else if outcome.strict_hits == 1 {
                 costs.strict_hit_us
-            } else if outcome.incremental_hits == 1 {
-                costs.incremental_hit_us
             } else {
-                costs.sig_shortcut_us
+                costs.incremental_hit_us
             };
             if faulted {
                 cost += costs.fault_in_us;

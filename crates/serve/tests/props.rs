@@ -143,7 +143,6 @@ fn worst_case_cost(costs: &CostModel) -> u64 {
         .full_run_us
         .max(costs.strict_hit_us)
         .max(costs.incremental_hit_us)
-        .max(costs.sig_shortcut_us)
         + costs.fault_in_us
 }
 

@@ -22,9 +22,9 @@ pub fn canonical_trace(log: &EventLog) -> String {
 /// FNV-1a 64-bit hash of a string.
 ///
 /// Thin string-typed wrapper over the shared byte-slice digest in
-/// [`hdc_raster::digest`] (the same digest the vision layer's strict
-/// temporal gate uses for frame identity), kept here so golden-digest
-/// callers keep their historical signature.
+/// [`hdc_raster::digest`] (the same digest the serving layer's golden
+/// traces use), kept here so golden-digest callers keep their historical
+/// signature.
 pub fn fnv1a64(text: &str) -> u64 {
     hdc_raster::digest::fnv1a64(text.as_bytes())
 }

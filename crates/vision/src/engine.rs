@@ -12,15 +12,18 @@
 //! * [`RecognitionEngine::run_streams`] — S simulated camera streams served
 //!   concurrently for a wall-clock window, the shape of a drone fleet
 //!   feeding one ground station. Each stream is an independent task cycling
-//!   its own frame sequence; the report carries per-stream and aggregate
-//!   throughput.
+//!   its own frame sequence; the report carries per-stream frame and gate
+//!   counts and the aggregate throughput. A stream's frames divided by the
+//!   shared window is no rate: a worker serves its streams one after
+//!   another, and a stream stops at its frame floor once the window has
+//!   passed.
 //!
 //! Results are [`Recognition`] values: the owned, *timing-free* projection
 //! of [`FrameResult`]. Dropping the wall-clock stage timings is what makes
 //! batch output comparable across runs and worker counts.
 
 use crate::pipeline::{FrameResult, FrameScratch, RecognitionPipeline};
-use crate::temporal::{DirtyStats, GateCounters, StreamRecognizer, TemporalConfig};
+use crate::temporal::{GateCounters, StreamRecognizer, TemporalConfig};
 use hdc_raster::GrayImage;
 use hdc_runtime::WorkPool;
 use std::time::Instant;
@@ -47,13 +50,27 @@ impl Recognition {
     /// Projects a borrowed per-frame result into its owned, timing-free
     /// batch form.
     pub fn from_frame_result(r: &FrameResult<'_>) -> Self {
-        Recognition {
-            decision: r.decision.map(str::to_owned),
-            best_distance: r.best.as_ref().map(|b| b.distance),
-            best_label: r.best.as_ref().map(|b| b.label.to_owned()),
-            runner_up: r.runner_up,
-            failure: r.failure,
-        }
+        let mut out = Recognition {
+            decision: None,
+            best_distance: None,
+            best_label: None,
+            runner_up: None,
+            failure: None,
+        };
+        out.refresh_from(r);
+        out
+    }
+
+    /// Overwrites this recognition with the projection of `r`, writing each
+    /// label into the string already held for it: the temporal gate's
+    /// cached decision refreshes without allocating once its label buffers
+    /// have grown.
+    pub(crate) fn refresh_from(&mut self, r: &FrameResult<'_>) {
+        refresh_label(&mut self.decision, r.decision);
+        self.best_distance = r.best.as_ref().map(|b| b.distance);
+        refresh_label(&mut self.best_label, r.best.as_ref().map(|b| b.label));
+        self.runner_up = r.runner_up;
+        self.failure = r.failure;
     }
 
     /// Whether the frame produced an accepted decision.
@@ -62,8 +79,19 @@ impl Recognition {
     }
 }
 
-/// Throughput of one simulated camera stream over the shared wall-clock
-/// window of a [`RecognitionEngine::run_streams`] call.
+/// Sets `slot` to an owned copy of `label`, reusing the string it holds.
+fn refresh_label(slot: &mut Option<String>, label: Option<&str>) {
+    match (slot.as_mut(), label) {
+        (Some(held), Some(label)) => {
+            held.clear();
+            held.push_str(label);
+        }
+        _ => *slot = label.map(str::to_owned),
+    }
+}
+
+/// Work done by one simulated camera stream during a
+/// [`RecognitionEngine::run_streams`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamStats {
     /// Frames this stream processed during the window.
@@ -73,9 +101,6 @@ pub struct StreamStats {
     /// How the temporal gate resolved this stream's frames (all
     /// `full_runs` when gating is off).
     pub gate: GateCounters,
-    /// Dirty-coverage accounting for this stream (all zero outside
-    /// incremental mode).
-    pub dirty: DirtyStats,
 }
 
 impl StreamStats {
@@ -113,11 +138,6 @@ impl MultiStreamReport {
         self.total_frames() as f64 / self.seconds
     }
 
-    /// Sustained frames per second seen by one stream's consumer.
-    pub fn stream_fps(&self, stream: usize) -> f64 {
-        self.per_stream[stream].frames as f64 / self.seconds
-    }
-
     /// Total frames that produced an accepted decision, across all streams.
     pub fn decided_total(&self) -> usize {
         self.per_stream.iter().map(|s| s.decided).sum()
@@ -128,14 +148,6 @@ impl MultiStreamReport {
         self.per_stream
             .iter()
             .fold(GateCounters::default(), |acc, s| acc.plus(&s.gate))
-    }
-
-    /// Aggregate dirty-coverage stats across all streams (incremental
-    /// mode; all zero otherwise).
-    pub fn dirty_totals(&self) -> DirtyStats {
-        self.per_stream
-            .iter()
-            .fold(DirtyStats::default(), |acc, s| acc.plus(&s.dirty))
     }
 
     /// One stream's gate counters (the per-stream view `gate_totals`
@@ -271,12 +283,10 @@ impl RecognitionEngine {
                 let frames = &streams[sid];
                 recognizer.reset(); // per-stream cache isolation
                 let counters_before = recognizer.counters();
-                let dirty_before = recognizer.dirty_stats();
                 let mut stats = StreamStats {
                     frames: 0,
                     decided: 0,
                     gate: GateCounters::default(),
-                    dirty: DirtyStats::default(),
                 };
                 loop {
                     for frame in frames {
@@ -295,7 +305,6 @@ impl RecognitionEngine {
                     }
                 }
                 stats.gate = recognizer.counters().since(&counters_before);
-                stats.dirty = recognizer.dirty_stats().since(&dirty_before);
                 stats
             },
         );
@@ -402,7 +411,6 @@ mod tests {
                 report.per_stream[s].decided, report.per_stream[s].frames,
                 "frontal Yes frames must all decide"
             );
-            assert!(report.stream_fps(s) > 0.0);
         }
         assert!(report.aggregate_fps() > 0.0);
         assert_eq!(

@@ -195,9 +195,8 @@ pub struct FrameRead<'a> {
 /// [`RecognitionPipeline::recognize_with`] performs no heap allocation.
 #[derive(Debug, Clone)]
 pub struct FrameScratch {
-    /// Binarised frame, bit-packed. Crate-visible: the incremental ladder
-    /// diffs it against its cached mask and swaps it in on a whole-mask
-    /// refresh.
+    /// Binarised frame, bit-packed. Crate-visible: the incremental gate
+    /// diffs it against its cached mask and swaps it in on a miss.
     pub(crate) mask_bits: BitMask,
     /// Isolated largest-component mask, bit-packed.
     blob_bits: BitMask,
@@ -269,7 +268,7 @@ impl RecognitionPipeline {
     }
 
     /// The back half of the silhouette stages, continuing from the blob a
-    /// read (or the incremental ladder) left in the scratch, or from
+    /// read (or the incremental gate) left in the scratch, or from
     /// `whole`, a packed mask that is its own blob:
     /// area floor → contour → signature. On success the signature series is
     /// in `scratch.sig` and its metadata is returned.
@@ -313,8 +312,8 @@ impl RecognitionPipeline {
     /// Whole-frame binarise straight into the packed scratch mask
     /// `mask_bits`, one read of the frame and no byte plane
     /// ([`binarize_packed_into`]). Shared by every read and by the
-    /// incremental ladder's mask-level change detector (which copies the
-    /// dirty bands' rows of `mask_bits` into its cached mask on a patch).
+    /// incremental gate's mask-level change detector (which adopts
+    /// `mask_bits` as its cached mask on a miss).
     pub(crate) fn segment_packed(
         &self,
         frame: &GrayImage,
@@ -325,8 +324,9 @@ impl RecognitionPipeline {
     }
 
     /// The silhouette stages starting from an already-segmented packed
-    /// mask — the incremental ladder hands its patched cached mask straight
-    /// to labelling: largest component → area floor → contour → signature.
+    /// mask — a miss of the incremental gate hands the fresh mask it has
+    /// just adopted straight to labelling: largest component → area floor →
+    /// contour → signature.
     /// On success the signature series is in `scratch.sig`.
     pub(crate) fn signature_stages_from_packed(
         &self,
@@ -561,8 +561,8 @@ impl RecognitionPipeline {
     /// The back half of [`RecognitionPipeline::recognize_with`]: SAX search
     /// over the signature already sitting in `scratch.sig`, then the
     /// acceptance-threshold + ambiguity-ratio decision. Split out so the
-    /// temporal gate ([`crate::temporal`]) can recompute a signature and
-    /// still skip this stage when the signature is within its cached-ε.
+    /// temporal gate ([`crate::temporal`]) can run it after the signature
+    /// stages on its own cached mask.
     pub(crate) fn classify_pass<'a>(
         &'a self,
         scratch: &mut FrameScratch,

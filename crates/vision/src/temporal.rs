@@ -5,14 +5,13 @@
 //! runs of nearly identical frames, yet the ungated stream path pays the
 //! full silhouette→signature→SAX pipeline on every one of them. This module
 //! skips that recompute when the input provably (or tolerably) hasn't
-//! changed, via a per-stream [`StreamRecognizer`] that caches the
-//! **reference frame** of its last fully computed [`Recognition`] and
-//! answers each new frame through a ladder of increasingly expensive
-//! checks:
+//! changed, via a per-stream [`StreamRecognizer`] that caches the previous
+//! frame and its last fully computed [`Recognition`] and answers each new
+//! frame through a ladder of two reuse checks:
 //!
 //! 1. **Strict gate** ([`GateMode::Strict`]): reuse the cached decision only
-//!    when the frame is *byte-identical* to the reference. Identity is one
-//!    slice compare (`frame.pixels() == reference.pixels()`), which stops
+//!    when the frame is *byte-identical* to the previous one. Identity is
+//!    one slice compare (`frame.pixels() == prev.pixels()`), which stops
 //!    at the first differing chunk: a repeat pays one vectorised `memcmp`
 //!    of the frame, and a changed camera frame, whose sensor noise already
 //!    reaches its first rows, bails out almost at once. No hash runs in
@@ -22,38 +21,31 @@
 //!    gating preserves the engine's byte-identical-at-any-worker-count
 //!    determinism contract.
 //! 2. **Incremental mask gate** ([`GateMode::Incremental`]): first the
-//!    same identity compare as the strict gate, against the *previous*
-//!    frame — camera oversampling makes byte-identical repeats the most
-//!    common frame of all, and identity implies every tolerance holds.
-//!    Otherwise binarise the frame straight into mask words, XOR-popcount
-//!    the packed mask against the cached mask per tile, and reuse the
-//!    cached decision while every tile stays within
-//!    [`TemporalConfig::max_tile_mask_diff`] bit flips. On a miss,
-//!    the dirty tile rows are merged into row-band spans
-//!    ([`hdc_raster::diff::DirtyBands`]): when they cover at most
-//!    [`TemporalConfig::max_dirty_fraction`] of the frame, the dirty rows
-//!    of the fresh mask are copied into the cached mask and only
-//!    labelling/contour/signature re-run on the patched full mask —
-//!    above the threshold the whole mask is refreshed. Either way the
-//!    cached mask ends bit-identical to a from-scratch segmentation, so
-//!    staleness never accumulates across misses.
-//! 3. **Signature short-circuit** (incremental mode): when the mask gate
-//!    misses, recompute the signature but skip the SAX search if the new
-//!    signature is within [`TemporalConfig::signature_epsilon`] (Euclidean)
-//!    of the signature that produced the cached decision.
+//!    same identity compare as the strict gate — camera oversampling makes
+//!    byte-identical repeats the most common frame of all, and identity
+//!    implies every tolerance holds. Otherwise binarise the frame straight
+//!    into mask words, XOR-popcount the packed mask against the cached
+//!    mask per tile, and reuse the cached decision while every tile stays
+//!    within [`TemporalConfig::max_tile_mask_diff`] bit flips.
 //!
-//! **Boundedness of incremental mode.** The reference *signature* is only
-//! replaced by a full SAX run, never chained through short-circuits, so the
-//! signature presented to the classifier is always within ε of the one the
-//! cached decision was computed from — tolerances bound the staleness
-//! absolutely instead of accumulating drift. The measured decision
-//! divergence against the ungated oracle on the benchmark workload is
-//! recorded in `BENCH_stream.json` and bounded by test.
+//! **Misses are exact.** When every rung misses, the fresh mask is adopted
+//! as the cache by a buffer swap and labelling, contour, signature and the
+//! SAX search run on it: the frame gets exactly the [`Recognition`] the
+//! ungated pipeline computes for it, and the cached mask is exactly its
+//! segmentation.
+//!
+//! **Boundedness of incremental mode.** A mask hit leaves the cached mask
+//! pinned to the last miss, so consecutive hits are each compared against
+//! that one mask rather than chained through each other: the tolerance
+//! bounds the silhouette drift absolutely instead of letting it
+//! accumulate. The measured decision divergence against the ungated oracle
+//! on the benchmark workload is recorded in `BENCH_stream.json` and
+//! bounded by test.
 
 use crate::engine::Recognition;
 use crate::pipeline::{FrameResult, FrameScratch, RecognitionPipeline};
 use crate::timing::StageTimings;
-use hdc_raster::diff::{mask_tile_diff_into, DirtyBands};
+use hdc_raster::diff::mask_tile_diff_into;
 use hdc_raster::{BitMask, GrayImage};
 
 /// Which reuse checks the gate runs.
@@ -65,10 +57,9 @@ pub enum GateMode {
     Strict,
     /// Mask-level incremental reuse: binarise straight into mask words,
     /// diff the packed mask per tile against the cached mask, and reuse
-    /// while every tile's bit flips stay within tolerance; on a miss, patch
-    /// only the dirty row-bands and re-run labelling onward, with the
-    /// signature short-circuit. Output may diverge from the ungated oracle,
-    /// bounded by the configured tolerances.
+    /// while every tile's bit flips stay within tolerance; a miss re-runs
+    /// labelling onward on the fresh mask. Output may diverge from the
+    /// ungated oracle on hits, bounded by the tile tolerance.
     Incremental,
 }
 
@@ -81,21 +72,11 @@ pub struct TemporalConfig {
     pub mode: GateMode,
     /// Tile edge length in pixels of the incremental gate's mask diff.
     pub tile: u32,
-    /// Maximum Euclidean distance between a freshly computed signature and
-    /// the cached decision's signature for the SAX search to be skipped.
-    /// Signatures are z-normalised 128-sample series; compare against the
-    /// calibrated acceptance threshold (≈6) to pick a safe fraction.
-    pub signature_epsilon: f64,
     /// Maximum differing mask bits per tile for the incremental gate to
     /// reuse the cached decision. A salt-and-pepper flip changes at most
     /// one mask bit, so this is "tolerated flipped silhouette pixels per
     /// tile"; a real pose change flips hundreds of bits in the arm tiles.
     pub max_tile_mask_diff: u64,
-    /// Fraction of frame rows the dirty bands may cover for the incremental
-    /// miss path to patch the cached mask in place; above it the whole mask
-    /// is refreshed (patching most of the frame costs more than one
-    /// contiguous overwrite).
-    pub max_dirty_fraction: f64,
 }
 
 impl TemporalConfig {
@@ -115,29 +96,25 @@ impl TemporalConfig {
         }
     }
 
-    /// Incremental mask-level gating with the default tolerances.
+    /// Incremental mask-level gating with the default tolerance.
     pub fn incremental() -> Self {
         TemporalConfig {
             mode: GateMode::Incremental,
             tile: 32,
-            signature_epsilon: 0.5,
             max_tile_mask_diff: 48,
-            max_dirty_fraction: 0.35,
         }
     }
 }
 
 /// How the gate resolved the frames it saw: every frame lands in exactly
-/// one counter, so the four always sum to the frame count.
+/// one counter, so the three always sum to the frame count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GateCounters {
     /// Byte-identical reuse: the strict gate, or the incremental identity
-    /// pre-check against the previous frame.
+    /// pre-check.
     pub strict_hits: usize,
     /// Mask-tolerance reuse (incremental mode).
     pub incremental_hits: usize,
-    /// Signature recomputed, SAX search skipped (incremental mode).
-    pub signature_short_circuits: usize,
     /// Full pipeline runs (every gate missed, or gating was off).
     pub full_runs: usize,
 }
@@ -145,12 +122,12 @@ pub struct GateCounters {
 impl GateCounters {
     /// Total frames resolved.
     pub fn frames(&self) -> usize {
-        self.strict_hits + self.incremental_hits + self.signature_short_circuits + self.full_runs
+        self.strict_hits + self.incremental_hits + self.full_runs
     }
 
-    /// Frames that skipped at least the SAX search.
+    /// Frames that reused the cached decision.
     pub fn hits(&self) -> usize {
-        self.strict_hits + self.incremental_hits + self.signature_short_circuits
+        self.strict_hits + self.incremental_hits
     }
 
     /// Counter deltas accumulated since an earlier snapshot (per-stream
@@ -159,8 +136,6 @@ impl GateCounters {
         GateCounters {
             strict_hits: self.strict_hits - earlier.strict_hits,
             incremental_hits: self.incremental_hits - earlier.incremental_hits,
-            signature_short_circuits: self.signature_short_circuits
-                - earlier.signature_short_circuits,
             full_runs: self.full_runs - earlier.full_runs,
         }
     }
@@ -170,83 +145,19 @@ impl GateCounters {
         GateCounters {
             strict_hits: self.strict_hits + other.strict_hits,
             incremental_hits: self.incremental_hits + other.incremental_hits,
-            signature_short_circuits: self.signature_short_circuits
-                + other.signature_short_circuits,
             full_runs: self.full_runs + other.full_runs,
-        }
-    }
-}
-
-/// Dirty-coverage accounting for the incremental ladder: how dirty the
-/// evaluated frames were and which miss path they took. Recorded on every
-/// frame that reached the mask diff (every non-identity frame with a
-/// usable cached mask); purely diagnostic, never consulted by the gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DirtyStats {
-    /// Miss frames whose cached mask was patched on the dirty row-bands.
-    pub patched: usize,
-    /// Miss frames that refreshed the whole mask (dirty coverage above
-    /// [`TemporalConfig::max_dirty_fraction`]).
-    pub full_fallbacks: usize,
-    /// Decile histogram of dirty-row coverage over evaluated frames:
-    /// bucket `i` counts coverages in `[i/10, (i+1)/10)`, with full
-    /// coverage landing in the last bucket.
-    pub coverage_deciles: [usize; 10],
-}
-
-impl DirtyStats {
-    /// Frames that reached the mask diff (the histogram total).
-    pub fn evaluated(&self) -> usize {
-        self.coverage_deciles.iter().sum()
-    }
-
-    fn record(&mut self, coverage: f64) {
-        let bucket = ((coverage * 10.0) as usize).min(9);
-        self.coverage_deciles[bucket] += 1;
-    }
-
-    /// Deltas accumulated since an earlier snapshot (mirrors
-    /// [`GateCounters::since`]).
-    pub fn since(&self, earlier: &DirtyStats) -> DirtyStats {
-        let mut deciles = [0usize; 10];
-        for (d, (a, b)) in deciles
-            .iter_mut()
-            .zip(self.coverage_deciles.iter().zip(&earlier.coverage_deciles))
-        {
-            *d = a - b;
-        }
-        DirtyStats {
-            patched: self.patched - earlier.patched,
-            full_fallbacks: self.full_fallbacks - earlier.full_fallbacks,
-            coverage_deciles: deciles,
-        }
-    }
-
-    /// Element-wise sum (aggregation across streams).
-    pub fn plus(&self, other: &DirtyStats) -> DirtyStats {
-        let mut deciles = [0usize; 10];
-        for (d, (a, b)) in deciles
-            .iter_mut()
-            .zip(self.coverage_deciles.iter().zip(&other.coverage_deciles))
-        {
-            *d = a + b;
-        }
-        DirtyStats {
-            patched: self.patched + other.patched,
-            full_fallbacks: self.full_fallbacks + other.full_fallbacks,
-            coverage_deciles: deciles,
         }
     }
 }
 
 /// Incremental recogniser for one frame stream: wraps a shared
 /// [`RecognitionPipeline`] + caller-owned [`FrameScratch`] with per-stream
-/// cached state (reference frame, signature, silhouette mask,
-/// and the cached [`Recognition`]). See the module docs for the reuse ladder.
+/// cached state (previous frame, silhouette mask and the cached
+/// [`Recognition`]). See the module docs for the reuse ladder.
 ///
-/// All internal buffers are allocated once and reused, so gate checks are
-/// allocation-free in steady state; only a *full run* allocates (the owned
-/// `Recognition` strings, exactly as the ungated path always has).
+/// All internal buffers, the cached decision's label strings included,
+/// are allocated once and reused, so the recogniser is allocation-free in
+/// steady state on hits and full runs alike.
 ///
 /// # Example
 /// ```
@@ -271,35 +182,23 @@ impl DirtyStats {
 pub struct StreamRecognizer {
     config: TemporalConfig,
     counters: GateCounters,
-    /// The decision currently being reused, if any.
+    /// The decision currently being reused; `None` until the first frame
+    /// (or after a reset). While it is `Some`, the fields below that the
+    /// mode uses hold this stream's state.
     cached: Option<Recognition>,
-    /// The frame the cached decision was computed against (strict mode).
-    reference: GrayImage,
-    has_reference: bool,
-    /// Signature of the last *full SAX run* — short-circuits compare
-    /// against this, never against each other (boundedness).
-    reference_sig: Vec<f64>,
-    has_reference_sig: bool,
-    /// The previous frame (incremental mode): target of the identity
-    /// pre-check, which must compare against the *last* frame — the pinned
-    /// mask reference goes stale the moment jitter lands, while
-    /// oversampled duplicates repeat whatever came last.
+    /// The previous frame: target of the identity check (strict and
+    /// incremental modes). In strict mode a hit is identical to it, so it
+    /// is also the frame the cached decision was computed from.
     prev: GrayImage,
-    has_prev: bool,
-    /// The cached silhouette mask (incremental mode): always bit-identical
-    /// to segmenting the last missed frame from scratch, patched in place
-    /// on dirty row-bands. Lives here, not in [`FrameScratch`], because a
-    /// scratch is shared across every stream a worker serves; a serving
-    /// layer spills it with the rest of the gate state by moving the
-    /// whole recogniser, so an eviction never copies it.
+    /// The cached silhouette mask (incremental mode): the segmentation of
+    /// the last missed frame, adopted by swap. Lives here, not in
+    /// [`FrameScratch`], because a scratch is shared across every stream a
+    /// worker serves; a serving layer spills it with the rest of the gate
+    /// state by moving the whole recogniser, so an eviction never copies
+    /// it.
     cached_mask: BitMask,
-    has_cached_mask: bool,
     /// Per-tile mask-diff output buffer (incremental mode).
     mask_tiles: Vec<u64>,
-    /// Reusable dirty row-band spans (incremental mode).
-    bands: DirtyBands,
-    /// Dirty-coverage accounting (incremental mode diagnostics).
-    dirty: DirtyStats,
 }
 
 impl StreamRecognizer {
@@ -309,17 +208,9 @@ impl StreamRecognizer {
             config,
             counters: GateCounters::default(),
             cached: None,
-            reference: GrayImage::new(1, 1),
-            has_reference: false,
-            reference_sig: Vec::new(),
-            has_reference_sig: false,
             prev: GrayImage::new(1, 1),
-            has_prev: false,
             cached_mask: BitMask::new(1, 1),
-            has_cached_mask: false,
             mask_tiles: Vec::new(),
-            bands: DirtyBands::default(),
-            dirty: DirtyStats::default(),
         }
     }
 
@@ -334,20 +225,10 @@ impl StreamRecognizer {
         self.counters
     }
 
-    /// Cumulative dirty-coverage stats (incremental mode; never reset —
-    /// snapshot and [`DirtyStats::since`] for windows).
-    pub fn dirty_stats(&self) -> DirtyStats {
-        self.dirty
-    }
-
     /// Forgets all cached state (switching the recogniser to a different
     /// stream) while keeping the grown buffers and the counters.
     pub fn reset(&mut self) {
         self.cached = None;
-        self.has_reference = false;
-        self.has_reference_sig = false;
-        self.has_prev = false;
-        self.has_cached_mask = false;
     }
 
     /// Recognises one frame, reusing the cached decision when the active
@@ -360,181 +241,88 @@ impl StreamRecognizer {
         frame: &GrayImage,
     ) -> &Recognition {
         match self.config.mode {
-            GateMode::Off => {
-                self.full_run(pipeline, scratch, frame, false);
-            }
+            GateMode::Off => self.full_run(pipeline, scratch, frame),
+            _ if self.identity_hit(frame) => self.counters.strict_hits += 1,
             GateMode::Strict => {
-                if self.strict_hit(frame) {
-                    self.counters.strict_hits += 1;
-                } else {
-                    self.full_run(pipeline, scratch, frame, true);
-                }
+                self.full_run(pipeline, scratch, frame);
+                copy_frame_into(&mut self.prev, frame);
             }
             GateMode::Incremental => {
-                if self.identity_hit(frame) {
-                    self.counters.strict_hits += 1;
-                } else {
-                    self.incremental_path(pipeline, scratch, frame);
-                    copy_frame_into(&mut self.prev, frame);
-                    self.has_prev = true;
-                }
+                self.mask_gate(pipeline, scratch, frame);
+                copy_frame_into(&mut self.prev, frame);
             }
         }
         self.cached.as_ref().expect("every path caches a decision")
     }
 
-    /// Byte-identity against the reference frame: one early-exit slice
-    /// compare once the cache, the reference and the dimensions agree.
-    fn strict_hit(&self, frame: &GrayImage) -> bool {
-        self.cached.is_some() && self.has_reference && same_frame(frame, &self.reference)
-    }
-
-    /// Byte-identity against the *previous* frame (incremental mode's
-    /// pre-check): the same compare as [`StreamRecognizer::strict_hit`],
-    /// different target.
+    /// Byte identity against the previous frame: one early-exit slice
+    /// compare once a decision is cached and the dimensions agree.
     fn identity_hit(&self, frame: &GrayImage) -> bool {
-        self.cached.is_some() && self.has_prev && same_frame(frame, &self.prev)
+        self.cached.is_some()
+            && frame.width() == self.prev.width()
+            && frame.height() == self.prev.height()
+            && frame.pixels() == self.prev.pixels()
     }
 
-    /// The incremental-mode resolution ladder after the identity pre-check
-    /// missed: segment the frame into mask words, diff the fresh
-    /// mask against the cached one per tile, and either reuse the decision
-    /// (every tile within tolerance), patch the cached mask on the dirty
-    /// row-bands, or refresh it wholesale — then re-run the geometric
-    /// stages on the patched mask with the ε short-circuit.
-    fn incremental_path(
+    /// Incremental mode after the identity check missed: segment the frame
+    /// into mask words and, when a cached mask of the same size exists,
+    /// diff it per tile against the fresh one; reuse the decision if every
+    /// tile is within tolerance. Otherwise — a miss, a cold start or a
+    /// resolution change — adopt the fresh mask by swap and run labelling,
+    /// contour, signature and SAX on it: exactly the ungated pipeline.
+    fn mask_gate(
         &mut self,
         pipeline: &RecognitionPipeline,
         scratch: &mut FrameScratch,
         frame: &GrayImage,
     ) {
-        let usable = self.cached.is_some()
-            && self.has_cached_mask
+        pipeline.segment_packed(frame, pipeline.segmentation_threshold(frame), scratch);
+        if self.cached.is_some()
             && frame.width() == self.cached_mask.width()
-            && frame.height() == self.cached_mask.height();
-        if !usable {
-            // Cold start or dimension change: full run, then seed the mask
-            // cache from the scratch.
-            self.full_run(pipeline, scratch, frame, false);
-            self.seed_mask_cache(scratch);
-            return;
-        }
-        let threshold = pipeline.segmentation_threshold(frame);
-        pipeline.segment_packed(frame, threshold, scratch);
-        let summary = mask_tile_diff_into(
-            &scratch.mask_bits,
-            &self.cached_mask,
-            self.config.tile,
-            &mut self.mask_tiles,
-        );
-        // Tolerance 0 for the bands: a miss patches *every* row whose mask
-        // changed at all, so the cache leaves this frame bit-identical to
-        // from-scratch segmentation (staleness only accumulates across
-        // consecutive hits, bounded per tile by the pinned cached mask).
-        self.bands.rebuild(
-            &self.mask_tiles,
-            &summary,
-            self.config.tile,
-            frame.height(),
-            0,
-        );
-        self.dirty.record(self.bands.coverage());
-        if summary.max <= self.config.max_tile_mask_diff {
-            // Every tile's silhouette stayed within tolerance of the
-            // cached mask: reuse the decision, keep the cache pinned.
-            self.counters.incremental_hits += 1;
-            return;
-        }
-        if self.bands.coverage() <= self.config.max_dirty_fraction {
-            self.dirty.patched += 1;
-            for &(lo, hi) in self.bands.spans() {
-                self.cached_mask.copy_rows_from(&scratch.mask_bits, lo, hi);
-            }
-        } else {
-            self.dirty.full_fallbacks += 1;
-            // Above the patch threshold the fresh mask already sits in the
-            // scratch — adopt it wholesale by swapping buffers.
-            std::mem::swap(&mut self.cached_mask, &mut scratch.mask_bits);
-        }
-        let mut timings = StageTimings::default();
-        match pipeline.signature_stages_from_packed(&self.cached_mask, scratch, &mut timings) {
-            Err(failure) => {
-                let r = FrameResult::failed(timings, failure);
-                self.cached = Some(Recognition::from_frame_result(&r));
-                self.has_reference_sig = false;
-                self.counters.full_runs += 1;
-            }
-            Ok(stats) => {
-                let close_enough = self.has_reference_sig
-                    && euclidean_within(
-                        scratch.signature_series(),
-                        &self.reference_sig,
-                        self.config.signature_epsilon,
-                    );
-                if close_enough {
-                    self.counters.signature_short_circuits += 1;
-                } else {
-                    let r = pipeline.classify_pass(scratch, stats, timings);
-                    self.cached = Some(Recognition::from_frame_result(&r));
-                    self.store_reference_sig_from(scratch);
-                    self.counters.full_runs += 1;
-                }
+            && frame.height() == self.cached_mask.height()
+        {
+            let summary = mask_tile_diff_into(
+                &scratch.mask_bits,
+                &self.cached_mask,
+                self.config.tile,
+                &mut self.mask_tiles,
+            );
+            if summary.max <= self.config.max_tile_mask_diff {
+                // Keep the cache pinned to the last miss (boundedness).
+                self.counters.incremental_hits += 1;
+                return;
             }
         }
-    }
-
-    /// Adopts the scratch's freshly segmented mask as the incremental
-    /// cache by swapping buffers (O(1), no copy). Valid even after a
-    /// failed frame — segmentation runs before any component failure.
-    fn seed_mask_cache(&mut self, scratch: &mut FrameScratch) {
         std::mem::swap(&mut self.cached_mask, &mut scratch.mask_bits);
-        self.has_cached_mask = true;
+        let mut timings = StageTimings::default();
+        let r =
+            match pipeline.signature_stages_from_packed(&self.cached_mask, scratch, &mut timings) {
+                Ok(stats) => pipeline.classify_pass(scratch, stats, timings),
+                Err(failure) => FrameResult::failed(timings, failure),
+            };
+        self.cache(&r);
     }
 
-    /// Runs the full pipeline and caches the decision and its signature.
-    /// `keep_reference` is set only by the strict gate, which also keeps
-    /// the frame as the reference for the next identity check;
-    /// `GateMode::Off` and `GateMode::Incremental` never consult the
-    /// reference pixels.
+    /// Runs the full pipeline on the frame and caches its decision.
     fn full_run(
         &mut self,
         pipeline: &RecognitionPipeline,
         scratch: &mut FrameScratch,
         frame: &GrayImage,
-        keep_reference: bool,
     ) {
         let r = pipeline.recognize_with(scratch, frame);
-        let had_signature = r.stats.is_some();
-        self.cached = Some(Recognition::from_frame_result(&r));
-        if had_signature {
-            self.store_reference_sig_from(scratch);
-        } else {
-            self.has_reference_sig = false;
-        }
-        if keep_reference {
-            copy_frame_into(&mut self.reference, frame);
-            self.has_reference = true;
+        self.cache(&r);
+    }
+
+    /// Caches a fully computed result, refreshing the cached decision in
+    /// place so its label buffers are reused, and counts the full run.
+    fn cache(&mut self, r: &FrameResult<'_>) {
+        match &mut self.cached {
+            Some(cached) => cached.refresh_from(r),
+            None => self.cached = Some(Recognition::from_frame_result(r)),
         }
         self.counters.full_runs += 1;
     }
-
-    /// Records the scratch's current signature series as the reference
-    /// signature (called by the full-run paths after a successful
-    /// signature pass).
-    fn store_reference_sig_from(&mut self, scratch: &FrameScratch) {
-        self.reference_sig.clear();
-        self.reference_sig
-            .extend_from_slice(scratch.signature_series());
-        self.has_reference_sig = true;
-    }
-}
-
-/// Byte identity of two frames: dimensions, then one slice compare that
-/// stops at the first differing chunk.
-fn same_frame(frame: &GrayImage, other: &GrayImage) -> bool {
-    frame.width() == other.width()
-        && frame.height() == other.height()
-        && frame.pixels() == other.pixels()
 }
 
 /// Copies `src` into the reusable buffer `dst` without reallocating when
@@ -542,24 +330,6 @@ fn same_frame(frame: &GrayImage, other: &GrayImage) -> bool {
 fn copy_frame_into(dst: &mut GrayImage, src: &GrayImage) {
     dst.reset_dimensions(src.width(), src.height());
     dst.pixels_mut().copy_from_slice(src.pixels());
-}
-
-/// `‖a − b‖ ≤ eps`, with an early exit once the running sum exceeds `eps²`
-/// (misses bail out after a few samples instead of walking all 128).
-fn euclidean_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let limit = eps * eps;
-    let mut sum = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        let d = x - y;
-        sum += d * d;
-        if sum > limit {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -669,9 +439,6 @@ mod tests {
         }
         assert_eq!(rec.counters().incremental_hits, 5);
         assert_eq!(rec.counters().full_runs, 1);
-        let dirty = rec.dirty_stats();
-        assert_eq!(dirty.evaluated(), 5, "every jittered frame was diffed");
-        assert_eq!(dirty.patched + dirty.full_fallbacks, 0, "no frame missed");
     }
 
     #[test]
@@ -692,25 +459,25 @@ mod tests {
             "a real sign change must not be gated away"
         );
         assert_eq!(rec.counters().incremental_hits, 0);
-        let dirty = rec.dirty_stats();
         assert_eq!(
-            dirty.patched + dirty.full_fallbacks,
-            1,
-            "the sign change missed the mask gate and refreshed the cache"
+            rec.counters().full_runs,
+            2,
+            "the sign change missed the mask gate and re-ran the pipeline"
         );
     }
 
     #[test]
-    fn incremental_patches_dirty_bands_on_a_local_change() {
+    fn incremental_miss_on_an_off_figure_change_is_a_full_run() {
         let p = calibrated();
         let mut scratch = FrameScratch::new();
+        let mut oracle_scratch = FrameScratch::new();
         let mut rec = StreamRecognizer::new(TemporalConfig::incremental());
         let base = yes_frame();
         rec.recognize(&p, &mut scratch, &base);
 
-        // A 16×16 bright block in the top-left corner: one tile gains ~256
-        // silhouette pixels (over tolerance), but only a band of rows is
-        // dirty — well under the patch threshold.
+        // A 16×16 bright block in the top-left corner: one tile gains 256
+        // mask bits (over tolerance) away from the figure, so the frame
+        // misses and its decision is recomputed, equal to the ungated one.
         let mut blocked = base.clone();
         let w = blocked.width() as usize;
         for y in 0..16 {
@@ -718,11 +485,14 @@ mod tests {
                 blocked.pixels_mut()[y * w + x] = 255;
             }
         }
-        rec.recognize(&p, &mut scratch, &blocked);
-        let dirty = rec.dirty_stats();
-        assert_eq!(dirty.patched, 1, "local change takes the band-patch path");
-        assert_eq!(dirty.full_fallbacks, 0);
+        for frame in [&blocked, &base] {
+            let got = rec.recognize(&p, &mut scratch, frame).clone();
+            let want =
+                crate::engine::RecognitionEngine::recognize_one(&p, &mut oracle_scratch, frame);
+            assert_eq!(got, want);
+        }
         assert_eq!(rec.counters().incremental_hits, 0);
+        assert_eq!(rec.counters().full_runs, 3, "both block edges miss");
     }
 
     #[test]
@@ -758,42 +528,12 @@ mod tests {
         let a = GateCounters {
             strict_hits: 5,
             incremental_hits: 4,
-            signature_short_circuits: 1,
             full_runs: 3,
         };
-        assert_eq!(a.frames(), 13);
-        assert_eq!(a.hits(), 10);
+        assert_eq!(a.frames(), 12);
+        assert_eq!(a.hits(), 9);
         let b = a.plus(&a);
-        assert_eq!(b.frames(), 26);
+        assert_eq!(b.frames(), 24);
         assert_eq!(b.since(&a), a);
-
-        let mut d = DirtyStats {
-            patched: 3,
-            full_fallbacks: 1,
-            coverage_deciles: [0; 10],
-        };
-        d.record(0.0);
-        d.record(0.349);
-        d.record(1.0); // full coverage clamps into the last bucket
-        assert_eq!(d.evaluated(), 3);
-        assert_eq!(d.coverage_deciles[0], 1);
-        assert_eq!(d.coverage_deciles[3], 1);
-        assert_eq!(d.coverage_deciles[9], 1);
-        let dd = d.plus(&d);
-        assert_eq!(dd.evaluated(), 6);
-        assert_eq!(dd.since(&d), d);
-    }
-
-    #[test]
-    fn euclidean_within_agrees_with_the_direct_formula() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [1.5, 2.0, 2.5];
-        let d = ((0.5f64).powi(2) * 2.0).sqrt();
-        assert!(euclidean_within(&a, &b, d + 1e-9));
-        assert!(!euclidean_within(&a, &b, d - 1e-9));
-        assert!(
-            !euclidean_within(&a, &b[..2], 10.0),
-            "length mismatch is a miss"
-        );
     }
 }

@@ -8,6 +8,11 @@
 //!   two profile views that genuinely resolve alike), so every accepted
 //!   decision equals the ungated oracle's, and the full output is
 //!   byte-identical across worker counts.
+//! * **Incremental misses are exact**: on random held-sign streams with
+//!   sensor jitter, repeats, sign changes, off-figure blocks and one
+//!   resolution change, every frame the gate resolves by a full run gets
+//!   exactly the ungated [`RecognitionEngine::recognize_one`] result, field
+//!   by field (property test).
 //! * Gate counters add up and hit when they should.
 //! * **Identity is byte for byte**: a frame that differs from the previous
 //!   one in a single pixel anywhere (an early row, the very last pixel)
@@ -15,10 +20,12 @@
 //!   buffer hits it.
 
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
+use hdc_raster::noise::add_salt_pepper;
 use hdc_raster::GrayImage;
 use hdc_vision::temporal::{GateCounters, StreamRecognizer, TemporalConfig};
 use hdc_vision::{FrameScratch, PipelineConfig, RecognitionEngine, RecognitionPipeline};
 use proptest::prelude::*;
+use rand::{rngs::SmallRng, SeedableRng};
 use std::sync::OnceLock;
 
 fn view_at(width: u32, azimuth_deg: f64) -> ViewSpec {
@@ -30,20 +37,30 @@ fn view_at(width: u32, azimuth_deg: f64) -> ViewSpec {
     v
 }
 
-/// The shared frame pool: all three signs at three azimuths (accepts,
-/// ambiguous obliques) plus an empty reject frame, at 320×240.
+/// All three signs at three azimuths (accepts, ambiguous obliques) plus an
+/// empty reject frame, `width` pixels wide at the paper's aspect ratio.
+fn render_pool(width: u32) -> Vec<GrayImage> {
+    let mut frames = Vec::new();
+    for az in [0.0, 20.0, 90.0] {
+        for sign in MarshallingSign::ALL {
+            frames.push(render_sign(sign, &view_at(width, az)));
+        }
+    }
+    frames.push(GrayImage::new(width, width * 3 / 4));
+    frames
+}
+
+/// The shared frame pool at 320×240.
 fn frame_pool() -> &'static Vec<GrayImage> {
     static POOL: OnceLock<Vec<GrayImage>> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let mut frames = Vec::new();
-        for az in [0.0, 20.0, 90.0] {
-            for sign in MarshallingSign::ALL {
-                frames.push(render_sign(sign, &view_at(320, az)));
-            }
-        }
-        frames.push(GrayImage::new(320, 240));
-        frames
-    })
+    POOL.get_or_init(|| render_pool(320))
+}
+
+/// The same pool at 256×192: what a stream switches to on its resolution
+/// change.
+fn small_pool() -> &'static Vec<GrayImage> {
+    static POOL: OnceLock<Vec<GrayImage>> = OnceLock::new();
+    POOL.get_or_init(|| render_pool(256))
 }
 
 fn pipeline() -> &'static RecognitionPipeline {
@@ -119,6 +136,108 @@ proptest! {
     }
 }
 
+/// One frame of a held-sign stream, relative to the sign being held.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// The held pool frame with fresh salt-and-pepper sensor jitter.
+    Jitter(u64),
+    /// Camera oversampling: the previous frame again, byte for byte.
+    Repeat,
+    /// Switch to holding pool frame `idx` (a sign at some azimuth, or the
+    /// empty frame), jittered.
+    Change(usize, u64),
+    /// The held pool frame with a bright 16×16 block in one corner, off
+    /// the figure.
+    Block(u8),
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        4 => any::<u64>().prop_map(Step::Jitter),
+        2 => Just(Step::Repeat),
+        2 => (0..frame_pool().len(), any::<u64>()).prop_map(|(i, seed)| Step::Change(i, seed)),
+        2 => (0u8..4).prop_map(Step::Block),
+    ]
+}
+
+/// Renders `steps` into frames, holding the first pool sign to begin with
+/// and switching from the 320×240 to the 256×192 pool at `switch_at`.
+fn held_stream(steps: &[Step], switch_at: usize) -> Vec<GrayImage> {
+    let mut frames: Vec<GrayImage> = Vec::with_capacity(steps.len());
+    let mut held = 0;
+    for (i, &step) in steps.iter().enumerate() {
+        let pool = if i < switch_at {
+            frame_pool()
+        } else {
+            small_pool()
+        };
+        let jittered = |idx: usize, seed: u64| {
+            let mut f = pool[idx].clone();
+            add_salt_pepper(&mut f, 0.001, &mut SmallRng::seed_from_u64(seed));
+            f
+        };
+        let frame = match step {
+            Step::Jitter(seed) => jittered(held, seed),
+            Step::Repeat => frames
+                .last()
+                .filter(|f| f.width() == pool[held].width())
+                .cloned()
+                .unwrap_or_else(|| pool[held].clone()),
+            Step::Change(idx, seed) => {
+                held = idx;
+                jittered(held, seed)
+            }
+            Step::Block(corner) => {
+                let mut f = pool[held].clone();
+                let x0 = if corner & 1 == 0 { 0 } else { f.width() - 16 };
+                let y0 = if corner & 2 == 0 { 0 } else { f.height() - 16 };
+                for y in y0..y0 + 16 {
+                    for x in x0..x0 + 16 {
+                        f.set(x, y, 255);
+                    }
+                }
+                f
+            }
+        };
+        frames.push(frame);
+    }
+    frames
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn every_incremental_full_run_equals_the_ungated_recognition(
+        steps in prop::collection::vec(step(), 4..16),
+        switch_at in 1usize..16,
+    ) {
+        let switch_at = switch_at.min(steps.len() - 1);
+        let frames = held_stream(&steps, switch_at);
+        let mut rec = StreamRecognizer::new(TemporalConfig::incremental());
+        let mut scratch = FrameScratch::new();
+        let mut oracle_scratch = FrameScratch::new();
+        for (i, frame) in frames.iter().enumerate() {
+            let before = rec.counters();
+            let got = rec.recognize(pipeline(), &mut scratch, frame).clone();
+            let d = rec.counters().since(&before);
+            prop_assert_eq!(d.frames(), 1);
+            if d.full_runs == 1 {
+                let want = RecognitionEngine::recognize_one(pipeline(), &mut oracle_scratch, frame);
+                prop_assert_eq!(&got.decision, &want.decision, "decision, frame {} ({:?})", i, steps[i]);
+                prop_assert_eq!(got.best_distance, want.best_distance, "best distance, frame {}", i);
+                prop_assert_eq!(&got.best_label, &want.best_label, "best label, frame {}", i);
+                prop_assert_eq!(got.runner_up, want.runner_up, "runner-up, frame {}", i);
+                prop_assert_eq!(got.failure, want.failure, "failure, frame {}", i);
+            }
+        }
+        prop_assert!(
+            rec.counters().full_runs >= 2,
+            "the cold frame and the resolution change must both miss"
+        );
+    }
+}
+
 #[test]
 fn strict_gate_hits_on_repeated_frames_and_counters_add_up() {
     let frame = frame_pool()[0].clone();
@@ -184,11 +303,10 @@ fn incremental_counters_split_identity_from_mask_hits() {
     assert_eq!(gate.frames(), report.total_frames());
     assert_eq!(gate.strict_hits, 0, "no consecutive duplicates");
     assert_eq!(gate.incremental_hits, 0, "structural changes must miss");
-    let dirty = report.dirty_totals();
     assert_eq!(
-        dirty.evaluated(),
-        dirty.patched + dirty.full_fallbacks,
-        "every evaluated frame missed and refreshed the cache"
+        gate.full_runs,
+        report.total_frames(),
+        "every frame missed and re-ran the pipeline"
     );
     // ...while oversampled duplicates resolve via the identity pre-check
     let dup = frame_pool()[0].clone();

@@ -7,7 +7,8 @@
 //! decision) must leave the measuring thread's counter untouched —
 //! including reject frames (empty masks, sub-minimum blobs). So must the
 //! negotiation loop's memo-miss path: rasterising a signaller straight into
-//! a packed mask and reading it with `read_mask_with`.
+//! a packed mask and reading it with `read_mask_with` — and the incremental
+//! temporal gate, on its hits and on the misses that re-run the pipeline.
 
 use hdc_figure::{paint_silhouette, render_sign, MarshallingSign, Pose, ViewSpec};
 use hdc_raster::{BitMask, GrayImage};
@@ -247,8 +248,7 @@ fn incremental_gate_is_allocation_free_in_steady_state() {
     let base = render_sign(MarshallingSign::Yes, &view_at(320, 0.0));
 
     // A sub-tolerance speck (mask-gate hit) and an over-tolerance corner
-    // block (band-patch miss that leaves the figure's signature unchanged,
-    // so the ε short-circuit resolves it without a full run).
+    // block off the figure (a miss, so a full run on the adopted mask).
     let mut speck = base.clone();
     speck.set(10, 10, 255);
     let mut block = base.clone();
@@ -266,14 +266,13 @@ fn incremental_gate_is_allocation_free_in_steady_state() {
         std::hint::black_box(rec.recognize(&pipeline, &mut scratch, f));
     }
     let warm = rec.counters();
-    assert_eq!(warm.full_runs, 1, "only the cold frame runs the pipeline");
-    assert!(
-        warm.incremental_hits >= 1,
-        "the speck must hit the mask gate"
+    assert_eq!(
+        warm.full_runs, 3,
+        "the cold frame, the block and the base after it run the pipeline"
     );
-    assert!(
-        warm.signature_short_circuits >= 1,
-        "the block must take the band-patch path into the ε short-circuit"
+    assert_eq!(
+        warm.incremental_hits, 2,
+        "the speck and the base after it hit the mask gate"
     );
 
     let before = allocations();
@@ -288,9 +287,11 @@ fn incremental_gate_is_allocation_free_in_steady_state() {
         0,
         "steady-state incremental recognition must not allocate"
     );
+    let steady = rec.counters().since(&warm);
     assert_eq!(
-        rec.counters().full_runs,
-        1,
-        "steady state never re-ran the full pipeline"
+        steady.full_runs, 6,
+        "each cycle misses twice: on the block and on the base after it"
     );
+    assert_eq!(steady.strict_hits, 3, "each cycle opens on a repeat");
+    assert_eq!(steady.incremental_hits, 6);
 }

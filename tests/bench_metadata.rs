@@ -129,3 +129,38 @@ fn serve_bench_records_the_golden_serve_digests() {
     }
     assert_eq!(checked, 3, "the three serve golden workloads");
 }
+
+#[test]
+fn stream_bench_gate_counters_cover_every_frame() {
+    // Host-independent shape of BENCH_stream.json: each mode's gate
+    // counters resolve every frame exactly once, and strict gating never
+    // diverges from the ungated oracle.
+    let bench = std::fs::read_to_string(repo_root().join("BENCH_stream.json"))
+        .expect("committed BENCH_stream.json");
+    let count = |line: &str, key: &str| {
+        raw_value(line, key)
+            .unwrap_or_else(|| panic!("BENCH_stream.json: no {key} in {line}"))
+            .parse::<u64>()
+            .unwrap_or_else(|e| panic!("BENCH_stream.json: {key} ({e})"))
+    };
+    let mut modes = Vec::new();
+    for line in bench.lines().filter(|l| l.contains("\"mode\":")) {
+        let mode = raw_value(line, "mode").expect("mode name");
+        assert_eq!(
+            count(line, "strict_hits") + count(line, "incremental_hits") + count(line, "full_runs"),
+            count(line, "frames"),
+            "BENCH_stream.json {mode}: gate counters must sum to the frame count"
+        );
+        modes.push(mode.trim_matches('"').to_owned());
+    }
+    assert_eq!(modes, ["off", "strict", "incremental"]);
+    let strict = bench
+        .lines()
+        .find(|l| l.trim_start().starts_with("\"strict\": {\"frames\""))
+        .expect("BENCH_stream.json: strict divergence row");
+    assert_eq!(
+        count(strict, "divergent"),
+        0,
+        "strict gating must not diverge"
+    );
+}
