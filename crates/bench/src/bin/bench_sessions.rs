@@ -38,12 +38,18 @@
 //!    to the grey oracle timed in that same repeat — `(render_mask +
 //!    read_mask) / (render + one_pass_read)` and `read_mask /
 //!    one_pass_read` — which compare the paths independently of the
-//!    host's spell; they are reported, never asserted.
+//!    host's spell; they are reported, never asserted. The mask read is
+//!    also split into the static channel's stages, each timed through its
+//!    public call in a pass of its own over the same changed views:
+//!    labelling (`largest_component_packed_lazy`), contour
+//!    (`trace_contour_packed_with`), signature (`signature_from_contour`)
+//!    and SAX match (`SaxIndex::best_two_with`). Where the mask read
+//!    decided, the split's best match must carry that label.
 //!
 //! Usage: `cargo run --release -p hdc-bench --bin bench_sessions
 //! [--smoke] [out.json]`
 
-use hdc_bench::report::{num, Table};
+use hdc_bench::report::{num, Spread, Table};
 use hdc_core::{
     paint_view, paint_view_mask, CollaborationSession, HumanScript, Role, ScriptedResponse,
     SessionConfig, SessionFaults, SessionOutcome, ViewRead,
@@ -52,10 +58,14 @@ use hdc_figure::{MarshallingSign, Signaller, ViewSpec};
 use hdc_geometry::Vec3;
 use hdc_orchard::{run_session_farm, FarmStats};
 use hdc_raster::threshold::binarize;
-use hdc_raster::{BitMask, GrayImage};
+use hdc_raster::{largest_component_packed_lazy, BitMask, Connectivity, GrayImage, LabelScratch};
 use hdc_runtime::{available_workers, ScheduleMode, SplitMix64, WorkPool};
+use hdc_sax::QueryScratch;
 use hdc_vision::dynamic::{DynamicConfig, DynamicRecognizer};
-use hdc_vision::{PipelineConfig, RecognitionPipeline};
+use hdc_vision::{
+    signature_from_contour, trace_contour_packed_with, PipelineConfig, RecognitionPipeline,
+    SignatureScratch,
+};
 use std::cell::RefCell;
 use std::f64::consts::TAU;
 use std::rc::Rc;
@@ -183,32 +193,6 @@ fn changed_views(configs: &[SessionConfig]) -> (usize, Vec<(Signaller, Vec3)>) {
     (total, out)
 }
 
-/// Median, min and max over the repeats of one per-repeat value: a
-/// stage's ns/frame, or a ratio of two stages timed in the same repeat.
-struct Spread {
-    median: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Spread {
-    fn of(mut per_repeat: Vec<f64>) -> Spread {
-        per_repeat.sort_by(f64::total_cmp);
-        Spread {
-            median: per_repeat[per_repeat.len() / 2],
-            min: per_repeat[0],
-            max: per_repeat[per_repeat.len() - 1],
-        }
-    }
-
-    fn json(&self, decimals: usize) -> String {
-        format!(
-            "{{\"median\": {:.*}, \"min\": {:.*}, \"max\": {:.*}}}",
-            decimals, self.median, decimals, self.min, decimals, self.max
-        )
-    }
-}
-
 struct MissSplit {
     sessions: usize,
     frames: u64,
@@ -221,6 +205,11 @@ struct MissSplit {
     render: Spread,
     one_pass: Spread,
     two_pass: Spread,
+    /// The mask read's static-channel stages, each through its public call.
+    label: Spread,
+    contour: Spread,
+    signature: Spread,
+    sax_match: Spread,
     /// Per repeat: (render_mask + read_mask) / (render + one_pass).
     miss_ratio: Spread,
     /// Per repeat: read_mask / one_pass.
@@ -252,11 +241,15 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
     let mut dynamic = DynamicRecognizer::new(DynamicConfig::default());
     let mut frame = GrayImage::new(1, 1);
     let mut mask = BitMask::new(1, 1);
+    // the stage split's own buffers, as a reader's scratch holds them
+    let (mut blob, mut label) = (BitMask::new(1, 1), LabelScratch::new());
+    let (mut sig, mut query) = (SignatureScratch::new(), QueryScratch::new());
 
-    let mut per_stage: [Vec<f64>; 5] = Default::default();
+    let mut per_stage: [Vec<f64>; 9] = Default::default();
     let (mut miss_ratios, mut read_ratios) = (Vec::new(), Vec::new());
     for _ in 0..repeats {
-        let mut ns = [0u128; 5];
+        let mut ns = [0u128; 9];
+        let mut decisions = Vec::with_capacity(views.len());
         for (signaller, eye) in &views {
             // the loop's miss path: rasterise into the mask, read it
             let t0 = Instant::now();
@@ -290,17 +283,38 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
             {
                 *total += (to - from).as_nanos();
             }
+            decisions.push(from_mask.decision);
+        }
+        // The stage split runs in a pass of its own, so each mask is
+        // rasterised afresh (untimed) and read once, as on the loop's miss
+        // path, and never straight after another read of the same mask.
+        for ((signaller, eye), decision) in views.iter().zip(&decisions) {
+            paint_view_mask(signaller, *eye, &mut mask);
+            let (split, best) = static_stages(
+                &pipeline, &mask, &mut blob, &mut label, &mut sig, &mut query,
+            );
+            if let Some(Some(decision)) = decision {
+                assert_eq!(
+                    best,
+                    Some(decision.as_str()),
+                    "the stage split must match the mask read's decision"
+                );
+            }
+            for (total, stage) in ns[5..].iter_mut().zip(split) {
+                *total += stage;
+            }
         }
         for (stage, total) in per_stage.iter_mut().zip(ns) {
             stage.push(total as f64 / views.len().max(1) as f64);
         }
         // both paths of this repeat ran interleaved, view by view, so the
         // host's speed cancels out of their ratios
-        let [mask_paint, mask_read, grey_paint, grey_read, _] = ns.map(|n| n as f64);
+        let [mask_paint, mask_read, grey_paint, grey_read, ..] = ns.map(|n| n as f64);
         miss_ratios.push((mask_paint + mask_read) / (grey_paint + grey_read).max(1.0));
         read_ratios.push(mask_read / grey_read.max(1.0));
     }
-    let [render_mask, read_mask, render, one_pass, two_pass] = per_stage.map(Spread::of);
+    let [render_mask, read_mask, render, one_pass, two_pass, label, contour, signature, sax_match] =
+        per_stage.map(Spread::of);
     MissSplit {
         sessions,
         frames: stats.frames_processed,
@@ -313,9 +327,52 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
         render,
         one_pass,
         two_pass,
+        label,
+        contour,
+        signature,
+        sax_match,
         miss_ratio: Spread::of(miss_ratios),
         read_ratio: Spread::of(read_ratios),
     }
+}
+
+/// The static channel's read of a silhouette `mask`, stage by stage
+/// through the public calls the pipeline makes: ns spent labelling,
+/// tracing the contour, computing the signature and matching it, and the
+/// best match's label. A stage that a rejected view never reaches costs 0.
+fn static_stages<'a>(
+    pipeline: &'a RecognitionPipeline,
+    mask: &BitMask,
+    blob: &mut BitMask,
+    label: &mut LabelScratch,
+    sig: &mut SignatureScratch,
+    query: &mut QueryScratch,
+) -> ([u128; 4], Option<&'a str>) {
+    let config = pipeline.config();
+    let mut ns = [0u128; 4];
+    let t0 = Instant::now();
+    let largest = largest_component_packed_lazy(mask, Connectivity::Eight, blob, label);
+    ns[0] = t0.elapsed().as_nanos();
+    let Some((component, copied)) = largest else {
+        return (ns, None);
+    };
+    if component.area < config.min_blob_area {
+        return (ns, None);
+    }
+    let t1 = Instant::now();
+    let traced = trace_contour_packed_with(if copied { blob } else { mask }, sig);
+    let t2 = Instant::now();
+    ns[1] = (t2 - t1).as_nanos();
+    if traced.is_err() {
+        return (ns, None);
+    }
+    signature_from_contour(sig, config.signature_len);
+    let t3 = Instant::now();
+    let matched = pipeline.index().best_two_with(sig.series(), query);
+    let t4 = Instant::now();
+    ns[2] = (t3 - t2).as_nanos();
+    ns[3] = (t4 - t3).as_nanos();
+    (ns, matched.map(|(best, _)| best.label))
 }
 
 struct Rung {
@@ -443,6 +500,10 @@ fn main() {
         ("render into the reused frame", &split.render),
         ("one-pass read (both channels)", &split.one_pass),
         ("two-pass formula (replaced)", &split.two_pass),
+        ("  of the mask read: label", &split.label),
+        ("  of the mask read: contour", &split.contour),
+        ("  of the mask read: signature", &split.signature),
+        ("  of the mask read: SAX match", &split.sax_match),
     ] {
         stages.row([
             label.to_string(),
@@ -550,6 +611,14 @@ fn main() {
         "    \"two_pass_read_ns\": {},",
         split.two_pass.json(0)
     );
+    for (key, st) in [
+        ("label_ns", &split.label),
+        ("contour_ns", &split.contour),
+        ("signature_ns", &split.signature),
+        ("sax_match_ns", &split.sax_match),
+    ] {
+        let _ = writeln!(json, "    \"{key}\": {},", st.json(0));
+    }
     let _ = writeln!(
         json,
         "    \"mask_miss_over_grey_miss\": {},",

@@ -1,10 +1,12 @@
 //! Temporal-coherence gating benchmark: sustained held-sign stream serving.
 //!
 //! Serves the same synthetic held-sign streams (static holds with sensor
-//! jitter and camera oversampling, punctuated by sign transitions) once per
-//! gate mode — ungated, strict, incremental — prints the sustained-fps
-//! comparison plus the measured decision divergence of the gated modes
-//! against the ungated oracle, and writes the JSON report.
+//! jitter and camera oversampling, punctuated by sign transitions) through
+//! each gate mode — ungated, strict, incremental — in turn, `REPEATS`
+//! times, prints each mode's sustained fps (median, min, max) and its
+//! same-repeat speed-up over the ungated mode, plus the measured decision
+//! divergence of the gated modes against the ungated oracle, and writes the
+//! JSON report.
 //!
 //! Usage: `cargo run --release -p hdc-bench --bin bench_stream
 //! [--threads N] [--smoke] [out.json]`
@@ -16,11 +18,17 @@
 
 use hdc_bench::report::{num, Table};
 use hdc_bench::streams::{
-    decision_divergence, gating_study, held_sign_streams, stream_json, StreamWorkload,
+    decision_divergence, gating_study, held_sign_streams, stream_json, summarize_modes,
+    StreamWorkload,
 };
 use hdc_runtime::{available_workers, threads_from_args};
 use hdc_vision::temporal::TemporalConfig;
 use hdc_vision::RecognitionEngine;
+
+/// Times the three modes are served in turn. One run per mode cannot
+/// resolve a change under about 25% on a host with speed spells; the
+/// same-repeat ratios to the ungated mode can.
+const REPEATS: usize = 5;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,35 +70,45 @@ fn main() {
     let streams = held_sign_streams(&workload, streams_n);
     let engine = RecognitionEngine::new(hdc_bench::frames::benchmark_pipeline(), Some(workers));
 
-    let runs = gating_study(&engine, &streams, min_frames, min_seconds);
-    let baseline_fps = runs[0].report.aggregate_fps();
+    let repeats: Vec<_> = (0..REPEATS)
+        .map(|_| gating_study(&engine, &streams, min_frames, min_seconds))
+        .collect();
+    let modes = summarize_modes(&repeats);
 
     let mut table = Table::new([
         "mode",
-        "agg fps",
-        "speedup",
+        "agg fps (median)",
+        "min",
+        "max",
+        "speedup (median)",
+        "min",
+        "max",
         "strict hits",
         "incr hits",
         "full runs",
     ]);
-    for run in &runs {
-        let gate = run.report.gate_totals();
+    for mode in &modes {
         table.row([
-            run.label.to_string(),
-            num(run.report.aggregate_fps(), 1),
-            format!("{:.2}x", run.report.aggregate_fps() / baseline_fps),
-            gate.strict_hits.to_string(),
-            gate.incremental_hits.to_string(),
-            gate.full_runs.to_string(),
+            mode.label.to_string(),
+            num(mode.fps.median, 1),
+            num(mode.fps.min, 1),
+            num(mode.fps.max, 1),
+            format!("{:.2}x", mode.speedup_vs_off.median),
+            format!("{:.2}x", mode.speedup_vs_off.min),
+            format!("{:.2}x", mode.speedup_vs_off.max),
+            mode.gate.strict_hits.to_string(),
+            mode.gate.incremental_hits.to_string(),
+            mode.gate.full_runs.to_string(),
         ]);
     }
+    println!("{} repeats, modes in turn", REPEATS);
     println!("{}", table.render());
 
-    let inc_run = runs
+    let inc_gate = modes
         .iter()
-        .find(|r| r.label == "incremental")
-        .expect("study includes incremental mode");
-    let inc_gate = inc_run.report.gate_totals();
+        .find(|m| m.label == "incremental")
+        .expect("study includes incremental mode")
+        .gate;
     // Smoke floors: the incremental gate must actually fire, and it must
     // resolve at least as many frames without a full run as the strict gate
     // (its identity pre-check plus the mask gate strictly widen reuse).
@@ -98,7 +116,11 @@ fn main() {
         inc_gate.incremental_hits > 0,
         "incremental mask gate never hit on the benchmark workload"
     );
-    let strict_gate = runs[1].report.gate_totals();
+    let strict_gate = modes
+        .iter()
+        .find(|m| m.label == "strict")
+        .expect("study includes strict mode")
+        .gate;
     assert!(
         inc_gate.full_runs <= strict_gate.full_runs,
         "incremental mode ran the full pipeline more often than strict ({} > {})",
@@ -135,7 +157,7 @@ fn main() {
         streams_n,
         workers,
         threads,
-        &runs,
+        &repeats,
         strict_div,
         incremental_div,
     );

@@ -78,6 +78,42 @@ pub fn num(v: f64, prec: usize) -> String {
     }
 }
 
+/// Median, min and max over the repeats of one per-repeat value: a
+/// stage's ns/frame, a rate, or a ratio of two values measured in the same
+/// repeat.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// The middle value (the upper one of an even count).
+    pub median: f64,
+    /// The smallest value.
+    pub min: f64,
+    /// The largest value.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `per_repeat`.
+    ///
+    /// # Panics
+    /// Panics when `per_repeat` is empty.
+    pub fn of(mut per_repeat: Vec<f64>) -> Spread {
+        per_repeat.sort_by(f64::total_cmp);
+        Spread {
+            median: per_repeat[per_repeat.len() / 2],
+            min: per_repeat[0],
+            max: per_repeat[per_repeat.len() - 1],
+        }
+    }
+
+    /// `{"median": .., "min": .., "max": ..}` with `decimals` places.
+    pub fn json(&self, decimals: usize) -> String {
+        format!(
+            "{{\"median\": {:.*}, \"min\": {:.*}, \"max\": {:.*}}}",
+            decimals, self.median, decimals, self.min, decimals, self.max
+        )
+    }
+}
+
 /// Formats a fraction as a percentage.
 pub fn pct(v: f64) -> String {
     format!("{:.0}%", v * 100.0)
@@ -86,6 +122,13 @@ pub fn pct(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spread_orders_the_repeats() {
+        let s = Spread::of(vec![3.0, 1.0, 2.0, 5.0]);
+        assert_eq!((s.median, s.min, s.max), (3.0, 1.0, 5.0));
+        assert_eq!(s.json(1), "{\"median\": 3.0, \"min\": 1.0, \"max\": 5.0}");
+    }
 
     #[test]
     fn renders_aligned() {

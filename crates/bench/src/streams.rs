@@ -8,7 +8,10 @@
 //! camera oversampling, and `Pose::lerp` transitions between signs — and
 //! [`gating_study`] serves it through [`RecognitionEngine::run_streams_gated`]
 //! once per gate mode so the sustained-fps comparison (ungated vs strict vs
-//! incremental) is measured on the same frames, engine and floors.
+//! incremental) is measured on the same frames, engine and floors. The
+//! committed report repeats the study and records each mode's spread and
+//! the per-repeat ratios to the ungated run of the same repeat, which
+//! cancel the host's slow and fast spells.
 //!
 //! Incremental mode may diverge from the ungated oracle, so the report also
 //! *measures* that divergence ([`decision_divergence`]) on the deterministic
@@ -17,11 +20,12 @@
 //! error rate is not a result.
 
 use crate::frames::view_at;
+use crate::report::Spread;
 use hdc_figure::{render_pose, MarshallingSign, Pose};
 use hdc_raster::noise::add_salt_pepper;
 use hdc_raster::GrayImage;
 use hdc_runtime::available_workers;
-use hdc_vision::temporal::TemporalConfig;
+use hdc_vision::temporal::{GateCounters, TemporalConfig};
 use hdc_vision::{MultiStreamReport, RecognitionEngine};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -194,6 +198,62 @@ pub fn decision_divergence(
     d
 }
 
+/// One gate mode over every repeat of the study.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModeSummary {
+    /// Mode name, as in [`GateRun::label`].
+    pub label: &'static str,
+    /// Wall seconds served, summed over the repeats.
+    pub seconds: f64,
+    /// Frames served, summed over the repeats.
+    pub frames: usize,
+    /// Gate counters, summed over the repeats.
+    pub gate: GateCounters,
+    /// Aggregate fps across the repeats.
+    pub fps: Spread,
+    /// Per repeat, this mode's fps over the ungated mode's fps of the same
+    /// repeat.
+    pub speedup_vs_off: Spread,
+}
+
+/// Summarises repeated [`gating_study`] runs mode by mode, in the study's
+/// mode order.
+///
+/// # Panics
+/// Panics when `repeats` is empty, or a repeat lacks the `off` mode or
+/// orders its modes differently from the first.
+pub fn summarize_modes(repeats: &[Vec<GateRun>]) -> Vec<ModeSummary> {
+    let off_fps: Vec<f64> = repeats
+        .iter()
+        .map(|runs| {
+            runs.iter()
+                .find(|r| r.label == "off")
+                .expect("every repeat serves the ungated mode")
+                .report
+                .aggregate_fps()
+        })
+        .collect();
+    repeats[0]
+        .iter()
+        .enumerate()
+        .map(|(m, first)| {
+            let runs: Vec<&GateRun> = repeats.iter().map(|runs| &runs[m]).collect();
+            assert!(runs.iter().all(|r| r.label == first.label), "mode order");
+            let fps: Vec<f64> = runs.iter().map(|r| r.report.aggregate_fps()).collect();
+            ModeSummary {
+                label: first.label,
+                seconds: runs.iter().map(|r| r.report.seconds).sum(),
+                frames: runs.iter().map(|r| r.report.total_frames()).sum(),
+                gate: runs.iter().fold(GateCounters::default(), |acc, r| {
+                    acc.plus(&r.report.gate_totals())
+                }),
+                speedup_vs_off: Spread::of(fps.iter().zip(&off_fps).map(|(f, o)| f / o).collect()),
+                fps: Spread::of(fps),
+            }
+        })
+        .collect()
+}
+
 /// Renders the study as the JSON document committed at `BENCH_stream.json`
 /// (hand-rolled: the workspace has no JSON dependency).
 pub fn stream_json(
@@ -201,15 +261,11 @@ pub fn stream_json(
     streams: usize,
     workers: usize,
     threads_flag: Option<usize>,
-    runs: &[GateRun],
+    repeats: &[Vec<GateRun>],
     strict_divergence: Divergence,
     incremental_divergence: Divergence,
 ) -> String {
-    let baseline_fps = runs
-        .iter()
-        .find(|r| r.label == "off")
-        .map(|r| r.report.aggregate_fps())
-        .unwrap_or(f64::NAN);
+    let modes = summarize_modes(repeats);
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(
@@ -217,12 +273,13 @@ pub fn stream_json(
     );
     let _ = writeln!(
         s,
-        "  \"metadata\": {{\n    \"threads_flag\": {},\n    \"available_parallelism\": {},\n    \"workers\": {},\n    \"streams\": {},\n    \"width\": {}, \"height\": {},\n    \"holds\": {}, \"keyframes_per_hold\": {}, \"dups_per_keyframe\": {}, \"transition_frames\": {},\n    \"jitter\": {}\n  }},",
+        "  \"metadata\": {{\n    \"threads_flag\": {},\n    \"available_parallelism\": {},\n    \"workers\": {},\n    \"repeats\": {},\n    \"streams\": {},\n    \"width\": {}, \"height\": {},\n    \"holds\": {}, \"keyframes_per_hold\": {}, \"dups_per_keyframe\": {}, \"transition_frames\": {},\n    \"jitter\": {}\n  }},",
         threads_flag
             .map(|n| n.to_string())
             .unwrap_or_else(|| "null".to_owned()),
         available_workers(),
         workers,
+        repeats.len(),
         streams,
         workload.width,
         workload.height,
@@ -234,25 +291,24 @@ pub fn stream_json(
     );
     s.push_str("  \"protocol\": {\n");
     s.push_str("    \"stream\": \"held marshalling signs: per hold, lerp transition frames then keyframes x byte-identical oversampled duplicates, salt-and-pepper sensor jitter per keyframe\",\n");
-    s.push_str("    \"modes\": \"same engine, streams and floors served once per gate mode (off = ungated baseline)\",\n");
+    s.push_str("    \"modes\": \"same engine, streams and floors; each repeat serves every gate mode once, in turn (off = ungated baseline); seconds, frames and gate counters are summed over the repeats\",\n");
     s.push_str("    \"divergence\": \"per-frame accepted-decision mismatch vs the ungated oracle on the deterministic process_streams path (2 passes)\",\n");
-    s.push_str("    \"note\": \"aggregate fps is summed over the metadata's workers, so it scales with the host; speedup_vs_off is the gate's work saving and is host-independent\"\n");
+    s.push_str("    \"note\": \"aggregate fps is summed over the metadata's workers, so it scales with the host and its speed spells (median, min, max over the repeats); speedup_vs_off is each repeat's mode fps over that repeat's ungated fps, the gate's work saving with the spell cancelled\"\n");
     s.push_str("  },\n");
     s.push_str("  \"modes\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        let gate = run.report.gate_totals();
+    for (i, mode) in modes.iter().enumerate() {
         let _ = writeln!(
             s,
-            "    {{\"mode\": \"{}\", \"seconds\": {:.2}, \"frames\": {}, \"aggregate_fps\": {:.2}, \"speedup_vs_off\": {:.2}, \"gate\": {{\"strict_hits\": {}, \"incremental_hits\": {}, \"full_runs\": {}}}}}{}",
-            run.label,
-            run.report.seconds,
-            run.report.total_frames(),
-            run.report.aggregate_fps(),
-            run.report.aggregate_fps() / baseline_fps,
-            gate.strict_hits,
-            gate.incremental_hits,
-            gate.full_runs,
-            if i + 1 < runs.len() { "," } else { "" }
+            "    {{\"mode\": \"{}\", \"seconds\": {:.2}, \"frames\": {}, \"aggregate_fps\": {}, \"speedup_vs_off\": {}, \"gate\": {{\"strict_hits\": {}, \"incremental_hits\": {}, \"full_runs\": {}}}}}{}",
+            mode.label,
+            mode.seconds,
+            mode.frames,
+            mode.fps.json(2),
+            mode.speedup_vs_off.json(3),
+            mode.gate.strict_hits,
+            mode.gate.incremental_hits,
+            mode.gate.full_runs,
+            if i + 1 < modes.len() { "," } else { "" }
         );
     }
     s.push_str("  ],\n");
@@ -353,18 +409,22 @@ mod tests {
     fn json_is_well_formed_enough() {
         let w = StreamWorkload::smoke();
         let streams = held_sign_streams(&w, 1);
-        let runs = gating_study(&engine(), &streams, 1, 0.0);
+        let repeats: Vec<Vec<GateRun>> = (0..2)
+            .map(|_| gating_study(&engine(), &streams, 1, 0.0))
+            .collect();
         let d = Divergence {
             frames: 10,
             divergent: 1,
         };
-        let json = stream_json(&w, 1, 2, Some(2), &runs, Divergence::default(), d);
+        let json = stream_json(&w, 1, 2, Some(2), &repeats, Divergence::default(), d);
         assert!(json.contains("\"mode\": \"off\""));
         assert!(json.contains("\"mode\": \"strict\""));
         assert!(!json.contains("approx"));
         assert!(json.contains("\"mode\": \"incremental\""));
         assert!(json.contains("\"divergence\""));
         assert!(json.contains("\"rate\": 0.100000"));
+        assert!(json.contains("\"repeats\": 2"));
+        assert!(json.contains("\"speedup_vs_off\": {\"median\": 1.000, \"min\": 1.000"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

@@ -17,7 +17,7 @@ use crate::protocol::{
 };
 use crate::roles::Role;
 use crate::safety::SafetyMonitor;
-use crate::view::{calibrated_pipeline, render_view, ViewMemo, ViewRead};
+use crate::view::{calibrated_pipeline, painted_view_frame, return_view_frame, ViewMemo, ViewRead};
 use hdc_drone::{
     Drone, DroneConfig, DroneEvent, FlightPattern, LedMode, PatternClassifier, PatternKind,
     WindModel,
@@ -762,7 +762,7 @@ impl CollaborationSession {
         // either recognition channel does
         let t = self.time;
         faults.on_view(t, &signaller, eye);
-        let mut frame = render_view(&signaller, eye);
+        let mut frame = painted_view_frame(&signaller, eye);
         let fate = faults.on_frame(t, &mut frame);
         match fate {
             FrameFate::Deliver => self.ingest_frame(&frame),
@@ -776,6 +776,7 @@ impl CollaborationSession {
                 }
             }
         }
+        return_view_frame(frame);
     }
 
     /// Feeds one delivered camera frame to both recognition channels.

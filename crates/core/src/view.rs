@@ -24,16 +24,19 @@
 //! (when asked) traces that same blob to its decision. That component is
 //! bit-identical to the one the wave-off detector would label in
 //! `binarize(paint_view(..), 128)`, so nothing is rendered or read twice.
-//! A faulted owner frame, which the fault layer may have rewritten, is
-//! still a grey frame ([`paint_view`]); [`ViewRead::frame`] segments and
-//! reads it through the same per-thread scratch.
+//! A faulted owner frame, which the fault layer may rewrite, is still a
+//! grey frame: [`paint_view`] paints it into one per-thread frame, reused
+//! from view to view, and [`ViewRead::frame`] segments and reads it
+//! through the same per-thread scratch.
 //!
-//! Memory: the mask and scratch are per thread, not per session, so
-//! resident memory does not grow with the number of live sessions, and the
-//! miss path holds no grey frame at all. A silhouette that is one
-//! component is traced where it was rasterised, so the scratch never grows
-//! a second frame-sized blob for it: each pool worker's thread keeps one
-//! packed mask, not two. Each camera keeps only its
+//! Memory: the mask, the faulted path's grey frame and the scratch are per
+//! thread, not per session, so resident memory does not grow with the
+//! number of live sessions, and the memo-miss path holds no grey frame at
+//! all; the grey frame exists only on a thread that has run a faulted
+//! owner. A silhouette that is one component is traced where it was
+//! rasterised, so the scratch never grows a second frame-sized blob for
+//! it: each pool worker's thread keeps one packed mask, not two. Each
+//! camera keeps only its
 //! [`ViewMemo`] — a key and two small results — and a
 //! [`DynamicRecognizer`](hdc_vision::dynamic::DynamicRecognizer) whose
 //! labelling buffers stay empty, because the loop never hands it a mask.
@@ -48,7 +51,7 @@ use hdc_geometry::{CameraIntrinsics, PinholeCamera, Vec3};
 use hdc_raster::{BitMask, GrayImage};
 use hdc_vision::dynamic::FrameFeatures;
 use hdc_vision::{FrameRead, FrameScratch, PipelineConfig, RecognitionPipeline};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The loop's camera: 640×480, 640 px focal length, at `eye`, aimed at the
@@ -83,12 +86,18 @@ pub fn paint_view_mask(signaller: &Signaller, eye: Vec3, mask: &mut BitMask) {
     paint_silhouette(signaller, &camera, mask);
 }
 
-/// [`paint_view`] into a fresh frame — the form a fault layer, which may
-/// keep or rewrite the frame, is handed.
-pub(crate) fn render_view(signaller: &Signaller, eye: Vec3) -> GrayImage {
-    let mut frame = GrayImage::new(1, 1);
+/// [`paint_view`] into this thread's reusable grey frame, handed over by
+/// value — the form a fault layer, which may rewrite the frame, is given.
+/// [`return_view_frame`] hands it back for the next faulted view.
+pub(crate) fn painted_view_frame(signaller: &Signaller, eye: Vec3) -> GrayImage {
+    let mut frame = VIEW_FRAME.take().unwrap_or_else(|| GrayImage::new(1, 1));
     paint_view(signaller, eye, &mut frame);
     frame
+}
+
+/// Gives back the frame [`painted_view_frame`] handed over.
+pub(crate) fn return_view_frame(frame: GrayImage) {
+    VIEW_FRAME.set(Some(frame));
 }
 
 /// The buffers a view read runs through, one set per thread.
@@ -104,6 +113,10 @@ thread_local! {
         mask: BitMask::new(1, 1),
         recognition: FrameScratch::new(),
     });
+    /// The grey frame faulted owner views are painted into. It is taken
+    /// out while a fault layer and the read hold it, so it never shares a
+    /// borrow with [`VIEW_SCRATCH`].
+    static VIEW_FRAME: Cell<Option<GrayImage>> = const { Cell::new(None) };
 }
 
 /// The exact render inputs of one camera view, compared bit for bit

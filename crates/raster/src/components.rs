@@ -72,9 +72,11 @@ impl Component {
 ///
 /// The labeller is run-based: one sequential pass extracts horizontal
 /// foreground runs, a union-find over run indices merges runs that touch
-/// across rows, and statistics come from run arithmetic. Cost scales with
-/// the number of runs (hundreds per frame), not with the pixel count, which
-/// is what makes the component stage cheap at 1280×960.
+/// across rows, and statistics come from run arithmetic. On a bit-packed
+/// mask an empty row costs one OR over its words and a zero word one
+/// compare, so the cost is the number of rows plus the words and runs of
+/// the rows that hold foreground: a silhouette pays for the rows it spans,
+/// not for the frame's pixel count.
 #[derive(Debug, Default, Clone)]
 pub struct LabelScratch {
     /// Foreground runs `(row, start, end)` (inclusive), in row-major order.
@@ -248,11 +250,12 @@ fn label_into(mask: &Bitmap, conn: Connectivity, scratch: &mut LabelScratch) {
 }
 
 /// [`label_into`] on a bit-packed mask: foreground runs come straight from
-/// the mask words via trailing-zeros/trailing-ones scans — a zero word skips
-/// 64 background pixels in one compare, and run ends inside a word are found
-/// without touching individual pixels. Run order, the union-find structure
-/// and the resolved statistics are identical to the byte extractor's, so
-/// the two paths label bit-identically.
+/// the mask words via trailing-zeros/trailing-ones scans — an empty row is
+/// skipped after one OR over its words, a zero word skips 64 background
+/// pixels in one compare, and run ends inside a word are found without
+/// touching individual pixels. Run order, the union-find structure and the
+/// resolved statistics are identical to the byte extractor's, so the two
+/// paths label bit-identically.
 fn label_into_packed(mask: &BitMask, conn: Connectivity, scratch: &mut LabelScratch) {
     let w = mask.width();
     let h = mask.height() as usize;
@@ -268,6 +271,12 @@ fn label_into_packed(mask: &BitMask, conn: Connectivity, scratch: &mut LabelScra
     for y in 0..h {
         let row = &words[y * wpr..(y + 1) * wpr];
         let row_lo = runs.len();
+        if row.iter().fold(0, |acc, &w| acc | w) == 0 {
+            // no runs here, so the next row has no previous-row runs to join
+            prev_lo = row_lo;
+            prev_hi = row_lo;
+            continue;
+        }
         let mut p = prev_lo; // cursor over the previous row's runs
                              // Start of a run that is still open at the current word boundary.
         let mut open: Option<u32> = None;
@@ -620,14 +629,45 @@ mod tests {
             (200, 1, 11),
             (1, 40, 13),
         ] {
-            let m = speckled(w, h, salt);
-            let packed = BitMask::from_bitmap(&m);
-            for conn in [Connectivity::Four, Connectivity::Eight] {
-                let (labels, comps) = label_components(&m, conn);
-                let (labels_p, comps_p) = label_components_packed(&packed, conn);
-                assert_eq!(labels, labels_p, "label image ({w}×{h}, {conn:?})");
-                assert_eq!(comps, comps_p, "components ({w}×{h}, {conn:?})");
+            assert_packed_labels_like_bytes(&speckled(w, h, salt));
+        }
+        // Empty leading, interior and trailing rows, which the packed
+        // labeller skips whole. Each pair of blobs overlaps in x across
+        // exactly one empty row, so a skip that kept the last non-empty
+        // row's runs as the previous row would wrongly merge them.
+        let wide = ".".repeat(70);
+        let blob_a = format!("{}{}", "#".repeat(66), "....");
+        let blob_b = format!("{}{}", ".".repeat(60), "#".repeat(10));
+        for rows in [
+            vec![&wide, &wide, &blob_a, &wide, &blob_b, &wide, &wide],
+            vec![&blob_a, &wide, &blob_a, &wide, &blob_b],
+            vec![
+                &blob_b, &wide, &wide, &blob_a, &wide, &blob_b, &blob_b, &wide,
+            ],
+            vec![&wide, &wide, &wide],
+        ] {
+            let rows: Vec<&str> = rows.iter().map(|r| r.as_str()).collect();
+            assert_packed_labels_like_bytes(&mask_from_rows(&rows));
+        }
+        let mut banded = speckled(130, 40, 17);
+        for y in [0, 1, 9, 10, 11, 20, 39] {
+            for x in 0..130 {
+                banded.set(x, y, false);
             }
+        }
+        assert_packed_labels_like_bytes(&banded);
+    }
+
+    /// The packed labelling of `m` equals the byte labelling, label image
+    /// and components, under both connectivities.
+    fn assert_packed_labels_like_bytes(m: &Bitmap) {
+        let (w, h) = (m.width(), m.height());
+        let packed = BitMask::from_bitmap(m);
+        for conn in [Connectivity::Four, Connectivity::Eight] {
+            let (labels, comps) = label_components(m, conn);
+            let (labels_p, comps_p) = label_components_packed(&packed, conn);
+            assert_eq!(labels, labels_p, "label image ({w}×{h}, {conn:?})");
+            assert_eq!(comps, comps_p, "components ({w}×{h}, {conn:?})");
         }
     }
 

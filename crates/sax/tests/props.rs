@@ -1,8 +1,8 @@
 //! Property-based tests for SAX invariants.
 
 use hdc_sax::{
-    breakpoints, min_rotated_mindist, mindist, normal_quantile, SaxEncoder, SaxIndex, SaxParams,
-    SaxWord,
+    breakpoints, min_rotated_mindist, mindist, normal_quantile, IndexMatchRef, QueryScratch,
+    SaxEncoder, SaxIndex, SaxParams, SaxWord,
 };
 use hdc_timeseries::{euclidean, rotate_left, TimeSeries};
 use proptest::prelude::*;
@@ -15,7 +15,94 @@ fn params() -> impl Strategy<Value = SaxParams> {
     (2usize..24, 2u8..12).prop_map(|(w, a)| SaxParams::new(w, a).unwrap())
 }
 
+/// `pattern` repeated to length `n`: its rotations by multiples of the
+/// pattern's length are the same series, so rotation distances tie exactly.
+fn periodic(pattern: &[f64], n: usize) -> Vec<f64> {
+    pattern.iter().copied().cycle().take(n).collect()
+}
+
+/// `best_two_with` equals the exhaustive oracle bit for bit: label, lower
+/// bound, distance, shift and runner-up.
+fn assert_best_two_like_reference(idx: &SaxIndex, q: &[f64], scratch: &mut QueryScratch) {
+    let fast = idx
+        .best_two_with(q, scratch)
+        .map(|(m, r)| (IndexMatchRef::into_owned(m), r.map(f64::to_bits)));
+    let slow = idx
+        .best_two_reference(q)
+        .map(|(m, r)| (m, r.map(f64::to_bits)));
+    assert_eq!(fast, slow);
+}
+
+/// A pseudo-random series that reads the same backwards
+/// (`v[i] == v[(n - i) % n]`): two of them are as far apart at shift `s`
+/// as at `n - s`, up to summation rounding.
+fn mirrored(n: usize, mut state: u64) -> Vec<f64> {
+    let half: Vec<f64> = (0..=n / 2)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        })
+        .collect();
+    (0..n).map(|i| half[i.min(n - i)]).collect()
+}
+
+#[test]
+fn best_two_on_the_fft_path_is_the_reference_on_mirrored_shapes() {
+    // near-tied rotations whose FFT estimates order them at random
+    let mut idx = SaxIndex::new(SaxParams::default(), 128);
+    for t in 0..3u64 {
+        idx.insert(format!("m{t}"), &mirrored(128, 1000 + t));
+    }
+    let mut scratch = QueryScratch::new();
+    for seed in 0..60u64 {
+        assert_best_two_like_reference(&idx, &mirrored(128, seed), &mut scratch);
+    }
+}
+
+#[test]
+fn best_two_on_the_fft_path_is_the_reference_on_periodic_shapes() {
+    // 128-sample series take the FFT path; periodic templates and queries
+    // make every rotation match tie across shifts.
+    let mut idx = SaxIndex::new(SaxParams::default(), 128);
+    let shapes: Vec<Vec<f64>> = [4usize, 8, 16, 32]
+        .iter()
+        .map(|&p| {
+            let pattern: Vec<f64> = (0..p).map(|i| (i as f64 * 2.3 + p as f64).cos()).collect();
+            periodic(&pattern, 128)
+        })
+        .collect();
+    for (i, shape) in shapes.iter().enumerate() {
+        idx.insert(format!("p{i}"), shape);
+    }
+    idx.insert("flat", &[1.0; 128]);
+    let mut scratch = QueryScratch::new();
+    for shape in &shapes {
+        for s in [0, 1, 3, 17, 64] {
+            assert_best_two_like_reference(&idx, &rotate_left(shape, s), &mut scratch);
+        }
+    }
+    assert_best_two_like_reference(&idx, &[2.0; 128], &mut scratch);
+    assert_best_two_like_reference(&idx, &periodic(&[1.0, -1.0], 300), &mut scratch);
+}
+
 proptest! {
+    #[test]
+    fn best_two_on_the_fft_path_is_the_reference(
+        db in prop::collection::vec(series(128..129), 1..6),
+        q in series(128..129),
+        shift in 0usize..128,
+    ) {
+        let mut idx = SaxIndex::new(SaxParams::default(), 128);
+        for (i, v) in db.iter().enumerate() {
+            idx.insert(format!("t{}", i % 3), v);
+        }
+        let mut scratch = QueryScratch::new();
+        assert_best_two_like_reference(&idx, &q, &mut scratch);
+        assert_best_two_like_reference(&idx, &rotate_left(&db[0], shift), &mut scratch);
+    }
+
     #[test]
     fn quantile_monotone(p1 in 0.001f64..0.999, p2 in 0.001f64..0.999) {
         let (lo, hi) = if p1 < p2 { (p1, p2) } else { (p2, p1) };

@@ -171,7 +171,8 @@ pub fn min_rotated_euclidean_with(
     scratch.ccorr.clear();
     scratch.ccorr.resize(a.len(), 0.0);
     circular_cross_correlation_into(a, b, &mut scratch.ccorr, &mut scratch.fft);
-    Ok(min_over_rotations(a, b, stride, &scratch.ccorr))
+    let energies = scratch.fft.energies();
+    Ok(min_over_rotations(a, b, energies, stride, &scratch.ccorr))
 }
 
 /// [`min_rotated_euclidean_with`] from the series' kept spectra
@@ -196,7 +197,8 @@ pub fn min_rotated_euclidean_of(
     scratch.ccorr.clear();
     scratch.ccorr.resize(a.len(), 0.0);
     circular_cross_correlation_of(a, a_spec, b, b_spec, &mut scratch.ccorr, &mut scratch.fft);
-    Ok(min_over_rotations(a, b, stride, &scratch.ccorr))
+    let energies = (a_spec.energy(), b_spec.energy());
+    Ok(min_over_rotations(a, b, energies, stride, &scratch.ccorr))
 }
 
 fn check_rotation_inputs(a: &[f64], b: &[f64], stride: usize) -> Result<(), DistanceError> {
@@ -215,13 +217,18 @@ fn check_rotation_inputs(a: &[f64], b: &[f64], stride: usize) -> Result<(), Dist
     Ok(())
 }
 
-/// The best admissible shift given `ccorr(a, b)`: estimates every shift's
-/// squared distance from the correlation, then re-evaluates exactly each
-/// shift within rounding tolerance of the minimum estimate.
-fn min_over_rotations(a: &[f64], b: &[f64], stride: usize, ccorr: &[f64]) -> (f64, usize) {
+/// The best admissible shift given `ccorr(a, b)` and the energies
+/// `(Σa², Σb²)`: estimates every shift's squared distance from the
+/// correlation, then re-evaluates exactly each shift within rounding
+/// tolerance of the minimum estimate.
+fn min_over_rotations(
+    a: &[f64],
+    b: &[f64],
+    (sa, sb): (f64, f64),
+    stride: usize,
+    ccorr: &[f64],
+) -> (f64, usize) {
     let n = a.len();
-    let sa: f64 = a.iter().map(|x| x * x).sum();
-    let sb: f64 = b.iter().map(|x| x * x).sum();
 
     // First pass: minimum *estimated* squared distance over admissible shifts.
     let mut min_est = f64::INFINITY;

@@ -13,12 +13,63 @@
 //! lengths fall back to a direct `O(n²)` accumulation that still performs no
 //! heap allocation. Both paths write into caller-provided buffers so the
 //! steady-state recognition loop stays allocation-free.
+//!
+//! The FFT reads its twiddle factors from a table built once per length
+//! and shared by every thread, so a transform makes no `cos`/`sin` call
+//! and runs no serial twiddle recurrence.
 
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// Smallest power-of-two length for which the FFT path beats the direct
 /// dot-product accumulation (below this the butterfly overhead dominates).
 pub const FFT_MIN_LEN: usize = 64;
+
+/// Everything a length-`n` transform needs besides its data: the bit-reversal
+/// swaps and every butterfly stage's forward twiddles, stage after stage.
+/// The stage that joins halves of length `h` reads `e^{-iπk/h}` for `k < h`
+/// from `re[h - 1..2h - 1]` and `im[h - 1..2h - 1]`, so one length-`n`
+/// table holds `n - 1` twiddles (2 KiB at `n = 128`). The entries of the
+/// first two stages are read only at `n = 2` (see [`butterflies`]).
+struct Twiddles {
+    swaps: Box<[(u32, u32)]>,
+    re: Box<[f64]>,
+    im: Box<[f64]>,
+}
+
+impl Twiddles {
+    fn new(n: usize) -> Self {
+        let bits = n.trailing_zeros();
+        let swaps = (0..n as u32)
+            .filter_map(|i| {
+                let j = i.reverse_bits() >> (u32::BITS - bits);
+                (i < j).then_some((i, j))
+            })
+            .collect();
+        let (mut re, mut im) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut h = 1;
+        while h < n {
+            for k in 0..h {
+                let (sin, cos) = (-PI * k as f64 / h as f64).sin_cos();
+                re.push(cos);
+                im.push(sin);
+            }
+            h *= 2;
+        }
+        Twiddles {
+            swaps,
+            re: re.into(),
+            im: im.into(),
+        }
+    }
+
+    /// The table for length `n` (a power of two ≥ 2), built on first use.
+    fn of(n: usize) -> &'static Twiddles {
+        static TABLES: [OnceLock<Twiddles>; usize::BITS as usize] =
+            [const { OnceLock::new() }; usize::BITS as usize];
+        TABLES[n.trailing_zeros() as usize].get_or_init(|| Twiddles::new(n))
+    }
+}
 
 /// In-place iterative radix-2 Cooley–Tukey FFT over split real/imaginary
 /// buffers. `invert` selects the inverse transform (including the `1/n`
@@ -37,49 +88,13 @@ pub fn fft_radix2(re: &mut [f64], im: &mut [f64], invert: bool) {
     if n <= 1 {
         return;
     }
-
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            re.swap(i, j);
-            im.swap(i, j);
-        }
+    let table = Twiddles::of(n);
+    for &(i, j) in table.swaps.iter() {
+        re.swap(i as usize, j as usize);
+        im.swap(i as usize, j as usize);
     }
-
-    let sign = if invert { 1.0 } else { -1.0 };
-    let mut len = 2usize;
-    while len <= n {
-        let ang = sign * 2.0 * PI / len as f64;
-        let (w_re, w_im) = (ang.cos(), ang.sin());
-        let half = len / 2;
-        for start in (0..n).step_by(len) {
-            let mut c_re = 1.0f64;
-            let mut c_im = 0.0f64;
-            for k in start..start + half {
-                let (u_re, u_im) = (re[k], im[k]);
-                let (t_re, t_im) = (re[k + half], im[k + half]);
-                let v_re = t_re * c_re - t_im * c_im;
-                let v_im = t_re * c_im + t_im * c_re;
-                re[k] = u_re + v_re;
-                im[k] = u_im + v_im;
-                re[k + half] = u_re - v_re;
-                im[k + half] = u_im - v_im;
-                let n_re = c_re * w_re - c_im * w_im;
-                c_im = c_re * w_im + c_im * w_re;
-                c_re = n_re;
-            }
-        }
-        len <<= 1;
-    }
-
     if invert {
+        butterflies::<true>(re, im, table);
         let inv_n = 1.0 / n as f64;
         for v in re.iter_mut() {
             *v *= inv_n;
@@ -87,17 +102,68 @@ pub fn fft_radix2(re: &mut [f64], im: &mut [f64], invert: bool) {
         for v in im.iter_mut() {
             *v *= inv_n;
         }
+    } else {
+        butterflies::<false>(re, im, table);
+    }
+}
+
+/// Every butterfly stage over bit-reversed data. The inverse transform uses
+/// the conjugate twiddles. The first two stages run as one pass over blocks
+/// of four, whose twiddles are 1 and ∓i and need no multiply; every later
+/// stage splits each block into its two halves, so the inner loop zips
+/// equal-length slices and indexes nothing.
+fn butterflies<const INVERT: bool>(re: &mut [f64], im: &mut [f64], table: &Twiddles) {
+    let n = re.len();
+    let mut h = 1;
+    if n >= 4 {
+        for (re, im) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
+            let (a_re, a_im) = (re[0] + re[1], im[0] + im[1]);
+            let (b_re, b_im) = (re[0] - re[1], im[0] - im[1]);
+            let (c_re, c_im) = (re[2] + re[3], im[2] + im[3]);
+            let (d_re, d_im) = (re[2] - re[3], im[2] - im[3]);
+            // d times the h = 2 stage's second twiddle: −i forward, +i inverse
+            let (e_re, e_im) = if INVERT { (-d_im, d_re) } else { (d_im, -d_re) };
+            (re[0], im[0]) = (a_re + c_re, a_im + c_im);
+            (re[1], im[1]) = (b_re + e_re, b_im + e_im);
+            (re[2], im[2]) = (a_re - c_re, a_im - c_im);
+            (re[3], im[3]) = (b_re - e_re, b_im - e_im);
+        }
+        h = 4;
+    }
+    while h < n {
+        let w_re = &table.re[h - 1..2 * h - 1];
+        let w_im = &table.im[h - 1..2 * h - 1];
+        for (re, im) in re.chunks_exact_mut(2 * h).zip(im.chunks_exact_mut(2 * h)) {
+            let (u_re, t_re) = re.split_at_mut(h);
+            let (u_im, t_im) = im.split_at_mut(h);
+            let pairs = u_re.iter_mut().zip(u_im.iter_mut());
+            let twins = t_re.iter_mut().zip(t_im.iter_mut());
+            for (((u_re, u_im), (t_re, t_im)), (&c_re, &c_im)) in
+                pairs.zip(twins).zip(w_re.iter().zip(w_im))
+            {
+                let c_im = if INVERT { -c_im } else { c_im };
+                let v_re = *t_re * c_re - *t_im * c_im;
+                let v_im = *t_re * c_im + *t_im * c_re;
+                *t_re = *u_re - v_re;
+                *t_im = *u_im - v_im;
+                *u_re += v_re;
+                *u_im += v_im;
+            }
+        }
+        h *= 2;
     }
 }
 
 /// The forward transform of one real series, kept so that the series can
 /// be correlated with many others without being transformed again
-/// ([`circular_cross_correlation_of`]). It is empty for a length the
-/// direct accumulation serves, which needs no transform.
+/// ([`circular_cross_correlation_of`]), and the series' energy Σx². The
+/// transform is empty for a length the direct accumulation serves, which
+/// needs none.
 #[derive(Debug, Default, Clone)]
 pub struct Spectrum {
     re: Vec<f64>,
     im: Vec<f64>,
+    energy: f64,
 }
 
 impl Spectrum {
@@ -107,8 +173,10 @@ impl Spectrum {
     }
 
     /// Replaces the spectrum with the forward FFT of `a` when `a`'s
-    /// correlations take the FFT path, and empties it otherwise.
+    /// correlations take the FFT path, and empties it otherwise; records
+    /// `a`'s energy either way.
     pub fn transform(&mut self, a: &[f64]) {
+        self.energy = a.iter().map(|x| x * x).sum();
         self.re.clear();
         self.im.clear();
         if takes_fft_path(a.len()) {
@@ -116,6 +184,11 @@ impl Spectrum {
             self.im.resize(a.len(), 0.0);
             fft_radix2(&mut self.re, &mut self.im, false);
         }
+    }
+
+    /// Σx² of the last transformed series, summed left to right.
+    pub(crate) fn energy(&self) -> f64 {
+        self.energy
     }
 }
 
@@ -137,6 +210,12 @@ impl FftScratch {
     /// Empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The energies of the two series last correlated by
+    /// [`circular_cross_correlation_into`].
+    pub(crate) fn energies(&self) -> (f64, f64) {
+        (self.a.energy, self.b.energy)
     }
 }
 
@@ -202,9 +281,9 @@ fn correlate(
         // conj(A) ⊙ B, then back.
         product.re.clear();
         product.im.clear();
-        for k in 0..n {
-            let (ar, ai) = (a_spec.re[k], a_spec.im[k]);
-            let (br, bi) = (b_spec.re[k], b_spec.im[k]);
+        let a_bins = a_spec.re.iter().zip(&a_spec.im);
+        let b_bins = b_spec.re.iter().zip(&b_spec.im);
+        for ((&ar, &ai), (&br, &bi)) in a_bins.zip(b_bins) {
             product.re.push(ar * br + ai * bi);
             product.im.push(ar * bi - ai * br);
         }
@@ -236,6 +315,55 @@ mod tests {
         (0..n)
             .map(|s| (0..n).map(|i| a[i] * b[(i + s) % n]).sum())
             .collect()
+    }
+
+    /// The defining sum of the DFT (inverse: conjugate twiddles and `1/n`),
+    /// with each twiddle angle reduced mod `n` before the `sin_cos`.
+    fn dft(re: &[f64], im: &[f64], invert: bool) -> (Vec<f64>, Vec<f64>) {
+        let n = re.len();
+        let sign = if invert { 1.0 } else { -1.0 };
+        let scale = if invert { 1.0 / n as f64 } else { 1.0 };
+        (0..n)
+            .map(|k| {
+                let (mut acc_re, mut acc_im) = (0.0, 0.0);
+                for j in 0..n {
+                    let ang = sign * 2.0 * PI * ((j * k) % n) as f64 / n as f64;
+                    let (sin, cos) = ang.sin_cos();
+                    acc_re += re[j] * cos - im[j] * sin;
+                    acc_im += re[j] * sin + im[j] * cos;
+                }
+                (acc_re * scale, acc_im * scale)
+            })
+            .unzip()
+    }
+
+    #[test]
+    fn fft_matches_naive_dft_at_every_length() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        let mut n = 2;
+        while n <= 1024 {
+            let re: Vec<f64> = (0..n).map(|_| unit()).collect();
+            let im: Vec<f64> = (0..n).map(|_| unit()).collect();
+            for invert in [false, true] {
+                let (want_re, want_im) = dft(&re, &im, invert);
+                let (mut got_re, mut got_im) = (re.clone(), im.clone());
+                fft_radix2(&mut got_re, &mut got_im, invert);
+                let tol = 1e-12 * n as f64;
+                for k in 0..n {
+                    let err = (got_re[k] - want_re[k])
+                        .abs()
+                        .max((got_im[k] - want_im[k]).abs());
+                    assert!(err <= tol, "n={n} invert={invert} bin {k}: error {err}");
+                }
+            }
+            n *= 2;
+        }
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub fn paa(values: &[f64], segments: usize) -> Vec<f64> {
     for (i, v) in values.iter().enumerate() {
         let start = i as f64 * ratio;
         let end = (i + 1) as f64 * ratio;
-        let first = start.floor() as usize;
-        let last = ((end - 1e-12).floor() as usize).min(segments - 1);
+        let first = start as usize;
+        let last = ((end - 1e-12) as usize).min(segments - 1);
         if first == last {
             out[first] += v * (end - start);
         } else {
@@ -68,7 +68,7 @@ pub fn resample(values: &[f64], target_len: usize) -> Vec<f64> {
     (0..target_len)
         .map(|i| {
             let t = i as f64 * (n - 1) as f64 / (target_len - 1).max(1) as f64;
-            let lo = t.floor() as usize;
+            let lo = t as usize;
             let hi = (lo + 1).min(n - 1);
             let frac = t - lo as f64;
             values[lo] * (1.0 - frac) + values[hi] * frac
@@ -96,7 +96,10 @@ pub fn resample_into(values: &[f64], out: &mut [f64]) {
     let target_len = out.len();
     for (i, slot) in out.iter_mut().enumerate() {
         let t = i as f64 * (n - 1) as f64 / (target_len - 1).max(1) as f64;
-        let lo = t.floor() as usize;
+        // The saturating cast is `t.floor() as usize` for every f64 (a
+        // negative truncates to 0 where its floor saturates to 0), without
+        // the call `floor` is on the baseline target.
+        let lo = t as usize;
         let hi = (lo + 1).min(n - 1);
         let frac = t - lo as f64;
         *slot = values[lo] * (1.0 - frac) + values[hi] * frac;
@@ -143,8 +146,9 @@ pub fn paa_into(values: &[f64], out: &mut [f64]) {
     for (i, v) in values.iter().enumerate() {
         let start = i as f64 * ratio;
         let end = (i + 1) as f64 * ratio;
-        let first = start.floor() as usize;
-        let last = ((end - 1e-12).floor() as usize).min(segments - 1);
+        // saturating casts: the floors, as in `resample_into`
+        let first = start as usize;
+        let last = ((end - 1e-12) as usize).min(segments - 1);
         if first == last {
             out[first] += v * (end - start);
         } else {
@@ -285,6 +289,31 @@ mod tests {
         let mut empty: Vec<f64> = vec![];
         znormalize_in_place(&mut empty);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn saturating_cast_is_the_floor() {
+        // what `resample_into` and `paa_into` rely on in place of `floor`
+        for x in [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.5,
+            -0.5,
+            -1e-12,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 4.0,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            126.999_999_999,
+            1e19,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(x as usize, x.floor() as usize, "{x}");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use hdc_timeseries::{
     circular_cross_correlation_into, dtw, dtw_banded, euclidean, min_rotated_euclidean,
-    min_rotated_euclidean_naive, paa, resample, rotate_left, smooth_moving_average, FftScratch,
-    TimeSeries,
+    min_rotated_euclidean_naive, min_rotated_euclidean_of, paa, resample, rotate_left,
+    smooth_moving_average, znormalize_in_place, FftScratch, RotationScratch, Spectrum, TimeSeries,
 };
 use proptest::prelude::*;
 
@@ -11,7 +11,113 @@ fn series(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0f64..100.0, len)
 }
 
+/// The kept-spectra rotation match of `a` against `b`.
+fn rotation_of(a: &[f64], b: &[f64]) -> (f64, usize) {
+    let (mut a_spec, mut b_spec) = (Spectrum::new(), Spectrum::new());
+    a_spec.transform(a);
+    b_spec.transform(b);
+    min_rotated_euclidean_of(a, &a_spec, b, &b_spec, 1, &mut RotationScratch::new()).unwrap()
+}
+
+/// `rotation_of` equals the naive all-shifts oracle bit for bit, distance
+/// and shift.
+fn assert_rotation_like_naive(a: &[f64], b: &[f64], case: &str) {
+    let (d, shift) = rotation_of(a, b);
+    let (d_naive, shift_naive) = min_rotated_euclidean_naive(a, b, 1).unwrap();
+    assert_eq!(
+        (d.to_bits(), shift),
+        (d_naive.to_bits(), shift_naive),
+        "{case}: {d} at {shift} vs naive {d_naive} at {shift_naive}"
+    );
+}
+
+fn znormalized(mut v: Vec<f64>) -> Vec<f64> {
+    znormalize_in_place(&mut v);
+    v
+}
+
+/// `pattern` repeated to length `n`, so every rotation by a multiple of
+/// the pattern's length is the same series.
+fn periodic(pattern: &[f64], n: usize) -> Vec<f64> {
+    pattern.iter().copied().cycle().take(n).collect()
+}
+
+/// A z-normalised pseudo-random series that reads the same backwards
+/// (`v[i] == v[(n - i) % n]`).
+fn mirrored(n: usize, mut state: u64) -> Vec<f64> {
+    let half: Vec<f64> = (0..=n / 2)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        })
+        .collect();
+    znormalized((0..n).map(|i| half[i.min(n - i)]).collect())
+}
+
+#[test]
+fn kept_spectra_rotation_breaks_ties_like_naive() {
+    // Two mirrored series are as far apart at shift s as at n - s, so the
+    // two exact distances differ by summation rounding only, and the FFT
+    // estimates order them at random. Only an estimate tolerance that
+    // admits both lets the exact pass pick the naive loop's winner; with
+    // none, about one pair in ten returns the other shift.
+    for n in [64usize, 128, 256] {
+        for seed in 0..100u64 {
+            let (a, b) = (mirrored(n, 2 * seed + 1), mirrored(n, 2 * seed + 2));
+            assert_rotation_like_naive(&a, &b, &format!("mirrored n={n} seed={seed}"));
+        }
+    }
+    // Periodic series tie bit for bit across shifts (the rotated series are
+    // the same values in the same order), and so do constant series at
+    // every shift: the earliest tied shift must win, as in the naive loop.
+    for n in [64usize, 128, 256] {
+        for period in [2usize, 4, 8, 16, 32] {
+            let pattern: Vec<f64> = (0..period)
+                .map(|i| (i as f64 * 1.7 + period as f64).sin())
+                .collect();
+            let a = znormalized(periodic(&pattern, n));
+            for s in [0, 1, period / 2, period + 1, n / 2 + 3] {
+                let b = rotate_left(&a, s);
+                assert_rotation_like_naive(&a, &b, &format!("self n={n} p={period} s={s}"));
+            }
+            let other: Vec<f64> = (0..period).map(|i| (i * i % 7) as f64 - 2.5).collect();
+            let b = znormalized(periodic(&other, n));
+            assert_rotation_like_naive(&a, &b, &format!("cross n={n} p={period}"));
+        }
+        let flat = vec![3.25; n];
+        assert_rotation_like_naive(&flat, &flat, &format!("constant n={n}"));
+        let zero = znormalized(flat.clone());
+        assert_rotation_like_naive(&zero, &zero, &format!("z-normalised constant n={n}"));
+        let ramp = znormalized((0..n).map(|i| i as f64).collect());
+        assert_rotation_like_naive(&zero, &ramp, &format!("zero vs ramp n={n}"));
+    }
+}
+
 proptest! {
+    #[test]
+    fn kept_spectra_rotation_is_naive_bit_for_bit(
+        ab in (6u32..9).prop_flat_map(|log_n| {
+            let n = 1usize << log_n;
+            (series(n..n + 1), series(n..n + 1))
+        }),
+        shift in 0usize..256,
+        noise in 0.0f64..1e-3,
+    ) {
+        // random z-normalised series, and a near-rotation of the query,
+        // where the winning shift is unique but its estimate is close to 0
+        let (a, b) = ab;
+        let (a, b) = (znormalized(a), znormalized(b));
+        assert_rotation_like_naive(&a, &b, "random");
+        let near: Vec<f64> = rotate_left(&a, shift % a.len())
+            .iter()
+            .zip(&b)
+            .map(|(x, y)| x + noise * y)
+            .collect();
+        assert_rotation_like_naive(&a, &near, "near rotation");
+    }
+
     #[test]
     fn znorm_has_zero_mean_unit_sd(v in series(2..64)) {
         let z = TimeSeries::new(v).znormalized();

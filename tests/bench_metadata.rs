@@ -19,6 +19,22 @@ fn raw_value(text: &str, key: &str) -> Option<String> {
     Some(token.trim().to_owned())
 }
 
+/// The `{"median": .., "min": .., "max": ..}` object following `"key":`,
+/// as `(median, min, max)`, with `min <= median <= max` checked.
+fn spread(text: &str, key: &str) -> Option<(f64, f64, f64)> {
+    let needle = format!("\"{key}\": {{");
+    let at = text.find(&needle)?;
+    let body = &text[at + needle.len() - 1..];
+    let body = &body[..=body.find('}')?];
+    let field = |k: &str| -> Option<f64> { raw_value(body, k)?.parse().ok() };
+    let (median, min, max) = (field("median")?, field("min")?, field("max")?);
+    assert!(
+        min <= median && median <= max,
+        "{key}: median {median} outside [{min}, {max}]"
+    );
+    Some((median, min, max))
+}
+
 fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
@@ -146,6 +162,11 @@ fn stream_bench_gate_counters_cover_every_frame() {
     let mut modes = Vec::new();
     for line in bench.lines().filter(|l| l.contains("\"mode\":")) {
         let mode = raw_value(line, "mode").expect("mode name");
+        // the spread across repeats, and the same-repeat ratio to `off`
+        for key in ["aggregate_fps", "speedup_vs_off"] {
+            spread(line, key)
+                .unwrap_or_else(|| panic!("BENCH_stream.json {mode}: no {key} median/min/max"));
+        }
         assert_eq!(
             count(line, "strict_hits") + count(line, "incremental_hits") + count(line, "full_runs"),
             count(line, "frames"),
@@ -154,6 +175,8 @@ fn stream_bench_gate_counters_cover_every_frame() {
         modes.push(mode.trim_matches('"').to_owned());
     }
     assert_eq!(modes, ["off", "strict", "incremental"]);
+    let repeats = count(&bench, "repeats");
+    assert!(repeats >= 3, "BENCH_stream.json: {repeats} repeats");
     let strict = bench
         .lines()
         .find(|l| l.trim_start().starts_with("\"strict\": {\"frames\""))
@@ -163,4 +186,25 @@ fn stream_bench_gate_counters_cover_every_frame() {
         0,
         "strict gating must not diverge"
     );
+}
+
+#[test]
+fn sessions_bench_splits_the_miss_path_by_stage() {
+    // Every stage of a view-memo miss has a committed number: the two
+    // halves of the mask path, and the static channel's four stages of
+    // the read. Only their presence is checked, never a timing.
+    let bench = std::fs::read_to_string(repo_root().join("BENCH_sessions.json"))
+        .expect("committed BENCH_sessions.json");
+    for key in [
+        "render_mask_ns",
+        "read_mask_ns",
+        "label_ns",
+        "contour_ns",
+        "signature_ns",
+        "sax_match_ns",
+        "mask_miss_over_grey_miss",
+        "read_mask_over_one_pass_read",
+    ] {
+        spread(&bench, key).unwrap_or_else(|| panic!("BENCH_sessions.json: no {key} spread"));
+    }
 }
