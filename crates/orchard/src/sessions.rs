@@ -2,14 +2,17 @@
 //! pool item per session.
 //!
 //! The mission and fleet layers run one session at a time; an orchard day
-//! runs hundreds to thousands. Sessions are independent: no session reads
-//! another's state, and each one's event-driven run already coasts its own
-//! idle spans. So the farm shares no scheduler between them. It maps the
-//! configs over a [`WorkPool`], and each item builds its session on the
+//! runs hundreds to thousands, often as a stream of small farms. Sessions
+//! are independent: no session reads another's state, and each one's
+//! event-driven run already coasts its own idle spans. So the farm shares no
+//! scheduler between them. It copies the configs into an `Arc` and maps them
+//! over [`WorkPool::map_owned`], and each item builds its session on the
 //! worker and runs it to completion alone — [`CollaborationSession::run_events`]
 //! or, in lockstep, [`CollaborationSession::run`]. The caller's thread is
-//! worker 0, and the process-wide calibration cache means a worker never
-//! recalibrates.
+//! worker 0 and the other workers are the pool's long-lived helper threads,
+//! so a farm call spawns no thread and every worker's thread-local view
+//! scratch stays warm from one farm to the next. The process-wide
+//! calibration cache means a worker never recalibrates.
 //!
 //! Because an item is exactly the solo run, every per-session result,
 //! including its dispatch count ([`CollaborationSession::advances`]), is
@@ -18,6 +21,7 @@
 
 use hdc_core::{CollaborationSession, SessionConfig, SessionOutcome};
 use hdc_runtime::{ScheduleMode, WorkPool};
+use std::sync::Arc;
 
 /// Aggregate results of a session-farm run.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +67,7 @@ pub fn run_session_farm(configs: &[SessionConfig], mode: ScheduleMode, _salt: u6
 
 /// [`run_session_farm`] on a given pool.
 pub(crate) fn farm_on(pool: &WorkPool, configs: &[SessionConfig], mode: ScheduleMode) -> FarmStats {
-    let runs = pool.map(configs, |config| {
+    let runs = pool.map_owned(Arc::from(configs), move |config| {
         let mut session = CollaborationSession::new(*config);
         match mode {
             ScheduleMode::Lockstep => session.run(),

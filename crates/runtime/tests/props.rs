@@ -1,10 +1,11 @@
 //! Property tests for the work pool's determinism contract:
-//! `map_indexed` must equal the serial `iter().map()` for arbitrary inputs
-//! and worker counts — including empty input, a single item, and item counts
-//! far exceeding the worker count.
+//! `map_indexed` and `map_owned` must equal the serial `iter().map()` for
+//! arbitrary inputs and worker counts — including empty input, a single
+//! item, and item counts far exceeding the worker count.
 
 use hdc_runtime::WorkPool;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     #[test]
@@ -59,6 +60,10 @@ proptest! {
         for workers in [2usize, 3, 4, 8] {
             let got = WorkPool::new(workers).map(&items, |&x| u64::from(x) * 7 + 1);
             prop_assert_eq!(&got, &reference, "worker count {}", workers);
+        }
+        for workers in [1usize, 2, 3, 8] {
+            let owned = WorkPool::new(workers).map_owned(Arc::from(items.as_slice()), |&x| u64::from(x) * 7 + 1);
+            prop_assert_eq!(&owned, &reference, "map_owned at worker count {}", workers);
         }
     }
 }
