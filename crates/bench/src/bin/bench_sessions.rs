@@ -15,7 +15,10 @@
 //! 2. **Capacity ladder** — session farms of growing size (to ≥1000
 //!    sessions), one pool item per session on the machine's
 //!    `WorkPool::auto()`, recording wall time, scheduler dispatches, drone
-//!    ticks, owner frames, views reused and outcomes. The report's
+//!    ticks, owner frames, views reused and outcomes. The whole ladder runs
+//!    7 times (3 in smoke), rungs interleaved; every repeat of a rung must
+//!    give identical counts, and each rung commits its `wall_ms` and
+//!    `sessions_per_s` as median/min/max over the repeats. The report's
 //!    `execution` records the farm's worker count as `threads`, and as
 //!    `threads_requested` too, since `WorkPool::auto()` is what the farm
 //!    asks for; there is no flag to ask for another.
@@ -377,8 +380,10 @@ fn static_stages<'a>(
 
 struct Rung {
     sessions: usize,
+    /// The farm's counts, identical in every repeat.
     stats: FarmStats,
-    wall_ms: f64,
+    wall_ms: Spread,
+    sessions_per_s: Spread,
 }
 
 fn main() {
@@ -446,22 +451,60 @@ fn main() {
     }
 
     // --- capacity ladder on the farm's pool ---
-    let rungs: &[usize] = if smoke { &[10, 50] } else { &[100, 300, 1000] };
-    let mut ladder = Vec::new();
-    for &n in rungs {
-        let configs: Vec<SessionConfig> = (0..n).map(ladder_config).collect();
-        let started = Instant::now();
-        let stats = run_session_farm(&configs, ScheduleMode::EventDriven, 0xFA);
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    // The whole ladder runs `repeats` times, rungs interleaved, so a host
+    // spell spreads over every rung rather than landing on one.
+    let (rungs, repeats): (&[usize], usize) = if smoke {
+        (&[10, 50], 3)
+    } else {
+        (&[100, 300, 1000], 7)
+    };
+    let rung_configs: Vec<Vec<SessionConfig>> = rungs
+        .iter()
+        .map(|&n| (0..n).map(ladder_config).collect())
+        .collect();
+    let mut stats: Vec<FarmStats> = Vec::with_capacity(rungs.len());
+    let mut walls: Vec<Vec<f64>> = vec![Vec::with_capacity(repeats); rungs.len()];
+    for repeat in 0..repeats {
+        for (i, configs) in rung_configs.iter().enumerate() {
+            let started = Instant::now();
+            let run = run_session_farm(configs, ScheduleMode::EventDriven, 0xFA);
+            walls[i].push(started.elapsed().as_secs_f64() * 1e3);
+            if repeat == 0 {
+                stats.push(run);
+            } else {
+                assert_eq!(
+                    run, stats[i],
+                    "a rung's counts must not change between repeats"
+                );
+            }
+        }
+    }
+    let ladder: Vec<Rung> = rungs
+        .iter()
+        .zip(stats)
+        .zip(walls)
+        .map(|((&n, stats), walls)| Rung {
+            sessions: n,
+            stats,
+            sessions_per_s: Spread::of(walls.iter().map(|ms| n as f64 / (ms / 1e3)).collect()),
+            wall_ms: Spread::of(walls),
+        })
+        .collect();
+    for rung in &ladder {
+        let stats = &rung.stats;
         assert_eq!(
             stats.count(SessionOutcome::StillRunning),
             0,
             "every farmed session must terminate"
         );
         println!(
-            "ladder {n:>5} sessions: {:.0} ms wall, {} dispatches, {} drone ticks, \
-             {} of {} frames reused, {} granted / {} denied / {} abandoned / {} aborted",
-            wall_ms,
+            "ladder {:>5} sessions: {:.1} ms wall [{:.1}, {:.1}] over {repeats} repeats, \
+             {} dispatches, {} drone ticks, {} of {} frames reused, \
+             {} granted / {} denied / {} abandoned / {} aborted",
+            rung.sessions,
+            rung.wall_ms.median,
+            rung.wall_ms.min,
+            rung.wall_ms.max,
             stats.events_dispatched,
             stats.total_drone_ticks,
             stats.views_reused,
@@ -471,11 +514,6 @@ fn main() {
             stats.count(SessionOutcome::Abandoned),
             stats.count(SessionOutcome::Aborted),
         );
-        ladder.push(Rung {
-            sessions: n,
-            stats,
-            wall_ms,
-        });
     }
     let top = ladder.last().expect("ladder has rungs");
     assert!(
@@ -570,17 +608,17 @@ fn main() {
         let comma = if i + 1 < ladder.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"sessions\": {}, \"wall_ms\": {:.1}, \"dispatches\": {}, \
-             \"drone_ticks\": {}, \"frames\": {}, \"views_reused\": {}, \
-             \"sessions_per_s\": {:.1}, \"granted\": {}, \"denied\": {}, \
+            "    {{\"sessions\": {}, \"repeats\": {repeats}, \"wall_ms\": {}, \
+             \"sessions_per_s\": {}, \"dispatches\": {}, \"drone_ticks\": {}, \
+             \"frames\": {}, \"views_reused\": {}, \"granted\": {}, \"denied\": {}, \
              \"abandoned\": {}, \"aborted\": {}}}{comma}",
             rung.sessions,
-            rung.wall_ms,
+            rung.wall_ms.json(1),
+            rung.sessions_per_s.json(1),
             rung.stats.events_dispatched,
             rung.stats.total_drone_ticks,
             rung.stats.frames_processed,
             rung.stats.views_reused,
-            rung.sessions as f64 / (rung.wall_ms / 1e3).max(1e-9),
             rung.stats.count(SessionOutcome::Granted),
             rung.stats.count(SessionOutcome::Denied),
             rung.stats.count(SessionOutcome::Abandoned),

@@ -16,7 +16,6 @@
 
 use crate::frames::sign_stream;
 use hdc_raster::diff::{mask_diff_count, mask_tile_diff_into};
-use hdc_raster::morphology::{dilate_into, dilate_packed_into, erode_into, erode_packed_into};
 use hdc_raster::threshold::{binarize_into, binarize_packed_into};
 use hdc_raster::{
     largest_component_packed_with, largest_component_with, trace_outer_contour_into,
@@ -147,38 +146,6 @@ pub fn run_kernel_bench(width: u32, height: u32, iters: usize) -> Vec<KernelResu
     });
 
     results.push(KernelResult {
-        name: "erode",
-        byte_ns: time_per_frame(n, iters, || {
-            for m in &byte_masks {
-                erode_into(m, &mut out_b);
-                black_box(&out_b);
-            }
-        }),
-        packed_ns: time_per_frame(n, iters, || {
-            for p in &packed_masks {
-                erode_packed_into(p, &mut out_p);
-                black_box(&out_p);
-            }
-        }),
-    });
-
-    results.push(KernelResult {
-        name: "dilate",
-        byte_ns: time_per_frame(n, iters, || {
-            for m in &byte_masks {
-                dilate_into(m, &mut out_b);
-                black_box(&out_b);
-            }
-        }),
-        packed_ns: time_per_frame(n, iters, || {
-            for p in &packed_masks {
-                dilate_packed_into(p, &mut out_p);
-                black_box(&out_p);
-            }
-        }),
-    });
-
-    results.push(KernelResult {
         name: "largest_component",
         byte_ns: time_per_frame(n, iters, || {
             for m in &byte_masks {
@@ -255,11 +222,32 @@ mod tests {
     #[test]
     fn kernel_bench_produces_positive_timings() {
         let results = run_kernel_bench(128, 96, 1);
-        assert_eq!(results.len(), 7);
         for r in &results {
             assert!(r.byte_ns > 0.0 && r.packed_ns > 0.0, "{}", r.name);
             assert!(r.speedup() > 0.0, "{}", r.name);
         }
+    }
+
+    #[test]
+    fn rows_match_the_committed_kernel_table() {
+        // A kernel added to or deleted from the bench must be re-recorded
+        // in BENCH_recognize.json (`bench_recognize --kernels`), not left
+        // as a stale or missing row.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recognize.json");
+        let text = std::fs::read_to_string(path).expect("committed BENCH_recognize.json");
+        let needle = "\"kernel\": \"";
+        let committed: Vec<&str> = text
+            .match_indices(needle)
+            .map(|(at, _)| {
+                let rest = &text[at + needle.len()..];
+                &rest[..rest.find('"').expect("closing quote")]
+            })
+            .collect();
+        let rows: Vec<&str> = run_kernel_bench(320, 240, 1)
+            .iter()
+            .map(|r| r.name)
+            .collect();
+        assert_eq!(rows, committed);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //!
 //! * [`Vec2`] / [`Vec3`] vectors and [`Mat3`] matrices,
 //! * rigid-body [`Iso3`] transforms,
-//! * planar [`Polygon`] operations (area, centroid, containment),
-//! * axis-aligned boxes ([`Aabb2`]),
 //! * a [`PinholeCamera`] model used to render the synthetic signaller,
 //! * [`Capsule3`] primitives used as limb volumes for silhouettes.
 //!
@@ -24,23 +22,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod aabb;
 mod angle;
 pub mod azimuth;
 mod camera;
 mod capsule;
 mod mat3;
-mod polygon;
 mod transform;
 mod vec2;
 mod vec3;
 
-pub use aabb::Aabb2;
 pub use angle::{normalize_angle, signed_angle_diff, Degrees, Radians};
 pub use camera::{CameraIntrinsics, PinholeCamera, ProjectedCapsule, ProjectedDisk};
 pub use capsule::{Capsule3, Sphere3};
 pub use mat3::Mat3;
-pub use polygon::{convex_hull, Polygon};
 pub use transform::Iso3;
 pub use vec2::Vec2;
 pub use vec3::Vec3;

@@ -1,9 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use hdc_geometry::{
-    approx_eq, convex_hull, normalize_angle, signed_angle_diff, Aabb2, Iso3, Mat3, Polygon, Vec2,
-    Vec3,
-};
+use hdc_geometry::{approx_eq, normalize_angle, signed_angle_diff, Iso3, Mat3, Vec2, Vec3};
 use proptest::prelude::*;
 
 fn finite_f64(range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
@@ -83,54 +80,5 @@ proptest! {
         let iso = Iso3::new(Mat3::rotation_z(angle), t);
         let back = iso.inverse().apply(iso.apply(p));
         prop_assert!(back.distance(p) < 1e-6 * (1.0 + p.norm() + t.norm()));
-    }
-
-    #[test]
-    fn aabb_contains_its_points(pts in prop::collection::vec(vec2_strategy(), 1..20)) {
-        let b = Aabb2::from_points(pts.iter().copied()).unwrap();
-        for p in &pts {
-            prop_assert!(b.contains(*p));
-        }
-    }
-
-    #[test]
-    fn polygon_translation_preserves_area(
-        pts in prop::collection::vec(vec2_strategy(), 3..12),
-        delta in vec2_strategy(),
-    ) {
-        let poly = Polygon::new(pts);
-        let moved = poly.translated(delta);
-        prop_assert!(approx_eq(poly.area(), moved.area(), 1e-6 * (1.0 + poly.area())));
-    }
-
-    #[test]
-    fn polygon_rotation_preserves_perimeter(
-        pts in prop::collection::vec(vec2_strategy(), 3..12),
-        angle in finite_f64(-5.0..5.0),
-    ) {
-        let poly = Polygon::new(pts);
-        let turned = poly.rotated_about(Vec2::ZERO, angle);
-        prop_assert!(approx_eq(poly.perimeter(), turned.perimeter(), 1e-6 * (1.0 + poly.perimeter())));
-    }
-
-    #[test]
-    fn convex_hull_is_convex_and_contains_points(pts in prop::collection::vec(vec2_strategy(), 3..30)) {
-        let hull = convex_hull(&pts);
-        if hull.len() >= 3 {
-            let poly = Polygon::new(hull.clone());
-            prop_assert!(poly.is_convex());
-            // every input point is inside or on the hull's (slightly expanded) bounds
-            let grown = poly.scaled_about(poly.centroid(), 1.0 + 1e-9);
-            for p in &pts {
-                let inside = grown.contains(*p)
-                    || hull.iter().any(|h| h.distance(*p) < 1e-6)
-                    || poly.edges().any(|(a, b)| {
-                        let ab = b - a;
-                        let t = ((*p - a).dot(ab) / ab.norm_sq()).clamp(0.0, 1.0);
-                        (a + ab * t).distance(*p) < 1e-6
-                    });
-                prop_assert!(inside, "point {p} escaped its convex hull");
-            }
-        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every value in a segmentation mask is 0 or 1, yet [`Bitmap`]
 //! (`Image<bool>`) spends a whole byte per pixel — so the silhouette hot
-//! path (binarize → morphology → labelling → contour → diff) was touching
+//! path (binarize → labelling → contour → diff) was touching
 //! 8× more memory than the information it carried. [`BitMask`] packs each
 //! row into `u64` words, least-significant bit first (pixel `x` lives in
 //! bit `x % 64` of word `x / 64` of its row), with rows padded to whole
@@ -13,8 +13,6 @@
 //!   ([`crate::threshold::binarize_packed_into`]);
 //!   a binary silhouette skips both, rasterised straight into the words
 //!   as row runs ([`crate::draw::SpanSink`]),
-//! * erosion/dilation are shift-AND / shift-OR across word boundaries
-//!   ([`crate::morphology::erode_packed_into`]),
 //! * run extraction for the union-find labeller scans words with
 //!   trailing-zero counts ([`crate::components::largest_component_packed_with`]),
 //! * mask differencing is XOR + popcount ([`crate::diff::mask_diff_count`]),

@@ -45,7 +45,7 @@
 
 use crate::bitmask::BitMask;
 use crate::image::Image;
-use hdc_geometry::{Polygon, Vec2};
+use hdc_geometry::Vec2;
 
 /// A raster target the span rasteriser writes runs of covered pixels into.
 pub trait SpanSink {
@@ -526,70 +526,6 @@ impl PixelBox {
     }
 }
 
-/// Scanline-fills a polygon (even-odd rule).
-pub fn fill_polygon<T: Copy + Default>(img: &mut Image<T>, poly: &Polygon, value: T) {
-    let Some(bb) = poly.aabb() else { return };
-    let y0 = bb.min().y.floor().max(0.0) as u32;
-    let y1 = (bb.max().y.ceil().min(img.height() as f64 - 1.0)).max(0.0) as u32;
-    let verts = poly.vertices();
-    let n = verts.len();
-    if n < 3 {
-        return;
-    }
-    for y in y0..=y1 {
-        let yc = y as f64 + 0.5;
-        let mut xs: Vec<f64> = Vec::new();
-        for i in 0..n {
-            let p = verts[i];
-            let q = verts[(i + 1) % n];
-            if (p.y > yc) != (q.y > yc) {
-                let t = (yc - p.y) / (q.y - p.y);
-                xs.push(p.x + t * (q.x - p.x));
-            }
-        }
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for pair in xs.chunks_exact(2) {
-            let xa = pair[0].ceil().max(0.0) as u32;
-            let xb = pair[1].floor().min(img.width() as f64 - 1.0).max(0.0) as u32;
-            for x in xa..=xb {
-                if (x as f64 + 0.5) >= pair[0] && (x as f64 + 0.5) <= pair[1] {
-                    img.set(x, y, value);
-                }
-            }
-        }
-    }
-}
-
-/// Draws a 1-pixel line with Bresenham's algorithm.
-pub fn draw_line<T: Copy + Default>(img: &mut Image<T>, a: Vec2, b: Vec2, value: T) {
-    let mut x0 = a.x.round() as i64;
-    let mut y0 = a.y.round() as i64;
-    let x1 = b.x.round() as i64;
-    let y1 = b.y.round() as i64;
-    let dx = (x1 - x0).abs();
-    let dy = -(y1 - y0).abs();
-    let sx = if x0 < x1 { 1 } else { -1 };
-    let sy = if y0 < y1 { 1 } else { -1 };
-    let mut err = dx + dy;
-    loop {
-        if x0 >= 0 && y0 >= 0 {
-            img.set(x0 as u32, y0 as u32, value);
-        }
-        if x0 == x1 && y0 == y1 {
-            break;
-        }
-        let e2 = 2 * err;
-        if e2 >= dy {
-            err += dy;
-            x0 += sx;
-        }
-        if e2 <= dx {
-            err += dx;
-            y0 += sy;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,33 +590,5 @@ mod tests {
         );
         assert_eq!(img.get(10, 10), Some(255));
         assert!(img.pixels().iter().filter(|p| **p > 0).count() > 30);
-    }
-
-    #[test]
-    fn polygon_fill_rectangle() {
-        let mut img = GrayImage::new(20, 20);
-        let rect = Polygon::rectangle(Vec2::new(5.0, 5.0), Vec2::new(15.0, 10.0));
-        fill_polygon(&mut img, &rect, 255);
-        assert_eq!(img.get(10, 7), Some(255));
-        assert_eq!(img.get(4, 7), Some(0));
-        assert_eq!(img.get(10, 12), Some(0));
-        let count = img.pixels().iter().filter(|p| **p > 0).count();
-        assert!((40..=60).contains(&count), "count {count}");
-    }
-
-    #[test]
-    fn line_endpoints_set() {
-        let mut img = GrayImage::new(20, 20);
-        draw_line(&mut img, Vec2::new(2.0, 3.0), Vec2::new(17.0, 12.0), 255);
-        assert_eq!(img.get(2, 3), Some(255));
-        assert_eq!(img.get(17, 12), Some(255));
-        assert!(img.pixels().iter().filter(|p| **p > 0).count() >= 15);
-    }
-
-    #[test]
-    fn tiny_polygon_is_ignored() {
-        let mut img = GrayImage::new(10, 10);
-        fill_polygon(&mut img, &Polygon::new(vec![Vec2::new(1.0, 1.0)]), 255);
-        assert!(img.pixels().iter().all(|p| *p == 0));
     }
 }

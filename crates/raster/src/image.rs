@@ -117,7 +117,7 @@ impl<T: Copy + Default> Image<T> {
 
     /// Pixel value at signed coordinates; out-of-bounds reads as `T::default()`.
     ///
-    /// This is the padding convention used by contour tracing and morphology.
+    /// This is the padding convention used by contour tracing.
     #[inline]
     pub fn get_padded(&self, x: i64, y: i64) -> T {
         if x >= 0 && y >= 0 && (x as u32) < self.width && (y as u32) < self.height {

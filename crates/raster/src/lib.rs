@@ -7,11 +7,10 @@
 //! * a bit-packed binary mask ([`BitMask`], 64 px per word) with
 //!   word-parallel `*_packed` forms of every silhouette kernel,
 //! * span rasterisation of disks and tapered capsules into grey frames or
-//!   straight into packed masks, plus polygons and lines ([`draw`]),
+//!   straight into packed masks ([`draw`]),
 //! * fixed and Otsu [`threshold`]ing,
 //! * connected-component labelling ([`components`]),
 //! * Moore-neighbour [`contour`] tracing,
-//! * binary [`morphology`] (erode / dilate / open / close),
 //! * tiled mask differencing for temporal-coherence gating ([`diff`]),
 //! * FNV-1a/64 [`digest`]s of raw byte slices (golden trace digests),
 //! * sensor [`noise`] models,
@@ -41,7 +40,6 @@ pub mod digest;
 pub mod draw;
 pub mod image;
 pub mod io;
-pub mod morphology;
 pub mod noise;
 pub mod threshold;
 

@@ -1,8 +1,8 @@
 //! Sensor-noise models for synthetic frames.
 //!
-//! Real orchard frames suffer sensor noise, foliage speckle and exposure
-//! wobble; these injectors let the experiments measure recognition robustness
-//! instead of only clean-frame behaviour.
+//! Real orchard frames suffer sensor noise and foliage speckle; these
+//! injectors let the experiments measure recognition robustness instead of
+//! only clean-frame behaviour.
 
 use crate::image::GrayImage;
 use rand::Rng;
@@ -48,30 +48,9 @@ pub fn add_salt_pepper<R: Rng>(img: &mut GrayImage, p: f64, rng: &mut R) {
     }
 }
 
-/// Multiplies every pixel by `gain` (exposure error), saturating at 255.
-pub fn apply_gain(img: &mut GrayImage, gain: f64) {
-    for px in img.pixels_mut() {
-        *px = (*px as f64 * gain).round().clamp(0.0, 255.0) as u8;
-    }
-}
-
-/// Randomly zeroes `fraction` of the pixels (foliage occlusion speckle).
-///
-/// # Panics
-/// Panics if `fraction` is outside `[0, 1]`.
-pub fn add_dropout<R: Rng>(img: &mut GrayImage, fraction: f64, rng: &mut R) {
-    assert!((0.0..=1.0).contains(&fraction), "fraction out of range");
-    for px in img.pixels_mut() {
-        if rng.gen::<f64>() < fraction {
-            *px = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::Image;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -99,22 +78,6 @@ mod tests {
         add_salt_pepper(&mut img, 0.1, &mut rng);
         let changed = img.pixels().iter().filter(|p| **p != 128).count();
         assert!((800..1200).contains(&changed), "changed {changed}");
-    }
-
-    #[test]
-    fn gain_saturates() {
-        let mut img: GrayImage = Image::filled(2, 2, 200);
-        apply_gain(&mut img, 2.0);
-        assert!(img.pixels().iter().all(|p| *p == 255));
-    }
-
-    #[test]
-    fn dropout_zeroes_fraction() {
-        let mut img = GrayImage::filled(100, 100, 255);
-        let mut rng = SmallRng::seed_from_u64(4);
-        add_dropout(&mut img, 0.25, &mut rng);
-        let zeros = img.pixels().iter().filter(|p| **p == 0).count();
-        assert!((2000..3000).contains(&zeros), "zeros {zeros}");
     }
 
     #[test]

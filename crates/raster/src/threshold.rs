@@ -112,11 +112,6 @@ pub fn otsu_threshold(img: &GrayImage) -> u8 {
     best_t
 }
 
-/// Convenience: Otsu threshold + binarise in one call.
-pub fn binarize_otsu(img: &GrayImage) -> Bitmap {
-    binarize(img, otsu_threshold(img))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,14 +172,5 @@ mod tests {
         let img: GrayImage = Image::filled(4, 4, 77);
         // no second class exists; must not panic
         let _ = otsu_threshold(&img);
-    }
-
-    #[test]
-    fn binarize_otsu_silhouette() {
-        let mut img = GrayImage::new(8, 8);
-        img.set(3, 3, 255);
-        img.set(4, 3, 255);
-        let b = binarize_otsu(&img);
-        assert_eq!(b.count_foreground(), 2);
     }
 }

@@ -7,10 +7,6 @@ use hdc_raster::contour::{
 };
 use hdc_raster::diff;
 use hdc_raster::io::{decode_pgm, encode_pgm};
-use hdc_raster::morphology::{
-    close, close_packed_into, dilate, dilate_packed, dilate_reference, erode, erode_packed,
-    erode_reference, open, open_packed_into,
-};
 use hdc_raster::threshold::{binarize, binarize_packed_into, otsu_threshold};
 use hdc_raster::{
     draw, label_components, label_components_bfs, label_components_packed, largest_component,
@@ -50,26 +46,6 @@ proptest! {
     #[test]
     fn otsu_in_range(img in small_gray()) {
         let _t = otsu_threshold(&img); // must not panic for any image
-    }
-
-    #[test]
-    fn erosion_subset_dilation_superset(m in small_mask()) {
-        let e = erode(&m);
-        let d = dilate(&m);
-        for (x, y, v) in e.iter() {
-            if v { prop_assert_eq!(m.get(x, y), Some(true)); }
-        }
-        for (x, y, v) in m.iter() {
-            if v { prop_assert_eq!(d.get(x, y), Some(true)); }
-        }
-    }
-
-    #[test]
-    fn open_close_idempotent_on_result(m in small_mask()) {
-        let o = open(&m);
-        prop_assert_eq!(open(&o).count_foreground(), o.count_foreground());
-        let c = close(&m);
-        prop_assert_eq!(close(&c).count_foreground(), c.count_foreground());
     }
 
     #[test]
@@ -127,12 +103,6 @@ proptest! {
             }
             None => prop_assert_eq!(m.count_foreground(), 0),
         }
-    }
-
-    #[test]
-    fn row_slice_morphology_matches_padded_reference(m in small_mask()) {
-        prop_assert_eq!(erode(&m), erode_reference(&m));
-        prop_assert_eq!(dilate(&m), dilate_reference(&m));
     }
 
     #[test]
@@ -226,19 +196,6 @@ proptest! {
     fn packed_pack_unpack_roundtrip(m in wide_mask()) {
         let packed = BitMask::from_bitmap(&m);
         prop_assert_eq!(packed.to_bitmap(), m);
-    }
-
-    #[test]
-    fn packed_morphology_matches_byte_oracle(m in wide_mask()) {
-        let packed = BitMask::from_bitmap(&m);
-        prop_assert_eq!(erode_packed(&packed).to_bitmap(), erode(&m));
-        prop_assert_eq!(dilate_packed(&packed).to_bitmap(), dilate(&m));
-        let mut tmp = BitMask::new(1, 1);
-        let mut out = BitMask::new(1, 1);
-        open_packed_into(&packed, &mut tmp, &mut out);
-        prop_assert_eq!(out.to_bitmap(), open(&m));
-        close_packed_into(&packed, &mut tmp, &mut out);
-        prop_assert_eq!(out.to_bitmap(), close(&m));
     }
 
     #[test]

@@ -65,17 +65,6 @@ where
     out
 }
 
-/// Convenience: the single best configuration from a [`grid_search`], or
-/// `None` when every combination was invalid.
-pub fn best_params<F>(segments: &[usize], alphabets: &[u8], eval: F) -> Option<SaxParams>
-where
-    F: FnMut(SaxParams) -> f64,
-{
-    grid_search(segments, alphabets, eval)
-        .first()
-        .and_then(|r| SaxParams::new(r.segments, r.alphabet).ok())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,17 +100,5 @@ mod tests {
         // ties at segments=4 broken toward the smaller alphabet
         assert_eq!(res[0].alphabet, 3);
         assert_eq!(res[1].alphabet, 4);
-    }
-
-    #[test]
-    fn best_params_returns_winner() {
-        let p = best_params(&[4, 8, 16], &[3, 4, 6], |p| p.segments() as f64).unwrap();
-        assert_eq!(p.segments(), 16);
-    }
-
-    #[test]
-    fn empty_grid_yields_none() {
-        assert!(best_params(&[], &[3], |_| 1.0).is_none());
-        assert!(best_params(&[0], &[1], |_| 1.0).is_none());
     }
 }

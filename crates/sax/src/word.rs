@@ -93,22 +93,6 @@ impl SaxWord {
         self.symbols.is_empty()
     }
 
-    /// Hamming distance to another word (number of differing positions).
-    ///
-    /// Returns `None` when lengths differ.
-    pub fn hamming(&self, other: &SaxWord) -> Option<usize> {
-        if self.len() != other.len() {
-            return None;
-        }
-        Some(
-            self.symbols
-                .iter()
-                .zip(&other.symbols)
-                .filter(|(a, b)| a != b)
-                .count(),
-        )
-    }
-
     /// The word circularly rotated left by `shift` symbols.
     pub fn rotated_left(&self, shift: usize) -> SaxWord {
         let n = self.symbols.len();
@@ -193,16 +177,6 @@ mod tests {
     fn parse_single_letter_gets_min_alphabet() {
         let w: SaxWord = "aaaa".parse().unwrap();
         assert_eq!(w.alphabet(), 2);
-    }
-
-    #[test]
-    fn hamming_distance() {
-        let a: SaxWord = "abcd".parse().unwrap();
-        let b: SaxWord = "abdd".parse().unwrap();
-        assert_eq!(a.hamming(&b), Some(1));
-        assert_eq!(a.hamming(&a), Some(0));
-        let short: SaxWord = "ab".parse().unwrap();
-        assert_eq!(a.hamming(&short), None);
     }
 
     #[test]

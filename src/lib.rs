@@ -13,7 +13,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`geometry`] | `hdc-geometry` | vectors, transforms, camera model |
-//! | [`raster`] | `hdc-raster` | images, contours, morphology |
+//! | [`raster`] | `hdc-raster` | images, segmentation, contours |
 //! | [`timeseries`] | `hdc-timeseries` | z-norm, PAA, DTW |
 //! | [`sax`] | `hdc-sax` | SAX words, MINDIST, template index |
 //! | [`figure`] | `hdc-figure` | synthetic signaller rendering |

@@ -208,3 +208,31 @@ fn sessions_bench_splits_the_miss_path_by_stage() {
         spread(&bench, key).unwrap_or_else(|| panic!("BENCH_sessions.json: no {key} spread"));
     }
 }
+
+#[test]
+fn sessions_bench_ladder_rungs_carry_their_spread() {
+    // Each capacity-ladder rung is timed over repeats, so a farm change
+    // is judged against the spread, not one wall time.
+    let bench = std::fs::read_to_string(repo_root().join("BENCH_sessions.json"))
+        .expect("committed BENCH_sessions.json");
+    let rungs: Vec<&str> = bench
+        .lines()
+        .filter(|l| l.trim_start().starts_with("{\"sessions\":"))
+        .collect();
+    assert!(!rungs.is_empty(), "BENCH_sessions.json: no ladder rungs");
+    for rung in rungs {
+        let sessions = raw_value(rung, "sessions").expect("rung size");
+        for key in ["wall_ms", "sessions_per_s"] {
+            spread(rung, key).unwrap_or_else(|| {
+                panic!("BENCH_sessions.json rung {sessions}: no {key} median/min/max")
+            });
+        }
+        let repeats: u32 = raw_value(rung, "repeats")
+            .and_then(|r| r.parse().ok())
+            .unwrap_or_else(|| panic!("BENCH_sessions.json rung {sessions}: no repeats"));
+        assert!(
+            repeats >= 5,
+            "BENCH_sessions.json rung {sessions}: {repeats} repeats"
+        );
+    }
+}
