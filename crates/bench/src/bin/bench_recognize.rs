@@ -11,13 +11,28 @@
 //!
 //! * `--kernels` additionally runs the per-kernel byte-vs-packed
 //!   microbenchmarks at VGA and includes them in the report.
-//! * `--smoke` shrinks the measurement floors to CI-sized values; use it
-//!   only to verify the binary runs, never for committed numbers.
+//! * `--smoke` shrinks the measurement floors and the repeats to CI-sized
+//!   values; use it only to verify the binary runs, never for committed
+//!   numbers.
 //! * default output path: `BENCH_recognize.json` in the current directory.
+//!
+//! The sweep and the kernel pass each repeat (5 times, 2 in smoke), and
+//! every row reports median/min/max over the repeats; a speed-up is the
+//! ratio of two timings taken in the same repeat.
 
-use hdc_bench::kernels::run_kernel_bench;
-use hdc_bench::report::{num, Table};
-use hdc_bench::throughput::{run_sweep, to_json};
+use hdc_bench::kernels::{run_kernel_bench, spread_kernels};
+use hdc_bench::report::{num, Spread, Table};
+use hdc_bench::throughput::{run_sweep, spread_sweep, to_json};
+
+/// `median [min, max]` of a spread.
+fn cell(s: &Spread, prec: usize) -> String {
+    format!(
+        "{} [{}, {}]",
+        num(s.median, prec),
+        num(s.min, prec),
+        num(s.max, prec)
+    )
+}
 
 fn main() {
     let mut kernels_mode = false;
@@ -34,8 +49,11 @@ fn main() {
     // Floors per resolution pass: enough whole cycles for stable averages
     // without letting the slow seed path at 1280×960 run for minutes. The
     // smoke floors just prove the binary end to end.
-    let (min_frames, min_seconds) = if smoke { (1, 0.0) } else { (45, 2.0) };
-    let results = run_sweep(min_frames, min_seconds);
+    let (min_frames, min_seconds, repeats) = if smoke { (1, 0.0, 2) } else { (45, 1.0, 5) };
+    let sweep: Vec<_> = (0..repeats)
+        .map(|_| run_sweep(min_frames, min_seconds))
+        .collect();
+    let results = spread_sweep(&sweep);
 
     let mut table = Table::new([
         "resolution",
@@ -47,24 +65,28 @@ fn main() {
     for r in &results {
         table.row([
             format!("{}x{}", r.width, r.height),
-            num(r.seed.ms_per_frame(), 3),
-            num(r.hybrid.ms_per_frame(), 3),
-            num(r.hybrid.fps(), 1),
-            format!("{:.2}x", r.speedup_hybrid()),
+            cell(&r.seed_ms, 3),
+            cell(&r.hybrid_ms, 3),
+            cell(&r.hybrid_fps, 0),
+            cell(&r.speedup, 2),
         ]);
     }
+    println!("median [min, max] over {repeats} repeats");
     println!("{}", table.render());
 
     let kernel_results = if kernels_mode {
         let iters = if smoke { 1 } else { 200 };
-        let rows = run_kernel_bench(640, 480, iters);
+        let rows: Vec<_> = (0..repeats)
+            .map(|_| run_kernel_bench(640, 480, iters))
+            .collect();
+        let rows = spread_kernels(&rows);
         let mut kt = Table::new(["kernel", "byte ns/frame", "packed ns/frame", "speedup"]);
         for k in &rows {
             kt.row([
                 k.name.to_string(),
-                num(k.byte_ns, 0),
-                num(k.packed_ns, 0),
-                format!("{:.2}x", k.speedup()),
+                cell(&k.byte_ns, 0),
+                cell(&k.packed_ns, 0),
+                cell(&k.speedup, 2),
             ]);
         }
         println!("\nper-kernel (640x480):");
@@ -74,7 +96,7 @@ fn main() {
         Vec::new()
     };
 
-    let json = to_json(&results, &kernel_results);
+    let json = to_json(&results, &kernel_results, repeats);
     std::fs::write(&out_path, &json).expect("write benchmark report");
     println!("wrote {out_path}");
 }

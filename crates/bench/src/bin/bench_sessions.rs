@@ -11,7 +11,10 @@
 //!    the day-length mission is far higher.
 //!    Its silent human stands still in front of a hovering drone, so the
 //!    owner's view memo serves nearly every camera frame: the smoke floor is
-//!    ≥90% of owner frames reused (a count, not a wall-time floor).
+//!    ≥90% of owner frames reused (a count, not a wall-time floor). Each
+//!    mode runs 7 times (3 in smoke), the modes interleaved; every repeat
+//!    must give identical counts, and each mode commits its `wall_ms` as
+//!    median/min/max over the repeats.
 //! 2. **Capacity ladder** — session farms of growing size (to ≥1000
 //!    sessions), one pool item per session on the machine's
 //!    `WorkPool::auto()`, recording wall time, scheduler dispatches, drone
@@ -47,7 +50,10 @@
 //!    labelling (`largest_component_packed_lazy`), contour
 //!    (`trace_contour_packed_with`), signature (`signature_from_contour`)
 //!    and SAX match (`SaxIndex::best_two_with`). Where the mask read
-//!    decided, the split's best match must carry that label.
+//!    decided, the split's best match must carry that label. The split
+//!    also counts the changed views whose mask holds more than one
+//!    component, the only ones whose labelling resolves components and
+//!    rebuilds the largest (a count, not a floor).
 //!
 //! Usage: `cargo run --release -p hdc-bench --bin bench_sessions
 //! [--smoke] [out.json]`
@@ -104,18 +110,25 @@ fn ladder_config(i: usize) -> SessionConfig {
     })
 }
 
-struct ModeRun {
+/// What one run of the idle mission did: identical in every repeat.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ModeCounts {
     drone_ticks: u64,
     dispatches: u64,
     sim_s: f64,
-    wall_ms: f64,
     outcome: SessionOutcome,
     frames: usize,
     views_reused: usize,
 }
 
-/// Runs the idle-heavy mission alone in one scheduler mode.
-fn run_idle_mission(config: SessionConfig, mode: ScheduleMode) -> ModeRun {
+struct ModeRun {
+    counts: ModeCounts,
+    wall_ms: Spread,
+}
+
+/// Runs the idle-heavy mission alone in one scheduler mode: its counts
+/// and wall milliseconds.
+fn run_idle_mission(config: SessionConfig, mode: ScheduleMode) -> (ModeCounts, f64) {
     let mut session = CollaborationSession::new(config);
     let started = Instant::now();
     match mode {
@@ -125,15 +138,38 @@ fn run_idle_mission(config: SessionConfig, mode: ScheduleMode) -> ModeRun {
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let (drone_ticks, dispatches) = (session.drone_ticks(), session.advances());
     let report = session.into_report();
-    ModeRun {
+    let counts = ModeCounts {
         drone_ticks,
         dispatches,
         sim_s: report.duration_s,
-        wall_ms,
         outcome: report.outcome,
         frames: report.frames_processed,
         views_reused: report.views_reused,
+    };
+    (counts, wall_ms)
+}
+
+/// The idle mission in both scheduler modes, `repeats` times, the modes
+/// interleaved so a host spell lands on both; `[lockstep, event-driven]`.
+fn idle_missions(config: SessionConfig, repeats: usize) -> [ModeRun; 2] {
+    let modes = [ScheduleMode::Lockstep, ScheduleMode::EventDriven];
+    let mut counts: [Option<ModeCounts>; 2] = [None, None];
+    let mut walls: [Vec<f64>; 2] = Default::default();
+    for _ in 0..repeats {
+        for (i, mode) in modes.into_iter().enumerate() {
+            let (run, wall_ms) = run_idle_mission(config, mode);
+            let first = *counts[i].get_or_insert(run);
+            assert_eq!(
+                run, first,
+                "the idle mission's counts must not change between repeats ({mode:?})"
+            );
+            walls[i].push(wall_ms);
+        }
     }
+    [0, 1].map(|i| ModeRun {
+        counts: counts[i].expect("at least one repeat"),
+        wall_ms: Spread::of(std::mem::take(&mut walls[i])),
+    })
 }
 
 /// One session of the mixed farm: every role, consenting and refusing,
@@ -202,6 +238,8 @@ struct MissSplit {
     views: usize,
     views_reused: u64,
     misses: usize,
+    /// Changed views whose mask holds more than one component.
+    multi_component: usize,
     repeats: usize,
     render_mask: Spread,
     read_mask: Spread,
@@ -250,7 +288,9 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
 
     let mut per_stage: [Vec<f64>; 9] = Default::default();
     let (mut miss_ratios, mut read_ratios) = (Vec::new(), Vec::new());
+    let mut multi_component = 0;
     for _ in 0..repeats {
+        multi_component = 0;
         let mut ns = [0u128; 9];
         let mut decisions = Vec::with_capacity(views.len());
         for (signaller, eye) in &views {
@@ -293,9 +333,10 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
         // path, and never straight after another read of the same mask.
         for ((signaller, eye), decision) in views.iter().zip(&decisions) {
             paint_view_mask(signaller, *eye, &mut mask);
-            let (split, best) = static_stages(
+            let (split, best, copied) = static_stages(
                 &pipeline, &mask, &mut blob, &mut label, &mut sig, &mut query,
             );
+            multi_component += usize::from(copied);
             if let Some(Some(decision)) = decision {
                 assert_eq!(
                     best,
@@ -324,6 +365,7 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
         views: total_views,
         views_reused: stats.views_reused,
         misses: views.len(),
+        multi_component,
         repeats,
         render_mask,
         read_mask,
@@ -341,8 +383,9 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
 
 /// The static channel's read of a silhouette `mask`, stage by stage
 /// through the public calls the pipeline makes: ns spent labelling,
-/// tracing the contour, computing the signature and matching it, and the
-/// best match's label. A stage that a rejected view never reaches costs 0.
+/// tracing the contour, computing the signature and matching it, the best
+/// match's label, and whether the mask held more than one component. A
+/// stage that a rejected view never reaches costs 0.
 fn static_stages<'a>(
     pipeline: &'a RecognitionPipeline,
     mask: &BitMask,
@@ -350,24 +393,24 @@ fn static_stages<'a>(
     label: &mut LabelScratch,
     sig: &mut SignatureScratch,
     query: &mut QueryScratch,
-) -> ([u128; 4], Option<&'a str>) {
+) -> ([u128; 4], Option<&'a str>, bool) {
     let config = pipeline.config();
     let mut ns = [0u128; 4];
     let t0 = Instant::now();
     let largest = largest_component_packed_lazy(mask, Connectivity::Eight, blob, label);
     ns[0] = t0.elapsed().as_nanos();
     let Some((component, copied)) = largest else {
-        return (ns, None);
+        return (ns, None, false);
     };
     if component.area < config.min_blob_area {
-        return (ns, None);
+        return (ns, None, copied);
     }
     let t1 = Instant::now();
     let traced = trace_contour_packed_with(if copied { blob } else { mask }, sig);
     let t2 = Instant::now();
     ns[1] = (t2 - t1).as_nanos();
     if traced.is_err() {
-        return (ns, None);
+        return (ns, None, copied);
     }
     signature_from_contour(sig, config.signature_len);
     let t3 = Instant::now();
@@ -375,7 +418,7 @@ fn static_stages<'a>(
     let t4 = Instant::now();
     ns[2] = (t3 - t2).as_nanos();
     ns[3] = (t4 - t3).as_nanos();
-    (ns, matched.map(|(best, _)| best.label))
+    (ns, matched.map(|(best, _)| best.label), copied)
 }
 
 struct Rung {
@@ -398,20 +441,23 @@ fn main() {
         }
     }
 
+    // Every timed measurement repeats, so a change is judged against the
+    // spread, not one wall time.
+    let repeats = if smoke { 3 } else { 7 };
+
     // --- idle-heavy day-length mission: lockstep vs event-driven ---
     let idle_cfg = idle_heavy_config(11, smoke);
     println!(
-        "idle-heavy mission: silent human, {:.0}s attention timeout{}",
+        "idle-heavy mission: silent human, {:.0}s attention timeout{}, {repeats} repeats",
         idle_cfg.negotiation.attention_timeout_s,
         if smoke { " [smoke]" } else { "" }
     );
-    let lock = run_idle_mission(idle_cfg, ScheduleMode::Lockstep);
-    let event = run_idle_mission(idle_cfg, ScheduleMode::EventDriven);
+    let [lock, event] = idle_missions(idle_cfg, repeats);
     assert_eq!(
-        lock.outcome, event.outcome,
+        lock.counts.outcome, event.counts.outcome,
         "the schedulers must agree on the idle mission's outcome"
     );
-    let tick_ratio = lock.drone_ticks as f64 / event.drone_ticks.max(1) as f64;
+    let tick_ratio = lock.counts.drone_ticks as f64 / event.counts.drone_ticks.max(1) as f64;
 
     let mut table = Table::new([
         "scheduler",
@@ -420,19 +466,25 @@ fn main() {
         "dispatches",
         "frames",
         "views reused",
-        "wall ms",
+        "wall ms median [min, max]",
         "outcome",
     ]);
     for (label, r) in [("lockstep", &lock), ("event-driven", &event)] {
+        let c = &r.counts;
         table.row([
             label.to_string(),
-            num(r.sim_s, 1),
-            r.drone_ticks.to_string(),
-            r.dispatches.to_string(),
-            r.frames.to_string(),
-            r.views_reused.to_string(),
-            num(r.wall_ms, 1),
-            format!("{:?}", r.outcome),
+            num(c.sim_s, 1),
+            c.drone_ticks.to_string(),
+            c.dispatches.to_string(),
+            c.frames.to_string(),
+            c.views_reused.to_string(),
+            format!(
+                "{} [{}, {}]",
+                num(r.wall_ms.median, 2),
+                num(r.wall_ms.min, 2),
+                num(r.wall_ms.max, 2)
+            ),
+            format!("{:?}", c.outcome),
         ]);
     }
     println!("{}", table.render());
@@ -441,7 +493,7 @@ fn main() {
         tick_ratio >= 5.0,
         "event-driven scheduling must cut idle-mission drone ticks >=5x, got {tick_ratio:.1}x"
     );
-    for (label, r) in [("lockstep", &lock), ("event-driven", &event)] {
+    for (label, r) in [("lockstep", &lock.counts), ("event-driven", &event.counts)] {
         assert!(
             r.frames > 0 && r.views_reused * 10 >= r.frames * 9,
             "the idle mission's owner must reuse >=90% of its frames ({label}): {} of {}",
@@ -453,11 +505,7 @@ fn main() {
     // --- capacity ladder on the farm's pool ---
     // The whole ladder runs `repeats` times, rungs interleaved, so a host
     // spell spreads over every rung rather than landing on one.
-    let (rungs, repeats): (&[usize], usize) = if smoke {
-        (&[10, 50], 3)
-    } else {
-        (&[100, 300, 1000], 7)
-    };
+    let rungs: &[usize] = if smoke { &[10, 50] } else { &[100, 300, 1000] };
     let rung_configs: Vec<Vec<SessionConfig>> = rungs
         .iter()
         .map(|&n| (0..n).map(ladder_config).collect())
@@ -522,14 +570,16 @@ fn main() {
     );
 
     // --- miss-path split over the changed views of a mixed farm ---
-    let split = if smoke {
-        miss_path_split(12, 3)
-    } else {
-        miss_path_split(96, 7)
-    };
+    let split = miss_path_split(if smoke { 12 } else { 96 }, repeats);
     println!(
-        "miss path: {} sessions, {} owner frames processed, {} views, {} reused, {} changed",
-        split.sessions, split.frames, split.views, split.views_reused, split.misses
+        "miss path: {} sessions, {} owner frames processed, {} views, {} reused, {} changed, \
+         {} of them holding more than one component",
+        split.sessions,
+        split.frames,
+        split.views,
+        split.views_reused,
+        split.misses,
+        split.multi_component
     );
     let mut stages = Table::new(["miss-path stage", "median ns/frame", "min", "max"]);
     for (label, st) in [
@@ -591,14 +641,19 @@ fn main() {
         json,
         "    \"attention_timeout_s\": {:.0}, \"sim_duration_s\": {:.1}, \
          \"outcome\": \"{:?}\",",
-        idle_cfg.negotiation.attention_timeout_s, lock.sim_s, lock.outcome
+        idle_cfg.negotiation.attention_timeout_s, lock.counts.sim_s, lock.counts.outcome
     );
     for (label, r) in [("lockstep", &lock), ("event_driven", &event)] {
+        let c = &r.counts;
         let _ = writeln!(
             json,
             "    \"{label}\": {{\"drone_ticks\": {}, \"dispatches\": {}, \"frames\": {}, \
-             \"views_reused\": {}, \"wall_ms\": {:.2}}},",
-            r.drone_ticks, r.dispatches, r.frames, r.views_reused, r.wall_ms
+             \"views_reused\": {}, \"repeats\": {repeats}, \"wall_ms\": {}}},",
+            c.drone_ticks,
+            c.dispatches,
+            c.frames,
+            c.views_reused,
+            r.wall_ms.json(2)
         );
     }
     let _ = writeln!(json, "    \"drone_tick_ratio\": {tick_ratio:.1}");
@@ -629,8 +684,15 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"miss_path\": {{\"sessions\": {}, \"frames\": {}, \"views\": {}, \
-         \"views_reused\": {}, \"changed_views\": {}, \"repeats\": {},",
-        split.sessions, split.frames, split.views, split.views_reused, split.misses, split.repeats
+         \"views_reused\": {}, \"changed_views\": {}, \"multi_component_views\": {}, \
+         \"repeats\": {},",
+        split.sessions,
+        split.frames,
+        split.views,
+        split.views_reused,
+        split.misses,
+        split.multi_component,
+        split.repeats
     );
     let _ = writeln!(
         json,

@@ -10,16 +10,33 @@
 //!
 //! The `binarize` row times the production hybrid entry
 //! ([`binarize_packed_into`]: each 64-pixel chunk byte-compared, then
-//! gathered into one mask word) against the byte form.
+//! gathered into one mask word) against the byte form. The
+//! `largest_component` row times the labelling the loop calls,
+//! [`largest_component_packed_lazy`], which rebuilds the blob only when
+//! the mask holds more than one component. The `rasterise` row paints the
+//! stream's signallers as the session loop sees them: through
+//! [`paint_view`] (clear, then [`hdc_figure::paint_signaller`]) into a grey
+//! frame, against [`paint_view_mask`] into a packed mask.
 //! Kernels with no committed byte implementation (the temporal gate's mask
 //! diff pair) are compared against the naive per-pixel loop they replace.
+//!
+//! A single run's ns rows move with the host's speed spells, so
+//! `bench_recognize` repeats the whole kernel pass and reports each row's
+//! median/min/max ([`spread_kernels`]) together with the byte-over-packed
+//! ratio taken within each repeat.
 
-use crate::frames::sign_stream;
+use crate::frames::{sign_stream, view_at};
+use crate::report::Spread;
+use hdc_core::{paint_view, paint_view_mask};
+use hdc_figure::{MarshallingSign, Pose, Signaller};
+use hdc_geometry::azimuth::azimuth_ground_offset;
+use hdc_geometry::Vec3;
 use hdc_raster::diff::{mask_diff_count, mask_tile_diff_into};
 use hdc_raster::threshold::{binarize_into, binarize_packed_into};
 use hdc_raster::{
-    largest_component_packed_with, largest_component_with, trace_outer_contour_into,
-    trace_outer_contour_packed_into, BitMask, Bitmap, Connectivity, ContourPoint, LabelScratch,
+    largest_component_packed_lazy, largest_component_with, trace_outer_contour_into,
+    trace_outer_contour_packed_into, BitMask, Bitmap, Connectivity, ContourPoint, GrayImage,
+    LabelScratch,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -51,6 +68,60 @@ impl KernelResult {
     pub fn speedup(&self) -> f64 {
         self.byte_ns / self.packed_ns
     }
+}
+
+/// One kernel's timings over the repeats of [`run_kernel_bench`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KernelSpread {
+    /// Kernel name as it appears in the report.
+    pub name: &'static str,
+    /// Byte ns/frame across repeats.
+    pub byte_ns: Spread,
+    /// Packed ns/frame across repeats.
+    pub packed_ns: Spread,
+    /// Byte over packed, each taken within one repeat.
+    pub speedup: Spread,
+}
+
+/// The spread of each kernel row over `repeats`, each one call of
+/// [`run_kernel_bench`].
+///
+/// # Panics
+/// Panics when `repeats` is empty or the repeats' rows differ.
+pub fn spread_kernels(repeats: &[Vec<KernelResult>]) -> Vec<KernelSpread> {
+    repeats[0]
+        .iter()
+        .enumerate()
+        .map(|(i, first)| {
+            let rows: Vec<&KernelResult> = repeats.iter().map(|r| &r[i]).collect();
+            assert!(rows.iter().all(|r| r.name == first.name), "repeats differ");
+            let of = |f: fn(&KernelResult) -> f64| Spread::of(rows.iter().map(|r| f(r)).collect());
+            KernelSpread {
+                name: first.name,
+                byte_ns: of(|r| r.byte_ns),
+                packed_ns: of(|r| r.packed_ns),
+                speedup: of(KernelResult::speedup),
+            }
+        })
+        .collect()
+}
+
+/// The stream's signallers with the eyes of their views: the inputs the
+/// session loop rasterises on a view-memo miss, through its fixed 640×480
+/// camera whatever resolution the other rows run at.
+fn stream_views() -> Vec<(Signaller, Vec3)> {
+    let mut views = Vec::new();
+    for az in [0.0, 10.0, 20.0] {
+        let view = view_at(640, 480, az);
+        let ground = azimuth_ground_offset(f64::to_radians(az), view.distance_m);
+        for sign in MarshallingSign::ALL {
+            views.push((
+                view.signaller(Pose::for_sign(sign)),
+                Vec3::from_xy(ground, view.altitude_m),
+            ));
+        }
+    }
+    views
 }
 
 /// Times `f` over `iters` repetitions of a `frames`-frame workload
@@ -119,15 +190,44 @@ pub fn run_kernel_bench(width: u32, height: u32, iters: usize) -> Vec<KernelResu
             .expect("sign frames always contain a blob");
         byte_blobs.push(blob);
         let mut pblob = BitMask::new(width, height);
-        largest_component_packed_with(p, Connectivity::Eight, &mut pblob, &mut scratch)
-            .expect("sign frames always contain a blob");
-        packed_blobs.push(pblob);
+        let (_, copied) =
+            largest_component_packed_lazy(p, Connectivity::Eight, &mut pblob, &mut scratch)
+                .expect("sign frames always contain a blob");
+        packed_blobs.push(if copied { pblob } else { p.clone() });
     }
 
     let mut results = Vec::new();
 
     let mut out_b = Bitmap::new(width, height);
     let mut out_p = BitMask::new(width, height);
+
+    let views = stream_views();
+    let mut frame = GrayImage::new(1, 1);
+    for (signaller, eye) in &views {
+        paint_view(signaller, *eye, &mut frame);
+        paint_view_mask(signaller, *eye, &mut out_p);
+        let mut want = BitMask::new(1, 1);
+        binarize_packed_into(&frame, THRESHOLD, &mut want);
+        assert_eq!(
+            out_p, want,
+            "the mask must be the grey frame's segmentation"
+        );
+    }
+    results.push(KernelResult {
+        name: "rasterise",
+        byte_ns: time_per_frame(views.len(), iters, || {
+            for (signaller, eye) in &views {
+                paint_view(signaller, *eye, &mut frame);
+                black_box(&frame);
+            }
+        }),
+        packed_ns: time_per_frame(views.len(), iters, || {
+            for (signaller, eye) in &views {
+                paint_view_mask(signaller, *eye, &mut out_p);
+                black_box(&out_p);
+            }
+        }),
+    });
 
     results.push(KernelResult {
         name: "binarize",
@@ -156,7 +256,7 @@ pub fn run_kernel_bench(width: u32, height: u32, iters: usize) -> Vec<KernelResu
         packed_ns: time_per_frame(n, iters, || {
             for p in &packed_masks {
                 let c =
-                    largest_component_packed_with(p, Connectivity::Eight, &mut out_p, &mut scratch);
+                    largest_component_packed_lazy(p, Connectivity::Eight, &mut out_p, &mut scratch);
                 black_box(&c);
             }
         }),
@@ -226,6 +326,36 @@ mod tests {
             assert!(r.byte_ns > 0.0 && r.packed_ns > 0.0, "{}", r.name);
             assert!(r.speedup() > 0.0, "{}", r.name);
         }
+    }
+
+    #[test]
+    fn spreads_pair_each_row_with_its_own_repeat() {
+        let row = |byte_ns, packed_ns| KernelResult {
+            name: "contour",
+            byte_ns,
+            packed_ns,
+        };
+        let spread = spread_kernels(&[
+            vec![row(8.0, 2.0)],
+            vec![row(3.0, 3.0)],
+            vec![row(6.0, 1.0)],
+        ]);
+        assert_eq!(spread.len(), 1);
+        let s = spread[0];
+        assert_eq!(s.name, "contour");
+        assert_eq!(
+            (s.byte_ns.min, s.byte_ns.median, s.byte_ns.max),
+            (3.0, 6.0, 8.0)
+        );
+        assert_eq!(
+            (s.packed_ns.min, s.packed_ns.median, s.packed_ns.max),
+            (1.0, 2.0, 3.0)
+        );
+        // the ratios of each repeat, 4, 1 and 6, not a ratio of medians
+        assert_eq!(
+            (s.speedup.min, s.speedup.median, s.speedup.max),
+            (1.0, 4.0, 6.0)
+        );
     }
 
     #[test]

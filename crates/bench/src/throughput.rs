@@ -15,11 +15,15 @@
 //!   contour kernels, MINDIST-pruned FFT rotation matching and zero
 //!   steady-state allocation.
 //!
-//! The `bench_recognize` binary runs this and writes `BENCH_recognize.json`
-//! so the numbers are committed alongside the code they measure.
+//! The `bench_recognize` binary repeats the sweep, reduces the repeats to
+//! median/min/max per resolution ([`spread_sweep`]) and writes
+//! `BENCH_recognize.json`, so the numbers are committed alongside the code
+//! they measure, with their spread.
 
 use crate::frames::sign_stream;
 pub use crate::frames::{benchmark_pipeline, RESOLUTIONS};
+use crate::kernels::KernelSpread;
+use crate::report::Spread;
 use hdc_raster::contour::{contour_centroid, trace_outer_contour};
 use hdc_raster::threshold::binarize;
 use hdc_raster::{label_components_bfs, Bitmap, Connectivity, GrayImage};
@@ -71,6 +75,65 @@ impl ResolutionResult {
     pub fn speedup_hybrid(&self) -> f64 {
         self.hybrid.fps() / self.seed.fps()
     }
+}
+
+/// One resolution's seed-vs-hybrid comparison over repeats of the sweep.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResolutionSpread {
+    /// Frame width in pixels.
+    pub width: u32,
+    /// Frame height in pixels.
+    pub height: u32,
+    /// Seed ms/frame across repeats.
+    pub seed_ms: Spread,
+    /// Hybrid ms/frame across repeats.
+    pub hybrid_ms: Spread,
+    /// Hybrid frames per second across repeats.
+    pub hybrid_fps: Spread,
+    /// Hybrid over seed throughput, each taken within one repeat.
+    pub speedup: Spread,
+    /// Seed frames and accepted decisions, summed over the repeats.
+    pub seed_counts: (usize, usize),
+    /// Hybrid frames and accepted decisions, summed over the repeats.
+    pub hybrid_counts: (usize, usize),
+}
+
+/// The spread of each resolution over `repeats`, each one call of
+/// [`run_sweep`].
+///
+/// # Panics
+/// Panics when `repeats` is empty or the repeats' resolutions differ.
+pub fn spread_sweep(repeats: &[Vec<ResolutionResult>]) -> Vec<ResolutionSpread> {
+    repeats[0]
+        .iter()
+        .enumerate()
+        .map(|(i, first)| {
+            let rows: Vec<&ResolutionResult> = repeats.iter().map(|r| &r[i]).collect();
+            assert!(
+                rows.iter()
+                    .all(|r| (r.width, r.height) == (first.width, first.height)),
+                "repeats differ"
+            );
+            let of = |f: &dyn Fn(&ResolutionResult) -> f64| {
+                Spread::of(rows.iter().map(|r| f(r)).collect())
+            };
+            let counts = |f: &dyn Fn(&ResolutionResult) -> Throughput| {
+                rows.iter().fold((0, 0), |(frames, decided), r| {
+                    (frames + f(r).frames, decided + f(r).decided)
+                })
+            };
+            ResolutionSpread {
+                width: first.width,
+                height: first.height,
+                seed_ms: of(&|r| r.seed.ms_per_frame()),
+                hybrid_ms: of(&|r| r.hybrid.ms_per_frame()),
+                hybrid_fps: of(&|r| r.hybrid.fps()),
+                speedup: of(&ResolutionResult::speedup_hybrid),
+                seed_counts: counts(&|r| r.seed),
+                hybrid_counts: counts(&|r| r.hybrid),
+            }
+        })
+        .collect()
 }
 
 /// The seed's `extract_signature`: fresh allocations and the
@@ -202,10 +265,10 @@ pub fn run_sweep(min_frames: usize, min_seconds: f64) -> Vec<ResolutionResult> {
         .collect()
 }
 
-/// Renders the sweep as the JSON document committed at
-/// `BENCH_recognize.json` (hand-rolled: the workspace intentionally has no
-/// JSON-serialisation dependency).
-pub fn to_json(results: &[ResolutionResult], kernels: &[crate::kernels::KernelResult]) -> String {
+/// Renders the sweep's spread over `repeats` repeats as the JSON document
+/// committed at `BENCH_recognize.json` (hand-rolled: the workspace
+/// intentionally has no JSON-serialisation dependency).
+pub fn to_json(results: &[ResolutionSpread], kernels: &[KernelSpread], repeats: usize) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"benchmark\": \"RecognitionPipeline sustained recognition throughput\",\n");
@@ -213,24 +276,24 @@ pub fn to_json(results: &[ResolutionResult], kernels: &[crate::kernels::KernelRe
     s.push_str("    \"stream\": \"3 marshalling signs x 3 azimuths (0/10/20 deg), altitude 5 m, distance 3 m\",\n");
     s.push_str("    \"seed\": \"allocating binarize + BFS labelling + allocating signature + unpruned naive-rotation best_two (reference oracles)\",\n");
     s.push_str("    \"hybrid\": \"recognize_with(FrameScratch): binarise straight into bit-packed silhouette words (64 px per u64), word-parallel labelling/contour kernels, MINDIST-pruned search, FFT rotation distance, zero steady-state allocation\",\n");
-    s.push_str("    \"timing\": \"one untimed warm-up cycle, then whole cycles until the frame and wall-clock floors are both met\"\n");
+    s.push_str("    \"timing\": \"per repeat: one untimed warm-up cycle, then whole cycles until the frame and wall-clock floors are both met; the sweep and the kernel pass each repeat, and every row reports median/min/max over the repeats, its speed-up as the ratio within each repeat\"\n");
     s.push_str("  },\n");
+    let _ = writeln!(s, "  \"repeats\": {repeats},");
     s.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\n      \"width\": {}, \"height\": {},\n      \"seed_fps\": {:.2}, \"seed_ms_per_frame\": {:.3}, \"seed_frames\": {}, \"seed_decided\": {},\n      \"hybrid_fps\": {:.2}, \"hybrid_ms_per_frame\": {:.3}, \"hybrid_frames\": {}, \"hybrid_decided\": {},\n      \"speedup_hybrid\": {:.2}\n    }}{}\n",
+            "    {{\n      \"width\": {}, \"height\": {},\n      \"seed_ms_per_frame\": {}, \"seed_frames\": {}, \"seed_decided\": {},\n      \"hybrid_ms_per_frame\": {}, \"hybrid_fps\": {}, \"hybrid_frames\": {}, \"hybrid_decided\": {},\n      \"speedup_hybrid\": {}\n    }}{}\n",
             r.width,
             r.height,
-            r.seed.fps(),
-            r.seed.ms_per_frame(),
-            r.seed.frames,
-            r.seed.decided,
-            r.hybrid.fps(),
-            r.hybrid.ms_per_frame(),
-            r.hybrid.frames,
-            r.hybrid.decided,
-            r.speedup_hybrid(),
+            r.seed_ms.json(3),
+            r.seed_counts.0,
+            r.seed_counts.1,
+            r.hybrid_ms.json(3),
+            r.hybrid_fps.json(1),
+            r.hybrid_counts.0,
+            r.hybrid_counts.1,
+            r.speedup.json(2),
             if i + 1 < results.len() { "," } else { "" }
         );
     }
@@ -242,11 +305,11 @@ pub fn to_json(results: &[ResolutionResult], kernels: &[crate::kernels::KernelRe
         for (i, k) in kernels.iter().enumerate() {
             let _ = writeln!(
                 s,
-                "    {{ \"kernel\": \"{}\", \"byte_ns_per_frame\": {:.0}, \"packed_ns_per_frame\": {:.0}, \"speedup\": {:.2} }}{}",
+                "    {{ \"kernel\": \"{}\", \"byte_ns_per_frame\": {}, \"packed_ns_per_frame\": {}, \"speedup\": {} }}{}",
                 k.name,
-                k.byte_ns,
-                k.packed_ns,
-                k.speedup(),
+                k.byte_ns.json(0),
+                k.packed_ns.json(0),
+                k.speedup.json(2),
                 if i + 1 < kernels.len() { "," } else { "" }
             );
         }
@@ -310,16 +373,20 @@ mod tests {
             byte_ns: 1000.0,
             packed_ns: 250.0,
         };
-        let json = to_json(&[r], &[k]);
+        let sweep = spread_sweep(&[vec![r], vec![r]]);
+        assert_eq!(sweep[0].seed_counts, (180, 160), "counts sum over repeats");
+        let kernels = crate::kernels::spread_kernels(&[vec![k], vec![k]]);
+        let json = to_json(&sweep, &kernels, 2);
         assert!(json.contains("\"width\": 320"));
-        assert!(json.contains("\"speedup_hybrid\": 1.00"));
+        assert!(json.contains("\"repeats\": 2"));
+        assert!(json.contains("\"speedup_hybrid\": {\"median\": 1.00"));
         assert!(!json.contains("packed_fps"));
         assert!(!json.contains("byte_fps"));
         assert!(json.contains("\"kernel\": \"binarize\""));
-        assert!(json.contains("\"speedup\": 4.00"));
+        assert!(json.contains("\"speedup\": {\"median\": 4.00"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
 
-        let no_kernels = to_json(&[r], &[]);
+        let no_kernels = to_json(&sweep, &[], 2);
         assert!(!no_kernels.contains("\"kernels\""));
         assert_eq!(
             no_kernels.matches('{').count(),

@@ -196,20 +196,21 @@ impl<T: Clone> LossyChannel<T> {
 
     /// Drains every copy due by `now`, in `(deliver_at, enqueue order)`
     /// order — the receiver's observed order.
+    ///
+    /// The due copies are moved out of the in-flight buffer in place, so a
+    /// poll with nothing due allocates nothing. Moving them reorders the
+    /// copies left behind, which nothing observes: `(deliver_at, tie)` is
+    /// unique per copy, so the sort alone fixes the delivery order.
     pub fn poll(&mut self, now: f64) -> Vec<T> {
-        if self.in_flight.is_empty() {
-            return Vec::new();
-        }
         let mut due: Vec<InFlight<T>> = Vec::new();
-        let mut rest: Vec<InFlight<T>> = Vec::with_capacity(self.in_flight.len());
-        for m in self.in_flight.drain(..) {
-            if m.deliver_at <= now {
-                due.push(m);
+        let mut i = 0;
+        while i < self.in_flight.len() {
+            if self.in_flight[i].deliver_at <= now {
+                due.push(self.in_flight.swap_remove(i));
             } else {
-                rest.push(m);
+                i += 1;
             }
         }
-        self.in_flight = rest;
         due.sort_by(|a, b| {
             a.deliver_at
                 .partial_cmp(&b.deliver_at)

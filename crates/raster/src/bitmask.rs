@@ -14,7 +14,7 @@
 //!   a binary silhouette skips both, rasterised straight into the words
 //!   as row runs ([`crate::draw::SpanSink`]),
 //! * run extraction for the union-find labeller scans words with
-//!   trailing-zero counts ([`crate::components::largest_component_packed_with`]),
+//!   trailing-zero counts ([`crate::components::largest_component_packed_lazy`]),
 //! * mask differencing is XOR + popcount ([`crate::diff::mask_diff_count`]),
 //! * contour tracing reads single bits ([`crate::contour::trace_outer_contour_packed_into`]).
 //!
@@ -145,7 +145,8 @@ impl BitMask {
     /// — the same padding convention as [`crate::image::Image::get_padded`].
     #[inline]
     pub fn get_padded(&self, x: i64, y: i64) -> bool {
-        if x >= 0 && y >= 0 && (x as u32) < self.width && (y as u32) < self.height {
+        // a negative coordinate wraps past every width and height
+        if (x as u64) < u64::from(self.width) && (y as u64) < u64::from(self.height) {
             let i = y as usize * self.words_per_row + (x as usize) / WORD_BITS;
             self.words[i] >> (x as usize % WORD_BITS) & 1 != 0
         } else {

@@ -1,4 +1,15 @@
 //! Connected-component labelling.
+//!
+//! The labeller is run-based: one pass extracts each row's foreground runs
+//! and unions every run with the previous-row runs it touches, then a
+//! resolve pass numbers the union-find roots in row-major discovery order
+//! and sums each component's statistics over its runs. The extraction also
+//! counts live roots (one per run, less one per merge of two different
+//! roots) and sums every run's statistics in run order, the order the
+//! resolve pass sums a component's runs in. So when one root remains, those
+//! sums are the only component's statistics bit for bit, and
+//! [`largest_component_packed_lazy`] skips the resolve pass and the rebuild:
+//! the mask is its own blob.
 
 use crate::bitmask::{BitMask, WORD_BITS};
 use crate::image::{Bitmap, Image};
@@ -56,6 +67,28 @@ pub struct Component {
 }
 
 impl Component {
+    /// No pixels yet: the start of a sum over runs.
+    const EMPTY: Component = Component {
+        label: 1,
+        area: 0,
+        centroid: Vec2::ZERO,
+        bbox: (u32::MAX, u32::MAX, 0, 0),
+    };
+
+    /// Adds the run `s..=e` of row `y` to the area, the coordinate sums
+    /// held in `centroid` and the bounding box.
+    #[inline]
+    fn add_run(&mut self, y: u32, s: u32, e: u32) {
+        let len = (e - s + 1) as usize;
+        self.area += len;
+        // Σ x over the run is an arithmetic series; len·(s+e) is always even.
+        self.centroid += Vec2::new((s + e) as f64 * len as f64 / 2.0, y as f64 * len as f64);
+        self.bbox.0 = self.bbox.0.min(s);
+        self.bbox.1 = self.bbox.1.min(y);
+        self.bbox.2 = self.bbox.2.max(e);
+        self.bbox.3 = self.bbox.3.max(y);
+    }
+
     /// Bounding-box width in pixels.
     pub fn width(&self) -> u32 {
         self.bbox.2 - self.bbox.0 + 1
@@ -77,7 +110,7 @@ impl Component {
 /// compare, so the cost is the number of rows plus the words and runs of
 /// the rows that hold foreground: a silhouette pays for the rows it spans,
 /// not for the frame's pixel count.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct LabelScratch {
     /// Foreground runs `(row, start, end)` (inclusive), in row-major order.
     runs: Vec<(u32, u32, u32)>,
@@ -87,17 +120,70 @@ pub struct LabelScratch {
     run_comp: Vec<u32>,
     /// Per-label statistics, rebuilt each call.
     comps: Vec<Component>,
+    /// Union-find roots left: one per run, less one per merge of two
+    /// different roots.
+    live: usize,
+    /// Area, coordinate sums and bounding box of every run so far, summed
+    /// in run order: the only component's statistics when `live` is 1.
+    all: Component,
 }
 
 impl LabelScratch {
     /// Empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
-        Self::default()
+        LabelScratch {
+            runs: Vec::new(),
+            parent: Vec::new(),
+            run_comp: Vec::new(),
+            comps: Vec::new(),
+            live: 0,
+            all: Component::EMPTY,
+        }
     }
 
     /// The components from the most recent labelling, ordered by label.
     pub fn components(&self) -> &[Component] {
         &self.comps
+    }
+
+    /// Empties the runs for a new labelling.
+    fn clear_runs(&mut self) {
+        self.runs.clear();
+        self.parent.clear();
+        self.live = 0;
+        self.all = Component::EMPTY;
+    }
+
+    /// Appends the run `(y, s, e)`, adds it to the running statistics and
+    /// unions it with every previous-row run it touches (`margin` 1 widens
+    /// the overlap test for 8-connectivity). The cursor `p` only advances
+    /// past runs that end strictly before this run starts, so a wide run
+    /// above can still merge with the next run here. Shared by the byte and
+    /// packed extractors, so both produce the identical union-find
+    /// structure.
+    #[inline]
+    fn push_run(&mut self, y: u32, s: u32, e: u32, margin: u32, p: &mut usize, prev_hi: usize) {
+        let ri = self.runs.len() as u32;
+        self.runs.push((y, s, e));
+        self.parent.push(ri);
+        self.live += 1;
+        self.all.add_run(y, s, e);
+        while *p < prev_hi && self.runs[*p].2 + margin < s {
+            *p += 1;
+        }
+        let mut q = *p;
+        while q < prev_hi && self.runs[q].1 <= e + margin {
+            if union_runs(&mut self.parent, ri, q as u32) {
+                self.live -= 1;
+            }
+            q += 1;
+        }
+    }
+}
+
+impl Default for LabelScratch {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -112,7 +198,8 @@ fn find(parent: &mut [u32], mut i: u32) -> u32 {
     i
 }
 
-fn union_runs(parent: &mut [u32], a: u32, b: u32) {
+/// Unions the sets of runs `a` and `b`; `true` when they were two sets.
+fn union_runs(parent: &mut [u32], a: u32, b: u32) -> bool {
     let ra = find(parent, a);
     let rb = find(parent, b);
     if ra < rb {
@@ -120,36 +207,7 @@ fn union_runs(parent: &mut [u32], a: u32, b: u32) {
     } else if rb < ra {
         parent[ra as usize] = rb;
     }
-}
-
-/// Appends the run `(y, s, e)` and unions it with every previous-row run it
-/// touches (`margin` 1 widens the overlap test for 8-connectivity). The
-/// cursor `p` only advances past runs that end strictly before this run
-/// starts, so a wide run above can still merge with the next run here.
-/// Shared by the byte and packed extractors, so both produce the identical
-/// union-find structure.
-#[allow(clippy::too_many_arguments)]
-fn push_run(
-    runs: &mut Vec<(u32, u32, u32)>,
-    parent: &mut Vec<u32>,
-    y: u32,
-    s: u32,
-    e: u32,
-    margin: u32,
-    p: &mut usize,
-    prev_hi: usize,
-) {
-    let ri = runs.len() as u32;
-    runs.push((y, s, e));
-    parent.push(ri);
-    while *p < prev_hi && runs[*p].2 + margin < s {
-        *p += 1;
-    }
-    let mut q = *p;
-    while q < prev_hi && runs[q].1 <= e + margin {
-        union_runs(parent, ri, q as u32);
-        q += 1;
-    }
+    ra != rb
 }
 
 /// Resolves union-find roots to component indices in first-run order
@@ -172,9 +230,7 @@ fn resolve_runs(scratch: &mut LabelScratch) {
             let ci = scratch.comps.len() as u32;
             scratch.comps.push(Component {
                 label: ci + 1,
-                area: 0,
-                centroid: Vec2::ZERO,
-                bbox: (u32::MAX, u32::MAX, 0, 0),
+                ..Component::EMPTY
             });
             ci
         } else {
@@ -182,15 +238,7 @@ fn resolve_runs(scratch: &mut LabelScratch) {
         };
         run_comp[ri] = ci;
         let (y, s, e) = runs[ri];
-        let len = (e - s + 1) as usize;
-        let c = &mut scratch.comps[ci as usize];
-        c.area += len;
-        // Σ x over the run is an arithmetic series; len·(s+e) is always even.
-        c.centroid += Vec2::new((s + e) as f64 * len as f64 / 2.0, y as f64 * len as f64);
-        c.bbox.0 = c.bbox.0.min(s);
-        c.bbox.1 = c.bbox.1.min(y);
-        c.bbox.2 = c.bbox.2.max(e);
-        c.bbox.3 = c.bbox.3.max(y);
+        scratch.comps[ci as usize].add_run(y, s, e);
     }
     for c in &mut scratch.comps {
         c.centroid /= c.area as f64;
@@ -206,10 +254,7 @@ fn label_into(mask: &Bitmap, conn: Connectivity, scratch: &mut LabelScratch) {
     let w = mask.width() as usize;
     let h = mask.height() as usize;
     let px = mask.pixels();
-    let runs = &mut scratch.runs;
-    let parent = &mut scratch.parent;
-    runs.clear();
-    parent.clear();
+    scratch.clear_runs();
     // 8-connectivity also joins runs that only touch diagonally: widen the
     // overlap test by one pixel on each side.
     let margin = conn.margin();
@@ -217,7 +262,7 @@ fn label_into(mask: &Bitmap, conn: Connectivity, scratch: &mut LabelScratch) {
     let (mut prev_lo, mut prev_hi) = (0usize, 0usize);
     for y in 0..h {
         let row = &px[y * w..(y + 1) * w];
-        let row_lo = runs.len();
+        let row_lo = scratch.runs.len();
         let mut p = prev_lo; // cursor over the previous row's runs
         let mut x = 0usize;
         while x < w {
@@ -241,36 +286,33 @@ fn label_into(mask: &Bitmap, conn: Connectivity, scratch: &mut LabelScratch) {
                 x += 1;
             }
             let e = (x - 1) as u32;
-            push_run(runs, parent, y as u32, s, e, margin, &mut p, prev_hi);
+            scratch.push_run(y as u32, s, e, margin, &mut p, prev_hi);
         }
         prev_lo = row_lo;
-        prev_hi = runs.len();
+        prev_hi = scratch.runs.len();
     }
     resolve_runs(scratch);
 }
 
-/// [`label_into`] on a bit-packed mask: foreground runs come straight from
-/// the mask words via trailing-zeros/trailing-ones scans — an empty row is
-/// skipped after one OR over its words, a zero word skips 64 background
-/// pixels in one compare, and run ends inside a word are found without
-/// touching individual pixels. Run order, the union-find structure and the
-/// resolved statistics are identical to the byte extractor's, so the two
-/// paths label bit-identically.
-fn label_into_packed(mask: &BitMask, conn: Connectivity, scratch: &mut LabelScratch) {
+/// The run extraction and union step of [`label_into`] on a bit-packed
+/// mask, with no resolve pass: foreground runs come straight from the mask
+/// words via trailing-zeros/trailing-ones scans — an empty row is skipped
+/// after one OR over its words, a zero word skips 64 background pixels in
+/// one compare, and run ends inside a word are found without touching
+/// individual pixels. Run order and the union-find structure are identical
+/// to the byte extractor's, so the two paths label bit-identically.
+fn runs_packed(mask: &BitMask, conn: Connectivity, scratch: &mut LabelScratch) {
     let w = mask.width();
     let h = mask.height() as usize;
     let wpr = mask.words_per_row();
     let words = mask.words();
-    let runs = &mut scratch.runs;
-    let parent = &mut scratch.parent;
-    runs.clear();
-    parent.clear();
+    scratch.clear_runs();
     let margin = conn.margin();
 
     let (mut prev_lo, mut prev_hi) = (0usize, 0usize);
     for y in 0..h {
         let row = &words[y * wpr..(y + 1) * wpr];
-        let row_lo = runs.len();
+        let row_lo = scratch.runs.len();
         if row.iter().fold(0, |acc, &w| acc | w) == 0 {
             // no runs here, so the next row has no previous-row runs to join
             prev_lo = row_lo;
@@ -288,16 +330,7 @@ fn label_into_packed(mask: &BitMask, conn: Connectivity, scratch: &mut LabelScra
                 if ones == WORD_BITS as u32 {
                     continue; // run spans the whole word, still open
                 }
-                push_run(
-                    runs,
-                    parent,
-                    y as u32,
-                    s,
-                    base + ones - 1,
-                    margin,
-                    &mut p,
-                    prev_hi,
-                );
+                scratch.push_run(y as u32, s, base + ones - 1, margin, &mut p, prev_hi);
                 open = None;
                 word &= !((1u64 << ones) - 1);
             }
@@ -308,9 +341,7 @@ fn label_into_packed(mask: &BitMask, conn: Connectivity, scratch: &mut LabelScra
                     open = Some(base + tz); // run reaches the word's MSB
                     break;
                 }
-                push_run(
-                    runs,
-                    parent,
+                scratch.push_run(
                     y as u32,
                     base + tz,
                     base + tz + ones - 1,
@@ -324,12 +355,11 @@ fn label_into_packed(mask: &BitMask, conn: Connectivity, scratch: &mut LabelScra
         if let Some(s) = open {
             // The tail invariant keeps bits ≥ width zero, so a run open at
             // the last word boundary ends exactly at the image edge.
-            push_run(runs, parent, y as u32, s, w - 1, margin, &mut p, prev_hi);
+            scratch.push_run(y as u32, s, w - 1, margin, &mut p, prev_hi);
         }
         prev_lo = row_lo;
-        prev_hi = runs.len();
+        prev_hi = scratch.runs.len();
     }
-    resolve_runs(scratch);
 }
 
 /// Labels all foreground components with flood fill over the raw row-major
@@ -460,7 +490,8 @@ pub fn largest_component_with(
 /// order are bit-identical to the byte and BFS forms.
 pub fn label_components_packed(mask: &BitMask, conn: Connectivity) -> (Image<u32>, Vec<Component>) {
     let mut scratch = LabelScratch::new();
-    label_into_packed(mask, conn, &mut scratch);
+    runs_packed(mask, conn, &mut scratch);
+    resolve_runs(&mut scratch);
     let w = mask.width() as usize;
     let mut labels = vec![0u32; w * mask.height() as usize];
     for (ri, &(y, s, e)) in scratch.runs.iter().enumerate() {
@@ -473,40 +504,32 @@ pub fn label_components_packed(mask: &BitMask, conn: Connectivity) -> (Image<u32
     )
 }
 
-/// [`largest_component_with`] on a bit-packed mask: labels via the
-/// word-scan run extractor and rebuilds the dominant blob into `out` with
-/// whole-word run stores. Ties on area resolve to the highest label, like
-/// the byte form.
-pub fn largest_component_packed_with(
-    mask: &BitMask,
-    conn: Connectivity,
-    out: &mut BitMask,
-    scratch: &mut LabelScratch,
-) -> Option<Component> {
-    label_into_packed(mask, conn, scratch);
-    let biggest = scratch.comps.iter().max_by_key(|c| c.area)?.clone();
-    rebuild_packed(mask, &biggest, out, scratch);
-    Some(biggest)
-}
-
-/// [`largest_component_packed_with`] that copies only when it must. When the
-/// largest component is the mask's only one, every set bit of `mask` belongs
+/// [`largest_component_with`] on a bit-packed mask that copies only when it
+/// must. When the mask has one component, every set bit of `mask` belongs
 /// to it, so `mask` already is the isolated blob: `out` is left untouched
-/// and the flag is `false`. Otherwise the blob is rebuilt into `out` and the
-/// flag is `true`.
+/// and the flag is `false`. That component's statistics were summed as its
+/// runs were extracted, in run order as the resolve pass sums them, so no
+/// resolve pass runs. Otherwise the components are resolved, the largest is
+/// rebuilt into `out` with whole-word run stores and the flag is `true`;
+/// ties on area resolve to the highest label, like the byte form.
 pub fn largest_component_packed_lazy(
     mask: &BitMask,
     conn: Connectivity,
     out: &mut BitMask,
     scratch: &mut LabelScratch,
 ) -> Option<(Component, bool)> {
-    label_into_packed(mask, conn, scratch);
-    let biggest = scratch.comps.iter().max_by_key(|c| c.area)?.clone();
-    let copied = scratch.comps.len() > 1;
-    if copied {
-        rebuild_packed(mask, &biggest, out, scratch);
+    runs_packed(mask, conn, scratch);
+    if scratch.live == 1 {
+        let mut only = scratch.all.clone();
+        only.centroid /= only.area as f64;
+        scratch.comps.clear();
+        scratch.comps.push(only.clone());
+        return Some((only, false));
     }
-    Some((biggest, copied))
+    resolve_runs(scratch);
+    let biggest = scratch.comps.iter().max_by_key(|c| c.area)?.clone();
+    rebuild_packed(mask, &biggest, out, scratch);
+    Some((biggest, true))
 }
 
 /// Rebuilds component `comp` of the labelling in `scratch` into `out`, at
@@ -699,14 +722,16 @@ mod tests {
             let m = speckled(w, h, salt);
             let packed = BitMask::from_bitmap(&m);
             let byte = largest_component_with(&m, Connectivity::Eight, &mut out, &mut scratch);
-            let fast = largest_component_packed_with(
+            let (fast, copied) = largest_component_packed_lazy(
                 &packed,
                 Connectivity::Eight,
                 &mut out_p,
                 &mut scratch_p,
-            );
-            assert_eq!(byte, fast, "component ({w}×{h})");
-            assert_eq!(out, out_p.to_bitmap(), "blob mask ({w}×{h})");
+            )
+            .expect("speckled masks have foreground");
+            assert_eq!(byte, Some(fast), "component ({w}×{h})");
+            let blob = if copied { &out_p } else { &packed };
+            assert_eq!(out, blob.to_bitmap(), "blob mask ({w}×{h})");
         }
     }
 
@@ -726,6 +751,69 @@ mod tests {
                 }
                 (None, None) => {}
                 other => panic!("fast/slow disagree: {other:?}"),
+            }
+        }
+    }
+
+    /// The lazy packed form against the BFS oracle on `m`: the same largest
+    /// component (the highest label among equal areas), copied exactly when
+    /// the mask has more than one component, and the same isolated blob.
+    fn assert_lazy_like_bfs(m: &Bitmap, conn: Connectivity) {
+        let (labels, comps) = label_components_bfs(m, conn);
+        let packed = BitMask::from_bitmap(m);
+        let mut out = BitMask::new(1, 1);
+        let mut scratch = LabelScratch::new();
+        let lazy = largest_component_packed_lazy(&packed, conn, &mut out, &mut scratch);
+        let Some(best) = comps.iter().max_by_key(|c| c.area) else {
+            assert_eq!(lazy, None, "{conn:?}: empty mask");
+            return;
+        };
+        let (comp, copied) = lazy.unwrap_or_else(|| panic!("{conn:?}: no component"));
+        assert_eq!(&comp, best, "{conn:?}: largest component");
+        assert_eq!(copied, comps.len() > 1, "{conn:?}: copied");
+        let blob = if copied { &out } else { &packed };
+        for (x, y, v) in m.iter() {
+            assert_eq!(
+                blob.get(x, y),
+                Some(v && labels.get(x, y) == Some(best.label)),
+                "{conn:?}: blob pixel ({x}, {y})"
+            );
+        }
+    }
+
+    #[test]
+    fn lazy_largest_matches_bfs_on_edge_shapes() {
+        let shapes: [&[&str]; 9] = [
+            // a ring: its bottom run meets two runs that already share a root
+            &["......", ".####.", ".#..#.", ".#..#.", ".####.", "......"],
+            // a ring around an island
+            &["#####", "#...#", "#.#.#", "#...#", "#####"],
+            // a U closed only in its last row
+            &["#...#", "#...#", "#...#", "#####"],
+            // a U closed in its last row beside a larger blob
+            &["#.#..###", "#.#..###", "###..###"],
+            // a spiral
+            &[
+                "#######", "#.....#", "#.###.#", "#.#.#.#", "#.#...#", "#.#####",
+            ],
+            // diagonal-only joins: one component under Eight, four under Four
+            &["#...", ".#..", "..#.", "...#"],
+            &["#.#.#", ".#.#.", "#.#.#"],
+            // two equal-area components
+            &["##..##", "##..##"],
+            &["#..", "...", "..#"],
+        ];
+        for rows in shapes {
+            let shape = mask_from_rows(rows);
+            // at the origin and straddling a word boundary of a wider mask
+            for x0 in [0u32, 61] {
+                let mut m = Bitmap::new(x0 + shape.width() + 2, shape.height() + 1);
+                for (x, y, v) in shape.iter() {
+                    m.set(x0 + x, y, v);
+                }
+                for conn in [Connectivity::Four, Connectivity::Eight] {
+                    assert_lazy_like_bfs(&m, conn);
+                }
             }
         }
     }

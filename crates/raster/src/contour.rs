@@ -5,6 +5,14 @@
 //! so an ordered outer boundary is required — a bag of edge pixels is not
 //! enough. Moore-neighbour tracing with Jacob's stopping criterion yields the
 //! boundary as a closed, ordered pixel sequence.
+//!
+//! The walk is one dependent chain: each step probes the neighbourhood
+//! clockwise from the backtrack direction until it finds foreground. The
+//! new backtrack depends only on the direction just taken, so it is read
+//! from a table (`BACKTRACK`); each probe of the zero-padded mask tests an
+//! axis with one unsigned compare. The probe loop stays a branchy loop on
+//! purpose: its branches let the CPU run ahead along smooth edges, where a
+//! branch-free walk over a neighbour byte was measured slower.
 
 use crate::bitmask::{BitMask, WORD_BITS};
 use crate::image::Bitmap;
@@ -38,6 +46,11 @@ const MOORE: [(i64, i64); 8] = [
     (0, 1),
     (-1, 1),
 ];
+
+/// The walk's new backtrack after a step in direction `d`: the direction
+/// from the pixel just entered to the background pixel probed before it,
+/// `MOORE[d - 1] - MOORE[d]`. It depends on `d` alone.
+const BACKTRACK: [usize; 8] = [6, 6, 0, 0, 2, 2, 4, 4];
 
 /// Traces the outer boundary of the first (row-major) foreground blob.
 ///
@@ -144,29 +157,19 @@ fn moore_walk<F: Fn(i64, i64) -> bool>(
         // Scan clockwise from just after the backtrack direction.
         let mut found = None;
         for k in 1..=8 {
-            let idx = (backtrack_idx + k) % 8;
-            let (dx, dy) = MOORE[idx];
+            let d = (backtrack_idx + k) % 8;
+            let (dx, dy) = MOORE[d];
             let n = (cur.0 + dx, cur.1 + dy);
             if fg(n.0, n.1) {
-                found = Some((n, (backtrack_idx + k - 1) % 8));
+                found = Some((n, d));
                 break;
             }
         }
-        let Some((next, prev_bg_idx)) = found else {
+        let Some((next, d)) = found else {
             // isolated pixel
             return;
         };
-        // New backtrack: direction from `next` to the background pixel we
-        // examined immediately before finding `next`.
-        let (pdx, pdy) = MOORE[prev_bg_idx];
-        let prev_bg = (cur.0 + pdx, cur.1 + pdy);
-        let rel = (prev_bg.0 - next.0, prev_bg.1 - next.1);
-        let new_backtrack = MOORE
-            .iter()
-            .position(|d| *d == rel)
-            .expect("background neighbour is Moore-adjacent to next pixel");
-
-        let new_state = (next, new_backtrack);
+        let new_state = (next, BACKTRACK[d]);
         match first_move_state {
             None => first_move_state = Some(new_state),
             Some(first) if first == new_state => break,
@@ -174,7 +177,7 @@ fn moore_walk<F: Fn(i64, i64) -> bool>(
         }
 
         cur = next;
-        backtrack_idx = new_backtrack;
+        backtrack_idx = new_state.1;
         out.push(ContourPoint {
             x: cur.0 as u32,
             y: cur.1 as u32,
@@ -363,6 +366,52 @@ mod tests {
             &mut packed_buf
         ));
         assert!(packed_buf.is_empty());
+    }
+
+    #[test]
+    fn backtrack_table_is_the_moore_geometry() {
+        // the background pixel probed before direction d is MOORE[d - 1]
+        for (d, &backtrack) in BACKTRACK.iter().enumerate() {
+            let (px, py) = MOORE[(d + 7) % 8];
+            let (nx, ny) = MOORE[d];
+            assert_eq!(MOORE[backtrack], (px - nx, py - ny), "direction {d}");
+        }
+    }
+
+    #[test]
+    fn packed_trace_matches_byte_trace_at_every_border() {
+        // Blobs touching every border and corner, at widths around the
+        // word size and one or two rows tall, where every probe of the
+        // walk's padded neighbourhood leaves the mask on some side.
+        let mut byte_buf = Vec::new();
+        let mut packed_buf = Vec::new();
+        for w in [63u32, 64, 65, 128] {
+            for h in [1u32, 2] {
+                let full = |_: u32, _: u32| true;
+                let corners = |x: u32, y: u32| (x == 0 || x == w - 1) && (y == 0 || y == h - 1);
+                let right_half = |x: u32, _: u32| x >= w / 2;
+                let last_column = |x: u32, _: u32| x == w - 1;
+                let staircase = |x: u32, y: u32| !(x + y).is_multiple_of(3);
+                let shapes: [&dyn Fn(u32, u32) -> bool; 5] =
+                    [&full, &corners, &right_half, &last_column, &staircase];
+                for (i, shape) in shapes.iter().enumerate() {
+                    let mut m = Bitmap::new(w, h);
+                    for y in 0..h {
+                        for x in 0..w {
+                            m.set(x, y, shape(x, y));
+                        }
+                    }
+                    let packed = BitMask::from_bitmap(&m);
+                    let found = trace_outer_contour_into(&m, &mut byte_buf);
+                    assert_eq!(
+                        found,
+                        trace_outer_contour_packed_into(&packed, &mut packed_buf),
+                        "{w}×{h} shape {i}"
+                    );
+                    assert_eq!(byte_buf, packed_buf, "{w}×{h} shape {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,24 @@
 //! pixels within a float-error margin of an interval end, where rounding
 //! could decide the answer. The margins are sized from the coordinates'
 //! magnitude, so they exceed the rounding of both the definition and the
-//! interval solve by orders of magnitude; every pixel farther inside is
-//! covered, and every pixel farther outside is not.
+//! interval solve by orders of magnitude. They bound each piece on a row
+//! between two regions: an *outer* interval, which holds every covered
+//! pixel centre strictly inside it, and a convex *inner* region, which
+//! holds only covered centres. Inner ⊆ covered ⊆ outer.
+//!
+//! **A row of a piece.** Only the outer interval is solved (an end disk's
+//! takes the row's one square root). Its ends round to pixels by adding
+//! `1.5·2⁵²`, which leaves the nearest integer in the sum's low bits: pixel
+//! `x` is kept when `round(lo) ≤ x < round(hi)`, which is `lo < x + 0.5 <
+//! hi` except at a tie, where a centre lies exactly on an outer end — and
+//! no covered centre does. The run's end pixels are then tested against the
+//! inner region (for an end disk `(x − cx)² ≤ r² − dy² − sq`, for the
+//! sides `x` against their inner bounds), from each end inwards, and every
+//! pixel that fails is tested with the definition; once both ends hold, the
+//! pixels between them are in the convex inner region and are filled
+//! untested. A side's slope has the same sign on every row, so each side is
+//! sorted once per primitive into a lower bound, an upper bound or a row
+//! gate.
 //!
 //! **Convex pieces.** A disk is convex, so it spans one interval per row.
 //! A tapered capsule is not: where a flank meets the thinner end's disk
@@ -244,44 +260,40 @@ pub fn tapered_capsule<S: SpanSink + ?Sized>(
     };
     let [upper_out, lower_out] = flanks(margins.offset);
     let [upper_in, lower_in] = flanks(-margins.offset);
-    let trapezoid_outer = [upper_out, lower_out, t_at_least(-tau), t_at_most(1.0 + tau)];
-    let trapezoid_inner = [upper_in, lower_in, t_at_least(tau), t_at_most(1.0 - tau)];
-    let (a_outer, a_inner) = (t_at_most(tau), t_at_most(-tau));
-    let (b_outer, b_inner) = (t_at_least(1.0 - tau), t_at_least(1.0 + tau));
-    let solved = trapezoid_outer
-        .iter()
-        .chain(&trapezoid_inner)
-        .chain([&a_outer, &a_inner, &b_outer, &b_inner])
-        .all(Constraint::is_solved);
-    if !solved {
+    let pieces = [
+        Sides::sort(&[upper_out, lower_out, t_at_least(-tau), t_at_most(1.0 + tau)]),
+        Sides::sort(&[upper_in, lower_in, t_at_least(tau), t_at_most(1.0 - tau)]),
+        Sides::sort(&[t_at_most(tau)]),
+        Sides::sort(&[t_at_most(-tau)]),
+        Sides::sort(&[t_at_least(1.0 - tau)]),
+        Sides::sort(&[t_at_least(1.0 + tau)]),
+    ];
+    let [Some(trapezoid_outer), Some(trapezoid_inner), Some(a_outer), Some(a_inner), Some(b_outer), Some(b_inner)] =
+        pieces
+    else {
         // a slope so small its solve overflows
         return bounds.scan(sink, covers);
-    }
+    };
     for y in bounds.y0..=bounds.y1 {
         let yc = y as f64 + 0.5;
         let v = yc - a.y;
 
         // the disk at `a`, for t ≤ 0
         if let Some((outer, inner)) = margins.disk_row(a, radius_a, yc) {
-            let (outer, inner) = (outer.meet(a_outer.at(v)), || inner.meet(a_inner.at(v)));
-            bounds.emit(sink, y, outer, inner, covers);
+            let outer = outer.meet(a_outer.at(v));
+            bounds.emit(sink, y, outer, || inner.within(a_inner.at(v)), covers);
         }
         // the disk at `b`, for t ≥ 1
         if let Some((outer, inner)) = margins.disk_row(b_end, radius_b_end, yc) {
-            let (outer, inner) = (outer.meet(b_outer.at(v)), || inner.meet(b_inner.at(v)));
-            bounds.emit(sink, y, outer, inner, covers);
+            let outer = outer.meet(b_outer.at(v));
+            bounds.emit(sink, y, outer, || inner.within(b_inner.at(v)), covers);
         }
         // the trapezoid between them
-        let all = |sides: &[Constraint; 4]| {
-            sides
-                .iter()
-                .fold(Interval::ALL, |i, side| i.meet(side.at(v)))
-        };
         bounds.emit(
             sink,
             y,
-            all(&trapezoid_outer),
-            || all(&trapezoid_inner),
+            trapezoid_outer.at(v),
+            || Inner::band(trapezoid_inner.at(v)),
             covers,
         );
     }
@@ -294,8 +306,8 @@ pub fn tapered_capsule<S: SpanSink + ?Sized>(
 /// are more than a thousand times that.
 #[derive(Debug, Clone, Copy)]
 struct Margins {
-    /// In squared distance: a disk row's covered half-width is solved from
-    /// `r² - dy² ± sq`.
+    /// In squared distance: a disk row's outer half-width is solved from
+    /// `r² - dy² + sq`, and its inner test is `(x - cx)² ≤ r² - dy² - sq`.
     sq: f64,
     /// In the segment parameter `t`, around the pieces' clip lines.
     tau: f64,
@@ -314,28 +326,29 @@ impl Margins {
         (scale < 1e64).then_some(Margins { sq, tau, offset })
     }
 
-    /// The outer and inner x-intervals of the disk at `center` on the row of
-    /// pixel centres at height `yc`; `None` when the row misses the disk.
+    /// The outer x-interval and the inner region of the disk at `center` on
+    /// the row of pixel centres at height `yc`; `None` when the row misses
+    /// the disk. Only the outer interval takes a square root: the inner
+    /// region is tested pixel by pixel.
     #[inline]
-    fn disk_row(&self, center: Vec2, radius: f64, yc: f64) -> Option<(Interval, Interval)> {
+    fn disk_row(&self, center: Vec2, radius: f64, yc: f64) -> Option<(Interval, Inner)> {
         let dy = yc - center.y;
         let rem = radius * radius - dy * dy;
-        let around = |sq: f64| {
-            let half = sq.sqrt();
-            Interval {
-                lo: center.x - half,
-                hi: center.x + half,
-            }
-        };
         let outer = rem + self.sq;
-        let inner = rem - self.sq;
         (outer >= 0.0).then(|| {
-            let inner = if inner >= 0.0 {
-                around(inner)
-            } else {
-                Interval::EMPTY
+            let half = outer.sqrt();
+            let inner = Inner {
+                cx: center.x,
+                rem: rem - self.sq,
+                ..Inner::band(Interval::ALL)
             };
-            (around(outer), inner)
+            (
+                Interval {
+                    lo: center.x - half,
+                    hi: center.x + half,
+                },
+                inner,
+            )
         })
     }
 }
@@ -375,57 +388,150 @@ impl Interval {
     }
 }
 
+/// The certainly-covered region of a piece on one row: the pixel centres
+/// `x` with `lo ≤ x ≤ hi` and `(x - cx)² ≤ rem`. It is convex, so when both
+/// ends of a run hold, every pixel between them does.
+#[derive(Debug, Clone, Copy)]
+struct Inner {
+    lo: f64,
+    hi: f64,
+    cx: f64,
+    rem: f64,
+}
+
+impl Inner {
+    /// The pixel centres of `band`, with no disk.
+    #[inline]
+    fn band(band: Interval) -> Inner {
+        Inner {
+            lo: band.lo,
+            hi: band.hi,
+            cx: 0.0,
+            rem: f64::INFINITY,
+        }
+    }
+
+    /// This region cut to `band`.
+    #[inline]
+    fn within(self, band: Interval) -> Inner {
+        let Interval { lo, hi } = Interval {
+            lo: self.lo,
+            hi: self.hi,
+        }
+        .meet(band);
+        Inner { lo, hi, ..self }
+    }
+
+    /// Whether the pixel centre `x` lies in the region.
+    #[inline]
+    fn holds(&self, x: f64) -> bool {
+        let d = x - self.cx;
+        x >= self.lo && x <= self.hi && d * d <= self.rem
+    }
+}
+
 /// One side of a convex piece: the linear constraint `k·u ≤ c0 + c1·v`
-/// on the row at `v`, with `u = x - x_origin`. Its slope `k` is the same on
-/// every row, so it is solved once per primitive into a bound
-/// `x ≤ α + β·v` (`k > 0`) or `x ≥ α + β·v` (`k < 0`); with `k = 0` it
-/// keeps or drops whole rows. The solve's rounding is a few ulps of the
-/// constraint's terms, far inside the margins.
+/// on the row at `v`, with `u = x - x_origin`.
 #[derive(Debug, Clone, Copy)]
 struct Constraint {
+    x_origin: f64,
     k: f64,
     c0: f64,
     c1: f64,
-    alpha: f64,
-    beta: f64,
 }
 
 impl Constraint {
     fn new(x_origin: f64, k: f64, c0: f64, c1: f64) -> Constraint {
         Constraint {
+            x_origin,
             k,
             c0,
             c1,
-            alpha: c0 / k + x_origin,
-            beta: c1 / k,
         }
     }
+}
 
-    /// Whether the solve stayed finite (a zero slope needs none).
-    fn is_solved(&self) -> bool {
-        self.k == 0.0 || (self.alpha.is_finite() && self.beta.is_finite())
+/// The sides of one convex piece, sorted once per primitive by the sign of
+/// their slope `k`, which is the same on every row: `k < 0` gives a lower
+/// bound `x ≥ α + β·v`, `k > 0` an upper bound `x ≤ α + β·v`, and `k = 0` a
+/// row gate that keeps the row while `c0 + c1·v ≥ 0`. The solve's rounding
+/// is a few ulps of the constraint's terms, far inside the margins.
+#[derive(Debug, Clone, Copy)]
+struct Sides {
+    /// `(α, β)` of the lower bounds in `lines[..lower]` and of the upper
+    /// bounds in `lines[lower..upper]`; `(c0, c1)` of the gates in
+    /// `lines[upper..len]`.
+    lines: [(f64, f64); 4],
+    lower: usize,
+    upper: usize,
+    len: usize,
+}
+
+impl Sides {
+    /// Sorts and solves up to four sides; `None` when a solve overflows (a
+    /// slope so small that its bound leaves the finite range), which sends
+    /// the primitive to the per-pixel scan.
+    fn sort(sides: &[Constraint]) -> Option<Sides> {
+        let mut out = Sides {
+            lines: [(0.0, 0.0); 4],
+            lower: 0,
+            upper: 0,
+            len: 0,
+        };
+        let solve = |c: &Constraint| (c.c0 / c.k + c.x_origin, c.c1 / c.k);
+        for c in sides.iter().filter(|c| c.k < 0.0) {
+            out.lines[out.len] = solve(c);
+            out.len += 1;
+        }
+        out.lower = out.len;
+        for c in sides.iter().filter(|c| c.k > 0.0) {
+            out.lines[out.len] = solve(c);
+            out.len += 1;
+        }
+        out.upper = out.len;
+        for c in sides.iter().filter(|c| c.k == 0.0) {
+            out.lines[out.len] = (c.c0, c.c1);
+            out.len += 1;
+        }
+        // a NaN slope would fit none of the three kinds
+        let solved = out.len == sides.len()
+            && out.lines[..out.upper]
+                .iter()
+                .all(|(alpha, beta)| alpha.is_finite() && beta.is_finite());
+        solved.then_some(out)
     }
 
-    /// The x-interval the constraint allows on the row at `v`.
+    /// The x-interval the sides allow on the row at `v`.
     #[inline]
     fn at(&self, v: f64) -> Interval {
-        if self.k > 0.0 {
-            Interval {
-                lo: f64::NEG_INFINITY,
-                hi: self.alpha + self.beta * v,
+        let mut i = Interval::ALL;
+        for &(alpha, beta) in &self.lines[..self.lower] {
+            let x = alpha + beta * v;
+            if x > i.lo {
+                i.lo = x;
             }
-        } else if self.k < 0.0 {
-            Interval {
-                lo: self.alpha + self.beta * v,
-                hi: f64::INFINITY,
+        }
+        for &(alpha, beta) in &self.lines[self.lower..self.upper] {
+            let x = alpha + beta * v;
+            if x < i.hi {
+                i.hi = x;
             }
-        } else if self.c0 + self.c1 * v >= 0.0 {
-            Interval::ALL
+        }
+        let open = self.lines[self.upper..self.len]
+            .iter()
+            .all(|&(c0, c1)| c0 + c1 * v >= 0.0);
+        if open {
+            i
         } else {
             Interval::EMPTY
         }
     }
 }
+
+/// Adding `1.5·2⁵²` to an `f64` of magnitude below `2⁵¹` rounds it to the
+/// nearest integer (ties to even), whose value the sum's bits then hold as
+/// an offset from this constant's bits.
+const ROUND: f64 = 6_755_399_441_055_744.0;
 
 /// The clipped pixel box the per-pixel definition scans.
 #[derive(Debug, Clone, Copy)]
@@ -453,76 +559,73 @@ impl PixelBox {
     /// The per-pixel definition over the whole box.
     fn scan<S: SpanSink + ?Sized>(&self, sink: &mut S, covers: impl Fn(Vec2) -> bool) {
         for y in self.y0..=self.y1 {
-            self.test(sink, y, self.x0, self.x1, &covers);
-        }
-    }
-
-    /// Tests pixels `x0..=x1` of row `y` one by one.
-    #[inline]
-    fn test<S: SpanSink + ?Sized>(
-        &self,
-        sink: &mut S,
-        y: u32,
-        x0: u32,
-        x1: u32,
-        covers: &impl Fn(Vec2) -> bool,
-    ) {
-        for x in x0..=x1 {
-            if covers(Vec2::new(x as f64 + 0.5, y as f64 + 0.5)) {
-                sink.fill_span(y, x, x);
+            for x in self.x0..=self.x1 {
+                test(sink, x, y, &covers);
             }
         }
     }
 
-    /// The pixels of a row whose centres lie in `interval`, within the box.
+    /// The pixels of a row whose centres may lie in the outer `interval`,
+    /// within the box. Pixel `x` is kept when `lo < x + 0.5 < hi`, which is
+    /// `round(lo) ≤ x < round(hi)` up to ties; a tie puts a centre exactly
+    /// on an outer end, which the margins keep every covered centre
+    /// strictly inside.
     #[inline]
     fn pixels(&self, interval: Interval) -> Option<(u32, u32)> {
-        // Clamped to just outside the box, the ends round to integers
-        // exactly by truncation, with no call to a library floor.
-        let (below, above) = (self.x0 as f64 - 1.0, self.x1 as f64 + 1.0);
-        let clamp = |x: f64| {
+        // Clamped to just outside the box, the ends are small enough for
+        // the rounding constant.
+        let (below, above) = (f64::from(self.x0) - 1.0, f64::from(self.x1) + 2.0);
+        let round = |x: f64| {
             let x = if x > below { x } else { below };
-            if x < above {
-                x
-            } else {
-                above
-            }
+            let x = if x < above { x } else { above };
+            (x + ROUND).to_bits() as i64 - ROUND.to_bits() as i64
         };
-        let (lo, hi) = (clamp(interval.lo - 0.5), clamp(interval.hi - 0.5));
-        let (lo_t, hi_t) = (lo as i64, hi as i64);
-        let first = (lo_t + i64::from((lo_t as f64) < lo)).max(i64::from(self.x0));
-        let last = (hi_t - i64::from((hi_t as f64) > hi)).min(i64::from(self.x1));
+        let first = round(interval.lo).max(i64::from(self.x0));
+        let last = (round(interval.hi) - 1).min(i64::from(self.x1));
         (first <= last).then_some((first as u32, last as u32))
     }
 
-    /// Emits one piece on row `y`: fills the pixels of `inner` untested and
-    /// tests the rest of `outer` with the definition. `inner` must hold only
-    /// covered pixels, and `outer` every covered pixel of the piece; `inner`
-    /// is solved only when `outer` holds a pixel.
+    /// Emits one piece on row `y`. The pixels of the `outer` interval are
+    /// tested with the definition from each end inwards until one's centre
+    /// lies in the `inner` region; the run between the two is then filled
+    /// untested, since the region is convex. `outer` must hold every covered
+    /// pixel of the piece and `inner` only covered pixels; `inner` is built
+    /// only when `outer` holds a pixel.
     #[inline]
     fn emit<S: SpanSink + ?Sized>(
         &self,
         sink: &mut S,
         y: u32,
         outer: Interval,
-        inner: impl FnOnce() -> Interval,
+        inner: impl FnOnce() -> Inner,
         covers: impl Fn(Vec2) -> bool,
     ) {
-        let Some((o0, o1)) = self.pixels(outer) else {
+        let Some((mut x0, mut x1)) = self.pixels(outer) else {
             return;
         };
-        match self.pixels(inner().meet(outer)) {
-            Some((i0, i1)) => {
-                if o0 < i0 {
-                    self.test(sink, y, o0, i0 - 1, &covers);
-                }
-                sink.fill_span(y, i0, i1);
-                if i1 < o1 {
-                    self.test(sink, y, i1 + 1, o1, &covers);
-                }
+        let inner = inner();
+        let centre = |x: u32| f64::from(x) + 0.5;
+        while !inner.holds(centre(x0)) {
+            test(sink, x0, y, &covers);
+            if x0 == x1 {
+                return;
             }
-            None => self.test(sink, y, o0, o1, &covers),
+            x0 += 1;
         }
+        // stops at the latest at `x0`, which holds
+        while !inner.holds(centre(x1)) {
+            test(sink, x1, y, &covers);
+            x1 -= 1;
+        }
+        sink.fill_span(y, x0, x1);
+    }
+}
+
+/// Fills pixel `(x, y)` when the definition `covers` its centre.
+#[inline]
+fn test<S: SpanSink + ?Sized>(sink: &mut S, x: u32, y: u32, covers: &impl Fn(Vec2) -> bool) {
+    if covers(Vec2::new(x as f64 + 0.5, y as f64 + 0.5)) {
+        sink.fill_span(y, x, x);
     }
 }
 

@@ -120,7 +120,8 @@ impl<T: Copy + Default> Image<T> {
     /// This is the padding convention used by contour tracing.
     #[inline]
     pub fn get_padded(&self, x: i64, y: i64) -> T {
-        if x >= 0 && y >= 0 && (x as u32) < self.width && (y as u32) < self.height {
+        // a negative coordinate wraps past every width and height
+        if (x as u64) < u64::from(self.width) && (y as u64) < u64::from(self.height) {
             self.data[(y as usize) * (self.width as usize) + (x as usize)]
         } else {
             T::default()

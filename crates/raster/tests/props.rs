@@ -10,8 +10,8 @@ use hdc_raster::io::{decode_pgm, encode_pgm};
 use hdc_raster::threshold::{binarize, binarize_packed_into, otsu_threshold};
 use hdc_raster::{
     draw, label_components, label_components_bfs, label_components_packed, largest_component,
-    largest_component_packed_lazy, largest_component_packed_with, largest_component_with, BitMask,
-    Bitmap, Component, Connectivity, GrayImage, LabelScratch,
+    largest_component_packed_lazy, largest_component_with, BitMask, Bitmap, Component,
+    Connectivity, GrayImage, LabelScratch,
 };
 use proptest::prelude::*;
 
@@ -212,32 +212,25 @@ proptest! {
     fn packed_largest_blob_matches_byte_oracle(m in wide_mask()) {
         let packed = BitMask::from_bitmap(&m);
         let mut out = Bitmap::new(1, 1);
-        let mut out_p = BitMask::new(1, 1);
         let mut scratch = LabelScratch::new();
-        let mut scratch_p = LabelScratch::new();
         let byte = largest_component_with(&m, Connectivity::Eight, &mut out, &mut scratch);
-        let fast = largest_component_packed_with(
-            &packed, Connectivity::Eight, &mut out_p, &mut scratch_p);
-        prop_assert_eq!(&byte, &fast);
-        if byte.is_some() {
-            prop_assert_eq!(out, out_p.to_bitmap());
-        }
         // the lazy form copies only a mask with more than one component;
         // otherwise the mask itself is the blob and `out` stays untouched
         let mut lazy_out = BitMask::new(1, 1);
         let lazy = largest_component_packed_lazy(
-            &packed, Connectivity::Eight, &mut lazy_out, &mut scratch_p);
-        prop_assert_eq!(lazy.as_ref().map(|(c, _)| c), fast.as_ref());
+            &packed, Connectivity::Eight, &mut lazy_out, &mut scratch);
+        prop_assert_eq!(lazy.as_ref().map(|(c, _)| c), byte.as_ref());
         if let Some((comp, copied)) = lazy {
             prop_assert_eq!(copied, label_components_packed(&packed, Connectivity::Eight).1.len() > 1);
-            prop_assert_eq!(if copied { &lazy_out } else { &packed }, &out_p);
+            let blob = if copied { &lazy_out } else { &packed };
+            prop_assert_eq!(blob.to_bitmap(), out);
             if !copied {
                 prop_assert_eq!(&lazy_out, &BitMask::new(1, 1));
             }
             // an isolated blob is one component: read where it is
             let mut again_out = BitMask::new(1, 1);
             let again = largest_component_packed_lazy(
-                &out_p, Connectivity::Eight, &mut again_out, &mut scratch_p);
+                blob, Connectivity::Eight, &mut again_out, &mut scratch);
             prop_assert_eq!(again, Some((Component { label: 1, ..comp }, false)));
         }
     }
@@ -626,4 +619,73 @@ fn a_tapered_capsule_row_can_hold_two_runs() {
     let mut mask = BitMask::new(64, 40);
     draw::tapered_capsule(&mut mask, a, 2.0, b, 6.0);
     assert_eq!(mask, hybrid_binarize(&want, 128));
+}
+
+#[test]
+fn span_capsules_thinner_than_a_pixel_match_the_definition() {
+    // At most a pixel wide, with edges running exactly through rows or
+    // columns of pixel centres: those centres are covered, but no centre
+    // of their rows lies strictly inside the shape by the margins, so the
+    // rows have no certainly-covered interior and every pixel of each
+    // outer run is tested with the definition, the last one included.
+    let cases = [
+        // horizontal, 1 px wide: rows 19 and 20 lie on the two edges
+        ((2.0, 20.0), 0.5, (60.0, 20.0), 0.5),
+        // vertical, 1 px wide: columns 9 and 10 lie on the two edges
+        ((10.0, 2.0), 0.5, (10.0, 40.0), 0.5),
+        // tapering to a point on the row of centres y = 30.5
+        ((3.0, 30.0), 0.5, (66.0, 30.0), 0.0),
+        // half a pixel wide, one edge on the column of centres x = 40.5
+        ((40.25, 45.0), 0.25, (40.25, 3.0), 0.25),
+        // zero width along a row of centres
+        ((4.5, 10.5), 0.0, (50.5, 10.5), 0.0),
+        // thinner than a pixel at slopes no row or column runs along
+        ((3.2, 4.7), 0.4, (58.9, 31.3), 0.05),
+        ((66.0, 1.5), 0.3, (2.0, 44.0), 0.3),
+        ((33.3, 20.1), 1e-3, (34.1, 21.9), 0.45),
+    ];
+    for ((ax, ay), ra, (bx, by), rb) in cases {
+        let (a, b) = (Vec2::new(ax, ay), Vec2::new(bx, by));
+        assert_sinks_match_oracle(
+            (70, 48),
+            0,
+            |img| oracle_capsule(img, a, ra, b, rb, 255),
+            |img| draw::fill_tapered_capsule(img, a, ra, b, rb, 255),
+            |mask| draw::tapered_capsule(mask, a, ra, b, rb),
+        )
+        .unwrap_or_else(|e| panic!("capsule {a:?} {ra} {b:?} {rb}: {e:?}"));
+    }
+}
+
+#[test]
+fn span_capsules_leaving_the_frame_match_the_definition() {
+    // One or both ends outside the frame, on every side and far off it:
+    // the outer runs are clipped to the frame before any pixel is filled.
+    let dims = (65, 30);
+    let inside = Vec2::new(30.5, 14.25);
+    for far in [1.5, 40.0, 1e6, 1e13] {
+        for (dx, dy) in [
+            (-1.0, 0.0),
+            (1.0, 0.0),
+            (0.0, -1.0),
+            (0.0, 1.0),
+            (-1.0, -0.7),
+            (0.6, 1.0),
+        ] {
+            let out = inside + Vec2::new(dx, dy) * (far + 35.0);
+            let across = inside - Vec2::new(dx, dy) * (far + 35.0);
+            for (a, b) in [(inside, out), (out, inside), (out, across)] {
+                for (ra, rb) in [(4.0, 1.5), (0.7, 9.0), (6.0, 6.0)] {
+                    assert_sinks_match_oracle(
+                        dims,
+                        0,
+                        |img| oracle_capsule(img, a, ra, b, rb, 255),
+                        |img| draw::fill_tapered_capsule(img, a, ra, b, rb, 255),
+                        |mask| draw::tapered_capsule(mask, a, ra, b, rb),
+                    )
+                    .unwrap_or_else(|e| panic!("capsule {a:?} {ra} {b:?} {rb}: {e:?}"));
+                }
+            }
+        }
+    }
 }

@@ -8,8 +8,7 @@ use crate::timing::StageTimings;
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::threshold::{binarize_packed_into, otsu_threshold};
 use hdc_raster::{
-    largest_component_packed_lazy, largest_component_packed_with, BitMask, Component, Connectivity,
-    GrayImage, LabelScratch,
+    largest_component_packed_lazy, BitMask, Component, Connectivity, GrayImage, LabelScratch,
 };
 use hdc_sax::{IndexMatch, IndexMatchRef, QueryScratch, SaxIndex, SaxParams, SaxWord};
 use serde::{Deserialize, Serialize};
@@ -198,14 +197,22 @@ pub struct FrameScratch {
     /// Binarised frame, bit-packed. Crate-visible: the incremental gate
     /// diffs it against its cached mask and swaps it in on a miss.
     pub(crate) mask_bits: BitMask,
-    /// Isolated largest-component mask, bit-packed.
-    blob_bits: BitMask,
+    /// The silhouette stages' buffers, borrowed beside a mask they read.
+    blob: BlobScratch,
+    /// SAX query buffers.
+    query: QueryScratch,
+}
+
+/// The buffers of the silhouette stages that follow segmentation.
+#[derive(Debug, Clone)]
+struct BlobScratch {
+    /// Isolated largest-component mask, bit-packed: written only when the
+    /// segmented mask holds more than one component.
+    bits: BitMask,
     /// Connected-component labelling buffers.
     label: LabelScratch,
     /// Contour + signature buffers.
     sig: SignatureScratch,
-    /// SAX query buffers.
-    query: QueryScratch,
 }
 
 impl FrameScratch {
@@ -213,9 +220,11 @@ impl FrameScratch {
     pub fn new() -> Self {
         FrameScratch {
             mask_bits: BitMask::new(1, 1),
-            blob_bits: BitMask::new(1, 1),
-            label: LabelScratch::new(),
-            sig: SignatureScratch::new(),
+            blob: BlobScratch {
+                bits: BitMask::new(1, 1),
+                label: LabelScratch::new(),
+                sig: SignatureScratch::new(),
+            },
             query: QueryScratch::new(),
         }
     }
@@ -223,7 +232,7 @@ impl FrameScratch {
     /// The z-normalised signature series of the most recently recognised
     /// frame (empty before the first successful frame).
     pub fn signature_series(&self) -> &[f64] {
-        self.sig.series()
+        self.blob.sig.series()
     }
 }
 
@@ -267,16 +276,47 @@ impl RecognitionPipeline {
         self.index.len()
     }
 
-    /// The back half of the silhouette stages, continuing from the blob a
-    /// read (or the incremental gate) left in the scratch, or from
-    /// `whole`, a packed mask that is its own blob:
-    /// area floor → contour → signature. On success the signature series is
-    /// in `scratch.sig` and its metadata is returned.
+    /// The silhouette stages of every read, on an already-segmented packed
+    /// `mask`: one labelling, then, with `sign`, area floor → contour →
+    /// signature from its largest component. A mask whose only component
+    /// is that blob, the usual case, is traced where it is; otherwise the
+    /// blob is rebuilt into `blob.bits` first. On success the signature
+    /// series is in `blob.sig` and its metadata is returned.
+    fn silhouette(
+        &self,
+        mask: &BitMask,
+        blob: &mut BlobScratch,
+        sign: bool,
+        timings: &mut StageTimings,
+    ) -> (
+        Option<Component>,
+        Option<Result<SignatureStats, FrameFailure>>,
+    ) {
+        let t = Instant::now();
+        let largest = largest_component_packed_lazy(
+            mask,
+            Connectivity::Eight,
+            &mut blob.bits,
+            &mut blob.label,
+        );
+        timings.component_us = t.elapsed().as_micros() as u64;
+        let (component, copied) = match largest {
+            Some((c, copied)) => (Some(c), copied),
+            None => (None, false),
+        };
+        let whole = if copied { &blob.bits } else { mask };
+        let signed =
+            sign.then(|| self.blob_signature(component.as_ref(), whole, &mut blob.sig, timings));
+        (component, signed)
+    }
+
+    /// Area floor → contour → signature of the largest component `comp`,
+    /// which the packed mask `whole` holds alone.
     fn blob_signature(
         &self,
         comp: Option<&Component>,
-        whole: Option<&BitMask>,
-        scratch: &mut FrameScratch,
+        whole: &BitMask,
+        sig: &mut SignatureScratch,
         timings: &mut StageTimings,
     ) -> Result<SignatureStats, FrameFailure> {
         let Some(comp) = comp else {
@@ -290,13 +330,12 @@ impl RecognitionPipeline {
         }
 
         let t2 = Instant::now();
-        let traced =
-            trace_contour_packed_with(whole.unwrap_or(&scratch.blob_bits), &mut scratch.sig);
+        let traced = trace_contour_packed_with(whole, sig);
         timings.contour_us = t2.elapsed().as_micros() as u64;
         traced.map_err(FrameFailure::Signature)?;
 
         let t3 = Instant::now();
-        let stats = signature_from_contour(&mut scratch.sig, self.config.signature_len);
+        let stats = signature_from_contour(sig, self.config.signature_len);
         timings.signature_us = t3.elapsed().as_micros() as u64;
         Ok(stats)
     }
@@ -327,15 +366,15 @@ impl RecognitionPipeline {
     /// mask — a miss of the incremental gate hands the fresh mask it has
     /// just adopted straight to labelling: largest component → area floor →
     /// contour → signature.
-    /// On success the signature series is in `scratch.sig`.
+    /// On success the signature series is in the scratch.
     pub(crate) fn signature_stages_from_packed(
         &self,
         mask: &BitMask,
         scratch: &mut FrameScratch,
         timings: &mut StageTimings,
     ) -> Result<SignatureStats, FrameFailure> {
-        let comp = largest_packed(mask, &mut scratch.blob_bits, &mut scratch.label, timings);
-        self.blob_signature(comp.as_ref(), None, scratch, timings)
+        let (_, signed) = self.silhouette(mask, &mut scratch.blob, true, timings);
+        signed.expect("a signature was asked for")
     }
 
     /// Extracts a signature from a raw frame (enrollment path, untimed).
@@ -345,12 +384,14 @@ impl RecognitionPipeline {
     pub fn signature_of(&self, frame: &GrayImage) -> Result<ShapeSignature, SignatureError> {
         let mut scratch = FrameScratch::new();
         let mut timings = StageTimings::default();
-        let comp = self.read_with(&mut scratch, frame, false).component;
-        let stats = self
-            .blob_signature(comp.as_ref(), None, &mut scratch, &mut timings)
+        self.segment_packed(frame, self.segmentation_threshold(frame), &mut scratch);
+        let (_, signed) =
+            self.silhouette(&scratch.mask_bits, &mut scratch.blob, true, &mut timings);
+        let stats = signed
+            .expect("a signature was asked for")
             .map_err(FrameFailure::into_signature_error)?;
         Ok(ShapeSignature {
-            series: scratch.sig.series().to_vec(),
+            series: scratch.blob.sig.series().to_vec(),
             contour_len: stats.contour_len,
             centroid: stats.centroid,
             mean_radius: stats.mean_radius,
@@ -431,7 +472,7 @@ impl RecognitionPipeline {
             return RecognitionResult::empty(r.timings, failure.to_string());
         }
         let stats = r.stats.expect("successful frames carry signature stats");
-        let series = scratch.sig.series().to_vec();
+        let series = scratch.signature_series().to_vec();
         let word = self.index.encode(&series);
         RecognitionResult {
             decision: r.decision.map(str::to_owned),
@@ -488,13 +529,9 @@ impl RecognitionPipeline {
         let t = Instant::now();
         self.segment_packed(frame, self.segmentation_threshold(frame), scratch);
         timings.segment_us = t.elapsed().as_micros() as u64;
-        let component = largest_packed(
-            &scratch.mask_bits,
-            &mut scratch.blob_bits,
-            &mut scratch.label,
-            &mut timings,
-        );
-        self.read_from_blob(scratch, component, None, decide, timings)
+        let (component, signed) =
+            self.silhouette(&scratch.mask_bits, &mut scratch.blob, decide, &mut timings);
+        self.decide_from(scratch, component, signed, timings)
     }
 
     /// [`RecognitionPipeline::read_with`] of a frame that arrives already
@@ -523,43 +560,28 @@ impl RecognitionPipeline {
             self.config
         );
         let mut timings = StageTimings::default();
-        let t = Instant::now();
-        let largest = largest_component_packed_lazy(
-            mask,
-            Connectivity::Eight,
-            &mut scratch.blob_bits,
-            &mut scratch.label,
-        );
-        timings.component_us = t.elapsed().as_micros() as u64;
-        let (component, whole) = match largest {
-            Some((c, copied)) => (Some(c), (!copied).then_some(mask)),
-            None => (None, None),
-        };
-        self.read_from_blob(scratch, component, whole, decide, timings)
+        let (component, signed) = self.silhouette(mask, &mut scratch.blob, decide, &mut timings);
+        self.decide_from(scratch, component, signed, timings)
     }
 
-    /// The shared back of both reads: with `decide`, continue from the blob
-    /// `component` (left in the scratch, or `whole`) through area floor →
-    /// contour → signature → SAX match.
-    fn read_from_blob<'a>(
+    /// The shared back of both reads: the SAX match and decision on a
+    /// signature the silhouette stages computed, if they were asked to.
+    fn decide_from<'a>(
         &'a self,
         scratch: &mut FrameScratch,
         component: Option<Component>,
-        whole: Option<&BitMask>,
-        decide: bool,
-        mut timings: StageTimings,
+        signed: Option<Result<SignatureStats, FrameFailure>>,
+        timings: StageTimings,
     ) -> FrameRead<'a> {
-        let result = decide.then(|| {
-            match self.blob_signature(component.as_ref(), whole, scratch, &mut timings) {
-                Ok(stats) => self.classify_pass(scratch, stats, timings),
-                Err(failure) => FrameResult::failed(timings, failure),
-            }
+        let result = signed.map(|signed| match signed {
+            Ok(stats) => self.classify_pass(scratch, stats, timings),
+            Err(failure) => FrameResult::failed(timings, failure),
         });
         FrameRead { component, result }
     }
 
     /// The back half of [`RecognitionPipeline::recognize_with`]: SAX search
-    /// over the signature already sitting in `scratch.sig`, then the
+    /// over the signature already sitting in the scratch, then the
     /// acceptance-threshold + ambiguity-ratio decision. Split out so the
     /// temporal gate ([`crate::temporal`]) can run it after the signature
     /// stages on its own cached mask.
@@ -572,7 +594,7 @@ impl RecognitionPipeline {
         let t = Instant::now();
         let matched = self
             .index
-            .best_two_with(scratch.sig.series(), &mut scratch.query);
+            .best_two_with(scratch.blob.sig.series(), &mut scratch.query);
         timings.classify_us = t.elapsed().as_micros() as u64;
 
         let (best, runner_up) = match matched {
@@ -599,20 +621,6 @@ impl RecognitionPipeline {
             failure: None,
         }
     }
-}
-
-/// The packed tail of segmentation: the largest 8-connected component of
-/// an already-segmented packed `mask`, isolated into `blob`.
-fn largest_packed(
-    mask: &BitMask,
-    blob: &mut BitMask,
-    label: &mut LabelScratch,
-    timings: &mut StageTimings,
-) -> Option<Component> {
-    let t = Instant::now();
-    let comp = largest_component_packed_with(mask, Connectivity::Eight, blob, label);
-    timings.component_us = t.elapsed().as_micros() as u64;
-    comp
 }
 
 #[cfg(test)]

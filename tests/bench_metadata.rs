@@ -236,3 +236,70 @@ fn sessions_bench_ladder_rungs_carry_their_spread() {
         );
     }
 }
+
+#[test]
+fn sessions_bench_idle_mission_carries_its_spread() {
+    // Each scheduler mode of the idle mission is timed over repeats, so a
+    // scheduler change is judged against the spread, not one wall time.
+    let bench = std::fs::read_to_string(repo_root().join("BENCH_sessions.json"))
+        .expect("committed BENCH_sessions.json");
+    for mode in ["lockstep", "event_driven"] {
+        let line = bench
+            .lines()
+            .find(|l| l.trim_start().starts_with(&format!("\"{mode}\": {{")))
+            .unwrap_or_else(|| panic!("BENCH_sessions.json: no idle-mission {mode} row"));
+        spread(line, "wall_ms")
+            .unwrap_or_else(|| panic!("BENCH_sessions.json {mode}: no wall_ms median/min/max"));
+        let repeats: u32 = raw_value(line, "repeats")
+            .and_then(|r| r.parse().ok())
+            .unwrap_or_else(|| panic!("BENCH_sessions.json {mode}: no repeats"));
+        assert!(
+            repeats >= 5,
+            "BENCH_sessions.json {mode}: {repeats} repeats"
+        );
+    }
+}
+
+#[test]
+fn recognize_bench_rows_carry_their_spread() {
+    // The resolution sweep and every kernel row are timed over repeats;
+    // each speed-up is a ratio taken within one repeat.
+    let bench = std::fs::read_to_string(repo_root().join("BENCH_recognize.json"))
+        .expect("committed BENCH_recognize.json");
+    let repeats: u32 = raw_value(&bench, "repeats")
+        .and_then(|r| r.parse().ok())
+        .expect("BENCH_recognize.json: no repeats");
+    assert!(repeats >= 5, "BENCH_recognize.json: {repeats} repeats");
+    let resolutions: Vec<&str> = bench.split("\"width\":").skip(1).collect();
+    assert_eq!(
+        resolutions.len(),
+        3,
+        "BENCH_recognize.json: three resolutions"
+    );
+    for block in resolutions {
+        let width = raw_value(&format!("\"width\":{block}"), "width").expect("width");
+        for key in [
+            "seed_ms_per_frame",
+            "hybrid_ms_per_frame",
+            "hybrid_fps",
+            "speedup_hybrid",
+        ] {
+            spread(block, key).unwrap_or_else(|| {
+                panic!("BENCH_recognize.json width {width}: no {key} median/min/max")
+            });
+        }
+    }
+    let kernels: Vec<&str> = bench
+        .lines()
+        .filter(|l| l.contains("\"kernel\":"))
+        .collect();
+    assert!(!kernels.is_empty(), "BENCH_recognize.json: no kernel rows");
+    for line in kernels {
+        let kernel = raw_value(line, "kernel").expect("kernel name");
+        for key in ["byte_ns_per_frame", "packed_ns_per_frame", "speedup"] {
+            spread(line, key).unwrap_or_else(|| {
+                panic!("BENCH_recognize.json kernel {kernel}: no {key} median/min/max")
+            });
+        }
+    }
+}
