@@ -16,13 +16,14 @@
 //!   numbers.
 //! * default output path: `BENCH_recognize.json` in the current directory.
 //!
-//! The sweep and the kernel pass each repeat (5 times, 2 in smoke), and
-//! every row reports median/min/max over the repeats; a speed-up is the
-//! ratio of two timings taken in the same repeat.
+//! The sweep, Figure 4's 0°/65° pair ([`run_fig4`]) and the kernel
+//! pass each repeat (5 times, 2 in smoke), and every row reports
+//! median/min/max over the repeats; a speed-up or ratio is taken between
+//! two timings of the same repeat.
 
 use hdc_bench::kernels::{run_kernel_bench, spread_kernels};
 use hdc_bench::report::{num, Spread, Table};
-use hdc_bench::throughput::{run_sweep, spread_sweep, to_json};
+use hdc_bench::throughput::{run_fig4, run_sweep, spread_sweep, to_json};
 
 /// `median [min, max]` of a spread.
 fn cell(s: &Spread, prec: usize) -> String {
@@ -74,6 +75,15 @@ fn main() {
     println!("median [min, max] over {repeats} repeats");
     println!("{}", table.render());
 
+    let (rounds, batch) = if smoke { (2, 1) } else { (20, 100) };
+    let fig4 = run_fig4(repeats, rounds, batch);
+    let mut ft = Table::new(["azimuth", "ns/frame"]);
+    ft.row(["0 deg".to_string(), cell(&fig4.ns_0, 0)]);
+    ft.row(["65 deg".to_string(), cell(&fig4.ns_65, 0)]);
+    ft.row(["65/0 ratio".to_string(), cell(&fig4.ratio, 2)]);
+    println!("\nFigure 4 ('No', altitude 5 m, distance 3 m, 640x480):");
+    println!("{}", ft.render());
+
     let kernel_results = if kernels_mode {
         let iters = if smoke { 1 } else { 200 };
         let rows: Vec<_> = (0..repeats)
@@ -96,7 +106,7 @@ fn main() {
         Vec::new()
     };
 
-    let json = to_json(&results, &kernel_results, repeats);
+    let json = to_json(&results, &fig4, &kernel_results, repeats);
     std::fs::write(&out_path, &json).expect("write benchmark report");
     println!("wrote {out_path}");
 }

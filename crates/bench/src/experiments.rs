@@ -356,10 +356,11 @@ pub fn e4_latency() -> String {
          i7-7660U), with the expectation that native code reaches 30 fps and 60 fps\n\
          with offloading. Measured: the Rust pipeline clears both budgets by a wide\n\
          margin. The paper's oblique-cheaper ordering survives in the contour and\n\
-         signature stages (the 65 deg contour is ~40% shorter, see E1); the\n\
-         end-to-end totals sit so close that fixed-resolution segmentation and\n\
-         labelling dominate and the gap falls into scheduler noise. See also the\n\
-         Criterion bench fig4_no_sign.\n",
+         signature stages (the 65 deg contour is ~40% shorter, see E1); in the\n\
+         end-to-end totals fixed-resolution segmentation and labelling dominate,\n\
+         so the gap is a few percent, below this table's resolution. The fig4\n\
+         rows of bench_recognize (BENCH_recognize.json) time both frames\n\
+         interleaved and commit the same-repeat 65/0 ratio with its spread.\n",
     );
     out
 }

@@ -4,8 +4,9 @@
 //! experiment function here (see `DESIGN.md` for the index). The
 //! `run_experiments` binary prints them; `EXPERIMENTS.md` archives a run.
 //!
-//! Criterion benches (latency/throughput, E4/E10/E11 timing halves) live in
-//! `benches/`.
+//! Timings are committed by the `bench_*` binaries, each row as
+//! median/min/max over repeats: the paper's one timing claim (Figure 4,
+//! E4) is [`throughput::run_fig4`], committed by `bench_recognize`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

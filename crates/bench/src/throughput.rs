@@ -18,18 +18,21 @@
 //! The `bench_recognize` binary repeats the sweep, reduces the repeats to
 //! median/min/max per resolution ([`spread_sweep`]) and writes
 //! `BENCH_recognize.json`, so the numbers are committed alongside the code
-//! they measure, with their spread.
+//! they measure, with their spread. The same file carries the timing half
+//! of the paper's Figure 4 ([`run_fig4`]).
 
 use crate::frames::sign_stream;
 pub use crate::frames::{benchmark_pipeline, RESOLUTIONS};
 use crate::kernels::KernelSpread;
 use crate::report::Spread;
+use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::contour::{contour_centroid, trace_outer_contour};
 use hdc_raster::threshold::binarize;
 use hdc_raster::{label_components_bfs, Bitmap, Connectivity, GrayImage};
 use hdc_timeseries::{resample, TimeSeries};
 use hdc_vision::{FrameScratch, RecognitionPipeline, SegmentationMode, MIN_CONTOUR_POINTS};
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Throughput of one implementation at one resolution.
@@ -265,10 +268,64 @@ pub fn run_sweep(min_frames: usize, min_seconds: f64) -> Vec<ResolutionResult> {
         .collect()
 }
 
-/// Renders the sweep's spread over `repeats` repeats as the JSON document
-/// committed at `BENCH_recognize.json` (hand-rolled: the workspace
-/// intentionally has no JSON-serialisation dependency).
-pub fn to_json(results: &[ResolutionSpread], kernels: &[KernelSpread], repeats: usize) -> String {
+/// Figure 4's timing half over the repeats: ns per `recognize_with` call
+/// on the "No" sign at 0° and 65° (altitude 5 m, distance 3 m, 640×480).
+/// The paper reports 38 ms against 27 ms: the oblique frame, with its
+/// shorter contour, is the cheaper one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fig4Spread {
+    /// ns per frame at 0°.
+    pub ns_0: Spread,
+    /// ns per frame at 65°.
+    pub ns_65: Spread,
+    /// 65° over 0°, each taken within one repeat.
+    pub ratio: Spread,
+}
+
+/// Times Figure 4's pair `repeats` times. Each repeat runs `rounds` rounds
+/// of `batch` calls per azimuth, the azimuth that goes first alternating
+/// by round, so a host speed spell lands on both frames.
+pub fn run_fig4(repeats: usize, rounds: usize, batch: usize) -> Fig4Spread {
+    let pipeline = benchmark_pipeline();
+    let frames = [0.0, 65.0]
+        .map(|az| render_sign(MarshallingSign::No, &ViewSpec::paper_default(az, 5.0, 3.0)));
+    let mut scratch = FrameScratch::new();
+    for frame in &frames {
+        black_box(pipeline.recognize_with(&mut scratch, frame)); // warm-up
+    }
+    let per_repeat: Vec<[f64; 2]> = (0..repeats)
+        .map(|_| {
+            let mut ns = [0u128; 2];
+            for round in 0..rounds {
+                for k in 0..2 {
+                    let i = (round + k) % 2;
+                    let start = Instant::now();
+                    for _ in 0..batch {
+                        black_box(pipeline.recognize_with(&mut scratch, black_box(&frames[i])));
+                    }
+                    ns[i] += start.elapsed().as_nanos();
+                }
+            }
+            ns.map(|t| t as f64 / (rounds * batch) as f64)
+        })
+        .collect();
+    let of = |f: fn(&[f64; 2]) -> f64| Spread::of(per_repeat.iter().map(f).collect());
+    Fig4Spread {
+        ns_0: of(|r| r[0]),
+        ns_65: of(|r| r[1]),
+        ratio: of(|r| r[1] / r[0]),
+    }
+}
+
+/// Renders the sweep's and Figure 4's spreads over `repeats` repeats as the
+/// JSON document committed at `BENCH_recognize.json` (hand-rolled: the
+/// workspace intentionally has no JSON-serialisation dependency).
+pub fn to_json(
+    results: &[ResolutionSpread],
+    fig4: &Fig4Spread,
+    kernels: &[KernelSpread],
+    repeats: usize,
+) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"benchmark\": \"RecognitionPipeline sustained recognition throughput\",\n");
@@ -276,6 +333,7 @@ pub fn to_json(results: &[ResolutionSpread], kernels: &[KernelSpread], repeats: 
     s.push_str("    \"stream\": \"3 marshalling signs x 3 azimuths (0/10/20 deg), altitude 5 m, distance 3 m\",\n");
     s.push_str("    \"seed\": \"allocating binarize + BFS labelling + allocating signature + unpruned naive-rotation best_two (reference oracles)\",\n");
     s.push_str("    \"hybrid\": \"recognize_with(FrameScratch): binarise straight into bit-packed silhouette words (64 px per u64), word-parallel labelling/contour kernels, MINDIST-pruned search, FFT rotation distance, zero steady-state allocation\",\n");
+    s.push_str("    \"fig4\": \"Figure 4 timing: recognize_with on the 'No' sign at azimuth 0 and 65 deg, altitude 5 m, distance 3 m, 640x480; per repeat, rounds of one batch of calls per azimuth, the azimuth that goes first alternating by round; the ratio is 65 over 0 within each repeat\",\n");
     s.push_str("    \"timing\": \"per repeat: one untimed warm-up cycle, then whole cycles until the frame and wall-clock floors are both met; the sweep and the kernel pass each repeat, and every row reports median/min/max over the repeats, its speed-up as the ratio within each repeat\"\n");
     s.push_str("  },\n");
     let _ = writeln!(s, "  \"repeats\": {repeats},");
@@ -297,11 +355,18 @@ pub fn to_json(results: &[ResolutionSpread], kernels: &[KernelSpread], repeats: 
             if i + 1 < results.len() { "," } else { "" }
         );
     }
+    s.push_str("  ],\n");
+    let _ = write!(
+        s,
+        "  \"fig4\": {{\n    \"azimuth_0_ns_per_frame\": {},\n    \"azimuth_65_ns_per_frame\": {},\n    \"ratio_65_over_0\": {}\n  }}",
+        fig4.ns_0.json(0),
+        fig4.ns_65.json(0),
+        fig4.ratio.json(2)
+    );
     if kernels.is_empty() {
-        s.push_str("  ]\n}\n");
+        s.push_str("\n}\n");
     } else {
-        s.push_str("  ],\n");
-        s.push_str("  \"kernels\": [\n");
+        s.push_str(",\n  \"kernels\": [\n");
         for (i, k) in kernels.iter().enumerate() {
             let _ = writeln!(
                 s,
@@ -376,17 +441,24 @@ mod tests {
         let sweep = spread_sweep(&[vec![r], vec![r]]);
         assert_eq!(sweep[0].seed_counts, (180, 160), "counts sum over repeats");
         let kernels = crate::kernels::spread_kernels(&[vec![k], vec![k]]);
-        let json = to_json(&sweep, &kernels, 2);
+        let ratio = Spread::of(vec![0.75]);
+        let fig4 = Fig4Spread {
+            ns_0: ratio,
+            ns_65: ratio,
+            ratio,
+        };
+        let json = to_json(&sweep, &fig4, &kernels, 2);
         assert!(json.contains("\"width\": 320"));
         assert!(json.contains("\"repeats\": 2"));
         assert!(json.contains("\"speedup_hybrid\": {\"median\": 1.00"));
         assert!(!json.contains("packed_fps"));
         assert!(!json.contains("byte_fps"));
+        assert!(json.contains("\"ratio_65_over_0\": {\"median\": 0.75"));
         assert!(json.contains("\"kernel\": \"binarize\""));
         assert!(json.contains("\"speedup\": {\"median\": 4.00"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
 
-        let no_kernels = to_json(&sweep, &[], 2);
+        let no_kernels = to_json(&sweep, &fig4, &[], 2);
         assert!(!no_kernels.contains("\"kernels\""));
         assert_eq!(
             no_kernels.matches('{').count(),

@@ -47,11 +47,10 @@ use hdc_link::{
 };
 use hdc_vision::dynamic::{DynamicDecision, DynamicRecognizer};
 use hdc_vision::{DecisionFilter, RecognitionPipeline};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One observer drone of the cohort.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObserverSpec {
     /// Counter-clockwise ground-plane offset from the owner's position
     /// around the human, radians. An observer offset by the dead-angle
@@ -76,7 +75,7 @@ impl ObserverSpec {
 }
 
 /// Cohort parameters, installed in `SessionConfig::cohort`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CohortConfig {
     /// The observers on station (fixed capacity: up to two, so the config
     /// stays `Copy` like the rest of `SessionConfig`).
@@ -147,7 +146,7 @@ impl CohortConfig {
 }
 
 /// A message an observer relays to the session owner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RelayMsg {
     /// The observer's recognition stack confirmed this static sign.
     Vote(MarshallingSign),
@@ -156,7 +155,7 @@ pub enum RelayMsg {
 }
 
 /// What one finished session's cohort did — part of the session report.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CohortReport {
     /// Observers configured.
     pub observers: usize,

@@ -20,11 +20,10 @@ use hdc_link::{
     ChannelStats, Endpoint, EndpointConfig, EndpointStats, Frame, LeaseConfig, LinkQuality,
     LossyChannel,
 };
-use serde::{Deserialize, Serialize};
 
 /// Datalink parameters: one impairment model per direction plus the shared
 /// transport and lease tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatalinkConfig {
     /// Drone → supervisor direction (negotiation events).
     pub uplink: LinkQuality,
@@ -55,7 +54,7 @@ impl DatalinkConfig {
 
 /// A drone-side negotiation event carried over the uplink. Each variant
 /// maps onto exactly one `NegotiationMachine` handler at the supervisor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkEvent {
     /// The drone reached the contact point.
     Arrived,
@@ -71,7 +70,7 @@ pub enum LinkEvent {
 }
 
 /// What one finished session's link carried — part of the session report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkReport {
     /// Uplink (events) channel statistics.
     pub up: ChannelStats,

@@ -8,11 +8,10 @@
 
 use hdc_drone::PatternKind;
 use hdc_figure::MarshallingSign;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What the drone means by a communicative motion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DroneIntent {
     /// "I want your attention" (poke).
     RequestAttention,
@@ -46,7 +45,7 @@ impl fmt::Display for DroneIntent {
 }
 
 /// What the human means by a marshalling sign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HumanIntent {
     /// "You have my attention" (both hands before the face).
     GrantAttention,

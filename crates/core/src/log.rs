@@ -3,11 +3,10 @@
 use crate::protocol::{NegotiationState, ProtocolAction};
 use hdc_drone::{DroneEvent, PatternKind};
 use hdc_figure::MarshallingSign;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One entry in a session log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogEntry {
     /// The protocol state machine changed state.
     StateChanged {
@@ -47,7 +46,7 @@ impl fmt::Display for LogEntry {
 }
 
 /// A timestamped sequence of [`LogEntry`] values.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventLog {
     entries: Vec<(f64, LogEntry)>,
 }

@@ -8,11 +8,10 @@
 //! trigger aborts immediately with the all-red ring and a landing.
 
 use hdc_figure::MarshallingSign;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Tunable protocol parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NegotiationConfig {
     /// Seconds to wait for the attention-gained sign after a poke.
     pub attention_timeout_s: f64,
@@ -41,7 +40,7 @@ impl Default for NegotiationConfig {
 }
 
 /// States of the negotiation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NegotiationState {
     /// Not yet started.
     Idle,
@@ -97,7 +96,7 @@ impl NegotiationState {
 }
 
 /// Final outcome classification (for experiment statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SessionOutcome {
     /// Access granted (Yes).
     Granted,
@@ -125,7 +124,7 @@ impl fmt::Display for SessionOutcome {
 }
 
 /// Actions the machine asks its host (the drone) to perform.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolAction {
     /// Fly to the contact point at safe distance from the collaborator.
     FlyToContact,
@@ -181,7 +180,7 @@ impl fmt::Display for ProtocolAction {
 /// let actions = m.on_sign(Some(MarshallingSign::AttentionGained), 5.0);
 /// assert_eq!(actions, vec![ProtocolAction::ExecuteRectangle]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NegotiationMachine {
     config: NegotiationConfig,
     state: NegotiationState,

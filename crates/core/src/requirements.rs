@@ -7,11 +7,10 @@
 //! verifies it — so the test suite and the documentation can cross-reference
 //! the same table.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable identifier of a requirement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequirementId(pub u8);
 
 impl fmt::Display for RequirementId {
@@ -21,7 +20,7 @@ impl fmt::Display for RequirementId {
 }
 
 /// One derived requirement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Requirement {
     /// Stable id.
     pub id: RequirementId,
@@ -88,7 +87,8 @@ pub const REQUIREMENTS: &[Requirement] = &[
         story: "cost-conscious orchard operator",
         description: "sign recognition runs on low-cost hardware: computationally cheap \
                       (SAX) and within real-time budgets (≥30 fps)",
-        verified_by: "hdc-vision timing instrumentation; benches fig4_no_sign, pipeline_throughput",
+        verified_by:
+            "hdc-vision timing instrumentation; bench_recognize (Figure 4 rows, resolution sweep)",
     },
     Requirement {
         id: RequirementId(9),

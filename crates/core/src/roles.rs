@@ -7,11 +7,10 @@
 //! stochastic human agents used by the protocol experiments.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three user-story characters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Role {
     /// Orchard supervisor: well trained in the sign language.
     Supervisor,
@@ -80,7 +79,7 @@ impl fmt::Display for Role {
 }
 
 /// Degree of training in the sign language.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TrainingLevel {
     /// Knows all signs and the protocol.
     Trained,
@@ -91,7 +90,7 @@ pub enum TrainingLevel {
 }
 
 /// Behavioural parameters of a role (used by the stochastic human agent).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoleProfile {
     /// Probability of noticing and responding to a poke.
     pub attend_probability: f64,

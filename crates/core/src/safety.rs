@@ -7,11 +7,10 @@
 
 use hdc_drone::DroneState;
 use hdc_geometry::Vec2;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A detected safety violation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SafetyViolation {
     /// Drone closer to the human than the minimum separation without
     /// granted access.
@@ -56,7 +55,7 @@ impl fmt::Display for SafetyViolation {
 }
 
 /// The safety monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SafetyMonitor {
     /// Minimum horizontal drone-human separation without granted access, m.
     pub min_separation_m: f64,

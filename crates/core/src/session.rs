@@ -28,14 +28,13 @@ use hdc_raster::GrayImage;
 use hdc_vision::RecognitionPipeline;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// What a scripted human does when they read a drone pattern — the
 /// deterministic (RNG-free) alternative to the stochastic role profiles,
 /// used by failure-mode tests and the scenario harness so that behavioural
 /// assertions cannot silently depend on a hand-tuned seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScriptedResponse {
     /// Hold this static sign.
     Sign(MarshallingSign),
@@ -50,7 +49,7 @@ pub enum ScriptedResponse {
 /// exactly as specified, after exactly `latency_s` seconds, facing the drone
 /// exactly (no facing error, no pose jitter) — the session RNG is never
 /// consulted for human behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HumanScript {
     /// Response to a perceived poke.
     pub on_poke: ScriptedResponse,
@@ -150,7 +149,7 @@ pub trait SessionFaults: std::fmt::Debug {
 }
 
 /// Session parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionConfig {
     /// The human collaborator's role (drives response behaviour).
     pub role: Role,
@@ -249,7 +248,7 @@ impl SessionConfig {
 }
 
 /// What a finished session reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SessionReport {
     /// Final outcome.
     pub outcome: SessionOutcome,

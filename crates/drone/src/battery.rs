@@ -4,10 +4,8 @@
 //! distance" as an open issue for the LED ring; the energy model lets the
 //! experiments account for signalling and flight power together.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple energy-integral battery model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatteryModel {
     capacity_wh: f64,
     remaining_wh: f64,

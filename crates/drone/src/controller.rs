@@ -2,10 +2,9 @@
 
 use crate::kinematics::DroneState;
 use hdc_geometry::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A proportional controller producing velocity commands toward a waypoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaypointController {
     /// Proportional gain (1/s): commanded speed per metre of error.
     pub gain: f64,

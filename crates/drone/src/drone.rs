@@ -9,10 +9,9 @@ use crate::wind::WindModel;
 use hdc_geometry::Vec3;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a simulated drone.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DroneConfig {
     /// Platform limits.
     pub limits: KinematicsLimits,
@@ -43,7 +42,7 @@ impl Default for DroneConfig {
 }
 
 /// Discrete events emitted by the drone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DroneEvent {
     /// Rotors spun up.
     RotorsStarted,

@@ -15,14 +15,13 @@
 use crate::kinematics::DroneState;
 use hdc_geometry::Vec3;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Standard gravity, m/s².
 pub const GRAVITY: f64 = 9.80665;
 
 /// One IMU sample: specific force and angular rate in the body frame
 /// (yaw-only attitude in this simulator, so the frame share z with world).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImuSample {
     /// Specific force (accelerometer), m/s². Hovering reads ≈ +g on z.
     pub accel: Vec3,
@@ -121,7 +120,7 @@ impl Imu {
 /// IMU alone cannot hold the climbing/descending estimate — the barometer
 /// supplies the direct vertical-velocity observation a real flight stack
 /// fuses in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Barometer {
     /// Altitude noise standard deviation, metres.
     pub noise_m: f64,
@@ -149,7 +148,7 @@ impl Barometer {
 }
 
 /// The flight state derived from sensing (what the lights should indicate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlightState {
     /// On the ground, rotors stopped.
     Grounded,
@@ -168,7 +167,7 @@ pub enum FlightState {
 /// Integrates vertical specific force (minus gravity) into a vertical
 /// velocity estimate with a leaky integrator (suppresses bias drift), plus
 /// a horizontal acceleration activity detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlightStateEstimator {
     vertical_velocity: f64,
     horizontal_activity: f64,

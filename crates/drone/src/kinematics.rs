@@ -1,10 +1,9 @@
 //! Point-mass drone kinematics with acceleration and speed limits.
 
 use hdc_geometry::{signed_angle_diff, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Instantaneous state of the drone.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DroneState {
     /// World position (z = altitude above ground), metres.
     pub position: Vec3,
@@ -45,7 +44,7 @@ impl Default for DroneState {
 }
 
 /// Physical limits of the platform (H520-class hexacopter defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KinematicsLimits {
     /// Maximum horizontal speed, m/s.
     pub max_speed: f64,
@@ -71,7 +70,7 @@ impl Default for KinematicsLimits {
 /// Velocity-command kinematics: the flight controller requests a velocity
 /// and a yaw rate; the model applies acceleration limits, speed caps and a
 /// ground constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Kinematics {
     limits: KinematicsLimits,
 }

@@ -14,14 +14,13 @@
 
 use hdc_geometry::normalize_angle;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of LEDs on the all-round ring.
 pub const RING_LED_COUNT: usize = 10;
 
 /// Colour of one tri-colour LED.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LedColor {
     /// LED off.
     Off,
@@ -46,7 +45,7 @@ impl fmt::Display for LedColor {
 }
 
 /// Operating mode of the ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LedMode {
     /// All LEDs extinguished (rotors stopped after landing, Figure 2 step 3).
     Off,
@@ -60,7 +59,7 @@ pub enum LedMode {
 
 /// The colours of all ring LEDs at one instant, indexed clockwise from the
 /// nose (LED 0 at body azimuth 0°, 36° apart).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingSnapshot {
     /// Colour per LED.
     pub leds: [LedColor; RING_LED_COUNT],
@@ -86,7 +85,7 @@ impl fmt::Display for RingSnapshot {
 }
 
 /// The 10-LED all-round ring.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LedRing {
     mode: LedMode,
     /// Brightness 0–1 (feeds the battery model; the paper flags illumination
@@ -170,7 +169,7 @@ impl Default for LedRing {
 pub const VERTICAL_LED_COUNT: usize = 5;
 
 /// Direction of the vertical-array animation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VerticalAnimation {
     /// Bottom→top sweep: taking off.
     TakeOff,
@@ -180,7 +179,7 @@ pub enum VerticalAnimation {
 
 /// The vertical LED array on the drone's legs (discarded in the paper after
 /// user feedback; kept here for experiment E9).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerticalArray {
     animation: VerticalAnimation,
     /// Sweep period, seconds.

@@ -9,11 +9,10 @@
 //! [`PatternClassifier`] is the watching human.
 
 use hdc_geometry::{signed_angle_diff, Vec2, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A timestamped pose sample along a trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedPose {
     /// Time since the pattern started, seconds.
     pub t: f64,
@@ -24,7 +23,7 @@ pub struct TimedPose {
 }
 
 /// An executed flight trajectory.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trajectory {
     samples: Vec<TimedPose>,
 }
@@ -71,7 +70,7 @@ impl FromIterator<TimedPose> for Trajectory {
 }
 
 /// The seven flight patterns of the drone→human language.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FlightPattern {
     /// Vertical lift-off to flying height (standard).
     TakeOff {
@@ -104,7 +103,7 @@ pub enum FlightPattern {
 }
 
 /// Pattern identity without parameters (classifier output).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PatternKind {
     /// Vertical climb.
     TakeOff,
@@ -153,7 +152,7 @@ impl fmt::Display for PatternKind {
 }
 
 /// Generates the analytic reference trajectory of each pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternExecutor {
     /// Sampling interval, seconds.
     pub dt: f64,
@@ -317,7 +316,7 @@ impl PatternExecutor {
 ///
 /// Feature-based: net and oscillatory motion in the vertical, horizontal and
 /// yaw axes. The features are deliberately the ones a person can see.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternClassifier {
     /// Minimum net altitude change to read climb/descent, metres.
     pub vertical_net_threshold: f64,

@@ -11,11 +11,10 @@
 
 use crate::led::VerticalAnimation;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The hue the whole ring pulses with during a vertical manoeuvre.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StatusHue {
     /// Pulsing green: taking off (leaving the ground, gaining energy).
     TakeOffGreen,
@@ -52,7 +51,7 @@ impl StatusHue {
 }
 
 /// The RGB status signal: the ring pulses a single hue at `pulse_hz`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RgbStatusSignal {
     hue: StatusHue,
     /// Pulse frequency, Hz (brightness modulation — attention without

@@ -7,12 +7,11 @@
 
 use hdc_geometry::Vec3;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Mean wind plus sinusoidal gusting with random phase noise — a cheap
 /// stand-in for a Dryden-style turbulence model that still produces
 /// correlated, bounded gusts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindModel {
     /// Steady wind vector, m/s.
     pub mean: Vec3,

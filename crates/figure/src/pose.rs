@@ -1,7 +1,6 @@
 //! Poses: joint angles for the marshalling signs and distractor postures.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The static marshalling signs of the paper's human→drone language
@@ -11,7 +10,7 @@ use std::fmt;
 ///   (the "human-reflex" sign acknowledging the drone's poke),
 /// * [`MarshallingSign::Yes`] — both arms straight up (Swiss emergency "Y"),
 /// * [`MarshallingSign::No`] — one arm up, one arm down (the diagonal).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MarshallingSign {
     /// Both forearms raised in front of the face: "you have my attention".
     AttentionGained,
@@ -53,7 +52,7 @@ impl fmt::Display for MarshallingSign {
 /// * `abduction` — angle of the upper arm from "straight down": `0` hangs at
 ///   the side, `π/2` points horizontally outward, `π` points straight up.
 /// * `elbow_flexion` — in-plane bend of the forearm toward the midline/head.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pose {
     /// Left-arm abduction angle.
     pub left_abduction: f64,

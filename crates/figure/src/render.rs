@@ -5,12 +5,11 @@ use crate::skeleton::{BodyPart, Signaller};
 use hdc_geometry::{CameraIntrinsics, PinholeCamera, Vec2, Vec3};
 use hdc_raster::draw::{self, SpanSink};
 use hdc_raster::GrayImage;
-use serde::{Deserialize, Serialize};
 
 /// The viewing geometry of one frame, in the paper's own parameters:
 /// relative azimuth, drone altitude and horizontal distance (Figure 4 uses
 /// altitude 5 m, distance 3 m, azimuth 0° and 65°).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ViewSpec {
     /// Relative azimuth of the drone with respect to the signaller's facing
     /// direction, in degrees: 0° is full-on, 90° is a pure side view.

@@ -2,13 +2,12 @@
 
 use crate::pose::Pose;
 use hdc_geometry::{Capsule3, Mat3, Sphere3, Vec2, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Anthropometric dimensions of the signaller, in metres.
 ///
 /// Defaults approximate a 1.8 m adult. The silhouette is a union of capsules
 /// (limbs, torso) and a sphere (head).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BodyDimensions {
     /// Height of the hip line above ground.
     pub hip_height: f64,
@@ -108,7 +107,7 @@ impl Default for BodyDimensions {
 }
 
 /// One solid of the signaller's body.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BodyPart {
     /// A capsule limb or torso segment.
     Capsule(Capsule3),
@@ -131,7 +130,7 @@ pub enum BodyPart {
 /// let parts = s.body_parts();
 /// assert_eq!(parts.len(), 9); // torso, girdle, head, 2 legs, 2×2 arm segments
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Signaller {
     position: Vec2,
     heading: f64,

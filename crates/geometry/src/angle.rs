@@ -4,7 +4,6 @@
 //! angle); controllers work in radians. The [`Degrees`] / [`Radians`]
 //! newtypes keep the two from being confused (C-NEWTYPE).
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{PI, TAU};
 use std::fmt;
 
@@ -17,11 +16,11 @@ use std::fmt;
 /// let r: Radians = d.to_radians();
 /// assert!((r.value() - std::f64::consts::PI).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Degrees(f64);
 
 /// An angle expressed in radians.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Radians(f64);
 
 impl Degrees {

@@ -5,7 +5,6 @@
 //! top-left pixel, `u` rightward, `v` downward.
 
 use crate::{Capsule3, Iso3, Mat3, Sphere3, Vec2, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Intrinsic camera parameters.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let intr = CameraIntrinsics::new(640, 480, 500.0);
 /// assert_eq!(intr.principal_point().x, 320.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraIntrinsics {
     width: u32,
     height: u32,
@@ -68,7 +67,7 @@ impl CameraIntrinsics {
 }
 
 /// Perspective projection of a sphere: a disk in the image plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProjectedDisk {
     /// Disk centre in pixels.
     pub center: Vec2,
@@ -79,7 +78,7 @@ pub struct ProjectedDisk {
 }
 
 /// Perspective projection of a capsule: a tapered 2-D capsule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProjectedCapsule {
     /// Projection of endpoint `a` in pixels.
     pub a: Vec2,
@@ -95,7 +94,7 @@ pub struct ProjectedCapsule {
 ///
 /// The camera frame is right-handed with `+z` forward (optical axis), `+x`
 /// right, `+y` down, so projected coordinates map directly to image pixels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PinholeCamera {
     world_to_cam: Iso3,
     intrinsics: CameraIntrinsics,

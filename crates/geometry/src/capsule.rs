@@ -1,10 +1,9 @@
 //! Volumetric primitives used to model the signaller's body.
 
 use crate::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A sphere in 3-D space (used for the signaller's head).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sphere3 {
     /// Centre point.
     pub center: Vec3,
@@ -40,7 +39,7 @@ impl Sphere3 {
 /// assert!((arm.length() - 0.6).abs() < 1e-12);
 /// assert!(arm.contains(Vec3::new(0.03, 0.0, 0.3)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Capsule3 {
     /// Segment start.
     pub a: Vec3,

@@ -1,7 +1,6 @@
 //! 3×3 matrices for rotations and camera math.
 
 use crate::{Vec3, EPS};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Mul;
 
@@ -17,7 +16,7 @@ use std::ops::Mul;
 /// let v = r * Vec3::X;
 /// assert!((v.y - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat3 {
     /// Row-major entries `m[row][col]`.
     m: [[f64; 3]; 3],

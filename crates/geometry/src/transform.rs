@@ -1,7 +1,6 @@
 //! Rigid-body transforms (rotation + translation).
 
 use crate::{Mat3, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// A rigid-body isometry in 3-D: `p ↦ R·p + t`.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let p = pose.apply(Vec3::X);
 /// assert!((p.x - 1.0).abs() < 1e-12 && (p.y - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Iso3 {
     rotation: Mat3,
     translation: Vec3,

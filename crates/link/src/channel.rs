@@ -15,10 +15,9 @@
 //! times observe byte-identical delivery schedules at any worker count.
 
 use hdc_runtime::{SplitMix64, GOLDEN_GAMMA};
-use serde::{Deserialize, Serialize};
 
 /// The impairment model of one directed channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkQuality {
     /// Per-message loss probability in `[0, 1]`.
     pub drop_p: f64,
@@ -85,7 +84,7 @@ impl LinkQuality {
 }
 
 /// What a channel did with the traffic offered to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChannelStats {
     /// Messages offered by the sender.
     pub offered: u64,

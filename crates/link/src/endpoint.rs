@@ -21,11 +21,10 @@
 //! `(configs, seeds, traffic)`.
 
 use hdc_runtime::SplitMix64;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Retransmission and windowing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EndpointConfig {
     /// Initial retransmission timeout, seconds.
     pub resend_timeout_s: f64,
@@ -55,7 +54,7 @@ impl Default for EndpointConfig {
 }
 
 /// Heartbeat/lease supervision parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeaseConfig {
     /// How often each side emits a heartbeat, seconds.
     pub heartbeat_interval_s: f64,
@@ -94,7 +93,7 @@ pub enum Frame<T> {
 }
 
 /// Endpoint traffic statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EndpointStats {
     /// Distinct payloads accepted for sending.
     pub data_sent: u64,

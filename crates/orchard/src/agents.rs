@@ -3,10 +3,9 @@
 use hdc_core::Role;
 use hdc_geometry::Vec2;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A human working in (or visiting) the orchard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HumanActor {
     /// Actor id.
     pub id: u32,

@@ -8,10 +8,9 @@
 //! digests — are bit-identical to the pre-consolidation queue.
 
 use hdc_runtime::EventHeap;
-use serde::{Deserialize, Serialize};
 
 /// A scheduled simulation event.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ScheduledEvent {
     /// Begin travelling to the trap with this id.
     VisitTrap(u32),

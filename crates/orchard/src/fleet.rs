@@ -11,10 +11,9 @@ use crate::metrics::MissionStats;
 use crate::mission::{Mission, MissionConfig};
 use hdc_geometry::Vec2;
 use hdc_runtime::WorkPool;
-use serde::{Deserialize, Serialize};
 
 /// Fleet parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
     /// Number of drones.
     pub drone_count: u32,
@@ -23,7 +22,7 @@ pub struct FleetConfig {
 }
 
 /// Aggregated fleet results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetStats {
     /// Per-drone statistics, in drone order.
     pub per_drone: Vec<MissionStats>,

@@ -33,11 +33,10 @@ use hdc_link::{
     Endpoint, EndpointConfig, EndpointStats, Frame, LeaseConfig, LinkQuality, LossyChannel,
 };
 use hdc_runtime::{EventHeap, ScheduleMode};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A supervisor → drone command.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FleetCommand {
     /// Work this trap next.
     Assign {
@@ -49,7 +48,7 @@ pub enum FleetCommand {
 }
 
 /// A drone → supervisor report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FleetTelemetry {
     /// The trap has been read.
     TrapRead {
@@ -59,7 +58,7 @@ pub enum FleetTelemetry {
 }
 
 /// One scheduled radio death: the drone's link partitions permanently.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioFailure {
     /// Drone index.
     pub drone: u32,
@@ -68,7 +67,7 @@ pub struct RadioFailure {
 }
 
 /// Linked-fleet parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkedFleetConfig {
     /// Number of drones.
     pub drone_count: u32,
@@ -104,7 +103,7 @@ impl Default for LinkedFleetConfig {
 }
 
 /// Per-drone campaign statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkedDroneStats {
     /// Traps this drone physically read.
     pub reads: u32,
@@ -119,7 +118,7 @@ pub struct LinkedDroneStats {
 }
 
 /// Aggregated linked-fleet results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkedFleetStats {
     /// Traps whose read was confirmed at the supervisor.
     pub traps_confirmed: u32,

@@ -1,10 +1,9 @@
 //! The orchard map: tree rows and fly traps.
 
 use hdc_geometry::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// One tree in the plantation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tree {
     /// Ground position.
     pub position: Vec2,
@@ -15,7 +14,7 @@ pub struct Tree {
 }
 
 /// A fly trap hung in a tree (the drone's data source).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlyTrap {
     /// Trap id (index into the map's trap list).
     pub id: u32,
@@ -28,7 +27,7 @@ pub struct FlyTrap {
 }
 
 /// The plantation: a rectangular grid of trees, one trap per tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrchardMap {
     trees: Vec<Tree>,
     traps: Vec<FlyTrap>,

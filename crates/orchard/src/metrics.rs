@@ -1,11 +1,10 @@
 //! Mission metrics.
 
 use hdc_core::SessionOutcome;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Negotiation outcome counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NegotiationTally {
     /// Access granted.
     pub granted: u32,
@@ -55,7 +54,7 @@ impl fmt::Display for NegotiationTally {
 }
 
 /// Aggregate statistics of one mission.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MissionStats {
     /// Traps successfully read.
     pub traps_read: u32,

@@ -9,7 +9,6 @@ use hdc_drone::{Drone, DroneConfig, FlightPattern};
 use hdc_geometry::{Vec2, Vec3};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How the mission resolves a blocked trap.
 pub trait NegotiationBackend {
@@ -77,7 +76,7 @@ impl NegotiationBackend for FullLoopNegotiation {
 }
 
 /// Mission parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MissionConfig {
     /// Cruise altitude between traps, metres.
     pub cruise_altitude_m: f64,

@@ -14,11 +14,10 @@
 use crate::bitmask::{BitMask, WORD_BITS};
 use crate::image::{Bitmap, Image};
 use hdc_geometry::Vec2;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Pixel connectivity for component labelling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Connectivity {
     /// Edge-adjacent neighbours only.
     Four,
@@ -54,7 +53,7 @@ impl Connectivity {
 }
 
 /// A labelled connected component of foreground pixels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// 1-based label as written into the label image.
     pub label: u32,

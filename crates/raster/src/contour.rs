@@ -17,10 +17,9 @@
 use crate::bitmask::{BitMask, WORD_BITS};
 use crate::image::Bitmap;
 use hdc_geometry::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// One point of a traced contour, in pixel coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ContourPoint {
     /// Column.
     pub x: u32,

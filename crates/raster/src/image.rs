@@ -1,7 +1,5 @@
 //! The image container.
 
-use serde::{Deserialize, Serialize};
-
 /// A rectangular raster of pixels stored row-major.
 ///
 /// `Image<u8>` ([`GrayImage`]) carries grayscale frames; `Image<bool>`
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(img.get(2, 1), Some(200));
 /// assert_eq!(img.get(9, 9), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image<T> {
     width: u32,
     height: u32,

@@ -3,14 +3,13 @@
 use crate::breakpoints::{breakpoints, symbol_for, MAX_ALPHABET, MIN_ALPHABET};
 use crate::word::SaxWord;
 use hdc_timeseries::{paa, TimeSeries};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Validated SAX parameters: word length (PAA segments) and alphabet size.
 ///
 /// These are exactly the two knobs the paper's ref \[22\] tunes ("tuning of the
 /// piecewise aggregation and alphabet size").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SaxParams {
     segments: usize,
     alphabet: u8,

@@ -13,10 +13,9 @@ use hdc_timeseries::{
     min_rotated_euclidean_naive, min_rotated_euclidean_of, paa_into, resample, resample_into,
     znormalize_in_place, RotationScratch, Spectrum, TimeSeries,
 };
-use serde::{Deserialize, Serialize};
 
 /// A stored canonical signature.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Template {
     /// The class label (e.g. `"No"`).
     pub label: String,
@@ -27,7 +26,7 @@ pub struct Template {
 }
 
 /// Result of a database lookup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IndexMatch {
     /// Label of the best-matching template.
     pub label: String,

@@ -7,10 +7,9 @@
 //! arbitrary scoring function.
 
 use crate::encoder::{SaxParams, SaxParamsError};
-use serde::{Deserialize, Serialize};
 
 /// A scored parameter combination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuningResult {
     /// Word length (PAA segments).
     pub segments: usize,

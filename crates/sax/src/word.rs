@@ -1,6 +1,5 @@
 //! SAX words: strings over a small alphabet.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -18,7 +17,7 @@ use std::str::FromStr;
 /// assert_eq!(w.alphabet(), 3); // highest symbol seen is 'c'
 /// assert_eq!(w.to_string(), "abca");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SaxWord {
     symbols: Vec<u8>,
     alphabet: u8,

@@ -311,7 +311,7 @@ fn main() -> ExitCode {
         event_count(Grade::Fail),
     );
 
-    // --- RESULTS_scenarios.json (hand-built: the vendored serde is a stub) ---
+    // --- RESULTS_scenarios.json (hand-built: the workspace has no JSON dependency) ---
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"scenario_count\": {},", results.len());

@@ -1,6 +1,5 @@
 //! The time-series container and summary statistics.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A univariate time series with `f64` samples.
@@ -15,7 +14,7 @@ use std::fmt;
 /// let ts = TimeSeries::new(vec![1.0, 3.0]);
 /// assert_eq!(ts.mean(), 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {
     values: Vec<f64>,
 }

@@ -22,10 +22,9 @@ use crate::signature::extract_signature;
 use hdc_raster::Bitmap;
 use hdc_sax::{SaxIndex, SaxParams};
 use hdc_timeseries::{dtw_banded, rotate_left};
-use serde::{Deserialize, Serialize};
 
 /// A label with a match score (smaller = closer).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Classification {
     /// The nearest template's label.
     pub label: String,

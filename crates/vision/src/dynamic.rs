@@ -14,11 +14,10 @@
 use hdc_raster::{
     largest_component, largest_component_with, Bitmap, Component, Connectivity, LabelScratch,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Per-frame scalar features of the silhouette.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameFeatures {
     /// Bounding-box width / height.
     pub aspect: f64,
@@ -59,7 +58,7 @@ pub fn frame_features(mask: &Bitmap) -> Option<FrameFeatures> {
 }
 
 /// Decision over a temporal window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DynamicDecision {
     /// The wave-off gesture: repeated arm sweeps.
     WaveOff,
@@ -70,7 +69,7 @@ pub enum DynamicDecision {
 }
 
 /// Configuration of the dynamic recogniser.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicConfig {
     /// Analysis window length, seconds.
     pub window_s: f64,

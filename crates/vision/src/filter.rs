@@ -7,8 +7,6 @@
 //! the collaboration session and available to downstream users of the
 //! pipeline.
 
-use serde::{Deserialize, Serialize};
-
 /// Majority-persistence filter over per-frame decisions.
 ///
 /// A label is confirmed once it has been reported by `required` consecutive
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(f.push(Some("No")), None);         // run broken
 /// assert_eq!(f.push(None), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecisionFilter {
     required: u32,
     current: Option<String>,

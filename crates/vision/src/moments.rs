@@ -1,10 +1,9 @@
 //! Image moments and Hu invariants (baseline classifier features).
 
 use hdc_raster::Bitmap;
-use serde::{Deserialize, Serialize};
 
 /// Raw, central and normalised moments of a binary mask.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RawMoments {
     /// Zeroth moment (area).
     pub m00: f64,

@@ -11,12 +11,11 @@ use hdc_raster::{
     largest_component_packed_lazy, BitMask, Component, Connectivity, GrayImage, LabelScratch,
 };
 use hdc_sax::{IndexMatch, IndexMatchRef, QueryScratch, SaxIndex, SaxParams, SaxWord};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 
 /// How frames are binarised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentationMode {
     /// Fixed threshold: pixels strictly above the value are foreground.
     Fixed(u8),
@@ -31,7 +30,7 @@ pub enum SegmentationMode {
 /// and traced by the word-parallel kernels. The byte-per-pixel kernels it
 /// replaced survive as the oracle in `tests/packed_equivalence.rs`, which
 /// checks every decision, diagnostic and signature series bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Segmentation mode.
     pub segmentation: SegmentationMode,
@@ -69,7 +68,7 @@ impl Default for PipelineConfig {
 }
 
 /// The outcome of recognising one frame.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RecognitionResult {
     /// The accepted sign label, or `None` when nothing matched within the
     /// threshold (unknown pose, dead angle, no signaller, …).

@@ -12,7 +12,6 @@ use hdc_raster::contour::{
 };
 use hdc_raster::{BitMask, Bitmap, ContourPoint};
 use hdc_timeseries::{resample_into, znormalize_in_place};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors from signature extraction.
@@ -47,7 +46,7 @@ impl fmt::Display for SignatureError {
 impl std::error::Error for SignatureError {}
 
 /// The centroid-distance signature of a silhouette.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShapeSignature {
     /// Z-normalised, fixed-length centroid-distance series.
     pub series: Vec<f64>,

@@ -5,12 +5,11 @@
 //! offload. [`StageTimings`] records where the time goes; [`FrameBudget`]
 //! expresses the fps bars.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
 /// Wall-clock time spent in each pipeline stage, in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimings {
     /// Thresholding / segmentation.
     pub segment_us: u64,
@@ -64,7 +63,7 @@ impl fmt::Display for StageTimings {
 }
 
 /// A per-frame processing budget (e.g. 33.3 ms for 30 fps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameBudget {
     budget_us: u64,
 }

@@ -262,8 +262,8 @@ fn sessions_bench_idle_mission_carries_its_spread() {
 
 #[test]
 fn recognize_bench_rows_carry_their_spread() {
-    // The resolution sweep and every kernel row are timed over repeats;
-    // each speed-up is a ratio taken within one repeat.
+    // The resolution sweep, Figure 4 and every kernel row are timed over
+    // repeats; each speed-up or ratio is taken within one repeat.
     let bench = std::fs::read_to_string(repo_root().join("BENCH_recognize.json"))
         .expect("committed BENCH_recognize.json");
     let repeats: u32 = raw_value(&bench, "repeats")
@@ -288,6 +288,15 @@ fn recognize_bench_rows_carry_their_spread() {
                 panic!("BENCH_recognize.json width {width}: no {key} median/min/max")
             });
         }
+    }
+    // Figure 4's timing half: both azimuths and their same-repeat ratio
+    for key in [
+        "azimuth_0_ns_per_frame",
+        "azimuth_65_ns_per_frame",
+        "ratio_65_over_0",
+    ] {
+        spread(&bench, key)
+            .unwrap_or_else(|| panic!("BENCH_recognize.json fig4: no {key} median/min/max"));
     }
     let kernels: Vec<&str> = bench
         .lines()
