@@ -53,15 +53,22 @@
 //!    decided, the split's best match must carry that label. The split
 //!    also counts the changed views whose mask holds more than one
 //!    component, the only ones whose labelling resolves components and
-//!    rebuilds the largest (a count, not a floor).
+//!    rebuilds the largest (a count, not a floor). Last, it counts the
+//!    memo misses the farm's shared table of view reads serves
+//!    (`ReadScope::hits`), split into scripted and stochastic humans, with
+//!    the sessions run in config order in one scope on one thread, as a
+//!    one-worker farm runs them: on more workers the count depends on which
+//!    worker ran which session. Those sessions must do exactly what the farm
+//!    did, and at least one view must come from the table (a count floor, so
+//!    a change that defeats the table's key fails on any host).
 //!
 //! Usage: `cargo run --release -p hdc-bench --bin bench_sessions
 //! [--smoke] [out.json]`
 
 use hdc_bench::report::{num, Spread, Table};
 use hdc_core::{
-    paint_view, paint_view_mask, CollaborationSession, HumanScript, Role, ScriptedResponse,
-    SessionConfig, SessionFaults, SessionOutcome, ViewRead,
+    paint_view, paint_view_mask, CollaborationSession, HumanScript, ReadScope, Role,
+    ScriptedResponse, SessionConfig, SessionFaults, SessionOutcome, ViewRead,
 };
 use hdc_figure::{MarshallingSign, Signaller, ViewSpec};
 use hdc_geometry::Vec3;
@@ -232,6 +239,27 @@ fn changed_views(configs: &[SessionConfig]) -> (usize, Vec<(Signaller, Vec3)>) {
     (total, out)
 }
 
+/// The views `configs` take from a farm's shared table of reads when run
+/// in config order in one [`ReadScope`] on this thread — a one-worker
+/// farm — as `[scripted, stochastic]` humans, and the frames and views
+/// reused they report.
+fn shared_hits(configs: &[SessionConfig]) -> ([u64; 2], u64, u64) {
+    let scope = ReadScope::open();
+    let (mut hits, mut frames, mut reused) = ([0; 2], 0, 0);
+    for c in configs {
+        let before = ReadScope::hits();
+        let report = scope.enter(|| {
+            let mut session = CollaborationSession::new(*c);
+            session.run_events();
+            session.into_report()
+        });
+        hits[usize::from(c.script.is_none())] += ReadScope::hits() - before;
+        frames += report.frames_processed as u64;
+        reused += report.views_reused as u64;
+    }
+    (hits, frames, reused)
+}
+
 struct MissSplit {
     sessions: usize,
     frames: u64,
@@ -240,6 +268,8 @@ struct MissSplit {
     misses: usize,
     /// Changed views whose mask holds more than one component.
     multi_component: usize,
+    /// Misses served from the shared table: [scripted, stochastic].
+    shared_hits: [u64; 2],
     repeats: usize,
     render_mask: Spread,
     read_mask: Spread,
@@ -268,6 +298,12 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
         views.len() as u64,
         total_views as u64 - stats.views_reused,
         "every changed view, and only those, misses the view memo"
+    );
+    let (shared_hits, frames, reused) = shared_hits(&configs);
+    assert_eq!(
+        (frames, reused),
+        (stats.frames_processed, stats.views_reused),
+        "shared reads must not change what a session does"
     );
 
     // the pipeline every session calibrates (default negotiation geometry)
@@ -366,6 +402,7 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
         views_reused: stats.views_reused,
         misses: views.len(),
         multi_component,
+        shared_hits,
         repeats,
         render_mask,
         read_mask,
@@ -581,6 +618,17 @@ fn main() {
         split.misses,
         split.multi_component
     );
+    let [scripted, stochastic] = split.shared_hits;
+    println!(
+        "shared reads (one worker): {} of {} changed views served from the farm's table, \
+         {scripted} for scripted and {stochastic} for stochastic humans",
+        scripted + stochastic,
+        split.misses
+    );
+    assert!(
+        scripted + stochastic >= 1,
+        "the mixed farm's sessions must share at least one view read"
+    );
     let mut stages = Table::new(["miss-path stage", "median ns/frame", "min", "max"]);
     for (label, st) in [
         ("rasterise into the mask", &split.render_mask),
@@ -693,6 +741,11 @@ fn main() {
         split.misses,
         split.multi_component,
         split.repeats
+    );
+    let _ = writeln!(
+        json,
+        "    \"shared_hits\": {{\"workers\": 1, \"scripted\": {scripted}, \
+         \"stochastic\": {stochastic}}},"
     );
     let _ = writeln!(
         json,

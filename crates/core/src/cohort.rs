@@ -38,7 +38,7 @@
 //! manifests prove both.
 
 use crate::datalink::derive_seed;
-use crate::view::{calibrated_pipeline, ViewMemo};
+use crate::view::{calibrated_pipeline, Calibrated, ViewMemo};
 use hdc_figure::{MarshallingSign, Signaller, ViewSpec};
 use hdc_geometry::azimuth::{in_dead_angle_deg, relative_azimuth_rad, rotate_about};
 use hdc_geometry::Vec3;
@@ -46,8 +46,7 @@ use hdc_link::{
     ChannelStats, Endpoint, EndpointConfig, Frame, LeaseConfig, LinkQuality, LossyChannel,
 };
 use hdc_vision::dynamic::{DynamicDecision, DynamicRecognizer};
-use hdc_vision::{DecisionFilter, RecognitionPipeline};
-use std::sync::Arc;
+use hdc_vision::DecisionFilter;
 
 /// One observer drone of the cohort.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -206,7 +205,7 @@ struct Vote {
 #[derive(Debug)]
 struct Member {
     spec: ObserverSpec,
-    pipeline: Arc<RecognitionPipeline>,
+    pipeline: Calibrated,
     filter: DecisionFilter,
     dynamic: DynamicRecognizer,
     memo: ViewMemo,
@@ -270,7 +269,7 @@ impl Cohort {
                 let salt = SALT_BASE + 4 * i as u64;
                 Member {
                     spec: *spec,
-                    pipeline: Arc::clone(&pipeline),
+                    pipeline: pipeline.clone(),
                     filter: DecisionFilter::new(2),
                     dynamic: crate::session::session_dynamic_recognizer(),
                     memo: ViewMemo::default(),

@@ -48,4 +48,4 @@ pub use session::{
     CollaborationSession, FrameFate, HumanScript, ScriptedResponse, SessionConfig, SessionFaults,
     SessionReport,
 };
-pub use view::{paint_view, paint_view_mask, ViewRead};
+pub use view::{paint_view, paint_view_mask, ReadScope, ViewRead};

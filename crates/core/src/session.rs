@@ -17,7 +17,9 @@ use crate::protocol::{
 };
 use crate::roles::Role;
 use crate::safety::SafetyMonitor;
-use crate::view::{calibrated_pipeline, painted_view_frame, return_view_frame, ViewMemo, ViewRead};
+use crate::view::{
+    calibrated_pipeline, painted_view_frame, return_view_frame, Calibrated, ViewMemo, ViewRead,
+};
 use hdc_drone::{
     Drone, DroneConfig, DroneEvent, FlightPattern, LedMode, PatternClassifier, PatternKind,
     WindModel,
@@ -25,10 +27,8 @@ use hdc_drone::{
 use hdc_figure::{MarshallingSign, Pose, Signaller, ViewSpec};
 use hdc_geometry::{Vec2, Vec3};
 use hdc_raster::GrayImage;
-use hdc_vision::RecognitionPipeline;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// What a scripted human does when they read a drone pattern — the
 /// deterministic (RNG-free) alternative to the stochastic role profiles,
@@ -321,7 +321,7 @@ pub struct CollaborationSession {
     config: SessionConfig,
     drone: Drone,
     machine: NegotiationMachine,
-    pipeline: Arc<RecognitionPipeline>,
+    pipeline: Calibrated,
     dynamic: hdc_vision::dynamic::DynamicRecognizer,
     memo: ViewMemo,
     observer: PatternClassifier,
@@ -1336,7 +1336,7 @@ mod tests {
                 .expect("a session builds on a second thread")
         });
         assert!(
-            Arc::ptr_eq(&here, &there),
+            std::ptr::eq(&*here, &*there),
             "the spec was calibrated once per process, not once per thread"
         );
     }

@@ -29,14 +29,24 @@
 //! from view to view, and [`ViewRead::frame`] segments and reads it
 //! through the same per-thread scratch.
 //!
+//! A view is a pure function of its key and of the calibration, so a read
+//! is valid for every camera on the same calibrated pipeline, not only for
+//! the camera that made it. Inside a [`ReadScope`] — one per session farm
+//! — a memo miss first asks its thread's shared table of reads, keyed on
+//! the view's inputs and the calibration spec's bits, and only a miss
+//! there reads the view. Each camera's own memo counts and remembers
+//! exactly as it would without the table, so only the work changes.
+//!
 //! Memory: the mask, the faulted path's grey frame and the scratch are per
 //! thread, not per session, so resident memory does not grow with the
 //! number of live sessions, and the memo-miss path holds no grey frame at
 //! all; the grey frame exists only on a thread that has run a faulted
 //! owner. A silhouette that is one component is traced where it was
 //! rasterised, so the scratch never grows a second frame-sized blob for
-//! it: each pool worker's thread keeps one packed mask, not two. Each
-//! camera keeps only its
+//! it: each pool worker's thread keeps one packed mask, not two. A thread
+//! that has run a farm also keeps at most [`SHARED_CAPACITY`] reads
+//! (features and a decision each, no pixels), emptied when it enters the
+//! next farm's scope or when full. Each camera keeps only its
 //! [`ViewMemo`] — a key and two small results — and a
 //! [`DynamicRecognizer`](hdc_vision::dynamic::DynamicRecognizer) whose
 //! labelling buffers stay empty, because the loop never hands it a mask.
@@ -52,6 +62,9 @@ use hdc_raster::{BitMask, GrayImage};
 use hdc_vision::dynamic::FrameFeatures;
 use hdc_vision::{FrameRead, FrameScratch, PipelineConfig, RecognitionPipeline};
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The loop's camera: 640×480, 640 px focal length, at `eye`, aimed at the
@@ -121,7 +134,7 @@ thread_local! {
 
 /// The exact render inputs of one camera view, compared bit for bit
 /// (`f64::to_bits`), so `-0.0` and `0.0`, or two NaN payloads, never alias.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ViewKey([u64; 22]);
 
 impl ViewKey {
@@ -253,20 +266,29 @@ pub(crate) struct ViewMemo {
 impl ViewMemo {
     /// The read of `signaller` seen from `eye`. Served from the memo when
     /// the last view had exactly these inputs and (if `needs_decision`) its
-    /// static decision was read; otherwise rasterised into the per-thread
-    /// mask, read once through `pipeline`, and remembered.
+    /// static decision was read; otherwise served from the thread's shared
+    /// table when in a [`ReadScope`] it holds the view, or rasterised into
+    /// the per-thread mask and read once through `pipeline`. Either way the
+    /// memo remembers it.
     pub fn view(
         &mut self,
         signaller: &Signaller,
         eye: Vec3,
-        pipeline: &RecognitionPipeline,
+        pipeline: &Calibrated,
         needs_decision: bool,
     ) -> ViewRead {
         let key = ViewKey::of(signaller, eye);
         if let Some(read) = self.lookup(key, needs_decision) {
             return read;
         }
-        let read = ViewRead::view(signaller, eye, pipeline, needs_decision);
+        let shared = (key, pipeline.spec);
+        let read = SHARED_READS
+            .with_borrow_mut(|table| table.get(&shared, needs_decision))
+            .unwrap_or_else(|| {
+                let read = ViewRead::view(signaller, eye, pipeline, needs_decision);
+                SHARED_READS.with_borrow_mut(|table| table.put(shared, &read));
+                read
+            });
         self.last = Some((key, read.clone()));
         read
     }
@@ -288,15 +310,145 @@ impl ViewMemo {
     }
 }
 
+/// Reads a thread's shared table holds, at most; a full table is emptied.
+/// A 25-session farm of perfbench's `farm_mixed` misses its cameras' memos
+/// about 120 times, so the table rarely fills within one farm.
+const SHARED_CAPACITY: usize = 256;
+
+/// The last [`ReadScope`] handed out.
+static LAST_SCOPE: AtomicU64 = AtomicU64::new(0);
+
+/// A view's inputs and the bits of the spec its pipeline was calibrated
+/// from: everything its read depends on.
+type SharedKey = (ViewKey, SpecBits);
+
+/// One thread's table of view reads shared between its cameras.
+#[derive(Default)]
+struct SharedReads {
+    /// The scope this thread is in, if any; outside one the table is idle.
+    active: Option<u64>,
+    /// The scope whose reads `reads` holds.
+    scope: u64,
+    reads: HashMap<SharedKey, ViewRead>,
+    /// Views served from the table on this thread, ever.
+    hits: u64,
+}
+
+thread_local! {
+    static SHARED_READS: RefCell<SharedReads> = RefCell::new(SharedReads::default());
+}
+
+impl SharedReads {
+    /// The stored read of `key`, as a fresh [`ViewRead::view`] with this
+    /// `needs_decision` would return it: a sighted read serves a blind
+    /// request without its decision, and a blind one never serves a
+    /// sighted request. Empties a table left from another scope first.
+    fn get(&mut self, key: &SharedKey, needs_decision: bool) -> Option<ViewRead> {
+        let active = self.active?;
+        if self.scope != active {
+            self.reads.clear();
+            self.scope = active;
+        }
+        let stored = self.reads.get(key)?;
+        if needs_decision && stored.decision.is_none() {
+            return None;
+        }
+        self.hits += 1;
+        Some(ViewRead {
+            features: stored.features,
+            decision: if needs_decision {
+                stored.decision.clone()
+            } else {
+                None
+            },
+        })
+    }
+
+    /// Stores a fresh read of `key` (a sighted read replaces a blind one),
+    /// when in a scope; [`SharedReads::get`] has already missed it there.
+    fn put(&mut self, key: SharedKey, read: &ViewRead) {
+        if self.active.is_none() {
+            return;
+        }
+        if self.reads.len() == SHARED_CAPACITY {
+            self.reads.clear();
+        }
+        self.reads.insert(key, read.clone());
+    }
+}
+
+/// The scope of one shared table of view reads: one session farm.
+///
+/// Inside [`ReadScope::enter`], every camera view memo on the thread that
+/// misses asks the thread's table before it reads the view, and stores
+/// what it reads. A new scope starts every thread's table empty, so no
+/// read outlives the farm that made it, and outside any scope the table is
+/// neither asked nor written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadScope(u64);
+
+impl ReadScope {
+    /// A scope no thread has entered yet.
+    pub fn open() -> Self {
+        ReadScope(LAST_SCOPE.fetch_add(1, Ordering::Relaxed) + 1)
+    }
+
+    /// Runs `f` with this thread's view memos sharing reads within this
+    /// scope, and leaves the scope afterwards, even if `f` panics.
+    pub fn enter<R>(self, f: impl FnOnce() -> R) -> R {
+        struct Leave(Option<u64>);
+        impl Drop for Leave {
+            fn drop(&mut self) {
+                let previous = self.0;
+                SHARED_READS.with_borrow_mut(|table| table.active = previous);
+            }
+        }
+        let _leave = Leave(SHARED_READS.with_borrow_mut(|table| table.active.replace(self.0)));
+        f()
+    }
+
+    /// Views served from this thread's shared table so far, over every
+    /// scope: which views a thread serves depends on which sessions it
+    /// ran, so the count belongs with wall-time metrics, never with a
+    /// session's results.
+    pub fn hits() -> u64 {
+        SHARED_READS.with_borrow(|table| table.hits)
+    }
+}
+
 /// Calibrated pipelines the process keeps, at most — far more geometries
 /// than any one farm or sweep uses at a time.
 const CALIBRATED_CAPACITY: usize = 16;
 
-/// The process's calibrated pipelines, keyed by the exact bits of their
-/// view spec.
-type CalibrationCache = Vec<([u64; 6], Arc<RecognitionPipeline>)>;
+/// The exact bits of a [`ViewSpec`].
+type SpecBits = [u64; 6];
 
-static CALIBRATED: Mutex<CalibrationCache> = Mutex::new(Vec::new());
+/// A pipeline calibrated from a view spec, and that spec's bits.
+#[derive(Clone)]
+pub(crate) struct Calibrated {
+    spec: SpecBits,
+    pipeline: Arc<RecognitionPipeline>,
+}
+
+impl Deref for Calibrated {
+    type Target = RecognitionPipeline;
+
+    fn deref(&self) -> &RecognitionPipeline {
+        &self.pipeline
+    }
+}
+
+impl std::fmt::Debug for Calibrated {
+    /// The spec's bits only: the pipeline is a pure function of them.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Calibrated")
+            .field("spec", &self.spec)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The process's calibrated pipelines.
+static CALIBRATED: Mutex<Vec<Calibrated>> = Mutex::new(Vec::new());
 
 /// A default-configured pipeline calibrated from `canonical`'s views.
 ///
@@ -305,7 +457,7 @@ static CALIBRATED: Mutex<CalibrationCache> = Mutex::new(Vec::new());
 /// every thread shares the result: a pool worker building sessions does not
 /// calibrate again. The lock is held across a calibration, so two threads
 /// asking for the same new spec still calibrate it once.
-pub(crate) fn calibrated_pipeline(canonical: &ViewSpec) -> Arc<RecognitionPipeline> {
+pub(crate) fn calibrated_pipeline(canonical: &ViewSpec) -> Calibrated {
     let ViewSpec {
         azimuth_deg,
         altitude_m,
@@ -314,7 +466,7 @@ pub(crate) fn calibrated_pipeline(canonical: &ViewSpec) -> Arc<RecognitionPipeli
         height,
         focal_px,
     } = *canonical;
-    let key = [
+    let spec = [
         azimuth_deg.to_bits(),
         altitude_m.to_bits(),
         distance_m.to_bits(),
@@ -324,17 +476,20 @@ pub(crate) fn calibrated_pipeline(canonical: &ViewSpec) -> Arc<RecognitionPipeli
     ];
     // a panic mid-calibration pushes nothing, so a poisoned cache is whole
     let mut cache = CALIBRATED.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some((_, pipeline)) = cache.iter().find(|(k, _)| *k == key) {
-        return Arc::clone(pipeline);
+    if let Some(calibrated) = cache.iter().find(|c| c.spec == spec) {
+        return calibrated.clone();
     }
     let mut pipeline = RecognitionPipeline::new(PipelineConfig::default());
     pipeline.calibrate_from_views(canonical);
-    let pipeline = Arc::new(pipeline);
+    let calibrated = Calibrated {
+        spec,
+        pipeline: Arc::new(pipeline),
+    };
     if cache.len() == CALIBRATED_CAPACITY {
         cache.remove(0);
     }
-    cache.push((key, Arc::clone(&pipeline)));
-    pipeline
+    cache.push(calibrated.clone());
+    calibrated
 }
 
 #[cfg(test)]
@@ -403,6 +558,111 @@ mod tests {
     }
 
     #[test]
+    fn shared_reads_serve_other_cameras_within_one_scope_only() {
+        let eye = Vec3::new(12.0 + 3.0 * 0.3f64.cos(), 8.0 + 3.0 * 0.3f64.sin(), 4.0);
+        let s = signaller();
+        let pipeline = calibrated_pipeline(&ViewSpec::paper_default(0.0, 4.0, 3.0));
+        let other = calibrated_pipeline(&ViewSpec::paper_default(0.0, 4.5, 3.0));
+        // each read comes from a camera that has never seen the view
+        let view = |pipeline: &Calibrated, needs_decision: bool| {
+            ViewMemo::default().view(&s, eye, pipeline, needs_decision)
+        };
+        let hits = ReadScope::hits();
+
+        // outside a scope the table is neither asked nor written
+        view(&pipeline, true);
+        view(&pipeline, true);
+        assert_eq!(ReadScope::hits(), hits);
+
+        let scope = ReadScope::open();
+        scope.enter(|| {
+            let blind = view(&pipeline, false);
+            assert_eq!(blind, ViewRead::view(&s, eye, &pipeline, false));
+            // a blind read never serves a sighted request
+            let sighted = view(&pipeline, true);
+            assert_eq!(ReadScope::hits(), hits);
+            assert_eq!(sighted, ViewRead::view(&s, eye, &pipeline, true));
+            // the sighted read replaced it and serves both, each as fresh
+            assert_eq!(view(&pipeline, true), sighted);
+            assert_eq!(view(&pipeline, false), blind);
+            assert_eq!(ReadScope::hits(), hits + 2);
+            // another calibration spec is another key
+            view(&other, false);
+            assert_eq!(ReadScope::hits(), hits + 2);
+        });
+        // a new scope starts empty, and re-entering an old one does not
+        // bring back what the new one emptied
+        ReadScope::open().enter(|| view(&pipeline, true));
+        scope.enter(|| view(&pipeline, true));
+        assert_eq!(ReadScope::hits(), hits + 2);
+    }
+
+    #[test]
+    fn shared_reads_equal_fresh_reads_in_any_order_of_requests() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let specs = [
+            calibrated_pipeline(&ViewSpec::paper_default(0.0, 4.0, 3.0)),
+            calibrated_pipeline(&ViewSpec::paper_default(0.0, 5.0, 3.0)),
+        ];
+        let poses = [
+            Pose::neutral(),
+            Pose::for_sign(MarshallingSign::Yes),
+            Pose::for_sign(MarshallingSign::No),
+        ];
+        let eyes = [Vec3::new(15.0, 8.0, 4.0), Vec3::new(12.0, 11.0, 5.0)];
+        let mut cameras: [ViewMemo; 3] = Default::default();
+        let (hits, mut served) = (ReadScope::hits(), 0);
+        ReadScope::open().enter(|| {
+            for _ in 0..200 {
+                let s = Signaller::new(
+                    Vec2::new(12.0, 8.0),
+                    0.3,
+                    poses[rng.gen_range(0..poses.len())],
+                );
+                let eye = eyes[rng.gen_range(0..eyes.len())];
+                let pipeline = &specs[rng.gen_range(0..specs.len())];
+                let needs_decision = rng.gen::<bool>();
+                let camera = &mut cameras[rng.gen_range(0..3)];
+                let (before, reused) = (ReadScope::hits(), camera.reused());
+                let read = camera.view(&s, eye, pipeline, needs_decision);
+                let fresh = ViewRead::view(&s, eye, pipeline, needs_decision);
+                if camera.reused() > reused {
+                    // the camera's own last read, which may carry a decision
+                    // nobody asked for
+                    assert_eq!(read.features, fresh.features);
+                    assert!(!needs_decision || read.decision == fresh.decision);
+                } else {
+                    served += ReadScope::hits() - before;
+                    assert_eq!(read, fresh);
+                }
+            }
+        });
+        assert_eq!(ReadScope::hits() - hits, served);
+        assert!(served > 10, "only {served} reads came from the table");
+    }
+
+    #[test]
+    fn a_full_table_is_emptied() {
+        let blind = ViewRead {
+            features: None,
+            decision: None,
+        };
+        let mut table = SharedReads {
+            active: Some(1),
+            scope: 1,
+            ..SharedReads::default()
+        };
+        for i in 0..=SHARED_CAPACITY as u64 {
+            table.put((ViewKey([i; 22]), [0; 6]), &blind);
+        }
+        assert_eq!(table.reads.len(), 1);
+        assert_eq!(table.get(&(ViewKey([0; 22]), [0; 6]), false), None);
+        let last = (ViewKey([SHARED_CAPACITY as u64; 22]), [0; 6]);
+        assert_eq!(table.get(&last, false), Some(blind));
+    }
+
+    #[test]
     fn calibrated_config_lets_one_labelling_serve_both_channels() {
         // The wave-off features are defined on `binarize(frame, 128)`; the
         // shared read takes them from the pipeline's own mask, which is that
@@ -419,9 +679,13 @@ mod tests {
         let spec = ViewSpec::paper_default(0.0, 4.0, 3.0);
         let a = calibrated_pipeline(&spec);
         let b = calibrated_pipeline(&spec);
-        assert!(Arc::ptr_eq(&a, &b), "one calibration per spec");
+        assert!(
+            Arc::ptr_eq(&a.pipeline, &b.pipeline),
+            "one calibration per spec"
+        );
         let c = calibrated_pipeline(&ViewSpec::paper_default(0.0, 4.5, 3.0));
-        assert!(!Arc::ptr_eq(&a, &c));
+        assert!(!Arc::ptr_eq(&a.pipeline, &c.pipeline));
+        assert_ne!(a.spec, c.spec);
         let mut fresh = RecognitionPipeline::new(PipelineConfig::default());
         fresh.calibrate_from_views(&spec);
         assert_eq!(a.config(), fresh.config());

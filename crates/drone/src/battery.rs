@@ -33,11 +33,6 @@ impl BatteryModel {
         }
     }
 
-    /// H520-class defaults (≈ 71 Wh pack, ~25 min hover).
-    pub fn h520() -> Self {
-        BatteryModel::new(71.0)
-    }
-
     /// Remaining energy, Wh.
     pub fn remaining_wh(&self) -> f64 {
         self.remaining_wh
@@ -73,11 +68,6 @@ impl BatteryModel {
         self.remaining_wh = (self.remaining_wh - wh).max(0.0);
         wh
     }
-
-    /// Hover endurance from full charge, seconds (ignoring LEDs).
-    pub fn hover_endurance_s(&self) -> f64 {
-        self.capacity_wh * 3600.0 / self.hover_power_w
-    }
 }
 
 #[cfg(test)]
@@ -86,17 +76,10 @@ mod tests {
 
     #[test]
     fn full_at_start() {
-        let b = BatteryModel::h520();
+        let b = BatteryModel::new(71.0);
         assert_eq!(b.state_of_charge(), 1.0);
         assert!(!b.below_reserve());
         assert!(!b.is_empty());
-    }
-
-    #[test]
-    fn hover_endurance_reasonable() {
-        let b = BatteryModel::h520();
-        let minutes = b.hover_endurance_s() / 60.0;
-        assert!((10.0..40.0).contains(&minutes), "endurance {minutes} min");
     }
 
     #[test]

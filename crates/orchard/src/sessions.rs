@@ -11,15 +11,20 @@
 //! or, in lockstep, [`CollaborationSession::run`]. The caller's thread is
 //! worker 0 and the other workers are the pool's long-lived helper threads,
 //! so a farm call spawns no thread and every worker's thread-local view
-//! scratch stays warm from one farm to the next. The process-wide
-//! calibration cache means a worker never recalibrates.
+//! scratch (its mask and labelling buffers) stays allocated from one farm to
+//! the next. Its table of view reads does not: each farm call opens a new
+//! [`ReadScope`], so a session's cameras share reads with the sessions that
+//! ran before it on the same worker *in this farm*, and no read outlives
+//! the call that made it. The process-wide calibration cache means a worker
+//! never recalibrates.
 //!
-//! Because an item is exactly the solo run, every per-session result,
+//! Because an item is exactly the solo run (a shared read is bit for bit
+//! the read the session would have made), every per-session result,
 //! including its dispatch count ([`CollaborationSession::advances`]), is
 //! what that session does alone, and the farm's totals are sums in config
 //! order: identical at every worker count (the tests pin this).
 
-use hdc_core::{CollaborationSession, SessionConfig, SessionOutcome};
+use hdc_core::{CollaborationSession, ReadScope, SessionConfig, SessionOutcome};
 use hdc_runtime::{ScheduleMode, WorkPool};
 use std::sync::Arc;
 
@@ -67,21 +72,24 @@ pub fn run_session_farm(configs: &[SessionConfig], mode: ScheduleMode, _salt: u6
 
 /// [`run_session_farm`] on a given pool.
 pub(crate) fn farm_on(pool: &WorkPool, configs: &[SessionConfig], mode: ScheduleMode) -> FarmStats {
+    let reads = ReadScope::open();
     let runs = pool.map_owned(Arc::from(configs), move |config| {
-        let mut session = CollaborationSession::new(*config);
-        match mode {
-            ScheduleMode::Lockstep => session.run(),
-            ScheduleMode::EventDriven => session.run_events(),
-        };
-        let (ticks, dispatches) = (session.drone_ticks(), session.advances());
-        let report = session.into_report();
-        (
-            report.outcome,
-            ticks,
-            dispatches,
-            report.frames_processed as u64,
-            report.views_reused as u64,
-        )
+        reads.enter(|| {
+            let mut session = CollaborationSession::new(*config);
+            match mode {
+                ScheduleMode::Lockstep => session.run(),
+                ScheduleMode::EventDriven => session.run_events(),
+            };
+            let (ticks, dispatches) = (session.drone_ticks(), session.advances());
+            let report = session.into_report();
+            (
+                report.outcome,
+                ticks,
+                dispatches,
+                report.frames_processed as u64,
+                report.views_reused as u64,
+            )
+        })
     });
     let mut stats = FarmStats {
         outcomes: Vec::with_capacity(runs.len()),
@@ -142,18 +150,44 @@ mod tests {
 
     #[test]
     fn farm_stats_do_not_depend_on_the_worker_count() {
+        // Each farm runs twice back to back on one pool, so the second
+        // call starts on threads whose read tables the first one filled.
         let configs = varied_configs();
         for mode in [ScheduleMode::EventDriven, ScheduleMode::Lockstep] {
             let serial = farm_on(&WorkPool::new(1), &configs, mode);
             assert!(serial.frames_processed > 0 && serial.events_dispatched > 0);
-            for workers in [2, 3, 8] {
-                assert_eq!(
-                    farm_on(&WorkPool::new(workers), &configs, mode),
-                    serial,
-                    "{mode:?} at {workers} workers"
-                );
+            for workers in [1, 2, 3, 8] {
+                let pool = WorkPool::new(workers);
+                for run in ["first", "second"] {
+                    assert_eq!(
+                        farm_on(&pool, &configs, mode),
+                        serial,
+                        "{mode:?} at {workers} workers, {run} run"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_farm_serves_no_read_stored_by_an_earlier_farm() {
+        // On a one-worker pool every session runs on this thread, so its
+        // hit count is the farm's. A second identical farm that found the
+        // first one's reads would serve every memo miss from the table.
+        let configs = mixed_configs(6);
+        let farm = || {
+            let before = ReadScope::hits();
+            let stats = farm_on(&WorkPool::new(1), &configs, ScheduleMode::EventDriven);
+            (ReadScope::hits() - before, stats)
+        };
+        let (hits, stats) = farm();
+        let misses = stats.frames_processed - stats.views_reused;
+        assert!(
+            0 < hits && hits < misses,
+            "the scripted humans repeat each other's views, but not all of them: \
+             {hits} of {misses} misses"
+        );
+        assert_eq!(farm(), (hits, stats));
     }
 
     #[test]

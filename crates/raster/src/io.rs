@@ -2,23 +2,13 @@
 
 use crate::image::{Bitmap, GrayImage};
 use std::fmt::Write as _;
-use std::io::{self, Write};
-use std::path::Path;
+use std::io;
 
 /// Encodes a grayscale image as binary PGM (P5).
 pub fn encode_pgm(img: &GrayImage) -> Vec<u8> {
     let mut out = format!("P5\n{} {}\n255\n", img.width(), img.height()).into_bytes();
     out.extend_from_slice(img.pixels());
     out
-}
-
-/// Writes a grayscale image to a PGM file.
-///
-/// # Errors
-/// Returns any underlying I/O error from creating or writing the file.
-pub fn write_pgm<P: AsRef<Path>>(img: &GrayImage, path: P) -> io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&encode_pgm(img))
 }
 
 /// Decodes a binary PGM (P5) image previously produced by [`encode_pgm`].
@@ -94,7 +84,6 @@ pub fn ascii_art(mask: &Bitmap) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::Image;
 
     #[test]
     fn pgm_roundtrip() {
@@ -111,16 +100,6 @@ mod tests {
         assert!(decode_pgm(b"P6\n1 1\n255\nx").is_err());
         assert!(decode_pgm(b"P5\n2 2\n255\nab").is_err()); // truncated
         assert!(decode_pgm(b"").is_err());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let img: GrayImage = Image::filled(4, 4, 42);
-        let dir = std::env::temp_dir().join("hdc_raster_io_test.pgm");
-        write_pgm(&img, &dir).unwrap();
-        let bytes = std::fs::read(&dir).unwrap();
-        assert_eq!(decode_pgm(&bytes).unwrap(), img);
-        let _ = std::fs::remove_file(dir);
     }
 
     #[test]

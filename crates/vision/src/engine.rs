@@ -149,12 +149,6 @@ impl MultiStreamReport {
             .iter()
             .fold(GateCounters::default(), |acc, s| acc.plus(&s.gate))
     }
-
-    /// One stream's gate counters (the per-stream view `gate_totals`
-    /// aggregates away).
-    pub fn stream_gate(&self, stream: usize) -> GateCounters {
-        self.per_stream[stream].gate
-    }
 }
 
 /// A multi-core recognition engine: one shared immutable pipeline, one
@@ -450,7 +444,6 @@ mod tests {
                 s.frames,
                 "stream {i}: gate counters must cover exactly its frames"
             );
-            assert_eq!(report.stream_gate(i), s.gate);
             summed = summed.plus(&s.gate);
         }
         assert_eq!(report.gate_totals(), summed);

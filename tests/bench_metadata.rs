@@ -210,6 +210,29 @@ fn sessions_bench_splits_the_miss_path_by_stage() {
 }
 
 #[test]
+fn sessions_bench_counts_the_shared_reads() {
+    // The miss-path split counts the memo misses a farm's shared table of
+    // view reads serves, on one worker (where the count is deterministic),
+    // split into scripted and stochastic humans.
+    let bench = std::fs::read_to_string(repo_root().join("BENCH_sessions.json"))
+        .expect("committed BENCH_sessions.json");
+    let line = bench
+        .lines()
+        .find(|l| l.trim_start().starts_with("\"shared_hits\": {"))
+        .expect("BENCH_sessions.json: no shared_hits row");
+    let count = |key: &str| -> u64 {
+        raw_value(line, key)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("BENCH_sessions.json shared_hits: no {key} count"))
+    };
+    assert_eq!(count("workers"), 1);
+    assert!(
+        count("scripted") + count("stochastic") >= 1,
+        "the mixed farm's sessions share at least one view read"
+    );
+}
+
+#[test]
 fn sessions_bench_ladder_rungs_carry_their_spread() {
     // Each capacity-ladder rung is timed over repeats, so a farm change
     // is judged against the spread, not one wall time.
