@@ -344,10 +344,8 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
             // each read follows a fresh render, as on the loop's miss path
             paint_view(signaller, *eye, &mut frame);
             let t5 = Instant::now();
-            let two = ViewRead {
-                features: dynamic.features(&binarize(&frame, 128)),
-                decision: Some(pipeline.recognize(&frame).decision),
-            };
+            let two_features = dynamic.features(&binarize(&frame, 128));
+            let two_decision = pipeline.recognize(&frame).decision;
             let t6 = Instant::now();
             assert_eq!(
                 mask,
@@ -355,7 +353,11 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
                 "the rasterised mask must be the grey frame's segmentation"
             );
             assert_eq!(from_mask, one, "the mask path must read as the grey frame");
-            assert_eq!(one, two, "one labelling must serve both channels");
+            assert_eq!(
+                (one.features, one.decision.map(|d| d.map(|s| s.label()))),
+                (two_features, Some(two_decision.as_deref())),
+                "one labelling must serve both channels"
+            );
             for (total, (from, to)) in
                 ns.iter_mut()
                     .zip([(t0, t1), (t1, t2), (t2, t3), (t3, t4), (t5, t6)])
@@ -376,7 +378,7 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
             if let Some(Some(decision)) = decision {
                 assert_eq!(
                     best,
-                    Some(decision.as_str()),
+                    Some(decision.label()),
                     "the stage split must match the mask read's decision"
                 );
             }

@@ -875,7 +875,7 @@ pub fn e12_safety_injection() -> String {
             .map(|t_enter| {
                 let t_yes = session
                     .log()
-                    .first_time(|e| matches!(e, LogEntry::Recognized(Some(l)) if l == "Yes"));
+                    .first_time(|e| *e == LogEntry::Recognized(Some(MarshallingSign::Yes)));
                 t_yes.map(|ty| ty > t_enter).unwrap_or(true)
             })
             .unwrap_or(false);

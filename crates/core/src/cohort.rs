@@ -38,6 +38,7 @@
 //! manifests prove both.
 
 use crate::datalink::derive_seed;
+use crate::log::LogEntry;
 use crate::view::{calibrated_pipeline, Calibrated, ViewMemo};
 use hdc_figure::{MarshallingSign, Signaller, ViewSpec};
 use hdc_geometry::azimuth::{in_dead_angle_deg, relative_azimuth_rad, rotate_about};
@@ -137,11 +138,6 @@ impl CohortConfig {
         }
         self
     }
-
-    /// Configured observer count.
-    pub fn observer_count(&self) -> usize {
-        self.observers.iter().flatten().count()
-    }
 }
 
 /// A message an observer relays to the session owner.
@@ -189,8 +185,8 @@ pub(crate) struct CohortPump {
     /// Signs recognised by observers on this pump (logged like the owner's
     /// own recognitions, so the R4 audit sees cohort-wide evidence).
     pub recognized: Vec<MarshallingSign>,
-    /// Human-readable cohort events for the session log.
-    pub notes: Vec<String>,
+    /// Cohort events for the session log.
+    pub notes: Vec<LogEntry>,
 }
 
 /// A standing vote: which sign, and when it was last refreshed.
@@ -356,13 +352,7 @@ impl Cohort {
             let decision = read.decision.expect("a sighted read carries its decision");
 
             // static channel, debounced exactly like the owner's
-            let confirmed = member.filter.push(decision.as_deref());
-            let sign = confirmed.and_then(|label| {
-                MarshallingSign::ALL
-                    .into_iter()
-                    .find(|s| s.label() == label)
-            });
-            if let Some(sign) = sign {
+            if let Some(sign) = member.filter.push(decision) {
                 let refresh_due = match member.last_sent {
                     Some(prev) => prev.sign != sign || now - prev.at >= refresh,
                     None => true,
@@ -400,9 +390,9 @@ impl Cohort {
                     if now >= at {
                         member.failed = true;
                         self.report.failed += 1;
-                        pump.notes.push(format!(
+                        pump.notes.push(LogEntry::Note(format!(
                             "cohort: observer {i} platform failed (radio silent)"
-                        ));
+                        )));
                     }
                 }
             }
@@ -431,8 +421,9 @@ impl Cohort {
                         RelayMsg::WaveOff => {
                             self.report.wave_offs_relayed += 1;
                             pump.wave_off = true;
-                            pump.notes
-                                .push(format!("cohort: observer {i} relayed a wave-off"));
+                            pump.notes.push(LogEntry::Note(format!(
+                                "cohort: observer {i} relayed a wave-off"
+                            )));
                         }
                     }
                 }
@@ -448,11 +439,10 @@ impl Cohort {
         // the same pump
         for i in newly_lost {
             self.report.lost += 1;
-            pump.notes.push(format!(
-                "cohort: relay lease expired — observer {i} declared lost; \
-                 re-anchoring consensus on {} live member(s)",
-                self.live_members()
-            ));
+            pump.notes.push(LogEntry::ObserverLost {
+                observer: i,
+                live: self.live_members(),
+            });
         }
         if new_votes {
             self.resolve(now, &mut pump);
@@ -479,21 +469,22 @@ impl Cohort {
         };
         if let Some(other) = valid.iter().find(|v| v.sign != first.sign) {
             self.report.disagreements += 1;
-            pump.notes.push(format!(
+            pump.notes.push(LogEntry::Note(format!(
                 "cohort: conflicting votes ({} vs {}) — round discarded, forcing a re-signal",
-                first.sign.label(),
-                other.sign.label()
-            ));
+                first.sign, other.sign
+            )));
             self.votes.iter_mut().for_each(|v| *v = None);
             return;
         }
         let count = valid.len();
         if count >= need {
             self.report.accepts += 1;
-            pump.notes.push(format!(
-                "cohort: quorum accepted {} ({count}/{need} of {live} live)",
-                first.sign.label()
-            ));
+            pump.notes.push(LogEntry::QuorumAccepted {
+                sign: first.sign,
+                count,
+                need,
+                live,
+            });
             pump.accepted = Some(first.sign);
             self.votes.iter_mut().for_each(|v| *v = None);
         }
@@ -585,6 +576,15 @@ mod tests {
         let mut pump = CohortPump::default();
         c.resolve(2.0, &mut pump);
         assert_eq!(pump.accepted, Some(MarshallingSign::Yes));
+        assert_eq!(
+            pump.notes,
+            [LogEntry::QuorumAccepted {
+                sign: MarshallingSign::Yes,
+                count: 2,
+                need: 2,
+                live: 3,
+            }]
+        );
     }
 
     #[test]
@@ -656,7 +656,7 @@ mod tests {
             declared += pump
                 .notes
                 .iter()
-                .filter(|n| n.contains("declared lost"))
+                .filter(|n| matches!(n, LogEntry::ObserverLost { observer: 0, .. }))
                 .count();
             t += 0.1;
         }

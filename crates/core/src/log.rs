@@ -23,9 +23,31 @@ pub enum LogEntry {
     HumanSigned(MarshallingSign),
     /// The human stopped signing.
     HumanIdle,
-    /// The vision pipeline produced a decision.
-    Recognized(Option<String>),
-    /// Free-text note (experiment annotations).
+    /// The human started waving the drone off.
+    HumanWavesOff,
+    /// The vision pipeline produced a decision: a sign, or none.
+    Recognized(Option<MarshallingSign>),
+    /// The dynamic channel detected a wave-off.
+    WaveOffDetected,
+    /// The cohort's quorum vote accepted a sign.
+    QuorumAccepted {
+        /// The accepted sign.
+        sign: MarshallingSign,
+        /// Agreeing in-window votes.
+        count: usize,
+        /// Votes required: the quorum, clamped to the live members.
+        need: usize,
+        /// Live members, the owner included.
+        live: usize,
+    },
+    /// The owner declared a cohort observer lost: its relay lease expired.
+    ObserverLost {
+        /// The observer's index.
+        observer: usize,
+        /// Live members left, the owner included.
+        live: usize,
+    },
+    /// Prose only: a fact that code looks for gets a variant of its own.
     Note(String),
 }
 
@@ -38,8 +60,24 @@ impl fmt::Display for LogEntry {
             LogEntry::PatternDone(k) => write!(f, "pattern complete: {k}"),
             LogEntry::HumanSigned(s) => write!(f, "human signs {s}"),
             LogEntry::HumanIdle => write!(f, "human lowers arms"),
-            LogEntry::Recognized(Some(l)) => write!(f, "vision: recognised {l}"),
+            LogEntry::HumanWavesOff => write!(f, "note: human waves the drone off"),
+            LogEntry::Recognized(Some(s)) => write!(f, "vision: recognised {s}"),
             LogEntry::Recognized(None) => write!(f, "vision: no sign"),
+            LogEntry::WaveOffDetected => write!(f, "note: dynamic gesture: wave-off detected"),
+            LogEntry::QuorumAccepted {
+                sign,
+                count,
+                need,
+                live,
+            } => write!(
+                f,
+                "note: cohort: quorum accepted {sign} ({count}/{need} of {live} live)"
+            ),
+            LogEntry::ObserverLost { observer, live } => write!(
+                f,
+                "note: cohort: relay lease expired — observer {observer} declared lost; \
+                 re-anchoring consensus on {live} live member(s)"
+            ),
             LogEntry::Note(s) => write!(f, "note: {s}"),
         }
     }
@@ -128,10 +166,75 @@ mod tests {
     fn display_renders_lines() {
         let mut log = EventLog::new();
         log.push(0.5, LogEntry::HumanSigned(MarshallingSign::Yes));
-        log.push(1.0, LogEntry::Recognized(Some("Yes".into())));
+        log.push(1.0, LogEntry::Recognized(Some(MarshallingSign::Yes)));
         let text = log.to_string();
         assert!(text.contains("human signs Yes"));
         assert!(text.contains("vision: recognised Yes"));
         assert!(text.contains("[   0.50s]"));
+    }
+
+    #[test]
+    fn every_variant_prints_the_text_the_goldens_hash() {
+        // The golden digests hash these lines, so each entry prints
+        // exactly the text the committed goldens were made from.
+        let cases = [
+            (
+                LogEntry::StateChanged {
+                    to: NegotiationState::AwaitingAnswer,
+                },
+                "state → awaiting answer",
+            ),
+            (
+                LogEntry::Action(ProtocolAction::EnterArea),
+                "action: enter area",
+            ),
+            (
+                LogEntry::Drone(DroneEvent::SafetyTriggered("low battery".into())),
+                "drone: SafetyTriggered(\"low battery\")",
+            ),
+            (
+                LogEntry::PatternDone(PatternKind::Poke),
+                "pattern complete: poke",
+            ),
+            (
+                LogEntry::HumanSigned(MarshallingSign::AttentionGained),
+                "human signs AttentionGained",
+            ),
+            (LogEntry::HumanIdle, "human lowers arms"),
+            (LogEntry::HumanWavesOff, "note: human waves the drone off"),
+            (
+                LogEntry::Recognized(Some(MarshallingSign::No)),
+                "vision: recognised No",
+            ),
+            (LogEntry::Recognized(None), "vision: no sign"),
+            (
+                LogEntry::WaveOffDetected,
+                "note: dynamic gesture: wave-off detected",
+            ),
+            (
+                LogEntry::QuorumAccepted {
+                    sign: MarshallingSign::Yes,
+                    count: 2,
+                    need: 2,
+                    live: 3,
+                },
+                "note: cohort: quorum accepted Yes (2/2 of 3 live)",
+            ),
+            (
+                LogEntry::ObserverLost {
+                    observer: 1,
+                    live: 2,
+                },
+                "note: cohort: relay lease expired — observer 1 declared lost; \
+                 re-anchoring consensus on 2 live member(s)",
+            ),
+            (
+                LogEntry::Note("human ignores the poke".into()),
+                "note: human ignores the poke",
+            ),
+        ];
+        for (entry, text) in cases {
+            assert_eq!(entry.to_string(), text, "{entry:?}");
+        }
     }
 }

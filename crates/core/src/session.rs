@@ -790,7 +790,7 @@ impl CollaborationSession {
         // dynamic channel: the temporal recogniser sees every frame
         self.dynamic.push_features(self.time, read.features);
         if self.dynamic.decision() == hdc_vision::dynamic::DynamicDecision::WaveOff {
-            self.note(LogEntry::Note("dynamic gesture: wave-off detected".into()));
+            self.note(LogEntry::WaveOffDetected);
             self.dynamic.reset();
             if self.deliver_wave_off() {
                 return;
@@ -807,16 +807,8 @@ impl CollaborationSession {
         if decision.is_some() {
             self.frames_recognized += 1;
         }
-        self.note(LogEntry::Recognized(decision.clone()));
-        let confirmed = self
-            .static_filter
-            .push(decision.as_deref())
-            .map(str::to_owned);
-        let sign = confirmed.as_deref().and_then(|label| {
-            MarshallingSign::ALL
-                .into_iter()
-                .find(|s| s.label() == label)
-        });
+        self.note(LogEntry::Recognized(decision));
+        let sign = self.static_filter.push(decision);
         if self.cohort.is_some() {
             if let Some(sign) = sign {
                 // the owner's confirmation is vote 0 of the quorum; only
@@ -883,11 +875,11 @@ impl CollaborationSession {
     /// wave-offs immediately, and delivers a quorum-accepted sign into the
     /// protocol path.
     fn apply_cohort_pump(&mut self, pump: CohortPump) {
-        for sign in &pump.recognized {
-            self.note(LogEntry::Recognized(Some(sign.label().to_owned())));
+        for sign in pump.recognized {
+            self.note(LogEntry::Recognized(Some(sign)));
         }
         for note in pump.notes {
-            self.note(LogEntry::Note(note));
+            self.note(note);
         }
         if pump.wave_off {
             let _ = self.deliver_wave_off();
@@ -1084,7 +1076,7 @@ impl CollaborationSession {
                     PlannedResponse::WaveOff => {
                         self.human.activity =
                             HumanActivity::Waving(self.time + WAVE_HOLD_S, self.time);
-                        self.note(LogEntry::Note("human waves the drone off".into()));
+                        self.note(LogEntry::HumanWavesOff);
                     }
                 }
             }
@@ -1434,7 +1426,7 @@ mod tests {
         assert_eq!(outcome, SessionOutcome::Granted);
         let log = s.log();
         let yes_t = log
-            .first_time(|e| matches!(e, LogEntry::Recognized(Some(l)) if l == "Yes"))
+            .first_time(|e| *e == LogEntry::Recognized(Some(MarshallingSign::Yes)))
             .expect("a Yes must be recognised");
         let enter_t = log
             .first_time(|e| *e == LogEntry::Action(ProtocolAction::EnterArea))
@@ -1478,12 +1470,8 @@ mod tests {
             let mut s = CollaborationSession::new(config);
             let outcome = s.run();
             assert_eq!(outcome, SessionOutcome::Denied, "seed {seed}");
-            let waved = s.log().first_time(
-                |e| matches!(e, LogEntry::Note(n) if n.contains("waves the drone off")),
-            );
-            let detected = s
-                .log()
-                .first_time(|e| matches!(e, LogEntry::Note(n) if n.contains("wave-off detected")));
+            let waved = s.log().first_time(|e| *e == LogEntry::HumanWavesOff);
+            let detected = s.log().first_time(|e| *e == LogEntry::WaveOffDetected);
             assert!(waved.is_some(), "seed {seed}; log:\n{}", s.log());
             assert!(
                 detected.is_some(),

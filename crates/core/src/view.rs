@@ -11,7 +11,9 @@
 //! A [`ViewMemo`] remembers the last view's inputs and those two results —
 //! never its pixels — so a repeated view skips render, binarise, labelling
 //! and recognition, and its results flow through exactly the code a fresh
-//! frame's would.
+//! frame's would. The static decision is a [`MarshallingSign`]: a read
+//! turns the pipeline's label into a sign once, so the memo, the shared
+//! table, the debounce and the log hand on a `Copy` value, never a label.
 //!
 //! A memo miss (a view whose inputs changed — the frames where a sign
 //! changes) reads the view once, and never as a grey frame. The silhouette
@@ -56,7 +58,9 @@
 //! the result with every thread, so building a session, on any worker, no
 //! longer re-renders the enrolment views.
 
-use hdc_figure::{paint_signaller, paint_silhouette, BodyDimensions, Pose, Signaller, ViewSpec};
+use hdc_figure::{
+    paint_signaller, paint_silhouette, BodyDimensions, MarshallingSign, Pose, Signaller, ViewSpec,
+};
 use hdc_geometry::{CameraIntrinsics, PinholeCamera, Vec3};
 use hdc_raster::{BitMask, GrayImage};
 use hdc_vision::dynamic::FrameFeatures;
@@ -193,13 +197,17 @@ impl ViewKey {
 }
 
 /// What one camera view yields for the two recognition channels.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A read is plain data (`Copy`), so the memo, the shared table and every
+/// camera hand it on without touching the heap.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ViewRead {
     /// The wave-off channel's features of the frame's largest silhouette
     /// component; `None` when the frame has no foreground.
     pub features: Option<FrameFeatures>,
-    /// The static channel's decision, when the reader needed it.
-    pub decision: Option<Option<String>>,
+    /// The static channel's decision — a recognised sign, or `None` when
+    /// the frame was rejected — when the reader needed it.
+    pub decision: Option<Option<MarshallingSign>>,
 }
 
 impl ViewRead {
@@ -247,11 +255,14 @@ impl ViewRead {
         })
     }
 
-    /// What both channels take from one labelling.
+    /// What both channels take from one labelling: the one place a
+    /// pipeline label becomes a [`MarshallingSign`]. The loop's pipelines
+    /// are calibrated on the signs' own views, so every label names one.
     fn of(read: FrameRead<'_>) -> Self {
+        let sign = |label| MarshallingSign::from_label(label).expect("a sign's label");
         ViewRead {
             features: read.component.as_ref().and_then(FrameFeatures::of),
-            decision: read.result.map(|r| r.decision.map(str::to_owned)),
+            decision: read.result.map(|r| r.decision.map(sign)),
         }
     }
 }
@@ -286,10 +297,10 @@ impl ViewMemo {
             .with_borrow_mut(|table| table.get(&shared, needs_decision))
             .unwrap_or_else(|| {
                 let read = ViewRead::view(signaller, eye, pipeline, needs_decision);
-                SHARED_READS.with_borrow_mut(|table| table.put(shared, &read));
+                SHARED_READS.with_borrow_mut(|table| table.put(shared, read));
                 read
             });
-        self.last = Some((key, read.clone()));
+        self.last = Some((key, read));
         read
     }
 
@@ -298,7 +309,7 @@ impl ViewMemo {
         match &self.last {
             Some((k, read)) if *k == key && (!needs_decision || read.decision.is_some()) => {
                 self.reused += 1;
-                Some(read.clone())
+                Some(*read)
             }
             _ => None,
         }
@@ -356,24 +367,20 @@ impl SharedReads {
         self.hits += 1;
         Some(ViewRead {
             features: stored.features,
-            decision: if needs_decision {
-                stored.decision.clone()
-            } else {
-                None
-            },
+            decision: stored.decision.filter(|_| needs_decision),
         })
     }
 
     /// Stores a fresh read of `key` (a sighted read replaces a blind one),
     /// when in a scope; [`SharedReads::get`] has already missed it there.
-    fn put(&mut self, key: SharedKey, read: &ViewRead) {
+    fn put(&mut self, key: SharedKey, read: ViewRead) {
         if self.active.is_none() {
             return;
         }
         if self.reads.len() == SHARED_CAPACITY {
             self.reads.clear();
         }
-        self.reads.insert(key, read.clone());
+        self.reads.insert(key, read);
     }
 }
 
@@ -495,7 +502,6 @@ pub(crate) fn calibrated_pipeline(canonical: &ViewSpec) -> Calibrated {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc_figure::MarshallingSign;
     use hdc_geometry::Vec2;
 
     fn signaller() -> Signaller {
@@ -543,7 +549,7 @@ mod tests {
 
         // the blind read carries no decision: asking for one re-reads
         let sighted = view(&mut memo, eye, true);
-        assert_eq!(sighted.decision, Some(Some("Yes".to_owned())));
+        assert_eq!(sighted.decision, Some(Some(MarshallingSign::Yes)));
         assert_eq!(sighted.features, blind.features);
         assert_eq!(memo.reused(), 1);
         assert_eq!(view(&mut memo, eye, true), sighted);
@@ -654,7 +660,7 @@ mod tests {
             ..SharedReads::default()
         };
         for i in 0..=SHARED_CAPACITY as u64 {
-            table.put((ViewKey([i; 22]), [0; 6]), &blind);
+            table.put((ViewKey([i; 22]), [0; 6]), blind);
         }
         assert_eq!(table.reads.len(), 1);
         assert_eq!(table.get(&(ViewKey([0; 22]), [0; 6]), false), None);

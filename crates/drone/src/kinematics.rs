@@ -26,11 +26,6 @@ impl DroneState {
         }
     }
 
-    /// Ground speed (horizontal), m/s.
-    pub fn ground_speed(&self) -> f64 {
-        self.velocity.xy().norm()
-    }
-
     /// Whether the drone is on the ground (altitude ≈ 0).
     pub fn is_grounded(&self) -> bool {
         self.position.z <= 1e-6
@@ -187,7 +182,7 @@ mod tests {
         for _ in 0..2000 {
             k.step(&mut s, Vec3::new(100.0, 0.0, 0.0), 0.0, Vec3::ZERO, 0.05);
         }
-        assert!(s.ground_speed() <= k.limits().max_speed + 1e-9);
+        assert!(s.velocity.xy().norm() <= k.limits().max_speed + 1e-9);
     }
 
     #[test]
@@ -245,7 +240,7 @@ mod tests {
         let s = DroneState::parked(Vec3::new(1.0, 2.0, 0.0));
         assert!(s.is_grounded());
         assert!(!s.rotors_on);
-        assert_eq!(s.ground_speed(), 0.0);
+        assert_eq!(s.velocity, Vec3::ZERO);
         assert_eq!(DroneState::default().position, Vec3::ZERO);
     }
 }

@@ -36,6 +36,11 @@ impl MarshallingSign {
             MarshallingSign::No => "No",
         }
     }
+
+    /// The sign whose [`label`](Self::label) is `label`, if any.
+    pub fn from_label(label: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|s| s.label() == label)
+    }
 }
 
 impl fmt::Display for MarshallingSign {
@@ -233,6 +238,10 @@ mod tests {
         assert_eq!(MarshallingSign::Yes.label(), "Yes");
         assert_eq!(MarshallingSign::No.to_string(), "No");
         assert_eq!(MarshallingSign::ALL.len(), 3);
+        for sign in MarshallingSign::ALL {
+            assert_eq!(MarshallingSign::from_label(sign.label()), Some(sign));
+        }
+        assert_eq!(MarshallingSign::from_label("yes"), None);
     }
 
     #[test]

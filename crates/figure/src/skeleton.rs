@@ -170,11 +170,6 @@ impl Signaller {
         &self.pose
     }
 
-    /// Sets a new pose.
-    pub fn set_pose(&mut self, pose: Pose) {
-        self.pose = pose;
-    }
-
     /// Body dimensions.
     pub fn dimensions(&self) -> &BodyDimensions {
         &self.dims

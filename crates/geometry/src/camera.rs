@@ -59,11 +59,6 @@ impl CameraIntrinsics {
     pub fn principal_point(&self) -> Vec2 {
         Vec2::new(self.cx, self.cy)
     }
-
-    /// Horizontal field of view in radians.
-    pub fn horizontal_fov(&self) -> f64 {
-        2.0 * (self.width as f64 / (2.0 * self.focal_px)).atan()
-    }
 }
 
 /// Perspective projection of a sphere: a disk in the image plane.
@@ -327,16 +322,5 @@ mod tests {
         assert!(c.in_frame(Vec2::new(639.9, 479.9)));
         assert!(!c.in_frame(Vec2::new(640.0, 100.0)));
         assert!(!c.in_frame(Vec2::new(-0.1, 100.0)));
-    }
-
-    #[test]
-    fn fov_is_sane() {
-        let intr = CameraIntrinsics::new(640, 480, 320.0);
-        // width/2 == focal ⇒ 90° horizontal FOV
-        assert!(approx_eq(
-            intr.horizontal_fov(),
-            std::f64::consts::FRAC_PI_2,
-            1e-12
-        ));
     }
 }

@@ -40,13 +40,6 @@ impl Mat3 {
         }
     }
 
-    /// Builds a matrix whose *columns* are the given vectors.
-    pub fn from_col_vectors(c0: Vec3, c1: Vec3, c2: Vec3) -> Self {
-        Mat3 {
-            m: [[c0.x, c1.x, c2.x], [c0.y, c1.y, c2.y], [c0.z, c1.z, c2.z]],
-        }
-    }
-
     /// Entry accessor, `row` and `col` in `0..3`.
     ///
     /// # Panics
@@ -242,8 +235,6 @@ mod tests {
 
     #[test]
     fn column_row_constructors() {
-        let a = Mat3::from_col_vectors(Vec3::X, Vec3::Y, Vec3::Z);
-        assert_eq!(a, Mat3::IDENTITY);
         let b = Mat3::from_row_vectors(Vec3::X, Vec3::Y, Vec3::Z);
         assert_eq!(b, Mat3::IDENTITY);
     }

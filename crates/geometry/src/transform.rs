@@ -35,16 +35,6 @@ impl Iso3 {
         }
     }
 
-    /// Pure translation.
-    pub fn from_translation(t: Vec3) -> Self {
-        Iso3::new(Mat3::IDENTITY, t)
-    }
-
-    /// Pure rotation.
-    pub fn from_rotation(r: Mat3) -> Self {
-        Iso3::new(r, Vec3::ZERO)
-    }
-
     /// The rotation part.
     pub fn rotation(&self) -> Mat3 {
         self.rotation
@@ -58,11 +48,6 @@ impl Iso3 {
     /// Applies the transform to a point.
     pub fn apply(&self, p: Vec3) -> Vec3 {
         self.rotation * p + self.translation
-    }
-
-    /// Applies only the rotation (for directions, which ignore translation).
-    pub fn apply_direction(&self, d: Vec3) -> Vec3 {
-        self.rotation * d
     }
 
     /// Composition: `self ∘ other` (apply `other` first, then `self`).
@@ -119,19 +104,13 @@ mod tests {
 
     #[test]
     fn compose_applies_right_first() {
-        let rot = Iso3::from_rotation(Mat3::rotation_z(std::f64::consts::FRAC_PI_2));
-        let tr = Iso3::from_translation(Vec3::X);
+        let rot = Iso3::new(Mat3::rotation_z(std::f64::consts::FRAC_PI_2), Vec3::ZERO);
+        let tr = Iso3::new(Mat3::IDENTITY, Vec3::X);
         // rotate then translate
         let both = tr.compose(&rot);
         assert_vec_eq(both.apply(Vec3::X), Vec3::new(1.0, 1.0, 0.0));
         // translate then rotate
         let both2 = rot.compose(&tr);
         assert_vec_eq(both2.apply(Vec3::X), Vec3::new(0.0, 2.0, 0.0));
-    }
-
-    #[test]
-    fn directions_ignore_translation() {
-        let t = Iso3::from_translation(Vec3::new(10.0, 10.0, 10.0));
-        assert_vec_eq(t.apply_direction(Vec3::X), Vec3::X);
     }
 }

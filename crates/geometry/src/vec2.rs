@@ -82,11 +82,6 @@ impl Vec2 {
         }
     }
 
-    /// Perpendicular vector, rotated +90° (counter-clockwise).
-    pub fn perp(self) -> Vec2 {
-        Vec2::new(-self.y, self.x)
-    }
-
     /// Rotates the vector by `angle` radians counter-clockwise.
     pub fn rotated(self, angle: f64) -> Vec2 {
         let (s, c) = angle.sin_cos();
@@ -240,7 +235,6 @@ mod tests {
         let v = Vec2::X.rotated(std::f64::consts::FRAC_PI_2);
         assert!(approx_eq(v.x, 0.0, 1e-12));
         assert!(approx_eq(v.y, 1.0, 1e-12));
-        assert_eq!(Vec2::X.perp(), Vec2::new(0.0, 1.0));
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl Vec3 {
         (self - other).norm()
     }
 
-    /// Horizontal (ground-plane) distance to another point.
-    pub fn horizontal_distance(self, other: Vec3) -> f64 {
-        self.xy().distance(other.xy())
-    }
-
     /// Returns the unit vector in the same direction, or `None` for the zero
     /// vector.
     pub fn normalized(self) -> Option<Vec3> {
@@ -247,13 +242,6 @@ mod tests {
         let c = a.cross(b);
         assert!(approx_eq(c.dot(a), 0.0, 1e-12));
         assert!(approx_eq(c.dot(b), 0.0, 1e-12));
-    }
-
-    #[test]
-    fn horizontal_distance_ignores_altitude() {
-        let a = Vec3::new(0.0, 0.0, 5.0);
-        let b = Vec3::new(3.0, 4.0, 1.0);
-        assert_eq!(a.horizontal_distance(b), 5.0);
     }
 
     #[test]

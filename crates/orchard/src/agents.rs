@@ -39,11 +39,6 @@ impl HumanActor {
         self.position.distance(self.target) < 0.2
     }
 
-    /// Sets a new walking target.
-    pub fn walk_to(&mut self, target: Vec2) {
-        self.target = target;
-    }
-
     /// Picks a random target within the given bounds.
     pub fn replan<R: Rng>(&mut self, lo: Vec2, hi: Vec2, rng: &mut R) {
         self.target = Vec2::new(rng.gen_range(lo.x..=hi.x), rng.gen_range(lo.y..=hi.y));
@@ -77,7 +72,7 @@ mod tests {
     #[test]
     fn walks_toward_target() {
         let mut h = HumanActor::new(0, Role::Worker, Vec2::ZERO);
-        h.walk_to(Vec2::new(10.0, 0.0));
+        h.target = Vec2::new(10.0, 0.0);
         assert!(!h.is_idle());
         h.step(1.0);
         assert!((h.position.x - 1.2).abs() < 1e-9);

@@ -1,12 +1,16 @@
-//! FNV-1a/64 hashing of raw byte slices.
+//! FNV-1a/64 hashing of raw byte slices and of formatted text.
 //!
 //! Its consumers hash canonical traces into committed digests: `hdc-sim`
 //! for the golden scenario digests under `tests/golden/`, and `hdc-serve`
-//! for the serve goldens. FNV-1a is the right tool for that:
-//! dependency-free, byte-order stable, and deterministic. It is not a
-//! frame-identity check: its multiply-per-byte dependency chain runs at
-//! roughly 1 GB/s, slower than comparing two frames byte for byte, so the
-//! temporal gate proves identity with a plain slice compare.
+//! for the serve goldens. [`digest_hex`] hashes a trace's `Display` text
+//! as it is formatted, so no trace is held in memory whole. FNV-1a is the
+//! right tool for that: dependency-free, byte-order stable, and
+//! deterministic. It is not a frame-identity check: its multiply-per-byte
+//! dependency chain runs at roughly 1 GB/s, slower than comparing two
+//! frames byte for byte, so the temporal gate proves identity with a
+//! plain slice compare.
+
+use std::fmt::{self, Write as _};
 
 /// Streaming FNV-1a/64: feed any number of byte slices, then
 /// [`Fnv1a64::finish`]. Hashing the concatenation of the fed slices through
@@ -58,6 +62,29 @@ impl Default for Fnv1a64 {
     }
 }
 
+/// Formatted text is absorbed as its UTF-8 bytes.
+impl fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// The 16-hex-character FNV-1a/64 digest of `text`'s formatted form,
+/// hashed as it is formatted.
+///
+/// # Example
+/// ```
+/// use hdc_raster::digest::digest_hex;
+/// assert_eq!(digest_hex(""), "cbf29ce484222325");
+/// assert_eq!(digest_hex(format_args!("foo{}", "bar")), digest_hex("foobar"));
+/// ```
+pub fn digest_hex(text: impl fmt::Display) -> String {
+    let mut h = Fnv1a64::new();
+    write!(h, "{text}").expect("hashing formatted text cannot fail");
+    format!("{:016x}", h.finish())
+}
+
 /// FNV-1a 64-bit hash of a byte slice.
 ///
 /// # Example
@@ -78,10 +105,15 @@ mod tests {
 
     #[test]
     fn matches_reference_vectors() {
-        // standard FNV-1a/64 test vectors
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        // standard FNV-1a/64 test vectors, hashed as bytes and as text
+        for (text, want) in [
+            ("", 0xcbf2_9ce4_8422_2325),
+            ("a", 0xaf63_dc4c_8601_ec8c),
+            ("foobar", 0x85944171f73967e8),
+        ] {
+            assert_eq!(fnv1a64(text.as_bytes()), want, "{text:?}");
+            assert_eq!(digest_hex(text), format!("{want:016x}"), "{text:?}");
+        }
     }
 
     #[test]
@@ -95,13 +127,22 @@ mod tests {
 
     #[test]
     fn streaming_matches_one_shot_at_any_split() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        let want = fnv1a64(data);
+        let data = "the quick brown fox jumps over the lazy dog";
+        let want = fnv1a64(data.as_bytes());
         for split in 0..=data.len() {
+            let (head, tail) = data.split_at(split);
             let mut h = Fnv1a64::new();
-            h.write(&data[..split]);
-            h.write(&data[split..]);
+            h.write(head.as_bytes());
+            h.write(tail.as_bytes());
             assert_eq!(h.finish(), want, "split at {split}");
+            // formatted pieces hash as their text
+            let mut h = Fnv1a64::new();
+            write!(h, "{head}{tail}").unwrap();
+            assert_eq!(h.finish(), want, "formatted split at {split}");
+            assert_eq!(
+                digest_hex(format_args!("{head}{tail}")),
+                format!("{want:016x}")
+            );
         }
         assert_eq!(Fnv1a64::default().finish(), fnv1a64(b""));
     }

@@ -174,11 +174,6 @@ impl Bitmap {
     pub fn count_foreground(&self) -> usize {
         self.pixels().iter().filter(|p| **p).count()
     }
-
-    /// Converts the mask to an 8-bit image (`true` → 255).
-    pub fn to_gray(&self) -> GrayImage {
-        self.map(|b| if b { 255 } else { 0 })
-    }
 }
 
 impl GrayImage {
@@ -243,9 +238,8 @@ mod tests {
         img.set(1, 1, 200);
         let mask: Bitmap = img.map(|v| v > 100);
         assert_eq!(mask.count_foreground(), 1);
-        let back = mask.to_gray();
-        assert_eq!(back.get(1, 1), Some(255));
-        assert_eq!(back.get(0, 0), Some(0));
+        assert_eq!(mask.get(1, 1), Some(true));
+        assert_eq!(mask.get(0, 0), Some(false));
     }
 
     #[test]

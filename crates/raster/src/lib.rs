@@ -12,7 +12,7 @@
 //! * connected-component labelling ([`components`]),
 //! * Moore-neighbour [`contour`] tracing,
 //! * tiled mask differencing for temporal-coherence gating ([`diff`]),
-//! * FNV-1a/64 [`digest`]s of raw byte slices (golden trace digests),
+//! * FNV-1a/64 [`digest`]s of byte slices and formatted text (golden trace digests),
 //! * sensor [`noise`] models,
 //! * portable-anymap [`io`] (PGM) plus ASCII-art dumps for debugging.
 //!

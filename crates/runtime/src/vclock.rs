@@ -50,11 +50,6 @@ impl VirtualClock {
         );
         self.now_us = t_us;
     }
-
-    /// Advances by a relative duration.
-    pub fn advance_by(&mut self, d_us: Micros) {
-        self.now_us += d_us;
-    }
 }
 
 #[cfg(test)]
@@ -67,7 +62,7 @@ mod tests {
         assert_eq!(c.now_us(), 0);
         c.advance_to(5);
         c.advance_to(5); // same instant is fine
-        c.advance_by(3);
+        c.advance_to(8);
         assert_eq!(c.now_us(), 8);
     }
 

@@ -289,14 +289,10 @@ impl ServeReport {
         self.latency_percentile_us(99.0)
     }
 
-    /// The canonical trace text (one line per event).
-    pub fn canonical_trace(&self) -> String {
-        crate::trace::canonical_trace(&self.events)
-    }
-
-    /// The FNV-1a/64 golden digest of the canonical trace.
+    /// The FNV-1a/64 golden digest of the canonical trace, hashed as it is
+    /// formatted.
     pub fn digest(&self) -> String {
-        crate::trace::digest_hex(&self.canonical_trace())
+        hdc_raster::digest::digest_hex(crate::trace::canonical_trace(&self.events))
     }
 }
 

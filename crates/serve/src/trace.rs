@@ -3,10 +3,11 @@
 //! Every scheduling decision the server takes — admit, reject, shed, evict,
 //! cold-start, restore, start, decide — is recorded as one [`ServeEvent`]
 //! with its virtual timestamp. The trace is reduced to a canonical
-//! one-line-per-event text form and hashed with the workspace's shared
-//! FNV-1a/64 ([`hdc_raster::digest`]); the hex digest is what gets
-//! committed under `tests/golden/serve_digests.txt` and compared in CI at
-//! several worker counts (the same discipline as the scenario matrix).
+//! one-line-per-event text form and hashed, as it is formatted, with the
+//! workspace's shared FNV-1a/64 ([`hdc_raster::digest`]); the hex digest
+//! is what gets committed under `tests/golden/serve_digests.txt` and
+//! compared in CI at several worker counts (the same discipline as the
+//! scenario matrix).
 //!
 //! **Total order.** Shards emit events concurrently and service completions
 //! are recorded out of arrival order, so the canonical form sorts by
@@ -17,7 +18,6 @@
 
 use hdc_runtime::Micros;
 use std::fmt;
-use std::fmt::Write as _;
 
 /// What happened to a frame (or a resident stream) at one instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,10 +115,13 @@ impl ServeEvent {
     pub fn sort_key(&self) -> (Micros, u32, u32, u8) {
         (self.t_us, self.stream, self.frame, self.kind.rank())
     }
+}
 
-    /// The event's canonical one-line text form.
-    pub fn canonical_line(&self) -> String {
-        format!(
+/// The event's canonical one-line text form.
+impl fmt::Display for ServeEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
             "{:>12} s{:04} f{:04} {}",
             self.t_us, self.stream, self.frame, self.kind
         )
@@ -130,19 +133,24 @@ pub fn sort_canonical(events: &mut [ServeEvent]) {
     events.sort_unstable_by_key(|e| e.sort_key());
 }
 
-/// Reduces a canonically sorted event list to the text the digest is
-/// computed over (one line per event).
-pub fn canonical_trace(events: &[ServeEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        let _ = writeln!(out, "{}", e.canonical_line());
+/// A canonically sorted event list's text form, the text the digest is
+/// computed over (one line per event), formatted on demand.
+#[derive(Debug, Clone, Copy)]
+pub struct CanonicalTrace<'a>(&'a [ServeEvent]);
+
+impl fmt::Display for CanonicalTrace<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for e in self.0 {
+            writeln!(f, "{e}")?;
+        }
+        Ok(())
     }
-    out
 }
 
-/// The 16-hex-character FNV-1a/64 digest of a canonical trace.
-pub fn digest_hex(trace: &str) -> String {
-    format!("{:016x}", hdc_raster::digest::fnv1a64(trace.as_bytes()))
+/// Reduces a canonically sorted event list to the text the digest is
+/// computed over.
+pub fn canonical_trace(events: &[ServeEvent]) -> CanonicalTrace<'_> {
+    CanonicalTrace(events)
 }
 
 #[cfg(test)]
@@ -193,22 +201,35 @@ mod tests {
             },
         );
         assert_eq!(
-            e.canonical_line(),
+            e.to_string(),
             "         123 s0007 f0002 decide latency=456 label=Yes"
         );
         assert_eq!(
-            ev(1, 2, 3, EventKind::Evict { victim: 9 }).canonical_line(),
+            ev(1, 2, 3, EventKind::Evict { victim: 9 }).to_string(),
             "           1 s0002 f0003 evict victim=s0009"
         );
     }
 
     #[test]
     fn digest_is_stable_and_sensitive() {
-        let a = canonical_trace(&[ev(1, 0, 0, EventKind::Admit)]);
-        let b = canonical_trace(&[ev(2, 0, 0, EventKind::Admit)]);
-        assert_eq!(digest_hex(&a), digest_hex(&a));
-        assert_ne!(digest_hex(&a), digest_hex(&b));
-        // empty-string FNV-1a/64 offset basis
-        assert_eq!(digest_hex(""), "cbf29ce484222325");
+        use hdc_raster::digest::digest_hex;
+        let (a, b) = (
+            [ev(1, 0, 0, EventKind::Admit)],
+            [ev(2, 0, 0, EventKind::Admit)],
+        );
+        assert_eq!(
+            canonical_trace(&a).to_string(),
+            "           1 s0000 f0000 admit\n"
+        );
+        assert_eq!(
+            digest_hex(canonical_trace(&a)),
+            digest_hex(canonical_trace(&a).to_string())
+        );
+        assert_ne!(
+            digest_hex(canonical_trace(&a)),
+            digest_hex(canonical_trace(&b))
+        );
+        // an empty trace hashes to the FNV-1a/64 offset basis
+        assert_eq!(digest_hex(canonical_trace(&[])), "cbf29ce484222325");
     }
 }

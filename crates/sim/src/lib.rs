@@ -37,4 +37,4 @@ pub use sweep::{
     cohort_fusion_sweep, cohort_fusion_sweep_with, cohort_loss_sweep_with, dead_angle_sweep,
     dead_angle_sweep_with, link_loss_sweep_with, FusionPoint, LossPoint,
 };
-pub use trace::{canonical_trace, digest_hex, fnv1a64};
+pub use trace::{canonical_trace, CanonicalTrace};

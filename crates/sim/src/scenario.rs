@@ -17,7 +17,7 @@
 //! whenever the safety function engaged), and negotiation time is bounded.
 
 use crate::fault::{FaultKind, FaultPlan};
-use crate::trace::{canonical_trace, digest_hex};
+use crate::trace::canonical_trace;
 use hdc_core::{
     CohortConfig, CollaborationSession, HumanScript, LogEntry, ProtocolAction, Role,
     ScriptedResponse, SessionConfig, SessionOutcome, SessionReport,
@@ -28,6 +28,7 @@ use hdc_link::LinkQuality;
 use hdc_orchard::{
     run_linked_fleet_mode, LinkedFleetConfig, Mission, MissionConfig, OrchardMap, RadioFailure,
 };
+use hdc_raster::digest::digest_hex;
 use hdc_runtime::{micros_to_secs, EventHeap, ScheduleMode};
 
 /// A named, fully specified scenario.
@@ -214,7 +215,7 @@ pub fn grade_report(scenario: &Scenario, report: &SessionReport) -> ScenarioResu
         name: scenario.name.clone(),
         outcome: report.outcome,
         grade,
-        digest: digest_hex(&canonical_trace(&report.log)),
+        digest: digest_hex(canonical_trace(&report.log)),
         violations,
         duration_s: report.duration_s,
         frames: (
@@ -232,7 +233,7 @@ pub fn check_invariants(report: &SessionReport) -> Vec<String> {
     let log = &report.log;
 
     // R4: the drone enters the area only after a recognised Yes.
-    let first_yes = log.first_time(|e| matches!(e, LogEntry::Recognized(Some(l)) if l == "Yes"));
+    let first_yes = log.first_time(|e| *e == LogEntry::Recognized(Some(MarshallingSign::Yes)));
     for (t, _) in log.filter(|e| *e == LogEntry::Action(ProtocolAction::EnterArea)) {
         match first_yes {
             Some(yes_t) if yes_t <= *t => {}
@@ -248,7 +249,7 @@ pub fn check_invariants(report: &SessionReport) -> Vec<String> {
     // configured quorum, whatever the relay interleaving did
     if report.cohort.is_some() {
         let first_quorum_yes = log.first_time(
-            |e| matches!(e, LogEntry::Note(n) if n.starts_with("cohort: quorum accepted Yes")),
+            |e| matches!(e, LogEntry::QuorumAccepted { sign, .. } if *sign == MarshallingSign::Yes),
         );
         for (t, _) in log.filter(|e| *e == LogEntry::Action(ProtocolAction::EnterArea)) {
             match first_quorum_yes {
@@ -282,9 +283,7 @@ pub fn check_invariants(report: &SessionReport) -> Vec<String> {
     }
 
     // a wave-off is always honoured: no area entry at or after detection
-    if let Some(wave_t) =
-        log.first_time(|e| matches!(e, LogEntry::Note(n) if n.contains("wave-off detected")))
-    {
+    if let Some(wave_t) = log.first_time(|e| *e == LogEntry::WaveOffDetected) {
         for (t, _) in log.filter(|e| *e == LogEntry::Action(ProtocolAction::EnterArea)) {
             if *t >= wave_t {
                 violations.push(format!(
@@ -816,14 +815,14 @@ pub fn mission_cases() -> Vec<(String, String, String)> {
             ..Default::default()
         };
         let stats = Mission::new(cfg, map, seed).run();
-        let text = format!("{stats:?}");
+        let digest = digest_hex(format_args!("{stats:?}"));
         let summary = format!(
             "traps_read={} skipped={} negotiations={}",
             stats.traps_read,
             stats.traps_skipped,
             stats.negotiations.total()
         );
-        (name.to_owned(), digest_hex(&text), summary)
+        (name.to_owned(), digest, summary)
     })
     .collect()
 }
@@ -868,7 +867,7 @@ pub fn linked_fleet_cases_mode(mode: ScheduleMode) -> Vec<(String, String, Strin
                 ..Default::default()
             };
             let stats = run_linked_fleet_mode(&cfg, &map, seed, mode);
-            let text = format!("{stats:?}");
+            let digest = digest_hex(format_args!("{stats:?}"));
             let summary = format!(
                 "confirmed={}/{} lost={} reassigned={} dup_reads={}",
                 stats.traps_confirmed,
@@ -877,7 +876,7 @@ pub fn linked_fleet_cases_mode(mode: ScheduleMode) -> Vec<(String, String, Strin
                 stats.reassigned,
                 stats.duplicate_reads
             );
-            (name.to_owned(), digest_hex(&text), summary)
+            (name.to_owned(), digest, summary)
         })
         .collect()
 }
@@ -931,7 +930,7 @@ pub fn parse_manifest(text: &str) -> Vec<(String, String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc_core::EventLog;
+    use hdc_core::{CohortReport, EventLog};
 
     fn empty_report(outcome: SessionOutcome) -> SessionReport {
         SessionReport {
@@ -990,6 +989,52 @@ mod tests {
     }
 
     #[test]
+    fn cohort_entry_needs_a_quorum_acceptance_of_yes() {
+        let log = |accepted: MarshallingSign| {
+            let mut log = EventLog::new();
+            log.push(1.0, LogEntry::Recognized(Some(MarshallingSign::Yes)));
+            log.push(
+                1.0,
+                LogEntry::QuorumAccepted {
+                    sign: accepted,
+                    count: 2,
+                    need: 2,
+                    live: 2,
+                },
+            );
+            log.push(2.0, LogEntry::Action(ProtocolAction::EnterArea));
+            log
+        };
+        let mut report = empty_report(SessionOutcome::Granted);
+        report.cohort = Some(CohortReport::default());
+        report.log = log(MarshallingSign::No);
+        let violations = check_invariants(&report);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("without a prior cohort quorum acceptance of Yes"));
+        report.log = log(MarshallingSign::Yes);
+        assert_eq!(check_invariants(&report), Vec::<String>::new());
+    }
+
+    #[test]
+    fn only_a_detected_wave_off_forbids_entry() {
+        let log = |detection: LogEntry| {
+            let mut log = EventLog::new();
+            log.push(1.0, LogEntry::Recognized(Some(MarshallingSign::Yes)));
+            log.push(2.0, detection);
+            log.push(3.0, LogEntry::Action(ProtocolAction::EnterArea));
+            log
+        };
+        let mut report = empty_report(SessionOutcome::Granted);
+        // prose that mentions a wave-off is not a detection
+        report.log = log(LogEntry::Note("dynamic gesture: wave-off detected".into()));
+        assert_eq!(check_invariants(&report), Vec::<String>::new());
+        report.log = log(LogEntry::WaveOffDetected);
+        let violations = check_invariants(&report);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("after wave-off at 2.0s"));
+    }
+
+    #[test]
     fn invariant_checker_catches_unlatched_danger_ring() {
         let mut report = empty_report(SessionOutcome::Aborted);
         report.safety_engaged = true;
@@ -1008,7 +1053,8 @@ mod tests {
             vec![SessionOutcome::Granted],
         );
         let mut ok = empty_report(SessionOutcome::Granted);
-        ok.log.push(1.0, LogEntry::Recognized(Some("Yes".into())));
+        ok.log
+            .push(1.0, LogEntry::Recognized(Some(MarshallingSign::Yes)));
         assert_eq!(grade_report(&sc, &ok).grade, Grade::Pass);
         let degraded = empty_report(SessionOutcome::Abandoned);
         assert_eq!(grade_report(&sc, &degraded).grade, Grade::Degrade);

@@ -138,11 +138,6 @@ impl MultiStreamReport {
         self.total_frames() as f64 / self.seconds
     }
 
-    /// Total frames that produced an accepted decision, across all streams.
-    pub fn decided_total(&self) -> usize {
-        self.per_stream.iter().map(|s| s.decided).sum()
-    }
-
     /// Aggregate gate counters across all streams.
     pub fn gate_totals(&self) -> GateCounters {
         self.per_stream
@@ -447,10 +442,6 @@ mod tests {
             summed = summed.plus(&s.gate);
         }
         assert_eq!(report.gate_totals(), summed);
-        assert_eq!(
-            report.decided_total(),
-            report.per_stream.iter().map(|s| s.decided).sum::<usize>()
-        );
 
         // the hold stream hits (only its first frame recomputes), the
         // alternating stream never does — visible only per-stream

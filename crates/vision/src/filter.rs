@@ -2,30 +2,33 @@
 //!
 //! A single frame can alias — a mid-gesture arm position may match a static
 //! sign for one frame (see experiment E16's interaction with the wave-off).
-//! Production recognisers therefore debounce: a label is *believed* only
+//! Production recognisers therefore debounce: a sign is *believed* only
 //! after it has persisted. [`DecisionFilter`] is that debounce, shared by
 //! the collaboration session and available to downstream users of the
 //! pipeline.
 
+use hdc_figure::MarshallingSign;
+
 /// Majority-persistence filter over per-frame decisions.
 ///
-/// A label is confirmed once it has been reported by `required` consecutive
+/// A sign is confirmed once it has been reported by `required` consecutive
 /// frames. Any different observation (including "no decision") resets the
 /// run.
 ///
 /// # Example
 /// ```
+/// use hdc_figure::MarshallingSign::{No, Yes};
 /// use hdc_vision::DecisionFilter;
 /// let mut f = DecisionFilter::new(2);
-/// assert_eq!(f.push(Some("Yes")), None);        // first sighting
-/// assert_eq!(f.push(Some("Yes")), Some("Yes")); // confirmed
-/// assert_eq!(f.push(Some("No")), None);         // run broken
+/// assert_eq!(f.push(Some(Yes)), None);      // first sighting
+/// assert_eq!(f.push(Some(Yes)), Some(Yes)); // confirmed
+/// assert_eq!(f.push(Some(No)), None);       // run broken
 /// assert_eq!(f.push(None), None);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecisionFilter {
     required: u32,
-    current: Option<String>,
+    current: Option<MarshallingSign>,
     run: u32,
 }
 
@@ -48,30 +51,17 @@ impl DecisionFilter {
         self.required
     }
 
-    /// The length of the current agreeing run.
-    pub fn run_length(&self) -> u32 {
-        self.run
-    }
-
-    /// Feeds one frame's decision; returns the confirmed label once the
+    /// Feeds one frame's decision; returns the confirmed sign once the
     /// persistence requirement is met (and on every further agreeing frame).
-    pub fn push(&mut self, decision: Option<&str>) -> Option<&str> {
-        match decision {
-            Some(label) => {
-                if self.current.as_deref() == Some(label) {
-                    self.run += 1;
-                } else {
-                    self.current = Some(label.to_string());
-                    self.run = 1;
-                }
-            }
-            None => {
-                self.current = None;
-                self.run = 0;
-            }
+    pub fn push(&mut self, decision: Option<MarshallingSign>) -> Option<MarshallingSign> {
+        if decision.is_some() && decision == self.current {
+            self.run += 1;
+        } else {
+            self.current = decision;
+            self.run = u32::from(decision.is_some());
         }
         if self.run >= self.required {
-            self.current.as_deref()
+            self.current
         } else {
             None
         }
@@ -87,48 +77,50 @@ impl DecisionFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use MarshallingSign::{No, Yes};
 
     #[test]
     fn confirms_after_n_frames() {
         let mut f = DecisionFilter::new(3);
-        assert_eq!(f.push(Some("No")), None);
-        assert_eq!(f.push(Some("No")), None);
-        assert_eq!(f.push(Some("No")), Some("No"));
+        assert_eq!(f.push(Some(No)), None);
+        assert_eq!(f.push(Some(No)), None);
+        assert_eq!(f.push(Some(No)), Some(No));
         // stays confirmed while the run continues
-        assert_eq!(f.push(Some("No")), Some("No"));
-        assert_eq!(f.run_length(), 4);
+        assert_eq!(f.push(Some(No)), Some(No));
+        assert_eq!(f.push(Some(No)), Some(No));
     }
 
     #[test]
     fn different_label_resets() {
         let mut f = DecisionFilter::new(2);
-        f.push(Some("Yes"));
-        assert_eq!(f.push(Some("No")), None, "run broken by different label");
-        assert_eq!(f.push(Some("No")), Some("No"));
+        f.push(Some(Yes));
+        assert_eq!(f.push(Some(No)), None, "run broken by different label");
+        assert_eq!(f.push(Some(No)), Some(No));
     }
 
     #[test]
     fn none_resets() {
         let mut f = DecisionFilter::new(2);
-        f.push(Some("Yes"));
+        f.push(Some(Yes));
         assert_eq!(f.push(None), None);
-        assert_eq!(f.push(Some("Yes")), None, "run restarted");
-        assert_eq!(f.push(Some("Yes")), Some("Yes"));
+        assert_eq!(f.push(Some(Yes)), None, "run restarted");
+        assert_eq!(f.push(Some(Yes)), Some(Yes));
     }
 
     #[test]
     fn single_frame_mode() {
         let mut f = DecisionFilter::new(1);
-        assert_eq!(f.push(Some("Yes")), Some("Yes"));
+        assert_eq!(f.push(Some(Yes)), Some(Yes));
+        assert_eq!(f.push(None), None);
     }
 
     #[test]
     fn reset_clears_state() {
         let mut f = DecisionFilter::new(2);
-        f.push(Some("Yes"));
+        f.push(Some(Yes));
         f.reset();
-        assert_eq!(f.run_length(), 0);
-        assert_eq!(f.push(Some("Yes")), None);
+        assert_eq!(f, DecisionFilter::new(2));
+        assert_eq!(f.push(Some(Yes)), None);
     }
 
     #[test]

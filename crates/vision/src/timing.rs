@@ -99,11 +99,6 @@ impl FrameBudget {
     pub fn fits(&self, t: &StageTimings) -> bool {
         t.total_us() <= self.budget_us
     }
-
-    /// Fraction of the budget consumed (1.0 = exactly on budget).
-    pub fn utilisation(&self, t: &StageTimings) -> f64 {
-        t.total_us() as f64 / self.budget_us as f64
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +137,6 @@ mod tests {
         let t = sample(); // 1 ms
         assert!(b30.fits(&t));
         assert!(b60.fits(&t));
-        assert!((b30.utilisation(&t) - 0.03).abs() < 0.01);
     }
 
     #[test]

@@ -1,0 +1,96 @@
+//! A recognised sign and every protocol fact in a session log are typed.
+//!
+//! Code that looks for a fact in a session log (a recognised sign, a
+//! quorum acceptance, a detected wave-off) matches a `LogEntry` variant,
+//! so a free-text `LogEntry::Note` is prose: written from a literal or a
+//! `format!`, and read only to print it. And a pipeline label becomes a
+//! `MarshallingSign` in one place, `ViewRead::of`. This scan reads the
+//! non-test part of every source file under `crates/*/src` (each file up
+//! to its first `#[cfg(test)]` line) and fails on code that binds a
+//! note's text for anything but printing it, or that maps a label to a
+//! sign anywhere else.
+
+use std::path::{Path, PathBuf};
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// `(path relative to the root, non-test source)` of every crate source.
+fn non_test_sources() -> Vec<(String, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for member in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        rust_files(&member.expect("member").path().join("src"), &mut files);
+    }
+    assert!(files.len() > 50, "only {} sources found", files.len());
+    files
+        .into_iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(&path).expect("source file");
+            let code: String = text
+                .lines()
+                .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+                .flat_map(|l| [l, "\n"])
+                .collect();
+            let name = path.strip_prefix(root).unwrap().display().to_string();
+            (name, code)
+        })
+        .collect()
+}
+
+/// Whether the text after `LogEntry::Note(` writes a note or prints one:
+/// a literal, a `format!`, a wildcard, or the binding `Display` prints.
+fn writes_or_prints(after: &str) -> bool {
+    let after = after.trim_start();
+    if after.starts_with('"') || after.starts_with("format!(") || after.starts_with("_)") {
+        return true;
+    }
+    let ident_end = after
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(after.len());
+    after[ident_end..].starts_with(") => write!(f, ")
+}
+
+#[test]
+fn no_code_reads_the_text_of_a_note() {
+    let mut reads = Vec::new();
+    for (name, code) in non_test_sources() {
+        for (at, _) in code.match_indices("LogEntry::Note(") {
+            if !writes_or_prints(&code[at + "LogEntry::Note(".len()..]) {
+                let line = code[..at].lines().count();
+                reads.push(format!("{name}:{line}"));
+            }
+        }
+    }
+    assert!(
+        reads.is_empty(),
+        "code reads a note's text; match a typed LogEntry variant instead: {reads:?}"
+    );
+}
+
+#[test]
+fn only_the_view_read_maps_a_label_to_a_sign() {
+    let mut maps = Vec::new();
+    for (name, code) in non_test_sources() {
+        for (i, line) in code.lines().enumerate() {
+            let defines = name.ends_with("figure/src/pose.rs");
+            let reads = name.ends_with("core/src/view.rs") && line.contains("from_label(");
+            if (line.contains("label() ==") || line.contains("from_label(")) && !defines && !reads {
+                maps.push(format!("{name}:{}", i + 1));
+            }
+        }
+    }
+    assert!(
+        maps.is_empty(),
+        "a label becomes a sign only in ViewRead::of: {maps:?}"
+    );
+}
