@@ -46,6 +46,18 @@ mod tests {
     }
 
     #[test]
+    fn fnv_matches_reference_vectors() {
+        // the committed golden digests are FNV-1a/64 of the trace text
+        assert_eq!(digest_hex(""), "cbf29ce484222325");
+        assert_eq!(digest_hex("a"), "af63dc4c8601ec8c");
+        assert_eq!(digest_hex("foobar"), "85944171f73967e8");
+        assert_eq!(
+            digest_hex(canonical_trace(&EventLog::new())),
+            "cbf29ce484222325"
+        );
+    }
+
+    #[test]
     fn digest_is_stable_and_sensitive() {
         let mut log = EventLog::new();
         log.push(1.0, LogEntry::HumanIdle);
