@@ -492,7 +492,7 @@ pub fn e7_landing_pattern() -> String {
     out.push_str(&table.render());
     out.push_str("\nevent order:\n");
     for (t, e) in &events {
-        out.push_str(&format!("  [{t:.2} s] {e:?}\n"));
+        out.push_str(&format!("  [{t:.2} s] {e}\n"));
     }
     let rotors_idx = events
         .iter()

@@ -56,7 +56,7 @@ impl fmt::Display for LogEntry {
         match self {
             LogEntry::StateChanged { to } => write!(f, "state → {to}"),
             LogEntry::Action(a) => write!(f, "action: {a}"),
-            LogEntry::Drone(e) => write!(f, "drone: {e:?}"),
+            LogEntry::Drone(e) => write!(f, "drone: {e}"),
             LogEntry::PatternDone(k) => write!(f, "pattern complete: {k}"),
             LogEntry::HumanSigned(s) => write!(f, "human signs {s}"),
             LogEntry::HumanIdle => write!(f, "human lowers arms"),
@@ -189,8 +189,37 @@ mod tests {
                 "action: enter area",
             ),
             (
+                LogEntry::Drone(DroneEvent::RotorsStarted),
+                "drone: RotorsStarted",
+            ),
+            (
+                LogEntry::Drone(DroneEvent::RotorsStopped),
+                "drone: RotorsStopped",
+            ),
+            (
+                LogEntry::Drone(DroneEvent::LightsNavigation),
+                "drone: LightsNavigation",
+            ),
+            (LogEntry::Drone(DroneEvent::LightsOut), "drone: LightsOut"),
+            (
+                LogEntry::Drone(DroneEvent::LightsDanger),
+                "drone: LightsDanger",
+            ),
+            (
+                LogEntry::Drone(DroneEvent::PatternStarted(PatternKind::Poke)),
+                "drone: PatternStarted(Poke)",
+            ),
+            (
+                LogEntry::Drone(DroneEvent::PatternComplete(PatternKind::RectangleRequest)),
+                "drone: PatternComplete(RectangleRequest)",
+            ),
+            (
                 LogEntry::Drone(DroneEvent::SafetyTriggered("low battery".into())),
                 "drone: SafetyTriggered(\"low battery\")",
+            ),
+            (
+                LogEntry::Drone(DroneEvent::BatteryReserve),
+                "drone: BatteryReserve",
             ),
             (
                 LogEntry::PatternDone(PatternKind::Poke),
@@ -235,6 +264,24 @@ mod tests {
         ];
         for (entry, text) in cases {
             assert_eq!(entry.to_string(), text, "{entry:?}");
+        }
+        // every pattern kind, in both pattern events
+        for (kind, text) in [
+            (PatternKind::TakeOff, "TakeOff"),
+            (PatternKind::Landing, "Landing"),
+            (PatternKind::Cruise, "Cruise"),
+            (PatternKind::Poke, "Poke"),
+            (PatternKind::Nod, "Nod"),
+            (PatternKind::Turn, "Turn"),
+            (PatternKind::RectangleRequest, "RectangleRequest"),
+        ] {
+            for (event, name) in [
+                (DroneEvent::PatternStarted(kind), "PatternStarted"),
+                (DroneEvent::PatternComplete(kind), "PatternComplete"),
+            ] {
+                let entry = LogEntry::Drone(event);
+                assert_eq!(entry.to_string(), format!("drone: {name}({text})"));
+            }
         }
     }
 }

@@ -9,6 +9,7 @@ use crate::wind::WindModel;
 use hdc_geometry::Vec3;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::fmt;
 
 /// Configuration of a simulated drone.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,6 +63,38 @@ pub enum DroneEvent {
     SafetyTriggered(String),
     /// Battery fell below the return-home reserve.
     BatteryReserve,
+}
+
+/// The event text session logs print and the golden digests hash, e.g.
+/// `PatternStarted(Poke)` or `SafetyTriggered("low battery")` (the reason
+/// quoted and escaped); spelled out so a change to `Debug` moves no digest.
+impl fmt::Display for DroneEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DroneEvent::RotorsStarted => f.write_str("RotorsStarted"),
+            DroneEvent::RotorsStopped => f.write_str("RotorsStopped"),
+            DroneEvent::LightsNavigation => f.write_str("LightsNavigation"),
+            DroneEvent::LightsOut => f.write_str("LightsOut"),
+            DroneEvent::LightsDanger => f.write_str("LightsDanger"),
+            DroneEvent::PatternStarted(k) => write!(f, "PatternStarted({})", kind_name(*k)),
+            DroneEvent::PatternComplete(k) => write!(f, "PatternComplete({})", kind_name(*k)),
+            DroneEvent::SafetyTriggered(reason) => write!(f, "SafetyTriggered({reason:?})"),
+            DroneEvent::BatteryReserve => f.write_str("BatteryReserve"),
+        }
+    }
+}
+
+/// A pattern kind's identifier as the event text spells it.
+fn kind_name(kind: PatternKind) -> &'static str {
+    match kind {
+        PatternKind::TakeOff => "TakeOff",
+        PatternKind::Landing => "Landing",
+        PatternKind::Cruise => "Cruise",
+        PatternKind::Poke => "Poke",
+        PatternKind::Nod => "Nod",
+        PatternKind::Turn => "Turn",
+        PatternKind::RectangleRequest => "RectangleRequest",
+    }
 }
 
 /// A simulated drone: kinematic state, LED ring, battery, wind, and a

@@ -33,13 +33,6 @@ pub struct TileSummary {
     pub total: u64,
 }
 
-impl TileSummary {
-    /// Total number of tiles in the grid.
-    pub fn tile_count(&self) -> usize {
-        self.tiles_x as usize * self.tiles_y as usize
-    }
-}
-
 /// Number of differing pixels between two packed masks: XOR plus popcount,
 /// 64 pixels per word pair. Because both masks obey the tail invariant
 /// (padding bits zero), padding never contributes to the count.
@@ -169,7 +162,7 @@ mod tests {
         let s = mask_tile_diff_into(&a, &b, 8, &mut tiles);
         assert_eq!(s.tiles_x, 5);
         assert_eq!(s.tiles_y, 3);
-        assert_eq!(tiles.len(), s.tile_count());
+        assert_eq!(tiles.len(), 5 * 3);
         assert!(s.total > 0);
         assert_eq!(s.total, mask_diff_count(&a, &b));
         assert_eq!(s.max, tiles.iter().copied().max().unwrap());

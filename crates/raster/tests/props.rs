@@ -349,7 +349,7 @@ proptest! {
         prop_assert_eq!(summary.total, diff::mask_diff_count(&ma, &mb));
         prop_assert_eq!(summary.total, tiles.iter().sum::<u64>());
         prop_assert_eq!(summary.max, tiles.iter().copied().max().unwrap_or(0));
-        prop_assert_eq!(tiles.len(), summary.tile_count());
+        prop_assert_eq!(tiles.len(), (summary.tiles_x * summary.tiles_y) as usize);
     }
 
     #[test]

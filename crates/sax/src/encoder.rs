@@ -133,19 +133,9 @@ impl SaxEncoder {
         SaxWord::new(symbols, self.params.alphabet).expect("encoder produces valid symbols")
     }
 
-    /// Encodes an already z-normalised and PAA-reduced frame vector.
-    ///
-    /// Useful when the caller needs the intermediate PAA values too
-    /// (C-INTERMEDIATE): run [`hdc_timeseries::paa`] yourself and symbolise
-    /// here.
-    pub fn symbolize_frames(&self, frames: &[f64]) -> SaxWord {
-        let symbols = frames.iter().map(|v| symbol_for(*v, &self.bps)).collect();
-        SaxWord::new(symbols, self.params.alphabet).expect("encoder produces valid symbols")
-    }
-
-    /// Symbolises PAA frames into a caller-provided buffer; the
-    /// allocation-free form of [`SaxEncoder::symbolize_frames`] used by the
-    /// steady-state matching loop.
+    /// Symbolises already z-normalised, PAA-reduced frames into a
+    /// caller-provided buffer: the allocation-free steady-state matching
+    /// loop's form of [`SaxEncoder::encode`]'s last step.
     pub fn symbolize_into(&self, frames: &[f64], out: &mut Vec<u8>) {
         out.clear();
         out.extend(frames.iter().map(|v| symbol_for(*v, &self.bps)));

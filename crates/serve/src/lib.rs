@@ -28,7 +28,9 @@
 //!   per shard; the least-recently-used idle stream is evicted (never one
 //!   with a frame in service), its state optionally spilled by moving the
 //!   recogniser into a spill map so re-admission moves the warm gate state
-//!   back instead of paying cold full runs — no frame is copied.
+//!   back instead of paying cold full runs. A spilled stream holds its
+//!   cached mask, tile buffer and decision (about 40 KB at VGA), never a
+//!   frame: the gate borrows its last frame from the frame sets.
 //! * **Frame-deadline shedding**: a frame whose service would start past
 //!   its arrival deadline is dropped *before* it touches the pipeline and
 //!   counted, bounding the latency of everything that is served.

@@ -132,7 +132,7 @@ pub struct ServeInput<'a> {
     pub arrivals: &'a ArrivalSpec,
 }
 
-impl ServeInput<'_> {
+impl<'a> ServeInput<'a> {
     fn validate(&self) {
         assert!(!self.frame_sets.is_empty(), "need at least one frame set");
         assert!(
@@ -141,8 +141,9 @@ impl ServeInput<'_> {
         );
     }
 
-    /// The frame stream `stream` offers as its `frame`-th arrival.
-    pub fn frame_for(&self, stream: usize, frame: usize) -> &GrayImage {
+    /// The frame `stream` offers as its `frame`-th arrival, borrowed from
+    /// the frame sets (not from this `ServeInput`).
+    pub fn frame_for(&self, stream: usize, frame: usize) -> &'a GrayImage {
         let set = &self.frame_sets[stream % self.frame_sets.len()];
         &set[frame % set.len()]
     }
@@ -252,16 +253,6 @@ impl ServeReport {
         restores, restores
     );
 
-    /// Shed fraction of admitted frames (0 when nothing was admitted).
-    pub fn shed_rate(&self) -> f64 {
-        let admitted = self.admitted();
-        if admitted == 0 {
-            0.0
-        } else {
-            self.shed() as f64 / admitted as f64
-        }
-    }
-
     /// Nearest-rank percentile of the decision-latency distribution
     /// (`q` in (0, 100]; 0 when nothing was decided).
     pub fn latency_percentile_us(&self, q: f64) -> Micros {
@@ -305,13 +296,14 @@ struct Queued {
 }
 
 /// One resident gate state.
-struct Resident {
+struct Resident<'a> {
     stream: usize,
     last_used_us: Micros,
-    rec: StreamRecognizer,
+    rec: StreamRecognizer<'a>,
 }
 
-/// Everything one shard accumulates while replaying its arrivals.
+/// Everything one shard accumulates while replaying its arrivals; its
+/// recognisers borrow their streams' last frames from the frame sets.
 struct ShardState<'a> {
     config: &'a ServeConfig,
     clock: VirtualClock,
@@ -320,9 +312,10 @@ struct ShardState<'a> {
     queue: VecDeque<Queued>,
     /// µtokens (1 frame = 1_000_000) and last-refill time per stream.
     buckets: HashMap<usize, (u64, Micros)>,
-    resident: Vec<Resident>,
-    /// Evicted streams' recognisers, moved out of their slots (spill on).
-    spilled: HashMap<usize, StreamRecognizer>,
+    resident: Vec<Resident<'a>>,
+    /// Evicted streams' recognisers, moved out of their slots (spill on):
+    /// each holds its cached mask, tile buffer and decision, never a frame.
+    spilled: HashMap<usize, StreamRecognizer<'a>>,
     stats: HashMap<usize, StreamServeStats>,
     events: Vec<ServeEvent>,
     latencies: Vec<Micros>,
@@ -445,8 +438,8 @@ impl<'a> ShardState<'a> {
             r.stream = stream;
             r.last_used_us = now;
             if self.config.spill {
-                // move, never copy: the victim's recogniser (buffers and
-                // all) waits in the spill map until its stream returns
+                // move, never copy: the victim's mask, tiles and decision
+                // wait in the spill map until its stream returns
                 let incoming = spilled.unwrap_or_else(|| StreamRecognizer::new(self.config.gate));
                 let evicted = std::mem::replace(&mut r.rec, incoming);
                 self.spilled.insert(victim, evicted);
@@ -472,7 +465,7 @@ impl<'a> ShardState<'a> {
         limit: Micros,
         pipeline: &RecognitionPipeline,
         scratch: &mut FrameScratch,
-        input: &ServeInput<'_>,
+        input: &ServeInput<'a>,
     ) {
         while let Some(&head) = self.queue.front() {
             let start = self.free_at.max(head.arrival_us);
@@ -551,10 +544,10 @@ struct ShardOutcome {
 }
 
 /// Replays one shard's arrivals through its scheduler.
-fn run_shard(
+fn run_shard<'a>(
     pipeline: &RecognitionPipeline,
-    input: &ServeInput<'_>,
-    config: &ServeConfig,
+    input: &ServeInput<'a>,
+    config: &'a ServeConfig,
     shard: usize,
     scratch: &mut FrameScratch,
 ) -> ShardOutcome {

@@ -195,17 +195,6 @@ impl RecognitionEngine {
         )
     }
 
-    /// The serial reference path: the same frames through one reused
-    /// scratch on the calling thread (the baseline every scaling number in
-    /// `BENCH_engine.json` is measured against).
-    pub fn process_serial(&self, frames: &[GrayImage]) -> Vec<Recognition> {
-        let mut scratch = FrameScratch::new();
-        frames
-            .iter()
-            .map(|f| Self::recognize_one(&self.pipeline, &mut scratch, f))
-            .collect()
-    }
-
     /// Serves `streams` concurrently until every stream has processed at
     /// least `min_frames_per_stream` frames *and* `min_seconds` of wall
     /// clock have elapsed, cycling each stream's frames.

@@ -5,9 +5,9 @@
 //! runs of nearly identical frames, yet the ungated stream path pays the
 //! full silhouette→signature→SAX pipeline on every one of them. This module
 //! skips that recompute when the input provably (or tolerably) hasn't
-//! changed, via a per-stream [`StreamRecognizer`] that caches the previous
-//! frame and its last fully computed [`Recognition`] and answers each new
-//! frame through a ladder of two reuse checks:
+//! changed, via a per-stream [`StreamRecognizer`] that borrows the previous
+//! frame, caches its last fully computed [`Recognition`] and answers each
+//! new frame through a ladder of two reuse checks:
 //!
 //! 1. **Strict gate** ([`GateMode::Strict`]): reuse the cached decision only
 //!    when the frame is *byte-identical* to the previous one. Identity is
@@ -33,6 +33,11 @@
 //! SAX search run on it: the frame gets exactly the [`Recognition`] the
 //! ungated pipeline computes for it, and the cached mask is exactly its
 //! segmentation.
+//!
+//! **The previous frame is borrowed, never copied,** so the caller keeps
+//! it alive until the next frame or [`StreamRecognizer::reset`]. A stream's
+//! gate state is its cached decision, mask and tile buffer: about 40 KB at
+//! 640×480, never a frame.
 //!
 //! **Boundedness of incremental mode.** A mask hit leaves the cached mask
 //! pinned to the last miss, so consecutive hits are each compared against
@@ -152,8 +157,9 @@ impl GateCounters {
 
 /// Incremental recogniser for one frame stream: wraps a shared
 /// [`RecognitionPipeline`] + caller-owned [`FrameScratch`] with per-stream
-/// cached state (previous frame, silhouette mask and the cached
-/// [`Recognition`]). See the module docs for the reuse ladder.
+/// cached state (silhouette mask and the cached [`Recognition`]) and a
+/// borrow of the previous frame (lifetime `'f`), which the caller keeps
+/// alive. See the module docs for the reuse ladder.
 ///
 /// All internal buffers, the cached decision's label strings included,
 /// are allocated once and reused, so the recogniser is allocation-free in
@@ -179,17 +185,17 @@ impl GateCounters {
 /// assert_eq!(rec.counters().strict_hits, 2);
 /// ```
 #[derive(Debug, Clone)]
-pub struct StreamRecognizer {
+pub struct StreamRecognizer<'f> {
     config: TemporalConfig,
     counters: GateCounters,
     /// The decision currently being reused; `None` until the first frame
     /// (or after a reset). While it is `Some`, the fields below that the
     /// mode uses hold this stream's state.
     cached: Option<Recognition>,
-    /// The previous frame: target of the identity check (strict and
-    /// incremental modes). In strict mode a hit is identical to it, so it
-    /// is also the frame the cached decision was computed from.
-    prev: GrayImage,
+    /// The previous frame, borrowed: target of the identity check (strict
+    /// and incremental modes). In strict mode a hit is identical to it, so
+    /// it is also the frame the cached decision was computed from.
+    prev: Option<&'f GrayImage>,
     /// The cached silhouette mask (incremental mode): the segmentation of
     /// the last missed frame, adopted by swap. Lives here, not in
     /// [`FrameScratch`], because a scratch is shared across every stream a
@@ -201,14 +207,14 @@ pub struct StreamRecognizer {
     mask_tiles: Vec<u64>,
 }
 
-impl StreamRecognizer {
+impl<'f> StreamRecognizer<'f> {
     /// A recogniser with empty caches.
     pub fn new(config: TemporalConfig) -> Self {
         StreamRecognizer {
             config,
             counters: GateCounters::default(),
             cached: None,
-            prev: GrayImage::new(1, 1),
+            prev: None,
             cached_mask: BitMask::new(1, 1),
             mask_tiles: Vec::new(),
         }
@@ -225,31 +231,33 @@ impl StreamRecognizer {
         self.counters
     }
 
-    /// Forgets all cached state (switching the recogniser to a different
-    /// stream) while keeping the grown buffers and the counters.
+    /// Forgets all cached state and the borrowed frame (switching to a
+    /// different stream) while keeping the grown buffers and the counters.
     pub fn reset(&mut self) {
         self.cached = None;
+        self.prev = None;
     }
 
     /// Recognises one frame, reusing the cached decision when the active
     /// gate allows it. The returned reference borrows the cache, so hit
-    /// frames allocate nothing; clone it if an owned value is needed.
+    /// frames allocate nothing; clone it if an owned value is needed. The
+    /// gated modes keep borrowing `frame` for the next identity check.
     pub fn recognize(
         &mut self,
         pipeline: &RecognitionPipeline,
         scratch: &mut FrameScratch,
-        frame: &GrayImage,
+        frame: &'f GrayImage,
     ) -> &Recognition {
         match self.config.mode {
             GateMode::Off => self.full_run(pipeline, scratch, frame),
             _ if self.identity_hit(frame) => self.counters.strict_hits += 1,
             GateMode::Strict => {
                 self.full_run(pipeline, scratch, frame);
-                copy_frame_into(&mut self.prev, frame);
+                self.prev = Some(frame);
             }
             GateMode::Incremental => {
                 self.mask_gate(pipeline, scratch, frame);
-                copy_frame_into(&mut self.prev, frame);
+                self.prev = Some(frame);
             }
         }
         self.cached.as_ref().expect("every path caches a decision")
@@ -259,9 +267,11 @@ impl StreamRecognizer {
     /// compare once a decision is cached and the dimensions agree.
     fn identity_hit(&self, frame: &GrayImage) -> bool {
         self.cached.is_some()
-            && frame.width() == self.prev.width()
-            && frame.height() == self.prev.height()
-            && frame.pixels() == self.prev.pixels()
+            && self.prev.is_some_and(|prev| {
+                frame.width() == prev.width()
+                    && frame.height() == prev.height()
+                    && frame.pixels() == prev.pixels()
+            })
     }
 
     /// Incremental mode after the identity check missed: segment the frame
@@ -323,13 +333,6 @@ impl StreamRecognizer {
         }
         self.counters.full_runs += 1;
     }
-}
-
-/// Copies `src` into the reusable buffer `dst` without reallocating when
-/// the dimensions already match.
-fn copy_frame_into(dst: &mut GrayImage, src: &GrayImage) {
-    dst.reset_dimensions(src.width(), src.height());
-    dst.pixels_mut().copy_from_slice(src.pixels());
 }
 
 #[cfg(test)]
@@ -431,10 +434,9 @@ mod tests {
         let mut rec = StreamRecognizer::new(TemporalConfig::incremental());
         let base = yes_frame();
         let first = rec.recognize(&p, &mut scratch, &base).clone();
-        for seed in 0..5 {
-            let got = rec
-                .recognize(&p, &mut scratch, &jittered(&base, seed))
-                .clone();
+        let held: Vec<GrayImage> = (0..5).map(|seed| jittered(&base, seed)).collect();
+        for frame in &held {
+            let got = rec.recognize(&p, &mut scratch, frame).clone();
             assert_eq!(got, first, "jittered hold frames reuse the decision");
         }
         assert_eq!(rec.counters().incremental_hits, 5);
@@ -499,10 +501,11 @@ mod tests {
     fn resolution_change_misses_every_gate() {
         let p = calibrated();
         let mut scratch = FrameScratch::new();
+        let (big, small) = (GrayImage::new(64, 64), GrayImage::new(32, 32));
         for config in [TemporalConfig::strict(), TemporalConfig::incremental()] {
             let mut rec = StreamRecognizer::new(config);
-            rec.recognize(&p, &mut scratch, &GrayImage::new(64, 64));
-            rec.recognize(&p, &mut scratch, &GrayImage::new(32, 32));
+            rec.recognize(&p, &mut scratch, &big);
+            rec.recognize(&p, &mut scratch, &small);
             assert_eq!(rec.counters().full_runs, 2);
             assert_eq!(rec.counters().hits(), 0);
         }
@@ -521,6 +524,23 @@ mod tests {
         rec.recognize(&p, &mut scratch, &frame);
         assert_eq!(rec.counters().full_runs, 2, "reset must force a recompute");
         assert_eq!(rec.counters().strict_hits, 1);
+    }
+
+    #[test]
+    fn reset_releases_the_previous_frame() {
+        let p = calibrated();
+        let mut scratch = FrameScratch::new();
+        let last = yes_frame();
+        let same_bytes = last.clone();
+        for config in [TemporalConfig::strict(), TemporalConfig::incremental()] {
+            let mut rec = StreamRecognizer::new(config);
+            rec.recognize(&p, &mut scratch, &last);
+            rec.reset();
+            // the next stream opens on a byte-identical frame of its own
+            rec.recognize(&p, &mut scratch, &same_bytes);
+            assert_eq!(rec.counters().full_runs, 2, "{config:?}");
+            assert_eq!(rec.counters().hits(), 0, "{config:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::GrayImage;
-use hdc_vision::{PipelineConfig, RecognitionEngine, RecognitionPipeline};
+use hdc_vision::{FrameScratch, PipelineConfig, RecognitionEngine, RecognitionPipeline};
 
 fn calibrated() -> RecognitionPipeline {
     let mut p = RecognitionPipeline::new(PipelineConfig::default());
@@ -38,7 +38,12 @@ fn adversarial_batch() -> Vec<GrayImage> {
 #[test]
 fn process_batch_is_identical_across_worker_counts() {
     let frames = adversarial_batch();
-    let serial = RecognitionEngine::new(calibrated(), Some(1)).process_serial(&frames);
+    // the serial path: every frame through one reused scratch, in order
+    let (pipeline, mut scratch) = (calibrated(), FrameScratch::new());
+    let serial: Vec<_> = frames
+        .iter()
+        .map(|f| RecognitionEngine::recognize_one(&pipeline, &mut scratch, f))
+        .collect();
     assert!(
         serial.iter().any(|r| r.decided()) && serial.iter().any(|r| !r.decided()),
         "batch must exercise both decided and rejected frames"

@@ -346,7 +346,8 @@ fn identity_is_decided_on_every_byte_of_the_frame() {
         let mut oracle_scratch = FrameScratch::new();
         let mut scratch = FrameScratch::new();
         let mut rec = StreamRecognizer::new(config);
-        let mut delta = |frame: &GrayImage| -> GateCounters {
+        // unannotated, so the frame's lifetime is the recogniser's
+        let mut delta = |frame| -> GateCounters {
             let before = rec.counters();
             let got = rec.recognize(pipeline(), &mut scratch, frame).clone();
             let want = RecognitionEngine::recognize_one(pipeline(), &mut oracle_scratch, frame);

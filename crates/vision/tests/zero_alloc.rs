@@ -9,6 +9,9 @@
 //! negotiation loop's memo-miss path: rasterising a signaller straight into
 //! a packed mask and reading it with `read_mask_with` — and the incremental
 //! temporal gate, on its hits and on the misses that re-run the pipeline.
+//! The allocator also counts bytes, to show that a stream's gate state
+//! never grows a frame-sized buffer: the recogniser borrows the previous
+//! frame instead of copying it.
 
 use hdc_figure::{paint_silhouette, render_sign, MarshallingSign, Pose, ViewSpec};
 use hdc_raster::{BitMask, GrayImage};
@@ -25,11 +28,14 @@ thread_local! {
     /// parallel threads, so each test counts only its own thread's
     /// allocations — never a neighbour's.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a `realloc` counts its new size).
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_allocation() {
+fn count_allocation(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are torn down
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
 /// Allocations made on the calling thread so far.
@@ -37,19 +43,24 @@ fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// Bytes allocated on the calling thread so far.
+fn allocated_bytes() -> usize {
+    BYTES.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -294,4 +305,51 @@ fn incremental_gate_is_allocation_free_in_steady_state() {
     );
     assert_eq!(steady.strict_hits, 3, "each cycle opens on a repeat");
     assert_eq!(steady.incremental_hits, 6);
+}
+
+#[test]
+fn stream_recognizer_never_allocates_a_frame() {
+    use hdc_vision::temporal::{StreamRecognizer, TemporalConfig};
+
+    let mut pipeline = RecognitionPipeline::new(PipelineConfig::default());
+    pipeline.calibrate_from_views(&ViewSpec::paper_default(0.0, 5.0, 3.0));
+    let base = render_sign(MarshallingSign::Yes, &view_at(640, 0.0));
+    let frame_bytes = base.pixels().len();
+    assert_eq!(frame_bytes, 640 * 480);
+    let mut speck = base.clone();
+    speck.set(10, 10, 255);
+    let mut block = base.clone();
+    for y in 0..16 {
+        for x in 0..16 {
+            block.set(x, y, 255);
+        }
+    }
+
+    // Grow the shared scratch on another recogniser first, so the count
+    // below is the measured recogniser's own state.
+    let mut scratch = FrameScratch::new();
+    let mut warm = StreamRecognizer::new(TemporalConfig::incremental());
+    for f in [&base, &speck, &block, &base] {
+        std::hint::black_box(warm.recognize(&pipeline, &mut scratch, f));
+    }
+
+    let before = allocated_bytes();
+    let mut rec = StreamRecognizer::new(TemporalConfig::incremental());
+    let mut step = |frame| {
+        let was = rec.counters();
+        std::hint::black_box(rec.recognize(&pipeline, &mut scratch, frame));
+        rec.counters().since(&was)
+    };
+    assert_eq!(step(&base).full_runs, 1, "cold start");
+    assert_eq!(step(&base).strict_hits, 1, "byte-identical repeat");
+    assert_eq!(step(&speck).incremental_hits, 1, "sub-tolerance speck");
+    assert_eq!(step(&block).full_runs, 1, "over-tolerance block");
+    rec.reset();
+    let bytes = allocated_bytes() - before;
+    assert!(
+        bytes < frame_bytes,
+        "a stream's gate state must not copy a frame: {bytes} bytes allocated \
+         across a cold start, a strict hit, a mask hit, a miss and a reset \
+         ({frame_bytes} bytes per frame)"
+    );
 }

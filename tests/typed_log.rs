@@ -9,6 +9,10 @@
 //! to its first `#[cfg(test)]` line) and fails on code that binds a
 //! note's text for anything but printing it, or that maps a label to a
 //! sign anywhere else.
+//!
+//! The same non-test sources give the line count that changes quote:
+//! `cargo test -q --test typed_log non_test_line_count -- --nocapture`
+//! prints it.
 
 use std::path::{Path, PathBuf};
 
@@ -92,5 +96,15 @@ fn only_the_view_read_maps_a_label_to_a_sign() {
     assert!(
         maps.is_empty(),
         "a label becomes a sign only in ViewRead::of: {maps:?}"
+    );
+}
+
+#[test]
+fn non_test_line_count() {
+    let sources = non_test_sources();
+    let lines: usize = sources.iter().map(|(_, code)| code.lines().count()).sum();
+    println!(
+        "non-test lines under crates/*/src: {lines} in {} files",
+        sources.len()
     );
 }
