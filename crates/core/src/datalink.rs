@@ -10,9 +10,13 @@
 //! lease timeout declares the link lost — the drone answers with an
 //! autonomous safe-hold, the supervisor by aborting the negotiation.
 //!
-//! With no config installed the session keeps its direct call path — the
-//! zero-fault special case — and produces byte-identical traces to every
-//! build that predates the link layer.
+//! Both paths share one event route. The session hands every drone-side
+//! event to one dispatch step, which sends it up the uplink when a link is
+//! configured and otherwise hands it straight to the supervisor's handler,
+//! the same handler the uplink delivers to. That handler runs one machine
+//! handler per event and logs the new state iff it changed. With no config
+//! installed the traces are byte-identical to every build that predates the
+//! link layer.
 
 use crate::protocol::ProtocolAction;
 use hdc_figure::MarshallingSign;

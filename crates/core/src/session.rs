@@ -571,49 +571,65 @@ impl CollaborationSession {
         }
     }
 
-    /// Queues a drone-side negotiation event for the supervisor. Only
-    /// called when a datalink is configured — the endpoint gives it
-    /// exactly-once, in-order delivery, so a redelivered event can never
-    /// drive the machine twice.
-    fn link_event(&mut self, event: LinkEvent) {
+    /// Sends a drone-side negotiation event to the supervisor: up the
+    /// datalink when one is configured (the endpoint gives it exactly-once,
+    /// in-order delivery, so a redelivered event can never drive the
+    /// machine twice), straight into [`Self::on_link_event`] otherwise.
+    /// Returns `true` when the event went up the link or changed the
+    /// machine's state.
+    fn dispatch(&mut self, event: LinkEvent) -> bool {
         let now = self.time;
         if let Some(link) = self.link.as_mut() {
             link.send_event(now, event);
+            return true;
         }
+        self.on_link_event(event)
     }
 
-    /// Hands supervisor-decided actions to the drone: a direct in-process
-    /// call without a datalink, a reliable downlink message with one.
-    fn forward_actions(&mut self, actions: Vec<ProtocolAction>) {
-        if self.link.is_some() {
-            let now = self.time;
-            for action in actions {
-                if let Some(link) = self.link.as_mut() {
-                    link.send_action(now, action);
-                }
-            }
-        } else {
-            self.apply_actions(actions);
-        }
-    }
-
-    /// Supervisor side of the uplink: one delivered event drives exactly
-    /// one machine handler; any resulting actions go back down the link.
-    fn on_link_event(&mut self, event: LinkEvent) {
+    /// Runs one negotiation handler at the supervisor: logs the new state
+    /// iff it changed, then forwards the resulting actions to the drone.
+    /// Returns whether the state changed.
+    fn drive(
+        &mut self,
+        handler: impl FnOnce(&mut NegotiationMachine, f64) -> Vec<ProtocolAction>,
+    ) -> bool {
         let before = self.machine.state();
-        let actions = match event {
-            LinkEvent::Arrived => self.machine.on_arrived(self.time),
-            LinkEvent::PatternComplete => self.machine.on_pattern_complete(self.time),
-            LinkEvent::Sign(sign) => self.machine.on_sign(Some(sign), self.time),
-            LinkEvent::WaveOff => self.machine.on_wave_off(self.time),
-            LinkEvent::Safety => self.machine.on_safety(self.time),
-        };
-        if self.machine.state() != before {
+        let actions = handler(&mut self.machine, self.time);
+        let changed = self.machine.state() != before;
+        if changed {
             self.note(LogEntry::StateChanged {
                 to: self.machine.state(),
             });
         }
         self.forward_actions(actions);
+        changed
+    }
+
+    /// Hands supervisor-decided actions to the drone: a direct in-process
+    /// call without a datalink, a reliable downlink message with one.
+    fn forward_actions(&mut self, actions: Vec<ProtocolAction>) {
+        let now = self.time;
+        match self.link.as_mut() {
+            Some(link) => {
+                for action in actions {
+                    link.send_action(now, action);
+                }
+            }
+            None => self.apply_actions(actions),
+        }
+    }
+
+    /// Supervisor side of the uplink (or of the in-process call): one
+    /// delivered event drives exactly one machine handler. Returns whether
+    /// the state changed.
+    fn on_link_event(&mut self, event: LinkEvent) -> bool {
+        match event {
+            LinkEvent::Arrived => self.drive(NegotiationMachine::on_arrived),
+            LinkEvent::PatternComplete => self.drive(NegotiationMachine::on_pattern_complete),
+            LinkEvent::Sign(sign) => self.drive(|m, now| m.on_sign(Some(sign), now)),
+            LinkEvent::WaveOff => self.drive(NegotiationMachine::on_wave_off),
+            LinkEvent::Safety => self.drive(NegotiationMachine::on_safety),
+        }
     }
 
     /// The human perceives a completed drone pattern and maybe schedules a
@@ -792,7 +808,8 @@ impl CollaborationSession {
         if self.dynamic.decision() == hdc_vision::dynamic::DynamicDecision::WaveOff {
             self.note(LogEntry::WaveOffDetected);
             self.dynamic.reset();
-            if self.deliver_wave_off() {
+            // a wave-off the machine ignores lets frame processing go on
+            if self.dispatch(LinkEvent::WaveOff) {
                 return;
             }
         }
@@ -808,72 +825,25 @@ impl CollaborationSession {
             self.frames_recognized += 1;
         }
         self.note(LogEntry::Recognized(decision));
-        let sign = self.static_filter.push(decision);
-        if self.cohort.is_some() {
-            if let Some(sign) = sign {
-                // the owner's confirmation is vote 0 of the quorum; only
-                // what the vote accepts reaches the protocol path
-                let now = self.time;
-                let pump = self
-                    .cohort
-                    .as_mut()
-                    .expect("checked above")
-                    .owner_vote(now, sign);
-                self.apply_cohort_pump(pump);
-                return;
-            }
-            // unconfirmed frames never enter the vote: silence is covered
-            // by the protocol's own timeouts, exactly as on the datalink
-        }
-        self.deliver_sign(sign);
-    }
-
-    /// Delivers a wave-off into the protocol path — the post-detection
-    /// (and post-consensus: relayed wave-offs bypass the vote) half of the
-    /// dynamic channel. Returns `true` when the wave-off was consumed
-    /// (link-routed or it changed the machine), `false` when the machine
-    /// ignored it and frame processing may continue.
-    fn deliver_wave_off(&mut self) -> bool {
-        if self.link.is_some() {
-            self.link_event(LinkEvent::WaveOff);
-            return true;
-        }
-        let actions = self.machine.on_wave_off(self.time);
-        if !actions.is_empty() {
-            self.note(LogEntry::StateChanged {
-                to: self.machine.state(),
-            });
-            self.apply_actions(actions);
-            return true;
-        }
-        false
-    }
-
-    /// Delivers a (possibly absent) confirmed sign into the protocol path —
-    /// the post-consensus half of the static channel, byte-identical to the
-    /// pre-cohort tail of `ingest_frame`.
-    fn deliver_sign(&mut self, sign: Option<MarshallingSign>) {
-        if self.link.is_some() {
-            // only confirmed signs are worth a link message; silence is
-            // covered by the supervisor's own timeouts
-            if let Some(sign) = sign {
-                self.link_event(LinkEvent::Sign(sign));
-            }
+        // unconfirmed frames neither vote nor reach the protocol: silence
+        // is covered by the protocol's own timeouts
+        let Some(sign) = self.static_filter.push(decision) else {
             return;
+        };
+        if let Some(cohort) = self.cohort.as_mut() {
+            // the owner's confirmation is vote 0 of the quorum; only what
+            // the vote accepts reaches the protocol path
+            let pump = cohort.owner_vote(self.time, sign);
+            self.apply_cohort_pump(pump);
+        } else {
+            self.dispatch(LinkEvent::Sign(sign));
         }
-        let actions = self.machine.on_sign(sign, self.time);
-        if !actions.is_empty() {
-            self.note(LogEntry::StateChanged {
-                to: self.machine.state(),
-            });
-        }
-        self.apply_actions(actions);
     }
 
     /// Acts on one cohort round: logs observer recognitions (the R4 audit
     /// sees cohort-wide evidence) and cohort notes, honours relayed
-    /// wave-offs immediately, and delivers a quorum-accepted sign into the
-    /// protocol path.
+    /// wave-offs immediately (they bypass the vote), and dispatches a
+    /// quorum-accepted sign.
     fn apply_cohort_pump(&mut self, pump: CohortPump) {
         for sign in pump.recognized {
             self.note(LogEntry::Recognized(Some(sign)));
@@ -882,10 +852,10 @@ impl CollaborationSession {
             self.note(note);
         }
         if pump.wave_off {
-            let _ = self.deliver_wave_off();
+            self.dispatch(LinkEvent::WaveOff);
         }
         if let Some(sign) = pump.accepted {
-            self.deliver_sign(Some(sign));
+            self.dispatch(LinkEvent::Sign(sign));
         }
     }
 
@@ -895,26 +865,15 @@ impl CollaborationSession {
     /// detected violation.
     pub fn inject_safety(&mut self, reason: &str) {
         self.note(LogEntry::Note(format!("SAFETY (injected): {reason}")));
-        if self.link.is_some() {
-            // safety is reflexive at the drone — it cannot wait on the
-            // link; the supervisor is told over the uplink (and its own
-            // lease expiry covers the case where that message never lands)
+        if self.link.is_some() || self.machine.state().is_terminal() {
+            // safety is reflexive at the drone: it cannot wait on the link
+            // (the supervisor's own lease expiry covers an uplink message
+            // that never lands), and a finished negotiation has no abort
+            // left to command it
             self.flying_to = None;
             self.drone.trigger_safety(reason);
-            self.link_event(LinkEvent::Safety);
-            return;
         }
-        let actions = self.machine.on_safety(self.time);
-        self.note(LogEntry::StateChanged {
-            to: self.machine.state(),
-        });
-        if actions.is_empty() {
-            // already terminal: still force the hardware posture
-            self.flying_to = None;
-            self.drone.trigger_safety(reason);
-        } else {
-            self.apply_actions(actions);
-        }
+        self.dispatch(LinkEvent::Safety);
     }
 
     /// Advances the session by one lockstep tick of `DT` seconds.
@@ -955,11 +914,7 @@ impl CollaborationSession {
 
         // --- protocol bootstrap ---
         if self.machine.state() == NegotiationState::Idle {
-            let actions = self.machine.start(self.time);
-            self.note(LogEntry::StateChanged {
-                to: self.machine.state(),
-            });
-            self.forward_actions(actions);
+            self.drive(NegotiationMachine::start);
         }
 
         // --- drone motion ---
@@ -969,15 +924,7 @@ impl CollaborationSession {
                 if self.drone.state().position.distance(target) < 0.35 {
                     self.flying_to = None;
                     if self.machine.state() == NegotiationState::Approaching {
-                        if self.link.is_some() {
-                            self.link_event(LinkEvent::Arrived);
-                        } else {
-                            let actions = self.machine.on_arrived(self.time);
-                            self.note(LogEntry::StateChanged {
-                                to: self.machine.state(),
-                            });
-                            self.apply_actions(actions);
-                        }
+                        self.dispatch(LinkEvent::Arrived);
                     }
                 }
             }
@@ -998,19 +945,7 @@ impl CollaborationSession {
             if let DroneEvent::PatternComplete(kind) = &event {
                 let kind = *kind;
                 self.note(LogEntry::PatternDone(kind));
-                if self.link.is_some() {
-                    self.link_event(LinkEvent::PatternComplete);
-                } else {
-                    let actions = self.machine.on_pattern_complete(self.time);
-                    if !actions.is_empty()
-                        || matches!(kind, PatternKind::Poke | PatternKind::RectangleRequest)
-                    {
-                        self.note(LogEntry::StateChanged {
-                            to: self.machine.state(),
-                        });
-                    }
-                    self.apply_actions(actions);
-                }
+                self.dispatch(LinkEvent::PatternComplete);
                 // the human watches communicative patterns
                 if matches!(kind, PatternKind::Poke | PatternKind::RectangleRequest) {
                     let trace = self.drone.take_trace();
@@ -1023,17 +958,7 @@ impl CollaborationSession {
                 // fault) aborts the negotiation too — the protocol must not
                 // keep waiting on a platform that has landed itself
                 if is_safety {
-                    if self.link.is_some() {
-                        self.link_event(LinkEvent::Safety);
-                    } else {
-                        let actions = self.machine.on_safety(self.time);
-                        if !actions.is_empty() {
-                            self.note(LogEntry::StateChanged {
-                                to: self.machine.state(),
-                            });
-                            self.apply_actions(actions);
-                        }
-                    }
+                    self.dispatch(LinkEvent::Safety);
                 }
             }
         }
@@ -1114,9 +1039,7 @@ impl CollaborationSession {
             for event in pump.events {
                 self.on_link_event(event);
             }
-            for action in pump.actions {
-                self.apply_actions(vec![action]);
-            }
+            self.apply_actions(pump.actions);
             if pump.drone_lease_expired {
                 // the drone has heard nothing for the lease timeout: it
                 // must not keep holding position near a person on a dead
@@ -1128,14 +1051,7 @@ impl CollaborationSession {
                 self.note(LogEntry::Note(
                     "datalink lease expired: supervisor declares the drone lost".into(),
                 ));
-                let before = self.machine.state();
-                let actions = self.machine.on_safety(self.time);
-                if self.machine.state() != before {
-                    self.note(LogEntry::StateChanged {
-                        to: self.machine.state(),
-                    });
-                }
-                self.forward_actions(actions);
+                self.drive(NegotiationMachine::on_safety);
             }
         }
 
@@ -1147,13 +1063,7 @@ impl CollaborationSession {
         }
 
         // --- timeouts ---
-        let actions = self.machine.poll(self.time);
-        if !actions.is_empty() {
-            self.note(LogEntry::StateChanged {
-                to: self.machine.state(),
-            });
-        }
-        self.forward_actions(actions);
+        self.drive(NegotiationMachine::poll);
 
         // --- safety ---
         let drone_already_latched = self.link.is_some() && self.drone.safety_engaged();
@@ -1168,14 +1078,8 @@ impl CollaborationSession {
                     // the uplink
                     self.flying_to = None;
                     self.drone.trigger_safety("proximity/safety violation");
-                    self.link_event(LinkEvent::Safety);
-                } else {
-                    let actions = self.machine.on_safety(self.time);
-                    self.note(LogEntry::StateChanged {
-                        to: self.machine.state(),
-                    });
-                    self.apply_actions(actions);
                 }
+                self.dispatch(LinkEvent::Safety);
             }
         }
     }
@@ -1645,5 +1549,31 @@ mod tests {
         assert!(poke < attention, "poke precedes attention");
         assert!(attention < rect, "attention precedes the request");
         assert!(rect < answer, "request precedes the answer");
+    }
+
+    #[test]
+    fn safety_injected_after_the_grant_logs_no_state_change() {
+        // E12 seed 2: the consenting worker is granted before the fault
+        // fires at 20.7 s, while the drone still flies into the area
+        let mut s = CollaborationSession::new(SessionConfig::for_role(Role::Worker, true, 2));
+        while s.time() < 20.7 {
+            s.step();
+        }
+        assert_eq!(s.state(), NegotiationState::Granted, "log:\n{}", s.log());
+        assert!(!s.is_done());
+        let state_changes = |s: &CollaborationSession| {
+            s.log()
+                .filter(|e| matches!(e, LogEntry::StateChanged { .. }))
+                .count()
+        };
+        let before = state_changes(&s);
+        s.inject_safety("injected fault");
+        while !s.is_done() && s.time() < 120.0 {
+            s.step();
+        }
+        assert_eq!(state_changes(&s), before, "log:\n{}", s.log());
+        assert_eq!(s.state(), NegotiationState::Granted);
+        assert_eq!(s.drone().ring().mode(), LedMode::Danger);
+        assert!(s.drone().state().is_grounded());
     }
 }

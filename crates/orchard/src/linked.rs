@@ -34,6 +34,7 @@ use hdc_link::{
 };
 use hdc_runtime::{EventHeap, ScheduleMode};
 use std::collections::VecDeque;
+use std::fmt;
 
 /// A supervisor → drone command.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,6 +136,48 @@ pub struct LinkedFleetStats {
     pub duplicate_reads: u32,
     /// Per-drone statistics, in drone order.
     pub per_drone: Vec<LinkedDroneStats>,
+}
+
+/// Prints the text the golden linked-fleet digests hash: what the derived
+/// `Debug` printed when they were made, written out so that a field added,
+/// renamed or reordered cannot move a golden.
+impl fmt::Display for LinkedFleetStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "LinkedFleetStats {{ traps_confirmed: {}, traps_total: {}, duration_s: {:?}, \
+             drones_lost: {}, reassigned: {}, duplicate_reads: {}, per_drone: [",
+            self.traps_confirmed,
+            self.traps_total,
+            self.duration_s,
+            self.drones_lost,
+            self.reassigned,
+            self.duplicate_reads
+        )?;
+        for (i, d) in self.per_drone.iter().enumerate() {
+            let e = &d.endpoint;
+            write!(
+                f,
+                "{}LinkedDroneStats {{ reads: {}, commands_received: {}, failsafed: {}, \
+                 declared_lost: {}, endpoint: EndpointStats {{ data_sent: {}, retransmits: {}, \
+                 acks_sent: {}, heartbeats_sent: {}, delivered: {}, duplicates_discarded: {}, \
+                 out_of_window_discarded: {} }} }}",
+                if i == 0 { "" } else { ", " },
+                d.reads,
+                d.commands_received,
+                d.failsafed,
+                d.declared_lost,
+                e.data_sent,
+                e.retransmits,
+                e.acks_sent,
+                e.heartbeats_sent,
+                e.delivered,
+                e.duplicates_discarded,
+                e.out_of_window_discarded
+            )?;
+        }
+        f.write_str("] }")
+    }
 }
 
 /// Simulation step, seconds.
@@ -493,6 +536,53 @@ mod tests {
 
     fn grid() -> OrchardMap {
         OrchardMap::grid(3, 4, 4.0, 3.0)
+    }
+
+    #[test]
+    fn display_is_the_text_the_goldens_hash() {
+        let drone = |reads, lost| LinkedDroneStats {
+            reads,
+            commands_received: reads + 1,
+            failsafed: lost,
+            declared_lost: lost,
+            endpoint: EndpointStats {
+                data_sent: 9,
+                retransmits: 2,
+                acks_sent: 8,
+                heartbeats_sent: 40,
+                delivered: 6,
+                duplicates_discarded: 1,
+                out_of_window_discarded: 0,
+            },
+        };
+        let stats = LinkedFleetStats {
+            traps_confirmed: 11,
+            traps_total: 12,
+            duration_s: 64.0,
+            drones_lost: 1,
+            reassigned: 2,
+            duplicate_reads: 1,
+            per_drone: vec![drone(7, false), drone(5, true)],
+        };
+        let endpoint = "endpoint: EndpointStats { data_sent: 9, retransmits: 2, acks_sent: 8, \
+                        heartbeats_sent: 40, delivered: 6, duplicates_discarded: 1, \
+                        out_of_window_discarded: 0 }";
+        assert_eq!(
+            stats.to_string(),
+            format!(
+                "LinkedFleetStats {{ traps_confirmed: 11, traps_total: 12, duration_s: 64.0, \
+                 drones_lost: 1, reassigned: 2, duplicate_reads: 1, per_drone: [\
+                 LinkedDroneStats {{ reads: 7, commands_received: 8, failsafed: false, \
+                 declared_lost: false, {endpoint} }}, \
+                 LinkedDroneStats {{ reads: 5, commands_received: 6, failsafed: true, \
+                 declared_lost: true, {endpoint} }}] }}"
+            )
+        );
+        let empty = LinkedFleetStats {
+            per_drone: Vec::new(),
+            ..stats
+        };
+        assert!(empty.to_string().ends_with("per_drone: [] }"));
     }
 
     #[test]

@@ -72,6 +72,35 @@ pub struct MissionStats {
     pub safety_events: u32,
 }
 
+impl MissionStats {
+    /// The text the golden mission digests hash: what the derived `Debug`
+    /// printed when they were made, written out so that a field added,
+    /// renamed or reordered cannot move a golden. `Display` is the human
+    /// summary.
+    pub fn canonical(&self) -> impl fmt::Display + '_ {
+        fmt::from_fn(move |f| {
+            let n = &self.negotiations;
+            write!(
+                f,
+                "MissionStats {{ traps_read: {}, traps_skipped: {}, negotiations: \
+                 NegotiationTally {{ granted: {}, denied: {}, abandoned: {}, aborted: {} }}, \
+                 mission_time_s: {:?}, distance_flown_m: {:?}, energy_wh: {:?}, \
+                 safety_events: {} }}",
+                self.traps_read,
+                self.traps_skipped,
+                n.granted,
+                n.denied,
+                n.abandoned,
+                n.aborted,
+                self.mission_time_s,
+                self.distance_flown_m,
+                self.energy_wh,
+                self.safety_events
+            )
+        })
+    }
+}
+
 impl fmt::Display for MissionStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "traps read      : {}", self.traps_read)?;
@@ -87,6 +116,31 @@ impl fmt::Display for MissionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn canonical_text_is_the_text_the_goldens_hash() {
+        let stats = MissionStats {
+            traps_read: 7,
+            traps_skipped: 1,
+            negotiations: NegotiationTally {
+                granted: 5,
+                denied: 1,
+                abandoned: 2,
+                aborted: 0,
+            },
+            mission_time_s: 312.0,
+            distance_flown_m: 140.25,
+            energy_wh: 1e-7,
+            safety_events: 3,
+        };
+        assert_eq!(
+            stats.canonical().to_string(),
+            "MissionStats { traps_read: 7, traps_skipped: 1, negotiations: \
+             NegotiationTally { granted: 5, denied: 1, abandoned: 2, aborted: 0 }, \
+             mission_time_s: 312.0, distance_flown_m: 140.25, energy_wh: 1e-7, \
+             safety_events: 3 }"
+        );
+    }
 
     #[test]
     fn tally_records() {

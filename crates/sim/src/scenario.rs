@@ -293,6 +293,18 @@ pub fn check_invariants(report: &SessionReport) -> Vec<String> {
         }
     }
 
+    // the log records state changes, not handler calls: a StateChanged
+    // entry never repeats the state logged before it
+    let mut logged = None;
+    for (t, entry) in log.entries() {
+        if let LogEntry::StateChanged { to } = entry {
+            if logged == Some(*to) {
+                violations.push(format!("state {to} logged again at {t:.1}s"));
+            }
+            logged = Some(*to);
+        }
+    }
+
     // an aborted negotiation must leave the fail-safe hardware posture
     if report.outcome == SessionOutcome::Aborted {
         if !report.safety_engaged {
@@ -815,7 +827,7 @@ pub fn mission_cases() -> Vec<(String, String, String)> {
             ..Default::default()
         };
         let stats = Mission::new(cfg, map, seed).run();
-        let digest = digest_hex(format_args!("{stats:?}"));
+        let digest = digest_hex(stats.canonical());
         let summary = format!(
             "traps_read={} skipped={} negotiations={}",
             stats.traps_read,
@@ -867,7 +879,7 @@ pub fn linked_fleet_cases_mode(mode: ScheduleMode) -> Vec<(String, String, Strin
                 ..Default::default()
             };
             let stats = run_linked_fleet_mode(&cfg, &map, seed, mode);
-            let digest = digest_hex(format_args!("{stats:?}"));
+            let digest = digest_hex(&stats);
             let summary = format!(
                 "confirmed={}/{} lost={} reassigned={} dup_reads={}",
                 stats.traps_confirmed,
@@ -930,7 +942,7 @@ pub fn parse_manifest(text: &str) -> Vec<(String, String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc_core::{CohortReport, EventLog};
+    use hdc_core::{CohortReport, EventLog, NegotiationState};
 
     fn empty_report(outcome: SessionOutcome) -> SessionReport {
         SessionReport {
@@ -1032,6 +1044,27 @@ mod tests {
         let violations = check_invariants(&report);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("after wave-off at 2.0s"));
+    }
+
+    #[test]
+    fn invariant_checker_catches_a_repeated_state_change() {
+        let mut report = empty_report(SessionOutcome::Granted);
+        report.log.push(
+            1.0,
+            LogEntry::StateChanged {
+                to: NegotiationState::Granted,
+            },
+        );
+        assert_eq!(check_invariants(&report), Vec::<String>::new());
+        report.log.push(
+            2.0,
+            LogEntry::StateChanged {
+                to: NegotiationState::Granted,
+            },
+        );
+        let violations = check_invariants(&report);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("state granted logged again at 2.0s"));
     }
 
     #[test]
