@@ -1,34 +1,37 @@
-//! Temporal-coherence gating benchmark: sustained held-sign stream serving.
+//! Temporal-coherence gating benchmark: held-sign streams served through
+//! `hdc_serve::serve`.
 //!
 //! Serves the same synthetic held-sign streams (static holds with sensor
 //! jitter and camera oversampling, punctuated by sign transitions) through
 //! each gate mode — ungated, strict, incremental — in turn, `REPEATS`
-//! times, prints each mode's sustained fps (median, min, max) and its
-//! same-repeat speed-up over the ungated mode, plus the measured decision
-//! divergence of the gated modes against the ungated oracle, and writes the
-//! JSON report.
+//! times, one timed serve call per mode and repeat. Prints each mode's
+//! decided fps (median, min, max), its same-repeat speed-up over the
+//! ungated mode, its gate counters and serve digest, plus the measured
+//! decision divergence of the gated modes against the ungated mode, and
+//! writes the JSON report. Every repeat must decide every offered frame
+//! and reproduce the first repeat's gate counters and digests.
 //!
 //! Usage: `cargo run --release -p hdc-bench --bin bench_stream
 //! [--threads N] [--smoke] [out.json]`
 //!
-//! * `--threads N` — engine worker count (default: available parallelism);
-//! * `--smoke` — tiny workload and floors: exercises every mode in seconds
-//!   (the CI conformance mode), numbers not meaningful;
+//! * `--threads N` — serving worker count (default: available
+//!   parallelism);
+//! * `--smoke` — tiny workload: exercises every mode in seconds (the CI
+//!   conformance mode), numbers not meaningful;
 //! * default output path `BENCH_stream.json` in the current directory.
 
 use hdc_bench::report::{num, Table};
 use hdc_bench::streams::{
     decision_divergence, gating_study, held_sign_streams, stream_json, summarize_modes,
-    StreamWorkload,
+    StreamWorkload, PASSES,
 };
-use hdc_runtime::{available_workers, threads_from_args};
-use hdc_vision::temporal::TemporalConfig;
-use hdc_vision::RecognitionEngine;
+use hdc_runtime::{available_workers, threads_from_args, WorkPool};
 
-/// Times the three modes are served in turn. One run per mode cannot
-/// resolve a change under about 25% on a host with speed spells; the
-/// same-repeat ratios to the ungated mode can.
-const REPEATS: usize = 5;
+/// Times the three modes are served in turn. One serve call per mode is a
+/// fraction of a second, too short to outlast a host's speed spells; the
+/// median over the repeats and the same-repeat ratios to the ungated mode
+/// resolve what one run cannot.
+const REPEATS: usize = 11;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,33 +49,31 @@ fn main() {
         i += 1;
     }
 
-    let workers = threads.unwrap_or_else(available_workers);
-    let (workload, streams_n, min_seconds) = if smoke {
-        (StreamWorkload::smoke(), 2, 0.0)
+    let pool = WorkPool::with_threads(threads);
+    let (workload, streams_n) = if smoke {
+        (StreamWorkload::smoke(), 2)
     } else {
-        (StreamWorkload::standard(), 4, 2.0)
+        (StreamWorkload::standard(), 4)
     };
-    // Floors: at least two full passes of every stream per mode (so reuse
-    // carries across the cycle boundary) and the wall-clock floor.
-    let min_frames = workload.frames_per_stream() * 2;
 
     println!(
-        "stream gating: {} streams of {} frames at {}x{} on {} worker(s) (host has {} hardware thread(s)){}",
+        "stream gating: {} streams of {} frames x {} passes at {}x{} served on {} worker(s) (host has {} hardware thread(s)){}",
         streams_n,
         workload.frames_per_stream(),
+        PASSES,
         workload.width,
         workload.height,
-        workers,
+        pool.workers(),
         available_workers(),
         if smoke { " [smoke]" } else { "" }
     );
 
     let streams = held_sign_streams(&workload, streams_n);
-    let engine = RecognitionEngine::new(hdc_bench::frames::benchmark_pipeline(), Some(workers));
-
-    let repeats: Vec<_> = (0..REPEATS)
-        .map(|_| gating_study(&engine, &streams, min_frames, min_seconds))
-        .collect();
+    let pipeline = hdc_bench::frames::benchmark_pipeline();
+    // untimed warm-up: the first serve pays first-touch page faults and
+    // allocator growth that no later repeat sees
+    gating_study(&pipeline, &streams, &pool, 1);
+    let repeats = gating_study(&pipeline, &streams, &pool, REPEATS);
     let modes = summarize_modes(&repeats);
 
     let mut table = Table::new([
@@ -86,6 +87,7 @@ fn main() {
         "strict hits",
         "incr hits",
         "full runs",
+        "digest",
     ]);
     for mode in &modes {
         table.row([
@@ -99,16 +101,17 @@ fn main() {
             mode.gate.strict_hits.to_string(),
             mode.gate.incremental_hits.to_string(),
             mode.gate.full_runs.to_string(),
+            mode.digest.clone(),
         ]);
     }
-    println!("{} repeats, modes in turn", REPEATS);
+    println!(
+        "{} repeats, modes in turn; every repeat decided all {} offered frames per mode with the first repeat's counters and digests",
+        REPEATS, modes[0].frames
+    );
     println!("{}", table.render());
 
-    let inc_gate = modes
-        .iter()
-        .find(|m| m.label == "incremental")
-        .expect("study includes incremental mode")
-        .gate;
+    // modes in the study's order: off, strict, incremental
+    let (strict_gate, inc_gate) = (modes[1].gate, modes[2].gate);
     // Smoke floors: the incremental gate must actually fire, and it must
     // resolve at least as many frames without a full run as the strict gate
     // (its identity pre-check plus the mask gate strictly widen reuse).
@@ -116,11 +119,6 @@ fn main() {
         inc_gate.incremental_hits > 0,
         "incremental mask gate never hit on the benchmark workload"
     );
-    let strict_gate = modes
-        .iter()
-        .find(|m| m.label == "strict")
-        .expect("study includes strict mode")
-        .gate;
     assert!(
         inc_gate.full_runs <= strict_gate.full_runs,
         "incremental mode ran the full pipeline more often than strict ({} > {})",
@@ -128,19 +126,18 @@ fn main() {
         strict_gate.full_runs
     );
 
-    println!("measuring decision divergence vs the ungated oracle...");
-    let strict_div = decision_divergence(&engine, &streams, TemporalConfig::strict());
-    assert_eq!(
-        strict_div.divergent, 0,
-        "strict gating must be bit-identical to the ungated oracle"
+    println!(
+        "decision divergence vs the ungated mode (first repeat; every repeat's digests are equal):"
     );
+    let runs = &repeats[0];
+    let strict_div = decision_divergence(&runs[0].report, &runs[1].report);
     println!(
         "  strict: {}/{} frames diverge ({:.4}%)",
         strict_div.divergent,
         strict_div.frames,
         100.0 * strict_div.rate()
     );
-    let incremental_div = decision_divergence(&engine, &streams, TemporalConfig::incremental());
+    let incremental_div = decision_divergence(&runs[0].report, &runs[2].report);
     assert_eq!(
         incremental_div.divergent, 0,
         "incremental gating diverged from the ungated oracle on the benchmark workload"
@@ -152,15 +149,7 @@ fn main() {
         100.0 * incremental_div.rate()
     );
 
-    let json = stream_json(
-        &workload,
-        streams_n,
-        workers,
-        threads,
-        &repeats,
-        strict_div,
-        incremental_div,
-    );
+    let json = stream_json(&workload, threads, &repeats, strict_div, incremental_div);
     std::fs::write(&out_path, &json).expect("write benchmark report");
     println!("wrote {out_path}");
 }

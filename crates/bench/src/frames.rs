@@ -1,11 +1,10 @@
 //! The shared synthetic frame source every throughput benchmark draws from.
 //!
-//! `bench_recognize` (single-core seed-vs-optimised) and `bench_engine`
-//! (multi-core scaling) must measure the *same* workload for their numbers
-//! to compose, so the stream construction lives here once: all three
-//! marshalling signs over a few frontal-cone azimuths, at a camera scaled so
-//! the silhouette covers the same fraction of the frame at every
-//! resolution.
+//! `bench_recognize`'s sweep and kernel rows and `bench_stream`'s held-sign
+//! streams must draw from the *same* camera and pipeline for their numbers
+//! to compose, so the construction lives here once: all three marshalling
+//! signs over a few frontal-cone azimuths, at a camera scaled so the
+//! silhouette covers the same fraction of the frame at every resolution.
 
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::GrayImage;

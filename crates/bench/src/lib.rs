@@ -15,7 +15,6 @@ pub mod experiments;
 pub mod frames;
 pub mod kernels;
 pub mod report;
-pub mod scaling;
 pub mod serve;
 pub mod streams;
 pub mod throughput;

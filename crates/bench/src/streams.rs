@@ -1,4 +1,4 @@
-//! Sustained-stream gating study: the `bench_stream` workload and report.
+//! Held-sign gating study: the `bench_stream` workload and report.
 //!
 //! The temporal gate's value proposition lives or dies on the *shape* of a
 //! real marshalling stream: a human holds each sign for seconds while the
@@ -6,30 +6,39 @@
 //! images punctuated by short transitions. [`held_sign_stream`] synthesises
 //! exactly that — static holds with sensor jitter, duplicated frames from
 //! camera oversampling, and `Pose::lerp` transitions between signs — and
-//! [`gating_study`] serves it through [`RecognitionEngine::run_streams_gated`]
-//! once per gate mode so the sustained-fps comparison (ungated vs strict vs
-//! incremental) is measured on the same frames, engine and floors. The
-//! committed report repeats the study and records each mode's spread and
-//! the per-repeat ratios to the ungated run of the same repeat, which
-//! cancel the host's slow and fast spells.
+//! [`gating_study`] serves it through [`hdc_serve::serve`], the station the
+//! serve goldens and `serve_fleet` run, once per gate mode and repeat, with
+//! capacity above the offered load so every offered frame is decided. A
+//! mode's fps is its decided frames over the wall time of its serve call;
+//! the committed report records each mode's spread and the per-repeat
+//! ratios to the ungated run of the same repeat, which cancel the host's
+//! slow and fast spells.
 //!
-//! Incremental mode may diverge from the ungated oracle, so the report also
-//! *measures* that divergence ([`decision_divergence`]) on the deterministic
-//! [`RecognitionEngine::process_streams`] path and commits the rate next to
-//! the fps numbers in `BENCH_stream.json` — a speedup quoted without its
-//! error rate is not a result.
+//! Everything but wall time is a pure function of the workload: each
+//! mode's frames, gate counters and serve digest repeat exactly, and the
+//! study asserts that they do. Incremental mode may diverge from the
+//! ungated oracle, so the report also *measures* that divergence
+//! ([`decision_divergence`], per frame against the ungated mode's decide
+//! events) and commits the rate next to the fps numbers in
+//! `BENCH_stream.json` — a speedup quoted without its error rate is not a
+//! result.
 
 use crate::frames::view_at;
 use crate::report::Spread;
 use hdc_figure::{render_pose, MarshallingSign, Pose};
 use hdc_raster::noise::add_salt_pepper;
 use hdc_raster::GrayImage;
-use hdc_runtime::available_workers;
+use hdc_runtime::{available_workers, WorkPool};
+use hdc_serve::{
+    serve, ArrivalSpec, CostModel, EventKind, ServeConfig, ServeInput, ServeReport, StreamBudget,
+};
 use hdc_vision::temporal::{GateCounters, TemporalConfig};
-use hdc_vision::{MultiStreamReport, RecognitionEngine};
+use hdc_vision::RecognitionPipeline;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// Shape of the synthetic held-sign stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,35 +133,150 @@ pub fn held_sign_streams(w: &StreamWorkload, streams: usize) -> Vec<Vec<GrayImag
         .collect()
 }
 
-/// One gate mode's sustained-serving measurement.
+/// Passes each stream makes over its frames in one serve call: two, so
+/// reuse carries across the stream's cycle boundary.
+pub const PASSES: usize = 2;
+
+/// The arrivals and serving configuration of one gate mode over
+/// `streams` streams of `frames_per_stream` frames: 30 fps cameras, one
+/// shard and one resident recogniser per stream, and admission, queue and
+/// deadline bounds no frame reaches, so every offered frame is decided by
+/// its own stream's recogniser in order. (A 30 fps budget would reject
+/// frames: its token takes 33 334 µs to refill, one more than the period.)
+pub fn study_fleet(
+    streams: usize,
+    frames_per_stream: usize,
+    gate: TemporalConfig,
+) -> (ArrivalSpec, ServeConfig) {
+    (
+        ArrivalSpec {
+            streams,
+            frames_per_stream: PASSES * frames_per_stream,
+            period_us: 33_333,
+            jitter_us: 0,
+            burst: None,
+            seed: 0x5eed_0031,
+        },
+        ServeConfig {
+            shards: streams,
+            queue_cap: 64,
+            resident_cap: 1,
+            deadline_us: 3_600_000_000,
+            budget: StreamBudget {
+                fps: 1_000,
+                burst: 64,
+            },
+            costs: CostModel::default(),
+            gate,
+            spill: false,
+        },
+    )
+}
+
+/// One gate mode served once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateRun {
     /// Mode name as committed in the JSON
     /// (`off`/`strict`/`incremental`).
     pub label: &'static str,
-    /// The sustained multi-stream report for this mode.
-    pub report: MultiStreamReport,
+    /// The deterministic serving report.
+    pub report: ServeReport,
+    /// Wall-clock seconds of the serve call.
+    pub seconds: f64,
 }
 
-/// Serves the same streams once per gate mode (ungated first, so every
-/// later run's speedup divides by it) with identical floors.
+impl GateRun {
+    /// Decided frames per wall-clock second, summed over the pool's
+    /// workers.
+    pub fn fps(&self) -> f64 {
+        self.report.decided() as f64 / self.seconds
+    }
+
+    /// Gate counters summed over the streams.
+    pub fn gate(&self) -> GateCounters {
+        self.report
+            .per_stream
+            .iter()
+            .fold(GateCounters::default(), |acc, s| acc.plus(&s.gate))
+    }
+}
+
+/// Serves `frame_sets` (one set per stream) once per gate mode and repeat,
+/// `repeats` times, each mode with one timed [`serve`] call on `pool`
+/// (ungated first, so every later run's speedup divides by it).
+///
+/// # Panics
+/// Panics unless every repeat shows what the workload fixes: each mode
+/// decides every offered frame with no rejection, shed or eviction, its
+/// gate counters and serve digest equal the first repeat's, and strict
+/// gating never diverges from the ungated mode.
 pub fn gating_study(
-    engine: &RecognitionEngine,
-    streams: &[Vec<GrayImage>],
-    min_frames_per_stream: usize,
-    min_seconds: f64,
-) -> Vec<GateRun> {
-    [
+    pipeline: &RecognitionPipeline,
+    frame_sets: &[Vec<GrayImage>],
+    pool: &WorkPool,
+    repeats: usize,
+) -> Vec<Vec<GateRun>> {
+    let modes = [
         ("off", TemporalConfig::off()),
         ("strict", TemporalConfig::strict()),
         ("incremental", TemporalConfig::incremental()),
-    ]
-    .into_iter()
-    .map(|(label, gate)| GateRun {
-        label,
-        report: engine.run_streams_gated(streams, min_frames_per_stream, min_seconds, gate),
-    })
-    .collect()
+    ];
+    let mut study: Vec<Vec<GateRun>> = Vec::with_capacity(repeats);
+    for _ in 0..repeats {
+        let runs: Vec<GateRun> = modes
+            .iter()
+            .map(|&(label, gate)| {
+                let (arrivals, config) = study_fleet(frame_sets.len(), frame_sets[0].len(), gate);
+                let input = ServeInput {
+                    frame_sets,
+                    arrivals: &arrivals,
+                };
+                let start = Instant::now();
+                let report = serve(pipeline, &input, &config, pool);
+                let seconds = start.elapsed().as_secs_f64();
+                let r = &report;
+                assert!(
+                    r.decided() == r.offered()
+                        && r.rejected_budget() + r.rejected_queue() + r.shed() + r.evictions() == 0,
+                    "{label}: {} of {} offered frames decided ({} budget rejects, {} queue rejects, {} shed, {} evictions)",
+                    r.decided(),
+                    r.offered(),
+                    r.rejected_budget(),
+                    r.rejected_queue(),
+                    r.shed(),
+                    r.evictions()
+                );
+                GateRun {
+                    label,
+                    report,
+                    seconds,
+                }
+            })
+            .collect();
+        if let Some(first) = study.first() {
+            for (run, first) in runs.iter().zip(first) {
+                assert_eq!(
+                    run.gate(),
+                    first.gate(),
+                    "{}: gate counters moved",
+                    run.label
+                );
+                assert_eq!(
+                    run.report.digest(),
+                    first.report.digest(),
+                    "{}: serve digest moved",
+                    run.label
+                );
+            }
+        }
+        let strict = decision_divergence(&runs[0].report, &runs[1].report);
+        assert_eq!(
+            strict.divergent, 0,
+            "strict gating must be bit-identical to the ungated oracle"
+        );
+        study.push(runs);
+    }
+    study
 }
 
 /// Decision divergence of a gated run against the ungated oracle.
@@ -175,27 +299,27 @@ impl Divergence {
     }
 }
 
-/// Measures per-frame decision divergence of `gate` against the ungated
-/// oracle on the deterministic [`RecognitionEngine::process_streams`] path
-/// (two passes, so reuse carries across the stream's cycle boundary exactly
-/// as it does in sustained serving).
-pub fn decision_divergence(
-    engine: &RecognitionEngine,
-    streams: &[Vec<GrayImage>],
-    gate: TemporalConfig,
-) -> Divergence {
-    let oracle = engine.process_streams(streams, 2, TemporalConfig::off());
-    let gated = engine.process_streams(streams, 2, gate);
+/// Compares the label of every `(stream, frame)` the gated report decides
+/// with the label the ungated report decided for it; a frame the oracle
+/// never decided counts as divergent.
+pub fn decision_divergence(oracle: &ServeReport, gated: &ServeReport) -> Divergence {
+    let want: HashMap<_, _> = decides(oracle).collect();
     let mut d = Divergence::default();
-    for (o_stream, g_stream) in oracle.iter().zip(&gated) {
-        for (o, g) in o_stream.iter().zip(g_stream) {
-            d.frames += 1;
-            if o.decision != g.decision {
-                d.divergent += 1;
-            }
+    for (key, label) in decides(gated) {
+        d.frames += 1;
+        if want.get(&key) != Some(&label) {
+            d.divergent += 1;
         }
     }
     d
+}
+
+/// Every `(stream, frame)` a report decides, with its label.
+fn decides(report: &ServeReport) -> impl Iterator<Item = ((u32, u32), &Option<String>)> {
+    report.events.iter().filter_map(|e| match &e.kind {
+        EventKind::Decide { label, .. } => Some(((e.stream, e.frame), label)),
+        _ => None,
+    })
 }
 
 /// One gate mode over every repeat of the study.
@@ -205,48 +329,37 @@ pub struct ModeSummary {
     pub label: &'static str,
     /// Wall seconds served, summed over the repeats.
     pub seconds: f64,
-    /// Frames served, summed over the repeats.
+    /// Frames decided in one serve pass (the same in every repeat).
     pub frames: usize,
-    /// Gate counters, summed over the repeats.
+    /// Gate counters of one serve pass (the same in every repeat).
     pub gate: GateCounters,
-    /// Aggregate fps across the repeats.
+    /// Serve digest of one pass (the same in every repeat).
+    pub digest: String,
+    /// Decided fps across the repeats.
     pub fps: Spread,
     /// Per repeat, this mode's fps over the ungated mode's fps of the same
     /// repeat.
     pub speedup_vs_off: Spread,
 }
 
-/// Summarises repeated [`gating_study`] runs mode by mode, in the study's
-/// mode order.
+/// Summarises a [`gating_study`] mode by mode, in the study's mode order.
 ///
 /// # Panics
-/// Panics when `repeats` is empty, or a repeat lacks the `off` mode or
-/// orders its modes differently from the first.
+/// Panics when `repeats` is empty.
 pub fn summarize_modes(repeats: &[Vec<GateRun>]) -> Vec<ModeSummary> {
-    let off_fps: Vec<f64> = repeats
-        .iter()
-        .map(|runs| {
-            runs.iter()
-                .find(|r| r.label == "off")
-                .expect("every repeat serves the ungated mode")
-                .report
-                .aggregate_fps()
-        })
-        .collect();
+    let off_fps: Vec<f64> = repeats.iter().map(|runs| runs[0].fps()).collect();
     repeats[0]
         .iter()
         .enumerate()
         .map(|(m, first)| {
             let runs: Vec<&GateRun> = repeats.iter().map(|runs| &runs[m]).collect();
-            assert!(runs.iter().all(|r| r.label == first.label), "mode order");
-            let fps: Vec<f64> = runs.iter().map(|r| r.report.aggregate_fps()).collect();
+            let fps: Vec<f64> = runs.iter().map(|r| r.fps()).collect();
             ModeSummary {
                 label: first.label,
-                seconds: runs.iter().map(|r| r.report.seconds).sum(),
-                frames: runs.iter().map(|r| r.report.total_frames()).sum(),
-                gate: runs.iter().fold(GateCounters::default(), |acc, r| {
-                    acc.plus(&r.report.gate_totals())
-                }),
+                seconds: runs.iter().map(|r| r.seconds).sum(),
+                frames: first.report.decided(),
+                gate: first.gate(),
+                digest: first.report.digest(),
                 speedup_vs_off: Spread::of(fps.iter().zip(&off_fps).map(|(f, o)| f / o).collect()),
                 fps: Spread::of(fps),
             }
@@ -258,29 +371,27 @@ pub fn summarize_modes(repeats: &[Vec<GateRun>]) -> Vec<ModeSummary> {
 /// (hand-rolled: the workspace has no JSON dependency).
 pub fn stream_json(
     workload: &StreamWorkload,
-    streams: usize,
-    workers: usize,
     threads_flag: Option<usize>,
     repeats: &[Vec<GateRun>],
     strict_divergence: Divergence,
     incremental_divergence: Divergence,
 ) -> String {
     let modes = summarize_modes(repeats);
+    let first = &repeats[0][0].report;
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str(
-        "  \"benchmark\": \"temporal-coherence gating: sustained held-sign stream serving\",\n",
-    );
+    s.push_str("  \"benchmark\": \"temporal-coherence gating: held-sign streams served through hdc-serve\",\n");
     let _ = writeln!(
         s,
-        "  \"metadata\": {{\n    \"threads_flag\": {},\n    \"available_parallelism\": {},\n    \"workers\": {},\n    \"repeats\": {},\n    \"streams\": {},\n    \"width\": {}, \"height\": {},\n    \"holds\": {}, \"keyframes_per_hold\": {}, \"dups_per_keyframe\": {}, \"transition_frames\": {},\n    \"jitter\": {}\n  }},",
+        "  \"metadata\": {{\n    \"threads_flag\": {},\n    \"available_parallelism\": {},\n    \"workers\": {},\n    \"repeats\": {},\n    \"streams\": {},\n    \"passes\": {},\n    \"width\": {}, \"height\": {},\n    \"holds\": {}, \"keyframes_per_hold\": {}, \"dups_per_keyframe\": {}, \"transition_frames\": {},\n    \"jitter\": {}\n  }},",
         threads_flag
             .map(|n| n.to_string())
             .unwrap_or_else(|| "null".to_owned()),
         available_workers(),
-        workers,
+        first.workers,
         repeats.len(),
-        streams,
+        first.per_stream.len(),
+        PASSES,
         workload.width,
         workload.height,
         workload.holds,
@@ -291,18 +402,19 @@ pub fn stream_json(
     );
     s.push_str("  \"protocol\": {\n");
     s.push_str("    \"stream\": \"held marshalling signs: per hold, lerp transition frames then keyframes x byte-identical oversampled duplicates, salt-and-pepper sensor jitter per keyframe\",\n");
-    s.push_str("    \"modes\": \"same engine, streams and floors; each repeat serves every gate mode once, in turn (off = ungated baseline); seconds, frames and gate counters are summed over the repeats\",\n");
-    s.push_str("    \"divergence\": \"per-frame accepted-decision mismatch vs the ungated oracle on the deterministic process_streams path (2 passes)\",\n");
-    s.push_str("    \"note\": \"aggregate fps is summed over the metadata's workers, so it scales with the host and its speed spells (median, min, max over the repeats); speedup_vs_off is each repeat's mode fps over that repeat's ungated fps, the gate's work saving with the spell cancelled\"\n");
+    s.push_str("    \"modes\": \"each repeat serves every gate mode once, in turn (off = ungated baseline), with one timed hdc_serve::serve call: 30 fps arrivals of every stream's frames, passes times over, one shard and one resident recogniser per stream, admission and deadline bounds no frame reaches; frames, gate counters and digest are one serve pass's and equal in every repeat, seconds are summed over the repeats\",\n");
+    s.push_str("    \"divergence\": \"per-frame accepted-decision mismatch of each gated mode's decide events vs the ungated mode's\",\n");
+    s.push_str("    \"note\": \"aggregate fps is decided frames over the serve call's wall time, summed over the metadata's workers, so it scales with the host and its speed spells (median, min, max over the repeats); speedup_vs_off is each repeat's mode fps over that repeat's ungated fps, the gate's work saving with the spell cancelled\"\n");
     s.push_str("  },\n");
     s.push_str("  \"modes\": [\n");
     for (i, mode) in modes.iter().enumerate() {
         let _ = writeln!(
             s,
-            "    {{\"mode\": \"{}\", \"seconds\": {:.2}, \"frames\": {}, \"aggregate_fps\": {}, \"speedup_vs_off\": {}, \"gate\": {{\"strict_hits\": {}, \"incremental_hits\": {}, \"full_runs\": {}}}}}{}",
+            "    {{\"mode\": \"{}\", \"seconds\": {:.2}, \"frames\": {}, \"digest\": \"{}\", \"aggregate_fps\": {}, \"speedup_vs_off\": {}, \"gate\": {{\"strict_hits\": {}, \"incremental_hits\": {}, \"full_runs\": {}}}}}{}",
             mode.label,
             mode.seconds,
             mode.frames,
+            mode.digest,
             mode.fps.json(2),
             mode.speedup_vs_off.json(3),
             mode.gate.strict_hits,
@@ -331,8 +443,11 @@ mod tests {
     use super::*;
     use crate::frames::benchmark_pipeline;
 
-    fn engine() -> RecognitionEngine {
-        RecognitionEngine::new(benchmark_pipeline(), Some(2))
+    /// The smoke study at `streams` streams and `repeats` repeats.
+    fn smoke_study(streams: usize, repeats: usize) -> Vec<Vec<GateRun>> {
+        let frame_sets = held_sign_streams(&StreamWorkload::smoke(), streams);
+        let pool = WorkPool::with_threads(Some(2));
+        gating_study(&benchmark_pipeline(), &frame_sets, &pool, repeats)
     }
 
     #[test]
@@ -358,16 +473,17 @@ mod tests {
 
     #[test]
     fn strict_gating_never_diverges_on_the_benchmark_workload() {
-        let streams = held_sign_streams(&StreamWorkload::smoke(), 2);
-        let d = decision_divergence(&engine(), &streams, TemporalConfig::strict());
+        let runs = &smoke_study(2, 1)[0];
+        let d = decision_divergence(&runs[0].report, &runs[1].report);
         assert_eq!(d.divergent, 0, "strict mode must match the oracle exactly");
-        assert_eq!(d.frames, streams.iter().map(|s| s.len() * 2).sum::<usize>());
+        let frames = 2 * PASSES * StreamWorkload::smoke().frames_per_stream();
+        assert_eq!(d.frames, frames);
     }
 
     #[test]
     fn incremental_divergence_stays_bounded() {
-        let streams = held_sign_streams(&StreamWorkload::smoke(), 2);
-        let d = decision_divergence(&engine(), &streams, TemporalConfig::incremental());
+        let runs = &smoke_study(2, 1)[0];
+        let d = decision_divergence(&runs[0].report, &runs[2].report);
         assert!(
             d.rate() <= 0.05,
             "incremental divergence {} ({}/{}) exceeds the 5% bound",
@@ -378,20 +494,40 @@ mod tests {
     }
 
     #[test]
+    fn divergence_counts_a_changed_or_missing_label() {
+        let runs = &smoke_study(1, 1)[0];
+        let oracle = &runs[0].report;
+        let mut gated = oracle.clone();
+        let mut decides = gated.events.iter_mut().filter_map(|e| match &mut e.kind {
+            EventKind::Decide { label, .. } => Some(label),
+            _ => None,
+        });
+        *decides.next().expect("a decided frame") = Some("Wrong".to_owned());
+        let d = decision_divergence(oracle, &gated);
+        assert_eq!((d.frames, d.divergent), (oracle.decided(), 1));
+        let d = decision_divergence(
+            &ServeReport {
+                events: Vec::new(),
+                ..oracle.clone()
+            },
+            oracle,
+        );
+        assert_eq!(d.divergent, d.frames, "nothing to compare with");
+    }
+
+    #[test]
     fn study_covers_all_three_modes_and_the_gate_actually_hits() {
-        let w = StreamWorkload::smoke();
-        let streams = held_sign_streams(&w, 2);
-        let runs = gating_study(&engine(), &streams, w.frames_per_stream(), 0.0);
+        let runs = &smoke_study(2, 1)[0];
         assert_eq!(
             runs.iter().map(|r| r.label).collect::<Vec<_>>(),
             ["off", "strict", "incremental"]
         );
-        let strict = runs[1].report.gate_totals();
+        let strict = runs[1].gate();
         assert!(
             strict.strict_hits > 0,
             "duplicates must hit the strict gate"
         );
-        let inc = runs[2].report.gate_totals();
+        let inc = runs[2].gate();
         assert!(
             inc.incremental_hits > 0,
             "jitter must hit the incremental mask gate"
@@ -400,23 +536,22 @@ mod tests {
             inc.strict_hits > 0,
             "duplicates must hit the identity pre-check"
         );
-        for run in &runs {
-            assert_eq!(run.report.gate_totals().frames(), run.report.total_frames());
+        let offered = 2 * PASSES * StreamWorkload::smoke().frames_per_stream();
+        for run in runs {
+            assert_eq!(run.report.decided(), offered, "{}", run.label);
+            assert_eq!(run.gate().frames(), offered, "{}", run.label);
         }
     }
 
     #[test]
     fn json_is_well_formed_enough() {
         let w = StreamWorkload::smoke();
-        let streams = held_sign_streams(&w, 1);
-        let repeats: Vec<Vec<GateRun>> = (0..2)
-            .map(|_| gating_study(&engine(), &streams, 1, 0.0))
-            .collect();
+        let repeats = smoke_study(1, 2);
         let d = Divergence {
             frames: 10,
             divergent: 1,
         };
-        let json = stream_json(&w, 1, 2, Some(2), &repeats, Divergence::default(), d);
+        let json = stream_json(&w, Some(2), &repeats, Divergence::default(), d);
         assert!(json.contains("\"mode\": \"off\""));
         assert!(json.contains("\"mode\": \"strict\""));
         assert!(!json.contains("approx"));
@@ -424,6 +559,10 @@ mod tests {
         assert!(json.contains("\"divergence\""));
         assert!(json.contains("\"rate\": 0.100000"));
         assert!(json.contains("\"repeats\": 2"));
+        assert!(json.contains(&format!(
+            "\"digest\": \"{}\"",
+            repeats[0][0].report.digest()
+        )));
         assert!(json.contains("\"speedup_vs_off\": {\"median\": 1.000, \"min\": 1.000"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

@@ -686,7 +686,7 @@ mod tests {
         let (mut fast, mut full) = (cohort(config), cohort(config));
         let human = Vec2::new(12.0, 8.0);
         let mut rng = SmallRng::seed_from_u64(5);
-        let (mut pose, mut heading, mut bearing) = (Pose::neutral(), 0.3, 0.3);
+        let (mut pose, mut heading, mut bearing) = (Pose::neutral(), 0.3, 0.3_f64);
         for k in 0..120 {
             let t = k as f64 * 0.5;
             if rng.gen::<f64>() < 0.4 {
@@ -703,7 +703,7 @@ mod tests {
                 }
             }
             let signaller = Signaller::new(human, heading, pose);
-            let eye = Vec3::from_xy(human + Vec2::from_angle(bearing) * 3.0, 4.0);
+            let eye = Vec3::from_xy(human + Vec2::new(bearing.cos(), bearing.sin()) * 3.0, 4.0);
             fast.sense(t, &signaller, eye);
             for member in &mut full.members {
                 member.memo = ViewMemo::default();

@@ -7,7 +7,6 @@
 //! signals".
 
 use hdc_drone::PatternKind;
-use hdc_figure::MarshallingSign;
 use std::fmt;
 
 /// What the drone means by a communicative motion.
@@ -105,20 +104,21 @@ impl Vocabulary {
             DroneIntent::AnnounceTransit => PatternKind::Cruise,
         })
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hdc_figure::MarshallingSign;
 
     /// The intent a marshalling sign communicates.
-    pub fn human_intent(sign: MarshallingSign) -> HumanIntent {
+    fn human_intent(sign: MarshallingSign) -> HumanIntent {
         match sign {
             MarshallingSign::AttentionGained => HumanIntent::GrantAttention,
             MarshallingSign::Yes => HumanIntent::Consent,
             MarshallingSign::No => HumanIntent::Refuse,
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn drone_mapping_is_a_bijection() {
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn human_mapping_is_a_bijection() {
         // three signs onto three intents: a bijection iff no two collide
-        let intents = MarshallingSign::ALL.map(Vocabulary::human_intent);
+        let intents = MarshallingSign::ALL.map(human_intent);
         for (i, a) in intents.iter().enumerate() {
             assert!(!intents[i + 1..].contains(a), "{a} is expressed twice");
         }
@@ -156,7 +156,7 @@ mod tests {
             Some(DroneIntent::AcknowledgeNo)
         );
         assert_eq!(
-            Vocabulary::human_intent(MarshallingSign::AttentionGained),
+            human_intent(MarshallingSign::AttentionGained),
             HumanIntent::GrantAttention
         );
     }

@@ -261,19 +261,6 @@ impl Drone {
         }
     }
 
-    /// Resets a latched safety state (allowed only on the ground with the
-    /// rotors stopped).
-    ///
-    /// Returns whether the reset was accepted.
-    pub fn reset_safety(&mut self) -> bool {
-        if self.state.is_grounded() && !self.state.rotors_on {
-            self.safety_engaged = false;
-            true
-        } else {
-            false
-        }
-    }
-
     fn finish_landing(&mut self) {
         // Figure 2 ordering: rotors off first, only then lights out.
         if self.state.rotors_on {
@@ -501,8 +488,6 @@ mod tests {
         assert!(d.state().is_grounded());
         // danger stays latched on the ring (no LightsOut downgrade)
         assert_eq!(d.ring().mode(), LedMode::Danger);
-        assert!(!d.reset_safety() || d.state().is_grounded());
-        assert!(d.reset_safety(), "reset allowed once grounded");
     }
 
     #[test]

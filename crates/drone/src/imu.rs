@@ -213,12 +213,6 @@ impl FlightStateEstimator {
         self.vertical_velocity
     }
 
-    /// Feeds one IMU sample plus rotor telemetry (no barometer: the
-    /// vertical estimate leaks toward zero between accelerations).
-    pub fn update(&mut self, sample: &ImuSample, rotors_on: bool, dt: f64) -> FlightState {
-        self.update_fused(sample, None, rotors_on, dt)
-    }
-
     /// Feeds one IMU sample plus an optional barometric altitude and rotor
     /// telemetry. With a barometer the vertical velocity is a complementary
     /// fusion (accelerometer for bandwidth, baro differencing for DC), so
@@ -309,7 +303,7 @@ mod tests {
         for _ in 0..steps {
             drone.tick(0.05);
             let s = imu.sample(drone.state(), 0.05, rng);
-            states.push(est.update(&s, drone.state().rotors_on, 0.05));
+            states.push(est.update_fused(&s, None, drone.state().rotors_on, 0.05));
         }
         states
     }
@@ -387,7 +381,7 @@ mod tests {
             yaw_rate: 0.0,
         };
         for _ in 0..10 {
-            est.update(&sample, false, 0.05);
+            est.update_fused(&sample, None, false, 0.05);
         }
         assert_eq!(est.state(), FlightState::Grounded);
     }
@@ -404,14 +398,14 @@ mod tests {
             yaw_rate: 0.0,
         };
         for _ in 0..20 {
-            est.update(&hover, true, 0.05);
+            est.update_fused(&hover, None, true, 0.05);
         }
         assert_eq!(est.state(), FlightState::Hovering);
         // one climb-looking sample is not enough
-        est.update(&climb, true, 0.05);
+        est.update_fused(&climb, None, true, 0.05);
         assert_eq!(est.state(), FlightState::Hovering);
         for _ in 0..6 {
-            est.update(&climb, true, 0.05);
+            est.update_fused(&climb, None, true, 0.05);
         }
         assert_eq!(est.state(), FlightState::Climbing);
     }
@@ -431,7 +425,7 @@ mod tests {
         let mut fused_final = FlightState::Hovering;
         for _ in 0..200 {
             alt -= 0.8 * 0.05; // 0.8 m/s descent
-            imu_only_final = est_imu.update(&level, true, 0.05);
+            imu_only_final = est_imu.update_fused(&level, None, true, 0.05);
             fused_final = est_baro.update_fused(&level, Some(alt), true, 0.05);
         }
         assert_eq!(
@@ -493,14 +487,14 @@ mod tests {
             yaw_rate: 0.0,
         };
         for _ in 0..10 {
-            est.update(&hover, true, 0.05);
+            est.update_fused(&hover, None, true, 0.05);
         }
         let lateral = ImuSample {
             accel: Vec3::new(2.0, 0.0, GRAVITY),
             yaw_rate: 0.0,
         };
         for _ in 0..20 {
-            est.update(&lateral, true, 0.05);
+            est.update_fused(&lateral, None, true, 0.05);
         }
         assert_eq!(est.state(), FlightState::Translating);
     }

@@ -114,7 +114,7 @@ proptest! {
         let mut est = FlightStateEstimator::new();
         for (ax, ay, az) in samples {
             let s = ImuSample { accel: Vec3::new(ax, ay, az + GRAVITY), yaw_rate: 0.0 };
-            let state = est.update(&s, false, 0.05);
+            let state = est.update_fused(&s, None, false, 0.05);
             prop_assert_eq!(state, hdc_drone::FlightState::Grounded);
         }
     }

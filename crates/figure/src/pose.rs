@@ -178,16 +178,6 @@ impl Pose {
             stance_half_width: (self.stance_half_width + rng.gen_range(-0.02..=0.02)).max(0.02),
         }
     }
-
-    /// Whether every joint angle is within anatomically plausible bounds.
-    pub fn is_plausible(&self) -> bool {
-        let ok = |v: f64| (-0.3..=3.3).contains(&v);
-        ok(self.left_abduction)
-            && ok(self.right_abduction)
-            && (-0.3..=2.8).contains(&self.left_flexion)
-            && (-0.3..=2.8).contains(&self.right_flexion)
-            && self.stance_half_width > 0.0
-    }
 }
 
 impl Default for Pose {
@@ -216,15 +206,6 @@ impl PoseLibrary {
             ("akimbo", Pose::akimbo()),
         ]
     }
-
-    /// Only the distractor postures (not part of the sign language).
-    pub fn distractors() -> Vec<(&'static str, Pose)> {
-        vec![
-            ("neutral", Pose::neutral()),
-            ("waving", Pose::waving()),
-            ("akimbo", Pose::akimbo()),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -232,6 +213,16 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// Whether every joint angle is within anatomically plausible bounds.
+    fn is_plausible(p: &Pose) -> bool {
+        let ok = |v: f64| (-0.3..=3.3).contains(&v);
+        ok(p.left_abduction)
+            && ok(p.right_abduction)
+            && (-0.3..=2.8).contains(&p.left_flexion)
+            && (-0.3..=2.8).contains(&p.right_flexion)
+            && p.stance_half_width > 0.0
+    }
 
     #[test]
     fn sign_labels() {
@@ -247,11 +238,11 @@ mod tests {
     #[test]
     fn all_sign_poses_plausible() {
         for sign in MarshallingSign::ALL {
-            assert!(Pose::for_sign(sign).is_plausible(), "{sign}");
+            assert!(is_plausible(&Pose::for_sign(sign)), "{sign}");
         }
-        assert!(Pose::neutral().is_plausible());
-        assert!(Pose::waving().is_plausible());
-        assert!(Pose::akimbo().is_plausible());
+        assert!(is_plausible(&Pose::neutral()));
+        assert!(is_plausible(&Pose::waving()));
+        assert!(is_plausible(&Pose::akimbo()));
     }
 
     #[test]
@@ -306,7 +297,7 @@ mod tests {
         let down = Pose::wave_off_phase(0.75); // sin = -1 → lowest
         let up = Pose::wave_off_phase(0.25); // sin = +1 → highest
         assert!(up.right_abduction - down.right_abduction > 1.5);
-        assert!(down.is_plausible() && up.is_plausible());
+        assert!(is_plausible(&down) && is_plausible(&up));
         // periodicity
         let p0 = Pose::wave_off_phase(0.1);
         let p1 = Pose::wave_off_phase(1.1);
@@ -316,6 +307,5 @@ mod tests {
     #[test]
     fn library_contents() {
         assert_eq!(PoseLibrary::all().len(), 6);
-        assert_eq!(PoseLibrary::distractors().len(), 3);
     }
 }

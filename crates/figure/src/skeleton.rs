@@ -51,11 +51,6 @@ impl BodyDimensions {
         }
     }
 
-    /// Total stature (top of head).
-    pub fn stature(&self) -> f64 {
-        self.head_height + self.head_radius
-    }
-
     /// Uniformly scales every dimension by `factor` (a shorter or taller
     /// person with identical proportions).
     ///
@@ -270,6 +265,11 @@ mod tests {
     use super::*;
     use crate::pose::MarshallingSign;
 
+    /// Total stature (top of head).
+    fn stature(d: &BodyDimensions) -> f64 {
+        d.head_height + d.head_radius
+    }
+
     fn wrist_height(sig: &Signaller, right: bool) -> f64 {
         // the wrist is the far endpoint of the last arm capsule on that side
         let parts = sig.body_parts();
@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn stature_reasonable() {
         let d = BodyDimensions::adult();
-        assert!((d.stature() - 1.77).abs() < 0.1);
+        assert!((stature(&d) - 1.77).abs() < 0.1);
     }
 
     #[test]
@@ -388,7 +388,7 @@ mod tests {
     fn scaling_is_uniform() {
         let d = BodyDimensions::adult();
         let s = d.scaled(1.1);
-        assert!((s.stature() - d.stature() * 1.1).abs() < 1e-12);
+        assert!((stature(&s) - stature(&d) * 1.1).abs() < 1e-12);
         assert!((s.upper_arm - d.upper_arm * 1.1).abs() < 1e-12);
         assert!((s.torso_radius - d.torso_radius * 1.1).abs() < 1e-12);
     }
@@ -397,7 +397,7 @@ mod tests {
     fn proportions_change_limbs_not_stature() {
         let d = BodyDimensions::adult();
         let p = d.with_proportions(1.15, 0.9);
-        assert_eq!(p.stature(), d.stature());
+        assert_eq!(stature(&p), stature(&d));
         assert!((p.upper_arm - d.upper_arm * 1.15).abs() < 1e-12);
         assert!((p.torso_radius - d.torso_radius * 0.9).abs() < 1e-12);
         assert_eq!(p.shoulder_height, d.shoulder_height);

@@ -71,7 +71,12 @@ proptest! {
     #[test]
     fn lerp_stays_plausible(a in plausible_pose(), b in plausible_pose(), t in 0.0f64..1.0) {
         let mid = a.lerp(&b, t);
-        prop_assert!(mid.is_plausible());
+        // every joint angle within the anatomically plausible bounds
+        let ok = |v: f64| (-0.3..=3.3).contains(&v);
+        prop_assert!(ok(mid.left_abduction) && ok(mid.right_abduction));
+        prop_assert!((-0.3..=2.8).contains(&mid.left_flexion));
+        prop_assert!((-0.3..=2.8).contains(&mid.right_flexion));
+        prop_assert!(mid.stance_half_width > 0.0);
     }
 
     #[test]

@@ -110,7 +110,7 @@ mod tests {
         // a human facing a drone head-on sees azimuth 0; rotating the
         // viewpoint about the human by delta shifts the azimuth by -delta
         let human = Vec2::new(2.0, 1.0);
-        let drone = human + Vec2::from_angle(0.7) * 3.0;
+        let drone = human + Vec2::new(0.7f64.cos(), 0.7f64.sin()) * 3.0;
         let heading = (drone - human).angle();
         assert!(approx_eq(
             relative_azimuth_rad(human, heading, drone),

@@ -157,8 +157,7 @@ impl PinholeCamera {
     /// Projects a world point to pixel coordinates.
     ///
     /// Returns `None` when the point lies behind (or on) the near plane.
-    /// Points outside the image bounds are still returned; use
-    /// [`PinholeCamera::in_frame`] to test visibility.
+    /// Points outside the image bounds are still returned.
     pub fn project(&self, p: Vec3) -> Option<Vec2> {
         let c = self.to_camera_frame(p);
         if c.z <= self.near {
@@ -169,14 +168,6 @@ impl PinholeCamera {
             f * c.x / c.z + self.intrinsics.cx,
             f * c.y / c.z + self.intrinsics.cy,
         ))
-    }
-
-    /// Whether a pixel coordinate falls inside the image.
-    pub fn in_frame(&self, px: Vec2) -> bool {
-        px.x >= 0.0
-            && px.y >= 0.0
-            && px.x < self.intrinsics.width as f64
-            && px.y < self.intrinsics.height as f64
     }
 
     /// Projects a sphere to a disk.
@@ -233,6 +224,14 @@ impl PinholeCamera {
 mod tests {
     use super::*;
     use crate::approx_eq;
+
+    /// Whether a pixel coordinate falls inside the image.
+    fn in_frame(c: &PinholeCamera, px: Vec2) -> bool {
+        px.x >= 0.0
+            && px.y >= 0.0
+            && px.x < c.intrinsics.width as f64
+            && px.y < c.intrinsics.height as f64
+    }
 
     fn cam() -> PinholeCamera {
         PinholeCamera::look_at(
@@ -318,9 +317,9 @@ mod tests {
     #[test]
     fn in_frame_bounds() {
         let c = cam();
-        assert!(c.in_frame(Vec2::new(0.0, 0.0)));
-        assert!(c.in_frame(Vec2::new(639.9, 479.9)));
-        assert!(!c.in_frame(Vec2::new(640.0, 100.0)));
-        assert!(!c.in_frame(Vec2::new(-0.1, 100.0)));
+        assert!(in_frame(&c, Vec2::new(0.0, 0.0)));
+        assert!(in_frame(&c, Vec2::new(639.9, 479.9)));
+        assert!(!in_frame(&c, Vec2::new(640.0, 100.0)));
+        assert!(!in_frame(&c, Vec2::new(-0.1, 100.0)));
     }
 }

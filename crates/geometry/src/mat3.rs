@@ -48,18 +48,6 @@ impl Mat3 {
         self.m[row][col]
     }
 
-    /// Rotation about the x axis by `angle` radians.
-    pub fn rotation_x(angle: f64) -> Self {
-        let (s, c) = angle.sin_cos();
-        Mat3::from_rows([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    }
-
-    /// Rotation about the y axis by `angle` radians.
-    pub fn rotation_y(angle: f64) -> Self {
-        let (s, c) = angle.sin_cos();
-        Mat3::from_rows([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    }
-
     /// Rotation about the z axis by `angle` radians.
     pub fn rotation_z(angle: f64) -> Self {
         let (s, c) = angle.sin_cos();
@@ -113,20 +101,6 @@ impl Mat3 {
             ],
         ]))
     }
-
-    /// Returns `true` when the matrix is orthonormal with determinant +1
-    /// (i.e. a proper rotation), within tolerance `tol`.
-    pub fn is_rotation(&self, tol: f64) -> bool {
-        let t = *self * self.transpose();
-        let mut ortho = true;
-        for r in 0..3 {
-            for c in 0..3 {
-                let expect = if r == c { 1.0 } else { 0.0 };
-                ortho &= (t.at(r, c) - expect).abs() <= tol;
-            }
-        }
-        ortho && (self.det() - 1.0).abs() <= tol
-    }
 }
 
 impl Default for Mat3 {
@@ -174,6 +148,27 @@ mod tests {
     use crate::approx_eq;
     use std::f64::consts::FRAC_PI_2;
 
+    /// Rotation about the x axis by `angle` radians.
+    fn rotation_x(angle: f64) -> Mat3 {
+        let (s, c) = angle.sin_cos();
+        Mat3::from_rows([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    }
+
+    /// Rotation about the y axis by `angle` radians.
+    fn rotation_y(angle: f64) -> Mat3 {
+        let (s, c) = angle.sin_cos();
+        Mat3::from_rows([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    }
+
+    /// Whether `m` is orthonormal with determinant +1 (a proper rotation),
+    /// within tolerance `tol`.
+    fn is_rotation(m: &Mat3, tol: f64) -> bool {
+        let t = *m * m.transpose();
+        let ortho = (0..3)
+            .all(|r| (0..3).all(|c| (t.at(r, c) - if r == c { 1.0 } else { 0.0 }).abs() <= tol));
+        ortho && (m.det() - 1.0).abs() <= tol
+    }
+
     fn assert_vec_eq(a: Vec3, b: Vec3) {
         assert!(approx_eq(a.x, b.x, 1e-12), "{a} != {b}");
         assert!(approx_eq(a.y, b.y, 1e-12), "{a} != {b}");
@@ -190,13 +185,13 @@ mod tests {
     #[test]
     fn rotations_move_axes() {
         assert_vec_eq(Mat3::rotation_z(FRAC_PI_2) * Vec3::X, Vec3::Y);
-        assert_vec_eq(Mat3::rotation_x(FRAC_PI_2) * Vec3::Y, Vec3::Z);
-        assert_vec_eq(Mat3::rotation_y(FRAC_PI_2) * Vec3::Z, Vec3::X);
+        assert_vec_eq(rotation_x(FRAC_PI_2) * Vec3::Y, Vec3::Z);
+        assert_vec_eq(rotation_y(FRAC_PI_2) * Vec3::Z, Vec3::X);
     }
 
     #[test]
     fn rotation_inverse_is_transpose() {
-        let r = Mat3::rotation_z(0.7) * Mat3::rotation_x(-0.3);
+        let r = Mat3::rotation_z(0.7) * rotation_x(-0.3);
         let inv = r.inverse().unwrap();
         let tr = r.transpose();
         for row in 0..3 {
@@ -204,19 +199,19 @@ mod tests {
                 assert!(approx_eq(inv.at(row, col), tr.at(row, col), 1e-12));
             }
         }
-        assert!(r.is_rotation(1e-12));
+        assert!(is_rotation(&r, 1e-12));
     }
 
     #[test]
     fn singular_has_no_inverse() {
         let s = Mat3::from_rows([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 0.0]]);
         assert!(s.inverse().is_none());
-        assert!(!s.is_rotation(1e-9));
+        assert!(!is_rotation(&s, 1e-9));
     }
 
     #[test]
     fn det_of_rotation_is_one() {
-        let r = Mat3::rotation_y(1.1);
+        let r = rotation_y(1.1);
         assert!(approx_eq(r.det(), 1.0, 1e-12));
     }
 

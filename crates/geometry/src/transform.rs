@@ -50,14 +50,6 @@ impl Iso3 {
         self.rotation * p + self.translation
     }
 
-    /// Composition: `self ∘ other` (apply `other` first, then `self`).
-    pub fn compose(&self, other: &Iso3) -> Iso3 {
-        Iso3 {
-            rotation: self.rotation * other.rotation,
-            translation: self.rotation * other.translation + self.translation,
-        }
-    }
-
     /// The inverse transform (assumes the rotation part is orthonormal).
     pub fn inverse(&self) -> Iso3 {
         let rt = self.rotation.transpose();
@@ -79,6 +71,14 @@ mod tests {
     use super::*;
     use crate::approx_eq;
 
+    /// Composition `a ∘ b`: apply `b` first, then `a`.
+    fn compose(a: &Iso3, b: &Iso3) -> Iso3 {
+        Iso3::new(
+            a.rotation * b.rotation,
+            a.rotation * b.translation + a.translation,
+        )
+    }
+
     fn assert_vec_eq(a: Vec3, b: Vec3) {
         assert!(approx_eq(a.x, b.x, 1e-12), "{a} != {b}");
         assert!(approx_eq(a.y, b.y, 1e-12), "{a} != {b}");
@@ -93,8 +93,10 @@ mod tests {
 
     #[test]
     fn inverse_undoes_apply() {
+        // a rotation about z after one about x by 1.2 rad
+        let (s, c) = 1.2f64.sin_cos();
         let t = Iso3::new(
-            Mat3::rotation_z(0.4) * Mat3::rotation_x(1.2),
+            Mat3::rotation_z(0.4) * Mat3::from_rows([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]),
             Vec3::new(1.0, -2.0, 0.5),
         );
         let p = Vec3::new(0.3, 0.7, -1.1);
@@ -107,10 +109,10 @@ mod tests {
         let rot = Iso3::new(Mat3::rotation_z(std::f64::consts::FRAC_PI_2), Vec3::ZERO);
         let tr = Iso3::new(Mat3::IDENTITY, Vec3::X);
         // rotate then translate
-        let both = tr.compose(&rot);
+        let both = compose(&tr, &rot);
         assert_vec_eq(both.apply(Vec3::X), Vec3::new(1.0, 1.0, 0.0));
         // translate then rotate
-        let both2 = rot.compose(&tr);
+        let both2 = compose(&rot, &tr);
         assert_vec_eq(both2.apply(Vec3::X), Vec3::new(0.0, 2.0, 0.0));
     }
 }

@@ -41,11 +41,6 @@ impl Vec2 {
         Vec2 { x: v, y: v }
     }
 
-    /// Unit vector at `angle` radians from the +x axis (counter-clockwise).
-    pub fn from_angle(angle: f64) -> Self {
-        Vec2::new(angle.cos(), angle.sin())
-    }
-
     /// Dot product.
     pub fn dot(self, other: Vec2) -> f64 {
         self.x * other.x + self.y * other.y
@@ -248,7 +243,7 @@ mod tests {
     fn angle_roundtrip() {
         for deg in [-170, -90, -45, 0, 30, 90, 179] {
             let a = (deg as f64).to_radians();
-            assert!(approx_eq(Vec2::from_angle(a).angle(), a, 1e-12));
+            assert!(approx_eq(Vec2::new(a.cos(), a.sin()).angle(), a, 1e-12));
         }
     }
 

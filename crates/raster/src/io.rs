@@ -1,17 +1,11 @@
-//! Image serialisation: binary PGM (P5) output and ASCII-art debugging dumps.
+//! Image serialisation: binary PGM (P5) input and ASCII-art debugging dumps.
 
 use crate::image::{Bitmap, GrayImage};
 use std::fmt::Write as _;
 use std::io;
 
-/// Encodes a grayscale image as binary PGM (P5).
-pub fn encode_pgm(img: &GrayImage) -> Vec<u8> {
-    let mut out = format!("P5\n{} {}\n255\n", img.width(), img.height()).into_bytes();
-    out.extend_from_slice(img.pixels());
-    out
-}
-
-/// Decodes a binary PGM (P5) image previously produced by [`encode_pgm`].
+/// Decodes a binary PGM (P5) image: a `P5` header with width, height and
+/// maxval 255, one whitespace byte, then the raw pixels.
 ///
 /// # Errors
 /// Returns `InvalidData` for malformed headers, unsupported max values or
@@ -84,6 +78,12 @@ pub fn ascii_art(mask: &Bitmap) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode_pgm(img: &GrayImage) -> Vec<u8> {
+        let mut out = format!("P5\n{} {}\n255\n", img.width(), img.height()).into_bytes();
+        out.extend_from_slice(img.pixels());
+        out
+    }
 
     #[test]
     fn pgm_roundtrip() {

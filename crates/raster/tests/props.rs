@@ -2,11 +2,10 @@
 
 use hdc_geometry::Vec2;
 use hdc_raster::contour::{
-    contour_perimeter, trace_outer_contour, trace_outer_contour_into,
-    trace_outer_contour_packed_into,
+    trace_outer_contour, trace_outer_contour_into, trace_outer_contour_packed_into, ContourPoint,
 };
 use hdc_raster::diff;
-use hdc_raster::io::{decode_pgm, encode_pgm};
+use hdc_raster::io::decode_pgm;
 use hdc_raster::threshold::{binarize, binarize_packed_into, otsu_threshold};
 use hdc_raster::{
     draw, label_components, label_components_bfs, label_components_packed, largest_component,
@@ -27,6 +26,24 @@ fn small_gray() -> impl Strategy<Value = GrayImage> {
 
 fn small_mask() -> impl Strategy<Value = Bitmap> {
     small_gray().prop_map(|g| g.map(|p| p > 128))
+}
+
+/// Encodes a grayscale image as binary PGM (P5), the bytes `decode_pgm`
+/// reads.
+fn encode_pgm(img: &GrayImage) -> Vec<u8> {
+    let mut out = format!("P5\n{} {}\n255\n", img.width(), img.height()).into_bytes();
+    out.extend_from_slice(img.pixels());
+    out
+}
+
+/// Perimeter of a closed contour (Euclidean, √2 for diagonal steps).
+fn contour_perimeter(contour: &[ContourPoint]) -> f64 {
+    (0..contour.len())
+        .map(|i| {
+            let b = contour[(i + 1) % contour.len()];
+            contour[i].to_vec2().distance(b.to_vec2())
+        })
+        .sum()
 }
 
 proptest! {

@@ -348,7 +348,8 @@ pub fn available_workers() -> usize {
 }
 
 /// Parses a `--threads N` override out of a raw argument list (`None` when
-/// absent → auto). Shared by `run_scenarios` and `bench_engine`.
+/// absent → auto). Shared by `run_scenarios`, `serve_goldens` and the
+/// `bench_*` binaries that drive a pool.
 ///
 /// # Panics
 /// Panics with a usage message when `--threads` has no valid positive value.

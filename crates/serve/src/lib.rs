@@ -1,4 +1,5 @@
-//! Deterministic many-stream serving layer over the recognition engine.
+//! Deterministic many-stream serving layer over the recognition pipeline:
+//! the one runner that drives many camera streams at once.
 //!
 //! The paper's collaborative-environment vision implies a supervisor station
 //! watching *many* drones and cameras at once, and the production metric for
@@ -42,7 +43,7 @@
 //! Service *costs* are virtual microseconds from a fixed [`server::CostModel`]
 //! keyed by how the temporal gate resolved the frame — the recognition
 //! itself (pixels in, decision out) is real and runs through the exact
-//! [`hdc_vision::RecognitionPipeline`] machinery the batch benches measure.
+//! [`hdc_vision::RecognitionPipeline`] machinery `bench_recognize` times.
 //! Virtual costing is what separates *scheduling correctness* (deterministic,
 //! asserted by goldens and property tests) from *hardware speed* (measured
 //! by `bench_serve` and reported in `BENCH_serve.json`).

@@ -45,8 +45,7 @@ use std::collections::{HashMap, VecDeque};
 
 /// Virtual service cost (microseconds) per gate outcome, plus the fixed
 /// overheads of shedding and residency fault-in. Defaults approximate the
-/// measured shape of the VGA pipeline (BENCH_stream.json): a full run costs
-/// ~25× a strict identity hit.
+/// shape of the VGA pipeline: a full run costs ~25× a strict identity hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Full pipeline run (every gate missed, or gating off).

@@ -7,13 +7,17 @@
 //! serves everything while churning the LRU, bursty regulates by budget,
 //! overload degrades by shedding with bounded decided-frame latency.
 //! Eviction plus re-admission must also be decision-equivalent to an
-//! uninterrupted stream, spilled or not.
+//! uninterrupted stream, spilled or not, and each stream's gate counters
+//! cover exactly its own decided frames.
 
+use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_runtime::WorkPool;
 use hdc_serve::workload::{
     canonical_workloads, golden_frame_sets, golden_path, golden_pipeline, parse_manifest, steady,
 };
-use hdc_serve::{serve, EventKind, ServeInput, ServeReport};
+use hdc_serve::{
+    serve, ArrivalSpec, CostModel, EventKind, ServeConfig, ServeInput, ServeReport, StreamBudget,
+};
 use hdc_vision::temporal::{StreamRecognizer, TemporalConfig};
 use hdc_vision::FrameScratch;
 
@@ -195,4 +199,67 @@ fn eviction_and_readmission_are_decision_equivalent_to_an_uninterrupted_stream()
             }
         }
     }
+}
+
+#[test]
+fn gated_run_attributes_counters_per_stream() {
+    // The per-stream view a station budgets against: two streams share one
+    // shard and its scratch, yet each stream's gate counters cover exactly
+    // its own decided frames, and the per-stream counters sum to the
+    // report's total — nothing double-counted, nothing attributed to the
+    // wrong stream.
+    let view = ViewSpec::paper_default(0.0, 5.0, 3.0);
+    let yes = render_sign(MarshallingSign::Yes, &view);
+    let no = render_sign(MarshallingSign::No, &view);
+    // stream 0: pure hold (one distinct frame); stream 1: alternating signs
+    let frame_sets = vec![vec![yes.clone(), yes.clone()], vec![yes, no]];
+    let arrivals = ArrivalSpec {
+        streams: 2,
+        frames_per_stream: 8,
+        period_us: 33_333,
+        jitter_us: 0,
+        burst: None,
+        seed: 7,
+    };
+    let config = ServeConfig {
+        shards: 1,
+        queue_cap: 8,
+        resident_cap: 2,
+        deadline_us: 1_000_000,
+        budget: StreamBudget {
+            fps: 1_000,
+            burst: 8,
+        },
+        costs: CostModel::default(),
+        gate: TemporalConfig::strict(),
+        spill: false,
+    };
+    let input = ServeInput {
+        frame_sets: &frame_sets,
+        arrivals: &arrivals,
+    };
+    let report = serve(
+        &golden_pipeline(),
+        &input,
+        &config,
+        &WorkPool::with_threads(Some(2)),
+    );
+    assert_eq!(report.decided(), arrivals.offered(), "nothing lost");
+
+    let mut summed = 0;
+    for (i, s) in report.per_stream.iter().enumerate() {
+        assert_eq!(
+            s.gate.frames(),
+            s.decided,
+            "stream {i}: gate counters must cover exactly its frames"
+        );
+        summed += s.gate.frames();
+    }
+    assert_eq!(summed, report.decided());
+
+    // the hold stream hits (only its first frame recomputes), the
+    // alternating stream never does — visible only per stream
+    let (hold, alternating) = (&report.per_stream[0].gate, &report.per_stream[1].gate);
+    assert_eq!((hold.full_runs, hold.strict_hits), (1, 7));
+    assert_eq!(alternating.hits(), 0);
 }

@@ -36,7 +36,6 @@
 
 pub mod classifiers;
 pub mod dynamic;
-mod engine;
 mod filter;
 mod moments;
 mod pipeline;
@@ -44,8 +43,8 @@ mod signature;
 pub mod temporal;
 mod timing;
 
-pub use engine::{MultiStreamReport, Recognition, RecognitionEngine, StreamStats};
 pub use filter::DecisionFilter;
+pub use temporal::Recognition;
 
 pub use moments::{central_moments, hu_moments, RawMoments};
 pub use pipeline::{

@@ -17,9 +17,9 @@
 //!    reaches its first rows, bails out almost at once. No hash runs in
 //!    front of it: a byte-serial hash of even a sparse row sample costs
 //!    about half a full compare, and could only ever skip a compare that
-//!    fails early anyway. The output is provably unchanged, so strict
-//!    gating preserves the engine's byte-identical-at-any-worker-count
-//!    determinism contract.
+//!    fails early anyway. The output is provably unchanged: a strictly
+//!    gated stream returns exactly the ungated [`Recognition`] of every
+//!    frame.
 //! 2. **Incremental mask gate** ([`GateMode::Incremental`]): first the
 //!    same identity compare as the strict gate — camera oversampling makes
 //!    byte-identical repeats the most common frame of all, and identity
@@ -47,11 +47,67 @@
 //! on the benchmark workload is recorded in `BENCH_stream.json` and
 //! bounded by test.
 
-use crate::engine::Recognition;
-use crate::pipeline::{FrameResult, FrameScratch, RecognitionPipeline};
+use crate::pipeline::{FrameFailure, FrameResult, FrameScratch, RecognitionPipeline};
 use crate::timing::StageTimings;
 use hdc_raster::diff::mask_tile_diff_into;
 use hdc_raster::{BitMask, GrayImage};
+
+/// The owned, timing-free outcome of recognising one frame: everything in
+/// [`FrameResult`] except the wall-clock stage timings (so two runs over
+/// the same frame compare equal, `f64` bits included) and the borrowed
+/// labels. It is what a [`StreamRecognizer`] caches and returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Recognition {
+    /// The accepted sign label, or `None` when nothing matched.
+    pub decision: Option<String>,
+    /// Exact distance of the best database match regardless of threshold.
+    pub best_distance: Option<f64>,
+    /// Label of the best database match regardless of threshold.
+    pub best_label: Option<String>,
+    /// Exact distance to the best template of a different label.
+    pub runner_up: Option<f64>,
+    /// Failure reason when no signature could be extracted.
+    pub failure: Option<FrameFailure>,
+}
+
+impl Recognition {
+    /// Projects a borrowed per-frame result into its owned, timing-free
+    /// form.
+    pub fn from_frame_result(r: &FrameResult<'_>) -> Self {
+        let mut out = Recognition {
+            decision: None,
+            best_distance: None,
+            best_label: None,
+            runner_up: None,
+            failure: None,
+        };
+        out.refresh_from(r);
+        out
+    }
+
+    /// Overwrites this recognition with the projection of `r`, writing each
+    /// label into the string already held for it: the gate's cached
+    /// decision refreshes without allocating once its label buffers have
+    /// grown.
+    fn refresh_from(&mut self, r: &FrameResult<'_>) {
+        refresh_label(&mut self.decision, r.decision);
+        self.best_distance = r.best.as_ref().map(|b| b.distance);
+        refresh_label(&mut self.best_label, r.best.as_ref().map(|b| b.label));
+        self.runner_up = r.runner_up;
+        self.failure = r.failure;
+    }
+}
+
+/// Sets `slot` to an owned copy of `label`, reusing the string it holds.
+fn refresh_label(slot: &mut Option<String>, label: Option<&str>) {
+    match (slot.as_mut(), label) {
+        (Some(held), Some(label)) => {
+            held.clear();
+            held.push_str(label);
+        }
+        _ => *slot = label.map(str::to_owned),
+    }
+}
 
 /// Which reuse checks the gate runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -355,6 +411,15 @@ mod tests {
         )
     }
 
+    /// The ungated oracle: one full pipeline run, projected.
+    fn recognize_one(
+        p: &RecognitionPipeline,
+        scratch: &mut FrameScratch,
+        frame: &GrayImage,
+    ) -> Recognition {
+        Recognition::from_frame_result(&p.recognize_with(scratch, frame))
+    }
+
     fn jittered(base: &GrayImage, seed: u64) -> GrayImage {
         let mut f = base.clone();
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -417,7 +482,7 @@ mod tests {
         let mut s2 = FrameScratch::new();
         let mut gated = StreamRecognizer::new(TemporalConfig::strict());
         for frame in &frames {
-            let want = crate::engine::RecognitionEngine::recognize_one(&p, &mut s1, frame);
+            let want = recognize_one(&p, &mut s1, frame);
             let got = gated.recognize(&p, &mut s2, frame).clone();
             assert_eq!(got, want);
         }
@@ -489,8 +554,7 @@ mod tests {
         }
         for frame in [&blocked, &base] {
             let got = rec.recognize(&p, &mut scratch, frame).clone();
-            let want =
-                crate::engine::RecognitionEngine::recognize_one(&p, &mut oracle_scratch, frame);
+            let want = recognize_one(&p, &mut oracle_scratch, frame);
             assert_eq!(got, want);
         }
         assert_eq!(rec.counters().incremental_hits, 0);

@@ -1,18 +1,20 @@
 //! Conformance of the temporal-coherence gate (`hdc_vision::temporal`).
 //!
+//! Each stream runs through a fresh [`StreamRecognizer`] of its own, the
+//! per-stream loop every multi-stream server runs; the ungated oracle is
+//! one full pipeline run per frame ([`recognize_one`]).
+//!
 //! * **Strict mode is exact**: on arbitrary streams with repeated frames,
-//!   the gated engine output is byte-identical to the ungated path at 1, 2
-//!   and 4 workers (property test).
-//! * **Incremental mode is decision-exact on this pool and deterministic**:
-//!   the mask gate only absorbs sub-tolerance silhouette deltas (here, the
-//!   two profile views that genuinely resolve alike), so every accepted
-//!   decision equals the ungated oracle's, and the full output is
-//!   byte-identical across worker counts.
+//!   the gated output is byte-identical to the ungated path (property
+//!   test).
+//! * **Incremental mode is decision-exact on this pool**: the mask gate
+//!   only absorbs sub-tolerance silhouette deltas (here, the two profile
+//!   views that genuinely resolve alike), so every accepted decision
+//!   equals the ungated oracle's.
 //! * **Incremental misses are exact**: on random held-sign streams with
 //!   sensor jitter, repeats, sign changes, off-figure blocks and one
 //!   resolution change, every frame the gate resolves by a full run gets
-//!   exactly the ungated [`RecognitionEngine::recognize_one`] result, field
-//!   by field (property test).
+//!   exactly the ungated recognition, field by field (property test).
 //! * Gate counters add up and hit when they should.
 //! * **Identity is byte for byte**: a frame that differs from the previous
 //!   one in a single pixel anywhere (an early row, the very last pixel)
@@ -23,7 +25,7 @@ use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::noise::add_salt_pepper;
 use hdc_raster::GrayImage;
 use hdc_vision::temporal::{GateCounters, StreamRecognizer, TemporalConfig};
-use hdc_vision::{FrameScratch, PipelineConfig, RecognitionEngine, RecognitionPipeline};
+use hdc_vision::{FrameScratch, PipelineConfig, Recognition, RecognitionPipeline};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
 use std::sync::OnceLock;
@@ -72,8 +74,57 @@ fn pipeline() -> &'static RecognitionPipeline {
     })
 }
 
-fn engine(threads: usize) -> RecognitionEngine {
-    RecognitionEngine::new(pipeline().clone(), Some(threads))
+/// The ungated oracle: one full pipeline run, projected.
+fn recognize_one(scratch: &mut FrameScratch, frame: &GrayImage) -> Recognition {
+    Recognition::from_frame_result(&pipeline().recognize_with(scratch, frame))
+}
+
+/// One stream's outcome: every frame's recognition in order, and how the
+/// gate resolved them.
+struct StreamRun {
+    recognitions: Vec<Recognition>,
+    gate: GateCounters,
+}
+
+impl StreamRun {
+    fn decided(&self) -> usize {
+        self.recognitions
+            .iter()
+            .filter(|r| r.decision.is_some())
+            .count()
+    }
+}
+
+/// Cycles each stream's frames `passes` times through a fresh recogniser
+/// of its own (reuse carries across the cycle boundary).
+fn gate_streams(streams: &[Vec<GrayImage>], passes: usize, gate: TemporalConfig) -> Vec<StreamRun> {
+    let mut scratch = FrameScratch::new();
+    streams
+        .iter()
+        .map(|frames| {
+            let mut rec = StreamRecognizer::new(gate);
+            let recognitions = (0..passes)
+                .flat_map(|_| frames)
+                .map(|frame| rec.recognize(pipeline(), &mut scratch, frame).clone())
+                .collect();
+            StreamRun {
+                recognitions,
+                gate: rec.counters(),
+            }
+        })
+        .collect()
+}
+
+/// Every frame's recognition, stream by stream.
+fn recognise_streams(
+    streams: &[Vec<GrayImage>],
+    passes: usize,
+    gate: TemporalConfig,
+) -> Vec<Vec<Recognition>> {
+    gate_streams(streams, passes, gate)
+        .into_iter()
+        .map(|run| run.recognitions)
+        .collect()
 }
 
 /// Streams built as `(pool index, repeat count)` runs — repeats are what
@@ -99,39 +150,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn strict_gated_output_is_byte_identical_to_ungated_at_any_worker_count(
+    fn strict_gated_output_is_byte_identical_to_ungated(
         streams in streams_strategy(),
         passes in 1usize..3,
     ) {
-        let oracle = engine(1).process_streams(&streams, passes, TemporalConfig::off());
-        for workers in [1, 2, 4] {
-            let strict = engine(workers).process_streams(&streams, passes, TemporalConfig::strict());
-            prop_assert_eq!(&strict, &oracle, "strict vs ungated at {} workers", workers);
-        }
+        let oracle = recognise_streams(&streams, passes, TemporalConfig::off());
+        let strict = recognise_streams(&streams, passes, TemporalConfig::strict());
+        prop_assert_eq!(&strict, &oracle, "strict vs ungated");
     }
 
     #[test]
-    fn incremental_decisions_match_the_ungated_oracle_at_any_worker_count(
+    fn incremental_decisions_match_the_ungated_oracle(
         streams in streams_strategy(),
         passes in 1usize..3,
     ) {
         // Sign changes move the whole silhouette arm, blowing past the
         // per-tile mask tolerance, so reuse only fires where the oracle
-        // decides identically; and per-stream recognisers make the full
-        // output worker-count independent.
-        let oracle = engine(1).process_streams(&streams, passes, TemporalConfig::off());
-        let one = engine(1).process_streams(&streams, passes, TemporalConfig::incremental());
-        for (s, (o_stream, g_stream)) in oracle.iter().zip(&one).enumerate() {
+        // decides identically.
+        let oracle = recognise_streams(&streams, passes, TemporalConfig::off());
+        let gated = recognise_streams(&streams, passes, TemporalConfig::incremental());
+        for (s, (o_stream, g_stream)) in oracle.iter().zip(&gated).enumerate() {
+            prop_assert_eq!(o_stream.len(), g_stream.len());
             for (f, (o, g)) in o_stream.iter().zip(g_stream).enumerate() {
                 prop_assert_eq!(
                     &o.decision, &g.decision,
                     "incremental decision diverged from the oracle (stream {}, frame {})", s, f
                 );
             }
-        }
-        for workers in [2, 4] {
-            let many = engine(workers).process_streams(&streams, passes, TemporalConfig::incremental());
-            prop_assert_eq!(&many, &one, "incremental at {} workers", workers);
         }
     }
 }
@@ -223,7 +268,7 @@ proptest! {
             let d = rec.counters().since(&before);
             prop_assert_eq!(d.frames(), 1);
             if d.full_runs == 1 {
-                let want = RecognitionEngine::recognize_one(pipeline(), &mut oracle_scratch, frame);
+                let want = recognize_one(&mut oracle_scratch, frame);
                 prop_assert_eq!(&got.decision, &want.decision, "decision, frame {} ({:?})", i, steps[i]);
                 prop_assert_eq!(got.best_distance, want.best_distance, "best distance, frame {}", i);
                 prop_assert_eq!(&got.best_label, &want.best_label, "best label, frame {}", i);
@@ -242,29 +287,29 @@ proptest! {
 fn strict_gate_hits_on_repeated_frames_and_counters_add_up() {
     let frame = frame_pool()[0].clone();
     let streams = vec![vec![frame.clone(), frame.clone(), frame]];
-    let e = engine(2);
-    let report = e.run_streams_gated(&streams, 9, 0.0, TemporalConfig::strict());
-    let gate = report.gate_totals();
-    assert_eq!(gate.frames(), report.total_frames());
+    let run = &gate_streams(&streams, 3, TemporalConfig::strict())[0];
+    let frames = run.recognitions.len();
+    assert_eq!(frames, 9);
+    assert_eq!(run.gate.frames(), frames);
     // first frame computes, every later repeat and cycle is byte-identical
-    assert_eq!(gate.full_runs, 1);
-    assert_eq!(gate.strict_hits, report.total_frames() - 1);
-    assert_eq!(gate.incremental_hits, 0);
+    assert_eq!(run.gate.full_runs, 1);
+    assert_eq!(run.gate.strict_hits, frames - 1);
+    assert_eq!(run.gate.incremental_hits, 0);
 }
 
 #[test]
-fn ungated_run_streams_reports_only_full_runs() {
+fn ungated_streams_report_only_full_runs() {
     let streams = vec![vec![frame_pool()[0].clone()]; 2];
-    let report = engine(2).run_streams(&streams, 3, 0.0);
-    let gate = report.gate_totals();
-    assert_eq!(gate.full_runs, report.total_frames());
-    assert_eq!(gate.hits(), 0);
+    for run in gate_streams(&streams, 3, TemporalConfig::off()) {
+        assert_eq!(run.gate.full_runs, run.recognitions.len());
+        assert_eq!(run.gate.hits(), 0);
+    }
 }
 
 #[test]
 fn gated_stream_decisions_match_ungated_counts_in_strict_mode() {
     // decided counts are decision-derived, so strict gating must reproduce
-    // them exactly whatever the worker count
+    // each stream's count exactly
     let streams: Vec<Vec<GrayImage>> = (0..3)
         .map(|s| {
             let mut v = frame_pool().clone();
@@ -272,19 +317,12 @@ fn gated_stream_decisions_match_ungated_counts_in_strict_mode() {
             v
         })
         .collect();
-    let min_frames = streams[0].len() * 2;
-    let ungated = engine(1).run_streams(&streams, min_frames, 0.0);
-    for workers in [1, 2, 4] {
-        let strict =
-            engine(workers).run_streams_gated(&streams, min_frames, 0.0, TemporalConfig::strict());
-        for (u, s) in ungated.per_stream.iter().zip(&strict.per_stream) {
-            // frame counts differ by timing (floors), decision *rate* must not
-            assert_eq!(
-                u.decided * s.frames,
-                s.decided * u.frames,
-                "decision rate must match the ungated path"
-            );
-        }
+    let ungated = gate_streams(&streams, 2, TemporalConfig::off());
+    let strict = gate_streams(&streams, 2, TemporalConfig::strict());
+    for (i, (u, s)) in ungated.iter().zip(&strict).enumerate() {
+        assert_eq!(u.recognitions.len(), s.recognitions.len());
+        assert_eq!(u.decided(), s.decided(), "stream {i}: decided count");
+        assert!(u.decided() > 0, "stream {i}: the pool holds accepted signs");
     }
 }
 
@@ -293,32 +331,24 @@ fn incremental_counters_split_identity_from_mask_hits() {
     // consecutive distinct frames: neither the identity pre-check nor the
     // mask gate can fire — every frame is a full run
     let streams = vec![frame_pool().clone()];
-    let report = engine(1).run_streams_gated(
-        &streams,
-        frame_pool().len() * 3,
-        0.0,
-        TemporalConfig::incremental(),
-    );
-    let gate = report.gate_totals();
-    assert_eq!(gate.frames(), report.total_frames());
-    assert_eq!(gate.strict_hits, 0, "no consecutive duplicates");
-    assert_eq!(gate.incremental_hits, 0, "structural changes must miss");
+    let run = &gate_streams(&streams, 3, TemporalConfig::incremental())[0];
+    let frames = run.recognitions.len();
+    assert_eq!(run.gate.frames(), frames);
+    assert_eq!(run.gate.strict_hits, 0, "no consecutive duplicates");
+    assert_eq!(run.gate.incremental_hits, 0, "structural changes must miss");
     assert_eq!(
-        gate.full_runs,
-        report.total_frames(),
+        run.gate.full_runs, frames,
         "every frame missed and re-ran the pipeline"
     );
     // ...while oversampled duplicates resolve via the identity pre-check
     let dup = frame_pool()[0].clone();
-    let report = engine(1).run_streams_gated(
+    let run = &gate_streams(
         &[vec![dup.clone(), dup.clone(), dup]],
-        6,
-        0.0,
+        2,
         TemporalConfig::incremental(),
-    );
-    let gate = report.gate_totals();
-    assert_eq!(gate.full_runs, 1);
-    assert_eq!(gate.strict_hits, report.total_frames() - 1);
+    )[0];
+    assert_eq!(run.gate.full_runs, 1);
+    assert_eq!(run.gate.strict_hits, run.recognitions.len() - 1);
 }
 
 #[test]
@@ -350,7 +380,7 @@ fn identity_is_decided_on_every_byte_of_the_frame() {
         let mut delta = |frame| -> GateCounters {
             let before = rec.counters();
             let got = rec.recognize(pipeline(), &mut scratch, frame).clone();
-            let want = RecognitionEngine::recognize_one(pipeline(), &mut oracle_scratch, frame);
+            let want = recognize_one(&mut oracle_scratch, frame);
             assert_eq!(got.decision, want.decision, "{:?}", config.mode);
             rec.counters().since(&before)
         };

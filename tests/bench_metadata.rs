@@ -42,8 +42,7 @@ fn repo_root() -> &'static Path {
 /// The pool-driven bench artefacts: these MUST declare their threading.
 /// (`BENCH_recognize.json` is exempt: it measures a single pipeline with no
 /// work pool, so there is no thread count to record.)
-const POOL_DRIVEN: [&str; 5] = [
-    "BENCH_engine.json",
+const POOL_DRIVEN: [&str; 4] = [
     "BENCH_link.json",
     "BENCH_serve.json",
     "BENCH_sessions.json",
@@ -98,7 +97,7 @@ fn no_bench_json_carries_null_thread_metadata() {
             }
         }
     }
-    assert!(seen >= 6, "only {seen} BENCH_*.json artefacts found");
+    assert!(seen >= 5, "only {seen} BENCH_*.json artefacts found");
 }
 
 #[test]
@@ -148,9 +147,10 @@ fn serve_bench_records_the_golden_serve_digests() {
 
 #[test]
 fn stream_bench_gate_counters_cover_every_frame() {
-    // Host-independent shape of BENCH_stream.json: each mode's gate
-    // counters resolve every frame exactly once, and strict gating never
-    // diverges from the ungated oracle.
+    // Host-independent shape of BENCH_stream.json: each mode's serve pass
+    // decides every frame the metadata's workload offers, its gate
+    // counters resolve every frame exactly once, reuse never adds full
+    // runs, and strict gating never diverges from the ungated oracle.
     let bench = std::fs::read_to_string(repo_root().join("BENCH_stream.json"))
         .expect("committed BENCH_stream.json");
     let count = |line: &str, key: &str| {
@@ -159,7 +159,14 @@ fn stream_bench_gate_counters_cover_every_frame() {
             .parse::<u64>()
             .unwrap_or_else(|e| panic!("BENCH_stream.json: {key} ({e})"))
     };
+    let frames_per_stream = count(&bench, "holds")
+        * (count(&bench, "transition_frames")
+            + count(&bench, "keyframes_per_hold") * count(&bench, "dups_per_keyframe"));
+    let passes = count(&bench, "passes");
+    assert!(passes >= 2, "reuse must carry across the cycle boundary");
+    let offered = count(&bench, "streams") * passes * frames_per_stream;
     let mut modes = Vec::new();
+    let mut full_runs = Vec::new();
     for line in bench.lines().filter(|l| l.contains("\"mode\":")) {
         let mode = raw_value(line, "mode").expect("mode name");
         // the spread across repeats, and the same-repeat ratio to `off`
@@ -168,13 +175,29 @@ fn stream_bench_gate_counters_cover_every_frame() {
                 .unwrap_or_else(|| panic!("BENCH_stream.json {mode}: no {key} median/min/max"));
         }
         assert_eq!(
+            count(line, "frames"),
+            offered,
+            "BENCH_stream.json {mode}: every offered frame is decided"
+        );
+        assert_eq!(
             count(line, "strict_hits") + count(line, "incremental_hits") + count(line, "full_runs"),
             count(line, "frames"),
             "BENCH_stream.json {mode}: gate counters must sum to the frame count"
         );
+        let digest = raw_value(line, "digest").expect("serve digest");
+        assert_eq!(
+            digest.trim_matches('"').len(),
+            16,
+            "{mode}: digest {digest}"
+        );
+        full_runs.push(count(line, "full_runs"));
         modes.push(mode.trim_matches('"').to_owned());
     }
     assert_eq!(modes, ["off", "strict", "incremental"]);
+    assert!(
+        full_runs[2] <= full_runs[1] && full_runs[1] <= full_runs[0],
+        "BENCH_stream.json: full runs off/strict/incremental {full_runs:?}"
+    );
     let repeats = count(&bench, "repeats");
     assert!(repeats >= 3, "BENCH_stream.json: {repeats} repeats");
     let strict = bench

@@ -12,7 +12,8 @@
 //!
 //! The same non-test sources give the line count that changes quote:
 //! `cargo test -q --test typed_log non_test_line_count -- --nocapture`
-//! prints it.
+//! prints it. They also hold every caller a `pub fn` needs: a function
+//! that only tests call fails `every_pub_fn_has_a_non_test_caller`.
 
 use std::path::{Path, PathBuf};
 
@@ -36,6 +37,12 @@ fn non_test_sources() -> Vec<(String, String)> {
         rust_files(&member.expect("member").path().join("src"), &mut files);
     }
     assert!(files.len() > 50, "only {} sources found", files.len());
+    non_test_parts(root, files)
+}
+
+/// `(path relative to the root, non-test source)` of each file: its text
+/// up to its first `#[cfg(test)]` line.
+fn non_test_parts(root: &Path, files: Vec<PathBuf>) -> Vec<(String, String)> {
     files
         .into_iter()
         .map(|path| {
@@ -106,5 +113,97 @@ fn non_test_line_count() {
     println!(
         "non-test lines under crates/*/src: {lines} in {} files",
         sources.len()
+    );
+}
+
+/// `pub fn`s that only tests call, each with the reason it stays in the
+/// library: an oracle or fixture the tests of more than one file share.
+const TEST_ORACLES: [(&str, &str); 4] = [
+    (
+        "best_match_reference",
+        "the exhaustive SAX search the pruned index lookup must agree with (hdc-sax tests)",
+    ),
+    (
+        "decode_pgm",
+        "reads P5 bytes back into an image, so raster's round-trip tests pin the PGM format",
+    ),
+    (
+        "fill_tapered_capsule",
+        "draws capsule fixtures on a grey image for the raster, moments and vision tests; \
+         raster's props check it against the per-pixel loop it replaced",
+    ),
+    (
+        "frame_features",
+        "the allocating reference the dynamic recogniser's scratch path must equal \
+         (hdc-vision unit and property tests)",
+    ),
+];
+
+/// Whether `text[at..at + len]` is a whole identifier.
+fn is_word(text: &str, at: usize, len: usize) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    !text[..at].ends_with(ident) && !text[at + len..].starts_with(ident)
+}
+
+/// The code of a non-test source: its lines minus comments, plus the code
+/// of its doc examples (a compiled example is a documented caller), each
+/// kept on its own line so line numbers still match the file.
+fn callers_code(text: &str) -> String {
+    let mut in_example = false;
+    let mut code = String::new();
+    for line in text.lines() {
+        let trimmed = line.trim_start();
+        let doc = trimmed
+            .strip_prefix("///")
+            .or_else(|| trimmed.strip_prefix("//!"));
+        match doc.map(str::trim_start) {
+            Some(body) if body.starts_with("```") => in_example = !in_example,
+            Some(body) if in_example => code.push_str(body),
+            _ if trimmed.starts_with("//") => {}
+            _ => code.push_str(line),
+        }
+        code.push('\n');
+    }
+    code
+}
+
+#[test]
+fn every_pub_fn_has_a_non_test_caller() {
+    // Every crate source's non-test part, plus the other programs that
+    // call the library: examples, the root crate and the benchmark.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut programs = Vec::new();
+    for dir in ["examples", "crates/bench/examples", "src", "perfbench/src"] {
+        rust_files(&root.join(dir), &mut programs);
+    }
+    let mut sources = non_test_sources();
+    let defining = sources.len();
+    sources.extend(non_test_parts(root, programs));
+    let code: Vec<String> = sources.iter().map(|(_, text)| callers_code(text)).collect();
+
+    let mut uncalled = Vec::new();
+    for ((name, _), text) in sources[..defining].iter().zip(&code) {
+        for (at, _) in text.match_indices("pub fn ") {
+            let rest = &text[at + "pub fn ".len()..];
+            let len = rest
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            let func = &rest[..len];
+            if func.is_empty() || TEST_ORACLES.iter().any(|(oracle, _)| *oracle == func) {
+                continue;
+            }
+            let called = code.iter().any(|text| {
+                text.match_indices(func)
+                    .any(|(i, _)| is_word(text, i, len) && !text[..i].ends_with("fn "))
+            });
+            if !called {
+                let line = text[..at].lines().count() + 1;
+                uncalled.push(format!("{name}:{line} {func}"));
+            }
+        }
+    }
+    assert!(
+        uncalled.is_empty(),
+        "pub fns with no caller outside tests; delete them or move them into their tests: {uncalled:#?}"
     );
 }
