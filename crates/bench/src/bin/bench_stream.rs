@@ -4,12 +4,13 @@
 //! Serves the same synthetic held-sign streams (static holds with sensor
 //! jitter and camera oversampling, punctuated by sign transitions) through
 //! each gate mode — ungated, strict, incremental — in turn, `REPEATS`
-//! times, one timed serve call per mode and repeat. Prints each mode's
+//! times, each mode as one timed run of `SERVES_PER_RUN` serve calls per
+//! repeat. Prints each mode's
 //! decided fps (median, min, max), its same-repeat speed-up over the
 //! ungated mode, its gate counters and serve digest, plus the measured
 //! decision divergence of the gated modes against the ungated mode, and
-//! writes the JSON report. Every repeat must decide every offered frame
-//! and reproduce the first repeat's gate counters and digests.
+//! writes the JSON report. Every serve call must decide every offered
+//! frame and reproduce its mode's first gate counters and digest.
 //!
 //! Usage: `cargo run --release -p hdc-bench --bin bench_stream
 //! [--threads N] [--smoke] [out.json]`
@@ -23,14 +24,14 @@
 use hdc_bench::report::{num, Table};
 use hdc_bench::streams::{
     decision_divergence, gating_study, held_sign_streams, stream_json, summarize_modes,
-    StreamWorkload, PASSES,
+    StreamWorkload, PASSES, SERVES_PER_RUN,
 };
 use hdc_runtime::{available_workers, threads_from_args, WorkPool};
 
-/// Times the three modes are served in turn. One serve call per mode is a
-/// fraction of a second, too short to outlast a host's speed spells; the
-/// median over the repeats and the same-repeat ratios to the ungated mode
-/// resolve what one run cannot.
+/// Times the three modes are served in turn. One run per mode lasts
+/// 0.5–1.2 s, still short beside a host's speed spells;
+/// the median over the repeats and the same-repeat ratios to the ungated
+/// mode resolve what one run cannot.
 const REPEATS: usize = 11;
 
 fn main() {
@@ -105,8 +106,8 @@ fn main() {
         ]);
     }
     println!(
-        "{} repeats, modes in turn; every repeat decided all {} offered frames per mode with the first repeat's counters and digests",
-        REPEATS, modes[0].frames
+        "{} repeats of {} serve calls per mode, modes in turn; every call decided all {} offered frames with its mode's first counters and digest",
+        REPEATS, SERVES_PER_RUN, modes[0].frames
     );
     println!("{}", table.render());
 

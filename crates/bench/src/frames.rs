@@ -25,7 +25,7 @@ pub fn view_at(width: u32, height: u32, azimuth_deg: f64) -> ViewSpec {
 }
 
 /// The frame stream cycled during measurement: all three signs over a few
-/// frontal-cone azimuths, so pruning cannot overfit to a single query.
+/// frontal-cone azimuths, so no stage is timed on a single query.
 pub fn sign_stream(width: u32, height: u32) -> Vec<GrayImage> {
     let mut frames = Vec::new();
     for az in [0.0, 10.0, 20.0] {

@@ -7,9 +7,10 @@
 //! exactly that — static holds with sensor jitter, duplicated frames from
 //! camera oversampling, and `Pose::lerp` transitions between signs — and
 //! [`gating_study`] serves it through [`hdc_serve::serve`], the station the
-//! serve goldens and `serve_fleet` run, once per gate mode and repeat, with
-//! capacity above the offered load so every offered frame is decided. A
-//! mode's fps is its decided frames over the wall time of its serve call;
+//! serve goldens and `serve_fleet` run, [`SERVES_PER_RUN`] times per gate
+//! mode and repeat, with capacity above the offered load so every offered
+//! frame is decided. A mode's fps is its decided frames over the wall time
+//! of those serve calls;
 //! the committed report records each mode's spread and the per-repeat
 //! ratios to the ungated run of the same repeat, which cancel the host's
 //! slow and fast spells.
@@ -173,15 +174,21 @@ pub fn study_fleet(
     )
 }
 
-/// One gate mode served once.
+/// Serve calls timed together as one run of a gate mode. One call lasts
+/// 0.06–0.14 s on the standard workload at two workers, short enough for
+/// one host spell to move a repeat's fps by a third; eight make each timed
+/// window at least about half a second.
+pub const SERVES_PER_RUN: usize = 8;
+
+/// One gate mode served [`SERVES_PER_RUN`] times back to back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateRun {
     /// Mode name as committed in the JSON
     /// (`off`/`strict`/`incremental`).
     pub label: &'static str,
-    /// The deterministic serving report.
+    /// The deterministic serving report of one call (every call's is equal).
     pub report: ServeReport,
-    /// Wall-clock seconds of the serve call.
+    /// Wall-clock seconds of all the run's serve calls.
     pub seconds: f64,
 }
 
@@ -189,7 +196,7 @@ impl GateRun {
     /// Decided frames per wall-clock second, summed over the pool's
     /// workers.
     pub fn fps(&self) -> f64 {
-        self.report.decided() as f64 / self.seconds
+        (SERVES_PER_RUN * self.report.decided()) as f64 / self.seconds
     }
 
     /// Gate counters summed over the streams.
@@ -201,14 +208,15 @@ impl GateRun {
     }
 }
 
-/// Serves `frame_sets` (one set per stream) once per gate mode and repeat,
-/// `repeats` times, each mode with one timed [`serve`] call on `pool`
-/// (ungated first, so every later run's speedup divides by it).
+/// Serves `frame_sets` (one set per stream) through every gate mode in
+/// turn, `repeats` times, each mode as one run of [`SERVES_PER_RUN`] [`serve`]
+/// calls on `pool` timed together (ungated first, so every later run's
+/// speedup divides by it).
 ///
 /// # Panics
-/// Panics unless every repeat shows what the workload fixes: each mode
-/// decides every offered frame with no rejection, shed or eviction, its
-/// gate counters and serve digest equal the first repeat's, and strict
+/// Panics unless every call shows what the workload fixes: each decides
+/// every offered frame with no rejection, shed or eviction, its per-stream
+/// gate counters and serve digest equal its mode's first call's, and strict
 /// gating never diverges from the ungated mode.
 pub fn gating_study(
     pipeline: &RecognitionPipeline,
@@ -232,41 +240,39 @@ pub fn gating_study(
                     arrivals: &arrivals,
                 };
                 let start = Instant::now();
-                let report = serve(pipeline, &input, &config, pool);
+                let reports: Vec<ServeReport> = (0..SERVES_PER_RUN)
+                    .map(|_| serve(pipeline, &input, &config, pool))
+                    .collect();
                 let seconds = start.elapsed().as_secs_f64();
-                let r = &report;
-                assert!(
-                    r.decided() == r.offered()
-                        && r.rejected_budget() + r.rejected_queue() + r.shed() + r.evictions() == 0,
-                    "{label}: {} of {} offered frames decided ({} budget rejects, {} queue rejects, {} shed, {} evictions)",
-                    r.decided(),
-                    r.offered(),
-                    r.rejected_budget(),
-                    r.rejected_queue(),
-                    r.shed(),
-                    r.evictions()
-                );
-                GateRun {
-                    label,
-                    report,
-                    seconds,
+                for r in &reports {
+                    assert!(
+                        r.decided() == r.offered()
+                            && r.rejected_budget() + r.rejected_queue() + r.shed() + r.evictions()
+                                == 0,
+                        "{label}: {} of {} offered frames decided ({} budget rejects, {} queue rejects, {} shed, {} evictions)",
+                        r.decided(),
+                        r.offered(),
+                        r.rejected_budget(),
+                        r.rejected_queue(),
+                        r.shed(),
+                        r.evictions()
+                    );
                 }
+                let mut reports = reports.into_iter();
+                let run = GateRun {
+                    label,
+                    report: reports.next().expect("a run serves at least once"),
+                    seconds,
+                };
+                for r in reports {
+                    assert_same_counts(&run, &r);
+                }
+                run
             })
             .collect();
         if let Some(first) = study.first() {
-            for (run, first) in runs.iter().zip(first) {
-                assert_eq!(
-                    run.gate(),
-                    first.gate(),
-                    "{}: gate counters moved",
-                    run.label
-                );
-                assert_eq!(
-                    run.report.digest(),
-                    first.report.digest(),
-                    "{}: serve digest moved",
-                    run.label
-                );
+            for (first, run) in first.iter().zip(&runs) {
+                assert_same_counts(first, &run.report);
             }
         }
         let strict = decision_divergence(&runs[0].report, &runs[1].report);
@@ -277,6 +283,24 @@ pub fn gating_study(
         study.push(runs);
     }
     study
+}
+
+/// Asserts that `report` has `run`'s per-stream gate counters and serve
+/// digest.
+fn assert_same_counts(run: &GateRun, report: &ServeReport) {
+    let gates = |r: &ServeReport| r.per_stream.iter().map(|s| s.gate).collect::<Vec<_>>();
+    assert_eq!(
+        gates(report),
+        gates(&run.report),
+        "{}: gate counters moved",
+        run.label
+    );
+    assert_eq!(
+        report.digest(),
+        run.report.digest(),
+        "{}: serve digest moved",
+        run.label
+    );
 }
 
 /// Decision divergence of a gated run against the ungated oracle.
@@ -329,11 +353,11 @@ pub struct ModeSummary {
     pub label: &'static str,
     /// Wall seconds served, summed over the repeats.
     pub seconds: f64,
-    /// Frames decided in one serve pass (the same in every repeat).
+    /// Frames decided in one serve call (the same in every call).
     pub frames: usize,
-    /// Gate counters of one serve pass (the same in every repeat).
+    /// Gate counters of one serve call (the same in every call).
     pub gate: GateCounters,
-    /// Serve digest of one pass (the same in every repeat).
+    /// Serve digest of one serve call (the same in every call).
     pub digest: String,
     /// Decided fps across the repeats.
     pub fps: Spread,
@@ -383,7 +407,7 @@ pub fn stream_json(
     s.push_str("  \"benchmark\": \"temporal-coherence gating: held-sign streams served through hdc-serve\",\n");
     let _ = writeln!(
         s,
-        "  \"metadata\": {{\n    \"threads_flag\": {},\n    \"available_parallelism\": {},\n    \"workers\": {},\n    \"repeats\": {},\n    \"streams\": {},\n    \"passes\": {},\n    \"width\": {}, \"height\": {},\n    \"holds\": {}, \"keyframes_per_hold\": {}, \"dups_per_keyframe\": {}, \"transition_frames\": {},\n    \"jitter\": {}\n  }},",
+        "  \"metadata\": {{\n    \"threads_flag\": {},\n    \"available_parallelism\": {},\n    \"workers\": {},\n    \"repeats\": {},\n    \"streams\": {},\n    \"passes\": {},\n    \"serves_per_run\": {},\n    \"width\": {}, \"height\": {},\n    \"holds\": {}, \"keyframes_per_hold\": {}, \"dups_per_keyframe\": {}, \"transition_frames\": {},\n    \"jitter\": {}\n  }},",
         threads_flag
             .map(|n| n.to_string())
             .unwrap_or_else(|| "null".to_owned()),
@@ -392,6 +416,7 @@ pub fn stream_json(
         repeats.len(),
         first.per_stream.len(),
         PASSES,
+        SERVES_PER_RUN,
         workload.width,
         workload.height,
         workload.holds,
@@ -402,9 +427,9 @@ pub fn stream_json(
     );
     s.push_str("  \"protocol\": {\n");
     s.push_str("    \"stream\": \"held marshalling signs: per hold, lerp transition frames then keyframes x byte-identical oversampled duplicates, salt-and-pepper sensor jitter per keyframe\",\n");
-    s.push_str("    \"modes\": \"each repeat serves every gate mode once, in turn (off = ungated baseline), with one timed hdc_serve::serve call: 30 fps arrivals of every stream's frames, passes times over, one shard and one resident recogniser per stream, admission and deadline bounds no frame reaches; frames, gate counters and digest are one serve pass's and equal in every repeat, seconds are summed over the repeats\",\n");
+    s.push_str("    \"modes\": \"each repeat serves every gate mode in turn (off = ungated baseline) as one run of serves_per_run hdc_serve::serve calls timed together: 30 fps arrivals of every stream's frames, passes times over, one shard and one resident recogniser per stream, admission and deadline bounds no frame reaches; frames, gate counters and digest are one serve call's and equal in every call, seconds are summed over the repeats\",\n");
     s.push_str("    \"divergence\": \"per-frame accepted-decision mismatch of each gated mode's decide events vs the ungated mode's\",\n");
-    s.push_str("    \"note\": \"aggregate fps is decided frames over the serve call's wall time, summed over the metadata's workers, so it scales with the host and its speed spells (median, min, max over the repeats); speedup_vs_off is each repeat's mode fps over that repeat's ungated fps, the gate's work saving with the spell cancelled\"\n");
+    s.push_str("    \"note\": \"aggregate fps is the run's decided frames (serves_per_run x frames) over its wall time, summed over the metadata's workers, so it scales with the host and its speed spells (median, min, max over the repeats); speedup_vs_off is each repeat's mode fps over that repeat's ungated fps, the gate's work saving with the spell cancelled\"\n");
     s.push_str("  },\n");
     s.push_str("  \"modes\": [\n");
     for (i, mode) in modes.iter().enumerate() {

@@ -8,11 +8,11 @@
 //!   ([`hdc_raster::label_components_bfs`], the allocating signature
 //!   formula, [`hdc_sax::SaxIndex::best_two_reference`] with the naive
 //!   all-shifts rotation distance). Every frame allocates its masks,
-//!   contour, signature and rotated words from scratch.
+//!   contour, signature and rotated series from scratch.
 //! * **hybrid** — [`RecognitionPipeline::recognize_with`] through one
 //!   reused [`FrameScratch`]: the frame binarised straight into bit-packed
 //!   silhouette words (64 px per `u64`), word-parallel labelling and
-//!   contour kernels, MINDIST-pruned FFT rotation matching and zero
+//!   contour kernels, FFT rotation matching and zero
 //!   steady-state allocation.
 //!
 //! The `bench_recognize` binary repeats the sweep, reduces the repeats to
@@ -161,7 +161,7 @@ fn seed_signature(mask: &Bitmap, sample_count: usize) -> Option<Vec<f64>> {
 
 /// The seed's `recognize`, reassembled from the retained reference oracles:
 /// allocating binarisation, BFS component labelling, allocating signature
-/// extraction and the unpruned naive-rotation database search (plus the SAX
+/// extraction and the naive-rotation database search (plus the SAX
 /// word encode the seed performed per frame). Returns the accepted label
 /// index, or `None`.
 pub fn recognize_seed(pipeline: &RecognitionPipeline, frame: &GrayImage) -> Option<usize> {
@@ -331,8 +331,8 @@ pub fn to_json(
     s.push_str("  \"benchmark\": \"RecognitionPipeline sustained recognition throughput\",\n");
     s.push_str("  \"protocol\": {\n");
     s.push_str("    \"stream\": \"3 marshalling signs x 3 azimuths (0/10/20 deg), altitude 5 m, distance 3 m\",\n");
-    s.push_str("    \"seed\": \"allocating binarize + BFS labelling + allocating signature + unpruned naive-rotation best_two (reference oracles)\",\n");
-    s.push_str("    \"hybrid\": \"recognize_with(FrameScratch): binarise straight into bit-packed silhouette words (64 px per u64), word-parallel labelling/contour kernels, MINDIST-pruned search, FFT rotation distance, zero steady-state allocation\",\n");
+    s.push_str("    \"seed\": \"allocating binarize + BFS labelling + allocating signature + naive-rotation best_two (reference oracles)\",\n");
+    s.push_str("    \"hybrid\": \"recognize_with(FrameScratch): binarise straight into bit-packed silhouette words (64 px per u64), word-parallel labelling/contour kernels, FFT rotation distance to every template, zero steady-state allocation\",\n");
     s.push_str("    \"fig4\": \"Figure 4 timing: recognize_with on the 'No' sign at azimuth 0 and 65 deg, altitude 5 m, distance 3 m, 640x480; per repeat, rounds of one batch of calls per azimuth, the azimuth that goes first alternating by round; the ratio is 65 over 0 within each repeat\",\n");
     s.push_str("    \"timing\": \"per repeat: one untimed warm-up cycle, then whole cycles until the frame and wall-clock floors are both met; the sweep and the kernel pass each repeat, and every row reports median/min/max over the repeats, its speed-up as the ratio within each repeat\"\n");
     s.push_str("  },\n");

@@ -1,6 +1,8 @@
-//! The vocabulary: what motions, lights and signs *mean*.
+//! The vocabulary: what the drone's flight patterns *mean*.
 //!
-//! Section III defines the mapping both ways. Keeping it as data (rather
+//! Section III defines the meaning of each motion. A human sign needs no
+//! table here: the negotiation protocol acts on the recognised
+//! `MarshallingSign` itself. Keeping the drone's side as data (rather
 //! than scattering the semantics through the protocol code) is what makes
 //! the language extensible — the paper's future work asks for "flexibility
 //! of the system with respect to other static and ... dynamic marshalling
@@ -38,28 +40,6 @@ impl fmt::Display for DroneIntent {
             DroneIntent::AnnounceTakeOff => "announce take-off",
             DroneIntent::AnnounceLanding => "announce landing",
             DroneIntent::AnnounceTransit => "announce transit",
-        };
-        f.write_str(s)
-    }
-}
-
-/// What the human means by a marshalling sign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HumanIntent {
-    /// "You have my attention" (both hands before the face).
-    GrantAttention,
-    /// "Yes, you may" (both arms up).
-    Consent,
-    /// "No, you may not" (one arm up, one down).
-    Refuse,
-}
-
-impl fmt::Display for HumanIntent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            HumanIntent::GrantAttention => "grant attention",
-            HumanIntent::Consent => "consent",
-            HumanIntent::Refuse => "refuse",
         };
         f.write_str(s)
     }
@@ -109,16 +89,6 @@ impl Vocabulary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc_figure::MarshallingSign;
-
-    /// The intent a marshalling sign communicates.
-    fn human_intent(sign: MarshallingSign) -> HumanIntent {
-        match sign {
-            MarshallingSign::AttentionGained => HumanIntent::GrantAttention,
-            MarshallingSign::Yes => HumanIntent::Consent,
-            MarshallingSign::No => HumanIntent::Refuse,
-        }
-    }
 
     #[test]
     fn drone_mapping_is_a_bijection() {
@@ -137,15 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn human_mapping_is_a_bijection() {
-        // three signs onto three intents: a bijection iff no two collide
-        let intents = MarshallingSign::ALL.map(human_intent);
-        for (i, a) in intents.iter().enumerate() {
-            assert!(!intents[i + 1..].contains(a), "{a} is expressed twice");
-        }
-    }
-
-    #[test]
     fn communicative_meanings_match_the_paper() {
         assert_eq!(
             Vocabulary::drone_intent(PatternKind::Nod),
@@ -155,15 +116,10 @@ mod tests {
             Vocabulary::drone_intent(PatternKind::Turn),
             Some(DroneIntent::AcknowledgeNo)
         );
-        assert_eq!(
-            human_intent(MarshallingSign::AttentionGained),
-            HumanIntent::GrantAttention
-        );
     }
 
     #[test]
     fn display_strings() {
         assert_eq!(DroneIntent::RequestArea.to_string(), "request area");
-        assert_eq!(HumanIntent::Refuse.to_string(), "refuse");
     }
 }

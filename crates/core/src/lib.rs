@@ -36,7 +36,7 @@ mod view;
 
 pub use cohort::{CohortConfig, CohortReport, ObserverSpec, RelayMsg};
 pub use datalink::{DatalinkConfig, LinkEvent, LinkPump, LinkReport, SessionLink};
-pub use language::{DroneIntent, HumanIntent, Vocabulary};
+pub use language::{DroneIntent, Vocabulary};
 pub use log::{EventLog, LogEntry};
 pub use protocol::{
     NegotiationConfig, NegotiationMachine, NegotiationState, ProtocolAction, SessionOutcome,

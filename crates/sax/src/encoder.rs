@@ -132,14 +132,6 @@ impl SaxEncoder {
         let symbols = reduced.iter().map(|v| symbol_for(*v, &self.bps)).collect();
         SaxWord::new(symbols, self.params.alphabet).expect("encoder produces valid symbols")
     }
-
-    /// Symbolises already z-normalised, PAA-reduced frames into a
-    /// caller-provided buffer: the allocation-free steady-state matching
-    /// loop's form of [`SaxEncoder::encode`]'s last step.
-    pub fn symbolize_into(&self, frames: &[f64], out: &mut Vec<u8>) {
-        out.clear();
-        out.extend(frames.iter().map(|v| symbol_for(*v, &self.bps)));
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! * the [`SaxEncoder`] (z-normalise → PAA → symbolise),
 //! * the [`mindist`] lower-bounding distance with its lookup table,
 //! * rotation-invariant matching ([`min_rotated_mindist`]),
-//! * a [`SaxIndex`] template database with lower-bound pruning,
+//! * a [`SaxIndex`] template database with exact rotation-invariant lookup,
 //! * parameter [`tuning`] sweeps over word length and alphabet size
 //!   (the paper's ref \[22\] tunes exactly these two knobs).
 //!

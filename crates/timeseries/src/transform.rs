@@ -24,26 +24,8 @@ pub fn paa(values: &[f64], segments: usize) -> Vec<f64> {
     if segments >= n {
         return values.to_vec();
     }
-    // Weighted scheme: sample i contributes to frame(s) it overlaps when the
-    // series is stretched to length lcm-like fractional boundaries.
     let mut out = vec![0.0; segments];
-    let ratio = segments as f64 / n as f64;
-    for (i, v) in values.iter().enumerate() {
-        let start = i as f64 * ratio;
-        let end = (i + 1) as f64 * ratio;
-        let first = start as usize;
-        let last = ((end - 1e-12) as usize).min(segments - 1);
-        if first == last {
-            out[first] += v * (end - start);
-        } else {
-            for (seg, cell) in out.iter_mut().enumerate().take(last + 1).skip(first) {
-                let seg_start = (seg as f64).max(start);
-                let seg_end = ((seg + 1) as f64).min(end);
-                *cell += v * (seg_end - seg_start);
-            }
-        }
-    }
-    // each frame accumulated weight = 1 (in stretched units)
+    paa_into(values, &mut out);
     out
 }
 
@@ -126,12 +108,12 @@ pub fn znormalize_in_place(values: &mut [f64]) {
     }
 }
 
-/// [`paa`] into a caller-provided buffer (`out.len()` is the segment count);
-/// the allocation-free form used by the steady-state frame loop.
+/// [`paa`] into a caller-provided buffer (`out.len()` is the segment count),
+/// reducing only: frames are weighted by how much of each sample they
+/// overlap, with fractional boundaries.
 ///
 /// # Panics
-/// Panics if `out` is empty or longer than `values` (the reducing direction
-/// is the only one the hot path needs).
+/// Panics if `out` is empty or longer than `values`.
 pub fn paa_into(values: &[f64], out: &mut [f64]) {
     assert!(!out.is_empty(), "PAA needs at least one segment");
     let n = values.len();

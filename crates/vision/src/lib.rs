@@ -8,9 +8,10 @@
 //! 3. **Trace** the silhouette's outer contour (Moore neighbourhood).
 //! 4. **Convert shape → time series**: centroid-distance signature,
 //!    uniformly resampled, z-normalised.
-//! 5. **Classify**: SAX word lookup against the sign database with a
-//!    rotation-invariant MINDIST lower bound and exact refinement
-//!    (`hdc-sax`), accepting only matches within a calibrated threshold.
+//! 5. **Classify**: match against the sign database of SAX-encoded
+//!    templates by the exact rotation-invariant distance to each of the
+//!    three signs (`hdc-sax`), accepting only matches within a calibrated
+//!    threshold.
 //!
 //! Per-stage wall-clock timings are recorded ([`StageTimings`]) because the
 //! paper's headline numbers are recognition latencies (38 ms / 27 ms) and

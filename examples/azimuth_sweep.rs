@@ -12,8 +12,8 @@ fn main() {
 
     println!("sign: No | altitude 5 m | distance 3 m | canonical reference at 0°\n");
     println!(
-        "{:>8} {:>10} {:>10} {:>14} {:>10}",
-        "azimuth", "distance", "lower bd", "decision", "SAX word"
+        "{:>8} {:>10} {:>14} {:>10}",
+        "azimuth", "distance", "decision", "SAX word"
     );
 
     let mut last_reliable = 0.0f64;
@@ -27,10 +27,9 @@ fn main() {
             last_reliable = az as f64;
         }
         println!(
-            "{:>7}° {:>10.3} {:>10.3} {:>14} {:>10}",
+            "{:>7}° {:>10.3} {:>14} {:>10}",
             az,
             best.map(|m| m.distance).unwrap_or(f64::NAN),
-            best.map(|m| m.lower_bound).unwrap_or(f64::NAN),
             decision,
             result.word.map(|w| w.to_string()).unwrap_or_default(),
         );
