@@ -1,15 +1,20 @@
 //! Datalink benchmark: endpoint throughput and retransmit overhead.
 //!
-//! Two measurements over the `hdc-link` reliable endpoint pair:
+//! Two measurements over one `hdc-link` [`Duplex`] — the same link every
+//! session datalink, cohort relay and fleet drone runs:
 //!
 //! 1. **Processing throughput** — how many payloads per wall-clock second
 //!    one sender/receiver pair pushes through the full tick → channel →
-//!    handle → ack cycle on a clean link (the CPU cost of the protocol
-//!    machinery, not the simulated airtime);
+//!    handle → ack cycle (the CPU cost of the protocol machinery, not the
+//!    simulated airtime), over `REPEATS` timed runs of each transfer,
+//!    reported as median/min/max;
 //! 2. **Retransmit overhead** — at 0%, 5% and 20% per-frame drop (applied
 //!    to both directions), the wire cost of reliable delivery: retransmits
 //!    per payload, total frames per delivered payload, and the simulated
 //!    completion time of a fixed transfer.
+//!
+//! Every repeat of a transfer must reproduce its counts and simulated time
+//! exactly; only the wall time may differ.
 //!
 //! The link layer is single-threaded by design (one endpoint pair per
 //! drone); `--threads` is recorded as metadata for report comparability
@@ -18,15 +23,19 @@
 //! Usage: `cargo run --release -p hdc-bench --bin bench_link
 //! [--threads N] [--smoke] [out.json]`
 
-use hdc_bench::report::{num, Table};
-use hdc_link::{Endpoint, EndpointConfig, LeaseConfig, LinkQuality, LossyChannel};
+use hdc_bench::report::{num, Spread, Table};
+use hdc_link::{Duplex, EndpointConfig, LeaseConfig, LinkQuality};
 use hdc_runtime::{available_workers, threads_from_args};
 use std::time::Instant;
 
 /// Simulation step: 50 Hz, matching the session loop's frame cadence.
 const DT: f64 = 0.02;
 
-/// Outcome of one reliable transfer run.
+/// Timed runs of each transfer.
+const REPEATS: usize = 5;
+
+/// What one transfer put on the wire: a pure function of its inputs.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct TransferRun {
     label: &'static str,
     drop_pct: f64,
@@ -35,7 +44,6 @@ struct TransferRun {
     acks: u64,
     heartbeats: u64,
     sim_seconds: f64,
-    wall_seconds: f64,
 }
 
 impl TransferRun {
@@ -50,54 +58,29 @@ impl TransferRun {
     fn retransmit_rate(&self) -> f64 {
         self.retransmits as f64 / self.payloads as f64
     }
-
-    fn throughput(&self) -> f64 {
-        self.payloads as f64 / self.wall_seconds
-    }
 }
 
-/// Drives `count` payloads through a sender/receiver endpoint pair over a
-/// symmetric lossy link until every payload is delivered and acknowledged.
-fn run_transfer(label: &'static str, drop_p: f64, count: u64, seed: u64) -> TransferRun {
+/// Drives `count` payloads from side `a` to side `b` of a symmetric lossy
+/// link until every payload is delivered and acknowledged.
+fn transfer(label: &'static str, drop_p: f64, count: u64, seed: u64) -> TransferRun {
     let quality = LinkQuality::clean().with_drop(drop_p);
-    let mut to_rx: LossyChannel<hdc_link::Frame<u64>> = LossyChannel::new(quality, seed);
-    let mut to_tx: LossyChannel<hdc_link::Frame<u64>> = LossyChannel::new(quality, seed ^ 0x5ee5);
-    let mut tx: Endpoint<u64, u64> =
-        Endpoint::new(EndpointConfig::default(), LeaseConfig::default(), seed, 0.0);
-    let mut rx: Endpoint<u64, u64> = Endpoint::new(
-        EndpointConfig::default(),
-        LeaseConfig::default(),
-        seed ^ 0xacc,
-        0.0,
-    );
+    let seeds = [seed, seed ^ 0xacc, seed, seed ^ 0x5ee5];
+    let (endpoint, lease) = (EndpointConfig::default(), LeaseConfig::default());
+    let mut link: Duplex<u64, u64> = Duplex::new(endpoint, lease, quality, quality, seeds, 0.0);
 
-    let started = Instant::now();
     let mut now = 0.0;
     let mut queued = 0u64;
     let mut delivered = 0u64;
     // cap well past any plausible completion so a regression fails loudly
     let deadline = (count as f64 * DT) * 50.0 + 600.0;
-    while (delivered < count || tx.has_unacked() || !to_rx.is_idle() || !to_tx.is_idle())
-        && now < deadline
-    {
+    while (delivered < count || !link.is_quiet()) && now < deadline {
         // one fresh payload per step until the whole transfer is queued,
         // flow-controlled to stay inside the peer's receive window
-        if queued < count && tx.in_flight() < EndpointConfig::default().window as usize / 2 {
-            tx.send(now, queued);
+        if queued < count && link.a.in_flight() < endpoint.window as usize / 2 {
+            link.a.send(now, queued);
             queued += 1;
         }
-        for f in tx.tick(now) {
-            to_rx.send(now, f);
-        }
-        for f in rx.tick(now) {
-            to_tx.send(now, f);
-        }
-        for f in to_rx.poll(now) {
-            delivered += rx.handle(now, f).len() as u64;
-        }
-        for f in to_tx.poll(now) {
-            tx.handle(now, f);
-        }
+        delivered += link.pump(now).to_b.len() as u64;
         now += DT;
     }
     assert_eq!(
@@ -105,8 +88,7 @@ fn run_transfer(label: &'static str, drop_p: f64, count: u64, seed: u64) -> Tran
         "{label}: transfer did not complete within the simulated deadline"
     );
 
-    let t = tx.stats();
-    let r = rx.stats();
+    let (t, r) = (link.a.stats(), link.b.stats());
     TransferRun {
         label,
         drop_pct: drop_p * 100.0,
@@ -115,11 +97,29 @@ fn run_transfer(label: &'static str, drop_p: f64, count: u64, seed: u64) -> Tran
         acks: r.acks_sent,
         heartbeats: t.heartbeats_sent + r.heartbeats_sent,
         sim_seconds: now,
-        wall_seconds: started.elapsed().as_secs_f64().max(1e-9),
     }
 }
 
-fn json_for(runs: &[TransferRun], workers: usize, threads: Option<usize>) -> String {
+/// Times `REPEATS` runs of one transfer, asserting that every repeat puts
+/// the same frames on the wire; returns the run and its payloads per
+/// wall-clock second.
+fn run_transfer(label: &'static str, drop_p: f64, count: u64, seed: u64) -> (TransferRun, Spread) {
+    let mut first = None;
+    let mut throughput = Vec::with_capacity(REPEATS);
+    for _ in 0..REPEATS {
+        let started = Instant::now();
+        let run = transfer(label, drop_p, count, seed);
+        throughput.push(count as f64 / started.elapsed().as_secs_f64().max(1e-9));
+        assert_eq!(
+            *first.get_or_insert(run),
+            run,
+            "{label}: a repeat changed the transfer"
+        );
+    }
+    (first.expect("at least one repeat"), Spread::of(throughput))
+}
+
+fn json_for(runs: &[(TransferRun, Spread)], workers: usize, threads: Option<usize>) -> String {
     use std::fmt::Write as _;
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -132,8 +132,9 @@ fn json_for(runs: &[TransferRun], workers: usize, threads: Option<usize>) -> Str
         available_workers()
     );
     let _ = writeln!(json, "  \"dt_s\": {DT},");
+    let _ = writeln!(json, "  \"repeats\": {REPEATS},");
     let _ = writeln!(json, "  \"transfers\": [");
-    for (i, r) in runs.iter().enumerate() {
+    for (i, (r, throughput)) in runs.iter().enumerate() {
         let comma = if i + 1 < runs.len() { "," } else { "" };
         let _ = writeln!(
             json,
@@ -141,7 +142,7 @@ fn json_for(runs: &[TransferRun], workers: usize, threads: Option<usize>) -> Str
              \"retransmits\": {}, \"acks\": {}, \"heartbeats\": {}, \
              \"frames_on_wire\": {}, \"overhead_frames_per_payload\": {:.3}, \
              \"retransmit_rate\": {:.4}, \"sim_seconds\": {:.1}, \
-             \"throughput_payloads_per_s\": {:.0}}}{comma}",
+             \"throughput_payloads_per_s\": {}}}{comma}",
             r.label,
             r.drop_pct,
             r.payloads,
@@ -152,7 +153,7 @@ fn json_for(runs: &[TransferRun], workers: usize, threads: Option<usize>) -> Str
             r.overhead(),
             r.retransmit_rate(),
             r.sim_seconds,
-            r.throughput(),
+            throughput.json(0),
         );
     }
     let _ = writeln!(json, "  ]");
@@ -179,8 +180,8 @@ fn main() {
     let workers = threads.unwrap_or_else(available_workers);
     let count: u64 = if smoke { 500 } else { 50_000 };
     println!(
-        "datalink: {count} payloads per transfer at {:.0} Hz, loss sweep 0/5/20% \
-         (threads metadata: {workers}, host has {}){}",
+        "datalink: {count} payloads per transfer at {:.0} Hz, loss sweep 0/5/20%, \
+         {REPEATS} repeats (threads metadata: {workers}, host has {}){}",
         1.0 / DT,
         available_workers(),
         if smoke { " [smoke]" } else { "" }
@@ -199,9 +200,9 @@ fn main() {
         "retransmits",
         "frames/payload",
         "sim s",
-        "payloads/s (wall)",
+        "payloads/s (wall) median [min, max]",
     ]);
-    for r in &runs {
+    for (r, throughput) in &runs {
         table.row([
             r.label.to_string(),
             num(r.drop_pct, 0),
@@ -209,16 +210,22 @@ fn main() {
             r.retransmits.to_string(),
             num(r.overhead(), 3),
             num(r.sim_seconds, 1),
-            num(r.throughput(), 0),
+            format!(
+                "{} [{}, {}]",
+                num(throughput.median, 0),
+                num(throughput.min, 0),
+                num(throughput.max, 0)
+            ),
         ]);
     }
     println!("{}", table.render());
 
     // sanity: reliability must not cost retransmits on a clean link, and
     // overhead must grow monotonically with loss
-    assert_eq!(runs[0].retransmits, 0, "clean link must not retransmit");
+    let [(clean, _), (drop5, _), (drop20, _)] = &runs;
+    assert_eq!(clean.retransmits, 0, "clean link must not retransmit");
     assert!(
-        runs[0].overhead() <= runs[1].overhead() && runs[1].overhead() <= runs[2].overhead(),
+        clean.overhead() <= drop5.overhead() && drop5.overhead() <= drop20.overhead(),
         "wire overhead must grow with loss"
     );
 

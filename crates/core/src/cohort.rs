@@ -5,9 +5,9 @@
 //! azimuth offset from the session owner. Every observer runs the full
 //! recognition stack (static pipeline, debounce filter, dynamic wave-off
 //! channel) on its *own* rendered view and relays confirmed decisions to the
-//! owner over a per-pair reliable [`Endpoint`] riding seeded
-//! [`LossyChannel`]s — the same transport the drone↔supervisor datalink
-//! uses, with the same retransmission, dedup and heartbeat-lease machinery.
+//! owner over a per-observer reliable [`Duplex`] link — the same transport
+//! the drone↔supervisor datalink uses, with the same retransmission, dedup
+//! and heartbeat-lease machinery.
 //! An observer whose own relative azimuth falls inside the recogniser's
 //! dead band *abstains* from static votes — a blind viewpoint never outvotes
 //! a sighted one — while its wave-off channel stays live.
@@ -37,15 +37,13 @@
 //! session byte-identical to the pre-cohort engine — the committed golden
 //! manifests prove both.
 
-use crate::datalink::derive_seed;
 use crate::log::LogEntry;
 use crate::view::{calibrated_pipeline, Calibrated, ViewMemo};
 use hdc_figure::{MarshallingSign, Signaller, ViewSpec};
 use hdc_geometry::azimuth::{in_dead_angle_deg, relative_azimuth_rad, rotate_about};
 use hdc_geometry::Vec3;
-use hdc_link::{
-    ChannelStats, Endpoint, EndpointConfig, Frame, LeaseConfig, LinkQuality, LossyChannel,
-};
+use hdc_link::{ChannelStats, Duplex, EndpointConfig, LeaseConfig, LinkQuality};
+use hdc_runtime::derive_seed;
 use hdc_vision::dynamic::{DynamicDecision, DynamicRecognizer};
 use hdc_vision::DecisionFilter;
 
@@ -196,8 +194,8 @@ struct Vote {
     at: f64,
 }
 
-/// One observer's live state: its recognition stack, its side of the relay,
-/// the owner's side, and the two directed channels between them.
+/// One observer's live state: its recognition stack and its relay link to
+/// the owner.
 #[derive(Debug)]
 struct Member {
     spec: ObserverSpec,
@@ -205,16 +203,12 @@ struct Member {
     filter: DecisionFilter,
     dynamic: DynamicRecognizer,
     memo: ViewMemo,
-    /// Observer-side endpoint (sends `RelayMsg`, receives nothing).
-    ep: Endpoint<RelayMsg, ()>,
-    /// Owner-side endpoint (receives `RelayMsg`).
-    owner_ep: Endpoint<(), RelayMsg>,
-    to_owner: LossyChannel<Frame<RelayMsg>>,
-    to_observer: LossyChannel<Frame<()>>,
+    /// The relay: side `a` is the observer (sends `RelayMsg`), side `b` the
+    /// owner (sends nothing). Side `a` is killed when the platform fails,
+    /// leaving the observer radio-silent forever.
+    link: Duplex<RelayMsg, ()>,
     /// Owner declared this observer lost (lease latched).
     lost: bool,
-    /// The platform failure fired; the observer is radio-silent forever.
-    failed: bool,
     /// The last vote this observer sent, for refresh pacing.
     last_sent: Option<Vote>,
 }
@@ -225,16 +219,11 @@ pub(crate) struct Cohort {
     quorum: usize,
     vote_window_s: f64,
     vote_refresh_s: f64,
-    lease_timeout_s: f64,
     members: Vec<Member>,
     /// Standing votes: index 0 is the owner, `1 + i` is observer `i`.
     votes: Vec<Option<Vote>>,
     report: CohortReport,
 }
-
-/// How far past the exact lease-expiry instant the scheduler pumps (the
-/// expiry predicate is strict — same edge the datalink schedules).
-const LEASE_EDGE_S: f64 = 1e-6;
 
 /// Seed-salt base for cohort streams; the session datalink uses salts 1–4,
 /// so cohort members start well clear of them.
@@ -263,23 +252,22 @@ impl Cohort {
             .enumerate()
             .map(|(i, spec)| {
                 let salt = SALT_BASE + 4 * i as u64;
+                let seeds = [0, 1, 2, 3].map(|k| derive_seed(seed, salt + k));
                 Member {
                     spec: *spec,
                     pipeline: pipeline.clone(),
                     filter: DecisionFilter::new(2),
                     dynamic: crate::session::session_dynamic_recognizer(),
                     memo: ViewMemo::default(),
-                    ep: Endpoint::new(config.endpoint, config.lease, derive_seed(seed, salt), now),
-                    owner_ep: Endpoint::new(
+                    link: Duplex::new(
                         config.endpoint,
                         config.lease,
-                        derive_seed(seed, salt + 1),
+                        spec.relay,
+                        spec.relay,
+                        seeds,
                         now,
                     ),
-                    to_owner: LossyChannel::new(spec.relay, derive_seed(seed, salt + 2)),
-                    to_observer: LossyChannel::new(spec.relay, derive_seed(seed, salt + 3)),
                     lost: false,
-                    failed: false,
                     last_sent: None,
                 }
             })
@@ -293,7 +281,6 @@ impl Cohort {
             quorum: config.quorum.max(1),
             vote_window_s: config.vote_window_s,
             vote_refresh_s: config.vote_refresh_s,
-            lease_timeout_s: config.lease.timeout_s,
             members,
             votes,
             report,
@@ -317,7 +304,7 @@ impl Cohort {
         let refresh = self.vote_refresh_s;
         let human = signaller.position();
         for member in &mut self.members {
-            if member.failed || member.lost {
+            if member.link.a_dead() || member.lost {
                 continue;
             }
             let ground = rotate_about(owner_eye.xy(), human, member.spec.azimuth_offset_rad);
@@ -339,7 +326,7 @@ impl Cohort {
             member.dynamic.push_features(now, read.features);
             if member.dynamic.decision() == DynamicDecision::WaveOff {
                 member.dynamic.reset();
-                member.ep.send(now, RelayMsg::WaveOff);
+                member.link.a.send(now, RelayMsg::WaveOff);
                 continue;
             }
 
@@ -359,7 +346,7 @@ impl Cohort {
                 };
                 if refresh_due {
                     member.last_sent = Some(Vote { sign, at: now });
-                    member.ep.send(now, RelayMsg::Vote(sign));
+                    member.link.a.send(now, RelayMsg::Vote(sign));
                 }
             }
         }
@@ -374,8 +361,8 @@ impl Cohort {
         pump
     }
 
-    /// One cohort round: every live relay pair ticks its endpoints, moves
-    /// frames through its channels, delivers votes, and checks its lease.
+    /// One cohort round: every live relay is pumped ([`Duplex::pump`]),
+    /// delivers its votes, and has its lease checked.
     /// Call exactly once per simulation step.
     pub fn pump(&mut self, now: f64) -> CohortPump {
         let mut pump = CohortPump::default();
@@ -385,50 +372,31 @@ impl Cohort {
             if member.lost {
                 continue; // the owner has written this relay off entirely
             }
-            if !member.failed {
-                if let Some(at) = member.spec.fail_at_s {
-                    if now >= at {
-                        member.failed = true;
-                        self.report.failed += 1;
+            if !member.link.a_dead() && member.spec.fail_at_s.is_some_and(|at| now >= at) {
+                member.link.kill_a();
+                self.report.failed += 1;
+                pump.notes.push(LogEntry::Note(format!(
+                    "cohort: observer {i} platform failed (radio silent)"
+                )));
+            }
+            for msg in member.link.pump(now).to_b {
+                match msg {
+                    RelayMsg::Vote(sign) => {
+                        self.votes[1 + i] = Some(Vote { sign, at: now });
+                        self.report.votes_received += 1;
+                        pump.recognized.push(sign);
+                        new_votes = true;
+                    }
+                    RelayMsg::WaveOff => {
+                        self.report.wave_offs_relayed += 1;
+                        pump.wave_off = true;
                         pump.notes.push(LogEntry::Note(format!(
-                            "cohort: observer {i} platform failed (radio silent)"
+                            "cohort: observer {i} relayed a wave-off"
                         )));
                     }
                 }
             }
-            if !member.failed {
-                for frame in member.ep.tick(now) {
-                    member.to_owner.send(now, frame);
-                }
-            }
-            for frame in member.owner_ep.tick(now) {
-                member.to_observer.send(now, frame);
-            }
-            for frame in member.to_observer.poll(now) {
-                if !member.failed {
-                    member.ep.handle(now, frame);
-                }
-            }
-            for frame in member.to_owner.poll(now) {
-                for msg in member.owner_ep.handle(now, frame) {
-                    match msg {
-                        RelayMsg::Vote(sign) => {
-                            self.votes[1 + i] = Some(Vote { sign, at: now });
-                            self.report.votes_received += 1;
-                            pump.recognized.push(sign);
-                            new_votes = true;
-                        }
-                        RelayMsg::WaveOff => {
-                            self.report.wave_offs_relayed += 1;
-                            pump.wave_off = true;
-                            pump.notes.push(LogEntry::Note(format!(
-                                "cohort: observer {i} relayed a wave-off"
-                            )));
-                        }
-                    }
-                }
-            }
-            if member.owner_ep.lease_expired(now) {
+            if member.link.b.lease_expired(now) {
                 member.lost = true;
                 self.votes[1 + i] = None;
                 newly_lost.push(i);
@@ -490,46 +458,32 @@ impl Cohort {
         }
     }
 
-    /// Earliest future time any relay pair has work: endpoint timers,
-    /// in-flight copies, scheduled platform failures, or a lease edge.
-    pub fn next_due(&self, now: f64) -> Option<f64> {
+    /// Earliest future time any relay has work: its link's timers and
+    /// in-flight copies, a scheduled platform failure, or the owner's lease
+    /// edge. Infinite once every observer is written off.
+    pub fn next_due(&self, now: f64) -> f64 {
         let mut due = f64::INFINITY;
         for member in &self.members {
             if member.lost {
                 continue;
             }
-            if !member.failed {
-                due = due.min(member.ep.next_due(now));
-                if let Some(at) = member.spec.fail_at_s {
-                    due = due.min(at.max(now));
-                }
+            if let Some(at) = member.spec.fail_at_s.filter(|_| !member.link.a_dead()) {
+                due = due.min(at.max(now));
             }
-            due = due.min(member.owner_ep.next_due(now));
-            if let Some(t) = member.to_owner.next_due() {
-                due = due.min(t);
-            }
-            if let Some(t) = member.to_observer.next_due() {
-                due = due.min(t);
-            }
-            let lease_edge = member.owner_ep.last_heard() + self.lease_timeout_s;
-            due = due.min(lease_edge.max(now) + LEASE_EDGE_S);
+            due = due
+                .min(member.link.next_due(now))
+                .min(member.link.b.lease_edge(now));
         }
-        if due.is_finite() {
-            Some(due)
-        } else {
-            None
-        }
+        due
     }
 
     /// Whether every relay has settled: each member is either written off
     /// (lost or failed) or has nothing unacknowledged and nothing in flight
     /// — the cohort's contribution to session termination.
     pub fn is_settled(&self) -> bool {
-        self.members.iter().all(|m| {
-            m.lost
-                || m.failed
-                || (!m.ep.has_unacked() && m.to_owner.is_idle() && m.to_observer.is_idle())
-        })
+        self.members
+            .iter()
+            .all(|m| m.lost || m.link.a_dead() || m.link.is_quiet())
     }
 
     /// The cohort's summary for the session report.
@@ -537,7 +491,7 @@ impl Cohort {
         let mut report = self.report;
         for member in &self.members {
             report.views_reused += member.memo.reused();
-            let s = member.to_owner.stats();
+            let s = member.link.a_to_b_stats();
             report.relay_up.offered += s.offered;
             report.relay_up.dropped += s.dropped;
             report.relay_up.duplicated += s.duplicated;
@@ -724,7 +678,8 @@ mod tests {
     fn relay_round_trip_delivers_a_vote() {
         let mut c = cohort(CohortConfig::single_observer(1.75));
         c.members[0]
-            .ep
+            .link
+            .a
             .send(0.0, RelayMsg::Vote(MarshallingSign::Yes));
         let mut got = None;
         for k in 0..20 {

@@ -3,9 +3,9 @@
 //! When a [`DatalinkConfig`] is installed in
 //! [`SessionConfig::datalink`](crate::SessionConfig), the negotiation no
 //! longer runs over in-process calls: drone-side events ([`LinkEvent`])
-//! travel to the supervisor over a reliable [`Endpoint`] riding a seeded
-//! [`LossyChannel`] (the uplink), and the supervisor's
-//! [`ProtocolAction`]s come back the same way (the downlink). Both
+//! travel to the supervisor over one reliable [`Duplex`] link (the uplink is
+//! its a→b direction), and the supervisor's [`ProtocolAction`]s come back
+//! the same way (the downlink, b→a). Both
 //! endpoints exchange heartbeats; either side that hears nothing for the
 //! lease timeout declares the link lost — the drone answers with an
 //! autonomous safe-hold, the supervisor by aborting the negotiation.
@@ -20,10 +20,8 @@
 
 use crate::protocol::ProtocolAction;
 use hdc_figure::MarshallingSign;
-use hdc_link::{
-    ChannelStats, Endpoint, EndpointConfig, EndpointStats, Frame, LeaseConfig, LinkQuality,
-    LossyChannel,
-};
+use hdc_link::{ChannelStats, Duplex, EndpointConfig, EndpointStats, LeaseConfig, LinkQuality};
+use hdc_runtime::derive_seed;
 
 /// Datalink parameters: one impairment model per direction plus the shared
 /// transport and lease tuning.
@@ -94,7 +92,7 @@ pub struct LinkReport {
 
 /// What one pump of the link produced, for the session loop to act on.
 #[derive(Debug)]
-pub struct LinkPump {
+pub(crate) struct LinkPump {
     /// Events that became deliverable at the supervisor, in order.
     pub events: Vec<LinkEvent>,
     /// Actions that became deliverable at the drone, in order.
@@ -106,42 +104,30 @@ pub struct LinkPump {
     pub supervisor_lease_expired: bool,
 }
 
-/// The session's live link state: two endpoints and the two directed
-/// channels between them.
+/// The session's live link: a [`Duplex`] whose side `a` is the drone and
+/// side `b` the supervisor, and the two lease latches.
 #[derive(Debug)]
-pub struct SessionLink {
-    drone_ep: Endpoint<LinkEvent, ProtocolAction>,
-    supervisor_ep: Endpoint<ProtocolAction, LinkEvent>,
-    up: LossyChannel<Frame<LinkEvent>>,
-    down: LossyChannel<Frame<ProtocolAction>>,
-    lease_timeout_s: f64,
+pub(crate) struct SessionLink {
+    link: Duplex<LinkEvent, ProtocolAction>,
     drone_lease_lost: bool,
     supervisor_lease_lost: bool,
 }
 
-/// How far past the exact lease-expiry instant the scheduler pumps: the
-/// expiry predicate is a strict inequality, so landing exactly on the edge
-/// would not observe it.
-const LEASE_EDGE_S: f64 = 1e-6;
-
-/// Derives an independent stream seed from the session seed and a salt —
-/// the shared SplitMix64 finaliser, so the link never shares draws with the
-/// human or the wind process. The cohort relay pairs use the same derivation
-/// with their own salt range.
-pub(crate) fn derive_seed(seed: u64, salt: u64) -> u64 {
-    hdc_runtime::mix(seed ^ salt.wrapping_mul(hdc_runtime::GOLDEN_GAMMA))
-}
-
 impl SessionLink {
     /// Builds the link at simulation time `now`, deriving all four decision
-    /// streams (two channels, two endpoints) from the one session seed.
+    /// streams (two endpoints, two channels) from the one session seed, so
+    /// the link never shares draws with the human or the wind process.
     pub fn new(config: DatalinkConfig, seed: u64, now: f64) -> Self {
+        let seeds = [1, 2, 3, 4].map(|salt| derive_seed(seed, salt));
         SessionLink {
-            drone_ep: Endpoint::new(config.endpoint, config.lease, derive_seed(seed, 1), now),
-            supervisor_ep: Endpoint::new(config.endpoint, config.lease, derive_seed(seed, 2), now),
-            up: LossyChannel::new(config.uplink, derive_seed(seed, 3)),
-            down: LossyChannel::new(config.downlink, derive_seed(seed, 4)),
-            lease_timeout_s: config.lease.timeout_s,
+            link: Duplex::new(
+                config.endpoint,
+                config.lease,
+                config.uplink,
+                config.downlink,
+                seeds,
+                now,
+            ),
             drone_lease_lost: false,
             supervisor_lease_lost: false,
         }
@@ -149,100 +135,59 @@ impl SessionLink {
 
     /// Queues a drone-side event for reliable uplink delivery.
     pub fn send_event(&mut self, now: f64, event: LinkEvent) {
-        self.drone_ep.send(now, event);
+        self.link.a.send(now, event);
     }
 
     /// Queues a supervisor action for reliable downlink delivery.
     pub fn send_action(&mut self, now: f64, action: ProtocolAction) {
-        self.supervisor_ep.send(now, action);
+        self.link.b.send(now, action);
     }
 
-    /// One link round: both endpoints emit their due frames into the
-    /// channels, both channels deliver what is due, and the leases are
-    /// checked. Call exactly once per simulation step.
+    /// One link round ([`Duplex::pump`]), then the lease checks. Call
+    /// exactly once per simulation step.
     pub fn pump(&mut self, now: f64) -> LinkPump {
-        for frame in self.drone_ep.tick(now) {
-            self.up.send(now, frame);
-        }
-        for frame in self.supervisor_ep.tick(now) {
-            self.down.send(now, frame);
-        }
-        let mut events = Vec::new();
-        for frame in self.up.poll(now) {
-            events.extend(self.supervisor_ep.handle(now, frame));
-        }
-        let mut actions = Vec::new();
-        for frame in self.down.poll(now) {
-            actions.extend(self.drone_ep.handle(now, frame));
-        }
-        let drone_lease_expired = !self.drone_lease_lost && self.drone_ep.lease_expired(now);
+        let delivered = self.link.pump(now);
+        let drone_lease_expired = !self.drone_lease_lost && self.link.a.lease_expired(now);
         self.drone_lease_lost |= drone_lease_expired;
         let supervisor_lease_expired =
-            !self.supervisor_lease_lost && self.supervisor_ep.lease_expired(now);
+            !self.supervisor_lease_lost && self.link.b.lease_expired(now);
         self.supervisor_lease_lost |= supervisor_lease_expired;
         LinkPump {
-            events,
-            actions,
+            events: delivered.to_b,
+            actions: delivered.to_a,
             drone_lease_expired,
             supervisor_lease_expired,
         }
     }
 
-    /// Earliest future time this link has work: an endpoint retransmission,
-    /// heartbeat or pending ack, an in-flight copy becoming deliverable, or
-    /// a lease expiring. `None` only if nothing will ever be due (cannot
-    /// happen in practice — endpoints always heartbeat). An event-driven
-    /// scheduler pumps the link at this time instead of every tick; a quiet
-    /// link between heartbeats costs zero work.
-    pub fn next_due(&self, now: f64) -> Option<f64> {
-        let mut due = self
-            .drone_ep
-            .next_due(now)
-            .min(self.supervisor_ep.next_due(now));
-        if let Some(t) = self.up.next_due() {
-            due = due.min(t);
+    /// Earliest future time this link has work: the link's own timers and
+    /// in-flight copies, or the expiry edge of a lease not yet latched. An
+    /// event-driven scheduler pumps the link at this time instead of every
+    /// tick; a quiet link between heartbeats costs zero work.
+    pub fn next_due(&self, now: f64) -> f64 {
+        let mut due = self.link.next_due(now);
+        if !self.drone_lease_lost {
+            due = due.min(self.link.a.lease_edge(now));
         }
-        if let Some(t) = self.down.next_due() {
-            due = due.min(t);
+        if !self.supervisor_lease_lost {
+            due = due.min(self.link.b.lease_edge(now));
         }
-        // lease expiry is an edge the pump must observe: schedule the first
-        // instant strictly past `last_heard + timeout` for whichever lease
-        // has not latched yet
-        for (latched, ep_last_heard, timeout) in [
-            (
-                self.drone_lease_lost,
-                self.drone_ep.last_heard(),
-                self.lease_timeout_s,
-            ),
-            (
-                self.supervisor_lease_lost,
-                self.supervisor_ep.last_heard(),
-                self.lease_timeout_s,
-            ),
-        ] {
-            if !latched {
-                due = due.min((ep_last_heard + timeout).max(now) + LEASE_EDGE_S);
-            }
-        }
-        Some(due)
+        due
     }
 
     /// Whether every sent payload has been acknowledged and nothing is in
     /// flight — the link's contribution to session termination.
     pub fn is_quiet(&self) -> bool {
-        !self.drone_ep.has_unacked()
-            && !self.supervisor_ep.has_unacked()
-            && self.up.is_idle()
-            && self.down.is_idle()
+        self.link.is_quiet()
     }
 
     /// The link's traffic summary for the session report.
     pub fn report(&self) -> LinkReport {
         LinkReport {
-            up: self.up.stats(),
-            down: self.down.stats(),
-            drone_endpoint: self.drone_ep.stats(),
-            supervisor_endpoint: self.supervisor_ep.stats(),
+            up: self.link.a_to_b_stats(),
+            down: self.link.b_to_a_stats(),
+            drone_endpoint: self.link.a.stats(),
+            supervisor_endpoint: self.link.b.stats(),
             drone_lease_expired: self.drone_lease_lost,
             supervisor_lease_expired: self.supervisor_lease_lost,
         }
@@ -252,23 +197,6 @@ impl SessionLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clean_link_round_trips_events_and_actions() {
-        let mut link = SessionLink::new(DatalinkConfig::clean(), 7, 0.0);
-        link.send_event(0.0, LinkEvent::Arrived);
-        link.send_action(0.0, ProtocolAction::ExecutePoke);
-        let mut events = Vec::new();
-        let mut actions = Vec::new();
-        for k in 0..10 {
-            let pump = link.pump(k as f64 * 0.1);
-            events.extend(pump.events);
-            actions.extend(pump.actions);
-        }
-        assert_eq!(events, vec![LinkEvent::Arrived]);
-        assert_eq!(actions, vec![ProtocolAction::ExecutePoke]);
-        assert!(link.is_quiet());
-    }
 
     #[test]
     fn partition_expires_both_leases_exactly_once() {
@@ -287,74 +215,5 @@ mod tests {
         assert_eq!(supervisor_expiries, 1, "supervisor lease latches once");
         let report = link.report();
         assert!(report.drone_lease_expired && report.supervisor_lease_expired);
-    }
-
-    #[test]
-    fn next_due_lets_a_quiet_link_sleep_between_heartbeats() {
-        let mut link = SessionLink::new(DatalinkConfig::clean(), 7, 0.0);
-        link.pump(0.0);
-        let due = link.next_due(0.0).unwrap();
-        assert!(
-            due >= 0.5 - 1e-9,
-            "a quiet link's next work is the heartbeat slot, got {due}"
-        );
-        // queued traffic is due immediately (first transmission slot)
-        link.send_event(0.1, LinkEvent::Arrived);
-        assert!(link.next_due(0.1).unwrap() <= 0.1 + 1e-9);
-        // pumping at each due time (never in between) still delivers
-        let mut now = 0.1;
-        let mut events = Vec::new();
-        for _ in 0..50 {
-            now = link.next_due(now).unwrap().max(now);
-            events.extend(link.pump(now).events);
-            if link.is_quiet() {
-                break;
-            }
-        }
-        assert_eq!(events, vec![LinkEvent::Arrived]);
-        assert!(link.is_quiet());
-    }
-
-    #[test]
-    fn next_due_covers_the_lease_expiry_edge() {
-        let quality = LinkQuality::clean().with_partition(0.5, 1000.0);
-        let mut config = DatalinkConfig::symmetric(quality);
-        config.lease.timeout_s = 2.0;
-        let mut link = SessionLink::new(config, 9, 0.0);
-        // event-driven pumping only at next_due times must still latch both
-        // lease expiries (the partition silences every heartbeat)
-        let mut now = 0.0;
-        let (mut drone_lost, mut supervisor_lost) = (false, false);
-        for _ in 0..200 {
-            let pump = link.pump(now);
-            drone_lost |= pump.drone_lease_expired;
-            supervisor_lost |= pump.supervisor_lease_expired;
-            if drone_lost && supervisor_lost {
-                break;
-            }
-            now = link.next_due(now).unwrap().max(now);
-        }
-        assert!(drone_lost, "drone lease must expire under partition");
-        assert!(supervisor_lost, "supervisor lease must expire");
-        assert!(now < 10.0, "expiry observed promptly, got t={now}");
-    }
-
-    #[test]
-    fn same_seed_same_link_trace() {
-        let quality = LinkQuality::clean().with_drop(0.3).with_jitter(0.4);
-        let run = || {
-            let mut link = SessionLink::new(DatalinkConfig::symmetric(quality), 42, 0.0);
-            let mut out = Vec::new();
-            for k in 0..400 {
-                let now = k as f64 * 0.1;
-                if k % 7 == 0 {
-                    link.send_event(now, LinkEvent::PatternComplete);
-                }
-                let pump = link.pump(now);
-                out.push((k, pump.events.len(), pump.actions.len()));
-            }
-            out
-        };
-        assert_eq!(run(), run());
     }
 }

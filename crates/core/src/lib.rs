@@ -35,7 +35,7 @@ mod session;
 mod view;
 
 pub use cohort::{CohortConfig, CohortReport, ObserverSpec, RelayMsg};
-pub use datalink::{DatalinkConfig, LinkEvent, LinkPump, LinkReport, SessionLink};
+pub use datalink::{DatalinkConfig, LinkEvent, LinkReport};
 pub use language::{DroneIntent, Vocabulary};
 pub use log::{EventLog, LogEntry};
 pub use protocol::{

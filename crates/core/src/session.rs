@@ -483,25 +483,19 @@ impl CollaborationSession {
     }
 
     /// Whether the session has reached a terminal protocol state and the
-    /// drone has finished moving. With a datalink configured the link must
-    /// also be quiet (every command acknowledged, nothing in flight) so a
-    /// terminal decision's actions still reach the drone — unless the drone
-    /// has already engaged its safety latch, in which case a permanently
-    /// partitioned link cannot hold the session open.
+    /// drone has finished moving. A datalink must also be quiet (every
+    /// command acknowledged, nothing in flight) so a terminal decision's
+    /// actions still reach the drone, and a cohort's relays settled —
+    /// unless the drone has already engaged its safety latch, in which case
+    /// a permanently partitioned link cannot hold the session open.
     pub fn is_done(&self) -> bool {
-        let link_settled = match &self.link {
-            None => true,
-            Some(link) => link.is_quiet() || self.drone.safety_engaged(),
-        };
-        let cohort_settled = match &self.cohort {
-            None => true,
-            Some(cohort) => cohort.is_settled() || self.drone.safety_engaged(),
-        };
+        let relays_settled = self.drone.safety_engaged()
+            || (self.link.as_ref().is_none_or(SessionLink::is_quiet)
+                && self.cohort.as_ref().is_none_or(Cohort::is_settled));
         self.machine.state().is_terminal()
             && !self.drone.is_executing()
             && self.flying_to.is_none()
-            && link_settled
-            && cohort_settled
+            && relays_settled
     }
 
     fn note(&mut self, entry: LogEntry) {
@@ -1135,14 +1129,10 @@ impl CollaborationSession {
             due = due.min(deadline);
         }
         if let Some(link) = &self.link {
-            if let Some(d) = link.next_due(now) {
-                due = due.min(d);
-            }
+            due = due.min(link.next_due(now));
         }
         if let Some(cohort) = &self.cohort {
-            if let Some(d) = cohort.next_due(now) {
-                due = due.min(d);
-            }
+            due = due.min(cohort.next_due(now));
         }
         if let Some(faults) = self.faults.as_mut() {
             if let Some(d) = faults.next_due(now) {

@@ -131,11 +131,6 @@ impl<T: Clone> LossyChannel<T> {
         }
     }
 
-    /// The impairment model in force.
-    pub fn quality(&self) -> LinkQuality {
-        self.quality
-    }
-
     /// Traffic statistics so far.
     pub fn stats(&self) -> ChannelStats {
         self.stats

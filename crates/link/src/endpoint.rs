@@ -10,7 +10,7 @@
 //! copy of a command never reaches the caller.
 //!
 //! The endpoint also carries the liveness machinery: it emits a
-//! [`Frame::Heartbeat`] every [`LeaseConfig::heartbeat_interval_s`] and
+//! heartbeat frame every [`LeaseConfig::heartbeat_interval_s`] and
 //! timestamps every frame it hears. [`Endpoint::lease_expired`] is the
 //! supervision predicate both sides poll — the drone to trigger its
 //! autonomous safe-hold, the supervisor to declare the drone lost.
@@ -22,6 +22,10 @@
 
 use hdc_runtime::SplitMix64;
 use std::collections::{BTreeMap, VecDeque};
+
+/// How far past the exact lease-expiry instant [`Endpoint::lease_edge`]
+/// falls: far enough that the strict expiry comparison holds there.
+const LEASE_EDGE_S: f64 = 1e-6;
 
 /// Retransmission and windowing parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,7 +78,7 @@ impl Default for LeaseConfig {
 /// What travels on the wire in one direction: data, acks for the *other*
 /// direction's data, and heartbeats.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Frame<T> {
+pub(crate) enum Frame<T> {
     /// A sequenced payload.
     Data {
         /// Sequence number, starting at 1.
@@ -121,7 +125,8 @@ struct TxSlot<S> {
 }
 
 /// One side of a reliable bidirectional link: sends `S`, receives `R`.
-/// See the module docs for the protocol.
+/// See the module docs for the protocol. Endpoints are built and pumped
+/// only by a [`Duplex`](crate::Duplex).
 #[derive(Debug, Clone)]
 pub struct Endpoint<S, R> {
     config: EndpointConfig,
@@ -143,7 +148,7 @@ pub struct Endpoint<S, R> {
 impl<S: Clone, R> Endpoint<S, R> {
     /// An endpoint created at simulation time `now` (the lease clock starts
     /// satisfied — a drone is not "lost" before the first heartbeat slot).
-    pub fn new(config: EndpointConfig, lease: LeaseConfig, seed: u64, now: f64) -> Self {
+    pub(crate) fn new(config: EndpointConfig, lease: LeaseConfig, seed: u64, now: f64) -> Self {
         Endpoint {
             config,
             lease,
@@ -164,11 +169,6 @@ impl<S: Clone, R> Endpoint<S, R> {
         self.stats
     }
 
-    /// Whether any sent payload is still awaiting acknowledgement.
-    pub fn has_unacked(&self) -> bool {
-        !self.unacked.is_empty()
-    }
-
     /// Number of payloads sent but not yet acknowledged. Callers pushing
     /// bulk traffic should keep this below the peer's receive window, or
     /// frames beyond it are discarded on arrival and retransmitted later.
@@ -176,18 +176,21 @@ impl<S: Clone, R> Endpoint<S, R> {
         self.unacked.len()
     }
 
-    /// Time the peer was last heard from (any frame).
-    pub fn last_heard(&self) -> f64 {
-        self.last_heard
-    }
-
-    /// Whether the peer has been silent past the lease timeout.
+    /// Whether the peer has been silent past the lease timeout. Expiry is
+    /// strict: at exactly `last_heard + timeout` the lease still holds.
     pub fn lease_expired(&self, now: f64) -> bool {
         now - self.last_heard > self.lease.timeout_s
     }
 
+    /// Where an event-driven scheduler wakes to observe the lease expiring
+    /// if the peer stays silent: just past `last_heard + timeout` (expiry
+    /// is strict), and never before `now`.
+    pub fn lease_edge(&self, now: f64) -> f64 {
+        (self.last_heard + self.lease.timeout_s).max(now) + LEASE_EDGE_S
+    }
+
     /// Queues one payload for reliable delivery. It is first transmitted by
-    /// the next [`Endpoint::tick`].
+    /// the next [`Duplex::pump`](crate::Duplex::pump).
     pub fn send(&mut self, now: f64, payload: S) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -213,7 +216,7 @@ impl<S: Clone, R> Endpoint<S, R> {
     /// the soonest retransmission slot, the next heartbeat slot, or `now`
     /// itself when an ack is pending. Event-driven schedulers use this to
     /// skip polling a quiet link.
-    pub fn next_due(&self, now: f64) -> f64 {
+    pub(crate) fn next_due(&self, now: f64) -> f64 {
         let mut due = self.last_beat + self.lease.heartbeat_interval_s;
         for slot in &self.unacked {
             due = due.min(slot.resend_at);
@@ -227,7 +230,7 @@ impl<S: Clone, R> Endpoint<S, R> {
     /// Emits every frame due at `now`: first transmissions, retransmissions,
     /// a pending ack, and the heartbeat. The caller forwards them into its
     /// outbound channel.
-    pub fn tick(&mut self, now: f64) -> Vec<Frame<S>> {
+    pub(crate) fn tick(&mut self, now: f64) -> Vec<Frame<S>> {
         let mut out = Vec::new();
         for i in 0..self.unacked.len() {
             if self.unacked[i].resend_at <= now {
@@ -262,7 +265,7 @@ impl<S: Clone, R> Endpoint<S, R> {
 
     /// Processes one inbound frame; returns the payloads that became
     /// deliverable, in sequence order. Every frame refreshes the lease.
-    pub fn handle(&mut self, now: f64, frame: Frame<R>) -> Vec<R> {
+    pub(crate) fn handle(&mut self, now: f64, frame: Frame<R>) -> Vec<R> {
         self.last_heard = now;
         match frame {
             Frame::Heartbeat => Vec::new(),
@@ -355,7 +358,7 @@ mod tests {
         }
         let (_, at_b) = pump(&mut a, &mut b, &mut ab, &mut ba, 0.0, 50, 0.1);
         assert_eq!(at_b, (0..20).collect::<Vec<_>>());
-        assert!(!a.has_unacked(), "acks must drain the retransmit queue");
+        assert_eq!(a.in_flight(), 0, "acks must drain the retransmit queue");
         assert_eq!(b.stats().delivered, 20);
     }
 
@@ -370,7 +373,7 @@ mod tests {
         let (_, at_b) = pump(&mut a, &mut b, &mut ab, &mut ba, 0.0, 1200, 0.1);
         assert_eq!(at_b, (0..30).collect::<Vec<_>>());
         assert!(a.stats().retransmits > 0, "loss must force retransmissions");
-        assert!(!a.has_unacked());
+        assert_eq!(a.in_flight(), 0);
     }
 
     #[test]
@@ -428,6 +431,25 @@ mod tests {
             "expired at {expired_at}"
         );
         assert!(recovered, "heartbeats must refresh the lease after healing");
+    }
+
+    #[test]
+    fn lease_edge_falls_just_past_the_strict_expiry() {
+        let lease = LeaseConfig {
+            heartbeat_interval_s: 0.5,
+            timeout_s: 2.0,
+        };
+        let mut a: Ep = Endpoint::new(EndpointConfig::default(), lease, 1, 0.0);
+        a.handle(1.0, Frame::Heartbeat);
+        let edge = a.lease_edge(1.5);
+        assert!(edge > 3.0 && edge < 3.0 + 1e-3, "edge {edge}");
+        assert!(
+            !a.lease_expired(3.0),
+            "at last_heard + timeout the lease still holds"
+        );
+        assert!(a.lease_expired(edge), "the lease is expired at its edge");
+        // an edge already behind `now` falls just past `now`
+        assert!(a.lease_edge(10.0) > 10.0 && a.lease_expired(a.lease_edge(10.0)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every drone↔supervisor interaction in the workspace used to be an
 //! in-process call; the one thing that fails first in the field — the radio
 //! link — could not fail at all. This crate supplies the missing transport
-//! layer in three pieces, all dependency-free and seed-deterministic:
+//! layer in four pieces, all dependency-free and seed-deterministic:
 //!
 //! * [`LossyChannel`] — a simulated radio path. Per-message drop,
 //!   duplication, bounded reordering (latency jitter), base latency and a
@@ -20,7 +20,12 @@
 //!   heartbeats; a side that hears nothing for the lease timeout declares
 //!   the link lost. The drone side reacts with an autonomous safe-hold and
 //!   retreat; the supervisor side marks the drone lost and re-dispatches its
-//!   remaining work (see `hdc-core::session` and `hdc-orchard::fleet`).
+//!   remaining work (see `hdc-core::session` and
+//!   `hdc-orchard::run_linked_fleet`).
+//! * [`Duplex`] — one whole link: two endpoints and the two channels
+//!   between them, pumped in one fixed round. Every link in the workspace
+//!   (the session datalink, the cohort relays, the supervised fleet and the
+//!   datalink benchmark) is a `Duplex`.
 //!
 //! Time is the caller's simulation clock (seconds); nothing here reads a
 //! wall clock or a global RNG.
@@ -29,16 +34,18 @@
 #![warn(missing_docs)]
 
 pub mod channel;
+pub mod duplex;
 pub mod endpoint;
 
 pub use channel::{ChannelStats, LinkQuality, LossyChannel};
-pub use endpoint::{Endpoint, EndpointConfig, EndpointStats, Frame, LeaseConfig};
+pub use duplex::{Delivered, Duplex};
+pub use endpoint::{Endpoint, EndpointConfig, EndpointStats, LeaseConfig};
 
 // All derived randomness (channel decision streams, retransmission jitter)
 // routes through `hdc_runtime::SplitMix64` — this crate carried a private
 // copy before the shared implementation existed. The state evolution is
 // identical, so channel schedules are byte-for-byte what they always were
-// (the 52 golden scenario digests pin this).
+// (the 62+62 golden scenario digests pin this).
 
 #[cfg(test)]
 mod tests {

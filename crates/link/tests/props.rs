@@ -6,10 +6,10 @@
 //!   any interleaving (the multi-worker case) never changes a single
 //!   channel's observed order.
 //! * **Endpoint reliability** — under any drop/dup/jitter pattern with
-//!   loss < 1, every payload is delivered exactly once, in order, and the
-//!   retransmit queue eventually drains.
+//!   loss < 1, every payload sent across a [`Duplex`] is delivered exactly
+//!   once, in order, and the retransmit queue eventually drains.
 
-use hdc_link::{Endpoint, EndpointConfig, Frame, LeaseConfig, LinkQuality, LossyChannel};
+use hdc_link::{Duplex, EndpointConfig, LeaseConfig, LinkQuality, LossyChannel};
 use proptest::prelude::*;
 
 /// A quality model drawn from safe (recoverable) ranges.
@@ -18,6 +18,19 @@ fn quality(drop_p: f64, dup_p: f64, jitter_s: f64) -> LinkQuality {
         .with_drop(drop_p)
         .with_dup(dup_p)
         .with_jitter(jitter_s)
+}
+
+/// A link with the same quality both ways, every stream derived from `seed`.
+fn duplex(q: LinkQuality, seed: u64) -> Duplex<u32, u32> {
+    let seeds = [seed, seed ^ 1, seed.wrapping_add(2), seed.wrapping_add(3)];
+    Duplex::new(
+        EndpointConfig::default(),
+        LeaseConfig::default(),
+        q,
+        q,
+        seeds,
+        0.0,
+    )
 }
 
 /// Runs one channel over a fixed send schedule, polling every 0.1 s, and
@@ -98,39 +111,21 @@ proptest! {
             dup_p in 0.0f64..0.6,
             jitter in 0.0f64..1.0,
             n in 1u32..60) {
-        let q = quality(drop_p, dup_p, jitter);
-        let mut a: Endpoint<u32, u32> =
-            Endpoint::new(EndpointConfig::default(), LeaseConfig::default(), seed, 0.0);
-        let mut b: Endpoint<u32, u32> =
-            Endpoint::new(EndpointConfig::default(), LeaseConfig::default(), seed ^ 1, 0.0);
-        let mut ab: LossyChannel<Frame<u32>> = LossyChannel::new(q, seed.wrapping_add(2));
-        let mut ba: LossyChannel<Frame<u32>> = LossyChannel::new(q, seed.wrapping_add(3));
+        let mut link = duplex(quality(drop_p, dup_p, jitter), seed);
         for i in 0..n {
-            a.send(0.0, i);
+            link.a.send(0.0, i);
         }
         let mut got = Vec::new();
         // generous horizon: worst-case loss at 60% still recovers well inside
         for k in 0..4000 {
-            let now = k as f64 * 0.1;
-            for f in a.tick(now) {
-                ab.send(now, f);
-            }
-            for f in b.tick(now) {
-                ba.send(now, f);
-            }
-            for f in ab.poll(now) {
-                got.extend(b.handle(now, f));
-            }
-            for f in ba.poll(now) {
-                a.handle(now, f);
-            }
-            if !a.has_unacked() && got.len() == n as usize {
+            got.extend(link.pump(k as f64 * 0.1).to_b);
+            if link.a.in_flight() == 0 && got.len() == n as usize {
                 break;
             }
         }
         prop_assert_eq!(got, (0..n).collect::<Vec<_>>());
-        prop_assert!(!a.has_unacked(), "retransmit queue must drain");
-        prop_assert_eq!(b.stats().delivered, u64::from(n));
+        prop_assert_eq!(link.a.in_flight(), 0, "retransmit queue must drain");
+        prop_assert_eq!(link.b.stats().delivered, u64::from(n));
     }
 
     #[test]
@@ -145,17 +140,12 @@ proptest! {
         // outage, and after it ends every unacked message must still arrive
         // exactly once, in order, with the heartbeat lease re-established
         let q = quality(drop_p, 0.2, 0.3).with_partition(part_at, part_for);
-        let mut a: Endpoint<u32, u32> =
-            Endpoint::new(EndpointConfig::default(), LeaseConfig::default(), seed, 0.0);
-        let mut b: Endpoint<u32, u32> =
-            Endpoint::new(EndpointConfig::default(), LeaseConfig::default(), seed ^ 1, 0.0);
-        let mut ab: LossyChannel<Frame<u32>> = LossyChannel::new(q, seed.wrapping_add(2));
-        let mut ba: LossyChannel<Frame<u32>> = LossyChannel::new(q, seed.wrapping_add(3));
+        let mut link = duplex(q, seed);
 
         let part_end = part_at + part_for;
         let mid = part_at + part_for / 2.0;
         for i in 0..n / 2 {
-            a.send(0.0, i); // the pre-partition batch
+            link.a.send(0.0, i); // the pre-partition batch
         }
         let mut sent_mid = false;
         let mut expired_mid = false;
@@ -166,32 +156,21 @@ proptest! {
             if !sent_mid && now >= mid {
                 sent_mid = true;
                 for i in n / 2..n {
-                    a.send(now, i); // the in-partition batch: all lost live
+                    link.a.send(now, i); // the in-partition batch: all lost live
                 }
             }
             if now < part_end {
                 // the receiver may (long outage) or may not (short one)
                 // watch the lease lapse while the link is dark
-                expired_mid |= b.lease_expired(now);
+                expired_mid |= link.b.lease_expired(now);
             }
-            for f in a.tick(now) {
-                ab.send(now, f);
-            }
-            for f in b.tick(now) {
-                ba.send(now, f);
-            }
-            for f in ab.poll(now) {
-                got.extend(b.handle(now, f));
-            }
-            for f in ba.poll(now) {
-                a.handle(now, f);
-            }
+            got.extend(link.pump(now).to_b);
             // run a while past full delivery so heartbeats refresh the lease
-            if !a.has_unacked() && got.len() == n as usize && now > part_end {
+            if link.a.in_flight() == 0 && got.len() == n as usize && now > part_end {
                 settle += 1;
                 if settle > 20 {
                     prop_assert!(
-                        !a.lease_expired(now) && !b.lease_expired(now),
+                        !link.a.lease_expired(now) && !link.b.lease_expired(now),
                         "the lease must re-establish after the partition heals"
                     );
                     break;
@@ -200,7 +179,7 @@ proptest! {
         }
         prop_assert_eq!(got, (0..n).collect::<Vec<_>>(),
                         "every unacked message must arrive exactly once, in order");
-        prop_assert!(!a.has_unacked(), "retransmit queue must drain after the heal");
+        prop_assert_eq!(link.a.in_flight(), 0, "retransmit queue must drain after the heal");
         if part_for > 3.5 {
             // an outage longer than the lease timeout must actually trip it,
             // so the re-establishment above is a real recovery, not a no-op

@@ -5,8 +5,8 @@
 //! real one. This module runs the same trap-collection campaign as a
 //! *supervised* fleet: a ground-station supervisor holds each drone's chunk
 //! of the tour and feeds it one [`FleetCommand::Assign`] at a time over a
-//! reliable [`Endpoint`] riding a seeded [`LossyChannel`]; the drone works
-//! the trap and reports [`FleetTelemetry::TrapRead`] back up the same way.
+//! reliable [`Duplex`] link; the drone works the trap and reports
+//! [`FleetTelemetry::TrapRead`] back up the same way.
 //!
 //! The failure contract mirrors `hdc-core`'s session datalink:
 //!
@@ -29,10 +29,8 @@
 
 use crate::map::OrchardMap;
 use hdc_geometry::Vec2;
-use hdc_link::{
-    Endpoint, EndpointConfig, EndpointStats, Frame, LeaseConfig, LinkQuality, LossyChannel,
-};
-use hdc_runtime::{EventHeap, ScheduleMode};
+use hdc_link::{Duplex, EndpointConfig, EndpointStats, LeaseConfig, LinkQuality};
+use hdc_runtime::{derive_seed, EventHeap, ScheduleMode};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -183,19 +181,6 @@ impl fmt::Display for LinkedFleetStats {
 /// Simulation step, seconds.
 const DT: f64 = 0.1;
 
-/// Nudge past a lease edge so the endpoints' strict `>` expiry comparison
-/// fires at the wake the edge schedules.
-const LEASE_EDGE_S: f64 = 1e-6;
-
-/// Derives an independent stream seed (workspace-standard SplitMix64
-/// finaliser) so per-drone link decisions never correlate.
-fn derive_seed(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// What a drone is doing right now.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum DroneTask {
@@ -205,7 +190,7 @@ enum DroneTask {
     Reading { trap: u32, done_at: f64 },
 }
 
-/// One simulated fleet drone and its half of the link.
+/// One simulated fleet drone and its link to the supervisor.
 #[derive(Debug)]
 struct FleetDrone {
     position: Vec2,
@@ -214,9 +199,9 @@ struct FleetDrone {
     failsafed: bool,
     reads: u32,
     commands_received: u32,
-    endpoint: Endpoint<FleetTelemetry, FleetCommand>,
-    up: LossyChannel<Frame<FleetTelemetry>>,
-    down: LossyChannel<Frame<FleetCommand>>,
+    /// Side `a` is the drone (sends telemetry), side `b` the supervisor
+    /// (sends commands).
+    link: Duplex<FleetTelemetry, FleetCommand>,
 }
 
 /// The supervisor's book-keeping for one drone.
@@ -227,7 +212,6 @@ struct DroneLedger {
     /// The trap currently assigned and unconfirmed, if any.
     outstanding: Option<u32>,
     lost: bool,
-    endpoint: Endpoint<FleetCommand, FleetTelemetry>,
 }
 
 /// The earliest simulation time at which any fleet component has work: a
@@ -236,12 +220,7 @@ struct DroneLedger {
 /// about to expire. May return times at or before `now` ("work is due
 /// immediately") or `f64::INFINITY` (nothing pending); the caller bumps
 /// both to one tick.
-fn fleet_next_due(
-    now: f64,
-    drones: &[FleetDrone],
-    ledgers: &[DroneLedger],
-    lease_timeout_s: f64,
-) -> f64 {
+fn fleet_next_due(now: f64, drones: &[FleetDrone], ledgers: &[DroneLedger]) -> f64 {
     let mut due = f64::INFINITY;
     for (drone, ledger) in drones.iter().zip(ledgers) {
         if !drone.failsafed {
@@ -251,19 +230,12 @@ fn fleet_next_due(
                 None if !drone.backlog.is_empty() => due = due.min(now + DT),
                 None => {}
             }
-            due = due.min((drone.endpoint.last_heard() + lease_timeout_s).max(now) + LEASE_EDGE_S);
+            due = due.min(drone.link.a.lease_edge(now));
         }
         if !ledger.lost {
-            due = due.min((ledger.endpoint.last_heard() + lease_timeout_s).max(now) + LEASE_EDGE_S);
+            due = due.min(drone.link.b.lease_edge(now));
         }
-        due = due.min(drone.endpoint.next_due(now));
-        due = due.min(ledger.endpoint.next_due(now));
-        if let Some(t) = drone.up.next_due() {
-            due = due.min(t);
-        }
-        if let Some(t) = drone.down.next_due() {
-            due = due.min(t);
-        }
+        due = due.min(drone.link.next_due(now));
     }
     due
 }
@@ -317,6 +289,8 @@ pub fn run_linked_fleet_mode(
             quality = quality.with_partition(failure.at_s, f64::INFINITY);
         }
         let salt = i as u64;
+        // drone endpoint, supervisor endpoint, uplink, downlink
+        let seeds = [1, 4, 2, 3].map(|k| derive_seed(seed, salt * 4 + k));
         drones.push(FleetDrone {
             position: Vec2::ZERO,
             task: None,
@@ -324,14 +298,7 @@ pub fn run_linked_fleet_mode(
             failsafed: false,
             reads: 0,
             commands_received: 0,
-            endpoint: Endpoint::new(
-                config.endpoint,
-                config.lease,
-                derive_seed(seed, salt * 4 + 1),
-                0.0,
-            ),
-            up: LossyChannel::new(quality, derive_seed(seed, salt * 4 + 2)),
-            down: LossyChannel::new(quality, derive_seed(seed, salt * 4 + 3)),
+            link: Duplex::new(config.endpoint, config.lease, quality, quality, seeds, 0.0),
         });
         ledgers.push(DroneLedger {
             chunk: tour
@@ -342,12 +309,6 @@ pub fn run_linked_fleet_mode(
                 .collect(),
             outstanding: None,
             lost: false,
-            endpoint: Endpoint::new(
-                config.endpoint,
-                config.lease,
-                derive_seed(seed, salt * 4 + 4),
-                0.0,
-            ),
         });
     }
 
@@ -362,7 +323,7 @@ pub fn run_linked_fleet_mode(
         let t = match mode {
             ScheduleMode::Lockstep => now + DT,
             ScheduleMode::EventDriven => {
-                let due = fleet_next_due(now, drones, ledgers, config.lease.timeout_s);
+                let due = fleet_next_due(now, drones, ledgers);
                 // anything due now — or an empty horizon — waits one tick
                 if due > now {
                     due
@@ -406,13 +367,13 @@ pub fn run_linked_fleet_mode(
                 Some(DroneTask::Reading { trap, done_at }) if now >= done_at => {
                     drone.task = None;
                     drone.reads += 1;
-                    drone.endpoint.send(now, FleetTelemetry::TrapRead { trap });
+                    drone.link.a.send(now, FleetTelemetry::TrapRead { trap });
                 }
                 _ => {}
             }
             // autonomous failsafe: a silent supervisor means the drone must
             // not keep operating unsupervised
-            if drone.endpoint.lease_expired(now) {
+            if drone.link.a.lease_expired(now) {
                 drone.failsafed = true;
                 drone.task = None;
                 drone.backlog.clear();
@@ -421,30 +382,20 @@ pub fn run_linked_fleet_mode(
 
         // --- link pump, per drone ---
         for (drone, ledger) in drones.iter_mut().zip(ledgers.iter_mut()) {
-            for frame in drone.endpoint.tick(now) {
-                drone.up.send(now, frame);
-            }
-            for frame in ledger.endpoint.tick(now) {
-                drone.down.send(now, frame);
-            }
-            for frame in drone.up.poll(now) {
-                for telemetry in ledger.endpoint.handle(now, frame) {
-                    let FleetTelemetry::TrapRead { trap } = telemetry;
-                    confirmed[trap as usize] = true;
-                    if ledger.outstanding == Some(trap) {
-                        ledger.outstanding = None;
-                    }
+            let delivered = drone.link.pump(now);
+            for FleetTelemetry::TrapRead { trap } in delivered.to_b {
+                confirmed[trap as usize] = true;
+                if ledger.outstanding == Some(trap) {
+                    ledger.outstanding = None;
                 }
             }
-            for frame in drone.down.poll(now) {
-                for command in drone.endpoint.handle(now, frame) {
-                    drone.commands_received += 1;
-                    match command {
-                        FleetCommand::Assign { trap } => drone.backlog.push_back(trap),
-                        FleetCommand::ReturnHome => {
-                            drone.task = None;
-                            drone.backlog.clear();
-                        }
+            for command in delivered.to_a {
+                drone.commands_received += 1;
+                match command {
+                    FleetCommand::Assign { trap } => drone.backlog.push_back(trap),
+                    FleetCommand::ReturnHome => {
+                        drone.task = None;
+                        drone.backlog.clear();
                     }
                 }
             }
@@ -452,7 +403,7 @@ pub fn run_linked_fleet_mode(
 
         // --- supervisor: losses and re-dispatch ---
         for i in 0..ledgers.len() {
-            if !ledgers[i].lost && ledgers[i].endpoint.lease_expired(now) {
+            if !ledgers[i].lost && drones[i].link.b.lease_expired(now) {
                 ledgers[i].lost = true;
                 drones_lost += 1;
                 // the lost drone's remaining chunk — outstanding first —
@@ -475,7 +426,7 @@ pub fn run_linked_fleet_mode(
         }
 
         // --- supervisor: dispatch ---
-        for ledger in ledgers.iter_mut() {
+        for (drone, ledger) in drones.iter_mut().zip(ledgers.iter_mut()) {
             if ledger.lost || ledger.outstanding.is_some() {
                 continue;
             }
@@ -484,7 +435,7 @@ pub fn run_linked_fleet_mode(
                 if confirmed[trap as usize] {
                     continue;
                 }
-                ledger.endpoint.send(now, FleetCommand::Assign { trap });
+                drone.link.b.send(now, FleetCommand::Assign { trap });
                 ledger.outstanding = Some(trap);
                 break;
             }
@@ -524,7 +475,7 @@ pub fn run_linked_fleet_mode(
                 commands_received: drone.commands_received,
                 failsafed: drone.failsafed,
                 declared_lost: ledger.lost,
-                endpoint: drone.endpoint.stats(),
+                endpoint: drone.link.a.stats(),
             })
             .collect(),
     }

@@ -63,7 +63,7 @@ pub mod splitmix;
 pub mod vclock;
 
 pub use events::{micros_to_secs, secs_to_micros, EventHeap, ScheduleMode, Scheduled};
-pub use splitmix::{mix, unit_f64, SplitMix64, GOLDEN_GAMMA};
+pub use splitmix::{derive_seed, mix, unit_f64, SplitMix64, GOLDEN_GAMMA};
 pub use vclock::{Micros, VirtualClock};
 
 use std::num::NonZeroUsize;

@@ -78,13 +78,17 @@ pub fn unit_f64(word: u64) -> f64 {
     (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The SplitMix64 output finaliser (a bijection on `u64`): public because
-/// seed-derivation helpers across the workspace (`derive_seed`-style salting
-/// of channel and endpoint streams) apply it directly to salted seeds.
+/// The SplitMix64 output finaliser (a bijection on `u64`).
 pub fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// An independent stream seed, `mix(seed ^ salt·GOLDEN_GAMMA)`: every link
+/// endpoint and channel, and every sweep point, seeds its stream this way.
+pub fn derive_seed(seed: u64, salt: u64) -> u64 {
+    mix(seed ^ salt.wrapping_mul(GOLDEN_GAMMA))
 }
 
 #[cfg(test)]

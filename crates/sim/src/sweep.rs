@@ -17,7 +17,7 @@ use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_geometry::azimuth::{in_dead_angle_deg, DEAD_ANGLE_CENTER_RAD};
 use hdc_link::LinkQuality;
 use hdc_raster::noise;
-use hdc_runtime::WorkPool;
+use hdc_runtime::{derive_seed, WorkPool};
 use hdc_vision::{FrameScratch, PipelineConfig, RecognitionPipeline};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -57,12 +57,8 @@ const AZ_STEPS: u32 = 12;
 /// Point independence is what lets the grid fan out over a pool with the
 /// exact same numbers as the serial sweep.
 fn point_seed(seed: u64, sigma_idx: usize, az_step: u32) -> u64 {
-    let mut z = seed
-        ^ (sigma_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ u64::from(az_step).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let seed = seed ^ u64::from(az_step).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    derive_seed(seed, sigma_idx as u64)
 }
 
 /// Evaluates one grid point: all signs at one azimuth under one noise level,

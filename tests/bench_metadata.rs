@@ -358,3 +358,36 @@ fn recognize_bench_rows_carry_their_spread() {
         }
     }
 }
+
+#[test]
+fn link_bench_transfers_carry_their_spread() {
+    // Each transfer is timed over repeats that must put the same frames on
+    // the wire, so a link change is judged against the throughput spread.
+    let bench = std::fs::read_to_string(repo_root().join("BENCH_link.json"))
+        .expect("committed BENCH_link.json");
+    let repeats: u32 = raw_value(&bench, "repeats")
+        .and_then(|r| r.parse().ok())
+        .expect("BENCH_link.json: no repeats");
+    assert!(repeats >= 5, "BENCH_link.json: {repeats} repeats");
+    let rows: Vec<&str> = bench
+        .lines()
+        .filter(|l| l.trim_start().starts_with("{\"label\":"))
+        .collect();
+    assert_eq!(rows.len(), 3, "BENCH_link.json: clean, drop-5 and drop-20");
+    for row in rows {
+        let label = raw_value(row, "label").expect("transfer label");
+        spread(row, "throughput_payloads_per_s").unwrap_or_else(|| {
+            panic!("BENCH_link.json {label}: no throughput_payloads_per_s median/min/max")
+        });
+        let count = |key: &str| -> u64 {
+            raw_value(row, key)
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("BENCH_link.json {label}: no {key}"))
+        };
+        assert_eq!(
+            count("frames_on_wire"),
+            count("payloads") + count("retransmits") + count("acks") + count("heartbeats"),
+            "BENCH_link.json {label}: frames on the wire are payloads, retransmits, acks and heartbeats"
+        );
+    }
+}
