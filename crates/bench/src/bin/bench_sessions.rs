@@ -12,7 +12,8 @@
 //!    Its silent human stands still in front of a hovering drone, so the
 //!    owner's view memo serves nearly every camera frame: the smoke floor is
 //!    ≥90% of owner frames reused (a count, not a wall-time floor). Each
-//!    mode runs 7 times (3 in smoke), the modes interleaved; every repeat
+//!    mode runs 7 times (3 in smoke) on one `ViewWorker` whose table of
+//!    reads is emptied before each run, the modes interleaved; every repeat
 //!    must give identical counts, and each mode commits its `wall_ms` as
 //!    median/min/max over the repeats.
 //! 2. **Capacity ladder** — session farms of growing size (to ≥1000
@@ -55,8 +56,8 @@
 //!    component, the only ones whose labelling resolves components and
 //!    rebuilds the largest (a count, not a floor). Last, it counts the
 //!    memo misses the farm's shared table of view reads serves
-//!    (`ReadScope::hits`), split into scripted and stochastic humans, with
-//!    the sessions run in config order in one scope on one thread, as a
+//!    (`ViewWorker::hits`), split into scripted and stochastic humans, with
+//!    the sessions run in config order on one `ViewWorker`, as a
 //!    one-worker farm runs them: on more workers the count depends on which
 //!    worker ran which session. Those sessions must do exactly what the farm
 //!    did, and at least one view must come from the table (a count floor, so
@@ -67,8 +68,8 @@
 
 use hdc_bench::report::{num, Spread, Table};
 use hdc_core::{
-    paint_view, paint_view_mask, CollaborationSession, HumanScript, ReadScope, Role,
-    ScriptedResponse, SessionConfig, SessionFaults, SessionOutcome, ViewRead,
+    paint_view, paint_view_mask, CollaborationSession, HumanScript, Role, ScriptedResponse,
+    SessionConfig, SessionFaults, SessionOutcome, ViewRead, ViewWorker,
 };
 use hdc_figure::{MarshallingSign, Signaller, ViewSpec};
 use hdc_geometry::Vec3;
@@ -133,14 +134,20 @@ struct ModeRun {
     wall_ms: Spread,
 }
 
-/// Runs the idle-heavy mission alone in one scheduler mode: its counts
-/// and wall milliseconds.
-fn run_idle_mission(config: SessionConfig, mode: ScheduleMode) -> (ModeCounts, f64) {
+/// Runs the idle-heavy mission alone in one scheduler mode on `worker`,
+/// its table of reads emptied first, so every run reads its own views
+/// through warm buffers: its counts and wall milliseconds.
+fn run_idle_mission(
+    config: SessionConfig,
+    mode: ScheduleMode,
+    worker: &mut ViewWorker,
+) -> (ModeCounts, f64) {
+    worker.forget_reads();
     let mut session = CollaborationSession::new(config);
     let started = Instant::now();
     match mode {
-        ScheduleMode::Lockstep => session.run(),
-        ScheduleMode::EventDriven => session.run_events(),
+        ScheduleMode::Lockstep => session.run_with(worker),
+        ScheduleMode::EventDriven => session.run_events_with(worker),
     };
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let (drone_ticks, dispatches) = (session.drone_ticks(), session.advances());
@@ -156,15 +163,16 @@ fn run_idle_mission(config: SessionConfig, mode: ScheduleMode) -> (ModeCounts, f
     (counts, wall_ms)
 }
 
-/// The idle mission in both scheduler modes, `repeats` times, the modes
-/// interleaved so a host spell lands on both; `[lockstep, event-driven]`.
-fn idle_missions(config: SessionConfig, repeats: usize) -> [ModeRun; 2] {
+/// The idle mission in both scheduler modes, `repeats` times on `worker`,
+/// the modes interleaved so a host spell lands on both; `[lockstep,
+/// event-driven]`.
+fn idle_missions(config: SessionConfig, repeats: usize, worker: &mut ViewWorker) -> [ModeRun; 2] {
     let modes = [ScheduleMode::Lockstep, ScheduleMode::EventDriven];
     let mut counts: [Option<ModeCounts>; 2] = [None, None];
     let mut walls: [Vec<f64>; 2] = Default::default();
     for _ in 0..repeats {
         for (i, mode) in modes.into_iter().enumerate() {
-            let (run, wall_ms) = run_idle_mission(config, mode);
+            let (run, wall_ms) = run_idle_mission(config, mode, worker);
             let first = *counts[i].get_or_insert(run);
             assert_eq!(
                 run, first,
@@ -239,21 +247,19 @@ fn changed_views(configs: &[SessionConfig]) -> (usize, Vec<(Signaller, Vec3)>) {
     (total, out)
 }
 
-/// The views `configs` take from a farm's shared table of reads when run
-/// in config order in one [`ReadScope`] on this thread — a one-worker
-/// farm — as `[scripted, stochastic]` humans, and the frames and views
-/// reused they report.
-fn shared_hits(configs: &[SessionConfig]) -> ([u64; 2], u64, u64) {
-    let scope = ReadScope::open();
+/// The views `configs` take from the table of reads of `worker`, emptied
+/// first, when run in config order on it — as a one-worker farm runs them
+/// — as `[scripted, stochastic]` humans, and the frames and views reused
+/// they report.
+fn shared_hits(configs: &[SessionConfig], worker: &mut ViewWorker) -> ([u64; 2], u64, u64) {
+    worker.forget_reads();
     let (mut hits, mut frames, mut reused) = ([0; 2], 0, 0);
     for c in configs {
-        let before = ReadScope::hits();
-        let report = scope.enter(|| {
-            let mut session = CollaborationSession::new(*c);
-            session.run_events();
-            session.into_report()
-        });
-        hits[usize::from(c.script.is_none())] += ReadScope::hits() - before;
+        let before = worker.hits();
+        let mut session = CollaborationSession::new(*c);
+        session.run_events_with(worker);
+        let report = session.into_report();
+        hits[usize::from(c.script.is_none())] += worker.hits() - before;
         frames += report.frames_processed as u64;
         reused += report.views_reused as u64;
     }
@@ -288,8 +294,8 @@ struct MissSplit {
 }
 
 /// Captures the changed views of a small mixed farm and times the
-/// miss-path stages on them.
-fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
+/// miss-path stages on them, reading through `worker`.
+fn miss_path_split(sessions: usize, repeats: usize, worker: &mut ViewWorker) -> MissSplit {
     let mut rng = SplitMix64::stream(0x5E55, 1);
     let configs: Vec<SessionConfig> = (0..sessions).map(|i| mixed_config(i, &mut rng)).collect();
     let stats = run_session_farm(&configs, ScheduleMode::EventDriven, rng.next_u64());
@@ -299,7 +305,7 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
         total_views as u64 - stats.views_reused,
         "every changed view, and only those, misses the view memo"
     );
-    let (shared_hits, frames, reused) = shared_hits(&configs);
+    let (shared_hits, frames, reused) = shared_hits(&configs, worker);
     assert_eq!(
         (frames, reused),
         (stats.frames_processed, stats.views_reused),
@@ -334,12 +340,12 @@ fn miss_path_split(sessions: usize, repeats: usize) -> MissSplit {
             let t0 = Instant::now();
             paint_view_mask(signaller, *eye, &mut mask);
             let t1 = Instant::now();
-            let from_mask = ViewRead::mask(&mask, &pipeline, true);
+            let from_mask = ViewRead::mask(worker, &mask, &pipeline, true);
             let t2 = Instant::now();
             // the grey oracle
             paint_view(signaller, *eye, &mut frame);
             let t3 = Instant::now();
-            let one = ViewRead::frame(&frame, &pipeline, true);
+            let one = ViewRead::frame(worker, &frame, &pipeline, true);
             let t4 = Instant::now();
             // each read follows a fresh render, as on the loop's miss path
             paint_view(signaller, *eye, &mut frame);
@@ -491,7 +497,10 @@ fn main() {
         idle_cfg.negotiation.attention_timeout_s,
         if smoke { " [smoke]" } else { "" }
     );
-    let [lock, event] = idle_missions(idle_cfg, repeats);
+    // one view worker for every session this bench runs itself, as one
+    // farm worker would serve them
+    let mut worker = ViewWorker::new();
+    let [lock, event] = idle_missions(idle_cfg, repeats, &mut worker);
     assert_eq!(
         lock.counts.outcome, event.counts.outcome,
         "the schedulers must agree on the idle mission's outcome"
@@ -609,7 +618,7 @@ fn main() {
     );
 
     // --- miss-path split over the changed views of a mixed farm ---
-    let split = miss_path_split(if smoke { 12 } else { 96 }, repeats);
+    let split = miss_path_split(if smoke { 12 } else { 96 }, repeats, &mut worker);
     println!(
         "miss path: {} sessions, {} owner frames processed, {} views, {} reused, {} changed, \
          {} of them holding more than one component",

@@ -7,7 +7,7 @@
 
 use crate::report::{num, pct, Table};
 use hdc_core::{
-    CollaborationSession, LogEntry, ProtocolAction, Role, SessionConfig, SessionOutcome,
+    CollaborationSession, LogEntry, ProtocolAction, Role, SessionConfig, SessionOutcome, ViewWorker,
 };
 use hdc_drone::{
     Drone, DroneConfig, DroneEvent, FlightPattern, LedColor, LedMode, LedRing, VerticalAnimation,
@@ -860,13 +860,13 @@ pub fn e12_safety_injection() -> String {
             CollaborationSession::new(SessionConfig::for_role(Role::Worker, true, seed));
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xDEAD);
         let fire_at = rng.gen_range(2.0..25.0);
-        let mut fired = false;
+        let (mut fired, mut worker) = (false, ViewWorker::new());
         while !session.is_done() && session.time() < 120.0 {
             if !fired && session.time() >= fire_at {
                 session.inject_safety("injected fault");
                 fired = true;
             }
-            session.step();
+            session.step_with(&mut worker);
         }
         let drone = session.drone();
         let entered_before_yes = session

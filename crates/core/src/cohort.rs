@@ -38,7 +38,7 @@
 //! manifests prove both.
 
 use crate::log::LogEntry;
-use crate::view::{calibrated_pipeline, Calibrated, ViewMemo};
+use crate::view::{calibrated_pipeline, Calibrated, ViewMemo, ViewWorker};
 use hdc_figure::{MarshallingSign, Signaller, ViewSpec};
 use hdc_geometry::azimuth::{in_dead_angle_deg, relative_azimuth_rad, rotate_about};
 use hdc_geometry::Vec3;
@@ -300,7 +300,13 @@ impl Cohort {
     /// reads through its view memo: a repeat of its previous view reuses
     /// that view's features and static decision instead of rendering and
     /// recognising again.
-    pub fn sense(&mut self, now: f64, signaller: &Signaller, owner_eye: Vec3) {
+    pub fn sense(
+        &mut self,
+        worker: &mut ViewWorker,
+        now: f64,
+        signaller: &Signaller,
+        owner_eye: Vec3,
+    ) {
         let refresh = self.vote_refresh_s;
         let human = signaller.position();
         for member in &mut self.members {
@@ -320,7 +326,9 @@ impl Cohort {
             // never reads the static decision at all.
             let rel_az = relative_azimuth_rad(human, signaller.heading(), ground);
             let blind = in_dead_angle_deg(rel_az.to_degrees());
-            let read = member.memo.view(signaller, eye, &member.pipeline, !blind);
+            let read = member
+                .memo
+                .view(worker, signaller, eye, &member.pipeline, !blind);
 
             // dynamic channel first — a wave-off outranks any static read
             member.dynamic.push_features(now, read.features);
@@ -641,6 +649,7 @@ mod tests {
         let human = Vec2::new(12.0, 8.0);
         let mut rng = SmallRng::seed_from_u64(5);
         let (mut pose, mut heading, mut bearing) = (Pose::neutral(), 0.3, 0.3_f64);
+        let mut worker = ViewWorker::new();
         for k in 0..120 {
             let t = k as f64 * 0.5;
             if rng.gen::<f64>() < 0.4 {
@@ -658,11 +667,11 @@ mod tests {
             }
             let signaller = Signaller::new(human, heading, pose);
             let eye = Vec3::from_xy(human + Vec2::new(bearing.cos(), bearing.sin()) * 3.0, 4.0);
-            fast.sense(t, &signaller, eye);
+            fast.sense(&mut worker, t, &signaller, eye);
             for member in &mut full.members {
                 member.memo = ViewMemo::default();
             }
-            full.sense(t, &signaller, eye);
+            full.sense(&mut ViewWorker::new(), t, &signaller, eye);
             let (a, b) = (fast.pump(t), full.pump(t));
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "frame {k}");
         }

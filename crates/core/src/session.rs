@@ -17,9 +17,7 @@ use crate::protocol::{
 };
 use crate::roles::Role;
 use crate::safety::SafetyMonitor;
-use crate::view::{
-    calibrated_pipeline, painted_view_frame, return_view_frame, Calibrated, ViewMemo, ViewRead,
-};
+use crate::view::{calibrated_pipeline, Calibrated, ViewMemo, ViewRead, ViewWorker};
 use hdc_drone::{
     Drone, DroneConfig, DroneEvent, FlightPattern, LedMode, PatternClassifier, PatternKind,
     WindModel,
@@ -734,8 +732,9 @@ impl CollaborationSession {
         self.faults.as_mut().map_or(0.0, |f| f.response_delay(t))
     }
 
-    /// Renders the drone's camera view of the human and runs recognition.
-    fn process_frame(&mut self) {
+    /// Renders the drone's camera view of the human and runs recognition,
+    /// reading every view through `worker`.
+    fn process_frame(&mut self, worker: &mut ViewWorker) {
         let drone_pos = self.drone.state().position;
         let distance = drone_pos.xy().distance(self.config.human_position);
         if distance < 0.5 {
@@ -756,13 +755,15 @@ impl CollaborationSession {
         // surface at the next cohort pump. The fault layer below touches
         // only the owner's frame — observer impairment is the relay model.
         if let Some(cohort) = self.cohort.as_mut() {
-            cohort.sense(self.time, &signaller, eye);
+            cohort.sense(worker, self.time, &signaller, eye);
         }
 
         // An installed fault layer may rewrite pixels and must see every
         // frame in order, so only an unfaulted owner reads through its memo.
         let Some(faults) = self.faults.as_mut() else {
-            let read = self.memo.view(&signaller, eye, &self.pipeline, true);
+            let read = self
+                .memo
+                .view(worker, &signaller, eye, &self.pipeline, true);
             self.ingest_read(read);
             return;
         };
@@ -771,27 +772,22 @@ impl CollaborationSession {
         // either recognition channel does
         let t = self.time;
         faults.on_view(t, &signaller, eye);
-        let mut frame = painted_view_frame(&signaller, eye);
-        let fate = faults.on_frame(t, &mut frame);
-        match fate {
-            FrameFate::Deliver => self.ingest_frame(&frame),
-            FrameFate::Drop => self.frames_dropped += 1,
-            FrameFate::Duplicate => {
-                self.frames_duplicated += 1;
-                self.ingest_frame(&frame);
-                // the stuck buffer only matters while we are still listening
-                if !self.machine.state().is_terminal() {
-                    self.ingest_frame(&frame);
-                }
+        let (fate, read) = worker.read_faulted(&signaller, eye, &self.pipeline, |frame| {
+            faults.on_frame(t, frame)
+        });
+        let Some(read) = read else {
+            self.frames_dropped += 1;
+            return;
+        };
+        self.ingest_read(read);
+        // a stuck buffer delivers the same frame again, which reads the
+        // same; it only matters while we are still listening
+        if fate == FrameFate::Duplicate {
+            self.frames_duplicated += 1;
+            if !self.machine.state().is_terminal() {
+                self.ingest_read(read);
             }
         }
-        return_view_frame(frame);
-    }
-
-    /// Feeds one delivered camera frame to both recognition channels.
-    fn ingest_frame(&mut self, frame: &GrayImage) {
-        let read = ViewRead::frame(frame, &self.pipeline, true);
-        self.ingest_read(read);
     }
 
     /// Feeds one view's read — fresh or served from the memo — through both
@@ -870,30 +866,49 @@ impl CollaborationSession {
         self.dispatch(LinkEvent::Safety);
     }
 
-    /// Advances the session by one lockstep tick of `DT` seconds.
+    /// Advances the session by one lockstep tick of `DT` seconds, reading
+    /// its camera views through a fresh [`ViewWorker`].
     pub fn step(&mut self) {
+        self.step_with(&mut ViewWorker::new());
+    }
+
+    /// [`step`](CollaborationSession::step), reading camera views through
+    /// `worker`: the same pass whatever the worker has read before.
+    pub fn step_with(&mut self, worker: &mut ViewWorker) {
         self.time += DT;
-        self.step_body(DT);
+        self.step_body(DT, worker);
     }
 
     /// Advances the session directly to absolute time `t` (event-driven
     /// mode): one pass of the session loop covering the whole span since the
-    /// previous pass, with the idle drone coasting across the gap.
+    /// previous pass, with the idle drone coasting across the gap. Its
+    /// camera views are read through a fresh [`ViewWorker`], so a caller
+    /// that keeps many sessions side by side keeps no frame buffers between
+    /// their passes.
     ///
     /// # Panics
     /// Panics unless `t` is strictly after the current session time.
     pub fn step_to(&mut self, t: f64) {
+        self.step_to_with(t, &mut ViewWorker::new());
+    }
+
+    /// [`step_to`](CollaborationSession::step_to), reading camera views
+    /// through `worker`: the same pass whatever the worker has read before.
+    ///
+    /// # Panics
+    /// Panics unless `t` is strictly after the current session time.
+    pub fn step_to_with(&mut self, t: f64, worker: &mut ViewWorker) {
         let dt = t - self.time;
         assert!(dt > 0.0, "step_to must move time forward");
         self.time = t;
-        self.step_body(dt);
+        self.step_body(dt, worker);
     }
 
     /// One pass of the session loop. `self.time` has already been advanced;
     /// `dt` is the span this pass covers (always exactly `DT` in lockstep
     /// mode, so lockstep behaviour is bit-identical to the pre-scheduler
     /// engine).
-    fn step_body(&mut self, dt: f64) {
+    fn step_body(&mut self, dt: f64, worker: &mut ViewWorker) {
         self.advances += 1;
         // --- fault layer: mid-negotiation role change ---
         let t = self.time;
@@ -1023,7 +1038,7 @@ impl CollaborationSession {
         );
         if listening && !self.drone.is_executing() && self.time >= self.next_frame_at {
             self.next_frame_at = self.time + self.config.frame_interval_s;
-            self.process_frame();
+            self.process_frame(worker);
         }
 
         // --- datalink ---
@@ -1078,11 +1093,17 @@ impl CollaborationSession {
         }
     }
 
-    /// Runs to completion (terminal protocol state or the time cap) and
-    /// reports.
+    /// Runs to completion (terminal protocol state or the time cap) in
+    /// lockstep, reading camera views through one fresh [`ViewWorker`].
     pub fn run(&mut self) -> SessionOutcome {
+        self.run_with(&mut ViewWorker::new())
+    }
+
+    /// [`run`](CollaborationSession::run), reading camera views through
+    /// `worker`.
+    pub fn run_with(&mut self, worker: &mut ViewWorker) -> SessionOutcome {
         while !self.is_done() && self.time < self.config.max_duration_s {
-            self.step();
+            self.step_with(worker);
         }
         self.machine.outcome()
     }
@@ -1149,8 +1170,16 @@ impl CollaborationSession {
     /// traces, gap-dependent float sums) — the event-driven golden manifest
     /// pins this mode separately.
     ///
+    /// Its camera views are read through one fresh [`ViewWorker`].
+    ///
     /// [`run`]: CollaborationSession::run
     pub fn run_events(&mut self) -> SessionOutcome {
+        self.run_events_with(&mut ViewWorker::new())
+    }
+
+    /// [`run_events`](CollaborationSession::run_events), reading camera
+    /// views through `worker`.
+    pub fn run_events_with(&mut self, worker: &mut ViewWorker) -> SessionOutcome {
         while !self.is_done() && self.time < self.config.max_duration_s {
             let now = self.time;
             let mut target = self.next_due_after(now);
@@ -1158,7 +1187,7 @@ impl CollaborationSession {
                 // overdue or immediate work (NaN-proof): take one tick
                 target = now + DT;
             }
-            self.step_to(target.min(self.config.max_duration_s));
+            self.step_to_with(target.min(self.config.max_duration_s), worker);
         }
         self.machine.outcome()
     }

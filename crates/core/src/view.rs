@@ -19,37 +19,37 @@
 //! changes) reads the view once, and never as a grey frame. The silhouette
 //! is pure 0/255 and the loop segments at `Fixed(128)`, so its segmented
 //! mask is just its foreground: [`paint_view_mask`] rasterises the
-//! signaller's row spans straight into one per-thread packed mask, and
-//! [`RecognitionPipeline::read_mask_with`] labels it through one
-//! per-thread [`FrameScratch`]. The wave-off channel takes its
-//! [`FrameFeatures`] from the largest component, and the static channel
-//! (when asked) traces that same blob to its decision. That component is
-//! bit-identical to the one the wave-off detector would label in
-//! `binarize(paint_view(..), 128)`, so nothing is rendered or read twice.
-//! A faulted owner frame, which the fault layer may rewrite, is still a
-//! grey frame: [`paint_view`] paints it into one per-thread frame, reused
-//! from view to view, and [`ViewRead::frame`] segments and reads it
-//! through the same per-thread scratch.
+//! signaller's row spans straight into a [`ViewWorker`]'s packed mask, and
+//! [`RecognitionPipeline::read_mask_with`] labels it through the worker's
+//! [`FrameScratch`]. The wave-off channel takes its [`FrameFeatures`] from
+//! the largest component, and the static channel (when asked) traces that
+//! same blob to its decision. That component is bit-identical to the one
+//! the wave-off detector would label in `binarize(paint_view(..), 128)`, so
+//! nothing is rendered or read twice. A faulted owner frame, which the
+//! fault layer may rewrite, is still a grey frame: [`paint_view`] paints it
+//! into the worker's grey frame, reused from view to view, and it is read
+//! through the same scratch.
 //!
 //! A view is a pure function of its key and of the calibration, so a read
 //! is valid for every camera on the same calibrated pipeline, not only for
-//! the camera that made it. Inside a [`ReadScope`] — one per session farm
-//! — a memo miss first asks its thread's shared table of reads, keyed on
-//! the view's inputs and the calibration spec's bits, and only a miss
-//! there reads the view. Each camera's own memo counts and remembers
-//! exactly as it would without the table, so only the work changes.
+//! the camera that made it. A memo miss therefore first asks its worker's
+//! table of reads, keyed on the view's inputs and the calibration spec's
+//! bits, and only a miss there reads the view. Each camera's own memo
+//! counts and remembers exactly as it would without the table, so only the
+//! work changes. The worker is an argument of every read, never hidden
+//! state: whoever runs a session decides which worker it reads through and
+//! how long the worker's reads live (the session farm empties them per
+//! farm call).
 //!
-//! Memory: the mask, the faulted path's grey frame and the scratch are per
-//! thread, not per session, so resident memory does not grow with the
-//! number of live sessions, and the memo-miss path holds no grey frame at
-//! all; the grey frame exists only on a thread that has run a faulted
-//! owner. A silhouette that is one component is traced where it was
+//! Memory: the mask, the faulted path's grey frame and the scratch belong
+//! to a worker, not a camera, so resident memory grows with the number of
+//! workers, not of cameras, and the memo-miss path holds no grey frame at
+//! all; the grey frame exists only in a worker that has read a faulted
+//! owner view. A silhouette that is one component is traced where it was
 //! rasterised, so the scratch never grows a second frame-sized blob for
-//! it: each pool worker's thread keeps one packed mask, not two. A thread
-//! that has run a farm also keeps at most [`SHARED_CAPACITY`] reads
-//! (features and a decision each, no pixels), emptied when it enters the
-//! next farm's scope or when full. Each camera keeps only its
-//! [`ViewMemo`] — a key and two small results — and a
+//! it. A worker also keeps at most [`SHARED_CAPACITY`] reads (features and
+//! a decision each, no pixels), emptied when full. Each camera keeps only
+//! its [`ViewMemo`] — a key and two small results — and a
 //! [`DynamicRecognizer`](hdc_vision::dynamic::DynamicRecognizer) whose
 //! labelling buffers stay empty, because the loop never hands it a mask.
 //!
@@ -58,6 +58,7 @@
 //! the result with every thread, so building a session, on any worker, no
 //! longer re-renders the enrolment views.
 
+use crate::session::FrameFate;
 use hdc_figure::{
     paint_signaller, paint_silhouette, BodyDimensions, MarshallingSign, Pose, Signaller, ViewSpec,
 };
@@ -65,10 +66,8 @@ use hdc_geometry::{CameraIntrinsics, PinholeCamera, Vec3};
 use hdc_raster::{BitMask, GrayImage};
 use hdc_vision::dynamic::FrameFeatures;
 use hdc_vision::{FrameRead, FrameScratch, PipelineConfig, RecognitionPipeline};
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The loop's camera: 640×480, 640 px focal length, at `eye`, aimed at the
@@ -103,37 +102,115 @@ pub fn paint_view_mask(signaller: &Signaller, eye: Vec3, mask: &mut BitMask) {
     paint_silhouette(signaller, &camera, mask);
 }
 
-/// [`paint_view`] into this thread's reusable grey frame, handed over by
-/// value — the form a fault layer, which may rewrite the frame, is given.
-/// [`return_view_frame`] hands it back for the next faulted view.
-pub(crate) fn painted_view_frame(signaller: &Signaller, eye: Vec3) -> GrayImage {
-    let mut frame = VIEW_FRAME.take().unwrap_or_else(|| GrayImage::new(1, 1));
-    paint_view(signaller, eye, &mut frame);
-    frame
-}
-
-/// Gives back the frame [`painted_view_frame`] handed over.
-pub(crate) fn return_view_frame(frame: GrayImage) {
-    VIEW_FRAME.set(Some(frame));
-}
-
-/// The buffers a view read runs through, one set per thread.
-struct ViewScratch {
-    /// The packed silhouette a memo miss is rasterised into.
+/// The buffers and the table of reads that camera views are read through.
+///
+/// A worker is scratch, never input: every read through it equals the read
+/// a fresh worker would make, so which worker serves a view — fresh, or one
+/// that has read other sessions' views before — never changes a result,
+/// only the work. It holds
+/// - the packed mask a memo miss is rasterised into ([`ViewRead::view`]);
+/// - the segmentation, labelling and recognition buffers ([`FrameScratch`]);
+/// - the grey frame a faulted owner view is painted into, so a fault layer
+///   can rewrite it;
+/// - a table of at most [`SHARED_CAPACITY`] reads, keyed on a view's inputs
+///   and its calibration spec's bits, that every camera reading through
+///   this worker asks before it reads a view ([`ViewMemo::view`]).
+///
+/// Every buffer starts empty and grows to frame size on first use. Its
+/// `Debug` shows none of its contents, so a structure holding a worker
+/// prints the same whatever the worker has read.
+pub struct ViewWorker {
     mask: BitMask,
-    /// Segmentation, labelling and recognition buffers.
     recognition: FrameScratch,
+    /// Painted only by a faulted owner view, so `None` until the first.
+    frame: Option<GrayImage>,
+    reads: HashMap<SharedKey, ViewRead>,
+    /// Views served from the table, ever.
+    hits: u64,
 }
 
-thread_local! {
-    static VIEW_SCRATCH: RefCell<ViewScratch> = RefCell::new(ViewScratch {
-        mask: BitMask::new(1, 1),
-        recognition: FrameScratch::new(),
-    });
-    /// The grey frame faulted owner views are painted into. It is taken
-    /// out while a fault layer and the read hold it, so it never shares a
-    /// borrow with [`VIEW_SCRATCH`].
-    static VIEW_FRAME: Cell<Option<GrayImage>> = const { Cell::new(None) };
+impl ViewWorker {
+    /// A worker whose buffers and table are empty.
+    pub fn new() -> Self {
+        ViewWorker {
+            mask: BitMask::new(1, 1),
+            recognition: FrameScratch::new(),
+            frame: None,
+            reads: HashMap::new(),
+            hits: 0,
+        }
+    }
+
+    /// Views served from this worker's table of reads so far. Which views a
+    /// worker serves depends on what it read before, so the count belongs
+    /// with wall-time metrics, never with a session's results.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Empties the table of reads and keeps the buffers, so no read this
+    /// worker stored serves the views that follow.
+    pub fn forget_reads(&mut self) {
+        self.reads.clear();
+    }
+
+    /// Paints `signaller` as seen from `eye` into this worker's grey frame,
+    /// hands the frame to `fault`, which may rewrite it, and — unless
+    /// `fault` drops it — reads what is left through `pipeline`, with its
+    /// static decision. The faulted owner's path: no memo, no table.
+    pub(crate) fn read_faulted(
+        &mut self,
+        signaller: &Signaller,
+        eye: Vec3,
+        pipeline: &RecognitionPipeline,
+        fault: impl FnOnce(&mut GrayImage) -> FrameFate,
+    ) -> (FrameFate, Option<ViewRead>) {
+        let frame = self.frame.get_or_insert_with(|| GrayImage::new(1, 1));
+        paint_view(signaller, eye, frame);
+        let fate = fault(frame);
+        let read = (fate != FrameFate::Drop)
+            .then(|| ViewRead::of(pipeline.read_with(&mut self.recognition, frame, true)));
+        (fate, read)
+    }
+
+    /// The stored read of `key`, as a fresh [`ViewRead::view`] with this
+    /// `needs_decision` would return it: a sighted read serves a blind
+    /// request without its decision, and a blind one never serves a
+    /// sighted request.
+    fn stored(&mut self, key: &SharedKey, needs_decision: bool) -> Option<ViewRead> {
+        let stored = self.reads.get(key)?;
+        if needs_decision && stored.decision.is_none() {
+            return None;
+        }
+        self.hits += 1;
+        Some(ViewRead {
+            features: stored.features,
+            decision: stored.decision.filter(|_| needs_decision),
+        })
+    }
+
+    /// Stores a fresh read of `key` (a sighted read replaces a blind one);
+    /// [`ViewWorker::stored`] has already missed it. A full table is
+    /// emptied first.
+    fn store(&mut self, key: SharedKey, read: ViewRead) {
+        if self.reads.len() == SHARED_CAPACITY {
+            self.reads.clear();
+        }
+        self.reads.insert(key, read);
+    }
+}
+
+impl Default for ViewWorker {
+    fn default() -> Self {
+        ViewWorker::new()
+    }
+}
+
+impl std::fmt::Debug for ViewWorker {
+    /// Nothing of the contents: they are scratch and a cache, never state.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ViewWorker").finish_non_exhaustive()
+    }
 }
 
 /// The exact render inputs of one camera view, compared bit for bit
@@ -211,48 +288,53 @@ pub struct ViewRead {
 }
 
 impl ViewRead {
-    /// Reads one delivered frame through the per-thread scratch: the
-    /// features of its largest silhouette component and, if
-    /// `needs_decision`, its static decision — one labelling for both.
-    pub fn frame(frame: &GrayImage, pipeline: &RecognitionPipeline, needs_decision: bool) -> Self {
-        VIEW_SCRATCH.with(|scratch| {
-            let recognition = &mut scratch.borrow_mut().recognition;
-            Self::of(pipeline.read_with(recognition, frame, needs_decision))
-        })
+    /// Reads one delivered frame through `worker`'s scratch: the features
+    /// of its largest silhouette component and, if `needs_decision`, its
+    /// static decision — one labelling for both.
+    pub fn frame(
+        worker: &mut ViewWorker,
+        frame: &GrayImage,
+        pipeline: &RecognitionPipeline,
+        needs_decision: bool,
+    ) -> Self {
+        Self::of(pipeline.read_with(&mut worker.recognition, frame, needs_decision))
     }
 
-    /// Reads a rasterised silhouette mask ([`paint_view_mask`]) through the
-    /// per-thread scratch: [`ViewRead::frame`] of the frame it is the
+    /// Reads a rasterised silhouette mask ([`paint_view_mask`]) through
+    /// `worker`'s scratch: [`ViewRead::frame`] of the frame it is the
     /// foreground of.
     ///
     /// # Panics
     /// Panics unless `pipeline` has the loop's segmentation (see
     /// [`RecognitionPipeline::read_mask_with`]).
-    pub fn mask(mask: &BitMask, pipeline: &RecognitionPipeline, needs_decision: bool) -> Self {
-        VIEW_SCRATCH.with(|scratch| {
-            let recognition = &mut scratch.borrow_mut().recognition;
-            Self::of(pipeline.read_mask_with(recognition, mask, needs_decision))
-        })
+    pub fn mask(
+        worker: &mut ViewWorker,
+        mask: &BitMask,
+        pipeline: &RecognitionPipeline,
+        needs_decision: bool,
+    ) -> Self {
+        Self::of(pipeline.read_mask_with(&mut worker.recognition, mask, needs_decision))
     }
 
-    /// Rasterises `signaller` as seen from `eye` into the per-thread mask
-    /// and reads it there: [`ViewRead::frame`] of [`paint_view`]'s frame,
+    /// Rasterises `signaller` as seen from `eye` into `worker`'s mask and
+    /// reads it there: [`ViewRead::frame`] of [`paint_view`]'s frame,
     /// without the frame. This is the memo-miss path.
     ///
     /// # Panics
     /// Panics unless `pipeline` has the loop's segmentation (see
     /// [`RecognitionPipeline::read_mask_with`]).
     pub fn view(
+        worker: &mut ViewWorker,
         signaller: &Signaller,
         eye: Vec3,
         pipeline: &RecognitionPipeline,
         needs_decision: bool,
     ) -> Self {
-        VIEW_SCRATCH.with(|scratch| {
-            let ViewScratch { mask, recognition } = &mut *scratch.borrow_mut();
-            paint_view_mask(signaller, eye, mask);
-            Self::of(pipeline.read_mask_with(recognition, mask, needs_decision))
-        })
+        let ViewWorker {
+            mask, recognition, ..
+        } = worker;
+        paint_view_mask(signaller, eye, mask);
+        Self::of(pipeline.read_mask_with(recognition, mask, needs_decision))
     }
 
     /// What both channels take from one labelling: the one place a
@@ -277,12 +359,13 @@ pub(crate) struct ViewMemo {
 impl ViewMemo {
     /// The read of `signaller` seen from `eye`. Served from the memo when
     /// the last view had exactly these inputs and (if `needs_decision`) its
-    /// static decision was read; otherwise served from the thread's shared
-    /// table when in a [`ReadScope`] it holds the view, or rasterised into
-    /// the per-thread mask and read once through `pipeline`. Either way the
+    /// static decision was read; otherwise served from `worker`'s table
+    /// when it holds the view, or rasterised into `worker`'s mask and read
+    /// once through `pipeline`, and stored in the table. Either way the
     /// memo remembers it.
     pub fn view(
         &mut self,
+        worker: &mut ViewWorker,
         signaller: &Signaller,
         eye: Vec3,
         pipeline: &Calibrated,
@@ -293,13 +376,11 @@ impl ViewMemo {
             return read;
         }
         let shared = (key, pipeline.spec);
-        let read = SHARED_READS
-            .with_borrow_mut(|table| table.get(&shared, needs_decision))
-            .unwrap_or_else(|| {
-                let read = ViewRead::view(signaller, eye, pipeline, needs_decision);
-                SHARED_READS.with_borrow_mut(|table| table.put(shared, read));
-                read
-            });
+        let read = worker.stored(&shared, needs_decision).unwrap_or_else(|| {
+            let read = ViewRead::view(worker, signaller, eye, pipeline, needs_decision);
+            worker.store(shared, read);
+            read
+        });
         self.last = Some((key, read));
         read
     }
@@ -321,107 +402,14 @@ impl ViewMemo {
     }
 }
 
-/// Reads a thread's shared table holds, at most; a full table is emptied.
-/// A 25-session farm of perfbench's `farm_mixed` misses its cameras' memos
+/// Reads a worker's table holds, at most; a full table is emptied. A
+/// 25-session farm of perfbench's `farm_mixed` misses its cameras' memos
 /// about 120 times, so the table rarely fills within one farm.
 const SHARED_CAPACITY: usize = 256;
-
-/// The last [`ReadScope`] handed out.
-static LAST_SCOPE: AtomicU64 = AtomicU64::new(0);
 
 /// A view's inputs and the bits of the spec its pipeline was calibrated
 /// from: everything its read depends on.
 type SharedKey = (ViewKey, SpecBits);
-
-/// One thread's table of view reads shared between its cameras.
-#[derive(Default)]
-struct SharedReads {
-    /// The scope this thread is in, if any; outside one the table is idle.
-    active: Option<u64>,
-    /// The scope whose reads `reads` holds.
-    scope: u64,
-    reads: HashMap<SharedKey, ViewRead>,
-    /// Views served from the table on this thread, ever.
-    hits: u64,
-}
-
-thread_local! {
-    static SHARED_READS: RefCell<SharedReads> = RefCell::new(SharedReads::default());
-}
-
-impl SharedReads {
-    /// The stored read of `key`, as a fresh [`ViewRead::view`] with this
-    /// `needs_decision` would return it: a sighted read serves a blind
-    /// request without its decision, and a blind one never serves a
-    /// sighted request. Empties a table left from another scope first.
-    fn get(&mut self, key: &SharedKey, needs_decision: bool) -> Option<ViewRead> {
-        let active = self.active?;
-        if self.scope != active {
-            self.reads.clear();
-            self.scope = active;
-        }
-        let stored = self.reads.get(key)?;
-        if needs_decision && stored.decision.is_none() {
-            return None;
-        }
-        self.hits += 1;
-        Some(ViewRead {
-            features: stored.features,
-            decision: stored.decision.filter(|_| needs_decision),
-        })
-    }
-
-    /// Stores a fresh read of `key` (a sighted read replaces a blind one),
-    /// when in a scope; [`SharedReads::get`] has already missed it there.
-    fn put(&mut self, key: SharedKey, read: ViewRead) {
-        if self.active.is_none() {
-            return;
-        }
-        if self.reads.len() == SHARED_CAPACITY {
-            self.reads.clear();
-        }
-        self.reads.insert(key, read);
-    }
-}
-
-/// The scope of one shared table of view reads: one session farm.
-///
-/// Inside [`ReadScope::enter`], every camera view memo on the thread that
-/// misses asks the thread's table before it reads the view, and stores
-/// what it reads. A new scope starts every thread's table empty, so no
-/// read outlives the farm that made it, and outside any scope the table is
-/// neither asked nor written.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadScope(u64);
-
-impl ReadScope {
-    /// A scope no thread has entered yet.
-    pub fn open() -> Self {
-        ReadScope(LAST_SCOPE.fetch_add(1, Ordering::Relaxed) + 1)
-    }
-
-    /// Runs `f` with this thread's view memos sharing reads within this
-    /// scope, and leaves the scope afterwards, even if `f` panics.
-    pub fn enter<R>(self, f: impl FnOnce() -> R) -> R {
-        struct Leave(Option<u64>);
-        impl Drop for Leave {
-            fn drop(&mut self) {
-                let previous = self.0;
-                SHARED_READS.with_borrow_mut(|table| table.active = previous);
-            }
-        }
-        let _leave = Leave(SHARED_READS.with_borrow_mut(|table| table.active.replace(self.0)));
-        f()
-    }
-
-    /// Views served from this thread's shared table so far, over every
-    /// scope: which views a thread serves depends on which sessions it
-    /// ran, so the count belongs with wall-time metrics, never with a
-    /// session's results.
-    pub fn hits() -> u64 {
-        SHARED_READS.with_borrow(|table| table.hits)
-    }
-}
 
 /// Calibrated pipelines the process keeps, at most — far more geometries
 /// than any one farm or sweep uses at a time.
@@ -536,9 +524,10 @@ mod tests {
         let eye = Vec3::new(12.0 + 3.0 * 0.3f64.cos(), 8.0 + 3.0 * 0.3f64.sin(), 4.0);
         let s = signaller();
         let pipeline = calibrated_pipeline(&ViewSpec::paper_default(0.0, 4.0, 3.0));
+        let mut worker = ViewWorker::new();
         let mut memo = ViewMemo::default();
-        let view = |memo: &mut ViewMemo, eye: Vec3, needs_decision: bool| {
-            memo.view(&s, eye, &pipeline, needs_decision)
+        let mut view = |memo: &mut ViewMemo, eye: Vec3, needs_decision: bool| {
+            memo.view(&mut worker, &s, eye, &pipeline, needs_decision)
         };
 
         let blind = view(&mut memo, eye, false);
@@ -564,43 +553,39 @@ mod tests {
     }
 
     #[test]
-    fn shared_reads_serve_other_cameras_within_one_scope_only() {
+    fn shared_reads_serve_other_cameras_until_forgotten() {
         let eye = Vec3::new(12.0 + 3.0 * 0.3f64.cos(), 8.0 + 3.0 * 0.3f64.sin(), 4.0);
         let s = signaller();
         let pipeline = calibrated_pipeline(&ViewSpec::paper_default(0.0, 4.0, 3.0));
         let other = calibrated_pipeline(&ViewSpec::paper_default(0.0, 4.5, 3.0));
+        let (mut worker, mut fresh) = (ViewWorker::new(), ViewWorker::new());
         // each read comes from a camera that has never seen the view
-        let view = |pipeline: &Calibrated, needs_decision: bool| {
-            ViewMemo::default().view(&s, eye, pipeline, needs_decision)
+        let mut view = |pipeline: &Calibrated, needs_decision: bool| {
+            ViewMemo::default().view(&mut worker, &s, eye, pipeline, needs_decision)
         };
-        let hits = ReadScope::hits();
 
-        // outside a scope the table is neither asked nor written
-        view(&pipeline, true);
-        view(&pipeline, true);
-        assert_eq!(ReadScope::hits(), hits);
+        let blind = view(&pipeline, false);
+        assert_eq!(blind, ViewRead::view(&mut fresh, &s, eye, &pipeline, false));
+        // a blind read never serves a sighted request
+        let sighted = view(&pipeline, true);
+        assert_eq!(
+            sighted,
+            ViewRead::view(&mut fresh, &s, eye, &pipeline, true)
+        );
+        // the sighted read replaced it and serves both, each as fresh
+        assert_eq!(view(&pipeline, true), sighted);
+        assert_eq!(view(&pipeline, false), blind);
+        // another calibration spec is another key
+        view(&other, false);
+        assert_eq!(worker.hits(), 2);
+        assert_eq!(fresh.hits(), 0, "a direct read never asks the table");
 
-        let scope = ReadScope::open();
-        scope.enter(|| {
-            let blind = view(&pipeline, false);
-            assert_eq!(blind, ViewRead::view(&s, eye, &pipeline, false));
-            // a blind read never serves a sighted request
-            let sighted = view(&pipeline, true);
-            assert_eq!(ReadScope::hits(), hits);
-            assert_eq!(sighted, ViewRead::view(&s, eye, &pipeline, true));
-            // the sighted read replaced it and serves both, each as fresh
-            assert_eq!(view(&pipeline, true), sighted);
-            assert_eq!(view(&pipeline, false), blind);
-            assert_eq!(ReadScope::hits(), hits + 2);
-            // another calibration spec is another key
-            view(&other, false);
-            assert_eq!(ReadScope::hits(), hits + 2);
-        });
-        // a new scope starts empty, and re-entering an old one does not
-        // bring back what the new one emptied
-        ReadScope::open().enter(|| view(&pipeline, true));
-        scope.enter(|| view(&pipeline, true));
-        assert_eq!(ReadScope::hits(), hits + 2);
+        // a forgotten table serves nothing, and the count goes on
+        worker.forget_reads();
+        ViewMemo::default().view(&mut worker, &s, eye, &pipeline, true);
+        assert_eq!(worker.hits(), 2);
+        ViewMemo::default().view(&mut worker, &s, eye, &pipeline, true);
+        assert_eq!(worker.hits(), 3);
     }
 
     #[test]
@@ -618,33 +603,31 @@ mod tests {
         ];
         let eyes = [Vec3::new(15.0, 8.0, 4.0), Vec3::new(12.0, 11.0, 5.0)];
         let mut cameras: [ViewMemo; 3] = Default::default();
-        let (hits, mut served) = (ReadScope::hits(), 0);
-        ReadScope::open().enter(|| {
-            for _ in 0..200 {
-                let s = Signaller::new(
-                    Vec2::new(12.0, 8.0),
-                    0.3,
-                    poses[rng.gen_range(0..poses.len())],
-                );
-                let eye = eyes[rng.gen_range(0..eyes.len())];
-                let pipeline = &specs[rng.gen_range(0..specs.len())];
-                let needs_decision = rng.gen::<bool>();
-                let camera = &mut cameras[rng.gen_range(0..3)];
-                let (before, reused) = (ReadScope::hits(), camera.reused());
-                let read = camera.view(&s, eye, pipeline, needs_decision);
-                let fresh = ViewRead::view(&s, eye, pipeline, needs_decision);
-                if camera.reused() > reused {
-                    // the camera's own last read, which may carry a decision
-                    // nobody asked for
-                    assert_eq!(read.features, fresh.features);
-                    assert!(!needs_decision || read.decision == fresh.decision);
-                } else {
-                    served += ReadScope::hits() - before;
-                    assert_eq!(read, fresh);
-                }
+        let (mut worker, mut fresh, mut served) = (ViewWorker::new(), ViewWorker::new(), 0);
+        for _ in 0..200 {
+            let s = Signaller::new(
+                Vec2::new(12.0, 8.0),
+                0.3,
+                poses[rng.gen_range(0..poses.len())],
+            );
+            let eye = eyes[rng.gen_range(0..eyes.len())];
+            let pipeline = &specs[rng.gen_range(0..specs.len())];
+            let needs_decision = rng.gen::<bool>();
+            let camera = &mut cameras[rng.gen_range(0..3)];
+            let (before, reused) = (worker.hits(), camera.reused());
+            let read = camera.view(&mut worker, &s, eye, pipeline, needs_decision);
+            let expected = ViewRead::view(&mut fresh, &s, eye, pipeline, needs_decision);
+            if camera.reused() > reused {
+                // the camera's own last read, which may carry a decision
+                // nobody asked for
+                assert_eq!(read.features, expected.features);
+                assert!(!needs_decision || read.decision == expected.decision);
+            } else {
+                served += worker.hits() - before;
+                assert_eq!(read, expected);
             }
-        });
-        assert_eq!(ReadScope::hits() - hits, served);
+        }
+        assert_eq!(worker.hits(), served);
         assert!(served > 10, "only {served} reads came from the table");
     }
 
@@ -654,18 +637,24 @@ mod tests {
             features: None,
             decision: None,
         };
-        let mut table = SharedReads {
-            active: Some(1),
-            scope: 1,
-            ..SharedReads::default()
-        };
+        let mut worker = ViewWorker::new();
         for i in 0..=SHARED_CAPACITY as u64 {
-            table.put((ViewKey([i; 22]), [0; 6]), blind);
+            worker.store((ViewKey([i; 22]), [0; 6]), blind);
         }
-        assert_eq!(table.reads.len(), 1);
-        assert_eq!(table.get(&(ViewKey([0; 22]), [0; 6]), false), None);
+        assert_eq!(worker.reads.len(), 1);
+        assert_eq!(worker.stored(&(ViewKey([0; 22]), [0; 6]), false), None);
         let last = (ViewKey([SHARED_CAPACITY as u64; 22]), [0; 6]);
-        assert_eq!(table.get(&last, false), Some(blind));
+        assert_eq!(worker.stored(&last, false), Some(blind));
+    }
+
+    #[test]
+    fn a_worker_prints_none_of_its_contents() {
+        let mut worker = ViewWorker::new();
+        let before = format!("{worker:?}");
+        let pipeline = calibrated_pipeline(&ViewSpec::paper_default(0.0, 4.0, 3.0));
+        let eye = Vec3::new(15.0, 8.0, 4.0);
+        ViewMemo::default().view(&mut worker, &signaller(), eye, &pipeline, true);
+        assert_eq!(format!("{worker:?}"), before);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! growth: the log's, and the wave-off channel's window.
 
 use hdc_core::{
-    CollaborationSession, HumanScript, LogEntry, Role, ScriptedResponse, SessionConfig,
+    CollaborationSession, HumanScript, LogEntry, Role, ScriptedResponse, SessionConfig, ViewWorker,
 };
 use hdc_figure::MarshallingSign;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -70,14 +70,18 @@ fn session() -> CollaborationSession {
 #[test]
 fn decided_steps_do_not_allocate() {
     // warm-up: the first session calibrates the pipeline and grows the
-    // per-thread read buffers
-    session().run();
+    // view worker's buffers, which the measured session reads through;
+    // its table is emptied, so the measured session reads every view its
+    // memo misses itself
+    let mut worker = ViewWorker::new();
+    session().run_with(&mut worker);
+    worker.forget_reads();
 
     let mut session = session();
     let (mut decided, mut allocated) = (0, 0);
     while !session.is_done() {
         let (entries, before) = (session.log().len(), allocations());
-        session.step();
+        session.step_with(&mut worker);
         let spent = allocations() - before;
         if let [(_, LogEntry::Recognized(Some(_)))] = &session.log().entries()[entries..] {
             decided += 1;

@@ -4,10 +4,10 @@
 //! path on every camera frame, because the layer may rewrite pixels. A
 //! counting global allocator records each frame-sized block (a 640×480
 //! grey frame is 307 200 bytes) allocated on the measuring thread: after
-//! the first faulted frames have grown the per-thread buffers, further
-//! frames must allocate none.
+//! the first faulted frames have grown a view worker's buffers, further
+//! frames read through that worker must allocate none.
 
-use hdc_core::{CollaborationSession, FrameFate, SessionConfig, SessionFaults};
+use hdc_core::{CollaborationSession, FrameFate, SessionConfig, SessionFaults, ViewWorker};
 use hdc_raster::GrayImage;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -71,22 +71,24 @@ impl SessionFaults for CountFrames {
     }
 }
 
-/// Runs one faulted session to its end; returns the frames it delivered.
-fn run_faulted(seed: u64) -> usize {
+/// Runs one faulted session to its end on `worker`; returns the frames it
+/// delivered.
+fn run_faulted(seed: u64, worker: &mut ViewWorker) -> usize {
     let frames = Rc::new(Cell::new(0));
     let mut session = CollaborationSession::new(SessionConfig::worker_example(seed));
     session.set_faults(Box::new(CountFrames(Rc::clone(&frames))));
-    session.run();
+    session.run_with(worker);
     frames.get()
 }
 
 #[test]
 fn faulted_frames_reuse_one_grey_frame() {
-    // warm-up: the first faulted session grows the per-thread frame and
-    // recognition scratch
-    assert!(run_faulted(7) > 0);
+    // warm-up: the first faulted session grows the view worker's frame and
+    // recognition scratch, which the measured sessions read through
+    let mut worker = ViewWorker::new();
+    assert!(run_faulted(7, &mut worker) > 0);
     let before = frame_sized();
-    let measured: usize = (8..12).map(run_faulted).sum();
+    let measured: usize = (8..12).map(|seed| run_faulted(seed, &mut worker)).sum();
     assert!(measured >= 30, "only {measured} frames after warm-up");
     assert_eq!(
         frame_sized() - before,

@@ -1,32 +1,31 @@
-//! A read served from a farm's shared table is the read the camera would
+//! A read served from a view worker's table is the read the camera would
 //! have made itself.
 //!
-//! Inside a `ReadScope`, a camera whose own memo misses asks its thread's
-//! table of view reads before it reads the view. Every session here runs
-//! twice in lock step, pass by pass: once inside one scope shared with the
-//! sessions before it, and once outside any scope, where every memo miss
-//! is a fresh `ViewRead::view`. After every pass the two sessions' whole
-//! state must print the same (`Debug`), and that state holds each camera's
-//! last read — the owner's and every cohort observer's, blind or sighted —
-//! so every read served from the table equals the fresh one, and a blind
-//! read never stands in for a sighted one. The sessions vary in role,
-//! consent, scripted and stochastic humans, heading, datalink, cohort and
-//! calibration spec (two negotiation altitudes), and each case runs one of
-//! them twice, so its second run takes its reads from the table.
+//! A camera whose own memo misses asks its `ViewWorker`'s table of view
+//! reads before it reads the view. Every session here runs twice in lock
+//! step, pass by pass: once on a worker that has served the sessions
+//! before it, and once on a fresh worker per pass (`step_to`), whose table
+//! holds nothing from an earlier pass. After every pass the two sessions'
+//! whole state must print the same (`Debug`), and that state holds each
+//! camera's last read — the owner's and every cohort observer's, blind or
+//! sighted — so every read served from the table equals the fresh one, and
+//! a blind read never stands in for a sighted one. The sessions vary in
+//! role, consent, scripted and stochastic humans, heading, datalink, cohort
+//! and calibration spec (two negotiation altitudes), and each case runs one
+//! of them twice, so its second run takes its reads from the table.
 
 use hdc_core::{
-    CohortConfig, CollaborationSession, DatalinkConfig, HumanScript, ReadScope, Role,
-    ScriptedResponse, SessionConfig,
+    CohortConfig, CollaborationSession, DatalinkConfig, HumanScript, Role, ScriptedResponse,
+    SessionConfig, ViewWorker,
 };
 use hdc_figure::MarshallingSign;
 use hdc_link::LinkQuality;
 use proptest::prelude::*;
 
-/// Runs `config` inside `scope` and outside any scope, pass by pass,
-/// comparing the two sessions after every pass; the views the scoped one
-/// took from the table.
-fn run_twins(config: SessionConfig, scope: ReadScope) -> Result<u64, TestCaseError> {
-    let hits = ReadScope::hits();
+/// Runs `config` on `used` and on a fresh worker per pass, comparing the
+/// two sessions after every pass; the views `used` served from its table.
+fn run_twins(config: SessionConfig, used: &mut ViewWorker) -> Result<u64, TestCaseError> {
+    let hits = used.hits();
     let mut shared = CollaborationSession::new(config);
     let mut fresh = CollaborationSession::new(config);
     while !shared.is_done() && shared.time() < config.max_duration_s {
@@ -37,7 +36,7 @@ fn run_twins(config: SessionConfig, scope: ReadScope) -> Result<u64, TestCaseErr
             target = now + CollaborationSession::TICK_S;
         }
         let target = target.min(config.max_duration_s);
-        scope.enter(|| shared.step_to(target));
+        shared.step_to_with(target, used);
         fresh.step_to(target);
         prop_assert_eq!(
             format!("{shared:?}"),
@@ -46,7 +45,7 @@ fn run_twins(config: SessionConfig, scope: ReadScope) -> Result<u64, TestCaseErr
             target
         );
     }
-    Ok(ReadScope::hits() - hits)
+    Ok(used.hits() - hits)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -132,10 +131,10 @@ proptest! {
 
     #[test]
     fn shared_reads_equal_fresh_reads(first in pick(), second in pick()) {
-        let scope = ReadScope::open();
+        let mut used = ViewWorker::new();
         let mut hits = 0;
         for p in [first, second, first] {
-            hits += run_twins(config(p), scope)?;
+            hits += run_twins(config(p), &mut used)?;
         }
         // the repeated session misses its memos on the views it missed
         // before, and the table holds them all

@@ -14,7 +14,7 @@
 //! mid-transition poses, headings, body scales, frontal, dead-band,
 //! far-away and close (partly off-frame) eyes, and an empty frame.
 
-use hdc_core::{paint_view, paint_view_mask, Role, SessionConfig, ViewRead};
+use hdc_core::{paint_view, paint_view_mask, Role, SessionConfig, ViewRead, ViewWorker};
 use hdc_figure::{BodyDimensions, MarshallingSign, Pose, Signaller, ViewSpec};
 use hdc_geometry::{Vec2, Vec3};
 use hdc_raster::threshold::binarize;
@@ -69,10 +69,12 @@ fn assert_one_pass_matches(signaller: &Signaller, eye: Vec3) -> Result<(), TestC
     let mut mask = BitMask::new(1, 1);
     paint_view_mask(signaller, eye, &mut mask);
     prop_assert_eq!(&mask, &BitMask::from_bitmap(&binarize(&frame, 128)));
+    let mut worker = ViewWorker::new();
     for needs_decision in [false, true] {
         let oracle = two_pass(&frame, needs_decision);
-        let miss = ViewRead::view(signaller, eye, pipeline(), needs_decision);
-        prop_assert_eq!(&miss, &ViewRead::frame(&frame, pipeline(), needs_decision));
+        let miss = ViewRead::view(&mut worker, signaller, eye, pipeline(), needs_decision);
+        let delivered = ViewRead::frame(&mut worker, &frame, pipeline(), needs_decision);
+        prop_assert_eq!(&miss, &delivered);
         prop_assert_eq!(labelled(&miss), oracle);
     }
     Ok(())
@@ -165,8 +167,9 @@ fn the_cases_reach_every_outcome() {
 #[test]
 fn an_empty_frame_reads_as_no_blob_on_both_channels() {
     let empty = GrayImage::new(640, 480);
+    let mut worker = ViewWorker::new();
     for needs_decision in [false, true] {
-        let read = ViewRead::frame(&empty, pipeline(), needs_decision);
+        let read = ViewRead::frame(&mut worker, &empty, pipeline(), needs_decision);
         assert_eq!(labelled(&read), two_pass(&empty, needs_decision));
         assert_eq!(read.features, None);
         assert_eq!(read.decision, needs_decision.then_some(None));

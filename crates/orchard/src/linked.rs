@@ -30,7 +30,7 @@
 use crate::map::OrchardMap;
 use hdc_geometry::Vec2;
 use hdc_link::{Duplex, EndpointConfig, EndpointStats, LeaseConfig, LinkQuality};
-use hdc_runtime::{derive_seed, EventHeap, ScheduleMode};
+use hdc_runtime::{derive_seed, ScheduleMode};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -42,8 +42,6 @@ pub enum FleetCommand {
         /// Trap id.
         trap: u32,
     },
-    /// Abandon remaining work and return home.
-    ReturnHome,
 }
 
 /// A drone → supervisor report.
@@ -254,17 +252,15 @@ pub fn run_linked_fleet(
     run_linked_fleet_mode(config, map, seed, ScheduleMode::Lockstep)
 }
 
-/// Runs the supervised campaign on the workspace event heap.
+/// Runs the supervised campaign under the given scheduler mode.
 ///
-/// One wake event is armed at a time, carrying its exact `f64` due time as
-/// payload (the heap key is integer microseconds; the payload keeps the
-/// clock un-rounded). [`ScheduleMode::Lockstep`] arms `now + DT` every
-/// iteration — the same float accumulation as the pre-scheduler fixed-rate
-/// loop, so the golden fleet digests are bit-identical.
-/// [`ScheduleMode::EventDriven`] arms the fleet's earliest due time (a
-/// transit arrival, read completion, link slot or lease edge), so an idle
-/// fleet (drones in long transits, quiet links) costs O(events) instead of
-/// O(ticks).
+/// The fleet wakes at one due time after another, each kept as an exact
+/// `f64`. [`ScheduleMode::Lockstep`] wakes at `now + DT` every iteration —
+/// the same float accumulation as the pre-scheduler fixed-rate loop, so the
+/// golden fleet digests are bit-identical. [`ScheduleMode::EventDriven`]
+/// wakes at the fleet's earliest due time (a transit arrival, read
+/// completion, link slot or lease edge), so an idle fleet (drones in long
+/// transits, quiet links) costs O(events) instead of O(ticks).
 ///
 /// # Panics
 /// Panics if `config.drone_count` is zero.
@@ -318,29 +314,22 @@ pub fn run_linked_fleet_mode(
     let mut drones_lost = 0u32;
     let mut reassigned = 0u32;
 
-    let mut wakes: EventHeap<f64> = EventHeap::new(seed);
-    let arm = |wakes: &mut EventHeap<f64>, now: f64, drones: &[FleetDrone], ledgers: &[_]| {
-        let t = match mode {
-            ScheduleMode::Lockstep => now + DT,
-            ScheduleMode::EventDriven => {
-                let due = fleet_next_due(now, drones, ledgers);
-                // anything due now — or an empty horizon — waits one tick
-                if due > now {
-                    due
-                } else {
-                    now + DT
-                }
+    let wake_after = |now: f64, drones: &[FleetDrone], ledgers: &[_]| match mode {
+        ScheduleMode::Lockstep => now + DT,
+        ScheduleMode::EventDriven => {
+            let due = fleet_next_due(now, drones, ledgers);
+            // anything due now — or an empty horizon — waits one tick
+            if due > now {
+                due
+            } else {
+                now + DT
             }
-        };
-        wakes.schedule_at_s(t, 0, 0, t);
-    };
-    arm(&mut wakes, now, &drones, &ledgers);
-
-    while let Some(wake) = wakes.pop() {
-        if now >= config.max_duration_s {
-            break;
         }
-        now = wake.event.min(config.max_duration_s + DT);
+    };
+    let mut wake = wake_after(now, &drones, &ledgers);
+
+    while now < config.max_duration_s {
+        now = wake.min(config.max_duration_s + DT);
 
         // --- drone work ---
         for drone in drones.iter_mut() {
@@ -389,15 +378,9 @@ pub fn run_linked_fleet_mode(
                     ledger.outstanding = None;
                 }
             }
-            for command in delivered.to_a {
+            for FleetCommand::Assign { trap } in delivered.to_a {
                 drone.commands_received += 1;
-                match command {
-                    FleetCommand::Assign { trap } => drone.backlog.push_back(trap),
-                    FleetCommand::ReturnHome => {
-                        drone.task = None;
-                        drone.backlog.clear();
-                    }
-                }
+                drone.backlog.push_back(trap);
             }
         }
 
@@ -450,7 +433,7 @@ pub fn run_linked_fleet_mode(
         if all_confirmed || !anyone_live || !work_pending {
             break;
         }
-        arm(&mut wakes, now, &drones, &ledgers);
+        wake = wake_after(now, &drones, &ledgers);
     }
 
     LinkedFleetStats {

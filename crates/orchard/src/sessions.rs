@@ -7,16 +7,23 @@
 //! event-driven run already coasts its own idle spans. So the farm shares no
 //! scheduler between them. It copies the configs into an `Arc` and maps them
 //! over [`WorkPool::map_owned`], and each item builds its session on the
-//! worker and runs it to completion alone — [`CollaborationSession::run_events`]
-//! or, in lockstep, [`CollaborationSession::run`]. The caller's thread is
-//! worker 0 and the other workers are the pool's long-lived helper threads,
-//! so a farm call spawns no thread and every worker's thread-local view
-//! scratch (its mask and labelling buffers) stays allocated from one farm to
-//! the next. Its table of view reads does not: each farm call opens a new
-//! [`ReadScope`], so a session's cameras share reads with the sessions that
-//! ran before it on the same worker *in this farm*, and no read outlives
-//! the call that made it. The process-wide calibration cache means a worker
-//! never recalibrates.
+//! worker and runs it to completion alone —
+//! [`CollaborationSession::run_events_with`] or, in lockstep,
+//! [`CollaborationSession::run_with`] — reading its camera views through
+//! the worker's [`ViewWorker`]. The caller's thread is worker 0 and the
+//! other workers are the pool's long-lived helper threads, so a farm call
+//! spawns no thread.
+//!
+//! Each thread keeps its idle view worker in one slot between farm calls,
+//! so its mask and labelling buffers stay allocated from one farm to the
+//! next: a worker's share of a call takes it from the slot, empties its
+//! table of reads, hands it to each of its sessions in turn, and puts it
+//! back when the share ends. That slot is the only state a farm leaves
+//! behind, and it is a buffer cache: its table is emptied per call, so a
+//! session's cameras share reads with the sessions that ran before it on
+//! the same worker *in this farm*, and no read outlives the call that made
+//! it. The process-wide calibration cache means a worker never
+//! recalibrates.
 //!
 //! Because an item is exactly the solo run (a shared read is bit for bit
 //! the read the session would have made), every per-session result,
@@ -24,8 +31,9 @@
 //! what that session does alone, and the farm's totals are sums in config
 //! order: identical at every worker count (the tests pin this).
 
-use hdc_core::{CollaborationSession, ReadScope, SessionConfig, SessionOutcome};
+use hdc_core::{CollaborationSession, SessionConfig, SessionOutcome, ViewWorker};
 use hdc_runtime::{ScheduleMode, WorkPool};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Aggregate results of a session-farm run.
@@ -70,15 +78,44 @@ pub fn run_session_farm(configs: &[SessionConfig], mode: ScheduleMode, _salt: u6
     farm_on(&WorkPool::auto(), configs, mode)
 }
 
+thread_local! {
+    /// This thread's view worker between farm calls.
+    static IDLE_WORKER: Cell<Option<ViewWorker>> = const { Cell::new(None) };
+}
+
+/// A thread's view worker for its share of one farm call: taken from the
+/// thread's slot with its table emptied, and put back when the share ends.
+struct SlotWorker(Option<ViewWorker>);
+
+impl SlotWorker {
+    fn take() -> Self {
+        let mut worker = IDLE_WORKER.take().unwrap_or_default();
+        worker.forget_reads();
+        SlotWorker(Some(worker))
+    }
+
+    fn get(&mut self) -> &mut ViewWorker {
+        self.0.as_mut().expect("held until dropped")
+    }
+}
+
+impl Drop for SlotWorker {
+    fn drop(&mut self) {
+        IDLE_WORKER.set(self.0.take());
+    }
+}
+
 /// [`run_session_farm`] on a given pool.
 pub(crate) fn farm_on(pool: &WorkPool, configs: &[SessionConfig], mode: ScheduleMode) -> FarmStats {
-    let reads = ReadScope::open();
-    let runs = pool.map_owned(Arc::from(configs), move |config| {
-        reads.enter(|| {
+    let runs = pool.map_owned(
+        Arc::from(configs),
+        |_| SlotWorker::take(),
+        move |slot, config| {
+            let worker = slot.get();
             let mut session = CollaborationSession::new(*config);
             match mode {
-                ScheduleMode::Lockstep => session.run(),
-                ScheduleMode::EventDriven => session.run_events(),
+                ScheduleMode::Lockstep => session.run_with(worker),
+                ScheduleMode::EventDriven => session.run_events_with(worker),
             };
             let (ticks, dispatches) = (session.drone_ticks(), session.advances());
             let report = session.into_report();
@@ -89,8 +126,8 @@ pub(crate) fn farm_on(pool: &WorkPool, configs: &[SessionConfig], mode: Schedule
                 report.frames_processed as u64,
                 report.views_reused as u64,
             )
-        })
-    });
+        },
+    );
     let mut stats = FarmStats {
         outcomes: Vec::with_capacity(runs.len()),
         total_drone_ticks: 0,
@@ -175,10 +212,16 @@ mod tests {
         // hit count is the farm's. A second identical farm that found the
         // first one's reads would serve every memo miss from the table.
         let configs = mixed_configs(6);
+        let slot_hits = || {
+            let worker = IDLE_WORKER.take();
+            let hits = worker.as_ref().map_or(0, ViewWorker::hits);
+            IDLE_WORKER.set(worker);
+            hits
+        };
         let farm = || {
-            let before = ReadScope::hits();
+            let before = slot_hits();
             let stats = farm_on(&WorkPool::new(1), &configs, ScheduleMode::EventDriven);
-            (ReadScope::hits() - before, stats)
+            (slot_hits() - before, stats)
         };
         let (hits, stats) = farm();
         let misses = stats.frames_processed - stats.views_reused;

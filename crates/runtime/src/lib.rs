@@ -11,10 +11,11 @@
 //!   items and closures may borrow the caller's stack;
 //! * [`WorkPool::map_owned`] for *owned*, `'static` work (items in an
 //!   `Arc<[T]>`): workers `1..` are process-wide helper threads that start on
-//!   first use and park between calls, so a call spawns no thread and each
-//!   helper's thread-local scratch stays warm from one call to the next.
-//!   Reusing threads for borrowed closures would need lifetime erasure,
-//!   which this crate's `forbid(unsafe_code)` rules out.
+//!   first use and park between calls, so a call spawns no thread, and a
+//!   worker's state can take warm buffers from its thread and give them back
+//!   when its share of the call ends. Reusing threads for borrowed closures
+//!   would need lifetime erasure, which this crate's `forbid(unsafe_code)`
+//!   rules out.
 //!
 //! Both share these properties:
 //!
@@ -24,9 +25,9 @@
 //! * **atomic work queue** — workers claim index chunks off one atomic
 //!   cursor, so scheduling is load-balanced without any lock;
 //! * **per-worker reusable state** — each worker owns one state value (a
-//!   `FrameScratch`, an RNG, …) created once and threaded through every item
-//!   it processes, or thread-local scratch that lives as long as its thread,
-//!   preserving the allocation-free steady state of the single-frame path;
+//!   `FrameScratch`, a view worker, an RNG, …) created once per call and
+//!   threaded through every item it processes, preserving the
+//!   allocation-free steady state of the single-frame path;
 //! * **order-preserving results** — results are addressed by item index and
 //!   reassembled in input order, so the output is *byte-identical regardless
 //!   of worker count or scheduling*. There is no reduction step and hence no
@@ -36,9 +37,9 @@
 //! `(i, item)` (per-worker state may be scratch memory but must not leak
 //! information between items), then `pool.map_indexed(...)` equals the
 //! serial `items.iter().enumerate().map(...)` exactly, for every worker
-//! count, and likewise `pool.map_owned(items, work)` equals
-//! `items.iter().map(work)`. The workspace's scratch types satisfy this by
-//! construction and property tests pin it.
+//! count, and likewise `pool.map_owned(items, init, work)` equals
+//! `items.iter().map(|it| work(&mut init(0), it))`. The workspace's scratch
+//! types satisfy this by construction and property tests pin it.
 //!
 //! No external dependencies: the build environment has no registry access
 //! (see DESIGN.md), which is why this exists instead of `rayon`.
@@ -52,7 +53,7 @@
 //! let squares = pool.map(&[1u64, 2, 3, 4, 5], |x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! let owned: Arc<[u64]> = Arc::from(vec![1u64, 2, 3, 4, 5]);
-//! assert_eq!(pool.map_owned(owned, |x| x * x), squares);
+//! assert_eq!(pool.map_owned(owned, |_| (), |_, x| x * x), squares);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -162,8 +163,7 @@ impl WorkPool {
         };
 
         // Workers 1.. get scoped threads; worker 0 is the calling thread,
-        // which saves a spawn per call and keeps its thread-local scratch
-        // warm across calls.
+        // which saves a spawn per call.
         let per_worker: Vec<Vec<(usize, R)>> = thread::scope(|scope| {
             let handles: Vec<_> = (1..workers)
                 .map(|w| scope.spawn(move || run_worker(w)))
@@ -189,48 +189,63 @@ impl WorkPool {
         self.map_indexed(items, |_| (), |_, _, item| work(item))
     }
 
-    /// Maps owned, `'static` work over `items` on long-lived workers,
+    /// Maps owned, `'static` work over `items` on long-lived workers, with
+    /// one `init(worker_index)` state per worker that takes an item,
     /// returning results in input order.
     ///
     /// Worker 0 is the calling thread. Workers `1..` are process-wide helper
     /// threads: they start on first use, park on a channel between calls,
     /// and the set grows on demand to the largest `workers − 1` any call has
-    /// asked for. A call therefore spawns no thread once the helpers exist,
-    /// and anything a helper keeps in thread-local storage (a session's view
-    /// scratch) stays warm from one call to the next. Items are claimed one
-    /// at a time — each is a whole unit of work, such as a session, whose
-    /// cost dwarfs an atomic add.
+    /// asked for. A call therefore spawns no thread once the helpers exist.
+    /// Items are claimed one at a time — each is a whole unit of work, such
+    /// as a session, whose cost dwarfs an atomic add. A worker runs `init`
+    /// when it claims its first item of the call, on its own thread, and
+    /// drops the state there when its share ends, so a state never crosses
+    /// threads, and a worker that claims nothing builds none. A state that
+    /// must outlive the call (warm buffers) is one `init` takes from its
+    /// thread and the state's `Drop` gives back.
     ///
     /// The caller waits only for items that were claimed, never for a helper
     /// to start, so a call made from inside another call's `work` (on any
     /// worker) completes: the nested caller runs every item no free helper
-    /// takes. Output equals the serial `items.iter().map(work)` whenever
-    /// `work` is a pure function of its item.
+    /// takes. Output equals the serial `items.iter().map(|it| work(&mut
+    /// init(0), it))` whenever `work` is a pure function of its item.
     ///
     /// # Panics
-    /// Propagates a panic in `work`, on worker 0 or on a helper; the helper
-    /// catches it and lives on for later calls.
-    pub fn map_owned<T, R, F>(&self, items: Arc<[T]>, work: F) -> Vec<R>
+    /// Propagates a panic in `init` or `work`, on worker 0 or on a helper;
+    /// the helper catches it and lives on for later calls.
+    pub fn map_owned<T, R, S, I, F>(&self, items: Arc<[T]>, init: I, work: F) -> Vec<R>
     where
         T: Send + Sync + 'static,
         R: Send + 'static,
-        F: Fn(&T) -> R + Send + Sync + 'static,
+        I: Fn(usize) -> S + Send + Sync + 'static,
+        F: Fn(&mut S, &T) -> R + Send + Sync + 'static,
     {
         let workers = self.workers.min(items.len());
+        let tasks = Arc::new((init, work));
+        // one worker's share: its state is built on its first claimed item
+        let share = |w: usize, items: &[T], cursor: &AtomicUsize, tasks: &(I, F)| {
+            let (init, work) = tasks;
+            let mut state = None;
+            claim(items, 1, cursor, |_, item| {
+                work(state.get_or_insert_with(|| init(w)), item)
+            })
+        };
         if workers <= 1 {
-            return items.iter().map(work).collect();
+            let all = share(0, &items, &AtomicUsize::new(0), &tasks);
+            return all.into_iter().map(|(_, r)| r).collect();
         }
 
         let cursor = Arc::new(AtomicUsize::new(0));
-        let work = Arc::new(work);
         let (results, finished) = mpsc::channel::<thread::Result<Vec<(usize, R)>>>();
+        let mut helper = 0;
         for_helpers(workers - 1, || {
-            let (items, cursor, work) = (items.clone(), cursor.clone(), work.clone());
+            helper += 1;
+            let (w, items, cursor, tasks) = (helper, items.clone(), cursor.clone(), tasks.clone());
             let results = results.clone();
             Box::new(move || {
-                let claimed = panic::catch_unwind(AssertUnwindSafe(|| {
-                    claim(&items, 1, &cursor, |_, item| work(item))
-                }));
+                let claimed =
+                    panic::catch_unwind(AssertUnwindSafe(|| share(w, &items, &cursor, &tasks)));
                 // A helper that found the queue drained reports nothing: the
                 // caller counts items, not helpers. A send fails only when
                 // the caller has already unwound from a panic of its own.
@@ -241,7 +256,7 @@ impl WorkPool {
         });
         drop(results);
 
-        let own = claim(&items, 1, &cursor, |_, item| work(item));
+        let own = share(0, &items, &cursor, &tasks);
         let mut done = own.len();
         let mut parts = vec![own];
         while done < items.len() {
@@ -479,13 +494,55 @@ mod tests {
     fn owned_probe(workers: usize) -> HashSet<thread::ThreadId> {
         let barrier = Arc::new(std::sync::Barrier::new(workers));
         let items: Arc<[usize]> = (0..workers).collect();
-        let ids = WorkPool::new(workers).map_owned(items, move |_| {
-            barrier.wait();
-            thread::current().id()
-        });
+        let ids = WorkPool::new(workers).map_owned(
+            items,
+            |_| (),
+            move |_, _| {
+                barrier.wait();
+                thread::current().id()
+            },
+        );
         let distinct: HashSet<_> = ids.into_iter().collect();
         assert_eq!(distinct.len(), workers, "one item per worker");
         distinct
+    }
+
+    #[test]
+    fn owned_init_runs_once_per_worker_that_takes_an_item_per_call() {
+        type Inits = Arc<Mutex<Vec<(usize, thread::ThreadId)>>>;
+        // one call: each item records the state its worker's init built
+        let call = |workers: usize, n: usize, inits: &Inits| {
+            let log = Arc::clone(inits);
+            let items: Arc<[usize]> = (0..n).collect();
+            WorkPool::new(workers).map_owned(
+                items,
+                move |w| {
+                    log.lock().unwrap().push((w, thread::current().id()));
+                    (w, thread::current().id())
+                },
+                |state, _| {
+                    assert_eq!(state.1, thread::current().id(), "a state crossed threads");
+                    *state
+                },
+            )
+        };
+        for workers in [1, 2, 3, 8] {
+            for n in [0, 1, 5, 40] {
+                let inits: Inits = Arc::default();
+                for round in 1..=2 {
+                    let states = call(workers, n, &inits);
+                    let built = std::mem::take(&mut *inits.lock().unwrap());
+                    let takers: HashSet<_> = states.iter().copied().collect();
+                    assert_eq!(
+                        built.len(),
+                        takers.len(),
+                        "{n} items at {workers} workers, call {round}: {built:?}"
+                    );
+                    assert_eq!(built.into_iter().collect::<HashSet<_>>(), takers);
+                    assert!(takers.len() <= workers.min(n));
+                }
+            }
+        }
     }
 
     #[test]
@@ -515,11 +572,15 @@ mod tests {
             let barrier = Arc::new(std::sync::Barrier::new(2));
             let items: Arc<[u32]> = Arc::from([0u32, 1]);
             let result = std::panic::catch_unwind(|| {
-                WorkPool::new(2).map_owned(items, move |x| {
-                    barrier.wait();
-                    assert!((thread::current().id() == caller) != doomed_caller, "boom");
-                    *x
-                })
+                WorkPool::new(2).map_owned(
+                    items,
+                    |_| (),
+                    move |_, x| {
+                        barrier.wait();
+                        assert!((thread::current().id() == caller) != doomed_caller, "boom");
+                        *x
+                    },
+                )
             });
             assert!(
                 result.is_err(),
@@ -527,7 +588,7 @@ mod tests {
             );
             let items: Arc<[u32]> = (0..40).collect();
             assert_eq!(
-                WorkPool::new(2).map_owned(items, |x| x + 1),
+                WorkPool::new(2).map_owned(items, |_| (), |_, x| x + 1),
                 (1..41).collect::<Vec<_>>()
             );
         }
@@ -544,14 +605,18 @@ mod tests {
         thread::spawn(move || {
             let barrier = Arc::new(std::sync::Barrier::new(3));
             let outer: Arc<[u64]> = (0..3).collect();
-            let sums = WorkPool::new(3).map_owned(outer, move |&x| {
-                barrier.wait();
-                let inner: Arc<[u64]> = (0..7).map(|y| x * 10 + y).collect();
-                WorkPool::new(3)
-                    .map_owned(inner, |y| y * 2)
-                    .iter()
-                    .sum::<u64>()
-            });
+            let sums = WorkPool::new(3).map_owned(
+                outer,
+                |_| (),
+                move |_, &x| {
+                    barrier.wait();
+                    let inner: Arc<[u64]> = (0..7).map(|y| x * 10 + y).collect();
+                    WorkPool::new(3)
+                        .map_owned(inner, |_| (), |_, y| y * 2)
+                        .iter()
+                        .sum::<u64>()
+                },
+            );
             done.send(sums).expect("the test waits for the result");
         });
         let sums = finished

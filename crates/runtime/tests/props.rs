@@ -62,7 +62,11 @@ proptest! {
             prop_assert_eq!(&got, &reference, "worker count {}", workers);
         }
         for workers in [1usize, 2, 3, 8] {
-            let owned = WorkPool::new(workers).map_owned(Arc::from(items.as_slice()), |&x| u64::from(x) * 7 + 1);
+            let owned = WorkPool::new(workers).map_owned(
+                Arc::from(items.as_slice()),
+                |_| (),
+                |_, &x| u64::from(x) * 7 + 1,
+            );
             prop_assert_eq!(&owned, &reference, "map_owned at worker count {}", workers);
         }
     }

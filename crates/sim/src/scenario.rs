@@ -20,7 +20,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::trace::canonical_trace;
 use hdc_core::{
     CohortConfig, CollaborationSession, HumanScript, LogEntry, ProtocolAction, Role,
-    ScriptedResponse, SessionConfig, SessionOutcome, SessionReport,
+    ScriptedResponse, SessionConfig, SessionOutcome, SessionReport, ViewWorker,
 };
 use hdc_drone::LedMode;
 use hdc_figure::MarshallingSign;
@@ -29,7 +29,7 @@ use hdc_orchard::{
     run_linked_fleet_mode, LinkedFleetConfig, Mission, MissionConfig, OrchardMap, RadioFailure,
 };
 use hdc_raster::digest::digest_hex;
-use hdc_runtime::{micros_to_secs, EventHeap, ScheduleMode};
+use hdc_runtime::{micros_to_secs, secs_to_micros, ScheduleMode};
 
 /// A named, fully specified scenario.
 #[derive(Debug, Clone)]
@@ -87,21 +87,6 @@ pub struct ScenarioResult {
     pub frames: (usize, usize, usize, usize),
 }
 
-/// The events the scenario choreographer schedules on its heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SimEvent {
-    /// Advance the session by one lockstep tick.
-    Tick,
-    /// Fire the scenario's external safety injection.
-    InjectSafety,
-}
-
-/// Event-kind rank for [`SimEvent::InjectSafety`] (fires before a
-/// same-instant tick).
-const RANK_INJECT: u16 = 0;
-/// Event-kind rank for [`SimEvent::Tick`].
-const RANK_TICK: u16 = 1;
-
 /// Runs one scenario through the full closed loop in lockstep mode — the
 /// mode the committed golden manifest pins.
 pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
@@ -111,16 +96,15 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
 /// Runs one scenario through the full closed loop under the given scheduler
 /// mode.
 ///
-/// Both modes are choreographed by a deterministic [`EventHeap`]:
-///
-/// * [`ScheduleMode::Lockstep`] schedules one tick event per session `DT`
+/// * [`ScheduleMode::Lockstep`] steps the session one `DT` tick at a time
 ///   and checks the external safety injection at each tick boundary, exactly
 ///   as the pre-scheduler fixed-rate loop did — traces are bit-identical to
 ///   it at every worker count;
-/// * [`ScheduleMode::EventDriven`] schedules the injection as a timed event
-///   and otherwise jumps the session straight between its due times, so the
-///   long idle stretches cost zero drone ticks. Deterministic, but pinned by
-///   its own blessed manifest (`tests/golden/scenario_digests_event.txt`).
+/// * [`ScheduleMode::EventDriven`] treats the injection as one more due
+///   time, at whole microseconds, and otherwise jumps the session straight
+///   between its due times, so the long idle stretches cost zero drone
+///   ticks. Deterministic, but pinned by its own blessed manifest
+///   (`tests/golden/scenario_digests_event.txt`).
 pub fn run_scenario_with(scenario: &Scenario, mode: ScheduleMode) -> ScenarioResult {
     const TICK: f64 = CollaborationSession::TICK_S;
     let mut config = scenario.config;
@@ -131,45 +115,37 @@ pub fn run_scenario_with(scenario: &Scenario, mode: ScheduleMode) -> ScenarioRes
     }
     session.set_faults(Box::new(scenario.plan.build()));
 
-    let mut heap: EventHeap<SimEvent> = EventHeap::new(config.seed);
+    let mut worker = ViewWorker::new();
+    let running = |s: &CollaborationSession| !s.is_done() && s.time() < config.max_duration_s;
     match mode {
         ScheduleMode::Lockstep => {
             let mut inject_at = scenario.inject_safety_at;
-            heap.schedule_at_s(TICK, 0, RANK_TICK, SimEvent::Tick);
-            while let Some(ev) = heap.pop() {
-                debug_assert_eq!(ev.event, SimEvent::Tick);
-                if session.is_done() || session.time() >= config.max_duration_s {
-                    break;
+            while running(&session) {
+                if inject_at.is_some_and(|at| session.time() >= at) {
+                    session.inject_safety("scenario fault injection");
+                    inject_at = None;
                 }
-                if let Some(at) = inject_at {
-                    if session.time() >= at {
-                        session.inject_safety("scenario fault injection");
-                        inject_at = None;
-                    }
-                }
-                session.step();
-                heap.schedule_at_s(session.time() + TICK, 0, RANK_TICK, SimEvent::Tick);
+                session.step_with(&mut worker);
             }
         }
         ScheduleMode::EventDriven => {
-            if let Some(at) = scenario.inject_safety_at {
-                heap.schedule_at_s(at, 0, RANK_INJECT, SimEvent::InjectSafety);
-            }
-            while !session.is_done() && session.time() < config.max_duration_s {
+            let mut inject_at = scenario
+                .inject_safety_at
+                .map(|at| micros_to_secs(secs_to_micros(at)));
+            while running(&session) {
                 let now = session.time();
-                while heap.peek_time().is_some_and(|t| micros_to_secs(t) <= now) {
-                    if let SimEvent::InjectSafety = heap.pop().expect("peeked").event {
-                        session.inject_safety("scenario fault injection");
-                    }
+                if inject_at.is_some_and(|at| at <= now) {
+                    session.inject_safety("scenario fault injection");
+                    inject_at = None;
                 }
                 let mut target = session.next_due_after(now);
-                if let Some(t) = heap.peek_time() {
-                    target = target.min(micros_to_secs(t));
+                if let Some(at) = inject_at {
+                    target = target.min(at);
                 }
                 if target <= now || target.is_nan() {
                     target = now + TICK;
                 }
-                session.step_to(target.min(config.max_duration_s));
+                session.step_to_with(target.min(config.max_duration_s), &mut worker);
             }
         }
     }

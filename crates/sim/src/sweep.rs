@@ -11,7 +11,7 @@
 use crate::fault::{FaultKind, FaultPlan};
 use hdc_core::{
     CohortConfig, CollaborationSession, DatalinkConfig, HumanScript, Role, ScriptedResponse,
-    SessionConfig, SessionOutcome,
+    SessionConfig, SessionOutcome, ViewWorker,
 };
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_geometry::azimuth::{in_dead_angle_deg, DEAD_ANGLE_CENTER_RAD};
@@ -154,8 +154,9 @@ fn loss_session(seed: u64, drop_p: f64) -> (SessionOutcome, f64, bool) {
         )))
         .with_datalink(DatalinkConfig::symmetric(quality));
     let mut s = CollaborationSession::new(config);
+    let mut worker = ViewWorker::new();
     while !s.is_done() && s.time() < 300.0 {
-        s.step();
+        s.step_with(&mut worker);
     }
     let done = s.is_done();
     let report = s.into_report();
@@ -330,8 +331,9 @@ fn cohort_loss_session(seed: u64, drop_p: f64, kill_observer: bool) -> (SessionO
     plan.apply_config(&mut config);
     let mut s = CollaborationSession::new(config);
     s.set_faults(Box::new(plan.build()));
+    let mut worker = ViewWorker::new();
     while !s.is_done() && s.time() < 300.0 {
-        s.step();
+        s.step_with(&mut worker);
     }
     let done = s.is_done();
     let report = s.into_report();

@@ -10,6 +10,11 @@
 //! note's text for anything but printing it, or that maps a label to a
 //! sign anywhere else.
 //!
+//! The session core keeps no hidden state: `core_keeps_no_hidden_state`
+//! fails on a `thread_local!`, a `static mut`, or a `static` cell, lock or
+//! atomic anywhere under `crates/core/src` but the calibration cache, so
+//! whatever a session's reads go through is an argument its caller passes.
+//!
 //! The same non-test sources give the line count that changes quote:
 //! `cargo test -q --test typed_log non_test_line_count -- --nocapture`
 //! prints it. They also hold every caller a `pub fn` needs: a function
@@ -104,6 +109,92 @@ fn only_the_view_read_maps_a_label_to_a_sign() {
         maps.is_empty(),
         "a label becomes a sign only in ViewRead::of: {maps:?}"
     );
+}
+
+/// The one `static` under `crates/core/src` that may hold shared mutable
+/// state: the process-wide cache of calibrated pipelines, a pure memo of
+/// each view spec's calibration.
+const CORE_STATICS_ALLOWED: [&str; 1] = ["CALIBRATED"];
+
+/// Lines (1-based) of `text` that declare hidden mutable state: a
+/// `thread_local!` block (reported once, at its first line), a
+/// `static mut`, or a `static` whose type is a `Cell`, `RefCell`, `Mutex`,
+/// `RwLock` or atomic, unless it is named in [`CORE_STATICS_ALLOWED`].
+fn hidden_state_lines(text: &str) -> Vec<usize> {
+    let braces = |code: &str| code.matches('{').count() as i64 - code.matches('}').count() as i64;
+    let (mut found, mut depth) = (Vec::new(), 0);
+    for (i, line) in text.lines().enumerate() {
+        let code = line.split("//").next().unwrap_or_default().trim();
+        if depth > 0 {
+            depth += braces(code);
+            continue;
+        }
+        if code.contains("thread_local!") {
+            found.push(i + 1);
+            depth = braces(code);
+            continue;
+        }
+        let declaration = code
+            .trim_start_matches("pub(crate) ")
+            .trim_start_matches("pub ");
+        let Some(rest) = declaration.strip_prefix("static ") else {
+            continue;
+        };
+        if rest.starts_with("mut ") {
+            found.push(i + 1);
+            continue;
+        }
+        let Some((name, ty)) = rest.split_once(':') else {
+            continue;
+        };
+        let outer = ty.split(['<', '=', ';']).next().unwrap_or_default().trim();
+        let outer = outer.rsplit("::").next().unwrap_or_default();
+        let mutable =
+            ["Cell", "RefCell", "Mutex", "RwLock"].contains(&outer) || outer.starts_with("Atomic");
+        if mutable && !CORE_STATICS_ALLOWED.contains(&name.trim()) {
+            found.push(i + 1);
+        }
+    }
+    found
+}
+
+#[test]
+fn core_keeps_no_hidden_state() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/core/src"), &mut files);
+    assert!(files.len() > 5, "only {} core sources found", files.len());
+    let mut found = Vec::new();
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("source file");
+        let name = path.strip_prefix(root).unwrap().display().to_string();
+        for line in hidden_state_lines(&text) {
+            found.push(format!("{name}:{line}"));
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "hidden mutable state under crates/core/src; pass it as an argument \
+         (a ViewWorker, a session field) instead: {found:?}"
+    );
+}
+
+#[test]
+fn the_hidden_state_scan_sees_each_form() {
+    let text = "\
+thread_local! {
+    static SCRATCH: RefCell<Vec<u8>> = RefCell::new(Vec::new());
+}
+static LAST: AtomicU64 = AtomicU64::new(0);
+pub(crate) static mut RAW: u32 = 0;
+static TABLE: std::sync::Mutex<Vec<u8>> = Mutex::new(Vec::new());
+pub static FLAG: Cell<bool> = Cell::new(false);
+static CALIBRATED: Mutex<Vec<u8>> = Mutex::new(Vec::new());
+static NAMES: [&str; 2] = [\"a\", \"b\"];
+// static COMMENTED: Mutex<u8> in a comment, or thread_local! in prose
+const LIMIT: usize = 4;
+";
+    assert_eq!(hidden_state_lines(text), [1, 4, 5, 6, 7]);
 }
 
 #[test]
