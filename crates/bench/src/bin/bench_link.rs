@@ -17,15 +17,14 @@
 //! exactly; only the wall time may differ.
 //!
 //! The link layer is single-threaded by design (one endpoint pair per
-//! drone); `--threads` is recorded as metadata for report comparability
-//! with the other benchmarks, it does not change the measurement.
+//! drone), so the report's `execution` block records one thread.
 //!
-//! Usage: `cargo run --release -p hdc-bench --bin bench_link
-//! [--threads N] [--smoke] [out.json]`
+//! Usage: `cargo run --release -p hdc-bench --bin bench_link -- [--smoke]
+//! [out.json]` (default `BENCH_link.json`; `--smoke` sends 500 payloads per
+//! transfer instead of 50 000).
 
-use hdc_bench::report::{num, Spread, Table};
+use hdc_bench::report::{num, BenchArgs, Json, Spread, Table};
 use hdc_link::{Duplex, EndpointConfig, LeaseConfig, LinkQuality};
-use hdc_runtime::{available_workers, threads_from_args};
 use std::time::Instant;
 
 /// Simulation step: 50 Hz, matching the session loop's frame cadence.
@@ -119,72 +118,14 @@ fn run_transfer(label: &'static str, drop_p: f64, count: u64, seed: u64) -> (Tra
     (first.expect("at least one repeat"), Spread::of(throughput))
 }
 
-fn json_for(runs: &[(TransferRun, Spread)], workers: usize, threads: Option<usize>) -> String {
-    use std::fmt::Write as _;
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"execution\": {{\"threads\": {}, \"threads_requested\": {}, \
-         \"available_parallelism\": {}}},",
-        workers,
-        threads.map_or("null".to_owned(), |t| t.to_string()),
-        available_workers()
-    );
-    let _ = writeln!(json, "  \"dt_s\": {DT},");
-    let _ = writeln!(json, "  \"repeats\": {REPEATS},");
-    let _ = writeln!(json, "  \"transfers\": [");
-    for (i, (r, throughput)) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"label\": \"{}\", \"drop_pct\": {:.0}, \"payloads\": {}, \
-             \"retransmits\": {}, \"acks\": {}, \"heartbeats\": {}, \
-             \"frames_on_wire\": {}, \"overhead_frames_per_payload\": {:.3}, \
-             \"retransmit_rate\": {:.4}, \"sim_seconds\": {:.1}, \
-             \"throughput_payloads_per_s\": {}}}{comma}",
-            r.label,
-            r.drop_pct,
-            r.payloads,
-            r.retransmits,
-            r.acks,
-            r.heartbeats,
-            r.frames_on_wire(),
-            r.overhead(),
-            r.retransmit_rate(),
-            r.sim_seconds,
-            throughput.json(0),
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    json
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let threads = threads_from_args(&args);
-    let mut out_path = "BENCH_link.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => i += 1, // skip the flag's value
-            "--smoke" => {}
-            a if !a.starts_with("--") => out_path = a.to_owned(),
-            other => panic!("unknown flag {other}"),
-        }
-        i += 1;
-    }
-
-    let workers = threads.unwrap_or_else(available_workers);
-    let count: u64 = if smoke { 500 } else { 50_000 };
+    let args = BenchArgs::from_env("BENCH_link.json", false);
+    let count: u64 = if args.smoke { 500 } else { 50_000 };
     println!(
         "datalink: {count} payloads per transfer at {:.0} Hz, loss sweep 0/5/20%, \
-         {REPEATS} repeats (threads metadata: {workers}, host has {}){}",
+         {REPEATS} repeats{}",
         1.0 / DT,
-        available_workers(),
-        if smoke { " [smoke]" } else { "" }
+        if args.smoke { " [smoke]" } else { "" }
     );
 
     let runs = [
@@ -210,12 +151,7 @@ fn main() {
             r.retransmits.to_string(),
             num(r.overhead(), 3),
             num(r.sim_seconds, 1),
-            format!(
-                "{} [{}, {}]",
-                num(throughput.median, 0),
-                num(throughput.min, 0),
-                num(throughput.max, 0)
-            ),
+            throughput.cell(0),
         ]);
     }
     println!("{}", table.render());
@@ -229,7 +165,28 @@ fn main() {
         "wire overhead must grow with loss"
     );
 
-    let json = json_for(&runs, workers, threads);
-    std::fs::write(&out_path, &json).expect("write benchmark report");
-    println!("wrote {out_path}");
+    let transfers = runs.iter().map(|(r, throughput)| {
+        Json::Object(vec![
+            ("label", r.label.into()),
+            ("drop_pct", Json::Num(r.drop_pct, 0)),
+            ("payloads", r.payloads.into()),
+            ("retransmits", r.retransmits.into()),
+            ("acks", r.acks.into()),
+            ("heartbeats", r.heartbeats.into()),
+            ("frames_on_wire", r.frames_on_wire().into()),
+            ("overhead_frames_per_payload", Json::Num(r.overhead(), 3)),
+            ("retransmit_rate", Json::Num(r.retransmit_rate(), 4)),
+            ("sim_seconds", Json::Num(r.sim_seconds, 1)),
+            ("throughput_payloads_per_s", Json::spread(throughput, 0)),
+        ])
+    });
+    args.write_report(
+        1,
+        REPEATS,
+        vec![
+            ("dt_s", Json::Num(DT, 2)),
+            ("repeats", REPEATS.into()),
+            ("transfers", Json::Array(transfers.collect())),
+        ],
+    );
 }

@@ -3,49 +3,30 @@
 //! Measures the seed implementation (rebuilt from the retained reference
 //! oracles) against the pipeline's hybrid path (binarise straight into
 //! bit-packed silhouette words, word-parallel silhouette kernels) at
-//! 320×240, 640×480 and 1280×960, prints a comparison table and writes the
-//! JSON report.
+//! 320×240, 640×480 and 1280×960, times Figure 4's 0°/65° pair
+//! ([`run_fig4`]) and the per-kernel byte-vs-packed microbenchmarks at
+//! VGA, prints the tables and writes the JSON report.
 //!
 //! Usage:
-//! `cargo run --release -p hdc-bench --bin bench_recognize [--kernels] [--smoke] [out.json]`
+//! `cargo run --release -p hdc-bench --bin bench_recognize -- [--smoke] [out.json]`
 //!
-//! * `--kernels` additionally runs the per-kernel byte-vs-packed
-//!   microbenchmarks at VGA and includes them in the report.
 //! * `--smoke` shrinks the measurement floors and the repeats to CI-sized
 //!   values; use it only to verify the binary runs, never for committed
 //!   numbers.
 //! * default output path: `BENCH_recognize.json` in the current directory.
 //!
-//! The sweep, Figure 4's 0°/65° pair ([`run_fig4`]) and the kernel
-//! pass each repeat (5 times, 2 in smoke), and every row reports
-//! median/min/max over the repeats; a speed-up or ratio is taken between
-//! two timings of the same repeat.
+//! The sweep, the Figure 4 pair and the kernel pass each repeat (5 times,
+//! 2 in smoke), and every row reports median/min/max over the repeats; a
+//! speed-up or ratio is taken between two timings of the same repeat. One
+//! thread runs every measurement.
 
 use hdc_bench::kernels::{run_kernel_bench, spread_kernels};
-use hdc_bench::report::{num, Spread, Table};
-use hdc_bench::throughput::{run_fig4, run_sweep, spread_sweep, to_json};
-
-/// `median [min, max]` of a spread.
-fn cell(s: &Spread, prec: usize) -> String {
-    format!(
-        "{} [{}, {}]",
-        num(s.median, prec),
-        num(s.min, prec),
-        num(s.max, prec)
-    )
-}
+use hdc_bench::report::{BenchArgs, Table};
+use hdc_bench::throughput::{recognize_report, run_fig4, run_sweep, spread_sweep};
 
 fn main() {
-    let mut kernels_mode = false;
-    let mut smoke = false;
-    let mut out_path = "BENCH_recognize.json".to_string();
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--kernels" => kernels_mode = true,
-            "--smoke" => smoke = true,
-            other => out_path = other.to_string(),
-        }
-    }
+    let args = BenchArgs::from_env("BENCH_recognize.json", false);
+    let smoke = args.smoke;
 
     // Floors per resolution pass: enough whole cycles for stable averages
     // without letting the slow seed path at 1280×960 run for minutes. The
@@ -66,10 +47,10 @@ fn main() {
     for r in &results {
         table.row([
             format!("{}x{}", r.width, r.height),
-            cell(&r.seed_ms, 3),
-            cell(&r.hybrid_ms, 3),
-            cell(&r.hybrid_fps, 0),
-            cell(&r.speedup, 2),
+            r.seed_ms.cell(3),
+            r.hybrid_ms.cell(3),
+            r.hybrid_fps.cell(0),
+            r.speedup.cell(2),
         ]);
     }
     println!("median [min, max] over {repeats} repeats");
@@ -78,35 +59,32 @@ fn main() {
     let (rounds, batch) = if smoke { (2, 1) } else { (20, 100) };
     let fig4 = run_fig4(repeats, rounds, batch);
     let mut ft = Table::new(["azimuth", "ns/frame"]);
-    ft.row(["0 deg".to_string(), cell(&fig4.ns_0, 0)]);
-    ft.row(["65 deg".to_string(), cell(&fig4.ns_65, 0)]);
-    ft.row(["65/0 ratio".to_string(), cell(&fig4.ratio, 2)]);
+    ft.row(["0 deg".to_string(), fig4.ns_0.cell(0)]);
+    ft.row(["65 deg".to_string(), fig4.ns_65.cell(0)]);
+    ft.row(["65/0 ratio".to_string(), fig4.ratio.cell(2)]);
     println!("\nFigure 4 ('No', altitude 5 m, distance 3 m, 640x480):");
     println!("{}", ft.render());
 
-    let kernel_results = if kernels_mode {
-        let iters = if smoke { 1 } else { 200 };
-        let rows: Vec<_> = (0..repeats)
-            .map(|_| run_kernel_bench(640, 480, iters))
-            .collect();
-        let rows = spread_kernels(&rows);
-        let mut kt = Table::new(["kernel", "byte ns/frame", "packed ns/frame", "speedup"]);
-        for k in &rows {
-            kt.row([
-                k.name.to_string(),
-                cell(&k.byte_ns, 0),
-                cell(&k.packed_ns, 0),
-                cell(&k.speedup, 2),
-            ]);
-        }
-        println!("\nper-kernel (640x480):");
-        println!("{}", kt.render());
-        rows
-    } else {
-        Vec::new()
-    };
+    let iters = if smoke { 1 } else { 200 };
+    let kernel_rows: Vec<_> = (0..repeats)
+        .map(|_| run_kernel_bench(640, 480, iters))
+        .collect();
+    let kernels = spread_kernels(&kernel_rows);
+    let mut kt = Table::new(["kernel", "byte ns/frame", "packed ns/frame", "speedup"]);
+    for k in &kernels {
+        kt.row([
+            k.name.to_string(),
+            k.byte_ns.cell(0),
+            k.packed_ns.cell(0),
+            k.speedup.cell(2),
+        ]);
+    }
+    println!("\nper-kernel (640x480):");
+    println!("{}", kt.render());
 
-    let json = to_json(&results, &fig4, &kernel_results, repeats);
-    std::fs::write(&out_path, &json).expect("write benchmark report");
-    println!("wrote {out_path}");
+    args.write_report(
+        1,
+        repeats,
+        recognize_report(&results, &fig4, &kernels, repeats),
+    );
 }

@@ -2,43 +2,35 @@
 //! sustained-capacity search.
 //!
 //! Serves the three golden workloads (steady / bursty / overload) through
-//! the deterministic `hdc-serve` scheduler, prints their decision-latency
-//! percentiles and outcome counters, runs the max-sustained-streams search
-//! against the p99 SLO, and writes the JSON report.
+//! the deterministic `hdc-serve` scheduler `REPEATS` times, each repeat
+//! reproducing every workload's report, prints their decision-latency
+//! percentiles, outcome counters and wall milliseconds (median/min/max),
+//! runs the max-sustained-streams search against the p99 SLO, and writes
+//! the JSON report.
 //!
-//! Usage: `cargo run --release -p hdc-bench --bin bench_serve
-//! [--threads N] [--smoke] [out.json]`
+//! Usage: `cargo run --release -p hdc-bench --bin bench_serve --
+//! [--smoke] [--threads N] [out.json]`
 //!
 //! * `--threads N` — work-pool size the shards fan out over (default:
 //!   available parallelism). Latencies and capacity are virtual-time and
-//!   identical at every worker count; only `wall_s` changes;
+//!   identical at every worker count; only `wall_ms` changes;
 //! * `--smoke` — small capacity ladder plus floor assertions on the
 //!   canonical shapes (the CI conformance mode);
 //! * default output path `BENCH_serve.json` in the current directory.
 
-use hdc_bench::report::{num, Table};
+use hdc_bench::report::{BenchArgs, Table};
 use hdc_bench::serve::{
-    canonical_study, max_sustained_streams, serve_json, serving_fixture, CapacitySearch,
+    canonical_study, max_sustained_streams, serve_report, serving_fixture, CapacitySearch,
 };
-use hdc_runtime::{available_workers, threads_from_args, WorkPool};
+use hdc_runtime::{available_workers, WorkPool};
+
+/// Times each canonical workload is served; one run takes milliseconds.
+const REPEATS: usize = 5;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let threads = threads_from_args(&args);
-    let mut out_path = "BENCH_serve.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => i += 1, // skip the flag's value
-            "--smoke" => {}
-            a if !a.starts_with("--") => out_path = a.to_owned(),
-            other => panic!("unknown flag {other}"),
-        }
-        i += 1;
-    }
-
-    let pool = WorkPool::with_threads(threads);
+    let args = BenchArgs::from_env("BENCH_serve.json", true);
+    let smoke = args.smoke;
+    let pool = WorkPool::with_threads(args.threads);
     println!(
         "serving study on {} worker(s) (host has {} hardware thread(s)){}",
         pool.workers(),
@@ -47,10 +39,18 @@ fn main() {
     );
     let (pipeline, frame_sets) = serving_fixture();
 
-    let runs = canonical_study(&pipeline, &frame_sets, &pool);
+    let runs = canonical_study(&pipeline, &frame_sets, &pool, REPEATS);
     let mut table = Table::new([
-        "workload", "offered", "decided", "shed", "rejected", "evict", "p50 us", "p95 us",
-        "p99 us", "wall s",
+        "workload",
+        "offered",
+        "decided",
+        "shed",
+        "rejected",
+        "evict",
+        "p50 us",
+        "p95 us",
+        "p99 us",
+        "wall ms median [min, max]",
     ]);
     for run in &runs {
         let r = &run.report;
@@ -64,9 +64,10 @@ fn main() {
             r.p50_us().to_string(),
             r.p95_us().to_string(),
             r.p99_us().to_string(),
-            num(run.wall_s, 3),
+            run.wall_ms.cell(2),
         ]);
     }
+    println!("median [min, max] over {REPEATS} repeats");
     println!("{}", table.render());
 
     let search = if smoke {
@@ -126,7 +127,9 @@ fn main() {
         println!("smoke floors hold");
     }
 
-    let json = serve_json(pool.workers(), threads, &runs, &search, &capacity);
-    std::fs::write(&out_path, &json).expect("write benchmark report");
-    println!("wrote {out_path}");
+    args.write_report(
+        pool.workers(),
+        REPEATS,
+        serve_report(&runs, &search, &capacity),
+    );
 }

@@ -23,9 +23,9 @@
 //!    7 times (3 in smoke), rungs interleaved; every repeat of a rung must
 //!    give identical counts, and each rung commits its `wall_ms` and
 //!    `sessions_per_s` as median/min/max over the repeats. The report's
-//!    `execution` records the farm's worker count as `threads`, and as
-//!    `threads_requested` too, since `WorkPool::auto()` is what the farm
-//!    asks for; there is no flag to ask for another.
+//!    `execution` block records the farm's worker count as `threads`;
+//!    the farm always runs on `WorkPool::auto()`, so the bench takes no
+//!    `--threads`.
 //! 3. **Miss-path split** — the owner frames a view memo cannot serve (the
 //!    view's render inputs changed, as when a sign changes) of a small
 //!    mixed farm: all three roles, consenting and refusing, scripted and
@@ -63,10 +63,10 @@
 //!    did, and at least one view must come from the table (a count floor, so
 //!    a change that defeats the table's key fails on any host).
 //!
-//! Usage: `cargo run --release -p hdc-bench --bin bench_sessions
-//! [--smoke] [out.json]`
+//! Usage: `cargo run --release -p hdc-bench --bin bench_sessions --
+//! [--smoke] [out.json]` (default `BENCH_sessions.json`).
 
-use hdc_bench::report::{num, Spread, Table};
+use hdc_bench::report::{num, BenchArgs, Json, Spread, Table};
 use hdc_core::{
     paint_view, paint_view_mask, CollaborationSession, HumanScript, Role, ScriptedResponse,
     SessionConfig, SessionFaults, SessionOutcome, ViewRead, ViewWorker,
@@ -76,7 +76,7 @@ use hdc_geometry::Vec3;
 use hdc_orchard::{run_session_farm, FarmStats};
 use hdc_raster::threshold::binarize;
 use hdc_raster::{largest_component_packed_lazy, BitMask, Connectivity, GrayImage, LabelScratch};
-use hdc_runtime::{available_workers, ScheduleMode, SplitMix64, WorkPool};
+use hdc_runtime::{ScheduleMode, SplitMix64, WorkPool};
 use hdc_sax::QueryScratch;
 use hdc_vision::dynamic::{DynamicConfig, DynamicRecognizer};
 use hdc_vision::{
@@ -475,16 +475,8 @@ struct Rung {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut out_path = "BENCH_sessions.json".to_string();
-    for a in &args {
-        match a.as_str() {
-            "--smoke" => {}
-            a if !a.starts_with("--") => out_path = a.to_owned(),
-            other => panic!("unknown flag {other}"),
-        }
-    }
+    let args = BenchArgs::from_env("BENCH_sessions.json", false);
+    let smoke = args.smoke;
 
     // Every timed measurement repeats, so a change is judged against the
     // spread, not one wall time.
@@ -526,12 +518,7 @@ fn main() {
             c.dispatches.to_string(),
             c.frames.to_string(),
             c.views_reused.to_string(),
-            format!(
-                "{} [{}, {}]",
-                num(r.wall_ms.median, 2),
-                num(r.wall_ms.min, 2),
-                num(r.wall_ms.max, 2)
-            ),
+            r.wall_ms.cell(2),
             format!("{:?}", c.outcome),
         ]);
     }
@@ -677,125 +664,92 @@ fn main() {
         ),
         ("read_mask / one_pass", &split.read_ratio),
     ] {
-        println!(
-            "per repeat, {label}: median {:.3} [{:.3}, {:.3}]",
-            r.median, r.min, r.max
-        );
+        println!("per repeat, {label}: median {}", r.cell(3));
     }
 
-    // --- JSON report ---
-    use std::fmt::Write as _;
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let farm_workers = WorkPool::auto().workers();
-    let _ = writeln!(
-        json,
-        "  \"execution\": {{\"threads\": {farm_workers}, \"threads_requested\": \
-         {farm_workers}, \"available_parallelism\": {}}},",
-        available_workers()
-    );
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"idle_mission\": {{");
-    let _ = writeln!(
-        json,
-        "    \"attention_timeout_s\": {:.0}, \"sim_duration_s\": {:.1}, \
-         \"outcome\": \"{:?}\",",
-        idle_cfg.negotiation.attention_timeout_s, lock.counts.sim_s, lock.counts.outcome
-    );
-    for (label, r) in [("lockstep", &lock), ("event_driven", &event)] {
+    let modes = [("lockstep", &lock), ("event_driven", &event)].map(|(label, r)| {
         let c = &r.counts;
-        let _ = writeln!(
-            json,
-            "    \"{label}\": {{\"drone_ticks\": {}, \"dispatches\": {}, \"frames\": {}, \
-             \"views_reused\": {}, \"repeats\": {repeats}, \"wall_ms\": {}}},",
-            c.drone_ticks,
-            c.dispatches,
-            c.frames,
-            c.views_reused,
-            r.wall_ms.json(2)
-        );
-    }
-    let _ = writeln!(json, "    \"drone_tick_ratio\": {tick_ratio:.1}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"capacity_ladder\": [");
-    for (i, rung) in ladder.iter().enumerate() {
-        let comma = if i + 1 < ladder.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"sessions\": {}, \"repeats\": {repeats}, \"wall_ms\": {}, \
-             \"sessions_per_s\": {}, \"dispatches\": {}, \"drone_ticks\": {}, \
-             \"frames\": {}, \"views_reused\": {}, \"granted\": {}, \"denied\": {}, \
-             \"abandoned\": {}, \"aborted\": {}}}{comma}",
-            rung.sessions,
-            rung.wall_ms.json(1),
-            rung.sessions_per_s.json(1),
-            rung.stats.events_dispatched,
-            rung.stats.total_drone_ticks,
-            rung.stats.frames_processed,
-            rung.stats.views_reused,
-            rung.stats.count(SessionOutcome::Granted),
-            rung.stats.count(SessionOutcome::Denied),
-            rung.stats.count(SessionOutcome::Abandoned),
-            rung.stats.count(SessionOutcome::Aborted),
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"miss_path\": {{\"sessions\": {}, \"frames\": {}, \"views\": {}, \
-         \"views_reused\": {}, \"changed_views\": {}, \"multi_component_views\": {}, \
-         \"repeats\": {},",
-        split.sessions,
-        split.frames,
-        split.views,
-        split.views_reused,
-        split.misses,
-        split.multi_component,
-        split.repeats
+        let row = Json::Object(vec![
+            ("drone_ticks", c.drone_ticks.into()),
+            ("dispatches", c.dispatches.into()),
+            ("frames", c.frames.into()),
+            ("views_reused", c.views_reused.into()),
+            ("repeats", repeats.into()),
+            ("wall_ms", Json::spread(&r.wall_ms, 2)),
+        ]);
+        (label, row)
+    });
+    let mut idle_mission = vec![
+        (
+            "attention_timeout_s",
+            Json::Num(idle_cfg.negotiation.attention_timeout_s, 0),
+        ),
+        ("sim_duration_s", Json::Num(lock.counts.sim_s, 1)),
+        ("outcome", Json::Str(format!("{:?}", lock.counts.outcome))),
+    ];
+    idle_mission.extend(modes);
+    idle_mission.push(("drone_tick_ratio", Json::Num(tick_ratio, 1)));
+    let capacity_ladder = ladder.iter().map(|rung| {
+        let stats = &rung.stats;
+        Json::Object(vec![
+            ("sessions", rung.sessions.into()),
+            ("repeats", repeats.into()),
+            ("wall_ms", Json::spread(&rung.wall_ms, 1)),
+            ("sessions_per_s", Json::spread(&rung.sessions_per_s, 1)),
+            ("dispatches", stats.events_dispatched.into()),
+            ("drone_ticks", stats.total_drone_ticks.into()),
+            ("frames", stats.frames_processed.into()),
+            ("views_reused", stats.views_reused.into()),
+            ("granted", stats.count(SessionOutcome::Granted).into()),
+            ("denied", stats.count(SessionOutcome::Denied).into()),
+            ("abandoned", stats.count(SessionOutcome::Abandoned).into()),
+            ("aborted", stats.count(SessionOutcome::Aborted).into()),
+        ])
+    });
+    let ns = |spread: &Spread| Json::spread(spread, 0);
+    let miss_path = Json::Object(vec![
+        ("sessions", split.sessions.into()),
+        ("frames", split.frames.into()),
+        ("views", split.views.into()),
+        ("views_reused", split.views_reused.into()),
+        ("changed_views", split.misses.into()),
+        ("multi_component_views", split.multi_component.into()),
+        ("repeats", split.repeats.into()),
+        (
+            "shared_hits",
+            Json::Object(vec![
+                ("workers", 1usize.into()),
+                ("scripted", scripted.into()),
+                ("stochastic", stochastic.into()),
+            ]),
+        ),
+        ("render_mask_ns", ns(&split.render_mask)),
+        ("read_mask_ns", ns(&split.read_mask)),
+        ("render_ns", ns(&split.render)),
+        ("one_pass_read_ns", ns(&split.one_pass)),
+        ("two_pass_read_ns", ns(&split.two_pass)),
+        ("label_ns", ns(&split.label)),
+        ("contour_ns", ns(&split.contour)),
+        ("signature_ns", ns(&split.signature)),
+        ("sax_match_ns", ns(&split.sax_match)),
+        (
+            "mask_miss_over_grey_miss",
+            Json::spread(&split.miss_ratio, 3),
+        ),
+        (
+            "read_mask_over_one_pass_read",
+            Json::spread(&split.read_ratio, 3),
+        ),
+        ("read_speedup", Json::Num(read_speedup, 2)),
+    ]);
+    args.write_report(
+        WorkPool::auto().workers(),
+        repeats,
+        vec![
+            ("smoke", Json::Bool(smoke)),
+            ("idle_mission", Json::Object(idle_mission)),
+            ("capacity_ladder", Json::Array(capacity_ladder.collect())),
+            ("miss_path", miss_path),
+        ],
     );
-    let _ = writeln!(
-        json,
-        "    \"shared_hits\": {{\"workers\": 1, \"scripted\": {scripted}, \
-         \"stochastic\": {stochastic}}},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"render_mask_ns\": {},",
-        split.render_mask.json(0)
-    );
-    let _ = writeln!(json, "    \"read_mask_ns\": {},", split.read_mask.json(0));
-    let _ = writeln!(json, "    \"render_ns\": {},", split.render.json(0));
-    let _ = writeln!(
-        json,
-        "    \"one_pass_read_ns\": {},",
-        split.one_pass.json(0)
-    );
-    let _ = writeln!(
-        json,
-        "    \"two_pass_read_ns\": {},",
-        split.two_pass.json(0)
-    );
-    for (key, st) in [
-        ("label_ns", &split.label),
-        ("contour_ns", &split.contour),
-        ("signature_ns", &split.signature),
-        ("sax_match_ns", &split.sax_match),
-    ] {
-        let _ = writeln!(json, "    \"{key}\": {},", st.json(0));
-    }
-    let _ = writeln!(
-        json,
-        "    \"mask_miss_over_grey_miss\": {},",
-        split.miss_ratio.json(3)
-    );
-    let _ = writeln!(
-        json,
-        "    \"read_mask_over_one_pass_read\": {},",
-        split.read_ratio.json(3)
-    );
-    let _ = writeln!(json, "    \"read_speedup\": {read_speedup:.2}");
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).expect("write benchmark report");
-    println!("wrote {out_path}");
 }

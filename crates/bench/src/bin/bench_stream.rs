@@ -12,8 +12,8 @@
 //! writes the JSON report. Every serve call must decide every offered
 //! frame and reproduce its mode's first gate counters and digest.
 //!
-//! Usage: `cargo run --release -p hdc-bench --bin bench_stream
-//! [--threads N] [--smoke] [out.json]`
+//! Usage: `cargo run --release -p hdc-bench --bin bench_stream --
+//! [--smoke] [--threads N] [out.json]`
 //!
 //! * `--threads N` — serving worker count (default: available
 //!   parallelism);
@@ -21,12 +21,12 @@
 //!   conformance mode), numbers not meaningful;
 //! * default output path `BENCH_stream.json` in the current directory.
 
-use hdc_bench::report::{num, Table};
+use hdc_bench::report::{num, BenchArgs, Table};
 use hdc_bench::streams::{
-    decision_divergence, gating_study, held_sign_streams, stream_json, summarize_modes,
+    decision_divergence, gating_study, held_sign_streams, stream_report, summarize_modes,
     StreamWorkload, PASSES, SERVES_PER_RUN,
 };
-use hdc_runtime::{available_workers, threads_from_args, WorkPool};
+use hdc_runtime::{available_workers, WorkPool};
 
 /// Times the three modes are served in turn. One run per mode lasts
 /// 0.5–1.2 s, still short beside a host's speed spells;
@@ -35,22 +35,9 @@ use hdc_runtime::{available_workers, threads_from_args, WorkPool};
 const REPEATS: usize = 11;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let threads = threads_from_args(&args);
-    let mut out_path = "BENCH_stream.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => i += 1, // skip the flag's value
-            "--smoke" => {}
-            a if !a.starts_with("--") => out_path = a.to_owned(),
-            other => panic!("unknown flag {other}"),
-        }
-        i += 1;
-    }
-
-    let pool = WorkPool::with_threads(threads);
+    let args = BenchArgs::from_env("BENCH_stream.json", true);
+    let smoke = args.smoke;
+    let pool = WorkPool::with_threads(args.threads);
     let (workload, streams_n) = if smoke {
         (StreamWorkload::smoke(), 2)
     } else {
@@ -150,7 +137,9 @@ fn main() {
         100.0 * incremental_div.rate()
     );
 
-    let json = stream_json(&workload, threads, &repeats, strict_div, incremental_div);
-    std::fs::write(&out_path, &json).expect("write benchmark report");
-    println!("wrote {out_path}");
+    args.write_report(
+        pool.workers(),
+        REPEATS,
+        stream_report(&workload, &repeats, strict_div, incremental_div),
+    );
 }

@@ -2,8 +2,8 @@
 //! kernels.
 //!
 //! The throughput sweep in [`crate::throughput`] measures the whole
-//! pipeline; this module isolates each silhouette kernel so the
-//! `--kernels` mode of `bench_recognize` can report where the packed
+//! pipeline; this module isolates each silhouette kernel so
+//! `bench_recognize`'s kernel pass can report where the packed
 //! representation actually pays. Every kernel runs over the same VGA
 //! sign stream the pipeline benchmarks use, one timed call per frame,
 //! averaged over enough iterations to be stable.
@@ -38,13 +38,9 @@ use hdc_raster::{
     trace_outer_contour_packed_into, BitMask, Bitmap, Connectivity, ContourPoint, GrayImage,
     LabelScratch,
 };
+use hdc_vision::SEGMENTATION_THRESHOLD;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// The binarisation threshold the kernel workload uses. The rendered
-/// silhouettes are white-on-black, so any mid-scale value yields the
-/// same masks; 128 matches the pipeline's default fixed segmentation.
-const THRESHOLD: u8 = 128;
 
 /// Tile edge for the tiled mask diff, matching the temporal gate's
 /// default.
@@ -173,9 +169,9 @@ pub fn run_kernel_bench(width: u32, height: u32, iters: usize) -> Vec<KernelResu
     let mut packed_masks: Vec<BitMask> = Vec::with_capacity(n);
     for f in &frames {
         let mut m = Bitmap::new(width, height);
-        binarize_into(f, THRESHOLD, &mut m);
+        binarize_into(f, SEGMENTATION_THRESHOLD, &mut m);
         let mut p = BitMask::new(width, height);
-        binarize_packed_into(f, THRESHOLD, &mut p);
+        binarize_packed_into(f, SEGMENTATION_THRESHOLD, &mut p);
         byte_masks.push(m);
         packed_masks.push(p);
     }
@@ -207,7 +203,7 @@ pub fn run_kernel_bench(width: u32, height: u32, iters: usize) -> Vec<KernelResu
         paint_view(signaller, *eye, &mut frame);
         paint_view_mask(signaller, *eye, &mut out_p);
         let mut want = BitMask::new(1, 1);
-        binarize_packed_into(&frame, THRESHOLD, &mut want);
+        binarize_packed_into(&frame, SEGMENTATION_THRESHOLD, &mut want);
         assert_eq!(
             out_p, want,
             "the mask must be the grey frame's segmentation"
@@ -233,13 +229,13 @@ pub fn run_kernel_bench(width: u32, height: u32, iters: usize) -> Vec<KernelResu
         name: "binarize",
         byte_ns: time_per_frame(n, iters, || {
             for f in &frames {
-                binarize_into(f, THRESHOLD, &mut out_b);
+                binarize_into(f, SEGMENTATION_THRESHOLD, &mut out_b);
                 black_box(&out_b);
             }
         }),
         packed_ns: time_per_frame(n, iters, || {
             for f in &frames {
-                binarize_packed_into(f, THRESHOLD, &mut out_p);
+                binarize_packed_into(f, SEGMENTATION_THRESHOLD, &mut out_p);
                 black_box(&out_p);
             }
         }),
@@ -361,7 +357,7 @@ mod tests {
     #[test]
     fn rows_match_the_committed_kernel_table() {
         // A kernel added to or deleted from the bench must be re-recorded
-        // in BENCH_recognize.json (`bench_recognize --kernels`), not left
+        // in BENCH_recognize.json (run `bench_recognize`), not left
         // as a stale or missing row.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recognize.json");
         let text = std::fs::read_to_string(path).expect("committed BENCH_recognize.json");
@@ -385,12 +381,12 @@ mod tests {
         let frames = sign_stream(130, 96);
         let mut a = BitMask::new(130, 96);
         let mut b = BitMask::new(130, 96);
-        binarize_packed_into(&frames[0], THRESHOLD, &mut a);
-        binarize_packed_into(&frames[1], THRESHOLD, &mut b);
+        binarize_packed_into(&frames[0], SEGMENTATION_THRESHOLD, &mut a);
+        binarize_packed_into(&frames[1], SEGMENTATION_THRESHOLD, &mut b);
         let mut ab = Bitmap::new(130, 96);
         let mut bb = Bitmap::new(130, 96);
-        binarize_into(&frames[0], THRESHOLD, &mut ab);
-        binarize_into(&frames[1], THRESHOLD, &mut bb);
+        binarize_into(&frames[0], SEGMENTATION_THRESHOLD, &mut ab);
+        binarize_into(&frames[1], SEGMENTATION_THRESHOLD, &mut bb);
 
         assert_eq!(mask_diff_naive(&ab, &bb), mask_diff_count(&a, &b));
 

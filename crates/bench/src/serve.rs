@@ -16,6 +16,7 @@
 //!   configuration, not the benchmark host — the same search converges to
 //!   the same stream count at any `--threads N`.
 
+use crate::report::{Json, Spread};
 use hdc_raster::GrayImage;
 use hdc_runtime::{Micros, WorkPool};
 use hdc_serve::workload::{canonical_workloads, golden_frame_sets, golden_pipeline};
@@ -24,7 +25,6 @@ use hdc_serve::{
 };
 use hdc_vision::temporal::TemporalConfig;
 use hdc_vision::RecognitionPipeline;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One canonical workload's serving outcome plus the real time it took to
@@ -32,32 +32,52 @@ use std::time::Instant;
 pub struct CanonicalRun {
     /// Workload name (`steady` / `bursty` / `overload`).
     pub name: &'static str,
-    /// The deterministic serving report.
+    /// The deterministic serving report, equal in every repeat.
     pub report: ServeReport,
-    /// Wall-clock seconds spent driving the run (host-dependent).
-    pub wall_s: f64,
+    /// Wall-clock milliseconds spent driving the run, across the repeats
+    /// (host-dependent).
+    pub wall_ms: Spread,
 }
 
-/// Serves the three canonical workloads and times each run.
+/// Serves the three canonical workloads `repeats` times, the workloads
+/// interleaved within each repeat so a host spell lands on all three, and
+/// times each run.
+///
+/// # Panics
+/// Panics when `repeats` is 0 or a repeat's report differs from the
+/// first's.
 pub fn canonical_study(
     pipeline: &RecognitionPipeline,
     frame_sets: &[Vec<GrayImage>],
     pool: &WorkPool,
+    repeats: usize,
 ) -> Vec<CanonicalRun> {
-    canonical_workloads()
-        .into_iter()
-        .map(|w| {
+    let workloads = canonical_workloads();
+    let mut runs: Vec<(ServeReport, Vec<f64>)> = Vec::with_capacity(workloads.len());
+    for repeat in 0..repeats {
+        for (i, w) in workloads.iter().enumerate() {
             let input = ServeInput {
                 frame_sets,
                 arrivals: &w.arrivals,
             };
             let t0 = Instant::now();
             let report = serve(pipeline, &input, &w.config, pool);
-            CanonicalRun {
-                name: w.name,
-                report,
-                wall_s: t0.elapsed().as_secs_f64(),
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            if repeat == 0 {
+                runs.push((report, vec![wall_ms]));
+            } else {
+                assert_eq!(report, runs[i].0, "{}: a repeat changed the report", w.name);
+                runs[i].1.push(wall_ms);
             }
+        }
+    }
+    workloads
+        .iter()
+        .zip(runs)
+        .map(|(w, (report, walls))| CanonicalRun {
+            name: w.name,
+            report,
+            wall_ms: Spread::of(walls),
         })
         .collect()
 }
@@ -220,91 +240,68 @@ pub fn max_sustained_streams(
     }
 }
 
-/// Renders the study as the JSON document committed at `BENCH_serve.json`
-/// (hand-rolled: the workspace has no JSON dependency).
-pub fn serve_json(
-    workers: usize,
-    threads_flag: Option<usize>,
+/// The members of `BENCH_serve.json` after its `execution` block.
+pub fn serve_report(
     runs: &[CanonicalRun],
     search: &CapacitySearch,
     capacity: &CapacityResult,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(
-        "  \"benchmark\": \"deterministic many-stream serving: latency SLOs and sustained capacity\",\n",
-    );
-    let _ = writeln!(
-        s,
-        "  \"metadata\": {{\n    \"threads_flag\": {},\n    \"available_parallelism\": {},\n    \"workers\": {}\n  }},",
-        threads_flag
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| "null".to_owned()),
-        hdc_runtime::available_workers(),
-        workers,
-    );
-    s.push_str("  \"protocol\": {\n");
-    s.push_str("    \"time\": \"latencies are virtual microseconds from the serving cost model keyed by gate outcome - reproducible on any host; wall_s is the real cost of driving the run\",\n");
-    s.push_str("    \"workloads\": \"the three golden workloads (tests/golden/serve_digests.txt): steady under-capacity with LRU churn, bursty against the token-bucket budget, overload at ~2x capacity\",\n");
-    s.push_str("    \"capacity\": \"doubling ladder + bisection for the largest ~30 fps fleet with zero drops and p99 <= SLO; deterministic at any --threads\",\n");
-    s.push_str("    \"note\": \"wall_s measured on however many hardware threads the host exposes - see available_parallelism\"\n");
-    s.push_str("  },\n");
-    s.push_str("  \"workloads\": [\n");
-    for (i, run) in runs.iter().enumerate() {
+) -> Vec<(&'static str, Json)> {
+    let workloads = runs.iter().map(|run| {
         let r = &run.report;
-        let _ = writeln!(
-            s,
-            "    {{\"name\": \"{}\", \"shards\": {}, \"offered\": {}, \"decided\": {}, \"shed\": {}, \
-             \"rejected_budget\": {}, \"rejected_queue\": {}, \"evictions\": {}, \"restores\": {}, \
-             \"queue_peak\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
-             \"digest\": \"{}\", \"wall_s\": {:.3}}}{}",
-            run.name,
-            r.shards,
-            r.offered(),
-            r.decided(),
-            r.shed(),
-            r.rejected_budget(),
-            r.rejected_queue(),
-            r.evictions(),
-            r.restores(),
-            r.queue_peak,
-            r.p50_us(),
-            r.p95_us(),
-            r.p99_us(),
-            r.digest(),
-            run.wall_s,
-            if i + 1 < runs.len() { "," } else { "" }
-        );
-    }
-    s.push_str("  ],\n");
-    let _ = writeln!(
-        s,
-        "  \"capacity\": {{\n    \"slo_p99_us\": {},\n    \"stream_period_us\": {},\n    \"shards\": {},\n    \"frames_per_stream\": {},\n    \"max_probe_streams\": {},\n    \"max_sustained_streams\": {},\n    \"probes\": [",
-        search.slo_p99_us,
-        search.period_us,
-        search.shards,
-        search.frames_per_stream,
-        search.max_probe_streams,
-        capacity.max_sustained_streams,
-    );
-    for (i, p) in capacity.probes.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "      {{\"streams\": {}, \"p99_us\": {}, \"dropped\": {}, \"healthy\": {}}}{}",
-            p.streams,
-            p.p99_us,
-            p.dropped,
-            p.healthy,
-            if i + 1 < capacity.probes.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    s.push_str("    ]\n  }\n");
-    s.push_str("}\n");
-    s
+        Json::Object(vec![
+            ("name", run.name.into()),
+            ("shards", r.shards.into()),
+            ("offered", r.offered().into()),
+            ("decided", r.decided().into()),
+            ("shed", r.shed().into()),
+            ("rejected_budget", r.rejected_budget().into()),
+            ("rejected_queue", r.rejected_queue().into()),
+            ("evictions", r.evictions().into()),
+            ("restores", r.restores().into()),
+            ("queue_peak", r.queue_peak.into()),
+            ("p50_us", r.p50_us().into()),
+            ("p95_us", r.p95_us().into()),
+            ("p99_us", r.p99_us().into()),
+            ("digest", Json::Str(r.digest())),
+            ("wall_ms", Json::spread(&run.wall_ms, 2)),
+        ])
+    });
+    let probes = capacity.probes.iter().map(|p| {
+        Json::Object(vec![
+            ("streams", p.streams.into()),
+            ("p99_us", p.p99_us.into()),
+            ("dropped", p.dropped.into()),
+            ("healthy", Json::Bool(p.healthy)),
+        ])
+    });
+    vec![
+        (
+            "benchmark",
+            "deterministic many-stream serving: latency SLOs and sustained capacity".into(),
+        ),
+        (
+            "protocol",
+            Json::Object(vec![
+                ("time", "latencies are virtual microseconds from the serving cost model keyed by gate outcome - reproducible on any host; wall_ms is the real cost of driving the run, median/min/max over the repeats, every repeat reproducing the run's report".into()),
+                ("workloads", "the three golden workloads (tests/golden/serve_digests.txt): steady under-capacity with LRU churn, bursty against the token-bucket budget, overload at ~2x capacity".into()),
+                ("capacity", "doubling ladder + bisection for the largest ~30 fps fleet with zero drops and p99 <= SLO; deterministic at any --threads".into()),
+                ("note", "wall_ms measured on execution.threads workers of a host with execution.available_parallelism hardware threads".into()),
+            ]),
+        ),
+        ("workloads", Json::Array(workloads.collect())),
+        (
+            "capacity",
+            Json::Object(vec![
+                ("slo_p99_us", search.slo_p99_us.into()),
+                ("stream_period_us", search.period_us.into()),
+                ("shards", search.shards.into()),
+                ("frames_per_stream", search.frames_per_stream.into()),
+                ("max_probe_streams", search.max_probe_streams.into()),
+                ("max_sustained_streams", capacity.max_sustained_streams.into()),
+                ("probes", Json::Array(probes.collect())),
+            ]),
+        ),
+    ]
 }
 
 /// The golden pipeline + frame sets the serving bench shares with the
@@ -363,7 +360,7 @@ mod tests {
     fn serve_json_is_well_formed_enough() {
         let (pipeline, frame_sets) = serving_fixture();
         let pool = WorkPool::with_threads(Some(2));
-        let runs = canonical_study(&pipeline, &frame_sets, &pool);
+        let runs = canonical_study(&pipeline, &frame_sets, &pool, 2);
         let search = CapacitySearch::smoke();
         let capacity = CapacityResult {
             max_sustained_streams: 64,
@@ -374,11 +371,17 @@ mod tests {
                 healthy: true,
             }],
         };
-        let json = serve_json(2, Some(2), &runs, &search, &capacity);
-        assert!(json.contains("\"name\": \"steady\""));
-        assert!(json.contains("\"name\": \"overload\""));
+        let json = Json::Object(serve_report(&runs, &search, &capacity)).to_string();
+        let row = |name: &str| {
+            json.lines()
+                .find(|l| l.contains(&format!("\"name\": \"{name}\"")))
+                .unwrap_or_else(|| panic!("no {name} row"))
+        };
+        assert!(row("steady").contains("\"wall_ms\": {\"median\": "));
+        assert!(row("overload").contains(&format!("\"digest\": \"{}\"", runs[2].report.digest())));
         assert!(json.contains("\"max_sustained_streams\": 64"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(
+            json.contains("{\"streams\": 64, \"p99_us\": 900, \"dropped\": 0, \"healthy\": true}")
+        );
     }
 }

@@ -25,11 +25,11 @@
 //! result.
 
 use crate::frames::view_at;
-use crate::report::Spread;
+use crate::report::{Json, Spread};
 use hdc_figure::{render_pose, MarshallingSign, Pose};
 use hdc_raster::noise::add_salt_pepper;
 use hdc_raster::GrayImage;
-use hdc_runtime::{available_workers, WorkPool};
+use hdc_runtime::WorkPool;
 use hdc_serve::{
     serve, ArrivalSpec, CostModel, EventKind, ServeConfig, ServeInput, ServeReport, StreamBudget,
 };
@@ -38,7 +38,6 @@ use hdc_vision::RecognitionPipeline;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Shape of the synthetic held-sign stream.
@@ -391,76 +390,78 @@ pub fn summarize_modes(repeats: &[Vec<GateRun>]) -> Vec<ModeSummary> {
         .collect()
 }
 
-/// Renders the study as the JSON document committed at `BENCH_stream.json`
-/// (hand-rolled: the workspace has no JSON dependency).
-pub fn stream_json(
+/// The members of `BENCH_stream.json` after its `execution` block.
+pub fn stream_report(
     workload: &StreamWorkload,
-    threads_flag: Option<usize>,
     repeats: &[Vec<GateRun>],
     strict_divergence: Divergence,
     incremental_divergence: Divergence,
-) -> String {
-    let modes = summarize_modes(repeats);
+) -> Vec<(&'static str, Json)> {
     let first = &repeats[0][0].report;
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"temporal-coherence gating: held-sign streams served through hdc-serve\",\n");
-    let _ = writeln!(
-        s,
-        "  \"metadata\": {{\n    \"threads_flag\": {},\n    \"available_parallelism\": {},\n    \"workers\": {},\n    \"repeats\": {},\n    \"streams\": {},\n    \"passes\": {},\n    \"serves_per_run\": {},\n    \"width\": {}, \"height\": {},\n    \"holds\": {}, \"keyframes_per_hold\": {}, \"dups_per_keyframe\": {}, \"transition_frames\": {},\n    \"jitter\": {}\n  }},",
-        threads_flag
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| "null".to_owned()),
-        available_workers(),
-        first.workers,
-        repeats.len(),
-        first.per_stream.len(),
-        PASSES,
-        SERVES_PER_RUN,
-        workload.width,
-        workload.height,
-        workload.holds,
-        workload.keyframes_per_hold,
-        workload.dups_per_keyframe,
-        workload.transition_frames,
-        workload.jitter,
-    );
-    s.push_str("  \"protocol\": {\n");
-    s.push_str("    \"stream\": \"held marshalling signs: per hold, lerp transition frames then keyframes x byte-identical oversampled duplicates, salt-and-pepper sensor jitter per keyframe\",\n");
-    s.push_str("    \"modes\": \"each repeat serves every gate mode in turn (off = ungated baseline) as one run of serves_per_run hdc_serve::serve calls timed together: 30 fps arrivals of every stream's frames, passes times over, one shard and one resident recogniser per stream, admission and deadline bounds no frame reaches; frames, gate counters and digest are one serve call's and equal in every call, seconds are summed over the repeats\",\n");
-    s.push_str("    \"divergence\": \"per-frame accepted-decision mismatch of each gated mode's decide events vs the ungated mode's\",\n");
-    s.push_str("    \"note\": \"aggregate fps is the run's decided frames (serves_per_run x frames) over its wall time, summed over the metadata's workers, so it scales with the host and its speed spells (median, min, max over the repeats); speedup_vs_off is each repeat's mode fps over that repeat's ungated fps, the gate's work saving with the spell cancelled\"\n");
-    s.push_str("  },\n");
-    s.push_str("  \"modes\": [\n");
-    for (i, mode) in modes.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"mode\": \"{}\", \"seconds\": {:.2}, \"frames\": {}, \"digest\": \"{}\", \"aggregate_fps\": {}, \"speedup_vs_off\": {}, \"gate\": {{\"strict_hits\": {}, \"incremental_hits\": {}, \"full_runs\": {}}}}}{}",
-            mode.label,
-            mode.seconds,
-            mode.frames,
-            mode.digest,
-            mode.fps.json(2),
-            mode.speedup_vs_off.json(3),
-            mode.gate.strict_hits,
-            mode.gate.incremental_hits,
-            mode.gate.full_runs,
-            if i + 1 < modes.len() { "," } else { "" }
-        );
-    }
-    s.push_str("  ],\n");
-    let _ = writeln!(
-        s,
-        "  \"divergence\": {{\n    \"strict\": {{\"frames\": {}, \"divergent\": {}, \"rate\": {:.6}}},\n    \"incremental\": {{\"frames\": {}, \"divergent\": {}, \"rate\": {:.6}}}\n  }}",
-        strict_divergence.frames,
-        strict_divergence.divergent,
-        strict_divergence.rate(),
-        incremental_divergence.frames,
-        incremental_divergence.divergent,
-        incremental_divergence.rate(),
-    );
-    s.push_str("}\n");
-    s
+    let modes = summarize_modes(repeats).into_iter().map(|mode| {
+        Json::Object(vec![
+            ("mode", mode.label.into()),
+            ("seconds", Json::Num(mode.seconds, 2)),
+            ("frames", mode.frames.into()),
+            ("digest", Json::Str(mode.digest)),
+            ("aggregate_fps", Json::spread(&mode.fps, 2)),
+            ("speedup_vs_off", Json::spread(&mode.speedup_vs_off, 3)),
+            (
+                "gate",
+                Json::Object(vec![
+                    ("strict_hits", mode.gate.strict_hits.into()),
+                    ("incremental_hits", mode.gate.incremental_hits.into()),
+                    ("full_runs", mode.gate.full_runs.into()),
+                ]),
+            ),
+        ])
+    });
+    let divergence = |d: Divergence| {
+        Json::Object(vec![
+            ("frames", d.frames.into()),
+            ("divergent", d.divergent.into()),
+            ("rate", Json::Num(d.rate(), 6)),
+        ])
+    };
+    vec![
+        (
+            "benchmark",
+            "temporal-coherence gating: held-sign streams served through hdc-serve".into(),
+        ),
+        (
+            "metadata",
+            Json::Object(vec![
+                ("repeats", repeats.len().into()),
+                ("streams", first.per_stream.len().into()),
+                ("passes", PASSES.into()),
+                ("serves_per_run", SERVES_PER_RUN.into()),
+                ("width", u64::from(workload.width).into()),
+                ("height", u64::from(workload.height).into()),
+                ("holds", workload.holds.into()),
+                ("keyframes_per_hold", workload.keyframes_per_hold.into()),
+                ("dups_per_keyframe", workload.dups_per_keyframe.into()),
+                ("transition_frames", workload.transition_frames.into()),
+                ("jitter", Json::Num(workload.jitter, 3)),
+            ]),
+        ),
+        (
+            "protocol",
+            Json::Object(vec![
+                ("stream", "held marshalling signs: per hold, lerp transition frames then keyframes x byte-identical oversampled duplicates, salt-and-pepper sensor jitter per keyframe".into()),
+                ("modes", "each repeat serves every gate mode in turn (off = ungated baseline) as one run of serves_per_run hdc_serve::serve calls timed together: 30 fps arrivals of every stream's frames, passes times over, one shard and one resident recogniser per stream, admission and deadline bounds no frame reaches; frames, gate counters and digest are one serve call's and equal in every call, seconds are summed over the repeats".into()),
+                ("divergence", "per-frame accepted-decision mismatch of each gated mode's decide events vs the ungated mode's".into()),
+                ("note", "aggregate fps is the run's decided frames (serves_per_run x frames) over its wall time, summed over the execution block's threads, so it scales with the host and its speed spells (median, min, max over the repeats); speedup_vs_off is each repeat's mode fps over that repeat's ungated fps, the gate's work saving with the spell cancelled".into()),
+            ]),
+        ),
+        ("modes", Json::Array(modes.collect())),
+        (
+            "divergence",
+            Json::Object(vec![
+                ("strict", divergence(strict_divergence)),
+                ("incremental", divergence(incremental_divergence)),
+            ]),
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -576,7 +577,7 @@ mod tests {
             frames: 10,
             divergent: 1,
         };
-        let json = stream_json(&w, Some(2), &repeats, Divergence::default(), d);
+        let json = Json::Object(stream_report(&w, &repeats, Divergence::default(), d)).to_string();
         assert!(json.contains("\"mode\": \"off\""));
         assert!(json.contains("\"mode\": \"strict\""));
         assert!(!json.contains("approx"));
@@ -589,7 +590,6 @@ mod tests {
             repeats[0][0].report.digest()
         )));
         assert!(json.contains("\"speedup_vs_off\": {\"median\": 1.000, \"min\": 1.000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(json.contains("\"jitter\": 0.001"));
     }
 }

@@ -24,14 +24,13 @@
 use crate::frames::sign_stream;
 pub use crate::frames::{benchmark_pipeline, RESOLUTIONS};
 use crate::kernels::KernelSpread;
-use crate::report::Spread;
+use crate::report::{Json, Spread};
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
 use hdc_raster::contour::{contour_centroid, trace_outer_contour};
 use hdc_raster::threshold::binarize;
 use hdc_raster::{label_components_bfs, Bitmap, Connectivity, GrayImage};
 use hdc_timeseries::{resample, TimeSeries};
-use hdc_vision::{FrameScratch, RecognitionPipeline, SegmentationMode, MIN_CONTOUR_POINTS};
-use std::fmt::Write as _;
+use hdc_vision::{FrameScratch, RecognitionPipeline, MIN_CONTOUR_POINTS, SEGMENTATION_THRESHOLD};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -166,11 +165,7 @@ fn seed_signature(mask: &Bitmap, sample_count: usize) -> Option<Vec<f64>> {
 /// index, or `None`.
 pub fn recognize_seed(pipeline: &RecognitionPipeline, frame: &GrayImage) -> Option<usize> {
     let cfg = pipeline.config();
-    let t = match cfg.segmentation {
-        SegmentationMode::Fixed(t) => t,
-        SegmentationMode::Otsu => hdc_raster::threshold::otsu_threshold(frame),
-    };
-    let mask = binarize(frame, t);
+    let mask = binarize(frame, SEGMENTATION_THRESHOLD);
 
     let (labels, comps) = label_components_bfs(&mask, Connectivity::Eight);
     let comp = comps.iter().max_by_key(|c| c.area)?.clone();
@@ -317,70 +312,63 @@ pub fn run_fig4(repeats: usize, rounds: usize, batch: usize) -> Fig4Spread {
     }
 }
 
-/// Renders the sweep's and Figure 4's spreads over `repeats` repeats as the
-/// JSON document committed at `BENCH_recognize.json` (hand-rolled: the
-/// workspace intentionally has no JSON-serialisation dependency).
-pub fn to_json(
+/// The members of `BENCH_recognize.json` after its `execution` block: the
+/// sweep's, Figure 4's and the kernels' spreads over `repeats` repeats.
+pub fn recognize_report(
     results: &[ResolutionSpread],
     fig4: &Fig4Spread,
     kernels: &[KernelSpread],
     repeats: usize,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"RecognitionPipeline sustained recognition throughput\",\n");
-    s.push_str("  \"protocol\": {\n");
-    s.push_str("    \"stream\": \"3 marshalling signs x 3 azimuths (0/10/20 deg), altitude 5 m, distance 3 m\",\n");
-    s.push_str("    \"seed\": \"allocating binarize + BFS labelling + allocating signature + naive-rotation best_two (reference oracles)\",\n");
-    s.push_str("    \"hybrid\": \"recognize_with(FrameScratch): binarise straight into bit-packed silhouette words (64 px per u64), word-parallel labelling/contour kernels, FFT rotation distance to every template, zero steady-state allocation\",\n");
-    s.push_str("    \"fig4\": \"Figure 4 timing: recognize_with on the 'No' sign at azimuth 0 and 65 deg, altitude 5 m, distance 3 m, 640x480; per repeat, rounds of one batch of calls per azimuth, the azimuth that goes first alternating by round; the ratio is 65 over 0 within each repeat\",\n");
-    s.push_str("    \"timing\": \"per repeat: one untimed warm-up cycle, then whole cycles until the frame and wall-clock floors are both met; the sweep and the kernel pass each repeat, and every row reports median/min/max over the repeats, its speed-up as the ratio within each repeat\"\n");
-    s.push_str("  },\n");
-    let _ = writeln!(s, "  \"repeats\": {repeats},");
-    s.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\n      \"width\": {}, \"height\": {},\n      \"seed_ms_per_frame\": {}, \"seed_frames\": {}, \"seed_decided\": {},\n      \"hybrid_ms_per_frame\": {}, \"hybrid_fps\": {}, \"hybrid_frames\": {}, \"hybrid_decided\": {},\n      \"speedup_hybrid\": {}\n    }}{}\n",
-            r.width,
-            r.height,
-            r.seed_ms.json(3),
-            r.seed_counts.0,
-            r.seed_counts.1,
-            r.hybrid_ms.json(3),
-            r.hybrid_fps.json(1),
-            r.hybrid_counts.0,
-            r.hybrid_counts.1,
-            r.speedup.json(2),
-            if i + 1 < results.len() { "," } else { "" }
-        );
-    }
-    s.push_str("  ],\n");
-    let _ = write!(
-        s,
-        "  \"fig4\": {{\n    \"azimuth_0_ns_per_frame\": {},\n    \"azimuth_65_ns_per_frame\": {},\n    \"ratio_65_over_0\": {}\n  }}",
-        fig4.ns_0.json(0),
-        fig4.ns_65.json(0),
-        fig4.ratio.json(2)
-    );
-    if kernels.is_empty() {
-        s.push_str("\n}\n");
-    } else {
-        s.push_str(",\n  \"kernels\": [\n");
-        for (i, k) in kernels.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{ \"kernel\": \"{}\", \"byte_ns_per_frame\": {}, \"packed_ns_per_frame\": {}, \"speedup\": {} }}{}",
-                k.name,
-                k.byte_ns.json(0),
-                k.packed_ns.json(0),
-                k.speedup.json(2),
-                if i + 1 < kernels.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ]\n}\n");
-    }
-    s
+) -> Vec<(&'static str, Json)> {
+    let results = results.iter().map(|r| {
+        Json::Object(vec![
+            ("width", u64::from(r.width).into()),
+            ("height", u64::from(r.height).into()),
+            ("seed_ms_per_frame", Json::spread(&r.seed_ms, 3)),
+            ("seed_frames", r.seed_counts.0.into()),
+            ("seed_decided", r.seed_counts.1.into()),
+            ("hybrid_ms_per_frame", Json::spread(&r.hybrid_ms, 3)),
+            ("hybrid_fps", Json::spread(&r.hybrid_fps, 1)),
+            ("hybrid_frames", r.hybrid_counts.0.into()),
+            ("hybrid_decided", r.hybrid_counts.1.into()),
+            ("speedup_hybrid", Json::spread(&r.speedup, 2)),
+        ])
+    });
+    let kernels = kernels.iter().map(|k| {
+        Json::Object(vec![
+            ("kernel", k.name.into()),
+            ("byte_ns_per_frame", Json::spread(&k.byte_ns, 0)),
+            ("packed_ns_per_frame", Json::spread(&k.packed_ns, 0)),
+            ("speedup", Json::spread(&k.speedup, 2)),
+        ])
+    });
+    vec![
+        (
+            "benchmark",
+            "RecognitionPipeline sustained recognition throughput".into(),
+        ),
+        (
+            "protocol",
+            Json::Object(vec![
+                ("stream", "3 marshalling signs x 3 azimuths (0/10/20 deg), altitude 5 m, distance 3 m".into()),
+                ("seed", "allocating binarize + BFS labelling + allocating signature + naive-rotation best_two (reference oracles)".into()),
+                ("hybrid", "recognize_with(FrameScratch): binarise straight into bit-packed silhouette words (64 px per u64), word-parallel labelling/contour kernels, FFT rotation distance to every template, zero steady-state allocation".into()),
+                ("fig4", "Figure 4 timing: recognize_with on the 'No' sign at azimuth 0 and 65 deg, altitude 5 m, distance 3 m, 640x480; per repeat, rounds of one batch of calls per azimuth, the azimuth that goes first alternating by round; the ratio is 65 over 0 within each repeat".into()),
+                ("timing", "per repeat: one untimed warm-up cycle, then whole cycles until the frame and wall-clock floors are both met; the sweep and the kernel pass each repeat, and every row reports median/min/max over the repeats, its speed-up as the ratio within each repeat".into()),
+            ]),
+        ),
+        ("repeats", repeats.into()),
+        ("results", Json::Array(results.collect())),
+        (
+            "fig4",
+            Json::Object(vec![
+                ("azimuth_0_ns_per_frame", Json::spread(&fig4.ns_0, 0)),
+                ("azimuth_65_ns_per_frame", Json::spread(&fig4.ns_65, 0)),
+                ("ratio_65_over_0", Json::spread(&fig4.ratio, 2)),
+            ]),
+        ),
+        ("kernels", Json::Array(kernels.collect())),
+    ]
 }
 
 #[cfg(test)]
@@ -447,7 +435,7 @@ mod tests {
             ns_65: ratio,
             ratio,
         };
-        let json = to_json(&sweep, &fig4, &kernels, 2);
+        let json = Json::Object(recognize_report(&sweep, &fig4, &kernels, 2)).to_string();
         assert!(json.contains("\"width\": 320"));
         assert!(json.contains("\"repeats\": 2"));
         assert!(json.contains("\"speedup_hybrid\": {\"median\": 1.00"));
@@ -456,13 +444,5 @@ mod tests {
         assert!(json.contains("\"ratio_65_over_0\": {\"median\": 0.75"));
         assert!(json.contains("\"kernel\": \"binarize\""));
         assert!(json.contains("\"speedup\": {\"median\": 4.00"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-
-        let no_kernels = to_json(&sweep, &fig4, &[], 2);
-        assert!(!no_kernels.contains("\"kernels\""));
-        assert_eq!(
-            no_kernels.matches('{').count(),
-            no_kernels.matches('}').count()
-        );
     }
 }

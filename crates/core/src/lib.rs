@@ -41,7 +41,7 @@ pub use log::{EventLog, LogEntry};
 pub use protocol::{
     NegotiationConfig, NegotiationMachine, NegotiationState, ProtocolAction, SessionOutcome,
 };
-pub use requirements::{requirement, Requirement, RequirementId, REQUIREMENTS};
+pub use requirements::{Requirement, RequirementId, REQUIREMENTS};
 pub use roles::{Role, RoleProfile, TrainingLevel};
 pub use safety::{SafetyMonitor, SafetyViolation};
 pub use session::{

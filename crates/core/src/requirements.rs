@@ -106,11 +106,6 @@ pub const REQUIREMENTS: &[Requirement] = &[
     },
 ];
 
-/// Looks up a requirement by id.
-pub fn requirement(id: RequirementId) -> Option<&'static Requirement> {
-    REQUIREMENTS.iter().find(|r| r.id == id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,6 +131,7 @@ mod tests {
 
     #[test]
     fn lookup() {
+        let requirement = |id| REQUIREMENTS.iter().find(|r| r.id == id);
         assert_eq!(requirement(RequirementId(4)).unwrap().id, RequirementId(4));
         assert!(requirement(RequirementId(99)).is_none());
         assert_eq!(RequirementId(4).to_string(), "R4");

@@ -17,8 +17,10 @@
 //!
 //! A memo miss (a view whose inputs changed — the frames where a sign
 //! changes) reads the view once, and never as a grey frame. The silhouette
-//! is pure 0/255 and the loop segments at `Fixed(128)`, so its segmented
-//! mask is just its foreground: [`paint_view_mask`] rasterises the
+//! is pure 0/255 and the pipeline segments at
+//! [`SEGMENTATION_THRESHOLD`](hdc_vision::SEGMENTATION_THRESHOLD) (128,
+//! below 255), so its segmented mask is just its foreground:
+//! [`paint_view_mask`] rasterises the
 //! signaller's row spans straight into a [`ViewWorker`]'s packed mask, and
 //! [`RecognitionPipeline::read_mask_with`] labels it through the worker's
 //! [`FrameScratch`]. The wave-off channel takes its [`FrameFeatures`] from
@@ -112,9 +114,9 @@ pub fn paint_view_mask(signaller: &Signaller, eye: Vec3, mask: &mut BitMask) {
 /// - the segmentation, labelling and recognition buffers ([`FrameScratch`]);
 /// - the grey frame a faulted owner view is painted into, so a fault layer
 ///   can rewrite it;
-/// - a table of at most [`SHARED_CAPACITY`] reads, keyed on a view's inputs
+/// - a table of at most `SHARED_CAPACITY` (256) reads, keyed on a view's inputs
 ///   and its calibration spec's bits, that every camera reading through
-///   this worker asks before it reads a view ([`ViewMemo::view`]).
+///   this worker asks before it reads a view (`ViewMemo::view`).
 ///
 /// Every buffer starts empty and grows to frame size on first use. Its
 /// `Debug` shows none of its contents, so a structure holding a worker
@@ -303,10 +305,6 @@ impl ViewRead {
     /// Reads a rasterised silhouette mask ([`paint_view_mask`]) through
     /// `worker`'s scratch: [`ViewRead::frame`] of the frame it is the
     /// foreground of.
-    ///
-    /// # Panics
-    /// Panics unless `pipeline` has the loop's segmentation (see
-    /// [`RecognitionPipeline::read_mask_with`]).
     pub fn mask(
         worker: &mut ViewWorker,
         mask: &BitMask,
@@ -319,10 +317,6 @@ impl ViewRead {
     /// Rasterises `signaller` as seen from `eye` into `worker`'s mask and
     /// reads it there: [`ViewRead::frame`] of [`paint_view`]'s frame,
     /// without the frame. This is the memo-miss path.
-    ///
-    /// # Panics
-    /// Panics unless `pipeline` has the loop's segmentation (see
-    /// [`RecognitionPipeline::read_mask_with`]).
     pub fn view(
         worker: &mut ViewWorker,
         signaller: &Signaller,
@@ -661,12 +655,8 @@ mod tests {
     fn calibrated_config_lets_one_labelling_serve_both_channels() {
         // The wave-off features are defined on `binarize(frame, 128)`; the
         // shared read takes them from the pipeline's own mask, which is that
-        // mask only under a fixed 128 threshold.
-        let pipeline = calibrated_pipeline(&ViewSpec::paper_default(0.0, 4.0, 3.0));
-        assert_eq!(
-            pipeline.config().segmentation,
-            hdc_vision::SegmentationMode::Fixed(128)
-        );
+        // mask only because the pipeline segments at 128 too.
+        assert_eq!(hdc_vision::SEGMENTATION_THRESHOLD, 128);
     }
 
     #[test]

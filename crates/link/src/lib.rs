@@ -21,7 +21,7 @@
 //!   the link lost. The drone side reacts with an autonomous safe-hold and
 //!   retreat; the supervisor side marks the drone lost and re-dispatches its
 //!   remaining work (see `hdc-core::session` and
-//!   `hdc-orchard::run_linked_fleet`).
+//!   `hdc-orchard::run_linked_fleet_mode`).
 //! * [`Duplex`] — one whole link: two endpoints and the two channels
 //!   between them, pumped in one fixed round. Every link in the workspace
 //!   (the session datalink, the cohort relays, the supervised fleet and the

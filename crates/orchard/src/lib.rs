@@ -42,8 +42,8 @@ pub use agents::HumanActor;
 pub use events::{EventQueue, ScheduledEvent};
 pub use fleet::{run_fleet, run_fleet_with, FleetConfig, FleetStats};
 pub use linked::{
-    run_linked_fleet, run_linked_fleet_mode, FleetCommand, FleetTelemetry, LinkedDroneStats,
-    LinkedFleetConfig, LinkedFleetStats, RadioFailure,
+    run_linked_fleet_mode, FleetCommand, FleetTelemetry, LinkedDroneStats, LinkedFleetConfig,
+    LinkedFleetStats, RadioFailure,
 };
 pub use map::{FlyTrap, OrchardMap, Tree};
 pub use metrics::{MissionStats, NegotiationTally};

@@ -238,20 +238,6 @@ fn fleet_next_due(now: f64, drones: &[FleetDrone], ledgers: &[DroneLedger]) -> f
     due
 }
 
-/// Runs the supervised campaign in lockstep-compat mode. See the module
-/// docs for the dispatch and failure model, and
-/// [`run_linked_fleet_mode`] for the scheduling contract.
-///
-/// # Panics
-/// Panics if `config.drone_count` is zero.
-pub fn run_linked_fleet(
-    config: &LinkedFleetConfig,
-    map: &OrchardMap,
-    seed: u64,
-) -> LinkedFleetStats {
-    run_linked_fleet_mode(config, map, seed, ScheduleMode::Lockstep)
-}
-
 /// Runs the supervised campaign under the given scheduler mode.
 ///
 /// The fleet wakes at one due time after another, each kept as an exact
@@ -522,7 +508,7 @@ mod tests {
     #[test]
     fn clean_link_confirms_every_trap() {
         let config = LinkedFleetConfig::default();
-        let stats = run_linked_fleet(&config, &grid(), 7);
+        let stats = run_linked_fleet_mode(&config, &grid(), 7, ScheduleMode::Lockstep);
         assert_eq!(stats.traps_confirmed, 12);
         assert_eq!(stats.drones_lost, 0);
         assert_eq!(stats.reassigned, 0);
@@ -536,7 +522,7 @@ mod tests {
             quality: LinkQuality::clean().with_drop(0.3).with_jitter(0.4),
             ..Default::default()
         };
-        let stats = run_linked_fleet(&config, &grid(), 7);
+        let stats = run_linked_fleet_mode(&config, &grid(), 7, ScheduleMode::Lockstep);
         assert_eq!(stats.traps_confirmed, 12, "{stats:?}");
         assert!(
             stats
@@ -559,7 +545,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        let stats = run_linked_fleet(&config, &grid(), 7);
+        let stats = run_linked_fleet_mode(&config, &grid(), 7, ScheduleMode::Lockstep);
         assert_eq!(stats.drones_lost, 1, "{stats:?}");
         assert!(stats.reassigned > 0, "the chunk must be re-dispatched");
         assert_eq!(stats.traps_confirmed, 12, "survivors must cover the loss");
@@ -586,7 +572,7 @@ mod tests {
             ],
             ..Default::default()
         };
-        let stats = run_linked_fleet(&config, &grid(), 7);
+        let stats = run_linked_fleet_mode(&config, &grid(), 7, ScheduleMode::Lockstep);
         assert_eq!(stats.drones_lost, 2);
         assert!(stats.traps_confirmed < 12);
         assert!(
@@ -606,8 +592,8 @@ mod tests {
             }],
             ..Default::default()
         };
-        let a = run_linked_fleet(&config, &grid(), 11);
-        let b = run_linked_fleet(&config, &grid(), 11);
+        let a = run_linked_fleet_mode(&config, &grid(), 11, ScheduleMode::Lockstep);
+        let b = run_linked_fleet_mode(&config, &grid(), 11, ScheduleMode::Lockstep);
         assert_eq!(a, b);
     }
 
@@ -622,7 +608,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        let stats = run_linked_fleet(&config, &grid(), 3);
+        let stats = run_linked_fleet_mode(&config, &grid(), 3, ScheduleMode::Lockstep);
         assert_eq!(stats.traps_confirmed, 12, "{stats:?}");
         assert!(
             stats.duplicate_reads <= stats.reassigned,
@@ -670,7 +656,7 @@ mod tests {
     #[test]
     fn lockstep_mode_is_the_default_entry_point() {
         let config = LinkedFleetConfig::default();
-        let a = run_linked_fleet(&config, &grid(), 9);
+        let a = run_linked_fleet_mode(&config, &grid(), 9, ScheduleMode::Lockstep);
         let b = run_linked_fleet_mode(&config, &grid(), 9, ScheduleMode::Lockstep);
         assert_eq!(a, b, "the wrapper must be exactly lockstep mode");
     }
@@ -682,6 +668,6 @@ mod tests {
             drone_count: 0,
             ..Default::default()
         };
-        run_linked_fleet(&config, &grid(), 1);
+        run_linked_fleet_mode(&config, &grid(), 1, ScheduleMode::Lockstep);
     }
 }

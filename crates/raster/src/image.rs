@@ -182,15 +182,6 @@ impl GrayImage {
     pub fn mean(&self) -> f64 {
         self.pixels().iter().map(|p| *p as f64).sum::<f64>() / self.pixel_count() as f64
     }
-
-    /// 256-bin intensity histogram.
-    pub fn histogram(&self) -> [usize; 256] {
-        let mut h = [0usize; 256];
-        for p in self.pixels() {
-            h[*p as usize] += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -243,11 +234,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_and_mean() {
+    fn mean_of_a_filled_image() {
         let img: GrayImage = Image::filled(2, 2, 10);
         assert_eq!(img.mean(), 10.0);
-        let h = img.histogram();
-        assert_eq!(h[10], 4);
     }
 
     #[test]

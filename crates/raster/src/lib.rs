@@ -8,7 +8,7 @@
 //!   word-parallel `*_packed` forms of every silhouette kernel,
 //! * span rasterisation of disks and tapered capsules into grey frames or
 //!   straight into packed masks ([`draw`]),
-//! * fixed and Otsu [`threshold`]ing,
+//! * fixed-threshold [`threshold`]ing,
 //! * connected-component labelling ([`components`]),
 //! * Moore-neighbour [`contour`] tracing,
 //! * tiled mask differencing for temporal-coherence gating ([`diff`]),

@@ -72,50 +72,9 @@ fn above(chunk: &[u8], t: u8) -> [u8; WORD_BITS] {
     unit
 }
 
-/// Computes Otsu's optimal global threshold from the image histogram.
-///
-/// Returns the threshold value `t` such that [`binarize`]`(img, t)` separates
-/// the two intensity classes with maximal between-class variance. For a
-/// constant image every threshold is equivalent; `0` is returned.
-pub fn otsu_threshold(img: &GrayImage) -> u8 {
-    let hist = img.histogram();
-    let total = img.pixel_count() as f64;
-    let sum_all: f64 = hist
-        .iter()
-        .enumerate()
-        .map(|(i, c)| i as f64 * *c as f64)
-        .sum();
-
-    let mut sum_bg = 0.0;
-    let mut weight_bg = 0.0;
-    let mut best_t = 0u8;
-    let mut best_var = -1.0;
-
-    for (t, count) in hist.iter().enumerate() {
-        weight_bg += *count as f64;
-        if weight_bg == 0.0 {
-            continue;
-        }
-        let weight_fg = total - weight_bg;
-        if weight_fg == 0.0 {
-            break;
-        }
-        sum_bg += t as f64 * *count as f64;
-        let mean_bg = sum_bg / weight_bg;
-        let mean_fg = (sum_all - sum_bg) / weight_fg;
-        let between = weight_bg * weight_fg * (mean_bg - mean_fg).powi(2);
-        if between > best_var {
-            best_var = between;
-            best_t = t as u8;
-        }
-    }
-    best_t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::Image;
 
     #[test]
     fn fixed_threshold_is_strict() {
@@ -150,27 +109,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn otsu_separates_bimodal() {
-        let mut img = GrayImage::new(10, 10);
-        for (i, p) in img.pixels_mut().iter_mut().enumerate() {
-            *p = if i < 50 { 30 } else { 220 };
-        }
-        let t = otsu_threshold(&img);
-        assert!(
-            (30..220).contains(&t),
-            "otsu threshold {t} should split the modes"
-        );
-        let b = binarize(&img, t);
-        assert_eq!(b.count_foreground(), 50);
-    }
-
-    #[test]
-    fn otsu_constant_image() {
-        let img: GrayImage = Image::filled(4, 4, 77);
-        // no second class exists; must not panic
-        let _ = otsu_threshold(&img);
     }
 }

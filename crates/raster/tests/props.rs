@@ -6,7 +6,7 @@ use hdc_raster::contour::{
 };
 use hdc_raster::diff;
 use hdc_raster::io::decode_pgm;
-use hdc_raster::threshold::{binarize, binarize_packed_into, otsu_threshold};
+use hdc_raster::threshold::{binarize, binarize_packed_into};
 use hdc_raster::{
     draw, label_components, label_components_bfs, label_components_packed, largest_component,
     largest_component_packed_lazy, largest_component_with, BitMask, Bitmap, Component,
@@ -58,11 +58,6 @@ proptest! {
         let b = binarize(&img, t);
         let count = img.pixels().iter().filter(|p| **p > t).count();
         prop_assert_eq!(b.count_foreground(), count);
-    }
-
-    #[test]
-    fn otsu_in_range(img in small_gray()) {
-        let _t = otsu_threshold(&img); // must not panic for any image
     }
 
     #[test]

@@ -363,8 +363,7 @@ pub fn available_workers() -> usize {
 }
 
 /// Parses a `--threads N` override out of a raw argument list (`None` when
-/// absent → auto). Shared by `run_scenarios`, `serve_goldens` and the
-/// `bench_*` binaries that drive a pool.
+/// absent → auto). Shared by `run_scenarios` and `serve_goldens`.
 ///
 /// # Panics
 /// Panics with a usage message when `--threads` has no valid positive value.

@@ -30,8 +30,8 @@ pub mod trace;
 pub use fault::{FaultKind, FaultPlan, PlanFaults};
 pub use hdc_runtime::ScheduleMode;
 pub use scenario::{
-    build_matrix, linked_fleet_cases, linked_fleet_cases_mode, mission_cases, run_matrix_mode,
-    run_matrix_with, run_scenario, run_scenario_with, Grade, Scenario, ScenarioResult,
+    build_matrix, linked_fleet_cases_mode, mission_cases, run_matrix_mode, run_scenario_with,
+    Grade, Scenario, ScenarioResult,
 };
 pub use sweep::{
     cohort_fusion_sweep, cohort_fusion_sweep_with, cohort_loss_sweep_with, dead_angle_sweep,

@@ -3,7 +3,7 @@
 //! A [`Scenario`] is a session configuration plus a [`FaultPlan`] and an
 //! expected outcome class. [`build_matrix`] expands
 //! {role × sign × consent × fault plan} into the committed scenario set;
-//! [`run_scenario`] executes one scenario through the full closed loop and
+//! [`run_scenario_with`] executes one scenario through the full closed loop and
 //! grades it:
 //!
 //! * **Pass** — expected outcome class and every safety invariant held,
@@ -87,12 +87,6 @@ pub struct ScenarioResult {
     pub frames: (usize, usize, usize, usize),
 }
 
-/// Runs one scenario through the full closed loop in lockstep mode — the
-/// mode the committed golden manifest pins.
-pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
-    run_scenario_with(scenario, ScheduleMode::Lockstep)
-}
-
 /// Runs one scenario through the full closed loop under the given scheduler
 /// mode.
 ///
@@ -153,20 +147,12 @@ pub fn run_scenario_with(scenario: &Scenario, mode: ScheduleMode) -> ScenarioRes
     grade_report(scenario, &report)
 }
 
-/// Runs a scenario set across a work pool, results in matrix order
-/// (lockstep mode — what the committed golden manifest pins).
+/// Runs a scenario set across a work pool under `mode`, results in matrix
+/// order.
 ///
 /// Scenarios are independent and seed-deterministic, so this is a pure
 /// fan-out: the result vector — digests included — is byte-identical to the
-/// serial `scenarios.iter().map(run_scenario)` at every worker count.
-pub fn run_matrix_with(
-    pool: &hdc_runtime::WorkPool,
-    scenarios: &[Scenario],
-) -> Vec<ScenarioResult> {
-    run_matrix_mode(pool, scenarios, ScheduleMode::Lockstep)
-}
-
-/// [`run_matrix_with`] under an explicit scheduler mode.
+/// serial `run_scenario_with` of each scenario at every worker count.
 pub fn run_matrix_mode(
     pool: &hdc_runtime::WorkPool,
     scenarios: &[Scenario],
@@ -817,15 +803,10 @@ pub fn mission_cases() -> Vec<(String, String, String)> {
 
 /// Linked-fleet conformance cases: `(name, digest, summary)` rows pinning
 /// the datalink-supervised fleet (reliable dispatch, lease supervision,
-/// re-dispatch after radio death) on top of the link layer, in
-/// lockstep-compat mode (the committed manifest).
-pub fn linked_fleet_cases() -> Vec<(String, String, String)> {
-    linked_fleet_cases_mode(ScheduleMode::Lockstep)
-}
-
-/// [`linked_fleet_cases`] under an explicit scheduler mode. Event-driven
-/// rows land in the event manifest: same campaigns, clock jumping between
-/// due times instead of ticking.
+/// re-dispatch after radio death) on top of the link layer, under `mode`.
+/// Lockstep rows land in the lockstep manifest, event-driven rows in the
+/// event manifest: same campaigns, clock jumping between due times instead
+/// of ticking.
 pub fn linked_fleet_cases_mode(mode: ScheduleMode) -> Vec<(String, String, String)> {
     let cases: [(&str, u64, LinkQuality, Vec<RadioFailure>); 3] = [
         ("fleet-link-clean", 5, LinkQuality::clean(), vec![]),

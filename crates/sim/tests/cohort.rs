@@ -8,9 +8,7 @@ use hdc_figure::MarshallingSign;
 use hdc_geometry::azimuth::DEAD_ANGLE_CENTER_RAD;
 use hdc_link::LinkQuality;
 use hdc_runtime::{ScheduleMode, WorkPool};
-use hdc_sim::{
-    build_matrix, run_matrix_with, run_scenario, run_scenario_with, FaultPlan, Grade, Scenario,
-};
+use hdc_sim::{build_matrix, run_matrix_mode, run_scenario_with, FaultPlan, Grade, Scenario};
 use proptest::prelude::*;
 
 /// The cohort sub-matrix (everything this layer appended to the golden set).
@@ -52,7 +50,7 @@ fn dead_angle_fusion_grants_on_relayed_votes_alone() {
         .into_iter()
         .find(|s| s.name == "cohort-dead-angle-recovered")
         .expect("tentpole scenario present");
-    let r = run_scenario(&scenario);
+    let r = run_scenario_with(&scenario, ScheduleMode::Lockstep);
     assert_eq!(
         r.outcome.to_string(),
         "granted",
@@ -139,9 +137,12 @@ proptest! {
 #[test]
 fn cohort_scenarios_are_worker_count_invariant() {
     let matrix = cohort_matrix();
-    let serial: Vec<_> = matrix.iter().map(run_scenario).collect();
+    let serial: Vec<_> = matrix
+        .iter()
+        .map(|s| run_scenario_with(s, ScheduleMode::Lockstep))
+        .collect();
     for workers in [1usize, 2, 4] {
-        let parallel = run_matrix_with(&WorkPool::new(workers), &matrix);
+        let parallel = run_matrix_mode(&WorkPool::new(workers), &matrix, ScheduleMode::Lockstep);
         for (p, s) in parallel.iter().zip(&serial) {
             assert_eq!(
                 (p.name.as_str(), &p.digest, p.outcome, p.grade),

@@ -5,8 +5,8 @@
 
 use hdc_sim::scenario::{golden_event_path, golden_path, parse_manifest};
 use hdc_sim::{
-    build_matrix, linked_fleet_cases_mode, mission_cases, run_scenario, run_scenario_with,
-    FaultKind, Grade, ScheduleMode,
+    build_matrix, linked_fleet_cases_mode, mission_cases, run_scenario_with, FaultKind, Grade,
+    ScheduleMode,
 };
 
 #[test]
@@ -58,7 +58,7 @@ fn every_scenario_passes_and_matches_its_golden_digest() {
     let golden = parse_manifest(&committed);
 
     for scenario in build_matrix() {
-        let result = run_scenario(&scenario);
+        let result = run_scenario_with(&scenario, ScheduleMode::Lockstep);
         assert_eq!(
             result.grade,
             Grade::Pass,

@@ -6,7 +6,7 @@
 use hdc_core::{CollaborationSession, Role, SessionConfig};
 use hdc_drone::WindModel;
 use hdc_geometry::Vec3;
-use hdc_sim::{build_matrix, mission_cases, run_scenario};
+use hdc_sim::{build_matrix, mission_cases, run_scenario_with, ScheduleMode};
 
 #[test]
 fn same_seed_scenarios_replay_byte_identically() {
@@ -23,8 +23,8 @@ fn same_seed_scenarios_replay_byte_identically() {
             .iter()
             .find(|s| s.name == name)
             .unwrap_or_else(|| panic!("scenario {name} must exist"));
-        let a = run_scenario(scenario);
-        let b = run_scenario(scenario);
+        let a = run_scenario_with(scenario, ScheduleMode::Lockstep);
+        let b = run_scenario_with(scenario, ScheduleMode::Lockstep);
         assert_eq!(a.digest, b.digest, "{name}: same seed must replay exactly");
         assert_eq!(a.outcome, b.outcome, "{name}");
         assert_eq!(a.frames, b.frames, "{name}");

@@ -3,22 +3,25 @@
 //! and the committed golden digests — byte-identically at 1, 2 and 4
 //! workers.
 
-use hdc_runtime::WorkPool;
+use hdc_runtime::{ScheduleMode, WorkPool};
 use hdc_sim::scenario::{golden_path, parse_manifest};
 use hdc_sim::sweep::{dead_angle_sweep, dead_angle_sweep_with};
-use hdc_sim::{build_matrix, run_matrix_with, run_scenario};
+use hdc_sim::{build_matrix, run_matrix_mode, run_scenario_with};
 
 #[test]
 fn parallel_matrix_matches_serial_and_golden_at_every_worker_count() {
     let matrix = build_matrix();
-    let serial: Vec<_> = matrix.iter().map(run_scenario).collect();
+    let serial: Vec<_> = matrix
+        .iter()
+        .map(|s| run_scenario_with(s, ScheduleMode::Lockstep))
+        .collect();
 
     let committed = std::fs::read_to_string(golden_path())
         .expect("committed golden manifest (bless with run_scenarios --bless)");
     let golden = parse_manifest(&committed);
 
     for workers in [1usize, 2, 4] {
-        let parallel = run_matrix_with(&WorkPool::new(workers), &matrix);
+        let parallel = run_matrix_mode(&WorkPool::new(workers), &matrix, ScheduleMode::Lockstep);
         assert_eq!(parallel.len(), serial.len());
         for (p, s) in parallel.iter().zip(&serial) {
             assert_eq!(p.name, s.name, "{workers} workers: order must be preserved");

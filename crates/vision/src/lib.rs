@@ -2,7 +2,7 @@
 //!
 //! Stages, mirroring the paper's description:
 //!
-//! 1. **Segment** the frame (fixed or Otsu threshold) straight into a
+//! 1. **Segment** the frame at [`SEGMENTATION_THRESHOLD`] straight into a
 //!    bit-packed mask.
 //! 2. **Isolate** the signaller: largest connected component.
 //! 3. **Trace** the silhouette's outer contour (Moore neighbourhood).
@@ -50,7 +50,7 @@ pub use temporal::Recognition;
 pub use moments::{central_moments, hu_moments, RawMoments};
 pub use pipeline::{
     FrameFailure, FrameRead, FrameResult, FrameScratch, PipelineConfig, RecognitionPipeline,
-    RecognitionResult, SegmentationMode,
+    RecognitionResult, SEGMENTATION_THRESHOLD,
 };
 pub use signature::{
     extract_signature, signature_from_contour, trace_contour_packed_with, trace_contour_with,

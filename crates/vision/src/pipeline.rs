@@ -6,7 +6,7 @@ use crate::signature::{
 };
 use crate::timing::StageTimings;
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
-use hdc_raster::threshold::{binarize_packed_into, otsu_threshold};
+use hdc_raster::threshold::binarize_packed_into;
 use hdc_raster::{
     largest_component_packed_lazy, BitMask, Component, Connectivity, GrayImage, LabelScratch,
 };
@@ -14,14 +14,14 @@ use hdc_sax::{IndexMatch, IndexMatchRef, QueryScratch, SaxIndex, SaxParams, SaxW
 use std::fmt;
 use std::time::Instant;
 
-/// How frames are binarised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentationMode {
-    /// Fixed threshold: pixels strictly above the value are foreground.
-    Fixed(u8),
-    /// Otsu's adaptive threshold per frame.
-    Otsu,
-}
+/// The segmentation threshold: a frame's pixels strictly above it are
+/// foreground. The synthetic frames are high-contrast, as are the paper's
+/// daylight frames, so one fixed value serves every read; and since it is
+/// below 255, a silhouette frame whose pixels are all 0 or 255 segments to
+/// exactly its 255 pixels, which is what lets a mask rasterised straight
+/// into words stand in for the frame
+/// ([`RecognitionPipeline::read_mask_with`]).
+pub const SEGMENTATION_THRESHOLD: u8 = 128;
 
 /// Pipeline configuration.
 ///
@@ -32,8 +32,6 @@ pub enum SegmentationMode {
 /// checks every decision, diagnostic and signature series bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
-    /// Segmentation mode.
-    pub segmentation: SegmentationMode,
     /// Signature length (samples after resampling).
     pub signature_len: usize,
     /// SAX parameters for the sign database.
@@ -52,12 +50,10 @@ pub struct PipelineConfig {
 }
 
 impl Default for PipelineConfig {
-    /// Defaults used across the reproduction: fixed threshold at 128 (the
-    /// synthetic frames are high-contrast, as are the paper's daylight
-    /// frames), 128-sample signatures, SAX(16, 4).
+    /// Defaults used across the reproduction: 128-sample signatures,
+    /// SAX(16, 4).
     fn default() -> Self {
         PipelineConfig {
-            segmentation: SegmentationMode::Fixed(128),
             signature_len: 128,
             sax: SaxParams::default(),
             accept_threshold: 6.0,
@@ -339,26 +335,13 @@ impl RecognitionPipeline {
         Ok(stats)
     }
 
-    /// The frame's segmentation threshold under the active mode.
-    pub(crate) fn segmentation_threshold(&self, frame: &GrayImage) -> u8 {
-        match self.config.segmentation {
-            SegmentationMode::Fixed(t) => t,
-            SegmentationMode::Otsu => otsu_threshold(frame),
-        }
-    }
-
     /// Whole-frame binarise straight into the packed scratch mask
     /// `mask_bits`, one read of the frame and no byte plane
     /// ([`binarize_packed_into`]). Shared by every read and by the
     /// incremental gate's mask-level change detector (which adopts
     /// `mask_bits` as its cached mask on a miss).
-    pub(crate) fn segment_packed(
-        &self,
-        frame: &GrayImage,
-        threshold: u8,
-        scratch: &mut FrameScratch,
-    ) {
-        binarize_packed_into(frame, threshold, &mut scratch.mask_bits);
+    pub(crate) fn segment_packed(&self, frame: &GrayImage, scratch: &mut FrameScratch) {
+        binarize_packed_into(frame, SEGMENTATION_THRESHOLD, &mut scratch.mask_bits);
     }
 
     /// The silhouette stages starting from an already-segmented packed
@@ -383,7 +366,7 @@ impl RecognitionPipeline {
     pub fn signature_of(&self, frame: &GrayImage) -> Result<ShapeSignature, SignatureError> {
         let mut scratch = FrameScratch::new();
         let mut timings = StageTimings::default();
-        self.segment_packed(frame, self.segmentation_threshold(frame), &mut scratch);
+        self.segment_packed(frame, &mut scratch);
         let (_, signed) =
             self.silhouette(&scratch.mask_bits, &mut scratch.blob, true, &mut timings);
         let stats = signed
@@ -515,9 +498,9 @@ impl RecognitionPipeline {
     ///
     /// Like [`RecognitionPipeline::recognize_with`] (which is this entry
     /// with `decide` set) it performs no heap allocation after the first
-    /// frame at a given resolution. Under [`PipelineConfig::default`] the
-    /// component is bit-identical to the largest 8-connected component of
-    /// `binarize(frame, 128)`, so one labelling serves both channels.
+    /// frame at a given resolution. The component is bit-identical to the
+    /// largest 8-connected component of `binarize(frame, 128)` (128 being
+    /// [`SEGMENTATION_THRESHOLD`]), so one labelling serves both channels.
     pub fn read_with<'a>(
         &'a self,
         scratch: &mut FrameScratch,
@@ -526,7 +509,7 @@ impl RecognitionPipeline {
     ) -> FrameRead<'a> {
         let mut timings = StageTimings::default();
         let t = Instant::now();
-        self.segment_packed(frame, self.segmentation_threshold(frame), scratch);
+        self.segment_packed(frame, scratch);
         timings.segment_us = t.elapsed().as_micros() as u64;
         let (component, signed) =
             self.silhouette(&scratch.mask_bits, &mut scratch.blob, decide, &mut timings);
@@ -541,23 +524,14 @@ impl RecognitionPipeline {
     /// `read_with`'s own code. A mask whose only component is the
     /// silhouette, the usual case, is its own blob: it is traced where it
     /// is, and the scratch's blob buffer is neither written nor grown.
-    ///
-    /// # Panics
-    /// Panics unless the pipeline segments every 0/255 frame to exactly its
-    /// 255 pixels: a `Fixed(t < 255)` threshold, as in the loop's
-    /// calibrated [`PipelineConfig::default`].
+    /// Such a frame segments to exactly its 255 pixels, since
+    /// [`SEGMENTATION_THRESHOLD`] is below 255.
     pub fn read_mask_with<'a>(
         &'a self,
         scratch: &mut FrameScratch,
         mask: &BitMask,
         decide: bool,
     ) -> FrameRead<'a> {
-        assert!(
-            matches!(self.config.segmentation, SegmentationMode::Fixed(t) if t < 255),
-            "a silhouette mask is this pipeline's segmentation only under \
-             Fixed(t < 255); got {:?}",
-            self.config
-        );
         let mut timings = StageTimings::default();
         let (component, signed) = self.silhouette(mask, &mut scratch.blob, decide, &mut timings);
         self.decide_from(scratch, component, signed, timings)
@@ -753,22 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn otsu_mode_works_too() {
-        let cfg = PipelineConfig {
-            segmentation: SegmentationMode::Otsu,
-            ..Default::default()
-        };
-        let mut p = RecognitionPipeline::new(cfg);
-        p.calibrate_from_views(&ViewSpec::paper_default(0.0, 5.0, 3.0));
-        let frame = render_sign(
-            MarshallingSign::Yes,
-            &ViewSpec::paper_default(0.0, 4.0, 3.0),
-        );
-        let r = p.recognize(&frame);
-        assert_eq!(r.decision.as_deref(), Some("Yes"));
-    }
-
-    #[test]
     fn scratch_path_matches_allocating_path() {
         // One reused scratch across a mixed stream of frames (different
         // signs, views, failures) must reproduce `recognize` exactly.
@@ -848,37 +806,6 @@ mod tests {
                     from_frame.result.map(|r| (r.decision, r.failure))
                 );
             }
-        }
-    }
-
-    #[test]
-    fn mask_reads_need_the_loops_segmentation() {
-        let mask = BitMask::new(64, 48);
-        let mut scratch = FrameScratch::new();
-        let mut reads = |config: PipelineConfig| {
-            let p = RecognitionPipeline::new(config);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                p.read_mask_with(&mut scratch, &mask, false);
-            }))
-            .is_ok()
-        };
-        let loop_config = PipelineConfig::default();
-        assert!(reads(loop_config));
-        assert!(reads(PipelineConfig {
-            segmentation: SegmentationMode::Fixed(254),
-            ..loop_config
-        }));
-        for refused in [
-            PipelineConfig {
-                segmentation: SegmentationMode::Fixed(255),
-                ..loop_config
-            },
-            PipelineConfig {
-                segmentation: SegmentationMode::Otsu,
-                ..loop_config
-            },
-        ] {
-            assert!(!reads(refused), "{refused:?} must be refused");
         }
     }
 

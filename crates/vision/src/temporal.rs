@@ -331,8 +331,10 @@ impl<'f> StreamRecognizer<'f> {
     }
 
     /// Incremental mode after the identity check missed: segment the frame
-    /// into mask words and, when a cached mask of the same size exists,
-    /// diff it per tile against the fresh one; reuse the decision if every
+    /// into mask words at
+    /// [`SEGMENTATION_THRESHOLD`](crate::SEGMENTATION_THRESHOLD) and, when a
+    /// cached mask of the same size exists, diff it per tile against the
+    /// fresh one; reuse the decision if every
     /// tile is within tolerance. Otherwise — a miss, a cold start or a
     /// resolution change — adopt the fresh mask by swap and run labelling,
     /// contour, signature and SAX on it: exactly the ungated pipeline.
@@ -342,7 +344,7 @@ impl<'f> StreamRecognizer<'f> {
         scratch: &mut FrameScratch,
         frame: &GrayImage,
     ) {
-        pipeline.segment_packed(frame, pipeline.segmentation_threshold(frame), scratch);
+        pipeline.segment_packed(frame, scratch);
         if self.cached.is_some()
             && frame.width() == self.cached_mask.width()
             && frame.height() == self.cached_mask.height()

@@ -3,20 +3,20 @@
 //! `RecognitionPipeline` has one silhouette path: the frame is binarised
 //! straight into bit-packed mask words, then labelled and traced by the
 //! word-parallel kernels. It is admissible only if it computes exactly what
-//! the plain byte composition in this file computes — `binarize` (or Otsu)
-//! → largest 8-connected component → blob-area floor → `extract_signature`
-//! → the sign database's best two → the accept and ratio rule — with the
-//! same decisions, diagnostics and signature series, bit for bit, across
-//! accept frames, reject frames, noisy frames, odd widths and both
-//! segmentation modes. The byte composition lives only here.
+//! the plain byte composition in this file computes — `binarize` at
+//! `SEGMENTATION_THRESHOLD` → largest 8-connected component → blob-area
+//! floor → `extract_signature` → the sign database's best two → the accept
+//! and ratio rule — with the same decisions, diagnostics and signature
+//! series, bit for bit, across accept frames, reject frames, noisy frames
+//! and odd widths. The byte composition lives only here.
 
 use hdc_figure::{render_sign, MarshallingSign, ViewSpec};
-use hdc_raster::threshold::{binarize, otsu_threshold};
+use hdc_raster::threshold::binarize;
 use hdc_raster::{largest_component, Connectivity, GrayImage};
 use hdc_sax::SaxIndex;
 use hdc_vision::{
     extract_signature, FrameFailure, FrameScratch, PipelineConfig, RecognitionPipeline,
-    SegmentationMode, ShapeSignature,
+    ShapeSignature, SEGMENTATION_THRESHOLD,
 };
 
 /// What the byte composition concludes about one frame.
@@ -40,14 +40,6 @@ impl ByteRead {
     }
 }
 
-/// The threshold the pipeline's segmentation mode picks for `frame`.
-fn threshold(config: &PipelineConfig, frame: &GrayImage) -> u8 {
-    match config.segmentation {
-        SegmentationMode::Fixed(t) => t,
-        SegmentationMode::Otsu => otsu_threshold(frame),
-    }
-}
-
 /// The byte oracle for the signature stages: the frame's largest
 /// 8-connected blob on one byte per pixel, its area floor and its
 /// centroid-distance signature.
@@ -55,7 +47,7 @@ fn byte_signature(
     config: &PipelineConfig,
     frame: &GrayImage,
 ) -> Result<ShapeSignature, FrameFailure> {
-    let mask = binarize(frame, threshold(config, frame));
+    let mask = binarize(frame, SEGMENTATION_THRESHOLD);
     let (blob, comp) = largest_component(&mask, Connectivity::Eight).ok_or(FrameFailure::NoBlob)?;
     if comp.area < config.min_blob_area {
         return Err(FrameFailure::BlobTooSmall {
@@ -196,15 +188,6 @@ fn packed_matches_byte_under_salt_and_pepper() {
         })
         .collect();
     assert_matches_byte_oracle(&pipeline, &frames, "salt-pepper");
-}
-
-#[test]
-fn packed_matches_byte_under_otsu() {
-    let pipeline = calibrated(PipelineConfig {
-        segmentation: SegmentationMode::Otsu,
-        ..PipelineConfig::default()
-    });
-    assert_matches_byte_oracle(&pipeline, &view_sweep(), "otsu");
 }
 
 #[test]

@@ -15,9 +15,7 @@
 
 use hdc_figure::{paint_silhouette, render_sign, MarshallingSign, Pose, ViewSpec};
 use hdc_raster::{BitMask, GrayImage};
-use hdc_vision::{
-    FrameFailure, FrameScratch, PipelineConfig, RecognitionPipeline, SegmentationMode,
-};
+use hdc_vision::{FrameFailure, FrameScratch, PipelineConfig, RecognitionPipeline};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -81,12 +79,11 @@ fn view_at(width: u32, azimuth_deg: f64) -> ViewSpec {
     v
 }
 
-fn assert_allocation_free(segmentation: SegmentationMode) {
-    let config = PipelineConfig {
-        segmentation,
-        ..PipelineConfig::default()
-    };
-    let mut pipeline = RecognitionPipeline::new(config);
+/// The pipeline's one kernel family — byte-compare binarisation gathered
+/// straight into mask words, then the word-parallel labelling and contour.
+#[test]
+fn hybrid_recognize_with_is_allocation_free_after_warmup() {
+    let mut pipeline = RecognitionPipeline::new(PipelineConfig::default());
     pipeline.calibrate_from_views(&ViewSpec::paper_default(0.0, 5.0, 3.0));
 
     // A mixed steady-state stream: several signs and azimuths, plus reject
@@ -140,25 +137,10 @@ fn assert_allocation_free(segmentation: SegmentationMode) {
     assert_eq!(
         after_pure - before_pure,
         0,
-        "steady-state recognize_with ({segmentation:?}) must not allocate \
+        "steady-state recognize_with must not allocate \
          (warm loop allocated {} times)",
         after - before
     );
-}
-
-/// Per-frame Otsu segmentation: the threshold histogram is rebuilt for
-/// every frame and must live on the stack or in scratch.
-#[test]
-fn recognize_with_is_allocation_free_after_warmup() {
-    assert_allocation_free(SegmentationMode::Otsu);
-}
-
-/// The default fixed threshold on the hybrid kernels — byte-compare
-/// binarisation gathered straight into mask words, then the word-parallel
-/// labelling and contour — the pipeline's only kernel family.
-#[test]
-fn hybrid_recognize_with_is_allocation_free_after_warmup() {
-    assert_allocation_free(PipelineConfig::default().segmentation);
 }
 
 #[test]

@@ -1,8 +1,10 @@
-//! Bench-artefact metadata shape: every pool-driven benchmark JSON must
-//! record how it was threaded — an explicit, non-null `threads_flag` /
-//! `threads_requested` plus `available_parallelism` — so a committed number
-//! can always be traced to the parallelism it was measured under. New bench
-//! JSONs that declare a thread key with a `null` value fail this check.
+//! Bench-artefact shape: every committed `BENCH_*.json` opens with the
+//! `execution` block its bench writes through `hdc_bench::report` — the
+//! worker count the measurement ran on, the host's available parallelism,
+//! the repeats behind each spread and the smoke flag — so a committed
+//! number can always be traced to the parallelism it was measured under.
+//! The other checks read each report's host-independent rows line by line
+//! (the printer puts one array element on each line).
 
 use std::path::Path;
 
@@ -39,46 +41,8 @@ fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// The pool-driven bench artefacts: these MUST declare their threading.
-/// (`BENCH_recognize.json` is exempt: it measures a single pipeline with no
-/// work pool, so there is no thread count to record.)
-const POOL_DRIVEN: [&str; 4] = [
-    "BENCH_link.json",
-    "BENCH_serve.json",
-    "BENCH_sessions.json",
-    "BENCH_stream.json",
-];
-
 #[test]
-fn pool_driven_bench_jsons_declare_explicit_threading() {
-    for name in POOL_DRIVEN {
-        let path = repo_root().join(name);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{name}: committed bench artefact must exist ({e})"));
-        let flag =
-            raw_value(&text, "threads_flag").or_else(|| raw_value(&text, "threads_requested"));
-        let flag = flag.unwrap_or_else(|| {
-            panic!("{name}: must declare threads_flag or threads_requested metadata")
-        });
-        assert_ne!(
-            flag, "null",
-            "{name}: thread metadata must be explicit, not null — regenerate with --threads N"
-        );
-        assert!(
-            flag.parse::<u32>().is_ok(),
-            "{name}: thread metadata must be an integer, got {flag}"
-        );
-        let avail = raw_value(&text, "available_parallelism")
-            .unwrap_or_else(|| panic!("{name}: must record available_parallelism"));
-        assert!(
-            avail.parse::<u32>().is_ok(),
-            "{name}: available_parallelism must be an integer, got {avail}"
-        );
-    }
-}
-
-#[test]
-fn no_bench_json_carries_null_thread_metadata() {
+fn every_bench_json_opens_with_its_execution_block() {
     let mut seen = 0;
     for entry in std::fs::read_dir(repo_root()).expect("read repo root") {
         let entry = entry.expect("dir entry");
@@ -88,14 +52,29 @@ fn no_bench_json_carries_null_thread_metadata() {
         }
         seen += 1;
         let text = std::fs::read_to_string(entry.path()).expect("read bench artefact");
-        for key in ["threads_flag", "threads_requested"] {
-            if let Some(v) = raw_value(&text, key) {
-                assert_ne!(
-                    v, "null",
-                    "{name}: {key} is null — regenerate with an explicit --threads N"
-                );
-            }
-        }
+        let block = text
+            .strip_prefix("{\n  \"execution\": {")
+            .and_then(|rest| rest.split_once('}'))
+            .unwrap_or_else(|| panic!("{name}: must open with an \"execution\": {{..}} block"))
+            .0;
+        let count = |key: &str| -> u64 {
+            let v = raw_value(block, key)
+                .unwrap_or_else(|| panic!("{name}: execution block has no {key}"));
+            v.parse()
+                .unwrap_or_else(|_| panic!("{name}: execution {key} must be an integer, got {v}"))
+        };
+        assert!(count("threads") >= 1, "{name}: threads");
+        assert!(
+            count("available_parallelism") >= 1,
+            "{name}: available_parallelism"
+        );
+        let repeats = count("repeats");
+        assert!(repeats >= 5, "{name}: {repeats} repeats");
+        assert_eq!(
+            raw_value(block, "smoke").as_deref(),
+            Some("false"),
+            "{name}: a committed report is never a smoke run"
+        );
     }
     assert!(seen >= 5, "only {seen} BENCH_*.json artefacts found");
 }

@@ -3,7 +3,7 @@
 
 use hdc::figure::{render_pose, render_sign, MarshallingSign, Pose, ViewSpec};
 use hdc::raster::noise;
-use hdc::vision::{PipelineConfig, RecognitionPipeline, SegmentationMode};
+use hdc::vision::{PipelineConfig, RecognitionPipeline};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -88,26 +88,6 @@ fn distractor_poses_do_not_false_accept_as_yes() {
         let frame = render_pose(pose, &ViewSpec::paper_default(0.0, 5.0, 3.0));
         let d = p.recognize(&frame).decision;
         assert_ne!(d.as_deref(), Some("Yes"), "{name} must never grant access");
-    }
-}
-
-#[test]
-fn otsu_and_fixed_threshold_agree_on_clean_frames() {
-    let mut fixed = RecognitionPipeline::new(PipelineConfig::default());
-    fixed.calibrate_from_views(&ViewSpec::paper_default(0.0, 5.0, 3.0));
-    let cfg = PipelineConfig {
-        segmentation: SegmentationMode::Otsu,
-        ..Default::default()
-    };
-    let mut otsu = RecognitionPipeline::new(cfg);
-    otsu.calibrate_from_views(&ViewSpec::paper_default(0.0, 5.0, 3.0));
-    for sign in MarshallingSign::ALL {
-        let frame = render_sign(sign, &ViewSpec::paper_default(10.0, 4.5, 3.0));
-        assert_eq!(
-            fixed.recognize(&frame).decision,
-            otsu.recognize(&frame).decision,
-            "{sign}"
-        );
     }
 }
 

@@ -211,7 +211,7 @@ fn non_test_line_count() {
 /// library: an oracle or fixture the tests of more than one file share.
 /// An entry that names no `pub fn` fails the scan, so the list cannot
 /// outlive its oracles.
-const TEST_ORACLES: [(&str, &str); 3] = [
+const TEST_ORACLES: [(&str, &str); 5] = [
     (
         "decode_pgm",
         "reads P5 bytes back into an image, so raster's round-trip tests pin the PGM format",
@@ -226,6 +226,17 @@ const TEST_ORACLES: [(&str, &str); 3] = [
         "the allocating reference the dynamic recogniser's scratch path must equal \
          (hdc-vision unit and property tests)",
     ),
+    (
+        "label_components_packed",
+        "the full packed labelling that raster's unit tests and props check against the \
+         byte labellings, and against which the lazy largest-component kernel's copy \
+         decision is checked",
+    ),
+    (
+        "smooth_moving_average",
+        "circular smoothing that the timeseries unit and property tests pin and the \
+         vision signature test uses to count a bar's two far ends",
+    ),
 ];
 
 /// Whether `text[at..at + len]` is a whole identifier.
@@ -234,11 +245,21 @@ fn is_word(text: &str, at: usize, len: usize) -> bool {
     !text[..at].ends_with(ident) && !text[at + len..].starts_with(ident)
 }
 
-/// The code of a non-test source: its lines minus comments, plus the code
-/// of its doc examples (a compiled example is a documented caller), each
-/// kept on its own line so line numbers still match the file.
+/// Whether `line` opens a `use` item (`use`, `pub use`, `pub(crate) use`).
+fn opens_use(line: &str) -> bool {
+    let item = line
+        .strip_prefix("pub(crate) ")
+        .or_else(|| line.strip_prefix("pub "))
+        .unwrap_or(line);
+    item.starts_with("use ")
+}
+
+/// The code of a non-test source: its lines minus comments and `use`
+/// items (a re-export names a function, it does not call it), plus the
+/// code of its doc examples (a compiled example is a documented caller),
+/// each kept on its own line so line numbers still match the file.
 fn callers_code(text: &str) -> String {
-    let mut in_example = false;
+    let (mut in_example, mut in_use) = (false, false);
     let mut code = String::new();
     for line in text.lines() {
         let trimmed = line.trim_start();
@@ -247,8 +268,10 @@ fn callers_code(text: &str) -> String {
             .or_else(|| trimmed.strip_prefix("//!"));
         match doc.map(str::trim_start) {
             Some(body) if body.starts_with("```") => in_example = !in_example,
+            Some(body) if in_example && opens_use(body) => {}
             Some(body) if in_example => code.push_str(body),
             _ if trimmed.starts_with("//") => {}
+            _ if in_use || opens_use(trimmed) => in_use = !trimmed.trim_end().ends_with(';'),
             _ => code.push_str(line),
         }
         code.push('\n');
